@@ -28,7 +28,7 @@ print(f"  aerodynamic power      {result.mean_aero_power:8.2f} W")
 print(f"  lift-to-aero-power     "
       f"{lift_to_power(result.mean_lift, result.mean_aero_power):8.2f} gf/W")
 print(f"  induced velocity       {result.v_induced:8.3f} m/s "
-      f"({result.vi_info.iterations} fixed-point iterations)")
+      f"({result.vi_info.iterations} thrust evaluations)")
 print(f"  Reynolds number        {result.reynolds_number:8.0f}")
 
 forces = result.time_series.forces

@@ -8,13 +8,14 @@ eta, tangential to the section's instantaneous motion in the stroke
 plane, and zeta, perpendicular to the stroke plane (lift).
 
 The mean inflow through the stroke disk couples back into the effective
-angle of attack. It is solved as the fixed point of actuator-disk
-momentum balance against the blade-element thrust, assuming a uniform
-induced velocity, and the aerodynamic power follows from the eta force
+angle of attack. Assuming a uniform induced velocity, it is the root of
+actuator-disk momentum balance against the blade-element thrust, found by
+a bracketed secant search on a cycle grid whose inflow-independent terms
+are evaluated once. The aerodynamic power follows from the eta force
 opposing the stroke motion.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
 
 import numpy as np
@@ -30,8 +31,9 @@ class AeroEnvironment:
     nu: float = 1.5e-5
 
     def __post_init__(self):
-        if self.rho <= 0.0 or self.nu <= 0.0:
-            raise ValueError("air density and viscosity must be positive")
+        if not all(math.isfinite(x) and x > 0.0 for x in (self.rho, self.nu)):
+            raise ValueError(
+                "air density and viscosity must be finite and positive")
 
 
 def aero_coefficients(alpha_e, re):
@@ -154,6 +156,27 @@ class ForceBreakdown:
                 + self.rotational_zeta)
 
 
+def _unsteady_forces(state, env):
+    """Added-mass and rotational force magnitudes of the elements.
+
+    Neither depends on the inflow: both use the geometric angle of attack
+    and the stroke-plane section speed.
+    """
+    scale = state.area_scale * state.width
+    a_w = element_acceleration(state)
+    added = (0.25 * math.pi * env.rho * state.chord**2 * a_w
+             * np.sin(state.alpha_geometric) * scale)
+
+    # Zero-chord stations carry no force; avoid 0/0 in the axis ratio.
+    chord = np.asarray(state.chord, dtype=float)
+    axis_ratio = np.divide(state.pitch_axis, chord,
+                           out=np.zeros(np.shape(chord)), where=chord > 0.0)
+    c_rot = math.pi * (0.75 - axis_ratio)
+    rot = (env.rho * state.v_translational * c_rot * state.rotation_rate
+           * chord**2 * scale)
+    return added, rot
+
+
 def element_forces(state, env, re):
     """Sectional forces for a given element state.
 
@@ -172,18 +195,7 @@ def element_forces(state, env, re):
     dyn = state.v_translational**2 + state.v_induced**2
     scale = state.area_scale * state.width
     trans = 0.5 * env.rho * state.chord * dyn * scale
-
-    a_w = element_acceleration(state)
-    added = (0.25 * math.pi * env.rho * state.chord**2 * a_w
-             * np.sin(state.alpha_geometric) * scale)
-
-    # Zero-chord stations carry no force; avoid 0/0 in the axis ratio.
-    chord = np.asarray(state.chord, dtype=float)
-    axis_ratio = np.divide(state.pitch_axis, chord,
-                           out=np.zeros(np.shape(chord)), where=chord > 0.0)
-    c_rot = math.pi * (0.75 - axis_ratio)
-    rot = (env.rho * state.v_translational * c_rot * state.rotation_rate
-           * chord**2 * scale)
+    added, rot = _unsteady_forces(state, env)
 
     return ForceBreakdown(
         translational_eta=-trans * (cl * sin_phi + cd * cos_phi),
@@ -228,9 +240,40 @@ def _pair_mean_thrust(elements, kin, env, steps, v_induced, re):
     return 2.0 * float(np.mean(np.sum(forces.total_zeta, axis=1)))
 
 
+def _pair_mean_thrust_function(state, env, re):
+    """``thrust(v)``: the pair's cycle-mean vertical force at inflow ``v``.
+
+    Equals ``_pair_mean_thrust`` on the grid of ``state`` (whose own
+    ``v_induced`` is ignored). Only the translational term depends on the
+    inflow, so the section speed, the geometric angle of attack, the
+    translational force scale and the cycle-mean added-mass plus
+    rotational lift are evaluated once here.
+    """
+    v_t = state.v_translational
+    v_t_sq = v_t**2
+    alpha_g = state.alpha_geometric
+    trans_scale = 0.5 * env.rho * state.chord * state.area_scale * state.width
+    added, rot = _unsteady_forces(state, env)
+    unsteady = float(np.mean(np.sum((added + rot)
+                                    * np.cos(state.rotation_angle), axis=1)))
+
+    def thrust(v):
+        phi = np.arctan2(v, v_t)
+        cl, cd = aero_coefficients(alpha_g - phi, re)
+        zeta = trans_scale * (v_t_sq + v * v) * (cl * np.cos(phi)
+                                                 - cd * np.sin(phi))
+        return 2.0 * (float(np.mean(np.sum(zeta, axis=1))) + unsteady)
+
+    return thrust
+
+
 @dataclass(frozen=True)
 class InducedVelocityResult:
-    """Converged mean inflow with the fixed-point diagnostics."""
+    """Converged mean inflow with the root-search diagnostics.
+
+    ``iterations`` counts evaluations of the cycle-mean thrust and
+    ``residual`` is the momentum-balance residual at ``v_induced``.
+    """
 
     v_induced: float
     iterations: int
@@ -239,46 +282,75 @@ class InducedVelocityResult:
 
 
 def solve_induced_velocity(wing, kin, env, steps=720, n_elements=20,
-                           tol=1e-6, max_iter=100, relax=0.5,
-                           reynolds_number=None, elements=None):
-    """Solve the momentum/blade-element fixed point for the mean inflow.
+                           tol=1e-6, max_iter=100, reynolds_number=None,
+                           state=None):
+    """Solve momentum/blade-element balance for the mean inflow.
 
-    The inflow satisfies Vi = sqrt(max(T, 0) / (2 rho A)) where T is the
-    cycle-mean vertical force of the wing pair evaluated at Vi, and
-    A = Phi * R^2 is the actuator area swept by the two wings. Iterated
-    with under-relaxation until successive inflow values agree to ``tol``
-    metres per second.
+    The inflow is the root of g(Vi) = sqrt(max(T, 0) / (2 rho A)) - Vi,
+    where T is the cycle-mean vertical force of the wing pair evaluated
+    at Vi and A = Phi * R^2 is the actuator area swept by the two wings.
+    The search starts at Vi = 0 and steps to the momentum inflow of the
+    thrust until the root is bracketed (one step when thrust falls with
+    inflow). It then takes secant steps through the two latest iterates,
+    bisecting the bracket instead whenever a step would leave it, and
+    stops at the first Vi with |g(Vi)| <= ``tol`` metres per second.
+
+    ``state`` is an element grid from ``_element_grid_state`` for this
+    wing's elements and ``steps``; it is built here when omitted.
 
     Returns an :class:`InducedVelocityResult`; a negative mean thrust
     pins the inflow at zero and sets the ``negative_thrust`` flag.
 
     Raises
     ------
+    ValueError
+        If ``max_iter`` is below 1.
     RuntimeError
-        If the fixed point has not converged after ``max_iter``
-        iterations (the message reports the last residual).
+        If the thrust is not finite, or no inflow meets ``tol`` within
+        ``max_iter`` thrust evaluations (the message reports the last
+        residual).
     """
     from .wing import discretize
 
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     disk_area = kin.stroke_amplitude * wing.span**2
     if disk_area <= 0.0:
         return InducedVelocityResult(0.0, 0, 0.0, False)
-    if elements is None:
-        elements = discretize(wing, n_elements)
     re = reynolds(wing, kin, env) if reynolds_number is None else reynolds_number
+    if state is None:
+        _, state = _element_grid_state(discretize(wing, n_elements), kin,
+                                       steps, 0.0)
+    thrust_at = _pair_mean_thrust_function(state, env, re)
 
-    v = 0.0
-    for iteration in range(1, max_iter + 1):
-        thrust = _pair_mean_thrust(elements, kin, env, steps, v, re)
-        v_target = math.sqrt(max(thrust, 0.0) / (2.0 * env.rho * disk_area))
-        residual = abs(v_target - v)
-        if residual <= tol:
-            return InducedVelocityResult(v, iteration, residual,
+    # g falls through the root: v_lo (g > 0) lies below it, v_hi above.
+    v, v_hi, previous = 0.0, None, None
+    for evaluation in range(1, max_iter + 1):
+        thrust = thrust_at(v)
+        if not math.isfinite(thrust):
+            raise RuntimeError(
+                f"non-finite cycle-mean thrust {thrust} at inflow {v:.6g} m/s")
+        g = math.sqrt(max(thrust, 0.0) / (2.0 * env.rho * disk_area)) - v
+        if abs(g) <= tol:
+            return InducedVelocityResult(v, evaluation, abs(g),
                                          negative_thrust=thrust < 0.0)
-        v = v + relax * (v_target - v)
+        if g > 0.0:
+            v_lo = v
+        else:
+            v_hi = v
+        if v_hi is None:
+            step = g  # to the momentum inflow of this thrust
+        else:
+            v_prev, g_prev = previous
+            step = (-g * (v - v_prev) / (g - g_prev) if g != g_prev
+                    else math.inf)
+            if not v_lo < v + step < v_hi:
+                step = 0.5 * (v_lo + v_hi) - v
+        previous = v, g
+        v += step
     raise RuntimeError(
-        f"induced-velocity iteration did not converge after {max_iter} "
-        f"iterations (last residual {residual:.3e} m/s)")
+        f"induced-velocity solve did not converge after {max_iter} thrust "
+        f"evaluations (last residual {abs(g):.3e} m/s)")
 
 
 @dataclass(frozen=True)
@@ -341,15 +413,16 @@ def simulate_cycle(wing, kin, env, steps=720, pair=True, n_elements=20,
         raise ValueError("need at least 36 steps per cycle")
     elements = discretize(wing, n_elements)
     re = reynolds(wing, kin, env) if reynolds_number is None else reynolds_number
+    t, state = _element_grid_state(elements, kin, steps, 0.0)
 
     vi_info = None
     if induced_velocity is None:
         vi_info = solve_induced_velocity(wing, kin, env, steps=steps,
                                          tol=vi_tol, max_iter=vi_max_iter,
-                                         reynolds_number=re, elements=elements)
+                                         reynolds_number=re, state=state)
         induced_velocity = vi_info.v_induced
 
-    t, state = _element_grid_state(elements, kin, steps, induced_velocity)
+    state = replace(state, v_induced=induced_velocity)
     forces = element_forces(state, env, re)
 
     factor = 2.0 if pair else 1.0

@@ -23,6 +23,7 @@ from .harness import (
     run_cutout_study,
     run_metadata,
     run_sweep,
+    solver_kwargs,
     spanwise_rows,
     write_csv,
     write_json,
@@ -99,9 +100,7 @@ def cmd_fit_kinematics(args, config, out_dir):
 def cmd_simulate(args, config, out_dir):
     result = simulate_cycle(config.wing, config.kinematics,
                             config.environment,
-                            steps=config.solver.steps_per_cycle,
-                            pair=config.solver.pair,
-                            n_elements=config.solver.n_elements)
+                            **solver_kwargs(config.solver))
     summary = {"metadata": run_metadata(config.solver)}
     summary.update(cycle_summary_dict(result))
     write_json(os.path.join(out_dir, "cycle_summary.json"), summary)

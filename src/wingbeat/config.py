@@ -11,6 +11,7 @@ and a parsed config serializes back to an equivalent document.
 from dataclasses import dataclass
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -27,6 +28,27 @@ def _require(mapping, key, section):
     if key not in mapping:
         raise ConfigError(f"missing key '{key}' in '{section}' section")
     return mapping[key]
+
+
+def _finite(value, key, section):
+    """``value`` as a float; rejects non-numeric and non-finite values."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(
+            f"'{key}' in '{section}' must be a finite number, got {value!r}")
+    return number
+
+
+def _integer(value, key, section):
+    """``value`` as an int; rejects non-integral and non-finite values."""
+    number = _finite(value, key, section)
+    if number != int(number):
+        raise ConfigError(
+            f"'{key}' in '{section}' must be an integer, got {value!r}")
+    return int(number)
 
 
 def wing_from_config(cfg):
@@ -82,13 +104,16 @@ def wing_to_config(wing):
 
 
 def _series_from_config(cfg, frequency, section):
-    a = [math.radians(float(x)) for x in cfg.get("a_deg", [])]
-    b = [math.radians(float(x)) for x in cfg.get("b_deg", [])]
+    a = [math.radians(_finite(x, "a_deg", section))
+         for x in cfg.get("a_deg", [])]
+    b = [math.radians(_finite(x, "b_deg", section))
+         for x in cfg.get("b_deg", [])]
     n = max(len(a), len(b))
     a += [0.0] * (n - len(a))
     b += [0.0] * (n - len(b))
     try:
-        return FourierSeries(a0=math.radians(float(cfg.get("a0_deg", 0.0))),
+        return FourierSeries(a0=math.radians(_finite(cfg.get("a0_deg", 0.0),
+                                                     "a0_deg", section)),
                              a=tuple(a), b=tuple(b), frequency=frequency)
     except ValueError as exc:
         raise ConfigError(f"invalid series in '{section}': {exc}") from exc
@@ -108,15 +133,17 @@ def kinematics_from_config(cfg):
     Keys: ``frequency_hz``, ``stroke`` ({a0_deg, a_deg[], b_deg[]}),
     ``rotation_stations`` ([{span_fraction, a0_deg, a_deg[], b_deg[]}]).
     """
-    frequency = float(_require(cfg, "frequency_hz", "kinematics"))
+    frequency = _finite(_require(cfg, "frequency_hz", "kinematics"),
+                        "frequency_hz", "kinematics")
     if frequency <= 0.0:
         raise ConfigError("frequency_hz must be positive")
     stroke = _series_from_config(_require(cfg, "stroke", "kinematics"),
                                  frequency, "stroke")
     stations = []
     for st in _require(cfg, "rotation_stations", "kinematics"):
-        stations.append((float(_require(st, "span_fraction",
-                                        "rotation_stations")),
+        stations.append((_finite(_require(st, "span_fraction",
+                                          "rotation_stations"),
+                                 "span_fraction", "rotation_stations"),
                          _series_from_config(st, frequency,
                                              "rotation_stations")))
     try:
@@ -140,8 +167,9 @@ def kinematics_to_config(kin):
 
 def environment_from_config(cfg):
     try:
-        return AeroEnvironment(rho=float(cfg.get("rho_kg_m3", 1.225)),
-                               nu=float(cfg.get("nu_m2_s", 1.5e-5)))
+        return AeroEnvironment(
+            rho=_finite(cfg.get("rho_kg_m3", 1.225), "rho_kg_m3", "environment"),
+            nu=_finite(cfg.get("nu_m2_s", 1.5e-5), "nu_m2_s", "environment"))
     except ValueError as exc:
         raise ConfigError(f"invalid environment: {exc}") from exc
 
@@ -163,14 +191,25 @@ class SolverSettings:
             raise ConfigError("steps_per_cycle must be at least 36")
         if self.n_elements < 2:
             raise ConfigError("n_elements must be at least 2")
+        if not (math.isfinite(self.vi_tol) and self.vi_tol > 0.0):
+            raise ConfigError(
+                f"vi_tol must be a finite positive number, got {self.vi_tol}")
+        if not (isinstance(self.vi_max_iter, numbers.Integral)
+                and self.vi_max_iter >= 1):
+            raise ConfigError(
+                f"vi_max_iter must be an integer of at least 1, "
+                f"got {self.vi_max_iter!r}")
 
     @classmethod
     def from_config(cls, cfg):
-        return cls(steps_per_cycle=int(cfg.get("steps_per_cycle", 720)),
-                   n_elements=int(cfg.get("n_elements", 20)),
+        return cls(steps_per_cycle=_integer(cfg.get("steps_per_cycle", 720),
+                                            "steps_per_cycle", "solver"),
+                   n_elements=_integer(cfg.get("n_elements", 20),
+                                       "n_elements", "solver"),
                    pair=bool(cfg.get("pair", True)),
-                   vi_tol=float(cfg.get("vi_tol", 1e-6)),
-                   vi_max_iter=int(cfg.get("vi_max_iter", 100)))
+                   vi_tol=_finite(cfg.get("vi_tol", 1e-6), "vi_tol", "solver"),
+                   vi_max_iter=_integer(cfg.get("vi_max_iter", 100),
+                                        "vi_max_iter", "solver"))
 
     def to_config(self):
         return {"steps_per_cycle": self.steps_per_cycle,

@@ -1,4 +1,4 @@
-"""Blade-element force model, induced-velocity fixed point, cycle averages."""
+"""Blade-element force model, induced-velocity root, cycle averages."""
 
 import math
 from pathlib import Path
@@ -17,7 +17,9 @@ from wingbeat.aero import (
     reynolds,
     simulate_cycle,
     solve_induced_velocity,
+    _element_grid_state,
     _pair_mean_thrust,
+    _pair_mean_thrust_function,
 )
 from wingbeat.kinematics import FourierSeries, WingKinematics
 from wingbeat.presets import beetle_kinematics, rectangular_wing, standard_wing
@@ -211,6 +213,70 @@ def test_induced_velocity_zero_kinematics():
     assert not result.negative_thrust
 
 
+def momentum_residual(wing, kin, env, v, steps=720, n_elements=20):
+    """g(v) of the inflow balance, on the full force path."""
+    thrust = _pair_mean_thrust(discretize(wing, n_elements), kin, env, steps,
+                               v, reynolds(wing, kin, env))
+    return (math.sqrt(max(thrust, 0.0)
+                      / (2.0 * env.rho * kin.stroke_amplitude * wing.span**2))
+            - v)
+
+
+@pytest.mark.parametrize("cutout", [0.0, 0.3])
+def test_reduced_thrust_matches_full_path(cutout):
+    wing = apply_inboard_cutout(standard_wing(25.5), cutout)
+    kin = beetle_kinematics(17.3, 190.0)
+    elements = discretize(wing, 20)
+    re = reynolds(wing, kin, ENV)
+    _, state = _element_grid_state(elements, kin, 720, 0.0)
+    thrust = _pair_mean_thrust_function(state, ENV, re)
+    for v in (0.0, 0.6, 1.87, 3.5):
+        assert thrust(v) == pytest.approx(
+            _pair_mean_thrust(elements, kin, ENV, 720, v, re), rel=1e-12)
+
+
+def test_induced_velocity_sweep_corners():
+    for amplitude in (120.0, 190.0):
+        for area in (20.1, 31.4):
+            for cutout in (0.0, 0.3):
+                for f in (12.0, 24.0):
+                    wing = apply_inboard_cutout(standard_wing(area), cutout)
+                    kin = beetle_kinematics(f, amplitude)
+                    result = solve_induced_velocity(wing, kin, ENV)
+                    assert result.iterations <= 8
+                    assert result.residual <= 1e-6
+                    g = momentum_residual(wing, kin, ENV, result.v_induced)
+                    assert abs(g) <= 1e-6 + 1e-12
+
+
+def test_pinned_inflow_is_the_momentum_root():
+    # Independent bisection on the full force path.
+    wing = standard_wing(25.5)
+    kin = beetle_kinematics(17.3, 190.0)
+    lo, hi = 0.0, 5.0
+    assert momentum_residual(wing, kin, ENV, lo) > 0.0
+    assert momentum_residual(wing, kin, ENV, hi) < 0.0
+    for _ in range(45):
+        mid = 0.5 * (lo + hi)
+        if momentum_residual(wing, kin, ENV, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    assert 0.5 * (lo + hi) == pytest.approx(PINNED["cycle_v_induced"],
+                                            abs=1e-11)
+
+
+def test_cycle_inflow_matches_standalone_solve():
+    wing = standard_wing(25.5)
+    kin = beetle_kinematics(17.3, 190.0)
+    _, state = _element_grid_state(discretize(wing, 20), kin, 720, 0.0)
+    alone = solve_induced_velocity(wing, kin, ENV)
+    given = solve_induced_velocity(wing, kin, ENV, state=state)
+    cycle = simulate_cycle(wing, kin, ENV)
+    assert cycle.v_induced == alone.v_induced == given.v_induced
+    assert cycle.vi_info == alone == given
+
+
 def test_induced_velocity_self_consistency():
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
@@ -239,6 +305,15 @@ def test_induced_velocity_nonconvergence_raises():
     kin = beetle_kinematics(17.3, 190.0)
     with pytest.raises(RuntimeError, match="residual"):
         solve_induced_velocity(wing, kin, ENV, max_iter=2)
+    with pytest.raises(ValueError, match="max_iter"):
+        solve_induced_velocity(wing, kin, ENV, max_iter=0)
+
+
+def test_induced_velocity_non_finite_thrust_raises():
+    wing = standard_wing(25.5)
+    kin = beetle_kinematics(17.3, 190.0)
+    with pytest.raises(RuntimeError, match="non-finite"):
+        solve_induced_velocity(wing, kin, ENV, reynolds_number=math.nan)
 
 
 def inverted_twist_kinematics(f=17.3):
@@ -253,6 +328,7 @@ def test_negative_thrust_pins_inflow_at_zero():
     result = solve_induced_velocity(wing, inverted_twist_kinematics(), ENV)
     assert result.v_induced == 0.0
     assert result.negative_thrust
+    assert result.iterations == 1
     cycle = simulate_cycle(wing, inverted_twist_kinematics(), ENV)
     assert cycle.mean_lift < 0.0
     assert cycle.vi_info.negative_thrust

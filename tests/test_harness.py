@@ -76,6 +76,31 @@ def test_config_validation_errors():
         StudyConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("solver", "vi_max_iter", 0),
+    ("solver", "vi_max_iter", 2.5),
+    ("solver", "vi_tol", -1.0),
+    ("solver", "vi_tol", math.nan),
+    ("solver", "steps_per_cycle", math.inf),
+    ("environment", "rho_kg_m3", math.nan),
+    ("environment", "nu_m2_s", math.inf),
+    ("kinematics", "frequency_hz", math.inf),
+    ("kinematics", "frequency_hz", None),
+])
+def test_config_rejects_bad_solver_and_physics_values(section, key, value):
+    doc = base_config_dict()
+    doc[section][key] = value
+    with pytest.raises(ConfigError, match=key):
+        StudyConfig.from_dict(doc)
+
+
+def test_config_rejects_non_finite_series_coefficients():
+    doc = base_config_dict()
+    doc["kinematics"]["rotation_stations"][0]["a_deg"][0] = math.nan
+    with pytest.raises(ConfigError, match="a_deg"):
+        StudyConfig.from_dict(doc)
+
+
 def test_single_point_sweep_matches_direct_call():
     config = StudyConfig.from_dict(base_config_dict())
     result = run_sweep(config)
@@ -244,6 +269,31 @@ def test_cli_simulate(tmp_path, capsys):
     assert (out / "cycle_spanwise.csv").exists()
     summary = json.loads((out / "cycle_summary.json").read_text())
     assert summary["mean_lift_gf"] > 0
+
+
+def test_cli_simulate_honours_solver_iteration_limit(tmp_path, capsys):
+    path = write_config(tmp_path, solver={"steps_per_cycle": 180,
+                                          "n_elements": 10, "vi_max_iter": 2})
+    assert cli.main(["--config", str(path), "simulate"]) == 2
+    assert "did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("solver", "vi_max_iter", 0),
+    ("solver", "vi_tol", -1.0),
+    ("environment", "rho_kg_m3", math.nan),
+])
+def test_cli_bad_solver_or_physics_value_is_config_error(tmp_path, capsys,
+                                                         section, key, value):
+    path = write_config(tmp_path, trim={"target_lift_gf": 15.8,
+                                        "f_lo_hz": 8.0, "f_hi_hz": 30.0})
+    doc = json.loads(path.read_text())
+    doc[section][key] = value
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--config", str(path), "trim"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+    assert err.count("\n") == 1
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
