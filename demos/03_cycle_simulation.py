@@ -10,6 +10,7 @@ import numpy as np
 from wingbeat import (
     AeroEnvironment,
     GRAM_FORCE_NEWTONS,
+    SolverSettings,
     beetle_kinematics,
     lift_to_power,
     simulate_cycle,
@@ -20,7 +21,8 @@ wing = standard_wing(25.5)
 kin = beetle_kinematics(frequency_hz=17.3, amplitude_deg=190.0)
 env = AeroEnvironment()
 
-result = simulate_cycle(wing, kin, env, steps=720, pair=True)
+result = simulate_cycle(wing, kin, env,
+                        SolverSettings(steps_per_cycle=720, pair=True))
 
 print(f"wing pair, {wing.area * 1e4:.1f} cm^2 per wing, 17.3 Hz, 190 deg:")
 print(f"  cycle-mean lift        {result.mean_lift / GRAM_FORCE_NEWTONS:8.2f} gf")

@@ -15,6 +15,7 @@ from .aero import (
     ElementState,
     ForceBreakdown,
     InducedVelocityResult,
+    SolverSettings,
     WingComparison,
     aero_coefficients,
     compare_wings,

@@ -12,15 +12,19 @@ angle of attack. Assuming a uniform induced velocity, it is the root of
 actuator-disk momentum balance against the blade-element thrust, found by
 a bracketed secant search on a cycle grid whose inflow-independent terms
 are evaluated once. The aerodynamic power follows from the eta force
-opposing the stroke motion.
+opposing the stroke motion. Both solvers take their grid and search
+limits from one :class:`SolverSettings`.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 import math
+import numbers
 
 import numpy as np
 
 from .kinematics import geometric_aoa
+from .wing import discretize
 
 
 @dataclass(frozen=True)
@@ -34,6 +38,36 @@ class AeroEnvironment:
         if not all(math.isfinite(x) and x > 0.0 for x in (self.rho, self.nu)):
             raise ValueError(
                 "air density and viscosity must be finite and positive")
+
+
+@dataclass(frozen=True)
+class SolverSettings:
+    """Cycle grid, pair flag, and inflow-search limits of a cycle solve.
+
+    ``pair`` doubles single-wing loads for the mirrored pair (no wing-wing
+    interaction); ``vi_tol`` is the momentum residual (m/s) that ends the
+    inflow search and ``vi_max_iter`` its thrust-evaluation budget.
+    """
+
+    steps_per_cycle: int = 720
+    n_elements: int = 20
+    pair: bool = True
+    vi_tol: float = 1e-6
+    vi_max_iter: int = 100
+
+    def __post_init__(self):
+        if self.steps_per_cycle < 36:
+            raise ValueError("steps_per_cycle must be at least 36")
+        if self.n_elements < 2:
+            raise ValueError("n_elements must be at least 2")
+        if not (math.isfinite(self.vi_tol) and self.vi_tol > 0.0):
+            raise ValueError(
+                f"vi_tol must be a finite positive number, got {self.vi_tol}")
+        if not (isinstance(self.vi_max_iter, numbers.Integral)
+                and self.vi_max_iter >= 1):
+            raise ValueError(
+                f"vi_max_iter must be an integer of at least 1, "
+                f"got {self.vi_max_iter!r}")
 
 
 def aero_coefficients(alpha_e, re):
@@ -81,7 +115,7 @@ class ElementState:
 
     Fields broadcast together, so the same dataclass serves a single
     scalar element and a (steps, elements) grid. Angles in radians,
-    lengths in metres, rates in 1/s.
+    lengths in metres, rates in 1/s. Derived arrays are cached per instance.
     """
 
     radius: np.ndarray
@@ -96,21 +130,21 @@ class ElementState:
     rotation_accel: np.ndarray
     v_induced: float = 0.0
 
-    @property
+    @cached_property
     def v_translational(self):
         """Section speed in the stroke plane, radius * |stroke rate|."""
         return self.radius * np.abs(self.stroke_rate)
 
-    @property
+    @cached_property
     def inflow_angle(self):
         """Induced inflow angle, atan2(Vi, VT), in [0, pi/2]."""
         return np.arctan2(self.v_induced, self.v_translational)
 
-    @property
+    @cached_property
     def alpha_geometric(self):
         return geometric_aoa(self.rotation_angle, self.stroke_rate)
 
-    @property
+    @cached_property
     def alpha_effective(self):
         """Geometric angle of attack minus the induced inflow angle."""
         return self.alpha_geometric - self.inflow_angle
@@ -281,9 +315,8 @@ class InducedVelocityResult:
     negative_thrust: bool
 
 
-def solve_induced_velocity(wing, kin, env, steps=720, n_elements=20,
-                           tol=1e-6, max_iter=100, reynolds_number=None,
-                           state=None):
+def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
+                           reynolds_number=None, state=None):
     """Solve momentum/blade-element balance for the mean inflow.
 
     The inflow is the root of g(Vi) = sqrt(max(T, 0) / (2 rho A)) - Vi,
@@ -293,45 +326,39 @@ def solve_induced_velocity(wing, kin, env, steps=720, n_elements=20,
     thrust until the root is bracketed (one step when thrust falls with
     inflow). It then takes secant steps through the two latest iterates,
     bisecting the bracket instead whenever a step would leave it, and
-    stops at the first Vi with |g(Vi)| <= ``tol`` metres per second.
+    stops at the first Vi with |g(Vi)| <= ``solver.vi_tol`` (m/s).
 
     ``state`` is an element grid from ``_element_grid_state`` for this
-    wing's elements and ``steps``; it is built here when omitted.
+    wing's elements on the ``solver`` grid; it is built here when omitted.
 
     Returns an :class:`InducedVelocityResult`; a negative mean thrust
     pins the inflow at zero and sets the ``negative_thrust`` flag.
 
     Raises
     ------
-    ValueError
-        If ``max_iter`` is below 1.
     RuntimeError
-        If the thrust is not finite, or no inflow meets ``tol`` within
-        ``max_iter`` thrust evaluations (the message reports the last
+        If the thrust is not finite, or no inflow meets ``vi_tol`` within
+        ``vi_max_iter`` thrust evaluations (the message reports the last
         residual).
     """
-    from .wing import discretize
-
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     disk_area = kin.stroke_amplitude * wing.span**2
     if disk_area <= 0.0:
         return InducedVelocityResult(0.0, 0, 0.0, False)
     re = reynolds(wing, kin, env) if reynolds_number is None else reynolds_number
     if state is None:
-        _, state = _element_grid_state(discretize(wing, n_elements), kin,
-                                       steps, 0.0)
+        _, state = _element_grid_state(discretize(wing, solver.n_elements),
+                                       kin, solver.steps_per_cycle, 0.0)
     thrust_at = _pair_mean_thrust_function(state, env, re)
 
     # g falls through the root: v_lo (g > 0) lies below it, v_hi above.
     v, v_hi, previous = 0.0, None, None
-    for evaluation in range(1, max_iter + 1):
+    for evaluation in range(1, solver.vi_max_iter + 1):
         thrust = thrust_at(v)
         if not math.isfinite(thrust):
             raise RuntimeError(
                 f"non-finite cycle-mean thrust {thrust} at inflow {v:.6g} m/s")
         g = math.sqrt(max(thrust, 0.0) / (2.0 * env.rho * disk_area)) - v
-        if abs(g) <= tol:
+        if abs(g) <= solver.vi_tol:
             return InducedVelocityResult(v, evaluation, abs(g),
                                          negative_thrust=thrust < 0.0)
         if g > 0.0:
@@ -349,8 +376,8 @@ def solve_induced_velocity(wing, kin, env, steps=720, n_elements=20,
         previous = v, g
         v += step
     raise RuntimeError(
-        f"induced-velocity solve did not converge after {max_iter} thrust "
-        f"evaluations (last residual {abs(g):.3e} m/s)")
+        f"induced-velocity solve did not converge after {solver.vi_max_iter} "
+        f"thrust evaluations (last residual {abs(g):.3e} m/s)")
 
 
 @dataclass(frozen=True)
@@ -386,9 +413,8 @@ class CycleResult:
     vi_info: InducedVelocityResult | None
 
 
-def simulate_cycle(wing, kin, env, steps=720, pair=True, n_elements=20,
-                   induced_velocity=None, reynolds_number=None,
-                   vi_tol=1e-6, vi_max_iter=100):
+def simulate_cycle(wing, kin, env, solver=SolverSettings(),
+                   induced_velocity=None, reynolds_number=None):
     """March one flapping cycle and accumulate cycle-average loads.
 
     Parameters
@@ -396,36 +422,27 @@ def simulate_cycle(wing, kin, env, steps=720, pair=True, n_elements=20,
     wing : WingGeometry
     kin : WingKinematics
     env : AeroEnvironment
-    steps : int
-        Uniform time steps per cycle (>= 36). Averages use the trapezoid
-        rule with periodic closure.
-    pair : bool
-        Report loads for the mirrored left/right pair (doubles a single
-        wing; no wing-wing interaction is modelled).
+    solver : SolverSettings
+        Cycle grid, pair flag, and inflow-search limits.
     induced_velocity : float, optional
         Fix the mean inflow instead of solving for it.
     reynolds_number : float, optional
         Override the stroke-based Reynolds number.
     """
-    from .wing import discretize
-
-    if steps < 36:
-        raise ValueError("need at least 36 steps per cycle")
-    elements = discretize(wing, n_elements)
+    elements = discretize(wing, solver.n_elements)
     re = reynolds(wing, kin, env) if reynolds_number is None else reynolds_number
-    t, state = _element_grid_state(elements, kin, steps, 0.0)
+    t, state = _element_grid_state(elements, kin, solver.steps_per_cycle, 0.0)
 
     vi_info = None
     if induced_velocity is None:
-        vi_info = solve_induced_velocity(wing, kin, env, steps=steps,
-                                         tol=vi_tol, max_iter=vi_max_iter,
+        vi_info = solve_induced_velocity(wing, kin, env, solver,
                                          reynolds_number=re, state=state)
         induced_velocity = vi_info.v_induced
 
     state = replace(state, v_induced=induced_velocity)
     forces = element_forces(state, env, re)
 
-    factor = 2.0 if pair else 1.0
+    factor = 2.0 if solver.pair else 1.0
     power_grid = state.v_translational * -forces.total_eta
     spanwise_lift = factor * np.mean(forces.total_zeta, axis=0)
     spanwise_power = factor * np.mean(power_grid, axis=0)
@@ -456,8 +473,8 @@ def simulate_cycle(wing, kin, env, steps=720, pair=True, n_elements=20,
         spanwise_power=spanwise_power,
         time_series=CycleTimeSeries(t=t, forces=history,
                                     power=factor * np.sum(power_grid, axis=1)),
-        pair=pair,
-        steps=steps,
+        pair=solver.pair,
+        steps=solver.steps_per_cycle,
         vi_info=vi_info,
     )
 

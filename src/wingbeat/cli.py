@@ -7,6 +7,7 @@ writes its outputs under --out. Exit codes: 0 success, 1 config error,
 """
 
 import argparse
+from dataclasses import replace
 import math
 import os
 import sys
@@ -18,12 +19,9 @@ from .harness import (
     cycle_summary_dict,
     cycle_timeseries_rows,
     hover_trim,
-    point_kinematics,
-    point_wing,
     run_cutout_study,
     run_metadata,
     run_sweep,
-    solver_kwargs,
     spanwise_rows,
     write_csv,
     write_json,
@@ -71,7 +69,6 @@ def build_parser():
 def _prepare(args):
     config = StudyConfig.from_file(args.config)
     if args.steps is not None:
-        from dataclasses import replace
         config = replace(config, solver=replace(config.solver,
                                                 steps_per_cycle=args.steps))
     out_dir = args.out if args.out is not None else config.output_dir
@@ -99,15 +96,14 @@ def cmd_fit_kinematics(args, config, out_dir):
 
 def cmd_simulate(args, config, out_dir):
     result = simulate_cycle(config.wing, config.kinematics,
-                            config.environment,
-                            **solver_kwargs(config.solver))
+                            config.environment, config.solver)
     summary = {"metadata": run_metadata(config.solver)}
     summary.update(cycle_summary_dict(result))
     write_json(os.path.join(out_dir, "cycle_summary.json"), summary)
-    header, rows = cycle_timeseries_rows(result)
-    write_csv(os.path.join(out_dir, "cycle_timeseries.csv"), header, rows)
-    header, rows = spanwise_rows(result)
-    write_csv(os.path.join(out_dir, "cycle_spanwise.csv"), header, rows)
+    write_csv(os.path.join(out_dir, "cycle_timeseries.csv"),
+              *cycle_timeseries_rows(result))
+    write_csv(os.path.join(out_dir, "cycle_spanwise.csv"),
+              *spanwise_rows(result))
     print(f"simulate: lift {result.mean_lift / GRAM_FORCE_NEWTONS:.4g} gf, "
           f"aero power {result.mean_aero_power:.4g} W, "
           f"Vi {result.v_induced:.4g} m/s -> {out_dir}")

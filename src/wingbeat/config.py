@@ -3,19 +3,20 @@
 A study config is a JSON document with top-level keys ``wing``,
 ``kinematics``, ``environment``, ``sweep``, ``solver``, and ``output``,
 plus optional task sections (``trim``, ``cutout``, ``control``) consumed
-by the matching CLI subcommands. Parsing is strict: unknown or
-inconsistent values raise :class:`ConfigError` before any compute starts,
-and a parsed config serializes back to an equivalent document.
+by the matching CLI subcommands (any other top-level key is kept as one).
+Parsing is strict: a non-object section, an unknown key in a section, a
+non-finite number or an inconsistent value raises :class:`ConfigError`
+before any compute starts, and a parsed config serializes back to an
+equal document.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 import json
 import math
-import numbers
 
 import numpy as np
 
-from .aero import AeroEnvironment
+from .aero import AeroEnvironment, SolverSettings
 from .kinematics import FourierSeries, WingKinematics
 from .wing import WingGeometry, apply_inboard_cutout, build_wing
 
@@ -28,6 +29,16 @@ def _require(mapping, key, section):
     if key not in mapping:
         raise ConfigError(f"missing key '{key}' in '{section}' section")
     return mapping[key]
+
+
+def _section(value, section, keys):
+    """``value`` if it is a mapping whose keys all lie in ``keys``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{section}' section must be a JSON object")
+    unknown = ", ".join(map(repr, sorted(set(value) - set(keys))))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in '{section}' section")
+    return value
 
 
 def _finite(value, key, section):
@@ -51,6 +62,29 @@ def _integer(value, key, section):
     return int(number)
 
 
+def _boolean(value, key, section):
+    if not isinstance(value, bool):
+        raise ConfigError(
+            f"'{key}' in '{section}' must be true or false, got {value!r}")
+    return value
+
+
+def _list(value, key, section):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"'{key}' in '{section}' must be a list")
+    return value
+
+
+def _numbers(value, key, section):
+    """``value`` as a list of finite floats."""
+    return [_finite(x, key, section) for x in _list(value, key, section)]
+
+
+def _points(value, key, section):
+    """``value`` as a list of lists of finite floats."""
+    return [_numbers(p, key, section) for p in _list(value, key, section)]
+
+
 def wing_from_config(cfg):
     """Build a wing from its config mapping.
 
@@ -59,20 +93,27 @@ def wing_from_config(cfg):
     "fraction"|"breakpoints", "value": ...}), ``cutout_span_fraction``.
     ``span_m`` must agree with the breakpoint extent.
     """
-    span = float(_require(cfg, "span_m", "wing"))
-    breakpoints = _require(cfg, "breakpoints", "wing")
-    axis_cfg = cfg.get("rotation_axis", {"type": "fraction", "value": 0.25})
+    _section(cfg, "wing", ("span_m", "root_offset_m", "breakpoints",
+                           "rotation_axis", "cutout_span_fraction"))
+    span = _finite(_require(cfg, "span_m", "wing"), "span_m", "wing")
+    breakpoints = _points(_require(cfg, "breakpoints", "wing"),
+                          "breakpoints", "wing")
+    axis_cfg = _section(cfg.get("rotation_axis", {}), "rotation_axis",
+                        ("type", "value"))
     axis_type = axis_cfg.get("type", "fraction")
     if axis_type == "fraction":
-        pitch_axis = float(axis_cfg.get("value", 0.25))
+        pitch_axis = _finite(axis_cfg.get("value", 0.25), "rotation_axis",
+                             "wing")
     elif axis_type == "breakpoints":
-        pitch_axis = [(float(r), float(l)) for r, l in axis_cfg["value"]]
+        pitch_axis = _points(_require(axis_cfg, "value", "rotation_axis"),
+                             "rotation_axis", "wing")
     else:
         raise ConfigError(f"unknown rotation_axis type '{axis_type}'")
 
     try:
         wing = build_wing(breakpoints,
-                          root_offset=float(cfg.get("root_offset_m", 0.0)),
+                          root_offset=_finite(cfg.get("root_offset_m", 0.0),
+                                              "root_offset_m", "wing"),
                           pitch_axis=pitch_axis)
     except ValueError as exc:
         raise ConfigError(f"invalid wing: {exc}") from exc
@@ -80,7 +121,8 @@ def wing_from_config(cfg):
     if not math.isclose(wing.span, span, rel_tol=1e-6):
         raise ConfigError(
             f"span_m = {span} disagrees with the breakpoint extent {wing.span}")
-    cutout = float(cfg.get("cutout_span_fraction", 0.0))
+    cutout = _finite(cfg.get("cutout_span_fraction", 0.0),
+                     "cutout_span_fraction", "wing")
     try:
         return apply_inboard_cutout(wing, cutout)
     except ValueError as exc:
@@ -104,10 +146,10 @@ def wing_to_config(wing):
 
 
 def _series_from_config(cfg, frequency, section):
-    a = [math.radians(_finite(x, "a_deg", section))
-         for x in cfg.get("a_deg", [])]
-    b = [math.radians(_finite(x, "b_deg", section))
-         for x in cfg.get("b_deg", [])]
+    a = [math.radians(x) for x in _numbers(cfg.get("a_deg", []), "a_deg",
+                                           section)]
+    b = [math.radians(x) for x in _numbers(cfg.get("b_deg", []), "b_deg",
+                                           section)]
     n = max(len(a), len(b))
     a += [0.0] * (n - len(a))
     b += [0.0] * (n - len(b))
@@ -119,11 +161,21 @@ def _series_from_config(cfg, frequency, section):
         raise ConfigError(f"invalid series in '{section}': {exc}") from exc
 
 
+def _degrees(angle):
+    """``angle`` in degrees, one ulp off if that makes it parse back exactly."""
+    deg = math.degrees(angle)
+    for near in (deg, math.nextafter(deg, math.inf),
+                 math.nextafter(deg, -math.inf)):
+        if math.radians(near) == angle:
+            return near
+    return deg
+
+
 def _series_to_config(series):
     return {
-        "a0_deg": math.degrees(series.a0),
-        "a_deg": [math.degrees(x) for x in series.a],
-        "b_deg": [math.degrees(x) for x in series.b],
+        "a0_deg": _degrees(series.a0),
+        "a_deg": [_degrees(x) for x in series.a],
+        "b_deg": [_degrees(x) for x in series.b],
     }
 
 
@@ -133,14 +185,20 @@ def kinematics_from_config(cfg):
     Keys: ``frequency_hz``, ``stroke`` ({a0_deg, a_deg[], b_deg[]}),
     ``rotation_stations`` ([{span_fraction, a0_deg, a_deg[], b_deg[]}]).
     """
+    _section(cfg, "kinematics", ("frequency_hz", "stroke",
+                                 "rotation_stations"))
     frequency = _finite(_require(cfg, "frequency_hz", "kinematics"),
                         "frequency_hz", "kinematics")
     if frequency <= 0.0:
         raise ConfigError("frequency_hz must be positive")
-    stroke = _series_from_config(_require(cfg, "stroke", "kinematics"),
-                                 frequency, "stroke")
+    stroke = _series_from_config(
+        _section(_require(cfg, "stroke", "kinematics"), "stroke",
+                 ("a0_deg", "a_deg", "b_deg")), frequency, "stroke")
     stations = []
-    for st in _require(cfg, "rotation_stations", "kinematics"):
+    for st in _list(_require(cfg, "rotation_stations", "kinematics"),
+                    "rotation_stations", "kinematics"):
+        _section(st, "rotation_stations",
+                 ("span_fraction", "a0_deg", "a_deg", "b_deg"))
         stations.append((_finite(_require(st, "span_fraction",
                                           "rotation_stations"),
                                  "span_fraction", "rotation_stations"),
@@ -166,6 +224,7 @@ def kinematics_to_config(kin):
 
 
 def environment_from_config(cfg):
+    _section(cfg, "environment", ("rho_kg_m3", "nu_m2_s"))
     try:
         return AeroEnvironment(
             rho=_finite(cfg.get("rho_kg_m3", 1.225), "rho_kg_m3", "environment"),
@@ -178,45 +237,16 @@ def environment_to_config(env):
     return {"rho_kg_m3": env.rho, "nu_m2_s": env.nu}
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    steps_per_cycle: int = 720
-    n_elements: int = 20
-    pair: bool = True
-    vi_tol: float = 1e-6
-    vi_max_iter: int = 100
-
-    def __post_init__(self):
-        if self.steps_per_cycle < 36:
-            raise ConfigError("steps_per_cycle must be at least 36")
-        if self.n_elements < 2:
-            raise ConfigError("n_elements must be at least 2")
-        if not (math.isfinite(self.vi_tol) and self.vi_tol > 0.0):
-            raise ConfigError(
-                f"vi_tol must be a finite positive number, got {self.vi_tol}")
-        if not (isinstance(self.vi_max_iter, numbers.Integral)
-                and self.vi_max_iter >= 1):
-            raise ConfigError(
-                f"vi_max_iter must be an integer of at least 1, "
-                f"got {self.vi_max_iter!r}")
-
-    @classmethod
-    def from_config(cls, cfg):
-        return cls(steps_per_cycle=_integer(cfg.get("steps_per_cycle", 720),
-                                            "steps_per_cycle", "solver"),
-                   n_elements=_integer(cfg.get("n_elements", 20),
-                                       "n_elements", "solver"),
-                   pair=bool(cfg.get("pair", True)),
-                   vi_tol=_finite(cfg.get("vi_tol", 1e-6), "vi_tol", "solver"),
-                   vi_max_iter=_integer(cfg.get("vi_max_iter", 100),
-                                        "vi_max_iter", "solver"))
-
-    def to_config(self):
-        return {"steps_per_cycle": self.steps_per_cycle,
-                "n_elements": self.n_elements,
-                "pair": self.pair,
-                "vi_tol": self.vi_tol,
-                "vi_max_iter": self.vi_max_iter}
+def solver_from_config(cfg):
+    """:class:`SolverSettings` with the section's keys set, else defaults."""
+    parsers = {f.name: {bool: _boolean, int: _integer, float: _finite}[f.type]
+               for f in fields(SolverSettings)}
+    values = {key: parsers[key](value, key, "solver")
+              for key, value in _section(cfg, "solver", parsers).items()}
+    try:
+        return SolverSettings(**values)
+    except ValueError as exc:
+        raise ConfigError(f"invalid solver: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -242,20 +272,20 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, doc):
-        for key in ("wing", "kinematics"):
-            if key not in doc:
-                raise ConfigError(f"missing top-level '{key}' section")
-        wing = wing_from_config(doc["wing"])
-        kin = kinematics_from_config(doc["kinematics"])
+        wing = wing_from_config(_require(doc, "wing", "top-level"))
+        kin = kinematics_from_config(_require(doc, "kinematics", "top-level"))
         env = environment_from_config(doc.get("environment", {}))
-        solver = SolverSettings.from_config(doc.get("solver", {}))
+        solver = solver_from_config(doc.get("solver", {}))
+        output = _section(doc.get("output", {}), "output", ("directory",))
 
-        sweep = doc.get("sweep", {})
+        sweep = _section(doc.get("sweep", {}), "sweep",
+                         ("amplitude_deg", "area_cm2", "cutout",
+                          "frequency_hz"))
         def axis(key, default):
-            values = sweep.get(key, [default])
+            values = _numbers(sweep.get(key, [default]), key, "sweep")
             if not values:
                 raise ConfigError(f"sweep axis '{key}' must be non-empty")
-            return tuple(float(v) for v in values)
+            return tuple(values)
 
         amplitudes = axis("amplitude_deg",
                           math.degrees(kin.stroke_amplitude))
@@ -271,7 +301,7 @@ class StudyConfig:
                    amplitudes_deg=amplitudes, areas_cm2=areas,
                    cutouts=cutouts, frequencies_hz=frequencies,
                    solver=solver,
-                   output_dir=str(doc.get("output", {}).get("directory", ".")),
+                   output_dir=str(output.get("directory", ".")),
                    extra=extra)
 
     @classmethod
@@ -296,7 +326,7 @@ class StudyConfig:
                 "cutout": list(self.cutouts),
                 "frequency_hz": list(self.frequencies_hz),
             },
-            "solver": self.solver.to_config(),
+            "solver": asdict(self.solver),
             "output": {"directory": self.output_dir},
         }
         for key, payload in self.extra:

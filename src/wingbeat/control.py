@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from .harness import float_table_rows, write_csv
+
 
 def low_pass_coefficient(cutoff_hz, dt):
     """First-order IIR blend factor for a given cutoff and sample time.
@@ -116,15 +118,13 @@ class ControlTrace:
     omega: np.ndarray
     control_output: np.ndarray
 
-    CSV_HEADER = "t_s,psi_true_deg,psi_est_deg,omega_dps,control_output"
+    CSV_FIELDS = ("t_s", "psi_true_deg", "psi_est_deg", "omega_dps",
+                  "control_output")
 
     def to_csv(self, path):
-        rows = np.column_stack([self.t, self.psi_true, self.psi_est,
-                                self.omega, self.control_output])
-        with open(path, "w") as fh:
-            fh.write(self.CSV_HEADER + "\n")
-            for row in rows:
-                fh.write(",".join(format(v, ".12g") for v in row) + "\n")
+        write_csv(path, self.CSV_FIELDS, float_table_rows((
+            self.t, self.psi_true, self.psi_est, self.omega,
+            self.control_output)))
 
 
 def simulate_closed_loop(plant, config, duration, dt,

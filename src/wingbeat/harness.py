@@ -1,13 +1,15 @@
 """Batch studies: design-space sweeps, hover trim, and the cutout comparison.
 
-Sweep points are independent; the runner farms them out to a process pool
-and merges rows back in grid order, so serial and parallel runs emit
-byte-identical tables. Per-point failures are recorded in their row and
-never abort the rest of the grid.
+Every study passes one :class:`~wingbeat.aero.SolverSettings` to
+``simulate_cycle`` and writes its tables through :func:`write_csv`.
+Sweep points are independent; the runner farms them out, with the parsed
+study, to a process pool and merges rows back in grid order, so serial and
+parallel runs emit byte-identical tables. A point's ``ValueError`` or
+``RuntimeError`` is recorded in its row and never aborts the grid.
 """
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 import csv
 import datetime
 import json
@@ -16,8 +18,7 @@ import math
 import numpy as np
 
 from . import __version__
-from .aero import compare_wings, simulate_cycle
-from .config import StudyConfig
+from .aero import SolverSettings, compare_wings, simulate_cycle
 from .power import GRAM_FORCE_NEWTONS, lift_to_power
 from .wing import apply_inboard_cutout, scaled_to_area
 
@@ -28,9 +29,23 @@ class ComputeError(RuntimeError):
     """Raised when a batch produces no usable result at all."""
 
 
+FLOAT_FORMAT = ".12g"
+
+
 def format_float(value):
     """Canonical 12-significant-digit float formatting for exports."""
-    return format(float(value), ".12g")
+    return format(float(value), FLOAT_FORMAT)
+
+
+def float_table_rows(columns):
+    """Rows of canonically formatted cells from equal-length float arrays.
+
+    Yields the rows, converting 1024 at a time to Python floats, so that no
+    copy of the whole table is ever held in memory.
+    """
+    for start in range(0, len(columns[0]), 1024):
+        for row in zip(*(c[start:start + 1024].tolist() for c in columns)):
+            yield [format(v, FLOAT_FORMAT) for v in row]
 
 
 def write_csv(path, header, rows):
@@ -53,18 +68,11 @@ def write_json(path, payload):
         raise OSError(f"cannot write JSON to {path}: {exc}") from exc
 
 
-def solver_kwargs(solver):
-    """simulate_cycle keyword arguments for a settings block."""
-    return dict(steps=solver.steps_per_cycle, pair=solver.pair,
-                n_elements=solver.n_elements, vi_tol=solver.vi_tol,
-                vi_max_iter=solver.vi_max_iter)
-
-
 def run_metadata(solver):
     return {
         "schema_version": SCHEMA_VERSION,
         "solver_version": __version__,
-        "solver": solver.to_config(),
+        "solver": asdict(solver),
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc)
         .isoformat(timespec="seconds"),
     }
@@ -76,11 +84,11 @@ class SweepRow:
 
     amplitude_deg: float
     area_cm2: float
-    cutout: float
+    cutout_span_fraction: float
     frequency_hz: float
     mean_lift_gf: float | None = None
     aero_power_w: float | None = None
-    v_induced: float | None = None
+    v_induced_m_s: float | None = None
     reynolds: float | None = None
     lift_to_power_gf_w: float | None = None
     vi_iterations: int | None = None
@@ -92,29 +100,14 @@ class SweepRow:
                   "vi_iterations", "status")
 
     def csv_cells(self):
-        metrics = (self.mean_lift_gf, self.aero_power_w, self.v_induced,
-                   self.reynolds, self.lift_to_power_gf_w)
-        cells = [format_float(self.amplitude_deg), format_float(self.area_cm2),
-                 format_float(self.cutout), format_float(self.frequency_hz)]
-        cells += [format_float(v) if v is not None else "" for v in metrics]
-        cells.append("" if self.vi_iterations is None else str(self.vi_iterations))
-        cells.append("ok" if self.error is None else f"error: {self.error}")
+        *values, iterations, error = self.as_dict().values()
+        cells = ["" if v is None else format_float(v) for v in values]
+        cells.append("" if iterations is None else str(iterations))
+        cells.append("ok" if error is None else f"error: {error}")
         return cells
 
     def as_dict(self):
-        return {
-            "amplitude_deg": self.amplitude_deg,
-            "area_cm2": self.area_cm2,
-            "cutout_span_fraction": self.cutout,
-            "frequency_hz": self.frequency_hz,
-            "mean_lift_gf": self.mean_lift_gf,
-            "aero_power_w": self.aero_power_w,
-            "v_induced_m_s": self.v_induced,
-            "reynolds": self.reynolds,
-            "lift_to_power_gf_w": self.lift_to_power_gf_w,
-            "vi_iterations": self.vi_iterations,
-            "error": self.error,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -131,38 +124,26 @@ class SweepResult:
                           "rows": [row.as_dict() for row in self.rows]})
 
 
-def point_wing(config, area_cm2, cutout):
-    wing = scaled_to_area(config.wing, area_cm2 * 1e-4)
-    return apply_inboard_cutout(wing, cutout)
-
-
-def point_kinematics(config, amplitude_deg, frequency_hz):
-    kin = config.kinematics.with_stroke_amplitude(math.radians(amplitude_deg))
-    return kin.with_frequency(frequency_hz)
-
-
 def _evaluate_point(args):
-    doc, amplitude, area, cutout, frequency = args
-    config = StudyConfig.from_dict(doc)
+    config, amplitude, area, cutout, frequency = args
+    point = SweepRow(amplitude, area, cutout, frequency)
     try:
-        wing = point_wing(config, area, cutout)
-        kin = point_kinematics(config, amplitude, frequency)
-        result = simulate_cycle(wing, kin, config.environment,
-                                **solver_kwargs(config.solver))
-        return SweepRow(
-            amplitude_deg=amplitude, area_cm2=area, cutout=cutout,
-            frequency_hz=frequency,
+        wing = apply_inboard_cutout(scaled_to_area(config.wing, area * 1e-4),
+                                    cutout)
+        kin = config.kinematics.with_stroke_amplitude(
+            math.radians(amplitude)).with_frequency(frequency)
+        result = simulate_cycle(wing, kin, config.environment, config.solver)
+        return replace(
+            point,
             mean_lift_gf=result.mean_lift / GRAM_FORCE_NEWTONS,
             aero_power_w=result.mean_aero_power,
-            v_induced=result.v_induced,
+            v_induced_m_s=result.v_induced,
             reynolds=result.reynolds_number,
             lift_to_power_gf_w=lift_to_power(result.mean_lift,
                                              result.mean_aero_power),
-            vi_iterations=result.vi_info.iterations if result.vi_info else None,
-        )
-    except Exception as exc:  # per-point isolation: record, never abort
-        return SweepRow(amplitude_deg=amplitude, area_cm2=area, cutout=cutout,
-                        frequency_hz=frequency, error=str(exc))
+            vi_iterations=result.vi_info.iterations)
+    except (ValueError, RuntimeError) as exc:  # record, never abort
+        return replace(point, error=str(exc))
 
 
 def sweep_grid(config):
@@ -180,8 +161,7 @@ def run_sweep(config, workers=1):
     Identical configs produce identical row tables regardless of
     ``workers``. Raises :class:`ComputeError` only if every point failed.
     """
-    doc = config.to_dict()
-    jobs = [(doc, *point) for point in sweep_grid(config)]
+    jobs = [(config, *point) for point in sweep_grid(config)]
     if workers <= 1 or len(jobs) <= 1:
         rows = [_evaluate_point(job) for job in jobs]
     else:
@@ -208,26 +188,22 @@ class TrimResult:
                 "iterations": self.iterations}
 
 
-def hover_trim(wing, kin, env, target_lift, f_lo, f_hi, solver=None,
-               rel_tol=0.005, max_iter=60):
+def hover_trim(wing, kin, env, target_lift, f_lo, f_hi,
+               solver=SolverSettings(), rel_tol=0.005, max_iter=60):
     """Bisect the flapping frequency until cycle-mean lift hits a target.
 
     The kinematics are time-rescaled at each probe frequency. The target
     (N, for the configured single/pair setting) must be bracketed by the
     lift at the two frequency bounds.
     """
-    from .config import SolverSettings
-
-    solver = solver or SolverSettings()
     if not 0.0 < f_lo < f_hi:
         raise ValueError("need 0 < f_lo < f_hi")
     if target_lift <= 0.0:
         raise ValueError("target lift must be positive")
 
     def lift_at(f):
-        result = simulate_cycle(wing, kin.with_frequency(f), env,
-                                **solver_kwargs(solver))
-        return result.mean_lift
+        return simulate_cycle(wing, kin.with_frequency(f), env,
+                              solver).mean_lift
 
     tol = rel_tol * target_lift
     lift_lo, lift_hi = lift_at(f_lo), lift_at(f_hi)
@@ -268,34 +244,24 @@ class CutoutStudy:
     SPANWISE_FIELDS = ("span_fraction", "lift_intact_n", "lift_modified_n",
                        "power_intact_w", "power_modified_w")
 
-    def spanwise_rows(self):
-        rows = []
-        for i, frac in enumerate(self.intact.span_fractions):
-            rows.append([format_float(frac),
-                         format_float(self.intact.spanwise_lift[i]),
-                         format_float(self.modified.spanwise_lift[i]),
-                         format_float(self.intact.spanwise_power[i]),
-                         format_float(self.modified.spanwise_power[i])])
-        return rows
-
     def to_csv(self, path):
-        write_csv(path, self.SPANWISE_FIELDS, self.spanwise_rows())
+        write_csv(path, self.SPANWISE_FIELDS, float_table_rows((
+            self.intact.span_fractions,
+            self.intact.spanwise_lift, self.modified.spanwise_lift,
+            self.intact.spanwise_power, self.modified.spanwise_power)))
 
     def summary(self):
+        def loads(result):
+            return {"mean_lift_gf": result.mean_lift / GRAM_FORCE_NEWTONS,
+                    "aero_power_w": result.mean_aero_power,
+                    "v_induced_m_s": result.v_induced}
+
         return {
             "metadata": self.metadata,
             "cutout_span_fraction": self.cutout,
             "frequency_hz": self.frequency_hz,
-            "intact": {
-                "mean_lift_gf": self.intact.mean_lift / GRAM_FORCE_NEWTONS,
-                "aero_power_w": self.intact.mean_aero_power,
-                "v_induced_m_s": self.intact.v_induced,
-            },
-            "modified": {
-                "mean_lift_gf": self.modified.mean_lift / GRAM_FORCE_NEWTONS,
-                "aero_power_w": self.modified.mean_aero_power,
-                "v_induced_m_s": self.modified.v_induced,
-            },
+            "intact": loads(self.intact),
+            "modified": loads(self.modified),
             "lift_delta": self.comparison.lift_delta,
             "power_delta": self.comparison.power_delta,
             "lift_to_power_delta": self.comparison.lift_to_power_delta,
@@ -306,16 +272,12 @@ class CutoutStudy:
 
 
 def run_cutout_study(wing, kin, env, cutout=0.25, frequency_hz=17.3,
-                     solver=None):
+                     solver=SolverSettings()):
     """Simulate the intact and inboard-cutout wings at the same kinematics."""
-    from .config import SolverSettings
-
-    solver = solver or SolverSettings()
     kin = kin.with_frequency(frequency_hz)
-    modified_wing = apply_inboard_cutout(wing, cutout)
-    kwargs = solver_kwargs(solver)
-    intact = simulate_cycle(wing, kin, env, **kwargs)
-    modified = simulate_cycle(modified_wing, kin, env, **kwargs)
+    intact = simulate_cycle(wing, kin, env, solver)
+    modified = simulate_cycle(apply_inboard_cutout(wing, cutout), kin, env,
+                              solver)
     return CutoutStudy(cutout=cutout, frequency_hz=frequency_hz,
                        intact=intact, modified=modified,
                        comparison=compare_wings(intact, modified),
@@ -345,21 +307,17 @@ def cycle_timeseries_rows(result):
               "zeta_added_mass_n", "zeta_rotational_n", "zeta_total_n",
               "aero_power_w")
     f = ts.forces
-    columns = np.column_stack([
+    return header, float_table_rows((
         ts.t, f.translational_eta, f.added_mass_eta, f.rotational_eta,
         f.total_eta, f.translational_zeta, f.added_mass_zeta,
-        f.rotational_zeta, f.total_zeta, ts.power,
-    ])
-    return header, [[format_float(v) for v in row] for row in columns]
+        f.rotational_zeta, f.total_zeta, ts.power))
 
 
 def spanwise_rows(result):
     header = ("span_fraction", "mean_lift_n", "mean_power_w")
-    rows = [[format_float(result.span_fractions[i]),
-             format_float(result.spanwise_lift[i]),
-             format_float(result.spanwise_power[i])]
-            for i in range(len(result.span_fractions))]
-    return header, rows
+    return header, float_table_rows((result.span_fractions,
+                                     result.spanwise_lift,
+                                     result.spanwise_power))
 
 
 def load_csv(path):

@@ -11,6 +11,8 @@ import json
 
 import numpy as np
 
+from .wing import discretize
+
 # Gram-force in newtons, as used in the measurement convention we follow
 # (exactly 9.8 mN, not standard gravity).
 GRAM_FORCE_NEWTONS = 9.8e-3
@@ -94,8 +96,6 @@ class WingMassModel:
         The chordwise CG of each lump sits ``cg_chord_fraction`` of the
         local chord behind the pitching axis.
         """
-        from .wing import discretize
-
         elements = discretize(wing, n)
         weights = elements.chord * elements.area_scale * elements.width
         if weights.sum() <= 0.0:

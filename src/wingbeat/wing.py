@@ -86,26 +86,22 @@ class WingGeometry:
                 return True
         return False
 
-    def membrane_area_between(self, r0, r1):
-        """Remaining membrane area (m^2) between two stations (m from root)."""
+    def _area_between(self, r0, r1, masked):
         edges = self._segment_edges()
         edges = np.unique(np.clip(np.concatenate([edges, [r0, r1]]), r0, r1))
         total = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
-            if b <= a or self._masked(0.5 * (a + b)):
-                continue
-            total += 0.5 * (self.chord_at(a) + self.chord_at(b)) * (b - a)
+            if b > a and not (masked and self._masked(0.5 * (a + b))):
+                total += 0.5 * (self.chord_at(a) + self.chord_at(b)) * (b - a)
         return total
+
+    def membrane_area_between(self, r0, r1):
+        """Remaining membrane area (m^2) between two stations (m from root)."""
+        return self._area_between(r0, r1, masked=True)
 
     def planform_area_between(self, r0, r1):
         """Planform area (m^2) between two stations, ignoring the mask."""
-        edges = self._segment_edges()
-        edges = np.unique(np.clip(np.concatenate([edges, [r0, r1]]), r0, r1))
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            if b > a:
-                total += 0.5 * (self.chord_at(a) + self.chord_at(b)) * (b - a)
-        return total
+        return self._area_between(r0, r1, masked=False)
 
     @property
     def area(self):

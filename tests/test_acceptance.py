@@ -162,9 +162,12 @@ def test_criterion_5_solver_convergence_properties():
         wing = wb.standard_wing(25.5)
         kin = wb.beetle_kinematics(17.3, 190.0)
 
-        base = wb.simulate_cycle(wing, kin, ENV, steps=720, n_elements=20)
-        fine_t = wb.simulate_cycle(wing, kin, ENV, steps=1440, n_elements=20)
-        fine_r = wb.simulate_cycle(wing, kin, ENV, steps=720, n_elements=40)
+        base = wb.simulate_cycle(wing, kin, ENV, SolverSettings(
+            steps_per_cycle=720, n_elements=20))
+        fine_t = wb.simulate_cycle(wing, kin, ENV, SolverSettings(
+            steps_per_cycle=1440, n_elements=20))
+        fine_r = wb.simulate_cycle(wing, kin, ENV, SolverSettings(
+            steps_per_cycle=720, n_elements=40))
         for fine in (fine_t, fine_r):
             assert fine.mean_lift == pytest.approx(base.mean_lift, rel=5e-3)
             assert fine.mean_aero_power == pytest.approx(

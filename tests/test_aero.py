@@ -1,5 +1,6 @@
 """Blade-element force model, induced-velocity root, cycle averages."""
 
+from dataclasses import replace
 import math
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import wingbeat as wb
 from wingbeat.aero import (
     AeroEnvironment,
     ElementState,
+    SolverSettings,
     aero_coefficients,
     compare_wings,
     element_acceleration,
@@ -200,6 +202,16 @@ def test_breakdown_totals_are_exact_sums():
     assert fb.total_zeta == fb.translational_zeta + fb.added_mass_zeta + fb.rotational_zeta
 
 
+def test_element_state_derived_arrays_are_computed_once():
+    _, state = _element_grid_state(discretize(standard_wing(25.5), 20),
+                                   beetle_kinematics(17.3, 190.0), 72, 1.5)
+    for name in ("v_translational", "alpha_geometric", "inflow_angle",
+                 "alpha_effective"):
+        assert getattr(state, name) is getattr(state, name)
+    moved = replace(state, v_induced=0.5)
+    assert not np.array_equal(moved.inflow_angle, state.inflow_angle)
+
+
 # -------------------------------------------------------- induced velocity
 
 def test_induced_velocity_zero_kinematics():
@@ -304,9 +316,9 @@ def test_induced_velocity_nonconvergence_raises():
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
     with pytest.raises(RuntimeError, match="residual"):
-        solve_induced_velocity(wing, kin, ENV, max_iter=2)
+        solve_induced_velocity(wing, kin, ENV, SolverSettings(vi_max_iter=2))
     with pytest.raises(ValueError, match="max_iter"):
-        solve_induced_velocity(wing, kin, ENV, max_iter=0)
+        solve_induced_velocity(wing, kin, ENV, SolverSettings(vi_max_iter=0))
 
 
 def test_induced_velocity_non_finite_thrust_raises():
@@ -354,8 +366,8 @@ def test_symmetric_stroke_has_zero_mean_lateral_force():
 def test_step_refinement():
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
-    coarse = simulate_cycle(wing, kin, ENV, steps=720)
-    fine = simulate_cycle(wing, kin, ENV, steps=1440)
+    coarse = simulate_cycle(wing, kin, ENV, SolverSettings(steps_per_cycle=720))
+    fine = simulate_cycle(wing, kin, ENV, SolverSettings(steps_per_cycle=1440))
     assert fine.mean_lift == pytest.approx(coarse.mean_lift, rel=5e-3)
     assert fine.mean_aero_power == pytest.approx(coarse.mean_aero_power,
                                                  rel=5e-3)
@@ -363,7 +375,8 @@ def test_step_refinement():
 
 def test_minimum_steps_enforced():
     with pytest.raises(ValueError):
-        simulate_cycle(standard_wing(25.5), beetle_kinematics(), ENV, steps=20)
+        simulate_cycle(standard_wing(25.5), beetle_kinematics(), ENV,
+                       SolverSettings(steps_per_cycle=20))
 
 
 def test_spanwise_bookkeeping_and_trapezoid_consistency():
@@ -388,8 +401,10 @@ def test_spanwise_bookkeeping_and_trapezoid_consistency():
 def test_pair_doubles_single_wing():
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
-    single = simulate_cycle(wing, kin, ENV, pair=False, induced_velocity=1.5)
-    pair = simulate_cycle(wing, kin, ENV, pair=True, induced_velocity=1.5)
+    single = simulate_cycle(wing, kin, ENV, SolverSettings(pair=False),
+                            induced_velocity=1.5)
+    pair = simulate_cycle(wing, kin, ENV, SolverSettings(pair=True),
+                          induced_velocity=1.5)
     assert pair.mean_lift == pytest.approx(2 * single.mean_lift, rel=1e-14)
     assert pair.mean_aero_power == pytest.approx(2 * single.mean_aero_power,
                                                  rel=1e-14)
@@ -602,9 +617,10 @@ def test_cycle_averages_match_scalar_loop_oracle():
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
     steps, n, vi, re = 72, 6, 1.8, 1.7e4
-    result = simulate_cycle(wing, kin, ENV, steps=steps, n_elements=n,
-                            pair=False, induced_velocity=vi,
-                            reynolds_number=re)
+    result = simulate_cycle(wing, kin, ENV, SolverSettings(
+                                steps_per_cycle=steps, n_elements=n,
+                                pair=False),
+                            induced_velocity=vi, reynolds_number=re)
 
     elements = discretize(wing, n)
     stations = kin.rotation_stations

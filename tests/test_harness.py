@@ -7,8 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from wingbeat import cli
-from wingbeat.aero import AeroEnvironment, simulate_cycle
+from wingbeat import cli, harness
+from wingbeat.aero import AeroEnvironment, SolverSettings, simulate_cycle
 from wingbeat.config import (
     ConfigError,
     StudyConfig,
@@ -86,12 +86,74 @@ def test_config_validation_errors():
     ("environment", "nu_m2_s", math.inf),
     ("kinematics", "frequency_hz", math.inf),
     ("kinematics", "frequency_hz", None),
+    ("wing", "breakpoints", [[0.0, 0.005], [0.045, math.nan], [0.09, 0.01]]),
+    ("wing", "span_m", math.nan),
+    ("wing", "root_offset_m", math.inf),
+    ("wing", "rotation_axis", {"type": "fraction", "value": math.nan}),
+    ("wing", "rotation_axis", {"type": "breakpoints",
+                               "value": [[0.0, 0.001], [0.09, math.inf]]}),
+    ("wing", "cutout_span_fraction", math.nan),
+    ("sweep", "frequency_hz", [math.nan]),
+    ("sweep", "area_cm2", [25.5, math.inf]),
+    ("sweep", "amplitude_deg", [-math.inf]),
+    ("sweep", "cutout", [math.nan]),
 ])
 def test_config_rejects_bad_solver_and_physics_values(section, key, value):
     doc = base_config_dict()
     doc[section][key] = value
     with pytest.raises(ConfigError, match=key):
         StudyConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("path, key", [
+    (("solver",), "step_per_cycle"),
+    (("environment",), "rho"),
+    (("wing",), "chord_m"),
+    (("wing", "rotation_axis"), "fraction"),
+    (("kinematics",), "phase_deg"),
+    (("kinematics", "stroke"), "c_deg"),
+    (("kinematics", "rotation_stations", 0), "span"),
+    (("sweep",), "amplitudes_deg"),
+    (("output",), "dir"),
+])
+def test_config_rejects_unknown_key_in_section(path, key):
+    doc = base_config_dict()
+    section = doc
+    for name in path:
+        section = section[name]
+    section[key] = 1.0
+    with pytest.raises(ConfigError, match=f"unknown key.*{key}"):
+        StudyConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("section, value", [
+    ("solver", []),
+    ("environment", "air"),
+    ("sweep", 5),
+    ("output", None),
+    ("wing", []),
+    ("kinematics", [1.0]),
+])
+def test_config_rejects_section_that_is_not_an_object(section, value):
+    doc = base_config_dict()
+    doc[section] = value
+    with pytest.raises(ConfigError, match=f"'{section}' section must be"):
+        StudyConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+def test_config_rejects_non_boolean_pair(value):
+    doc = base_config_dict()
+    doc["solver"]["pair"] = value
+    with pytest.raises(ConfigError, match="pair"):
+        StudyConfig.from_dict(doc)
+
+
+def test_config_keeps_unknown_top_level_sections():
+    section = {"v_supply": 7.4, "anything": [1, "two"]}
+    config = StudyConfig.from_dict(base_config_dict(power=section))
+    assert config.extra_section("power") == section
+    assert config.to_dict()["power"] == section
 
 
 def test_config_rejects_non_finite_series_coefficients():
@@ -108,7 +170,8 @@ def test_single_point_sweep_matches_direct_call():
     row = result.rows[0]
     assert row.error is None
     direct = simulate_cycle(config.wing, config.kinematics,
-                            config.environment, steps=180, n_elements=10)
+                            config.environment,
+                            SolverSettings(steps_per_cycle=180, n_elements=10))
     assert row.mean_lift_gf == pytest.approx(
         direct.mean_lift / GRAM_FORCE_NEWTONS, rel=1e-9)
     assert row.aero_power_w == pytest.approx(direct.mean_aero_power, rel=1e-9)
@@ -137,6 +200,16 @@ def test_sweep_isolates_point_failures():
     assert result.rows[0].error is None
     assert result.rows[1].error is not None
     assert result.rows[1].mean_lift_gf is None
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("not a domain failure")
+
+    monkeypatch.setattr(harness, "simulate_cycle", broken)
+    doc = base_config_dict(sweep={"frequency_hz": [15.0, 20.0]})
+    with pytest.raises(TypeError, match="not a domain failure"):
+        run_sweep(StudyConfig.from_dict(doc), workers=1)
 
 
 def test_sweep_raises_when_every_point_fails():
@@ -190,10 +263,8 @@ ENV = AeroEnvironment()
 def test_hover_trim_boundary_hit():
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
-    probe = simulate_cycle(wing, kin.with_frequency(12.0), ENV,
-                           steps=180, n_elements=10)
-    from wingbeat.config import SolverSettings
     solver = SolverSettings(steps_per_cycle=180, n_elements=10)
+    probe = simulate_cycle(wing, kin.with_frequency(12.0), ENV, solver)
     trim = hover_trim(wing, kin, ENV, probe.mean_lift, 12.0, 30.0,
                       solver=solver)
     assert trim.frequency_hz == 12.0
@@ -203,7 +274,6 @@ def test_hover_trim_boundary_hit():
 def test_hover_trim_monotone_in_target():
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
-    from wingbeat.config import SolverSettings
     solver = SolverSettings(steps_per_cycle=180, n_elements=10)
     base = hover_trim(wing, kin, ENV, 15.8 * GRAM_FORCE_NEWTONS, 8.0, 30.0,
                       solver=solver)
@@ -224,7 +294,6 @@ def test_hover_trim_requires_bracketing():
 def test_cutout_study_zero_fraction_gives_zero_deltas():
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
-    from wingbeat.config import SolverSettings
     solver = SolverSettings(steps_per_cycle=180, n_elements=10)
     study = run_cutout_study(wing, kin, ENV, cutout=0.0, frequency_hz=17.3,
                              solver=solver)
@@ -236,7 +305,6 @@ def test_cutout_study_zero_fraction_gives_zero_deltas():
 def test_cutout_study_deltas_grow_with_fraction(tmp_path):
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
-    from wingbeat.config import SolverSettings
     solver = SolverSettings(steps_per_cycle=180, n_elements=10)
     quarter = run_cutout_study(wing, kin, ENV, 0.25, 17.3, solver=solver)
     half = run_cutout_study(wing, kin, ENV, 0.5, 17.3, solver=solver)
@@ -293,6 +361,35 @@ def test_cli_bad_solver_or_physics_value_is_config_error(tmp_path, capsys,
     assert cli.main(["--config", str(path), "trim"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("simulate", "wing", "breakpoints",
+     [[0.0, 0.005], [0.045, math.nan], [0.09, 0.01]]),
+    ("sweep", "sweep", "frequency_hz", [math.nan, 17.3]),
+    ("sweep", "sweep", "area_cm2", [math.inf]),
+    ("simulate", "solver", "step_per_cycle", 10),
+    ("simulate", "environment", "rho", 1.0),
+    ("simulate", "solver", "pair", "false"),
+])
+def test_cli_bad_section_value_is_config_error(tmp_path, capsys, command,
+                                               section, key, value):
+    path = write_config(tmp_path)
+    doc = json.loads(path.read_text())
+    doc[section][key] = value
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--config", str(path), command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+    assert err.count("\n") == 1
+
+
+def test_cli_section_that_is_not_an_object_is_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, solver=[])
+    assert cli.main(["--config", str(path), "simulate"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "solver" in err
     assert err.count("\n") == 1
 
 
