@@ -1,6 +1,6 @@
 """Hover trim: what frequency carries the robot's weight?
 
-Bisects the flapping frequency of the reduced-membrane wing pair
+Searches the flapping frequency of the reduced-membrane wing pair
 (23.7 cm^2 per wing, 190 deg amplitude) until the cycle-mean lift equals
 the 15.8 gf vehicle weight, then prints the operating point.
 """
@@ -22,7 +22,7 @@ trim = hover_trim(wing, kin, env, 15.8 * GRAM_FORCE_NEWTONS, 8.0, 40.0)
 print(f"target lift 15.8 gf with a {wing.area * 1e4:.1f} cm^2 wing pair "
       f"at 190 deg amplitude")
 print(f"  trim frequency  {trim.frequency_hz:.2f} Hz "
-      f"({trim.iterations} bisection steps)")
+      f"({len(trim.probes)} lift probes)")
 print(f"  achieved lift   {trim.mean_lift / GRAM_FORCE_NEWTONS:.3f} gf")
 
 at_trim = simulate_cycle(wing, kin.with_frequency(trim.frequency_hz), env)

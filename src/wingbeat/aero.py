@@ -305,14 +305,17 @@ def _pair_mean_thrust_function(state, env, re):
 class InducedVelocityResult:
     """Converged mean inflow with the root-search diagnostics.
 
-    ``iterations`` counts evaluations of the cycle-mean thrust and
-    ``residual`` is the momentum-balance residual at ``v_induced``.
+    ``iterations`` counts evaluations of the cycle-mean thrust,
+    ``residual`` is the momentum-balance residual at ``v_induced`` and
+    ``thrust`` the pair's cycle-mean thrust (N) there (0 when a degenerate
+    stroke disk left nothing to evaluate).
     """
 
     v_induced: float
     iterations: int
     residual: float
     negative_thrust: bool
+    thrust: float
 
 
 def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
@@ -331,8 +334,9 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
     ``state`` is an element grid from ``_element_grid_state`` for this
     wing's elements on the ``solver`` grid; it is built here when omitted.
 
-    Returns an :class:`InducedVelocityResult`; a negative mean thrust
-    pins the inflow at zero and sets the ``negative_thrust`` flag.
+    Returns an :class:`InducedVelocityResult` that carries the thrust at
+    the returned inflow; a negative mean thrust pins the inflow at zero
+    and sets the ``negative_thrust`` flag.
 
     Raises
     ------
@@ -343,41 +347,46 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
     """
     disk_area = kin.stroke_amplitude * wing.span**2
     if disk_area <= 0.0:
-        return InducedVelocityResult(0.0, 0, 0.0, False)
+        return InducedVelocityResult(0.0, 0, 0.0, False, 0.0)
     re = reynolds(wing, kin, env) if reynolds_number is None else reynolds_number
     if state is None:
         _, state = _element_grid_state(discretize(wing, solver.n_elements),
                                        kin, solver.steps_per_cycle, 0.0)
-    thrust_at = _pair_mean_thrust_function(state, env, re)
+    # Absurd but finite inputs may overflow on the way; the finiteness
+    # check on every thrust reports that as one error instead of warnings.
+    with np.errstate(all="ignore"):
+        thrust_at = _pair_mean_thrust_function(state, env, re)
 
-    # g falls through the root: v_lo (g > 0) lies below it, v_hi above.
-    v, v_hi, previous = 0.0, None, None
-    for evaluation in range(1, solver.vi_max_iter + 1):
-        thrust = thrust_at(v)
-        if not math.isfinite(thrust):
-            raise RuntimeError(
-                f"non-finite cycle-mean thrust {thrust} at inflow {v:.6g} m/s")
-        g = math.sqrt(max(thrust, 0.0) / (2.0 * env.rho * disk_area)) - v
-        if abs(g) <= solver.vi_tol:
-            return InducedVelocityResult(v, evaluation, abs(g),
-                                         negative_thrust=thrust < 0.0)
-        if g > 0.0:
-            v_lo = v
-        else:
-            v_hi = v
-        if v_hi is None:
-            step = g  # to the momentum inflow of this thrust
-        else:
-            v_prev, g_prev = previous
-            step = (-g * (v - v_prev) / (g - g_prev) if g != g_prev
-                    else math.inf)
-            if not v_lo < v + step < v_hi:
-                step = 0.5 * (v_lo + v_hi) - v
-        previous = v, g
-        v += step
-    raise RuntimeError(
-        f"induced-velocity solve did not converge after {solver.vi_max_iter} "
-        f"thrust evaluations (last residual {abs(g):.3e} m/s)")
+        # g falls through the root: v_lo (g > 0) lies below it, v_hi above.
+        v, v_hi, previous = 0.0, None, None
+        for evaluation in range(1, solver.vi_max_iter + 1):
+            thrust = thrust_at(v)
+            if not math.isfinite(thrust):
+                raise RuntimeError(f"non-finite cycle-mean thrust {thrust} "
+                                   f"at inflow {v:.6g} m/s")
+            g = math.sqrt(max(thrust, 0.0) / (2.0 * env.rho * disk_area)) - v
+            if abs(g) <= solver.vi_tol:
+                return InducedVelocityResult(v, evaluation, abs(g),
+                                             negative_thrust=thrust < 0.0,
+                                             thrust=thrust)
+            if g > 0.0:
+                v_lo = v
+            else:
+                v_hi = v
+            if v_hi is None:
+                step = g  # to the momentum inflow of this thrust
+            else:
+                v_prev, g_prev = previous
+                step = (-g * (v - v_prev) / (g - g_prev) if g != g_prev
+                        else math.inf)
+                if not v_lo < v + step < v_hi:
+                    step = 0.5 * (v_lo + v_hi) - v
+            previous = v, g
+            v += step
+        raise RuntimeError(
+            f"induced-velocity solve did not converge after "
+            f"{solver.vi_max_iter} thrust evaluations (last residual "
+            f"{abs(g):.3e} m/s)")
 
 
 @dataclass(frozen=True)

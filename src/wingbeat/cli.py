@@ -59,7 +59,8 @@ def build_parser():
 
     sub.add_parser("simulate", help="one flapping cycle at the base config")
     sub.add_parser("sweep", help="full amplitude/area/cutout/frequency grid")
-    sub.add_parser("trim", help="bisect frequency to the 'trim' target lift")
+    sub.add_parser("trim",
+                   help="flapping frequency that lifts the 'trim' target")
     sub.add_parser("cutout-study",
                    help="intact vs inboard-cutout wings at fixed frequency")
     sub.add_parser("control-sim", help="closed-loop yaw stabilization trace")
@@ -119,19 +120,13 @@ def cmd_sweep(args, config, out_dir):
 
 
 def cmd_trim(args, config, out_dir):
-    section = config.extra_section("trim") or {}
-    try:
-        target_gf = float(section["target_lift_gf"])
-        f_lo = float(section["f_lo_hz"])
-        f_hi = float(section["f_hi_hz"])
-    except KeyError as exc:
-        raise ConfigError(
-            f"trim needs a 'trim' config section with target_lift_gf, "
-            f"f_lo_hz, f_hi_hz (missing {exc})") from exc
+    section = config.task_section(
+        "trim", {}, required=("target_lift_gf", "f_lo_hz", "f_hi_hz"))
+    target_gf = section["target_lift_gf"]
     try:
         trim = hover_trim(config.wing, config.kinematics, config.environment,
-                          target_gf * GRAM_FORCE_NEWTONS, f_lo, f_hi,
-                          solver=config.solver)
+                          target_gf * GRAM_FORCE_NEWTONS, section["f_lo_hz"],
+                          section["f_hi_hz"], solver=config.solver)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     payload = {"metadata": run_metadata(config.solver)}
@@ -142,12 +137,12 @@ def cmd_trim(args, config, out_dir):
 
 
 def cmd_cutout_study(args, config, out_dir):
-    section = config.extra_section("cutout") or {}
+    section = config.task_section(
+        "cutout", {"span_fraction": 0.25, "frequency_hz": 17.3})
     study = run_cutout_study(
         config.wing, config.kinematics, config.environment,
-        cutout=float(section.get("span_fraction", 0.25)),
-        frequency_hz=float(section.get("frequency_hz", 17.3)),
-        solver=config.solver)
+        cutout=section["span_fraction"],
+        frequency_hz=section["frequency_hz"], solver=config.solver)
     study.to_csv(os.path.join(out_dir, "cutout_spanwise.csv"))
     study.to_json(os.path.join(out_dir, "cutout_summary.json"))
     c = study.comparison
@@ -156,25 +151,29 @@ def cmd_cutout_study(args, config, out_dir):
           f"{100 * c.lift_to_power_delta:+.2f}% -> {out_dir}")
 
 
+CONTROL_DEFAULTS = {
+    "kp": 4.0, "kd": 2.5, "cutoff_hz": 10.0, "plant_gain": 1.0,
+    "inertia": 1.0, "disturbance": 0.0, "duration_s": 5.0, "dt_s": 0.01,
+    "gyro_sigma_dps": 0.0, "gyro_bias_dps": 0.0,
+    "setpoint_schedule": [[0.0, 0.0]],
+}
+
+
 def cmd_control_sim(args, config, out_dir):
-    section = config.extra_section("control") or {}
-    schedule = tuple((float(t), float(v)) for t, v in
-                     section.get("setpoint_schedule", [[0.0, 0.0]]))
+    section = config.task_section("control", CONTROL_DEFAULTS)
+    schedule = tuple(map(tuple, section["setpoint_schedule"]))
+    if not schedule or any(len(pair) != 2 for pair in schedule):
+        raise ConfigError("'setpoint_schedule' in 'control' must be a "
+                          "non-empty list of [time_s, heading_deg] pairs")
     controller = ControllerConfig(
-        kp=float(section.get("kp", 4.0)),
-        kd=float(section.get("kd", 2.5)),
-        cutoff_hz=float(section.get("cutoff_hz", 10.0)),
-        plant_gain=float(section.get("plant_gain", 1.0)),
-        setpoint_schedule=schedule)
-    plant = YawPlant(inertia=float(section.get("inertia", 1.0)),
-                     disturbance=float(section.get("disturbance", 0.0)))
+        kp=section["kp"], kd=section["kd"], cutoff_hz=section["cutoff_hz"],
+        plant_gain=section["plant_gain"], setpoint_schedule=schedule)
+    plant = YawPlant(inertia=section["inertia"],
+                     disturbance=section["disturbance"])
     trace = simulate_closed_loop(
-        plant, controller,
-        duration=float(section.get("duration_s", 5.0)),
-        dt=float(section.get("dt_s", 0.01)),
-        gyro_sigma=float(section.get("gyro_sigma_dps", 0.0)),
-        gyro_bias=float(section.get("gyro_bias_dps", 0.0)),
-        seed=args.seed)
+        plant, controller, duration=section["duration_s"],
+        dt=section["dt_s"], gyro_sigma=section["gyro_sigma_dps"],
+        gyro_bias=section["gyro_bias_dps"], seed=args.seed)
     path = os.path.join(out_dir, "control_trace.csv")
     trace.to_csv(path)
     print(f"control-sim: {trace.t.size} steps, final heading "

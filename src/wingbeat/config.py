@@ -339,6 +339,23 @@ class StudyConfig:
                 return json.loads(payload)
         return None
 
+    def task_section(self, name, defaults, required=()):
+        """Values of task section ``name``, parsed as strictly as the rest.
+
+        The section may hold only the keys of ``required``, which must be
+        present, and of ``defaults``, which fill in the missing ones. Each
+        value must be a finite number, or a list of lists of them where
+        the default is a list.
+        """
+        cfg = self.extra_section(name)
+        cfg = _section({} if cfg is None else cfg, name,
+                       (*required, *defaults))
+        for key in required:
+            _require(cfg, key, name)
+        return {key: (_points if isinstance(defaults.get(key), list)
+                      else _finite)(value, key, name)
+                for key, value in {**defaults, **cfg}.items()}
+
 
 def load_angle_samples(path):
     """Read fitting samples from a CSV with columns ``t_s``, ``angle_deg``.

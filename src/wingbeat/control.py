@@ -138,8 +138,9 @@ def simulate_closed_loop(plant, config, duration, dt,
 
     Raises RuntimeError (with the step index) if the state diverges.
     """
-    if dt <= 0.0 or duration <= 0.0:
-        raise ValueError("duration and time step must be positive")
+    if not 0.0 < dt <= duration < dt * 2**53:
+        raise ValueError("duration and time step must be positive, and the "
+                         "duration at least one time step and finitely many")
     n = int(round(duration / dt))
     rng = np.random.default_rng(seed)
     lpf = LowPassFilter(low_pass_coefficient(config.cutoff_hz, dt))

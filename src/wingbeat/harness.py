@@ -1,7 +1,8 @@
 """Batch studies: design-space sweeps, hover trim, and the cutout comparison.
 
-Every study passes one :class:`~wingbeat.aero.SolverSettings` to
-``simulate_cycle`` and writes its tables through :func:`write_csv`.
+Every study passes one :class:`~wingbeat.aero.SolverSettings` to the
+aero solvers (hover trim probes with inflow solves alone) and writes its
+tables through :func:`write_csv`.
 Sweep points are independent; the runner farms them out, with the parsed
 study, to a process pool and merges rows back in grid order, so serial and
 parallel runs emit byte-identical tables. A point's ``ValueError`` or
@@ -18,7 +19,13 @@ import math
 import numpy as np
 
 from . import __version__
-from .aero import SolverSettings, compare_wings, simulate_cycle
+from .aero import (
+    SolverSettings,
+    compare_wings,
+    reynolds,
+    simulate_cycle,
+    solve_induced_velocity,
+)
 from .power import GRAM_FORCE_NEWTONS, lift_to_power
 from .wing import apply_inboard_cutout, scaled_to_area
 
@@ -175,59 +182,121 @@ def run_sweep(config, workers=1):
 
 @dataclass(frozen=True)
 class TrimResult:
+    """Trimmed frequency and lift, with every lift probe in probe order.
+
+    ``probes`` holds (frequency_hz, lift_n, vi_evaluations) per probe.
+    """
+
     frequency_hz: float
     mean_lift: float
     target_lift: float
-    iterations: int
+    probes: tuple
+
+    @property
+    def iterations(self):
+        """Probes after the first."""
+        return len(self.probes) - 1
 
     def as_dict(self):
         return {"frequency_hz": self.frequency_hz,
                 "mean_lift_n": self.mean_lift,
                 "mean_lift_gf": self.mean_lift / GRAM_FORCE_NEWTONS,
                 "target_lift_n": self.target_lift,
-                "iterations": self.iterations}
+                "iterations": self.iterations,
+                "probes": [{"frequency_hz": f, "lift_n": lift,
+                            "vi_evaluations": n}
+                           for f, lift, n in self.probes]}
 
 
 def hover_trim(wing, kin, env, target_lift, f_lo, f_hi,
-               solver=SolverSettings(), rel_tol=0.005, max_iter=60):
-    """Bisect the flapping frequency until cycle-mean lift hits a target.
+               solver=SolverSettings(), rel_tol=1e-4, max_iter=60):
+    """Flapping frequency in [f_lo, f_hi] whose cycle-mean lift hits a target.
 
-    The kinematics are time-rescaled at each probe frequency. The target
-    (N, for the configured single/pair setting) must be bracketed by the
-    lift at the two frequency bounds.
+    The kinematics are time-rescaled at each probe frequency, and a probe
+    is one inflow solve: its lift is the cycle-mean thrust at the solved
+    inflow (halved for a single wing), as ``simulate_cycle`` reports it.
+    Lift grows almost exactly as f^2, so the search is a secant in
+    (ln f, ln L): from ``f_lo`` it steps to f_lo * sqrt(L* / L(f_lo)),
+    then through the two latest probes. A step that would leave the
+    bracket, or a lift <= 0, falls back to the geometric mean of the
+    bracket; ``f_hi`` is probed only when a step would reach it. The
+    search stops at the first probe within ``rel_tol`` of the target
+    (N, for the configured single/pair setting), which the lifts at the
+    two bounds must bracket.
     """
     if not 0.0 < f_lo < f_hi:
         raise ValueError("need 0 < f_lo < f_hi")
     if target_lift <= 0.0:
         raise ValueError("target lift must be positive")
 
-    def lift_at(f):
-        return simulate_cycle(wing, kin.with_frequency(f), env,
-                              solver).mean_lift
+    probes = []
 
-    tol = rel_tol * target_lift
-    lift_lo, lift_hi = lift_at(f_lo), lift_at(f_hi)
-    if abs(lift_lo - target_lift) < tol:
-        return TrimResult(f_lo, lift_lo, target_lift, 0)
-    if abs(lift_hi - target_lift) < tol:
-        return TrimResult(f_hi, lift_hi, target_lift, 0)
-    if not (lift_lo < target_lift < lift_hi):
-        raise ValueError(
+    def lift_at(f):
+        # Reynolds first: a zero stroke raises here, where the inflow solve
+        # alone would return zero thrust for its degenerate disk.
+        kin_f = kin.with_frequency(f)
+        info = solve_induced_velocity(
+            wing, kin_f, env, solver,
+            reynolds_number=reynolds(wing, kin_f, env))
+        lift = info.thrust if solver.pair else 0.5 * info.thrust
+        probes.append((f, lift, info.iterations))
+        return lift
+
+    def trimmed(f, lift):
+        if abs(lift - target_lift) < rel_tol * target_lift:
+            return TrimResult(f, lift, target_lift, tuple(probes))
+        return None
+
+    def not_bracketed(lift_lo, lift_hi):
+        return ValueError(
             f"target lift {target_lift:.4g} N not bracketed: lift is "
             f"{lift_lo:.4g} N at {f_lo} Hz and {lift_hi:.4g} N at {f_hi} Hz")
 
-    lo, hi = f_lo, f_hi
-    for iteration in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        lift_mid = lift_at(mid)
-        if abs(lift_mid - target_lift) < tol:
-            return TrimResult(mid, lift_mid, target_lift, iteration)
-        if lift_mid < target_lift:
-            lo = mid
+    def log_secant(f0, lift0, f1, lift1):
+        """ln f where the line through two probes in (ln f, ln L) meets L*."""
+        if lift0 <= 0.0 or lift1 <= 0.0:
+            return math.nan
+        rise = math.log(lift1 / lift0)
+        if rise == 0.0:
+            return math.nan
+        return math.log(f1) + (math.log(target_lift / lift1)
+                               * math.log(f1 / f0) / rise)
+
+    lift_lo = lift_at(f_lo)
+    if result := trimmed(f_lo, lift_lo):
+        return result
+    if lift_lo > target_lift:
+        lift_hi = lift_at(f_hi)
+        if result := trimmed(f_hi, lift_hi):
+            return result
+        raise not_bracketed(lift_lo, lift_hi)
+
+    # The lift is below the target at lo, and above it at hi once probed.
+    lo, hi, hi_probed = f_lo, f_hi, False
+    f, lift = f_lo, lift_lo
+    x_next = (math.log(f_lo) + 0.5 * math.log(target_lift / lift_lo)
+              if lift_lo > 0.0 else math.nan)
+    for _ in range(max_iter):
+        if not hi_probed and x_next >= math.log(f_hi):
+            f_next = f_hi
+        elif math.log(lo) < x_next < math.log(hi):
+            f_next = math.exp(x_next)
         else:
-            hi = mid
+            f_next = math.sqrt(lo * hi)
+        lift_next = lift_at(f_next)
+        if result := trimmed(f_next, lift_next):
+            return result
+        if lift_next > target_lift:
+            hi, hi_probed = f_next, True
+        elif f_next == f_hi:
+            raise not_bracketed(lift_lo, lift_next)
+        else:
+            lo = f_next
+        x_next = log_secant(f, lift, f_next, lift_next)
+        f, lift = f_next, lift_next
     raise ComputeError(
-        f"hover trim did not converge within {max_iter} bisection steps")
+        f"hover trim did not converge within {max_iter} probes after the "
+        f"first")
 
 
 @dataclass(frozen=True)

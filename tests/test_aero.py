@@ -301,6 +301,15 @@ def test_induced_velocity_self_consistency():
     assert abs(rederived - result.v_induced) < 1e-6
 
 
+def test_induced_velocity_reports_thrust_at_the_root():
+    wing = apply_inboard_cutout(standard_wing(25.5), 0.3)
+    kin = beetle_kinematics(17.3, 190.0)
+    result = solve_induced_velocity(wing, kin, ENV)
+    thrust = _pair_mean_thrust(discretize(wing, 20), kin, ENV, 720,
+                               result.v_induced, reynolds(wing, kin, ENV))
+    assert result.thrust == pytest.approx(thrust, rel=1e-12)
+
+
 def test_induced_velocity_density_invariance():
     # Thrust scales with rho, so rho cancels out of the fixed point.
     wing = standard_wing(25.5)

@@ -172,3 +172,11 @@ def test_trace_csv_format(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t_s,psi_true_deg,psi_est_deg,omega_dps,control_output"
     assert len(lines) == 1 + trace.t.size
+
+
+@pytest.mark.parametrize("duration, dt", [(0.1, 1e300), (1e300, 1e-300)])
+def test_duration_must_span_finitely_many_steps(duration, dt):
+    config = ControllerConfig(kp=4.0, kd=2.5)
+    with pytest.raises(ValueError, match="time step"):
+        simulate_closed_loop(YawPlant(inertia=1.0), config, duration=duration,
+                             dt=dt)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from wingbeat.harness import (
     run_cutout_study,
     run_sweep,
 )
+from wingbeat.kinematics import FourierSeries, WingKinematics
 from wingbeat.power import GRAM_FORCE_NEWTONS
 from wingbeat.presets import beetle_kinematics, standard_wing
 
@@ -287,8 +289,78 @@ def test_hover_trim_monotone_in_target():
 def test_hover_trim_requires_bracketing():
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
-    with pytest.raises(ValueError, match="bracket"):
-        hover_trim(wing, kin, ENV, 1e4, 8.0, 12.0)
+    solver = SolverSettings(steps_per_cycle=180, n_elements=10)
+    lift_lo, lift_hi = (
+        simulate_cycle(wing, kin.with_frequency(f), ENV, solver).mean_lift
+        for f in (8.0, 12.0))
+    for target in (1e-4, 1e4):  # below the bracket, then above it
+        with pytest.raises(ValueError) as info:
+            hover_trim(wing, kin, ENV, target, 8.0, 12.0, solver=solver)
+        assert str(info.value) == (
+            f"target lift {target:.4g} N not bracketed: lift is "
+            f"{lift_lo:.4g} N at 8.0 Hz and {lift_hi:.4g} N at 12.0 Hz")
+
+
+@pytest.mark.parametrize("area", [20.1, 25.5, 31.4])
+@pytest.mark.parametrize("amplitude", [120.0, 190.0])
+@pytest.mark.parametrize("target_gf", [12.0, 20.0])
+def test_hover_trim_log_secant(area, amplitude, target_gf):
+    wing = standard_wing(area)
+    kin = beetle_kinematics(17.3, amplitude)
+    solver = SolverSettings(steps_per_cycle=180, n_elements=10)
+    target = target_gf * GRAM_FORCE_NEWTONS
+    trim = hover_trim(wing, kin, ENV, target, 8.0, 40.0, solver=solver)
+    # f_lo, then f_lo * sqrt(L*/L(f_lo)), then one secant step. The far
+    # corner trims at 33 Hz, where the secant through 8 Hz misses the
+    # 1e-4 tolerance by 8e-6 and takes one more step.
+    far_corner = (area, amplitude, target_gf) == (20.1, 120.0, 20.0)
+    assert len(trim.probes) == (4 if far_corner else 3)
+    assert trim.iterations == len(trim.probes) - 1
+    assert trim.probes[0][0] == 8.0
+    assert trim.probes[-1][:2] == (trim.frequency_hz, trim.mean_lift)
+    assert all(n >= 1 for _, _, n in trim.probes)
+    cycle = simulate_cycle(wing, kin.with_frequency(trim.frequency_hz), ENV,
+                           solver)
+    assert trim.mean_lift == pytest.approx(cycle.mean_lift, rel=1e-12)
+    assert abs(cycle.mean_lift - target) <= 1e-4 * target
+
+
+def test_hover_trim_probes_are_inflow_solves(monkeypatch):
+    calls = []
+    solve = harness.solve_induced_velocity
+    monkeypatch.setattr(harness, "solve_induced_velocity",
+                        lambda *a, **k: calls.append(a[1].frequency)
+                        or solve(*a, **k))
+    monkeypatch.setattr(harness, "simulate_cycle", None)
+    trim = hover_trim(standard_wing(25.5), beetle_kinematics(17.3, 190.0),
+                      ENV, 15.8 * GRAM_FORCE_NEWTONS, 8.0, 40.0,
+                      solver=SolverSettings(steps_per_cycle=180,
+                                            n_elements=10))
+    assert calls == [f for f, _, _ in trim.probes]
+    assert len(calls) == 3
+
+
+def test_hover_trim_single_wing():
+    wing = standard_wing(25.5)
+    kin = beetle_kinematics(17.3, 190.0)
+    solver = SolverSettings(steps_per_cycle=180, n_elements=10, pair=False)
+    target = 7.9 * GRAM_FORCE_NEWTONS
+    trim = hover_trim(wing, kin, ENV, target, 8.0, 40.0, solver=solver)
+    at_trim = kin.with_frequency(trim.frequency_hz)
+    thrust = harness.solve_induced_velocity(wing, at_trim, ENV,
+                                            solver).thrust
+    assert trim.mean_lift == 0.5 * thrust
+    single = simulate_cycle(wing, at_trim, ENV, solver).mean_lift
+    assert abs(single - target) <= 1e-4 * target
+
+
+def test_hover_trim_zero_stroke_raises():
+    kin = beetle_kinematics(17.3, 190.0)
+    frozen = WingKinematics(
+        stroke=FourierSeries(0.0, (0.0,), (0.0,), 17.3),
+        rotation_stations=kin.rotation_stations)
+    with pytest.raises(ValueError, match="degenerate kinematics"):
+        hover_trim(standard_wing(25.5), frozen, ENV, 0.1, 8.0, 40.0)
 
 
 def test_cutout_study_zero_fraction_gives_zero_deltas():
@@ -412,6 +484,62 @@ def test_cli_trim(tmp_path):
     assert cli.main(["--config", str(path), "trim"]) == 0
     doc = json.loads((tmp_path / "out" / "trim.json").read_text())
     assert 8.0 < doc["frequency_hz"] < 30.0
+    assert len(doc["probes"]) == doc["iterations"] + 1
+    assert doc["probes"][-1] == {"frequency_hz": doc["frequency_hz"],
+                                 "lift_n": doc["mean_lift_n"],
+                                 "vi_evaluations": 4}
+
+
+TASK_SECTIONS = {"trim": {"target_lift_gf": 15.8, "f_lo_hz": 8.0,
+                          "f_hi_hz": 30.0},
+                 "cutout": {"span_fraction": 0.25, "frequency_hz": 17.3},
+                 "control": {"kp": 4.0, "duration_s": 0.1}}
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("control-sim", "control", "kpp", 99),
+    ("cutout-study", "cutout", "fraction", 0.3),
+    ("trim", "trim", "f_hi_hz", "x"),
+    ("trim", "trim", "f_hi_hz", math.inf),
+    ("trim", "trim", "target_lift_gf", None),
+    ("cutout-study", "cutout", "frequency_hz", math.nan),
+    ("control-sim", "control", "dt_s", [0.01]),
+    ("control-sim", "control", "setpoint_schedule", [[0.0, math.inf]]),
+    ("control-sim", "control", "setpoint_schedule", [[0.0]]),
+])
+def test_cli_bad_task_section_value_is_config_error(tmp_path, capsys,
+                                                    command, section, key,
+                                                    value):
+    path = write_config(tmp_path, **TASK_SECTIONS)
+    doc = json.loads(path.read_text())
+    doc[section][key] = value
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--config", str(path), command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert f"'{key}'" in err and f"'{section}'" in err
+
+
+def test_cli_missing_trim_key_is_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, trim={"target_lift_gf": 15.8,
+                                        "f_hi_hz": 30.0})
+    assert cli.main(["--config", str(path), "trim"]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: missing key 'f_lo_hz' in 'trim' section\n"
+
+
+def test_cli_absurd_chord_is_one_line_compute_failure(tmp_path, capsys):
+    path = write_config(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["wing"]["breakpoints"][1][1] = 1e300
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["--config", str(path), "simulate"]) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith("compute failure: non-finite cycle-mean thrust")
+    assert err.count("\n") == 1
 
 
 def test_cli_sweep_with_steps_override(tmp_path):
