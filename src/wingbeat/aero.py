@@ -10,10 +10,14 @@ plane, and zeta, perpendicular to the stroke plane (lift).
 The mean inflow through the stroke disk couples back into the effective
 angle of attack. Assuming a uniform induced velocity, it is the root of
 actuator-disk momentum balance against the blade-element thrust, found by
-a bracketed secant search on a cycle grid whose inflow-independent terms
-are evaluated once. The aerodynamic power follows from the eta force
-opposing the stroke motion. Both solvers take their grid and search
-limits from one :class:`SolverSettings`.
+a bracketed secant search. The search evaluates the thrust through a
+:class:`CyclePrecompute`, which holds the inflow-independent terms of one
+cycle grid. They rescale exactly with the stroke amplitude and the
+frequency, so one precompute serves every amplitude and frequency of a
+wing: a sweep builds one per (area, cutout) and a hover trim one for all
+of its probes. The aerodynamic power follows from the eta force opposing
+the stroke motion. Both solvers take their grid and search limits from
+one :class:`SolverSettings`.
 """
 
 from dataclasses import dataclass, replace
@@ -70,6 +74,14 @@ class SolverSettings:
                 f"got {self.vi_max_iter!r}")
 
 
+def _coefficient_amplitudes(re):
+    """Lift amplitude, zero-lift drag and drag amplitude at Reynolds ``re``."""
+    if re <= 0.0:
+        raise ValueError("Reynolds number must be positive")
+    return (1.966 - 3.94 * re**-0.429, 0.031 + 10.48 * re**-0.764,
+            1.873 - 3.14 * re**-0.369)
+
+
 def aero_coefficients(alpha_e, re):
     """Empirical flat-plate lift/drag coefficients at low Reynolds number.
 
@@ -84,12 +96,8 @@ def aero_coefficients(alpha_e, re):
     -------
     cl, cd : ndarray or float
     """
-    if re <= 0.0:
-        raise ValueError("Reynolds number must be positive")
     alpha_e = np.asarray(alpha_e, dtype=float)
-    lift_amp = 1.966 - 3.94 * re**-0.429
-    drag_zero = 0.031 + 10.48 * re**-0.764
-    drag_amp = 1.873 - 3.14 * re**-0.369
+    lift_amp, drag_zero, drag_amp = _coefficient_amplitudes(re)
     cl = lift_amp * np.sin(2.0 * alpha_e)
     cd = drag_zero + drag_amp * (1.0 - np.cos(2.0 * alpha_e))
     if cl.shape:
@@ -190,25 +198,24 @@ class ForceBreakdown:
                 + self.rotational_zeta)
 
 
-def _unsteady_forces(state, env):
-    """Added-mass and rotational force magnitudes of the elements.
+def _added_mass_force(state, env, accel):
+    """Added-mass force magnitude of the elements at section acceleration
+    ``accel``; it uses the geometric angle of attack, not the inflow."""
+    return (0.25 * math.pi * env.rho * state.chord**2 * accel
+            * np.sin(state.alpha_geometric)
+            * (state.area_scale * state.width))
 
-    Neither depends on the inflow: both use the geometric angle of attack
-    and the stroke-plane section speed.
-    """
-    scale = state.area_scale * state.width
-    a_w = element_acceleration(state)
-    added = (0.25 * math.pi * env.rho * state.chord**2 * a_w
-             * np.sin(state.alpha_geometric) * scale)
 
+def _rotational_force(state, env):
+    """Rotational force magnitude of the elements; it uses the stroke-plane
+    section speed, not the inflow."""
     # Zero-chord stations carry no force; avoid 0/0 in the axis ratio.
     chord = np.asarray(state.chord, dtype=float)
     axis_ratio = np.divide(state.pitch_axis, chord,
                            out=np.zeros(np.shape(chord)), where=chord > 0.0)
     c_rot = math.pi * (0.75 - axis_ratio)
-    rot = (env.rho * state.v_translational * c_rot * state.rotation_rate
-           * chord**2 * scale)
-    return added, rot
+    return (env.rho * state.v_translational * c_rot * state.rotation_rate
+            * chord**2 * (state.area_scale * state.width))
 
 
 def element_forces(state, env, re):
@@ -229,7 +236,8 @@ def element_forces(state, env, re):
     dyn = state.v_translational**2 + state.v_induced**2
     scale = state.area_scale * state.width
     trans = 0.5 * env.rho * state.chord * dyn * scale
-    added, rot = _unsteady_forces(state, env)
+    added = _added_mass_force(state, env, element_acceleration(state))
+    rot = _rotational_force(state, env)
 
     return ForceBreakdown(
         translational_eta=-trans * (cl * sin_phi + cd * cos_phi),
@@ -274,31 +282,187 @@ def _pair_mean_thrust(elements, kin, env, steps, v_induced, re):
     return 2.0 * float(np.mean(np.sum(forces.total_zeta, axis=1)))
 
 
-def _pair_mean_thrust_function(state, env, re):
-    """``thrust(v)``: the pair's cycle-mean vertical force at inflow ``v``.
+def _unsteady_means(state, env):
+    """Cycle-mean added-mass plus rotational lift and power of one wing on
+    an element grid, as polynomials in the stroke factor a.
 
-    Equals ``_pair_mean_thrust`` on the grid of ``state`` (whose own
-    ``v_induced`` is ignored). Only the translational term depends on the
-    inflow, so the section speed, the geometric angle of attack, the
-    translational force scale and the cycle-mean added-mass plus
-    rotational lift are evaluated once here.
+    Lift is r^2 (L0 + a L1 + a^2 L2) and power a r^3 (P0 + a P1 + a^2 P2)
+    for stroke harmonics scaled by a and frequency by r; returns the L and
+    the P coefficients. Power opposes the added-mass force and follows the
+    rotational force along the stroke.
     """
-    v_t = state.v_translational
-    v_t_sq = v_t**2
-    alpha_g = state.alpha_geometric
-    trans_scale = 0.5 * env.rho * state.chord * state.area_scale * state.width
-    added, rot = _unsteady_forces(state, env)
-    unsteady = float(np.mean(np.sum((added + rot)
-                                    * np.cos(state.rotation_angle), axis=1)))
+    sin_rot = np.sin(state.rotation_angle)
+    cos_rot = np.cos(state.rotation_angle)
+    v_t_sin = state.v_translational * sin_rot
 
-    def thrust(v):
-        phi = np.arctan2(v, v_t)
-        cl, cd = aero_coefficients(alpha_g - phi, re)
-        zeta = trans_scale * (v_t_sq + v * v) * (cl * np.cos(phi)
-                                                 - cd * np.sin(phi))
-        return 2.0 * (float(np.mean(np.sum(zeta, axis=1))) + unsteady)
+    def mean(x):
+        return float(np.mean(np.sum(x, axis=1)))
 
-    return thrust
+    per_accel = _added_mass_force(state, env, 1.0)
+    arm = 0.5 * state.chord - state.pitch_axis
+    lift, power = [], []
+    # element_acceleration split by scaling: r^2, a r^2 and a^2 r^2.
+    for accel in (arm * state.rotation_accel,
+                  state.radius * state.stroke_accel * sin_rot,
+                  arm * state.stroke_rate**2 * cos_rot * sin_rot):
+        force = per_accel * accel
+        lift.append(mean(force * cos_rot))
+        power.append(-mean(v_t_sin * force))
+    rot = _rotational_force(state, env)   # scales as a r^2
+    lift[1] += mean(rot * cos_rot)
+    power[1] += mean(v_t_sin * rot)
+    return tuple(lift), tuple(power)
+
+
+@dataclass(frozen=True, eq=False)
+class CyclePrecompute:
+    """Inflow-independent terms of one cycle grid, rescalable in amplitude
+    and frequency.
+
+    Kinematics that differ from ``kinematics`` only by a factor ``a`` on
+    the stroke harmonics and a ratio ``r`` of frequencies sample the same
+    phases on the same grid: the section speed v_t scales by a*r, the
+    stroke acceleration by a*r^2, the squared stroke rate by a^2*r^2 and
+    the rotation rate and acceleration by r and r^2. So the translational
+    thrust is (a r)^2 G(v / (a r)) and its power (a r)^3 P(v / (a r)), and
+    the cycle-mean added-mass and rotational lift and power are unit means
+    times powers of a and r. :meth:`thrust` and :meth:`power` take a and r
+    from the kinematics they are given.
+
+    G and P need no trigonometry. At unit-scale inflow u the inflow angle
+    has cos phi = v_t / q and sin phi = u / q with q = sqrt(v_t^2 + u^2),
+    and 2 alpha_e = 2 alpha_g - 2 phi. Expanding sin 2 alpha_e and
+    cos 2 alpha_e by the angle-difference identities turns each cell's
+    force and power into a cubic in u whose coefficients are fixed
+    multiples of 1/q and q. A cycle mean is thus a few dot products of
+    fixed cell moments with 1/q and q; at u = 0 it is fixed outright, and
+    a cell with q = 0 carries no translational force.
+    """
+
+    kinematics: object
+    steps: int
+    v_t_sq: np.ndarray
+    by_inverse_q: np.ndarray
+    by_q: np.ndarray
+    at_zero_inflow: tuple
+    lift_by_a: tuple
+    power_by_a: tuple
+
+    @classmethod
+    def build(cls, elements, kin, env, steps):
+        """Precompute on the ``steps``-point grid of ``kin`` for ``elements``."""
+        with np.errstate(all="ignore"):
+            _, state = _element_grid_state(elements, kin, steps, 0.0)
+            return cls.from_state(state, kin, env)
+
+    @classmethod
+    def from_state(cls, state, kin, env):
+        """Precompute on an element grid of ``kin`` (its inflow is ignored)."""
+        v_t = state.v_translational
+        lift, power = _unsteady_means(state, env)
+
+        # Translational moments, with T the force per unit dynamic pressure
+        # and S, C = sin, cos 2 alpha_g; see thrust() and power().
+        trans = (0.5 * env.rho * state.chord
+                 * (state.area_scale * state.width))
+        alpha_2 = 2.0 * state.alpha_geometric
+        v_sq = v_t**2
+        by_inverse_q = np.empty((5,) + v_t.shape)
+        s_t_v3, c_t_v2, s_t_v, c_t, c_t_v4 = by_inverse_q
+        np.multiply(np.sin(alpha_2), trans, out=s_t_v)
+        s_t_v *= v_t
+        np.multiply(s_t_v, v_sq, out=s_t_v3)
+        np.multiply(np.cos(alpha_2), trans, out=c_t)
+        np.multiply(c_t, v_sq, out=c_t_v2)
+        np.multiply(c_t_v2, v_sq, out=c_t_v4)
+        by_q = np.empty((2,) + v_t.shape)
+        by_q[0] = trans
+        np.multiply(trans, v_sq, out=by_q[1])
+
+        def total(x):
+            return float(np.vdot(x, v_t))
+
+        return cls(kinematics=kin, steps=v_t.shape[0], v_t_sq=v_sq.ravel(),
+                   by_inverse_q=by_inverse_q.reshape(5, -1),
+                   by_q=by_q.reshape(2, -1),
+                   at_zero_inflow=(total(s_t_v), total(c_t_v2),
+                                   total(by_q[1])),
+                   lift_by_a=lift, power_by_a=power)
+
+    def _scales(self, kin):
+        """(a, r): ``kin``'s stroke harmonics are a times, and its frequency
+        r times, those of the precomputed kinematics."""
+        ref = self.kinematics
+        harmonics = kin.stroke.a + kin.stroke.b
+        ref_harmonics = ref.stroke.a + ref.stroke.b
+        peak = max(ref_harmonics, key=abs)
+        a = harmonics[ref_harmonics.index(peak)] / peak if peak else 1.0
+        shape = [(f, s.a0, s.a, s.b) for f, s in kin.rotation_stations]
+        ref_shape = [(f, s.a0, s.a, s.b) for f, s in ref.rotation_stations]
+        # Harmonics rescaled through different factors agree to rounding.
+        if not (a > 0.0 and shape == ref_shape
+                and len(harmonics) == len(ref_harmonics)
+                and all(abs(x - a * y) <= 1e-9 * a * abs(peak)
+                        for x, y in zip(harmonics, ref_harmonics))):
+            raise ValueError("kinematics are not a rescaling of the "
+                             "precomputed cycle")
+        return a, kin.frequency / ref.frequency
+
+    def _moments(self, u):
+        """Sums over the cells of the moments times 1/q and times q."""
+        q = np.sqrt(self.v_t_sq + u * u)
+        return self.by_inverse_q @ (1.0 / q), self.by_q @ q
+
+    def thrust(self, kin, v, re):
+        """Cycle-mean vertical force (N) of the wing pair at inflow ``v``.
+
+        A cell's translational force is T q (c_l v_t - c_d u), which is
+        (T/q) [A S v_t^3 + u (D1 - 2A) C v_t^2 + u^2 (2 D1 - A) S v_t
+        - u^3 D1 C] - (D0 + D1) u T q with c_l = A sin 2 alpha_e and
+        c_d = D0 + D1 (1 - cos 2 alpha_e): A, D0 and D1 are the
+        coefficient amplitudes of :func:`aero_coefficients` at ``re``.
+        """
+        a, r = self._scales(kin)
+        s = a * r
+        u = v / s
+        lift_amp, drag_zero, drag_amp = _coefficient_amplitudes(re)
+        if u * u == 0.0:
+            total = lift_amp * self.at_zero_inflow[0]
+        else:
+            (k1, k2, k3, k4, _), (k5, _) = self._moments(u)
+            total = (lift_amp * k1
+                     + u * ((drag_amp - 2.0 * lift_amp) * k2
+                            + u * ((2.0 * drag_amp - lift_amp) * k3
+                                   - u * drag_amp * k4))
+                     - (drag_zero + drag_amp) * u * k5)
+        l0, l1, l2 = self.lift_by_a
+        return 2.0 * (s * s * float(total) / self.steps
+                      + r * r * (l0 + a * (l1 + a * l2)))
+
+    def power(self, kin, v, re):
+        """Cycle-mean aerodynamic power (W) of the wing pair at inflow ``v``.
+
+        A cell's translational power is T v_t q (c_l u + c_d v_t), which is
+        (T/q) [-D1 C v_t^4 + u (A - 2 D1) S v_t^3 + u^2 (D1 - 2A) C v_t^2
+        - u^3 A S v_t] + (D0 + D1) T v_t^2 q.
+        """
+        a, r = self._scales(kin)
+        s = a * r
+        u = v / s
+        lift_amp, drag_zero, drag_amp = _coefficient_amplitudes(re)
+        if u * u == 0.0:
+            _, c_v3, v3 = self.at_zero_inflow
+            total = (drag_zero + drag_amp) * v3 - drag_amp * c_v3
+        else:
+            (k1, k2, k3, _, k6), (_, k7) = self._moments(u)
+            total = (-drag_amp * k6
+                     + u * ((lift_amp - 2.0 * drag_amp) * k1
+                            + u * ((drag_amp - 2.0 * lift_amp) * k2
+                                   - u * lift_amp * k3))
+                     + (drag_zero + drag_amp) * k7)
+        p0, p1, p2 = self.power_by_a
+        return 2.0 * (s * s * s * float(total) / self.steps
+                      + a * r**3 * (p0 + a * (p1 + a * p2)))
 
 
 @dataclass(frozen=True)
@@ -319,7 +483,7 @@ class InducedVelocityResult:
 
 
 def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
-                           reynolds_number=None, state=None):
+                           reynolds_number=None, precompute=None):
     """Solve momentum/blade-element balance for the mean inflow.
 
     The inflow is the root of g(Vi) = sqrt(max(T, 0) / (2 rho A)) - Vi,
@@ -331,8 +495,9 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
     bisecting the bracket instead whenever a step would leave it, and
     stops at the first Vi with |g(Vi)| <= ``solver.vi_tol`` (m/s).
 
-    ``state`` is an element grid from ``_element_grid_state`` for this
-    wing's elements on the ``solver`` grid; it is built here when omitted.
+    ``precompute`` is a :class:`CyclePrecompute` of this wing's elements
+    in ``env`` on the ``solver`` grid, for kinematics that ``kin``
+    rescales; it is built from ``kin`` when omitted.
 
     Returns an :class:`InducedVelocityResult` that carries the thrust at
     the returned inflow; a negative mean thrust pins the inflow at zero
@@ -349,18 +514,18 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
     if disk_area <= 0.0:
         return InducedVelocityResult(0.0, 0, 0.0, False, 0.0)
     re = reynolds(wing, kin, env) if reynolds_number is None else reynolds_number
-    if state is None:
-        _, state = _element_grid_state(discretize(wing, solver.n_elements),
-                                       kin, solver.steps_per_cycle, 0.0)
     # Absurd but finite inputs may overflow on the way; the finiteness
     # check on every thrust reports that as one error instead of warnings.
     with np.errstate(all="ignore"):
-        thrust_at = _pair_mean_thrust_function(state, env, re)
+        if precompute is None:
+            precompute = CyclePrecompute.build(
+                discretize(wing, solver.n_elements), kin, env,
+                solver.steps_per_cycle)
 
         # g falls through the root: v_lo (g > 0) lies below it, v_hi above.
         v, v_hi, previous = 0.0, None, None
         for evaluation in range(1, solver.vi_max_iter + 1):
-            thrust = thrust_at(v)
+            thrust = precompute.thrust(kin, v, re)
             if not math.isfinite(thrust):
                 raise RuntimeError(f"non-finite cycle-mean thrust {thrust} "
                                    f"at inflow {v:.6g} m/s")
@@ -440,13 +605,16 @@ def simulate_cycle(wing, kin, env, solver=SolverSettings(),
     """
     elements = discretize(wing, solver.n_elements)
     re = reynolds(wing, kin, env) if reynolds_number is None else reynolds_number
-    t, state = _element_grid_state(elements, kin, solver.steps_per_cycle, 0.0)
-
     vi_info = None
-    if induced_velocity is None:
-        vi_info = solve_induced_velocity(wing, kin, env, solver,
-                                         reynolds_number=re, state=state)
-        induced_velocity = vi_info.v_induced
+    # As in the inflow solve: absurd inputs end in its one error message.
+    with np.errstate(all="ignore"):
+        t, state = _element_grid_state(elements, kin, solver.steps_per_cycle,
+                                       0.0)
+        if induced_velocity is None:
+            vi_info = solve_induced_velocity(
+                wing, kin, env, solver, reynolds_number=re,
+                precompute=CyclePrecompute.from_state(state, kin, env))
+            induced_velocity = vi_info.v_induced
 
     state = replace(state, v_induced=induced_velocity)
     forces = element_forces(state, env, re)

@@ -45,7 +45,8 @@ def build_parser():
     parser.add_argument("--out", default=None,
                         help="output directory (default: config output.directory)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="parallel workers for sweeps")
+                        help="sweep worker processes (at least 1; at most "
+                             "one per (area, cutout) group is started)")
     parser.add_argument("--steps", type=int, default=None,
                         help="override solver steps per cycle")
     parser.add_argument("--seed", type=int, default=0,

@@ -1,12 +1,17 @@
 """Batch studies: design-space sweeps, hover trim, and the cutout comparison.
 
 Every study passes one :class:`~wingbeat.aero.SolverSettings` to the
-aero solvers (hover trim probes with inflow solves alone) and writes its
-tables through :func:`write_csv`.
-Sweep points are independent; the runner farms them out, with the parsed
-study, to a process pool and merges rows back in grid order, so serial and
-parallel runs emit byte-identical tables. A point's ``ValueError`` or
-``RuntimeError`` is recorded in its row and never aborts the grid.
+aero solvers and writes its tables through :func:`write_csv`.
+
+Sweep points that share (area, cutout) share one wing, one
+discretization and one :class:`~wingbeat.aero.CyclePrecompute`, which
+their amplitudes and frequencies rescale. A point is one inflow solve
+and the power at its root, with no force pass. The runner farms the
+(area, cutout) groups out, with the parsed study, to a process pool of at
+most one worker per group and puts the rows back in grid order, so serial
+and parallel runs emit byte-identical tables. A point's ``ValueError`` or
+``RuntimeError`` is recorded in its row and never aborts the grid. Hover
+trim likewise probes with inflow solves on one precompute.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -20,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .aero import (
+    CyclePrecompute,
     SolverSettings,
     compare_wings,
     reynolds,
@@ -27,7 +33,7 @@ from .aero import (
     solve_induced_velocity,
 )
 from .power import GRAM_FORCE_NEWTONS, lift_to_power
-from .wing import apply_inboard_cutout, scaled_to_area
+from .wing import apply_inboard_cutout, discretize, scaled_to_area
 
 SCHEMA_VERSION = 1
 
@@ -131,26 +137,55 @@ class SweepResult:
                           "rows": [row.as_dict() for row in self.rows]})
 
 
-def _evaluate_point(args):
-    config, amplitude, area, cutout, frequency = args
-    point = SweepRow(amplitude, area, cutout, frequency)
+def _evaluate_point(row, config, wing, precompute):
+    """One grid point from its group's wing and precompute: one inflow
+    solve and the power at its root, no force pass."""
+    solver, env = config.solver, config.environment
     try:
-        wing = apply_inboard_cutout(scaled_to_area(config.wing, area * 1e-4),
-                                    cutout)
         kin = config.kinematics.with_stroke_amplitude(
-            math.radians(amplitude)).with_frequency(frequency)
-        result = simulate_cycle(wing, kin, config.environment, config.solver)
+            math.radians(row.amplitude_deg)).with_frequency(row.frequency_hz)
+        re = reynolds(wing, kin, env)
+        info = solve_induced_velocity(wing, kin, env, solver,
+                                      reynolds_number=re,
+                                      precompute=precompute)
+        share = 1.0 if solver.pair else 0.5
+        lift = share * info.thrust
+        power = share * precompute.power(kin, info.v_induced, re)
         return replace(
-            point,
-            mean_lift_gf=result.mean_lift / GRAM_FORCE_NEWTONS,
-            aero_power_w=result.mean_aero_power,
-            v_induced_m_s=result.v_induced,
-            reynolds=result.reynolds_number,
-            lift_to_power_gf_w=lift_to_power(result.mean_lift,
-                                             result.mean_aero_power),
-            vi_iterations=result.vi_info.iterations)
+            row,
+            mean_lift_gf=lift / GRAM_FORCE_NEWTONS,
+            aero_power_w=power,
+            v_induced_m_s=info.v_induced,
+            reynolds=re,
+            lift_to_power_gf_w=lift_to_power(lift, power),
+            vi_iterations=info.iterations)
     except (ValueError, RuntimeError) as exc:  # record, never abort
-        return replace(point, error=str(exc))
+        return replace(row, error=str(exc))
+
+
+def _evaluate_group(args):
+    """Rows of the points that share one (area, cutout): one wing, one
+    discretization and one cycle precompute serve them all."""
+    config, area, cutout, points = args
+    rows = [SweepRow(amplitude, area, cutout, frequency)
+            for amplitude, frequency in points]
+    # Absurd but finite inputs may overflow on the way; the inflow solve's
+    # finiteness check reports that as one error per point.
+    with np.errstate(all="ignore"):
+        try:
+            wing = apply_inboard_cutout(
+                scaled_to_area(config.wing, area * 1e-4), cutout)
+            # The grid is built at unit stroke amplitude (rad) and 1 Hz, so
+            # that no sweep value enters the terms every point rescales.
+            shape = (config.kinematics.with_stroke_amplitude(1.0)
+                     .with_frequency(1.0))
+            precompute = CyclePrecompute.build(
+                discretize(wing, config.solver.n_elements), shape,
+                config.environment, config.solver.steps_per_cycle)
+        except (ValueError, RuntimeError) as exc:  # record, never abort
+            return [replace(row, error=str(exc)) for row in rows]
+        return [_evaluate_point(row, config, wing, precompute)
+                for row in rows]
 
 
 def sweep_grid(config):
@@ -165,15 +200,31 @@ def sweep_grid(config):
 def run_sweep(config, workers=1):
     """Evaluate every grid point of the study's sweep axes.
 
-    Identical configs produce identical row tables regardless of
-    ``workers``. Raises :class:`ComputeError` only if every point failed.
+    Points are evaluated in (area, cutout) groups, on at most ``workers``
+    processes and never more than there are groups; rows come back in
+    grid order, so identical configs produce identical row tables
+    regardless of ``workers``. Raises :class:`ComputeError` only if every
+    point failed.
     """
-    jobs = [(config, *point) for point in sweep_grid(config)]
-    if workers <= 1 or len(jobs) <= 1:
-        rows = [_evaluate_point(job) for job in jobs]
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    grid = sweep_grid(config)
+    groups = {}   # (area, cutout) -> grid indices, in grid order
+    for index, (_, area, cutout, _) in enumerate(grid):
+        groups.setdefault((area, cutout), []).append(index)
+    jobs = [(config, area, cutout,
+             tuple((grid[i][0], grid[i][3]) for i in indices))
+            for (area, cutout), indices in groups.items()]
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        results = [_evaluate_group(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_evaluate_point, jobs))
+            results = list(pool.map(_evaluate_group, jobs))
+    rows = [None] * len(grid)
+    for indices, group_rows in zip(groups.values(), results):
+        for index, row in zip(indices, group_rows):
+            rows[index] = row
     if rows and all(row.error is not None for row in rows):
         raise ComputeError(
             f"all {len(rows)} sweep points failed; first error: {rows[0].error}")
@@ -213,8 +264,9 @@ def hover_trim(wing, kin, env, target_lift, f_lo, f_hi,
     """Flapping frequency in [f_lo, f_hi] whose cycle-mean lift hits a target.
 
     The kinematics are time-rescaled at each probe frequency, and a probe
-    is one inflow solve: its lift is the cycle-mean thrust at the solved
-    inflow (halved for a single wing), as ``simulate_cycle`` reports it.
+    is one inflow solve on a cycle precompute shared by all probes: its
+    lift is the cycle-mean thrust at the solved inflow (halved for a
+    single wing), as ``simulate_cycle`` reports it.
     Lift grows almost exactly as f^2, so the search is a secant in
     (ln f, ln L): from ``f_lo`` it steps to f_lo * sqrt(L* / L(f_lo)),
     then through the two latest probes. A step that would leave the
@@ -230,6 +282,10 @@ def hover_trim(wing, kin, env, target_lift, f_lo, f_hi,
         raise ValueError("target lift must be positive")
 
     probes = []
+    # Every probe rescales one grid, built at the first probe's frequency.
+    precompute = CyclePrecompute.build(
+        discretize(wing, solver.n_elements), kin.with_frequency(f_lo), env,
+        solver.steps_per_cycle)
 
     def lift_at(f):
         # Reynolds first: a zero stroke raises here, where the inflow solve
@@ -237,7 +293,7 @@ def hover_trim(wing, kin, env, target_lift, f_lo, f_hi,
         kin_f = kin.with_frequency(f)
         info = solve_induced_velocity(
             wing, kin_f, env, solver,
-            reynolds_number=reynolds(wing, kin_f, env))
+            reynolds_number=reynolds(wing, kin_f, env), precompute=precompute)
         lift = info.thrust if solver.pair else 0.5 * info.thrust
         probes.append((f, lift, info.iterations))
         return lift
@@ -323,7 +379,8 @@ class CutoutStudy:
         def loads(result):
             return {"mean_lift_gf": result.mean_lift / GRAM_FORCE_NEWTONS,
                     "aero_power_w": result.mean_aero_power,
-                    "v_induced_m_s": result.v_induced}
+                    "v_induced_m_s": result.v_induced,
+                    **_inflow_diagnostics(result)}
 
         return {
             "metadata": self.metadata,
@@ -353,6 +410,18 @@ def run_cutout_study(wing, kin, env, cutout=0.25, frequency_hz=17.3,
                        metadata=run_metadata(solver))
 
 
+def _inflow_diagnostics(result):
+    """The inflow solve's evaluations, final residual (m/s) and
+    negative-thrust flag; None each when the inflow was given."""
+    info = result.vi_info
+    if info is None:
+        return dict.fromkeys(("vi_iterations", "vi_residual_m_s",
+                              "negative_thrust"))
+    return {"vi_iterations": info.iterations,
+            "vi_residual_m_s": info.residual,
+            "negative_thrust": info.negative_thrust}
+
+
 def cycle_summary_dict(result):
     return {
         "mean_lift_n": result.mean_lift,
@@ -366,6 +435,7 @@ def cycle_summary_dict(result):
         "frequency_hz": result.frequency,
         "pair": result.pair,
         "steps": result.steps,
+        **_inflow_diagnostics(result),
     }
 
 

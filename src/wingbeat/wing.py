@@ -8,6 +8,7 @@ removal zeroes the aerodynamic area without shortening the wing).
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 import math
 
 import numpy as np
@@ -103,9 +104,9 @@ class WingGeometry:
         """Planform area (m^2) between two stations, ignoring the mask."""
         return self._area_between(r0, r1, masked=False)
 
-    @property
+    @cached_property
     def area(self):
-        """Remaining membrane area (m^2)."""
+        """Remaining membrane area (m^2), computed once per wing."""
         return self.membrane_area_between(0.0, self.span)
 
     @property

@@ -10,6 +10,7 @@ import pytest
 import wingbeat as wb
 from wingbeat.aero import (
     AeroEnvironment,
+    CyclePrecompute,
     ElementState,
     SolverSettings,
     aero_coefficients,
@@ -21,7 +22,6 @@ from wingbeat.aero import (
     solve_induced_velocity,
     _element_grid_state,
     _pair_mean_thrust,
-    _pair_mean_thrust_function,
 )
 from wingbeat.kinematics import FourierSeries, WingKinematics
 from wingbeat.presets import beetle_kinematics, rectangular_wing, standard_wing
@@ -234,17 +234,51 @@ def momentum_residual(wing, kin, env, v, steps=720, n_elements=20):
             - v)
 
 
+def lopsided_kinematics(f):
+    """Two-harmonic stroke and offset rotation: the added-mass and
+    rotational terms keep a cycle-mean power, which the symmetric beetle
+    stroke averages out."""
+    return WingKinematics(
+        stroke=FourierSeries(0.1, (0.0, 0.25), (1.6, 0.3), f),
+        rotation_stations=(
+            (0.25, FourierSeries(1.45, (-0.2, 0.05), (0.1, 0.0), f)),
+            (1.0, FourierSeries(1.35, (-0.6, 0.1), (-0.5, 0.05), f))))
+
+
 @pytest.mark.parametrize("cutout", [0.0, 0.3])
-def test_reduced_thrust_matches_full_path(cutout):
+@pytest.mark.parametrize("shape", [beetle_kinematics, lopsided_kinematics])
+def test_rescaled_precompute_matches_full_path(shape, cutout):
+    # One precompute at the base kinematics serves every amplitude factor a
+    # and frequency ratio r; the oracles rebuild the grid at each point.
     wing = apply_inboard_cutout(standard_wing(25.5), cutout)
-    kin = beetle_kinematics(17.3, 190.0)
+    base = shape(17.3)
     elements = discretize(wing, 20)
-    re = reynolds(wing, kin, ENV)
-    _, state = _element_grid_state(elements, kin, 720, 0.0)
-    thrust = _pair_mean_thrust_function(state, ENV, re)
-    for v in (0.0, 0.6, 1.87, 3.5):
-        assert thrust(v) == pytest.approx(
-            _pair_mean_thrust(elements, kin, ENV, 720, v, re), rel=1e-12)
+    precompute = CyclePrecompute.build(elements, base, ENV, 720)
+    for a in (0.7, 1.0, 1.3):
+        for r in (0.6, 1.0, 1.5):
+            kin = base.with_stroke_amplitude(
+                a * base.stroke_amplitude).with_frequency(r * 17.3)
+            re = reynolds(wing, kin, ENV)
+            for v in (0.0, 0.6, 1.87, 3.5):
+                assert precompute.thrust(kin, v, re) == pytest.approx(
+                    _pair_mean_thrust(elements, kin, ENV, 720, v, re),
+                    rel=1e-12)
+                cycle = simulate_cycle(wing, kin, ENV, induced_velocity=v,
+                                       reynolds_number=re)
+                assert precompute.power(kin, v, re) == pytest.approx(
+                    cycle.mean_aero_power, rel=1e-12)
+
+
+def test_precompute_rejects_kinematics_of_another_shape():
+    base = beetle_kinematics(17.3, 190.0)
+    wing = standard_wing(25.5)
+    precompute = CyclePrecompute.build(discretize(wing, 10), base, ENV, 72)
+    re = reynolds(wing, base, ENV)
+    reversed_stroke = replace(base, stroke=base.stroke.scaled(-1.0))
+    more_twist = beetle_kinematics(17.3, 190.0, tip_twist_deg=50.0)
+    for kin in (reversed_stroke, more_twist):
+        with pytest.raises(ValueError, match="not a rescaling"):
+            precompute.thrust(kin, 1.0, re)
 
 
 def test_induced_velocity_sweep_corners():
@@ -281,9 +315,9 @@ def test_pinned_inflow_is_the_momentum_root():
 def test_cycle_inflow_matches_standalone_solve():
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
-    _, state = _element_grid_state(discretize(wing, 20), kin, 720, 0.0)
+    precompute = CyclePrecompute.build(discretize(wing, 20), kin, ENV, 720)
     alone = solve_induced_velocity(wing, kin, ENV)
-    given = solve_induced_velocity(wing, kin, ENV, state=state)
+    given = solve_induced_velocity(wing, kin, ENV, precompute=precompute)
     cycle = simulate_cycle(wing, kin, ENV)
     assert cycle.v_induced == alone.v_induced == given.v_induced
     assert cycle.vi_info == alone == given

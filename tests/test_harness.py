@@ -1,5 +1,6 @@
 """Study configs, sweep runner, trim, cutout study, exports, and the CLI."""
 
+from dataclasses import replace
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wingbeat import cli, harness
+from wingbeat import aero, cli, harness
 from wingbeat.aero import AeroEnvironment, SolverSettings, simulate_cycle
 from wingbeat.config import (
     ConfigError,
@@ -28,6 +29,7 @@ from wingbeat.harness import (
 from wingbeat.kinematics import FourierSeries, WingKinematics
 from wingbeat.power import GRAM_FORCE_NEWTONS
 from wingbeat.presets import beetle_kinematics, standard_wing
+from wingbeat.wing import apply_inboard_cutout, scaled_to_area
 
 
 def base_config_dict(**overrides):
@@ -195,6 +197,96 @@ def test_sweep_grid_order_and_determinism(tmp_path):
     assert freqs == [15.0, 20.0, 15.0, 20.0]
 
 
+@pytest.mark.parametrize("pair", [True, False])
+def test_sweep_rows_match_per_point_cycles(pair):
+    doc = base_config_dict(sweep={"amplitude_deg": [120.0, 190.0],
+                                  "area_cm2": [20.1, 31.4],
+                                  "cutout": [0.0, 0.3],
+                                  "frequency_hz": [12.0, 24.0]})
+    doc["solver"]["pair"] = pair
+    config = StudyConfig.from_dict(doc)
+    rows = run_sweep(config).rows
+    assert len(rows) == 16
+    for row in rows:
+        assert row.error is None
+        wing = apply_inboard_cutout(
+            scaled_to_area(config.wing, row.area_cm2 * 1e-4),
+            row.cutout_span_fraction)
+        kin = config.kinematics.with_stroke_amplitude(
+            math.radians(row.amplitude_deg)).with_frequency(row.frequency_hz)
+        cycle = simulate_cycle(wing, kin, config.environment, config.solver)
+        lift_gf = cycle.mean_lift / GRAM_FORCE_NEWTONS
+        assert row.mean_lift_gf == pytest.approx(lift_gf, rel=1e-12)
+        assert row.aero_power_w == pytest.approx(cycle.mean_aero_power,
+                                                 rel=1e-12)
+        assert row.lift_to_power_gf_w == pytest.approx(
+            lift_gf / cycle.mean_aero_power, rel=1e-12)
+        assert row.v_induced_m_s == pytest.approx(cycle.v_induced, abs=1e-12)
+        assert row.reynolds == cycle.reynolds_number
+        assert row.vi_iterations == cycle.vi_info.iterations
+
+
+def count_discretize(monkeypatch):
+    calls = []
+    real = harness.discretize
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "discretize", counting)
+    monkeypatch.setattr(aero, "discretize", counting)
+    return calls
+
+
+def test_sweep_discretizes_once_per_area_and_cutout(monkeypatch):
+    calls = count_discretize(monkeypatch)
+    doc = base_config_dict(sweep={"amplitude_deg": [120.0, 190.0],
+                                  "area_cm2": [20.1, 25.5, 31.4],
+                                  "cutout": [0.0, 0.3],
+                                  "frequency_hz": [12.0, 24.0]})
+    rows = run_sweep(StudyConfig.from_dict(doc)).rows
+    assert len(rows) == 24
+    assert all(row.error is None for row in rows)
+    assert calls == [10] * 6
+
+
+def test_sweep_pool_has_at_most_one_worker_per_group(monkeypatch):
+    created = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    doc = base_config_dict(sweep={"area_cm2": [20.1, 31.4],
+                                  "frequency_hz": [15.0, 20.0]})
+    config = StudyConfig.from_dict(doc)
+    serial = run_sweep(config, workers=1)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    assert run_sweep(config, workers=64).rows == serial.rows
+    assert run_sweep(config, workers=2).rows == serial.rows
+    one_group = StudyConfig.from_dict(base_config_dict(
+        sweep={"frequency_hz": [15.0, 20.0]}))
+    run_sweep(one_group, workers=8)
+    assert created == [2, 2]
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_rejects_fewer_than_one_worker(workers):
+    config = StudyConfig.from_dict(base_config_dict())
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        run_sweep(config, workers=workers)
+
+
 def test_sweep_isolates_point_failures():
     doc = base_config_dict(sweep={"area_cm2": [25.5, 0.0]})
     result = run_sweep(StudyConfig.from_dict(doc))
@@ -208,7 +300,7 @@ def test_sweep_propagates_programming_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("not a domain failure")
 
-    monkeypatch.setattr(harness, "simulate_cycle", broken)
+    monkeypatch.setattr(harness, "solve_induced_velocity", broken)
     doc = base_config_dict(sweep={"frequency_hz": [15.0, 20.0]})
     with pytest.raises(TypeError, match="not a domain failure"):
         run_sweep(StudyConfig.from_dict(doc), workers=1)
@@ -340,16 +432,31 @@ def test_hover_trim_probes_are_inflow_solves(monkeypatch):
     assert len(calls) == 3
 
 
+def test_hover_trim_discretizes_once(monkeypatch):
+    calls = count_discretize(monkeypatch)
+    trim = hover_trim(standard_wing(25.5), beetle_kinematics(17.3, 190.0),
+                      ENV, 15.8 * GRAM_FORCE_NEWTONS, 8.0, 40.0,
+                      solver=SolverSettings(steps_per_cycle=180,
+                                            n_elements=10))
+    assert len(trim.probes) == 3
+    assert calls == [10]
+
+
 def test_hover_trim_single_wing():
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
     solver = SolverSettings(steps_per_cycle=180, n_elements=10, pair=False)
     target = 7.9 * GRAM_FORCE_NEWTONS
     trim = hover_trim(wing, kin, ENV, target, 8.0, 40.0, solver=solver)
+    # Doubling lift and target is exact, so the pair trims the same way.
+    pair = hover_trim(wing, kin, ENV, 2.0 * target, 8.0, 40.0,
+                      solver=replace(solver, pair=True))
+    assert trim.probes == tuple((f, 0.5 * lift, n)
+                                for f, lift, n in pair.probes)
     at_trim = kin.with_frequency(trim.frequency_hz)
     thrust = harness.solve_induced_velocity(wing, at_trim, ENV,
                                             solver).thrust
-    assert trim.mean_lift == 0.5 * thrust
+    assert trim.mean_lift == pytest.approx(0.5 * thrust, rel=1e-12)
     single = simulate_cycle(wing, at_trim, ENV, solver).mean_lift
     assert abs(single - target) <= 1e-4 * target
 
@@ -540,6 +647,55 @@ def test_cli_absurd_chord_is_one_line_compute_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("compute failure: non-finite cycle-mean thrust")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("simulate", "kinematics", "frequency_hz"),
+    ("cutout-study", "cutout", "frequency_hz"),
+])
+def test_cli_absurd_frequency_is_one_line_compute_failure(
+        tmp_path, capsys, command, section, key):
+    doc = base_config_dict(cutout={"span_fraction": 0.25,
+                                   "frequency_hz": 17.3})
+    doc[section][key] = 1e300
+    doc["output"] = {"directory": str(tmp_path / "out")}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["--config", str(path), command]) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith("compute failure: non-finite cycle-mean thrust")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
+    path = write_config(tmp_path)
+    assert cli.main(["--config", str(path), "--workers", workers,
+                     "sweep"]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: workers must be at least 1, got {workers}\n")
+
+
+def test_cli_exports_inflow_diagnostics(tmp_path):
+    path = write_config(tmp_path, cutout={"span_fraction": 0.25,
+                                          "frequency_hz": 17.3})
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(path), "simulate"]) == 0
+    assert cli.main(["--config", str(path), "cutout-study"]) == 0
+    summary = json.loads((out / "cycle_summary.json").read_text())
+    cutout = json.loads((out / "cutout_summary.json").read_text())
+    for loads in (summary, cutout["intact"], cutout["modified"]):
+        assert 1 <= loads["vi_iterations"] <= 8
+        assert 0.0 <= loads["vi_residual_m_s"] <= 1e-6
+        assert loads["negative_thrust"] is False
+    config = StudyConfig.from_file(path)
+    info = simulate_cycle(config.wing, config.kinematics, config.environment,
+                          config.solver).vi_info
+    assert (summary["vi_iterations"], summary["vi_residual_m_s"]) == (
+        info.iterations, info.residual)
 
 
 def test_cli_sweep_with_steps_override(tmp_path):
