@@ -44,13 +44,19 @@ class AeroEnvironment:
                 "air density and viscosity must be finite and positive")
 
 
+# Upper limit on the cycle grid, steps_per_cycle * n_elements. A cycle
+# solve peaks near 190 bytes a cell, about 190 MB at the limit.
+MAX_GRID_CELLS = 1_000_000
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     """Cycle grid, pair flag, and inflow-search limits of a cycle solve.
 
     ``pair`` doubles single-wing loads for the mirrored pair (no wing-wing
     interaction); ``vi_tol`` is the momentum residual (m/s) that ends the
-    inflow search and ``vi_max_iter`` its thrust-evaluation budget.
+    inflow search and ``vi_max_iter`` its thrust-evaluation budget. The
+    grid may hold at most ``MAX_GRID_CELLS`` cells.
     """
 
     steps_per_cycle: int = 720
@@ -64,6 +70,11 @@ class SolverSettings:
             raise ValueError("steps_per_cycle must be at least 36")
         if self.n_elements < 2:
             raise ValueError("n_elements must be at least 2")
+        if self.steps_per_cycle * self.n_elements > MAX_GRID_CELLS:
+            raise ValueError(
+                f"steps_per_cycle * n_elements = {self.steps_per_cycle} * "
+                f"{self.n_elements} exceeds the limit of {MAX_GRID_CELLS} "
+                f"grid cells")
         if not (math.isfinite(self.vi_tol) and self.vi_tol > 0.0):
             raise ValueError(
                 f"vi_tol must be a finite positive number, got {self.vi_tol}")
@@ -273,13 +284,6 @@ def _element_grid_state(elements, kin, steps, v_induced):
         v_induced=v_induced,
     )
     return t, state
-
-
-def _pair_mean_thrust(elements, kin, env, steps, v_induced, re):
-    """Cycle-mean vertical force of the wing pair at a given inflow."""
-    _, state = _element_grid_state(elements, kin, steps, v_induced)
-    forces = element_forces(state, env, re)
-    return 2.0 * float(np.mean(np.sum(forces.total_zeta, axis=1)))
 
 
 def _unsteady_means(state, env):

@@ -12,6 +12,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .config import ConfigError, StudyConfig, load_angle_samples
 from .control import ControllerConfig, YawPlant, simulate_closed_loop
 from .harness import (
@@ -23,7 +25,7 @@ from .harness import (
     run_metadata,
     run_sweep,
     spanwise_rows,
-    write_csv,
+    write_float_table,
     write_json,
 )
 from .kinematics import fit_fourier
@@ -56,7 +58,8 @@ def build_parser():
     fit = sub.add_parser("fit-kinematics",
                          help="least-squares Fourier fit of angle samples")
     fit.add_argument("samples", help="CSV with columns t_s, angle_deg")
-    fit.add_argument("--harmonics", type=int, default=5)
+    fit.add_argument("--harmonics", type=int, default=5,
+                     help="harmonics to fit (at least 0; 0 fits the mean)")
 
     sub.add_parser("simulate", help="one flapping cycle at the base config")
     sub.add_parser("sweep", help="full amplitude/area/cutout/frequency grid")
@@ -79,9 +82,15 @@ def _prepare(args):
 
 
 def cmd_fit_kinematics(args, config, out_dir):
+    if args.harmonics < 0:
+        raise ConfigError(
+            f"--harmonics must be at least 0, got {args.harmonics}")
     t, angle = load_angle_samples(args.samples)
-    series, rms = fit_fourier(t, angle, config.kinematics.frequency,
-                              n_harmonics=args.harmonics)
+    # Absurd but finite samples may overflow; the non-finite fit then
+    # fails as a compute error when fit.json is written.
+    with np.errstate(all="ignore"):
+        series, rms = fit_fourier(t, angle, config.kinematics.frequency,
+                                  n_harmonics=args.harmonics)
     payload = {
         "metadata": run_metadata(config.solver),
         "frequency_hz": series.frequency,
@@ -102,10 +111,10 @@ def cmd_simulate(args, config, out_dir):
     summary = {"metadata": run_metadata(config.solver)}
     summary.update(cycle_summary_dict(result))
     write_json(os.path.join(out_dir, "cycle_summary.json"), summary)
-    write_csv(os.path.join(out_dir, "cycle_timeseries.csv"),
-              *cycle_timeseries_rows(result))
-    write_csv(os.path.join(out_dir, "cycle_spanwise.csv"),
-              *spanwise_rows(result))
+    write_float_table(os.path.join(out_dir, "cycle_timeseries.csv"),
+                      *cycle_timeseries_rows(result))
+    write_float_table(os.path.join(out_dir, "cycle_spanwise.csv"),
+                      *spanwise_rows(result))
     print(f"simulate: lift {result.mean_lift / GRAM_FORCE_NEWTONS:.4g} gf, "
           f"aero power {result.mean_aero_power:.4g} W, "
           f"Vi {result.v_induced:.4g} m/s -> {out_dir}")

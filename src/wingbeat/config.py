@@ -360,12 +360,23 @@ class StudyConfig:
 def load_angle_samples(path):
     """Read fitting samples from a CSV with columns ``t_s``, ``angle_deg``.
 
-    Returns (t, angle_rad) arrays.
+    Returns (t, angle_rad) arrays. A ``t_s`` or ``angle_deg`` cell that is
+    empty, not a number, or not finite raises :class:`ConfigError` naming
+    its data row (1 is the first row after the header), and so does a
+    row with the wrong number of cells.
     """
-    data = np.genfromtxt(path, delimiter=",", names=True)
+    try:
+        data = np.genfromtxt(path, delimiter=",", names=True)
+    except ValueError as exc:   # a multi-line report of ragged rows
+        raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from exc
     if data.dtype.names is None or \
             not {"t_s", "angle_deg"} <= set(data.dtype.names):
         raise ConfigError(f"{path} must have columns t_s, angle_deg")
     t = np.atleast_1d(data["t_s"]).astype(float)
-    angle = np.radians(np.atleast_1d(data["angle_deg"]).astype(float))
-    return t, angle
+    angle_deg = np.atleast_1d(data["angle_deg"]).astype(float)
+    bad = np.flatnonzero(~(np.isfinite(t) & np.isfinite(angle_deg)))
+    if bad.size:
+        raise ConfigError(
+            f"{path}: data row {bad[0] + 1} needs finite numbers in t_s "
+            f"and angle_deg")
+    return t, np.radians(angle_deg)

@@ -8,6 +8,15 @@ the design and shows up in the closed-loop demo.
 
 Angle units are the caller's choice (the law is linear); the closed-loop
 simulator works in degrees to match its trace format.
+
+The filter, the heading integrator, the PD law, the plant and the
+setpoint schedule are small public pieces: they are the documented
+per-step law. :func:`simulate_closed_loop` does not call them per step.
+It inlines the same arithmetic, in the same order, on local floats, and
+runs it in chunks of steps with one batched noise draw and one vectorised
+setpoint lookup per chunk; its trace equals a step-by-step replay through
+the pieces bit for bit. The trace is written by the float-table writer
+every export shares.
 """
 
 from dataclasses import dataclass
@@ -15,7 +24,13 @@ import math
 
 import numpy as np
 
-from .harness import float_table_rows, write_csv
+from .harness import write_float_table
+
+# Steps per chunk of the closed-loop simulation.
+CHUNK_STEPS = 1024
+# Upper limit on the steps of one closed-loop run: its five float64
+# arrays take 40 bytes a step, 400 MB at the limit.
+MAX_STEPS = 10_000_000
 
 
 def low_pass_coefficient(cutoff_hz, dt):
@@ -122,9 +137,9 @@ class ControlTrace:
                   "control_output")
 
     def to_csv(self, path):
-        write_csv(path, self.CSV_FIELDS, float_table_rows((
+        write_float_table(path, self.CSV_FIELDS, (
             self.t, self.psi_true, self.psi_est, self.omega,
-            self.control_output)))
+            self.control_output))
 
 
 def simulate_closed_loop(plant, config, duration, dt,
@@ -136,14 +151,40 @@ def simulate_closed_loop(plant, config, duration, dt,
     it, integrate the filtered rate into the heading estimate, form the PD
     command, and apply plant_gain * command as torque.
 
-    Raises RuntimeError (with the step index) if the state diverges.
+    The loop is the per-step law of :class:`LowPassFilter`,
+    :func:`integrate_yaw`, :func:`yaw_control_output`,
+    :meth:`YawPlant.step` and :meth:`ControllerConfig.setpoint_at`,
+    inlined on local floats with the same arithmetic in the same order,
+    so the trace equals a step-by-step replay through them bit for bit.
+    It runs in chunks of ``CHUNK_STEPS``: one batched noise draw per
+    chunk (the same numbers as one draw per step) and one vectorised
+    setpoint lookup, so no temporary outgrows a chunk. The final state is
+    written back to ``plant``, also when the run diverges.
+
+    Raises ValueError for more than ``MAX_STEPS`` steps, and RuntimeError
+    (with the step index) if the state diverges.
     """
     if not 0.0 < dt <= duration < dt * 2**53:
         raise ValueError("duration and time step must be positive, and the "
                          "duration at least one time step and finitely many")
     n = int(round(duration / dt))
+    if n > MAX_STEPS:
+        raise ValueError(f"duration / time step gives {n} steps, more than "
+                         f"the limit of {MAX_STEPS}")
     rng = np.random.default_rng(seed)
-    lpf = LowPassFilter(low_pass_coefficient(config.cutoff_hz, dt))
+    beta = LowPassFilter(low_pass_coefficient(config.cutoff_hz, dt)).beta
+    keep = 1.0 - beta
+    kp, kd, gain = config.kp, config.kd, config.plant_gain
+    rate_setpoint = config.rate_setpoint
+    inertia, disturbance = plant.inertia, plant.disturbance
+    noisy = gyro_sigma > 0.0
+    # setpoint_at as a lookup: entry j is reached once t is at or past
+    # every time of entries 0..j, their running maximum; entry 0 holds
+    # before its own time.
+    schedule_t = np.maximum.accumulate(
+        [float(t_k) for t_k, _ in config.setpoint_schedule])
+    schedule_v = np.array([v for _, v in config.setpoint_schedule],
+                          dtype=float)
 
     t = np.arange(n) * dt
     psi_true = np.empty(n)
@@ -151,23 +192,35 @@ def simulate_closed_loop(plant, config, duration, dt,
     omega = np.empty(n)
     control = np.empty(n)
 
-    estimate = psi_est0
-    for k in range(n):
-        measured = plant.omega + gyro_bias
-        if gyro_sigma > 0.0:
-            measured += rng.normal(0.0, gyro_sigma)
-        rate_filtered = lpf.update(measured)
-        estimate = integrate_yaw(estimate, rate_filtered, dt)
-        command = yaw_control_output(config.kp, config.kd,
-                                     config.setpoint_at(t[k]), estimate,
-                                     config.rate_setpoint, rate_filtered)
-        psi_true[k] = plant.psi
-        psi_est[k] = estimate
-        omega[k] = plant.omega
-        control[k] = command
-        plant.step(config.plant_gain * command, dt)
-        if not (math.isfinite(plant.psi) and math.isfinite(plant.omega)):
-            raise RuntimeError(f"closed-loop state diverged at step {k}")
+    psi, rate, estimate, y = plant.psi, plant.omega, psi_est0, 0.0
+    isfinite = math.isfinite
+    try:
+        for start in range(0, n, CHUNK_STEPS):
+            stop = min(start + CHUNK_STEPS, n)
+            active = np.searchsorted(schedule_t, t[start:stop],
+                                     side="right") - 1
+            setpoints = schedule_v[np.maximum(active, 0)].tolist()
+            noise = (rng.normal(0.0, gyro_sigma, stop - start).tolist()
+                     if noisy else None)
+            for i, k in enumerate(range(start, stop)):
+                measured = rate + gyro_bias
+                if noisy:
+                    measured += noise[i]
+                y = keep * y + beta * measured
+                estimate = estimate + y * dt
+                command = (kp * (setpoints[i] - estimate)
+                           + kd * (rate_setpoint - y))
+                psi_true[k] = psi
+                psi_est[k] = estimate
+                omega[k] = rate
+                control[k] = command
+                rate += (gain * command + disturbance) / inertia * dt
+                psi += rate * dt
+                if not (isfinite(psi) and isfinite(rate)):
+                    raise RuntimeError(
+                        f"closed-loop state diverged at step {k}")
+    finally:
+        plant.psi, plant.omega = psi, rate
 
     return ControlTrace(t=t, psi_true=psi_true, psi_est=psi_est,
                         omega=omega, control_output=control)

@@ -1,7 +1,12 @@
 """Batch studies: design-space sweeps, hover trim, and the cutout comparison.
 
 Every study passes one :class:`~wingbeat.aero.SolverSettings` to the
-aero solvers and writes its tables through :func:`write_csv`.
+aero solvers. Float tables (cycle timeseries and spanwise loads, the
+cutout comparison, the control trace) are written by
+:func:`write_float_table`, which formats each chunk of rows with one
+``%.12g`` format string; only the sweep table, whose status cell may
+hold a comma, goes through the quoting :func:`write_csv`. JSON is strict:
+:func:`write_json` refuses a non-finite number as a compute failure.
 
 Sweep points that share (area, cutout) share one wing, one
 discretization and one :class:`~wingbeat.aero.CyclePrecompute`, which
@@ -39,7 +44,8 @@ SCHEMA_VERSION = 1
 
 
 class ComputeError(RuntimeError):
-    """Raised when a batch produces no usable result at all."""
+    """Raised when a computation yields no usable result: every point of
+    a batch failed, or a result to be exported is not finite."""
 
 
 FLOAT_FORMAT = ".12g"
@@ -50,19 +56,31 @@ def format_float(value):
     return format(float(value), FLOAT_FORMAT)
 
 
-def float_table_rows(columns):
-    """Rows of canonically formatted cells from equal-length float arrays.
+def write_float_table(path, header, columns):
+    """Write equal-length float arrays as CSV columns under ``header``.
 
-    Yields the rows, converting 1024 at a time to Python floats, so that no
-    copy of the whole table is ever held in memory.
+    Every cell reads as :func:`format_float` formats it. Rows are
+    formatted 1024 at a time, each with one ``%``-format string, and
+    written as one string per chunk, so that no copy of the whole table
+    is ever held in memory.
     """
-    for start in range(0, len(columns[0]), 1024):
-        for row in zip(*(c[start:start + 1024].tolist() for c in columns)):
-            yield [format(v, FLOAT_FORMAT) for v in row]
+    row = ",".join(["%" + FLOAT_FORMAT] * len(columns)) + "\n"
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for start in range(0, len(columns[0]), 1024):
+                fh.write("".join([row % cells for cells in zip(
+                    *(c[start:start + 1024].tolist() for c in columns))]))
+    except OSError as exc:
+        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
 
 def write_csv(path, header, rows):
-    """Write rows of (already formatted) cells with a fixed dialect."""
+    """Write rows of (already formatted) cells with a fixed dialect.
+
+    Only the sweep table goes through here: its status cell may hold a
+    comma, which the CSV dialect quotes.
+    """
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -73,10 +91,15 @@ def write_csv(path, header, rows):
 
 
 def write_json(path, payload):
+    """Write ``payload`` as strict JSON; a non-finite number raises
+    :class:`ComputeError` before the file is opened."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ComputeError(f"cannot write JSON to {path}: {exc}") from exc
     try:
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
     except OSError as exc:
         raise OSError(f"cannot write JSON to {path}: {exc}") from exc
 
@@ -370,10 +393,10 @@ class CutoutStudy:
                        "power_intact_w", "power_modified_w")
 
     def to_csv(self, path):
-        write_csv(path, self.SPANWISE_FIELDS, float_table_rows((
+        write_float_table(path, self.SPANWISE_FIELDS, (
             self.intact.span_fractions,
             self.intact.spanwise_lift, self.modified.spanwise_lift,
-            self.intact.spanwise_power, self.modified.spanwise_power)))
+            self.intact.spanwise_power, self.modified.spanwise_power))
 
     def summary(self):
         def loads(result):
@@ -446,17 +469,16 @@ def cycle_timeseries_rows(result):
               "zeta_added_mass_n", "zeta_rotational_n", "zeta_total_n",
               "aero_power_w")
     f = ts.forces
-    return header, float_table_rows((
+    return header, (
         ts.t, f.translational_eta, f.added_mass_eta, f.rotational_eta,
         f.total_eta, f.translational_zeta, f.added_mass_zeta,
-        f.rotational_zeta, f.total_zeta, ts.power))
+        f.rotational_zeta, f.total_zeta, ts.power)
 
 
 def spanwise_rows(result):
     header = ("span_fraction", "mean_lift_n", "mean_power_w")
-    return header, float_table_rows((result.span_fractions,
-                                     result.spanwise_lift,
-                                     result.spanwise_power))
+    return header, (result.span_fractions, result.spanwise_lift,
+                    result.spanwise_power)
 
 
 def load_csv(path):

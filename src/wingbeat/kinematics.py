@@ -89,10 +89,14 @@ def fit_fourier(t, angle, frequency, n_harmonics=5):
     Raises
     ------
     ValueError
-        If there are fewer than ``2 n_harmonics + 1`` samples or the
-        samples leave the design matrix rank deficient (for example all
-        samples at coincident phases).
+        If ``n_harmonics`` is negative, there are fewer than
+        ``2 n_harmonics + 1`` samples, or the samples leave the design
+        matrix rank deficient (for example all samples at coincident
+        phases).
     """
+    if n_harmonics < 0:
+        raise ValueError(
+            f"number of harmonics must be at least 0, got {n_harmonics}")
     t = np.asarray(t, dtype=float).ravel()
     angle = np.asarray(angle, dtype=float).ravel()
     n_coef = 2 * n_harmonics + 1
@@ -186,10 +190,15 @@ class WingKinematics:
                 weights[k, i + 1] = w
         return weights
 
+    def station_series(self, t, order=0):
+        """Rotation angle (or derivative) of every station at time ``t``,
+        stacked on the last axis in station order."""
+        return np.stack([series.eval(t, order)
+                         for _, series in self.rotation_stations], axis=-1)
+
     def rotation_at(self, span_fraction, t, order=0):
         """Rotation angle (or derivative) at a span fraction and time."""
-        values = np.stack([series.eval(t, order)
-                           for _, series in self.rotation_stations], axis=-1)
+        values = self.station_series(t, order)
         weights = self.station_weights(span_fraction)
         out = values @ weights.T if weights.shape[0] > 1 else values @ weights[0]
         return out if np.ndim(out) else float(out)

@@ -127,20 +127,23 @@ def inertial_power(mass_model, kin, steps=720):
 
     Sums, over lumped masses, the stroke term m r^2 * stroke_accel *
     stroke_rate and the pitching term m d^2 * rot_accel * rot_rate at the
-    local span station.
+    local span station. The station series are evaluated once and
+    weighted per mass as :meth:`WingKinematics.rotation_at` weights them.
     """
     t = np.arange(steps) / (steps * kin.frequency)
     stroke_rate = kin.stroke.eval(t, 1)
     stroke_accel = kin.stroke.eval(t, 2)
+    station_rate = kin.station_series(t, 1)
+    station_accel = kin.station_series(t, 2)
+    station_weights = kin.station_weights(mass_model.span_fractions)
 
     power = np.zeros(steps)
-    for m, r, s, d in zip(mass_model.masses, mass_model.radii,
-                          mass_model.span_fractions, mass_model.pitch_offsets):
+    for m, r, weights, d in zip(mass_model.masses, mass_model.radii,
+                                station_weights, mass_model.pitch_offsets):
         power += m * r * r * stroke_accel * stroke_rate
         if d != 0.0:
-            rot_rate = kin.rotation_at(s, t, 1)
-            rot_accel = kin.rotation_at(s, t, 2)
-            power += m * d * d * rot_accel * rot_rate
+            power += (m * d * d * (station_accel @ weights)
+                      * (station_rate @ weights))
 
     return InertialPowerResult(
         rectified_mean=float(np.mean(np.maximum(power, 0.0))),
@@ -184,7 +187,8 @@ class PowerBudget:
         }
 
     def to_json(self, **kwargs):
-        return json.dumps(self.as_dict(), **kwargs)
+        """The budget as strict JSON: a non-finite term raises ValueError."""
+        return json.dumps(self.as_dict(), allow_nan=False, **kwargs)
 
 
 def decompose(p_in, current, motor, p_aero, p_inertial,

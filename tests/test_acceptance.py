@@ -174,11 +174,12 @@ def test_criterion_5_solver_convergence_properties():
                 base.mean_aero_power, rel=5e-3)
 
         # Fixed-point self-consistency at the returned inflow.
-        from wingbeat.aero import _pair_mean_thrust, reynolds
+        from oracles import pair_mean_thrust
+        from wingbeat.aero import reynolds
         from wingbeat.wing import discretize
         vi = wb.solve_induced_velocity(wing, kin, ENV)
-        thrust = _pair_mean_thrust(discretize(wing, 20), kin, ENV, 720,
-                                   vi.v_induced, reynolds(wing, kin, ENV))
+        thrust = pair_mean_thrust(discretize(wing, 20), kin, ENV, 720,
+                                  vi.v_induced, reynolds(wing, kin, ENV))
         rederived = math.sqrt(max(thrust, 0.0) / (
             2.0 * ENV.rho * kin.stroke_amplitude * wing.span**2))
         assert abs(rederived - vi.v_induced) < 1e-6

@@ -21,11 +21,12 @@ from wingbeat.aero import (
     simulate_cycle,
     solve_induced_velocity,
     _element_grid_state,
-    _pair_mean_thrust,
 )
 from wingbeat.kinematics import FourierSeries, WingKinematics
 from wingbeat.presets import beetle_kinematics, rectangular_wing, standard_wing
 from wingbeat.wing import apply_inboard_cutout, build_wing, discretize
+
+from oracles import pair_mean_thrust
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -227,8 +228,8 @@ def test_induced_velocity_zero_kinematics():
 
 def momentum_residual(wing, kin, env, v, steps=720, n_elements=20):
     """g(v) of the inflow balance, on the full force path."""
-    thrust = _pair_mean_thrust(discretize(wing, n_elements), kin, env, steps,
-                               v, reynolds(wing, kin, env))
+    thrust = pair_mean_thrust(discretize(wing, n_elements), kin, env, steps,
+                              v, reynolds(wing, kin, env))
     return (math.sqrt(max(thrust, 0.0)
                       / (2.0 * env.rho * kin.stroke_amplitude * wing.span**2))
             - v)
@@ -261,7 +262,7 @@ def test_rescaled_precompute_matches_full_path(shape, cutout):
             re = reynolds(wing, kin, ENV)
             for v in (0.0, 0.6, 1.87, 3.5):
                 assert precompute.thrust(kin, v, re) == pytest.approx(
-                    _pair_mean_thrust(elements, kin, ENV, 720, v, re),
+                    pair_mean_thrust(elements, kin, ENV, 720, v, re),
                     rel=1e-12)
                 cycle = simulate_cycle(wing, kin, ENV, induced_velocity=v,
                                        reynolds_number=re)
@@ -329,7 +330,7 @@ def test_induced_velocity_self_consistency():
     result = solve_induced_velocity(wing, kin, ENV)
     elements = discretize(wing, 20)
     re = reynolds(wing, kin, ENV)
-    thrust = _pair_mean_thrust(elements, kin, ENV, 720, result.v_induced, re)
+    thrust = pair_mean_thrust(elements, kin, ENV, 720, result.v_induced, re)
     rederived = math.sqrt(max(thrust, 0.0)
                           / (2.0 * ENV.rho * kin.stroke_amplitude * wing.span**2))
     assert abs(rederived - result.v_induced) < 1e-6
@@ -339,8 +340,8 @@ def test_induced_velocity_reports_thrust_at_the_root():
     wing = apply_inboard_cutout(standard_wing(25.5), 0.3)
     kin = beetle_kinematics(17.3, 190.0)
     result = solve_induced_velocity(wing, kin, ENV)
-    thrust = _pair_mean_thrust(discretize(wing, 20), kin, ENV, 720,
-                               result.v_induced, reynolds(wing, kin, ENV))
+    thrust = pair_mean_thrust(discretize(wing, 20), kin, ENV, 720,
+                              result.v_induced, reynolds(wing, kin, ENV))
     assert result.thrust == pytest.approx(thrust, rel=1e-12)
 
 

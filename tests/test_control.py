@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wingbeat.control import (
+    MAX_STEPS,
     ControllerConfig,
     LowPassFilter,
     YawPlant,
@@ -180,3 +181,91 @@ def test_duration_must_span_finitely_many_steps(duration, dt):
     with pytest.raises(ValueError, match="time step"):
         simulate_closed_loop(YawPlant(inertia=1.0), config, duration=duration,
                              dt=dt)
+
+
+def replay_closed_loop(plant, config, duration, dt, gyro_sigma=0.0,
+                       gyro_bias=0.0, seed=0, psi_est0=0.0):
+    """The closed loop one step at a time through the public per-step law,
+    with one scalar noise draw per step: t, psi_true, psi_est, omega and
+    control output as the rows of one array."""
+    n = int(round(duration / dt))
+    rng = np.random.default_rng(seed)
+    lpf = LowPassFilter(low_pass_coefficient(config.cutoff_hz, dt))
+    out = np.empty((5, n))
+    out[0] = np.arange(n) * dt
+    estimate = psi_est0
+    for k in range(n):
+        measured = plant.omega + gyro_bias
+        if gyro_sigma > 0.0:
+            measured += rng.normal(0.0, gyro_sigma)
+        rate_filtered = lpf.update(measured)
+        estimate = integrate_yaw(estimate, rate_filtered, dt)
+        command = yaw_control_output(config.kp, config.kd,
+                                     config.setpoint_at(out[0, k]), estimate,
+                                     config.rate_setpoint, rate_filtered)
+        out[1:, k] = plant.psi, estimate, plant.omega, command
+        plant.step(config.plant_gain * command, dt)
+        if not (math.isfinite(plant.psi) and math.isfinite(plant.omega)):
+            raise RuntimeError(f"closed-loop state diverged at step {k}")
+    return out
+
+
+SCHEDULES = {
+    "sorted": ((0.0, 0.0), (0.4, 30.0), (1.9, -12.5)),
+    # An entry earlier than the one before it stays active once reached;
+    # the first entry rules until the first time is reached.
+    "unsorted": ((0.25, 7.0), (1.3, -20.0), (0.6, 40.0), (2.2, 10.0),
+                 (2.2, -3.0)),
+    "late start": ((1.1, 15.0),),
+}
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES.values(), ids=SCHEDULES)
+@pytest.mark.parametrize("gyro_sigma", [0.0, 3.0])
+def test_fast_loop_equals_step_by_step_replay(schedule, gyro_sigma):
+    # 2500 steps: two full chunks of the fast loop and a partial one.
+    config = ControllerConfig(kp=4.0, kd=2.5, cutoff_hz=12.0,
+                              plant_gain=1.3, rate_setpoint=0.75,
+                              setpoint_schedule=schedule)
+    kwargs = dict(duration=2.5, dt=0.001, gyro_sigma=gyro_sigma,
+                  gyro_bias=0.2, seed=17, psi_est0=-1.5)
+    fast_plant = YawPlant(inertia=0.8, omega=2.0, disturbance=-0.4)
+    slow_plant = YawPlant(inertia=0.8, omega=2.0, disturbance=-0.4)
+    trace = simulate_closed_loop(fast_plant, config, **kwargs)
+    want = replay_closed_loop(slow_plant, config, **kwargs)
+    assert trace.t.size == 2500
+    got = (trace.t, trace.psi_true, trace.psi_est, trace.omega,
+           trace.control_output)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert (fast_plant.psi, fast_plant.omega) == (slow_plant.psi,
+                                                  slow_plant.omega)
+
+
+@pytest.mark.parametrize("kp, kd", [
+    (1e6, 0.0),     # diverges within the first chunk of steps
+    (4.0, -3.0),    # anti-damped: diverges in the sixth chunk
+])
+def test_divergence_step_and_final_state_match_replay(kp, kd):
+    config = ControllerConfig(kp=kp, kd=kd)
+    fast_plant = YawPlant(inertia=1.0, omega=1.0)
+    slow_plant = YawPlant(inertia=1.0, omega=1.0)
+    with pytest.raises(RuntimeError) as fast:
+        simulate_closed_loop(fast_plant, config, duration=600.0, dt=0.1)
+    with pytest.raises(RuntimeError) as slow:
+        replay_closed_loop(slow_plant, config, duration=600.0, dt=0.1)
+    assert str(fast.value) == str(slow.value)
+    assert "step" in str(fast.value)
+    # The diverged state, not the initial one, is left in the plant.
+    assert not math.isfinite(fast_plant.psi) or \
+        not math.isfinite(fast_plant.omega)
+    assert np.array_equal([fast_plant.psi, fast_plant.omega],
+                          [slow_plant.psi, slow_plant.omega],
+                          equal_nan=True)
+
+
+def test_run_over_the_step_cap_is_rejected():
+    config = ControllerConfig(kp=4.0, kd=2.5)
+    with pytest.raises(ValueError, match=f"limit of {MAX_STEPS}"):
+        simulate_closed_loop(YawPlant(inertia=1.0), config,
+                             duration=float(MAX_STEPS + 1), dt=1.0)

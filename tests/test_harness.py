@@ -1,6 +1,7 @@
 """Study configs, sweep runner, trim, cutout study, exports, and the CLI."""
 
 from dataclasses import replace
+import csv
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from wingbeat.config import (
     load_angle_samples,
     wing_to_config,
 )
+from wingbeat.control import MAX_STEPS
 from wingbeat.harness import (
     ComputeError,
     format_float,
@@ -774,3 +776,137 @@ def test_cli_fit_with_too_few_samples_is_config_error(tmp_path, capsys):
     assert cli.main(["--config", str(path), "fit-kinematics",
                      str(samples)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def reference_float_table(path, header, columns):
+    """The float-table CSV as csv.writer writes canonically formatted
+    cells, one row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in zip(*(np.asarray(c).tolist() for c in columns)):
+            writer.writerow([format(v, ".12g") for v in row])
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                  2.2250738585072014e-308, 1e300, -1e300, 1.0, math.pi,
+                  1.23456789012345e-7, 123456789012345.0, 0.1]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 2100])
+def test_write_float_table_matches_csv_writer(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    cells = rng.standard_normal((3, rows)) * 10.0 ** rng.integers(
+        -320, 300, (3, rows))
+    cells.flat[:len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:cells.size]
+    cells[2, ::7] = rng.permutation(cells[2, ::7])
+    header = ("a", "b_n", "c_w")
+    harness.write_float_table(tmp_path / "fast.csv", header, tuple(cells))
+    reference_float_table(tmp_path / "ref.csv", header, cells)
+    assert (tmp_path / "fast.csv").read_bytes() == (
+        tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_float_table_wraps_os_errors(tmp_path):
+    with pytest.raises(OSError, match="cannot write CSV"):
+        harness.write_float_table(tmp_path / "missing" / "t.csv", ("x",),
+                                  (np.zeros(3),))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_json_rejects_non_finite_numbers(tmp_path, value):
+    path = tmp_path / "out.json"
+    with pytest.raises(ComputeError, match="cannot write JSON"):
+        harness.write_json(path, {"rows": [{"x": 1.0}, {"x": value}]})
+    assert not path.exists()
+
+
+def write_samples(tmp_path, lines):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("t_s,angle_deg\n" + "".join(
+        f"{t},{a}\n" for t, a in lines))
+    return samples
+
+
+@pytest.mark.parametrize("t, angle", [
+    ("0.02", "x"), ("0.02", ""), ("y", "3.0"), ("0.02", "inf"),
+    ("nan", "3.0"), ("0.02", "-1e999"),
+])
+def test_cli_fit_rejects_a_bad_sample_cell(tmp_path, capsys, t, angle):
+    path = write_config(tmp_path)
+    samples = write_samples(tmp_path, [(0.0, 1.0), (0.01, 2.0), (t, angle)]
+                            + [(0.01 * k, 1.0) for k in range(3, 12)])
+    assert cli.main(["--config", str(path), "fit-kinematics",
+                     str(samples)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert "data row 3" in err
+    assert not (tmp_path / "out" / "fit.json").exists()
+
+
+def test_cli_fit_rejects_a_ragged_sample_row_in_one_line(tmp_path, capsys):
+    path = write_config(tmp_path)
+    samples = write_samples(tmp_path, [(0.01 * k, k) for k in range(12)])
+    samples.write_text(samples.read_text() + "0.12,1.0,7.0\n")
+    assert cli.main(["--config", str(path), "fit-kinematics",
+                     str(samples)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert "Line #14" in err
+
+
+def test_cli_fit_rejects_negative_harmonics(tmp_path, capsys):
+    path = write_config(tmp_path)
+    samples = write_samples(tmp_path, [(0.01 * k, k) for k in range(12)])
+    assert cli.main(["--config", str(path), "fit-kinematics",
+                     "--harmonics", "-1", str(samples)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: --harmonics must be at least 0, got -1\n")
+    # Zero harmonics is a mean-only fit.
+    assert cli.main(["--config", str(path), "fit-kinematics",
+                     "--harmonics", "0", str(samples)]) == 0
+    doc = json.loads((tmp_path / "out" / "fit.json").read_text())
+    assert doc["a_deg"] == doc["b_deg"] == []
+    assert doc["a0_deg"] == pytest.approx(5.5, rel=1e-12)
+
+
+def test_cli_non_finite_fit_is_one_line_compute_failure(tmp_path, capsys):
+    path = write_config(tmp_path)
+    samples = write_samples(tmp_path, [(0.01 * k, (-1) ** k * 1e308)
+                                       for k in range(12)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["--config", str(path), "fit-kinematics",
+                         "--harmonics", "1", str(samples)]) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith("compute failure: cannot write JSON")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out" / "fit.json").exists()
+
+
+def test_grid_cap_applies_to_config_flag_and_api(tmp_path, capsys):
+    over = aero.MAX_GRID_CELLS // 20 + 1
+    with pytest.raises(ValueError, match="grid cells"):
+        SolverSettings(steps_per_cycle=over, n_elements=20)
+    with pytest.raises(ConfigError, match="grid cells"):
+        StudyConfig.from_dict(base_config_dict(
+            solver={"steps_per_cycle": 36,
+                    "n_elements": aero.MAX_GRID_CELLS // 36 + 1}))
+    path = write_config(tmp_path)
+    for steps in (str(aero.MAX_GRID_CELLS // 10 + 1), "1000000000000"):
+        assert cli.main(["--config", str(path), "--steps", steps,
+                         "simulate"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "grid cells" in err
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("duration_s", [(MAX_STEPS + 1) * 0.01, 1e9])
+def test_cli_control_step_cap_is_config_error(tmp_path, capsys, duration_s):
+    path = write_config(tmp_path, control={"duration_s": duration_s,
+                                           "dt_s": 0.01})
+    assert cli.main(["--config", str(path), "control-sim"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert f"limit of {MAX_STEPS}" in err

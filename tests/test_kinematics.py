@@ -103,6 +103,12 @@ def test_fit_needs_enough_samples():
         fit_fourier(t, np.zeros(8), 20.0, n_harmonics=5)
 
 
+def test_fit_rejects_negative_harmonics():
+    t = np.linspace(0.0, 0.05, 8)
+    with pytest.raises(ValueError, match="at least 0, got -1"):
+        fit_fourier(t, np.zeros(8), 20.0, n_harmonics=-1)
+
+
 def test_fit_rejects_coincident_phases():
     f = 10.0
     t = np.arange(20) / f  # every sample at the same phase

@@ -165,3 +165,21 @@ def test_mass_model_distribution():
     # Mass follows membrane area, so the fat mid-outboard lumps dominate.
     assert max(model.masses) == model.masses[np.argmax(model.masses)]
     assert all(m >= 0 for m in model.masses)
+
+
+def test_inertial_power_equals_per_mass_rotation_at_sum():
+    # One station evaluation weighted per mass is the same arithmetic as
+    # interpolating each mass's rotation with rotation_at.
+    kin = beetle_kinematics(17.3, 190.0)
+    model = WingMassModel.from_wing(standard_wing(25.5), 0.4e-3)
+    steps = 720
+    t = np.arange(steps) / (steps * kin.frequency)
+    stroke_rate = kin.stroke.eval(t, 1)
+    stroke_accel = kin.stroke.eval(t, 2)
+    want = np.zeros(steps)
+    for m, r, s, d in zip(model.masses, model.radii, model.span_fractions,
+                          model.pitch_offsets):
+        want += m * r * r * stroke_accel * stroke_rate
+        want += (m * d * d * kin.rotation_at(s, t, 2)
+                 * kin.rotation_at(s, t, 1))
+    assert np.array_equal(inertial_power(model, kin).series, want)
