@@ -32,7 +32,7 @@ doc = {
 }
 config = StudyConfig.from_dict(doc)
 
-result = run_sweep(config, workers=4)
+result = run_sweep(config)
 os.makedirs("demos/out", exist_ok=True)
 result.to_csv("demos/out/sweep.csv")
 result.to_json("demos/out/sweep.json")

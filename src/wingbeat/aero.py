@@ -12,12 +12,11 @@ angle of attack. Assuming a uniform induced velocity, it is the root of
 actuator-disk momentum balance against the blade-element thrust, found by
 a bracketed secant search. The search evaluates the thrust through a
 :class:`CyclePrecompute`, which holds the inflow-independent terms of one
-cycle grid. They rescale exactly with the stroke amplitude and the
-frequency, so one precompute serves every amplitude and frequency of a
-wing: a sweep builds one per (area, cutout) and a hover trim one for all
-of its probes. The aerodynamic power follows from the eta force opposing
-the stroke motion. Both solvers take their grid and search limits from
-one :class:`SolverSettings`.
+cycle grid. They rescale exactly with the stroke amplitude, the frequency
+and the size of a geometrically similar wing: a sweep builds one per
+cutout and a hover trim one for all of its probes. The aerodynamic power
+follows from the eta force opposing the stroke motion. Both solvers take
+their grid and search limits from one :class:`SolverSettings`.
 """
 
 from dataclasses import dataclass, replace
@@ -320,18 +319,22 @@ def _unsteady_means(state, env):
 
 @dataclass(frozen=True, eq=False)
 class CyclePrecompute:
-    """Inflow-independent terms of one cycle grid, rescalable in amplitude
-    and frequency.
+    """Inflow-independent terms of one cycle grid, rescalable in amplitude,
+    frequency and wing size.
 
     Kinematics that differ from ``kinematics`` only by a factor ``a`` on
     the stroke harmonics and a ratio ``r`` of frequencies sample the same
     phases on the same grid: the section speed v_t scales by a*r, the
     stroke acceleration by a*r^2, the squared stroke rate by a^2*r^2 and
-    the rotation rate and acceleration by r and r^2. So the translational
-    thrust is (a r)^2 G(v / (a r)) and its power (a r)^3 P(v / (a r)), and
+    the rotation rate and acceleration by r and r^2. A wing with every
+    length k times that of the wing of span ``span`` scales v_t, chords,
+    widths and acceleration arms by k. With speed scale s = a r k the
+    translational thrust is k^2 s^2 G(v / s) and its power k^2 s^3 P(v / s);
     the cycle-mean added-mass and rotational lift and power are unit means
-    times powers of a and r. :meth:`thrust` and :meth:`power` take a and r
-    from the kinematics they are given.
+    times powers of a and r, and k^4 on lift, k^5 on power. :meth:`thrust`
+    and :meth:`power` take a and r from the kinematics and k from
+    ``wing.span / span``; the wing must be a geometric rescaling of the
+    precomputed one, which is not checked.
 
     G and P need no trigonometry. At unit-scale inflow u the inflow angle
     has cos phi = v_t / q and sin phi = u / q with q = sqrt(v_t^2 + u^2),
@@ -344,6 +347,7 @@ class CyclePrecompute:
     """
 
     kinematics: object
+    span: float
     steps: int
     v_t_sq: np.ndarray
     by_inverse_q: np.ndarray
@@ -357,11 +361,12 @@ class CyclePrecompute:
         """Precompute on the ``steps``-point grid of ``kin`` for ``elements``."""
         with np.errstate(all="ignore"):
             _, state = _element_grid_state(elements, kin, steps, 0.0)
-            return cls.from_state(state, kin, env)
+            return cls.from_state(state, kin, env, elements.span)
 
     @classmethod
-    def from_state(cls, state, kin, env):
-        """Precompute on an element grid of ``kin`` (its inflow is ignored)."""
+    def from_state(cls, state, kin, env, span):
+        """Precompute on an element grid of ``kin`` for a wing of ``span``
+        (the grid's inflow is ignored)."""
         v_t = state.v_translational
         lift, power = _unsteady_means(state, env)
 
@@ -386,7 +391,8 @@ class CyclePrecompute:
         def total(x):
             return float(np.vdot(x, v_t))
 
-        return cls(kinematics=kin, steps=v_t.shape[0], v_t_sq=v_sq.ravel(),
+        return cls(kinematics=kin, span=span, steps=v_t.shape[0],
+                   v_t_sq=v_sq.ravel(),
                    by_inverse_q=by_inverse_q.reshape(5, -1),
                    by_q=by_q.reshape(2, -1),
                    at_zero_inflow=(total(s_t_v), total(c_t_v2),
@@ -417,7 +423,7 @@ class CyclePrecompute:
         q = np.sqrt(self.v_t_sq + u * u)
         return self.by_inverse_q @ (1.0 / q), self.by_q @ q
 
-    def thrust(self, kin, v, re):
+    def thrust(self, wing, kin, v, re):
         """Cycle-mean vertical force (N) of the wing pair at inflow ``v``.
 
         A cell's translational force is T q (c_l v_t - c_d u), which is
@@ -427,7 +433,8 @@ class CyclePrecompute:
         coefficient amplitudes of :func:`aero_coefficients` at ``re``.
         """
         a, r = self._scales(kin)
-        s = a * r
+        k = wing.span / self.span
+        s = a * r * k
         u = v / s
         lift_amp, drag_zero, drag_amp = _coefficient_amplitudes(re)
         if u * u == 0.0:
@@ -440,10 +447,10 @@ class CyclePrecompute:
                                    - u * drag_amp * k4))
                      - (drag_zero + drag_amp) * u * k5)
         l0, l1, l2 = self.lift_by_a
-        return 2.0 * (s * s * float(total) / self.steps
-                      + r * r * (l0 + a * (l1 + a * l2)))
+        return 2.0 * k * k * (s * s * float(total) / self.steps
+                              + k * k * r * r * (l0 + a * (l1 + a * l2)))
 
-    def power(self, kin, v, re):
+    def power(self, wing, kin, v, re):
         """Cycle-mean aerodynamic power (W) of the wing pair at inflow ``v``.
 
         A cell's translational power is T v_t q (c_l u + c_d v_t), which is
@@ -451,7 +458,8 @@ class CyclePrecompute:
         - u^3 A S v_t] + (D0 + D1) T v_t^2 q.
         """
         a, r = self._scales(kin)
-        s = a * r
+        k = wing.span / self.span
+        s = a * r * k
         u = v / s
         lift_amp, drag_zero, drag_amp = _coefficient_amplitudes(re)
         if u * u == 0.0:
@@ -465,8 +473,8 @@ class CyclePrecompute:
                                    - u * lift_amp * k3))
                      + (drag_zero + drag_amp) * k7)
         p0, p1, p2 = self.power_by_a
-        return 2.0 * (s * s * s * float(total) / self.steps
-                      + a * r**3 * (p0 + a * (p1 + a * p2)))
+        return 2.0 * k * k * (s * s * s * float(total) / self.steps
+                              + k**3 * a * r**3 * (p0 + a * (p1 + a * p2)))
 
 
 @dataclass(frozen=True)
@@ -499,9 +507,9 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
     bisecting the bracket instead whenever a step would leave it, and
     stops at the first Vi with |g(Vi)| <= ``solver.vi_tol`` (m/s).
 
-    ``precompute`` is a :class:`CyclePrecompute` of this wing's elements
-    in ``env`` on the ``solver`` grid, for kinematics that ``kin``
-    rescales; it is built from ``kin`` when omitted.
+    ``precompute`` is a :class:`CyclePrecompute` in ``env`` on the
+    ``solver`` grid of this wing or one it rescales geometrically, for
+    kinematics that ``kin`` rescales; it is built when omitted.
 
     Returns an :class:`InducedVelocityResult` that carries the thrust at
     the returned inflow; a negative mean thrust pins the inflow at zero
@@ -529,7 +537,7 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
         # g falls through the root: v_lo (g > 0) lies below it, v_hi above.
         v, v_hi, previous = 0.0, None, None
         for evaluation in range(1, solver.vi_max_iter + 1):
-            thrust = precompute.thrust(kin, v, re)
+            thrust = precompute.thrust(wing, kin, v, re)
             if not math.isfinite(thrust):
                 raise RuntimeError(f"non-finite cycle-mean thrust {thrust} "
                                    f"at inflow {v:.6g} m/s")
@@ -617,7 +625,8 @@ def simulate_cycle(wing, kin, env, solver=SolverSettings(),
         if induced_velocity is None:
             vi_info = solve_induced_velocity(
                 wing, kin, env, solver, reynolds_number=re,
-                precompute=CyclePrecompute.from_state(state, kin, env))
+                precompute=CyclePrecompute.from_state(state, kin, env,
+                                                      elements.span))
             induced_velocity = vi_info.v_induced
 
     state = replace(state, v_induced=induced_velocity)

@@ -38,8 +38,15 @@ EXIT_COMPUTE = 2
 EXIT_IO = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # A usage error, of a subcommand too, is a one-line config error;
+        # a stray argument may hold a line break.
+        raise ConfigError(message.replace("\n", "\\n"))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wingbeat",
         description="Flapping-wing design studies: simulate, sweep, trim, "
                     "cutout comparison, kinematics fitting, yaw-control demo.")
@@ -47,8 +54,8 @@ def build_parser():
     parser.add_argument("--out", default=None,
                         help="output directory (default: config output.directory)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="sweep worker processes (at least 1; at most "
-                             "one per (area, cutout) group is started)")
+                        help="accepted for compatibility (at least 1); no "
+                             "effect, the sweep runs in one process")
     parser.add_argument("--steps", type=int, default=None,
                         help="override solver steps per cycle")
     parser.add_argument("--seed", type=int, default=0,
@@ -170,6 +177,8 @@ CONTROL_DEFAULTS = {
 
 
 def cmd_control_sim(args, config, out_dir):
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be at least 0, got {args.seed}")
     section = config.task_section("control", CONTROL_DEFAULTS)
     schedule = tuple(map(tuple, section["setpoint_schedule"]))
     if not schedule or any(len(pair) != 2 for pair in schedule):
@@ -201,8 +210,8 @@ COMMANDS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config, out_dir = _prepare(args)
         COMMANDS[args.command](args, config, out_dir)
     except (ConfigError, ValueError) as exc:

@@ -8,18 +8,16 @@ cutout comparison, the control trace) are written by
 hold a comma, goes through the quoting :func:`write_csv`. JSON is strict:
 :func:`write_json` refuses a non-finite number as a compute failure.
 
-Sweep points that share (area, cutout) share one wing, one
-discretization and one :class:`~wingbeat.aero.CyclePrecompute`, which
-their amplitudes and frequencies rescale. A point is one inflow solve
-and the power at its root, with no force pass. The runner farms the
-(area, cutout) groups out, with the parsed study, to a process pool of at
-most one worker per group and puts the rows back in grid order, so serial
-and parallel runs emit byte-identical tables. A point's ``ValueError`` or
-``RuntimeError`` is recorded in its row and never aborts the grid. Hover
-trim likewise probes with inflow solves on one precompute.
+A sweep runs in one process, in grid order. Its points share one
+:class:`~wingbeat.aero.CyclePrecompute` per cutout, which their wing
+areas, amplitudes and frequencies rescale, and one wing per (area,
+cutout), which gives their Reynolds number and stroke disk. A point is
+one inflow solve and the power at its root, with no force pass. A
+point's ``ValueError`` or ``RuntimeError`` is recorded in its row and
+never aborts the grid. Hover trim likewise probes with inflow solves on
+one precompute.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 import csv
 import datetime
@@ -160,20 +158,37 @@ class SweepResult:
                           "rows": [row.as_dict() for row in self.rows]})
 
 
-def _evaluate_point(row, config, wing, precompute):
-    """One grid point from its group's wing and precompute: one inflow
-    solve and the power at its root, no force pass."""
+def _evaluate_point(config, point, wings, precomputes):
+    """One grid point: one inflow solve and the power at its root. It
+    caches its wing in ``wings`` by (area, cutout) and the precompute of
+    its cutout, built on the config's wing, in ``precomputes``."""
+    amplitude, area, cutout, frequency = point
+    row = SweepRow(*point)
     solver, env = config.solver, config.environment
     try:
+        wing = wings.get((area, cutout))
+        if wing is None:
+            wing = wings[area, cutout] = apply_inboard_cutout(
+                scaled_to_area(config.wing, area * 1e-4), cutout)
+        precompute = precomputes.get(cutout)
+        if precompute is None:
+            # The grid is built at unit stroke amplitude (rad) and 1 Hz, so
+            # that no sweep value enters the terms every point rescales.
+            shape = (config.kinematics.with_stroke_amplitude(1.0)
+                     .with_frequency(1.0))
+            precompute = precomputes[cutout] = CyclePrecompute.build(
+                discretize(apply_inboard_cutout(config.wing, cutout),
+                           solver.n_elements),
+                shape, env, solver.steps_per_cycle)
         kin = config.kinematics.with_stroke_amplitude(
-            math.radians(row.amplitude_deg)).with_frequency(row.frequency_hz)
+            math.radians(amplitude)).with_frequency(frequency)
         re = reynolds(wing, kin, env)
         info = solve_induced_velocity(wing, kin, env, solver,
                                       reynolds_number=re,
                                       precompute=precompute)
         share = 1.0 if solver.pair else 0.5
         lift = share * info.thrust
-        power = share * precompute.power(kin, info.v_induced, re)
+        power = share * precompute.power(wing, kin, info.v_induced, re)
         return replace(
             row,
             mean_lift_gf=lift / GRAM_FORCE_NEWTONS,
@@ -186,31 +201,6 @@ def _evaluate_point(row, config, wing, precompute):
         return replace(row, error=str(exc))
 
 
-def _evaluate_group(args):
-    """Rows of the points that share one (area, cutout): one wing, one
-    discretization and one cycle precompute serve them all."""
-    config, area, cutout, points = args
-    rows = [SweepRow(amplitude, area, cutout, frequency)
-            for amplitude, frequency in points]
-    # Absurd but finite inputs may overflow on the way; the inflow solve's
-    # finiteness check reports that as one error per point.
-    with np.errstate(all="ignore"):
-        try:
-            wing = apply_inboard_cutout(
-                scaled_to_area(config.wing, area * 1e-4), cutout)
-            # The grid is built at unit stroke amplitude (rad) and 1 Hz, so
-            # that no sweep value enters the terms every point rescales.
-            shape = (config.kinematics.with_stroke_amplitude(1.0)
-                     .with_frequency(1.0))
-            precompute = CyclePrecompute.build(
-                discretize(wing, config.solver.n_elements), shape,
-                config.environment, config.solver.steps_per_cycle)
-        except (ValueError, RuntimeError) as exc:  # record, never abort
-            return [replace(row, error=str(exc)) for row in rows]
-        return [_evaluate_point(row, config, wing, precompute)
-                for row in rows]
-
-
 def sweep_grid(config):
     """Grid points in deterministic lexicographic axis order."""
     return [(a, s, c, f)
@@ -221,33 +211,20 @@ def sweep_grid(config):
 
 
 def run_sweep(config, workers=1):
-    """Evaluate every grid point of the study's sweep axes.
+    """Evaluate every grid point of the study's sweep axes, in grid order.
 
-    Points are evaluated in (area, cutout) groups, on at most ``workers``
-    processes and never more than there are groups; rows come back in
-    grid order, so identical configs produce identical row tables
-    regardless of ``workers``. Raises :class:`ComputeError` only if every
-    point failed.
+    ``workers`` is validated (at least 1) but has no effect: the sweep
+    runs in one process. Raises :class:`ComputeError` only if every point
+    failed.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    grid = sweep_grid(config)
-    groups = {}   # (area, cutout) -> grid indices, in grid order
-    for index, (_, area, cutout, _) in enumerate(grid):
-        groups.setdefault((area, cutout), []).append(index)
-    jobs = [(config, area, cutout,
-             tuple((grid[i][0], grid[i][3]) for i in indices))
-            for (area, cutout), indices in groups.items()]
-    workers = min(workers, len(jobs))
-    if workers <= 1:
-        results = [_evaluate_group(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_evaluate_group, jobs))
-    rows = [None] * len(grid)
-    for indices, group_rows in zip(groups.values(), results):
-        for index, row in zip(indices, group_rows):
-            rows[index] = row
+    wings, precomputes = {}, {}
+    # Absurd but finite inputs may overflow on the way; the inflow solve's
+    # finiteness check reports that as one error per point.
+    with np.errstate(all="ignore"):
+        rows = [_evaluate_point(config, point, wings, precomputes)
+                for point in sweep_grid(config)]
     if rows and all(row.error is not None for row in rows):
         raise ComputeError(
             f"all {len(rows)} sweep points failed; first error: {rows[0].error}")

@@ -212,6 +212,9 @@ class WingKinematics:
 
     def with_stroke_amplitude(self, amplitude):
         """Stroke harmonics rescaled to a target peak-to-peak range (rad)."""
+        if not (math.isfinite(amplitude) and amplitude > 0.0):
+            raise ValueError(f"stroke amplitude must be finite and positive, "
+                             f"got {amplitude} rad")
         current = self.stroke_amplitude
         if current <= 0.0:
             raise ValueError("cannot rescale a zero-amplitude stroke")

@@ -24,7 +24,12 @@ from wingbeat.aero import (
 )
 from wingbeat.kinematics import FourierSeries, WingKinematics
 from wingbeat.presets import beetle_kinematics, rectangular_wing, standard_wing
-from wingbeat.wing import apply_inboard_cutout, build_wing, discretize
+from wingbeat.wing import (
+    apply_inboard_cutout,
+    build_wing,
+    discretize,
+    scaled_to_area,
+)
 
 from oracles import pair_mean_thrust
 
@@ -249,25 +254,31 @@ def lopsided_kinematics(f):
 @pytest.mark.parametrize("cutout", [0.0, 0.3])
 @pytest.mark.parametrize("shape", [beetle_kinematics, lopsided_kinematics])
 def test_rescaled_precompute_matches_full_path(shape, cutout):
-    # One precompute at the base kinematics serves every amplitude factor a
-    # and frequency ratio r; the oracles rebuild the grid at each point.
-    wing = apply_inboard_cutout(standard_wing(25.5), cutout)
+    # One precompute of the 25.5 cm^2 wing at the base kinematics serves
+    # every geometrically similar wing, amplitude factor a and frequency
+    # ratio r; the oracles rebuild the grid at each point.
     base = shape(17.3)
-    elements = discretize(wing, 20)
-    precompute = CyclePrecompute.build(elements, base, ENV, 720)
-    for a in (0.7, 1.0, 1.3):
-        for r in (0.6, 1.0, 1.5):
-            kin = base.with_stroke_amplitude(
-                a * base.stroke_amplitude).with_frequency(r * 17.3)
-            re = reynolds(wing, kin, ENV)
-            for v in (0.0, 0.6, 1.87, 3.5):
-                assert precompute.thrust(kin, v, re) == pytest.approx(
-                    pair_mean_thrust(elements, kin, ENV, 720, v, re),
-                    rel=1e-12)
-                cycle = simulate_cycle(wing, kin, ENV, induced_velocity=v,
-                                       reynolds_number=re)
-                assert precompute.power(kin, v, re) == pytest.approx(
-                    cycle.mean_aero_power, rel=1e-12)
+    reference = standard_wing(25.5)
+    precompute = CyclePrecompute.build(
+        discretize(apply_inboard_cutout(reference, cutout), 20),
+        base, ENV, 720)
+    for area in (20.1, 25.5, 31.4):
+        wing = apply_inboard_cutout(scaled_to_area(reference, area * 1e-4),
+                                    cutout)
+        elements = discretize(wing, 20)
+        for a in (0.7, 1.0, 1.3):
+            for r in (0.6, 1.0, 1.5):
+                kin = base.with_stroke_amplitude(
+                    a * base.stroke_amplitude).with_frequency(r * 17.3)
+                re = reynolds(wing, kin, ENV)
+                for v in (0.0, 0.6, 1.87, 3.5):
+                    assert precompute.thrust(wing, kin, v, re) \
+                        == pytest.approx(pair_mean_thrust(
+                            elements, kin, ENV, 720, v, re), rel=1e-12)
+                    cycle = simulate_cycle(wing, kin, ENV, induced_velocity=v,
+                                           reynolds_number=re)
+                    assert precompute.power(wing, kin, v, re) \
+                        == pytest.approx(cycle.mean_aero_power, rel=1e-12)
 
 
 def test_precompute_rejects_kinematics_of_another_shape():
@@ -279,7 +290,7 @@ def test_precompute_rejects_kinematics_of_another_shape():
     more_twist = beetle_kinematics(17.3, 190.0, tip_twist_deg=50.0)
     for kin in (reversed_stroke, more_twist):
         with pytest.raises(ValueError, match="not a rescaling"):
-            precompute.thrust(kin, 1.0, re)
+            precompute.thrust(wing, kin, 1.0, re)
 
 
 def test_induced_velocity_sweep_corners():

@@ -5,11 +5,14 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import wingbeat
 from wingbeat import aero, cli, harness
 from wingbeat.aero import AeroEnvironment, SolverSettings, simulate_cycle
 from wingbeat.config import (
@@ -187,14 +190,13 @@ def test_sweep_grid_order_and_determinism(tmp_path):
     doc = base_config_dict(sweep={"amplitude_deg": [120.0, 190.0],
                                   "frequency_hz": [15.0, 20.0]})
     config = StudyConfig.from_dict(doc)
-    serial = run_sweep(config, workers=1)
-    parallel = run_sweep(config, workers=4)
-    p1, p2 = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    serial.to_csv(p1)
-    parallel.to_csv(p2)
+    first, second = run_sweep(config), run_sweep(config)
+    p1, p2 = tmp_path / "first.csv", tmp_path / "second.csv"
+    first.to_csv(p1)
+    second.to_csv(p2)
     assert p1.read_bytes() == p2.read_bytes()
-    amps = [row.amplitude_deg for row in serial.rows]
-    freqs = [row.frequency_hz for row in serial.rows]
+    amps = [row.amplitude_deg for row in first.rows]
+    freqs = [row.frequency_hz for row in first.rows]
     assert amps == [120.0, 120.0, 190.0, 190.0]
     assert freqs == [15.0, 20.0, 15.0, 20.0]
 
@@ -241,7 +243,7 @@ def count_discretize(monkeypatch):
     return calls
 
 
-def test_sweep_discretizes_once_per_area_and_cutout(monkeypatch):
+def test_sweep_discretizes_once_per_cutout(monkeypatch):
     calls = count_discretize(monkeypatch)
     doc = base_config_dict(sweep={"amplitude_deg": [120.0, 190.0],
                                   "area_cm2": [20.1, 25.5, 31.4],
@@ -250,36 +252,17 @@ def test_sweep_discretizes_once_per_area_and_cutout(monkeypatch):
     rows = run_sweep(StudyConfig.from_dict(doc)).rows
     assert len(rows) == 24
     assert all(row.error is None for row in rows)
-    assert calls == [10] * 6
+    assert calls == [10] * 2
 
 
-def test_sweep_pool_has_at_most_one_worker_per_group(monkeypatch):
-    created = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            created.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    doc = base_config_dict(sweep={"area_cm2": [20.1, 31.4],
-                                  "frequency_hz": [15.0, 20.0]})
-    config = StudyConfig.from_dict(doc)
-    serial = run_sweep(config, workers=1)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-    assert run_sweep(config, workers=64).rows == serial.rows
-    assert run_sweep(config, workers=2).rows == serial.rows
-    one_group = StudyConfig.from_dict(base_config_dict(
-        sweep={"frequency_hz": [15.0, 20.0]}))
-    run_sweep(one_group, workers=8)
-    assert created == [2, 2]
+def test_cli_import_leaves_process_pool_out():
+    # A fresh interpreter: this one may have imported the pool elsewhere.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wingbeat.__file__)))
+    code = ("import sys, wingbeat.cli; "
+            "sys.exit('concurrent.futures.process' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60).returncode == 0
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -679,6 +662,46 @@ def test_cli_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
                      "sweep"]) == 1
     assert capsys.readouterr().err == (
         f"config error: workers must be at least 1, got {workers}\n")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--steps", "abc", "simulate"],
+     "argument --steps: invalid int value: 'abc'"),
+    (["--workers", "1.5", "sweep"],
+     "argument --workers: invalid int value: '1.5'"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["simulate", "x\ny"], "unrecognized arguments: x\\ny"),
+    (["--seed", "-1", "control-sim"], "--seed must be at least 0, got -1"),
+])
+def test_cli_usage_error_is_one_line_config_error(tmp_path, capsys, flags,
+                                                  message):
+    path = write_config(tmp_path, control={"duration_s": 0.1})
+    assert cli.main(["--config", str(path)] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert err.count("\n") == 1
+
+
+def test_cli_missing_config_is_one_line_config_error(capsys):
+    assert cli.main(["simulate"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: the following arguments are required: --config\n")
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: wingbeat" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("amplitude_deg", [-120.0, 0.0])
+def test_sweep_row_records_non_positive_amplitude(amplitude_deg):
+    doc = base_config_dict(sweep={"amplitude_deg": [amplitude_deg, 190.0]})
+    bad, good = run_sweep(StudyConfig.from_dict(doc)).rows
+    assert good.error is None
+    assert bad.error == (f"stroke amplitude must be finite and positive, "
+                         f"got {math.radians(amplitude_deg)} rad")
 
 
 def test_cli_exports_inflow_diagnostics(tmp_path):

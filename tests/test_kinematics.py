@@ -214,6 +214,12 @@ def test_amplitude_rescaling():
     assert scaled.rotation_stations == kin.rotation_stations
 
 
+@pytest.mark.parametrize("amplitude", [0.0, -1.0, math.inf, math.nan])
+def test_amplitude_rescaling_rejects_non_positive_or_non_finite(amplitude):
+    with pytest.raises(ValueError, match=f"got {amplitude} rad"):
+        two_station_kinematics().with_stroke_amplitude(amplitude)
+
+
 def test_kinematics_validation():
     stroke = FourierSeries(0.0, (0.0,), (1.0,), 17.3)
     with pytest.raises(ValueError, match="station"):
