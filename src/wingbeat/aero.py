@@ -263,12 +263,7 @@ def _element_grid_state(elements, kin, steps, v_induced):
     """Element states on a uniform one-cycle time grid, shape (steps, n)."""
     t = np.arange(steps) / (steps * kin.frequency)
     weights = kin.station_weights(elements.span_fraction)
-    rot = []
-    for order in (0, 1, 2):
-        per_station = np.stack(
-            [series.eval(t, order) for _, series in kin.rotation_stations],
-            axis=1)
-        rot.append(per_station @ weights.T)
+    rot = [kin.station_series(t, order) @ weights.T for order in (0, 1, 2)]
     state = ElementState(
         radius=elements.radius,
         chord=elements.chord,

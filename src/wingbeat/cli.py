@@ -140,12 +140,9 @@ def cmd_trim(args, config, out_dir):
     section = config.task_section(
         "trim", {}, required=("target_lift_gf", "f_lo_hz", "f_hi_hz"))
     target_gf = section["target_lift_gf"]
-    try:
-        trim = hover_trim(config.wing, config.kinematics, config.environment,
-                          target_gf * GRAM_FORCE_NEWTONS, section["f_lo_hz"],
-                          section["f_hi_hz"], solver=config.solver)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    trim = hover_trim(config.wing, config.kinematics, config.environment,
+                      target_gf * GRAM_FORCE_NEWTONS, section["f_lo_hz"],
+                      section["f_hi_hz"], solver=config.solver)
     payload = {"metadata": run_metadata(config.solver)}
     payload.update(trim.as_dict())
     write_json(os.path.join(out_dir, "trim.json"), payload)

@@ -130,7 +130,6 @@ def wing_from_config(cfg):
 
 
 def wing_to_config(wing):
-    cutout = wing.removed_spans[0][1] if wing.removed_spans else 0.0
     if wing.pitch_axis_breakpoints is not None:
         axis = {"type": "breakpoints",
                 "value": [list(p) for p in wing.pitch_axis_breakpoints]}
@@ -141,7 +140,7 @@ def wing_to_config(wing):
         "root_offset_m": wing.root_offset,
         "breakpoints": [list(p) for p in wing.chord_breakpoints],
         "rotation_axis": axis,
-        "cutout_span_fraction": cutout,
+        "cutout_span_fraction": wing.cutout,
     }
 
 

@@ -2,9 +2,10 @@
 
 A wing is described by a piecewise-linear chord distribution over the span,
 an optional offset between the flapping axis and the wing root, a chordwise
-pitching-axis location, and a membrane mask that marks spanwise regions
-where the membrane has been removed (the leading-edge spar is retained, so
-removal zeroes the aerodynamic area without shortening the wing).
+pitching-axis location, and an inboard cutout: the span fraction from the
+root out to which the membrane has been removed (the leading-edge spar is
+retained, so removal zeroes the aerodynamic area without shortening the
+wing).
 """
 
 from dataclasses import dataclass, replace
@@ -12,20 +13,6 @@ from functools import cached_property
 import math
 
 import numpy as np
-
-
-def _merge_intervals(intervals):
-    """Merge overlapping/adjacent (start, end) span-fraction intervals."""
-    spans = []
-    for lo, hi in sorted((float(lo), float(hi)) for lo, hi in intervals):
-        lo, hi = max(lo, 0.0), min(hi, 1.0)
-        if hi <= lo:
-            continue
-        if spans and lo <= spans[-1][1]:
-            spans[-1] = (spans[-1][0], max(spans[-1][1], hi))
-        else:
-            spans.append((lo, hi))
-    return tuple(spans)
 
 
 @dataclass(frozen=True)
@@ -48,8 +35,9 @@ class WingGeometry:
     pitch_axis_breakpoints : tuple of (station, offset) or None
         Piecewise-linear pitching-axis offset in metres from the leading
         edge, by station from the wing root.
-    removed_spans : tuple of (lo, hi)
-        Span-fraction intervals where the membrane has been removed.
+    cutout : float
+        Span fraction from the root out to which the membrane has been
+        removed (0 keeps the whole membrane).
     """
 
     span: float
@@ -57,7 +45,7 @@ class WingGeometry:
     chord_breakpoints: tuple
     pitch_axis_fraction: float | None = 0.25
     pitch_axis_breakpoints: tuple | None = None
-    removed_spans: tuple = ()
+    cutout: float = 0.0
 
     def chord_at(self, station):
         """Chord (m) at ``station`` metres from the wing root."""
@@ -71,48 +59,39 @@ class WingGeometry:
             return np.interp(station, r, l)
         return self.pitch_axis_fraction * self.chord_at(station)
 
-    def _segment_edges(self):
-        # Union of chord breakpoints and mask edges: the chord is linear on
-        # each resulting segment, so trapezoid integration is exact there.
-        edges = {r for r, _ in self.chord_breakpoints}
-        for lo, hi in self.removed_spans:
-            edges.add(lo * self.span)
-            edges.add(hi * self.span)
-        return np.array(sorted(e for e in edges if 0.0 <= e <= self.span))
+    def _strip_areas(self, lo, hi):
+        """Membrane and planform area (m^2) of each strip [lo, hi], with
+        stations (scalars or arrays) in m from the wing root.
 
-    def _masked(self, mid_station):
-        frac = mid_station / self.span
-        for lo, hi in self.removed_spans:
-            if lo < frac < hi:
-                return True
-        return False
-
-    def _area_between(self, r0, r1, masked):
-        edges = self._segment_edges()
-        edges = np.unique(np.clip(np.concatenate([edges, [r0, r1]]), r0, r1))
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            if b > a and not (masked and self._masked(0.5 * (a + b))):
-                total += 0.5 * (self.chord_at(a) + self.chord_at(b)) * (b - a)
-        return total
-
-    def membrane_area_between(self, r0, r1):
-        """Remaining membrane area (m^2) between two stations (m from root)."""
-        return self._area_between(r0, r1, masked=True)
-
-    def planform_area_between(self, r0, r1):
-        """Planform area (m^2) between two stations, ignoring the mask."""
-        return self._area_between(r0, r1, masked=False)
+        Each strip is cut at the chord breakpoints and the cutout edge, so
+        the chord is linear on every piece and the trapezoid rule is exact.
+        A piece whose midpoint lies inboard of the cutout has no membrane.
+        Pieces are summed from the root outward, one column at a time, so
+        each strip adds its pieces in the same order as a scalar loop.
+        """
+        cuts = np.sort([r for r, _ in self.chord_breakpoints]
+                       + [self.cutout * self.span])
+        lo, hi = np.atleast_1d(lo)[:, None], np.atleast_1d(hi)[:, None]
+        edges = np.hstack([lo, np.clip(cuts, lo, hi), hi])
+        chord = self.chord_at(edges)
+        piece = 0.5 * (chord[:, :-1] + chord[:, 1:]) * np.diff(edges, axis=1)
+        mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+        kept = np.where(mid / self.span < self.cutout, 0.0, piece)
+        membrane = planform = np.zeros(len(lo))
+        for j in range(piece.shape[1]):
+            membrane = membrane + kept[:, j]
+            planform = planform + piece[:, j]
+        return membrane, planform
 
     @cached_property
     def area(self):
         """Remaining membrane area (m^2), computed once per wing."""
-        return self.membrane_area_between(0.0, self.span)
+        return self._strip_areas(0.0, self.span)[0][0]
 
     @property
     def removed_area(self):
-        """Membrane area removed by the mask (m^2)."""
-        return self.planform_area_between(0.0, self.span) - self.area
+        """Membrane area removed by the cutout (m^2)."""
+        return self._strip_areas(0.0, self.span)[1][0] - self.area
 
     @property
     def mean_chord(self):
@@ -128,8 +107,7 @@ class WingGeometry:
         return self.span**2 / area
 
 
-def build_wing(chord_breakpoints, root_offset=0.0, pitch_axis=0.25,
-               removed_spans=()):
+def build_wing(chord_breakpoints, root_offset=0.0, pitch_axis=0.25):
     """Build a :class:`WingGeometry` from a chord-breakpoint list.
 
     Parameters
@@ -142,8 +120,6 @@ def build_wing(chord_breakpoints, root_offset=0.0, pitch_axis=0.25,
         Flapping-axis-to-root distance (m).
     pitch_axis : float or sequence of (station, offset)
         Either a chord fraction (0..1) or breakpoints in metres.
-    removed_spans : sequence of (lo, hi)
-        Span-fraction intervals with the membrane removed.
     """
     pts = [(float(r), float(c)) for r, c in chord_breakpoints]
     if len(pts) < 2:
@@ -175,8 +151,7 @@ def build_wing(chord_breakpoints, root_offset=0.0, pitch_axis=0.25,
     wing = WingGeometry(span=span, root_offset=float(root_offset),
                         chord_breakpoints=tuple(pts),
                         pitch_axis_fraction=frac,
-                        pitch_axis_breakpoints=bkpts,
-                        removed_spans=_merge_intervals(removed_spans))
+                        pitch_axis_breakpoints=bkpts)
 
     # 0 <= l_r <= c_r wherever the chord is nonzero; check every kink.
     check = np.unique(np.concatenate([
@@ -195,16 +170,16 @@ def build_wing(chord_breakpoints, root_offset=0.0, pitch_axis=0.25,
 def apply_inboard_cutout(wing, span_fraction):
     """Remove the membrane from the wing root out to ``span_fraction``.
 
-    The chord profile and span are unchanged; only the membrane mask is
-    extended, so forces on the affected elements scale to zero. Applying
+    The chord profile and span are unchanged; only the cutout grows, so
+    forces on the affected elements scale to zero. A fraction no larger
+    than the wing's current cutout returns the wing unchanged, so applying
     the same fraction twice is a no-op.
     """
     if not 0.0 <= span_fraction < 1.0:
         raise ValueError("cutout span fraction must lie in [0, 1)")
-    if span_fraction == 0.0:
+    if span_fraction <= wing.cutout:
         return wing
-    spans = _merge_intervals(wing.removed_spans + ((0.0, span_fraction),))
-    return replace(wing, removed_spans=spans)
+    return replace(wing, cutout=float(span_fraction))
 
 
 def scaled_to_area(wing, area):
@@ -215,6 +190,8 @@ def scaled_to_area(wing, area):
     """
     if area <= 0.0:
         raise ValueError("target area must be positive")
+    if wing.area <= 0.0:
+        raise ValueError("cannot rescale a zero-area wing")
     k = math.sqrt(area / wing.area)
     bkpts = tuple((k * r, k * c) for r, c in wing.chord_breakpoints)
     axis_bkpts = wing.pitch_axis_breakpoints
@@ -230,9 +207,9 @@ class BladeElements:
 
     ``radius`` is the arm from the flapping axis to the element midpoint;
     ``span_fraction`` locates the midpoint along the wing (0 root, 1 tip).
-    ``area_scale`` is the fraction of each element's membrane that remains
-    after masking, so ``chord * area_scale * width`` recovers the element's
-    aerodynamically active area.
+    ``area_scale`` is the fraction of each element's planform that keeps
+    its membrane after the cutout, so ``chord * area_scale * width``
+    recovers the element's aerodynamically active area.
     """
 
     radius: np.ndarray
@@ -256,8 +233,9 @@ def discretize(wing, n=20):
     """Split a wing into ``n`` equal-width spanwise elements.
 
     Element chords are taken at midpoints; ``area_scale`` is the exact
-    masked-to-unmasked area ratio within each element, so the summed
-    element areas reproduce the wing's membrane area.
+    membrane-to-planform area ratio within each element (1 where the
+    element has no planform area), so the summed element areas reproduce
+    the wing's membrane area.
     """
     if n < 2:
         raise ValueError("need at least two blade elements")
@@ -267,12 +245,8 @@ def discretize(wing, n=20):
     chord = np.atleast_1d(wing.chord_at(mid)).astype(float)
     pitch = np.atleast_1d(wing.pitch_axis_at(mid)).astype(float)
 
-    scale = np.ones(n)
-    if wing.removed_spans:
-        for i in range(n):
-            full = wing.planform_area_between(left[i], left[i] + dr)
-            if full > 0.0:
-                scale[i] = wing.membrane_area_between(left[i], left[i] + dr) / full
+    membrane, full = wing._strip_areas(left, left + dr)
+    scale = np.divide(membrane, full, out=np.ones(n), where=full > 0.0)
 
     return BladeElements(radius=wing.root_offset + mid,
                          width=np.full(n, dr),

@@ -34,7 +34,7 @@ from wingbeat.harness import (
 from wingbeat.kinematics import FourierSeries, WingKinematics
 from wingbeat.power import GRAM_FORCE_NEWTONS
 from wingbeat.presets import beetle_kinematics, standard_wing
-from wingbeat.wing import apply_inboard_cutout, scaled_to_area
+from wingbeat.wing import apply_inboard_cutout, build_wing, scaled_to_area
 
 
 def base_config_dict(**overrides):
@@ -610,6 +610,24 @@ def test_cli_bad_task_section_value_is_config_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1
     assert f"'{key}'" in err and f"'{section}'" in err
+
+
+def test_cli_unbracketed_trim_target_is_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, trim={"target_lift_gf": 500.0,
+                                        "f_lo_hz": 8.0, "f_hi_hz": 12.0})
+    assert cli.main(["--config", str(path), "trim"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: target lift 4.9 N not bracketed: ")
+    assert err.count("\n") == 1
+
+
+def test_cli_sweep_of_zero_area_wing_names_the_cause(tmp_path, capsys):
+    zero = wing_to_config(build_wing([(0.0, 0.0), (0.09, 0.0)]))
+    path = write_config(tmp_path, wing=zero, sweep={"area_cm2": [25.0]})
+    assert cli.main(["--config", str(path), "sweep"]) == 2
+    assert capsys.readouterr().err == (
+        "compute failure: all 1 sweep points failed; first error: "
+        "cannot rescale a zero-area wing\n")
 
 
 def test_cli_missing_trim_key_is_config_error(tmp_path, capsys):

@@ -2,9 +2,11 @@
 
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from oracles import element_area_scale, strip_areas
 from wingbeat.wing import (
     apply_inboard_cutout,
     build_wing,
@@ -133,6 +135,54 @@ def test_cutout_is_idempotent():
     assert once == twice
 
 
+def test_cutout_only_grows():
+    cut = apply_inboard_cutout(standard_wing(25.5), 0.25)
+    assert apply_inboard_cutout(cut, 0.1) == cut
+    assert apply_inboard_cutout(cut, 0.0) == cut
+    wider = apply_inboard_cutout(cut, 0.4)
+    assert wider.cutout == 0.4
+    assert wider == apply_inboard_cutout(standard_wing(25.5), 0.4)
+
+
+@st.composite
+def cut_wings(draw):
+    """A wing of 2-6 chord breakpoints (the root chord may be zero), one
+    or two inboard cutouts, some on a breakpoint, and an element count."""
+    span = draw(st.floats(min_value=0.02, max_value=0.15))
+    inner = draw(st.lists(st.floats(min_value=0.01, max_value=0.99),
+                          max_size=4, unique=True))
+    stations = [0.0] + sorted({f * span for f in inner}) + [span]
+    chord = st.floats(min_value=0.0, max_value=0.05)
+    chords = draw(st.lists(chord, min_size=len(stations),
+                           max_size=len(stations)))
+    wing = build_wing(list(zip(stations, chords)))
+    fraction = st.one_of(
+        st.floats(min_value=0.0, max_value=0.99),
+        st.sampled_from([r / span for r in stations[:-1]]),
+        st.sampled_from([0.1, 0.126, 0.138, 0.246, 0.25, 0.5]))
+    cutouts = draw(st.lists(fraction, min_size=1, max_size=2))
+    return wing, cutouts, draw(st.sampled_from([2, 10, 20, 37]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut_wings())
+def test_cut_wing_areas_match_piecewise_oracle_bitwise(case):
+    wing, cutouts, n = case
+    cut = wing
+    for f in cutouts:
+        cut = apply_inboard_cutout(cut, f)
+    # Root-anchored cutouts merge into the widest one.
+    cutout = max(cutouts)
+    assert cut.cutout == cutout
+    membrane, planform = strip_areas(wing, 0.0, wing.span, cutout)
+    assert cut.area == membrane
+    assert cut.removed_area == planform - membrane
+    elements = discretize(cut, n)
+    assert np.array_equal(elements.area_scale,
+                          element_area_scale(wing, n, cutout))
+    assert np.array_equal(elements.chord, discretize(wing, n).chord)
+
+
 def test_partial_element_mask_keeps_area_exact():
     # Cutout edge inside an element: the area scale takes the exact
     # masked fraction, so summed element areas still match the wing.
@@ -162,6 +212,12 @@ def test_scaled_to_area_preserves_shape():
     assert bigger.aspect_ratio == pytest.approx(wing.aspect_ratio, rel=1e-12)
     assert bigger.span == pytest.approx(wing.span * math.sqrt(31.4 / 25.5),
                                         rel=1e-12)
+
+
+def test_scaled_to_area_rejects_zero_area_wing():
+    wing = build_wing([(0.0, 0.0), (0.09, 0.0)])
+    with pytest.raises(ValueError, match="cannot rescale a zero-area wing"):
+        scaled_to_area(wing, 25e-4)
 
 
 def test_elements_cover_the_span_from_the_flapping_axis():
