@@ -10,11 +10,12 @@ plane, and zeta, perpendicular to the stroke plane (lift).
 The mean inflow through the stroke disk couples back into the effective
 angle of attack. Assuming a uniform induced velocity, it is the root of
 actuator-disk momentum balance against the blade-element thrust, found by
-a bracketed secant search. The search evaluates the thrust through a
-:class:`CyclePrecompute`, which holds the inflow-independent terms of one
-cycle grid. They rescale exactly with the stroke amplitude, the frequency
-and the size of a geometrically similar wing: a sweep builds one per
-cutout and a hover trim one for all of its probes. The aerodynamic power
+a bracketed secant search. The search evaluates thrust and power
+together through a :class:`CyclePrecompute` and returns both at its
+root. The precompute holds the inflow-independent terms of one cycle
+grid, which rescale exactly with the stroke amplitude, the frequency and
+the size of a geometrically similar wing: a sweep builds one per cutout
+and a hover trim one for all of its probes. The aerodynamic power
 follows from the eta force opposing the stroke motion. Both solvers take
 their grid and search limits from one :class:`SolverSettings`.
 """
@@ -326,10 +327,10 @@ class CyclePrecompute:
     widths and acceleration arms by k. With speed scale s = a r k the
     translational thrust is k^2 s^2 G(v / s) and its power k^2 s^3 P(v / s);
     the cycle-mean added-mass and rotational lift and power are unit means
-    times powers of a and r, and k^4 on lift, k^5 on power. :meth:`thrust`
-    and :meth:`power` take a and r from the kinematics and k from
-    ``wing.span / span``; the wing must be a geometric rescaling of the
-    precomputed one, which is not checked.
+    times powers of a and r, and k^4 on lift, k^5 on power. :meth:`loads`
+    takes a and r from the kinematics and k from ``wing.span / span``;
+    the wing must be a geometric rescaling of the precomputed one, which
+    is not checked.
 
     G and P need no trigonometry. At unit-scale inflow u the inflow angle
     has cos phi = v_t / q and sin phi = u / q with q = sqrt(v_t^2 + u^2),
@@ -352,11 +353,13 @@ class CyclePrecompute:
     power_by_a: tuple
 
     @classmethod
-    def build(cls, elements, kin, env, steps):
-        """Precompute on the ``steps``-point grid of ``kin`` for ``elements``."""
+    def build(cls, wing, kin, env, solver):
+        """Precompute on the ``solver`` grid of ``kin`` for ``wing``."""
+        elements = discretize(wing, solver.n_elements)
         with np.errstate(all="ignore"):
-            _, state = _element_grid_state(elements, kin, steps, 0.0)
-            return cls.from_state(state, kin, env, elements.span)
+            _, state = _element_grid_state(elements, kin,
+                                           solver.steps_per_cycle, 0.0)
+            return cls.from_state(state, kin, env, wing.span)
 
     @classmethod
     def from_state(cls, state, kin, env, span):
@@ -366,7 +369,7 @@ class CyclePrecompute:
         lift, power = _unsteady_means(state, env)
 
         # Translational moments, with T the force per unit dynamic pressure
-        # and S, C = sin, cos 2 alpha_g; see thrust() and power().
+        # and S, C = sin, cos 2 alpha_g; see loads().
         trans = (0.5 * env.rho * state.chord
                  * (state.area_scale * state.width))
         alpha_2 = 2.0 * state.alpha_geometric
@@ -413,40 +416,15 @@ class CyclePrecompute:
                              "precomputed cycle")
         return a, kin.frequency / ref.frequency
 
-    def _moments(self, u):
-        """Sums over the cells of the moments times 1/q and times q."""
-        q = np.sqrt(self.v_t_sq + u * u)
-        return self.by_inverse_q @ (1.0 / q), self.by_q @ q
-
-    def thrust(self, wing, kin, v, re):
-        """Cycle-mean vertical force (N) of the wing pair at inflow ``v``.
+    def loads(self, wing, kin, v, re):
+        """Cycle-mean vertical force (N) and aerodynamic power (W) of the
+        wing pair at inflow ``v``.
 
         A cell's translational force is T q (c_l v_t - c_d u), which is
         (T/q) [A S v_t^3 + u (D1 - 2A) C v_t^2 + u^2 (2 D1 - A) S v_t
         - u^3 D1 C] - (D0 + D1) u T q with c_l = A sin 2 alpha_e and
         c_d = D0 + D1 (1 - cos 2 alpha_e): A, D0 and D1 are the
         coefficient amplitudes of :func:`aero_coefficients` at ``re``.
-        """
-        a, r = self._scales(kin)
-        k = wing.span / self.span
-        s = a * r * k
-        u = v / s
-        lift_amp, drag_zero, drag_amp = _coefficient_amplitudes(re)
-        if u * u == 0.0:
-            total = lift_amp * self.at_zero_inflow[0]
-        else:
-            (k1, k2, k3, k4, _), (k5, _) = self._moments(u)
-            total = (lift_amp * k1
-                     + u * ((drag_amp - 2.0 * lift_amp) * k2
-                            + u * ((2.0 * drag_amp - lift_amp) * k3
-                                   - u * drag_amp * k4))
-                     - (drag_zero + drag_amp) * u * k5)
-        l0, l1, l2 = self.lift_by_a
-        return 2.0 * k * k * (s * s * float(total) / self.steps
-                              + k * k * r * r * (l0 + a * (l1 + a * l2)))
-
-    def power(self, wing, kin, v, re):
-        """Cycle-mean aerodynamic power (W) of the wing pair at inflow ``v``.
 
         A cell's translational power is T v_t q (c_l u + c_d v_t), which is
         (T/q) [-D1 C v_t^4 + u (A - 2 D1) S v_t^3 + u^2 (D1 - 2A) C v_t^2
@@ -458,18 +436,30 @@ class CyclePrecompute:
         u = v / s
         lift_amp, drag_zero, drag_amp = _coefficient_amplitudes(re)
         if u * u == 0.0:
-            _, c_v3, v3 = self.at_zero_inflow
-            total = (drag_zero + drag_amp) * v3 - drag_amp * c_v3
+            s_v, c_v3, v3 = self.at_zero_inflow
+            thrust = lift_amp * s_v
+            power = (drag_zero + drag_amp) * v3 - drag_amp * c_v3
         else:
-            (k1, k2, k3, _, k6), (_, k7) = self._moments(u)
-            total = (-drag_amp * k6
+            # Sums over the cells of the moments times 1/q and times q.
+            q = np.sqrt(self.v_t_sq + u * u)
+            k1, k2, k3, k4, k6 = self.by_inverse_q @ (1.0 / q)
+            k5, k7 = self.by_q @ q
+            thrust = (lift_amp * k1
+                      + u * ((drag_amp - 2.0 * lift_amp) * k2
+                             + u * ((2.0 * drag_amp - lift_amp) * k3
+                                    - u * drag_amp * k4))
+                      - (drag_zero + drag_amp) * u * k5)
+            power = (-drag_amp * k6
                      + u * ((lift_amp - 2.0 * drag_amp) * k1
                             + u * ((drag_amp - 2.0 * lift_amp) * k2
                                    - u * lift_amp * k3))
                      + (drag_zero + drag_amp) * k7)
+        l0, l1, l2 = self.lift_by_a
         p0, p1, p2 = self.power_by_a
-        return 2.0 * k * k * (s * s * s * float(total) / self.steps
-                              + k**3 * a * r**3 * (p0 + a * (p1 + a * p2)))
+        return (2.0 * k * k * (s * s * float(thrust) / self.steps
+                               + k * k * r * r * (l0 + a * (l1 + a * l2))),
+                2.0 * k * k * (s * s * s * float(power) / self.steps
+                               + k**3 * a * r**3 * (p0 + a * (p1 + a * p2))))
 
 
 @dataclass(frozen=True)
@@ -477,8 +467,9 @@ class InducedVelocityResult:
     """Converged mean inflow with the root-search diagnostics.
 
     ``iterations`` counts evaluations of the cycle-mean thrust,
-    ``residual`` is the momentum-balance residual at ``v_induced`` and
-    ``thrust`` the pair's cycle-mean thrust (N) there (0 when a degenerate
+    ``residual`` is the momentum-balance residual at ``v_induced``, and
+    ``lift`` (N) and ``power`` (W) are the cycle-mean loads there, of the
+    pair or of one wing as the solver's ``pair`` says (0 when a degenerate
     stroke disk left nothing to evaluate).
     """
 
@@ -486,7 +477,8 @@ class InducedVelocityResult:
     iterations: int
     residual: float
     negative_thrust: bool
-    thrust: float
+    lift: float
+    power: float
 
 
 def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
@@ -506,9 +498,9 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
     ``solver`` grid of this wing or one it rescales geometrically, for
     kinematics that ``kin`` rescales; it is built when omitted.
 
-    Returns an :class:`InducedVelocityResult` that carries the thrust at
-    the returned inflow; a negative mean thrust pins the inflow at zero
-    and sets the ``negative_thrust`` flag.
+    Returns an :class:`InducedVelocityResult` that carries the lift and
+    power at the returned inflow; a negative mean thrust pins the inflow
+    at zero and sets the ``negative_thrust`` flag.
 
     Raises
     ------
@@ -519,28 +511,28 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
     """
     disk_area = kin.stroke_amplitude * wing.span**2
     if disk_area <= 0.0:
-        return InducedVelocityResult(0.0, 0, 0.0, False, 0.0)
+        return InducedVelocityResult(0.0, 0, 0.0, False, 0.0, 0.0)
     re = reynolds(wing, kin, env) if reynolds_number is None else reynolds_number
     # Absurd but finite inputs may overflow on the way; the finiteness
     # check on every thrust reports that as one error instead of warnings.
     with np.errstate(all="ignore"):
         if precompute is None:
-            precompute = CyclePrecompute.build(
-                discretize(wing, solver.n_elements), kin, env,
-                solver.steps_per_cycle)
+            precompute = CyclePrecompute.build(wing, kin, env, solver)
 
         # g falls through the root: v_lo (g > 0) lies below it, v_hi above.
         v, v_hi, previous = 0.0, None, None
         for evaluation in range(1, solver.vi_max_iter + 1):
-            thrust = precompute.thrust(wing, kin, v, re)
+            thrust, power = precompute.loads(wing, kin, v, re)
             if not math.isfinite(thrust):
                 raise RuntimeError(f"non-finite cycle-mean thrust {thrust} "
                                    f"at inflow {v:.6g} m/s")
             g = math.sqrt(max(thrust, 0.0) / (2.0 * env.rho * disk_area)) - v
             if abs(g) <= solver.vi_tol:
+                share = 1.0 if solver.pair else 0.5
                 return InducedVelocityResult(v, evaluation, abs(g),
                                              negative_thrust=thrust < 0.0,
-                                             thrust=thrust)
+                                             lift=share * thrust,
+                                             power=share * power)
             if g > 0.0:
                 v_lo = v
             else:

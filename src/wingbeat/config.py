@@ -289,7 +289,7 @@ class StudyConfig:
         amplitudes = axis("amplitude_deg",
                           math.degrees(kin.stroke_amplitude))
         areas = axis("area_cm2", wing.area * 1e4)
-        cutouts = axis("cutout", 0.0)
+        cutouts = axis("cutout", wing.cutout)
         frequencies = axis("frequency_hz", kin.frequency)
 
         known = {"wing", "kinematics", "environment", "sweep", "solver",

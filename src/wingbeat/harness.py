@@ -12,10 +12,10 @@ A sweep runs in one process, in grid order. Its points share one
 :class:`~wingbeat.aero.CyclePrecompute` per cutout, which their wing
 areas, amplitudes and frequencies rescale, and one wing per (area,
 cutout), which gives their Reynolds number and stroke disk. A point is
-one inflow solve and the power at its root, with no force pass. A
-point's ``ValueError`` or ``RuntimeError`` is recorded in its row and
-never aborts the grid. Hover trim likewise probes with inflow solves on
-one precompute.
+one inflow solve, which returns the point's lift and power, with no
+force pass. A point's ``ValueError`` or ``RuntimeError`` is recorded in
+its row and never aborts the grid. Hover trim likewise probes with
+inflow solves on one precompute.
 """
 
 from dataclasses import asdict, dataclass, fields, replace
@@ -36,7 +36,7 @@ from .aero import (
     solve_induced_velocity,
 )
 from .power import GRAM_FORCE_NEWTONS, lift_to_power
-from .wing import apply_inboard_cutout, discretize, scaled_to_area
+from .wing import apply_inboard_cutout, scaled_to_area
 
 SCHEMA_VERSION = 1
 
@@ -159,8 +159,8 @@ class SweepResult:
 
 
 def _evaluate_point(config, point, wings, precomputes):
-    """One grid point: one inflow solve and the power at its root. It
-    caches its wing in ``wings`` by (area, cutout) and the precompute of
+    """One grid point: one inflow solve, which returns its lift and power.
+    It caches its wing in ``wings`` by (area, cutout) and the precompute of
     its cutout, built on the config's wing, in ``precomputes``."""
     amplitude, area, cutout, frequency = point
     row = SweepRow(*point)
@@ -177,25 +177,20 @@ def _evaluate_point(config, point, wings, precomputes):
             shape = (config.kinematics.with_stroke_amplitude(1.0)
                      .with_frequency(1.0))
             precompute = precomputes[cutout] = CyclePrecompute.build(
-                discretize(apply_inboard_cutout(config.wing, cutout),
-                           solver.n_elements),
-                shape, env, solver.steps_per_cycle)
+                apply_inboard_cutout(config.wing, cutout), shape, env, solver)
         kin = config.kinematics.with_stroke_amplitude(
             math.radians(amplitude)).with_frequency(frequency)
         re = reynolds(wing, kin, env)
         info = solve_induced_velocity(wing, kin, env, solver,
                                       reynolds_number=re,
                                       precompute=precompute)
-        share = 1.0 if solver.pair else 0.5
-        lift = share * info.thrust
-        power = share * precompute.power(wing, kin, info.v_induced, re)
         return replace(
             row,
-            mean_lift_gf=lift / GRAM_FORCE_NEWTONS,
-            aero_power_w=power,
+            mean_lift_gf=info.lift / GRAM_FORCE_NEWTONS,
+            aero_power_w=info.power,
             v_induced_m_s=info.v_induced,
             reynolds=re,
-            lift_to_power_gf_w=lift_to_power(lift, power),
+            lift_to_power_gf_w=lift_to_power(info.lift, info.power),
             vi_iterations=info.iterations)
     except (ValueError, RuntimeError) as exc:  # record, never abort
         return replace(row, error=str(exc))
@@ -259,20 +254,25 @@ class TrimResult:
                            for f, lift, n in self.probes]}
 
 
+# Hover trim stops within this relative lift error of the target, and
+# gives up after this many probes after the first.
+TRIM_REL_TOL = 1e-4
+TRIM_MAX_ITER = 60
+
+
 def hover_trim(wing, kin, env, target_lift, f_lo, f_hi,
-               solver=SolverSettings(), rel_tol=1e-4, max_iter=60):
+               solver=SolverSettings()):
     """Flapping frequency in [f_lo, f_hi] whose cycle-mean lift hits a target.
 
     The kinematics are time-rescaled at each probe frequency, and a probe
-    is one inflow solve on a cycle precompute shared by all probes: its
-    lift is the cycle-mean thrust at the solved inflow (halved for a
-    single wing), as ``simulate_cycle`` reports it.
+    is one inflow solve on a cycle precompute shared by all probes, whose
+    lift at the solved inflow is the one ``simulate_cycle`` reports.
     Lift grows almost exactly as f^2, so the search is a secant in
     (ln f, ln L): from ``f_lo`` it steps to f_lo * sqrt(L* / L(f_lo)),
     then through the two latest probes. A step that would leave the
     bracket, or a lift <= 0, falls back to the geometric mean of the
     bracket; ``f_hi`` is probed only when a step would reach it. The
-    search stops at the first probe within ``rel_tol`` of the target
+    search stops at the first probe within ``TRIM_REL_TOL`` of the target
     (N, for the configured single/pair setting), which the lifts at the
     two bounds must bracket.
     """
@@ -283,9 +283,8 @@ def hover_trim(wing, kin, env, target_lift, f_lo, f_hi,
 
     probes = []
     # Every probe rescales one grid, built at the first probe's frequency.
-    precompute = CyclePrecompute.build(
-        discretize(wing, solver.n_elements), kin.with_frequency(f_lo), env,
-        solver.steps_per_cycle)
+    precompute = CyclePrecompute.build(wing, kin.with_frequency(f_lo), env,
+                                       solver)
 
     def lift_at(f):
         # Reynolds first: a zero stroke raises here, where the inflow solve
@@ -294,12 +293,11 @@ def hover_trim(wing, kin, env, target_lift, f_lo, f_hi,
         info = solve_induced_velocity(
             wing, kin_f, env, solver,
             reynolds_number=reynolds(wing, kin_f, env), precompute=precompute)
-        lift = info.thrust if solver.pair else 0.5 * info.thrust
-        probes.append((f, lift, info.iterations))
-        return lift
+        probes.append((f, info.lift, info.iterations))
+        return info.lift
 
     def trimmed(f, lift):
-        if abs(lift - target_lift) < rel_tol * target_lift:
+        if abs(lift - target_lift) < TRIM_REL_TOL * target_lift:
             return TrimResult(f, lift, target_lift, tuple(probes))
         return None
 
@@ -332,7 +330,7 @@ def hover_trim(wing, kin, env, target_lift, f_lo, f_hi,
     f, lift = f_lo, lift_lo
     x_next = (math.log(f_lo) + 0.5 * math.log(target_lift / lift_lo)
               if lift_lo > 0.0 else math.nan)
-    for _ in range(max_iter):
+    for _ in range(TRIM_MAX_ITER):
         if not hi_probed and x_next >= math.log(f_hi):
             f_next = f_hi
         elif math.log(lo) < x_next < math.log(hi):
@@ -351,8 +349,8 @@ def hover_trim(wing, kin, env, target_lift, f_lo, f_hi,
         x_next = log_secant(f, lift, f_next, lift_next)
         f, lift = f_next, lift_next
     raise ComputeError(
-        f"hover trim did not converge within {max_iter} probes after the "
-        f"first")
+        f"hover trim did not converge within {TRIM_MAX_ITER} probes after "
+        f"the first")
 
 
 @dataclass(frozen=True)
@@ -397,7 +395,7 @@ class CutoutStudy:
         write_json(path, self.summary())
 
 
-def run_cutout_study(wing, kin, env, cutout=0.25, frequency_hz=17.3,
+def run_cutout_study(wing, kin, env, cutout, frequency_hz,
                      solver=SolverSettings()):
     """Simulate the intact and inboard-cutout wings at the same kinematics."""
     kin = kin.with_frequency(frequency_hz)

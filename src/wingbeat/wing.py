@@ -218,7 +218,6 @@ class BladeElements:
     pitch_axis: np.ndarray
     area_scale: np.ndarray
     span_fraction: np.ndarray
-    root_offset: float
     span: float
 
     def __len__(self):
@@ -254,5 +253,4 @@ def discretize(wing, n=20):
                          pitch_axis=pitch,
                          area_scale=scale,
                          span_fraction=mid / wing.span,
-                         root_offset=wing.root_offset,
                          span=wing.span)

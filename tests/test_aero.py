@@ -260,8 +260,7 @@ def test_rescaled_precompute_matches_full_path(shape, cutout):
     base = shape(17.3)
     reference = standard_wing(25.5)
     precompute = CyclePrecompute.build(
-        discretize(apply_inboard_cutout(reference, cutout), 20),
-        base, ENV, 720)
+        apply_inboard_cutout(reference, cutout), base, ENV, SolverSettings())
     for area in (20.1, 25.5, 31.4):
         wing = apply_inboard_cutout(scaled_to_area(reference, area * 1e-4),
                                     cutout)
@@ -272,25 +271,26 @@ def test_rescaled_precompute_matches_full_path(shape, cutout):
                     a * base.stroke_amplitude).with_frequency(r * 17.3)
                 re = reynolds(wing, kin, ENV)
                 for v in (0.0, 0.6, 1.87, 3.5):
-                    assert precompute.thrust(wing, kin, v, re) \
+                    assert precompute.loads(wing, kin, v, re)[0] \
                         == pytest.approx(pair_mean_thrust(
                             elements, kin, ENV, 720, v, re), rel=1e-12)
                     cycle = simulate_cycle(wing, kin, ENV, induced_velocity=v,
                                            reynolds_number=re)
-                    assert precompute.power(wing, kin, v, re) \
+                    assert precompute.loads(wing, kin, v, re)[1] \
                         == pytest.approx(cycle.mean_aero_power, rel=1e-12)
 
 
 def test_precompute_rejects_kinematics_of_another_shape():
     base = beetle_kinematics(17.3, 190.0)
     wing = standard_wing(25.5)
-    precompute = CyclePrecompute.build(discretize(wing, 10), base, ENV, 72)
+    precompute = CyclePrecompute.build(
+        wing, base, ENV, SolverSettings(steps_per_cycle=72, n_elements=10))
     re = reynolds(wing, base, ENV)
     reversed_stroke = replace(base, stroke=base.stroke.scaled(-1.0))
     more_twist = beetle_kinematics(17.3, 190.0, tip_twist_deg=50.0)
     for kin in (reversed_stroke, more_twist):
         with pytest.raises(ValueError, match="not a rescaling"):
-            precompute.thrust(wing, kin, 1.0, re)
+            precompute.loads(wing, kin, 1.0, re)
 
 
 def test_induced_velocity_sweep_corners():
@@ -327,7 +327,7 @@ def test_pinned_inflow_is_the_momentum_root():
 def test_cycle_inflow_matches_standalone_solve():
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
-    precompute = CyclePrecompute.build(discretize(wing, 20), kin, ENV, 720)
+    precompute = CyclePrecompute.build(wing, kin, ENV, SolverSettings())
     alone = solve_induced_velocity(wing, kin, ENV)
     given = solve_induced_velocity(wing, kin, ENV, precompute=precompute)
     cycle = simulate_cycle(wing, kin, ENV)
@@ -353,7 +353,24 @@ def test_induced_velocity_reports_thrust_at_the_root():
     result = solve_induced_velocity(wing, kin, ENV)
     thrust = pair_mean_thrust(discretize(wing, 20), kin, ENV, 720,
                               result.v_induced, reynolds(wing, kin, ENV))
-    assert result.thrust == pytest.approx(thrust, rel=1e-12)
+    assert result.lift == pytest.approx(thrust, rel=1e-12)
+
+
+@pytest.mark.parametrize("cutout", [0.0, 0.3])
+@pytest.mark.parametrize("pair", [True, False])
+@pytest.mark.parametrize("shape", [beetle_kinematics, lopsided_kinematics])
+def test_induced_velocity_reports_lift_and_power_at_the_root(shape, pair,
+                                                              cutout):
+    # The solve's lift and power are those of a force pass at its inflow,
+    # for the pair or for one wing as the solver says.
+    wing = apply_inboard_cutout(standard_wing(25.5), cutout)
+    kin = shape(17.3)
+    solver = SolverSettings(pair=pair)
+    result = solve_induced_velocity(wing, kin, ENV, solver)
+    cycle = simulate_cycle(wing, kin, ENV, solver,
+                           induced_velocity=result.v_induced)
+    assert result.lift == pytest.approx(cycle.mean_lift, rel=1e-12)
+    assert result.power == pytest.approx(cycle.mean_aero_power, rel=1e-12)
 
 
 def test_induced_velocity_density_invariance():

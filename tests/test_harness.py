@@ -65,6 +65,21 @@ def test_config_defaults_axes_from_base():
     assert config.frequencies_hz == (17.3,)
 
 
+def test_sweep_cutout_axis_defaults_to_the_wings_cutout():
+    cut = apply_inboard_cutout(standard_wing(25.5), 0.3)
+    doc = base_config_dict(wing=wing_to_config(cut),
+                           sweep={"amplitude_deg": [190.0]})
+    config = StudyConfig.from_dict(doc)
+    assert config.cutouts == (0.3,)
+    assert StudyConfig.from_dict(config.to_dict()) == config
+    (row,) = run_sweep(config).rows
+    assert row.cutout_span_fraction == 0.3
+    cycle = simulate_cycle(cut, config.kinematics.with_stroke_amplitude(
+        math.radians(190.0)), config.environment, config.solver)
+    assert row.mean_lift_gf == pytest.approx(
+        cycle.mean_lift / GRAM_FORCE_NEWTONS, rel=1e-12)
+
+
 def test_config_validation_errors():
     with pytest.raises(ConfigError, match="wing"):
         StudyConfig.from_dict({"kinematics": {}})
@@ -232,13 +247,12 @@ def test_sweep_rows_match_per_point_cycles(pair):
 
 def count_discretize(monkeypatch):
     calls = []
-    real = harness.discretize
+    real = aero.discretize
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "discretize", counting)
     monkeypatch.setattr(aero, "discretize", counting)
     return calls
 
@@ -253,6 +267,24 @@ def test_sweep_discretizes_once_per_cutout(monkeypatch):
     assert len(rows) == 24
     assert all(row.error is None for row in rows)
     assert calls == [10] * 2
+
+
+def test_sweep_evaluates_loads_once_per_inflow_iterate(monkeypatch):
+    calls = []
+    loads = aero.CyclePrecompute.loads
+
+    def counting(self, *args):
+        calls.append(args[2])
+        return loads(self, *args)
+
+    monkeypatch.setattr(aero.CyclePrecompute, "loads", counting)
+    doc = base_config_dict(sweep={"amplitude_deg": [120.0, 190.0],
+                                  "area_cm2": [20.1, 31.4],
+                                  "cutout": [0.0, 0.3],
+                                  "frequency_hz": [12.0, 24.0]})
+    rows = run_sweep(StudyConfig.from_dict(doc)).rows
+    assert all(row.error is None for row in rows)
+    assert len(calls) == sum(row.vi_iterations for row in rows)
 
 
 def test_cli_import_leaves_process_pool_out():
@@ -439,9 +471,9 @@ def test_hover_trim_single_wing():
     assert trim.probes == tuple((f, 0.5 * lift, n)
                                 for f, lift, n in pair.probes)
     at_trim = kin.with_frequency(trim.frequency_hz)
-    thrust = harness.solve_induced_velocity(wing, at_trim, ENV,
-                                            solver).thrust
-    assert trim.mean_lift == pytest.approx(0.5 * thrust, rel=1e-12)
+    pair_lift = harness.solve_induced_velocity(
+        wing, at_trim, ENV, replace(solver, pair=True)).lift
+    assert trim.mean_lift == pytest.approx(0.5 * pair_lift, rel=1e-12)
     single = simulate_cycle(wing, at_trim, ENV, solver).mean_lift
     assert abs(single - target) <= 1e-4 * target
 
