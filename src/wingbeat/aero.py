@@ -469,8 +469,9 @@ class InducedVelocityResult:
     ``iterations`` counts evaluations of the cycle-mean thrust,
     ``residual`` is the momentum-balance residual at ``v_induced``, and
     ``lift`` (N) and ``power`` (W) are the cycle-mean loads there, of the
-    pair or of one wing as the solver's ``pair`` says (0 when a degenerate
-    stroke disk left nothing to evaluate).
+    pair or of one wing as the solver's ``pair`` says. They are all 0
+    when the stroke disk is empty, which a wing with a valid Reynolds
+    number reaches only when its squared span underflows.
     """
 
     v_induced: float
@@ -482,7 +483,7 @@ class InducedVelocityResult:
 
 
 def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
-                           reynolds_number=None, precompute=None):
+                           precompute=None):
     """Solve momentum/blade-element balance for the mean inflow.
 
     The inflow is the root of g(Vi) = sqrt(max(T, 0) / (2 rho A)) - Vi,
@@ -496,7 +497,8 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
 
     ``precompute`` is a :class:`CyclePrecompute` in ``env`` on the
     ``solver`` grid of this wing or one it rescales geometrically, for
-    kinematics that ``kin`` rescales; it is built when omitted.
+    kinematics that ``kin`` rescales; it is built when omitted. The force
+    coefficients are taken at the stroke-based Reynolds number.
 
     Returns an :class:`InducedVelocityResult` that carries the lift and
     power at the returned inflow; a negative mean thrust pins the inflow
@@ -504,15 +506,17 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
 
     Raises
     ------
+    ValueError
+        If :func:`reynolds` finds none, as for a zero stroke.
     RuntimeError
         If the thrust is not finite, or no inflow meets ``vi_tol`` within
         ``vi_max_iter`` thrust evaluations (the message reports the last
         residual).
     """
+    re = reynolds(wing, kin, env)
     disk_area = kin.stroke_amplitude * wing.span**2
     if disk_area <= 0.0:
         return InducedVelocityResult(0.0, 0, 0.0, False, 0.0, 0.0)
-    re = reynolds(wing, kin, env) if reynolds_number is None else reynolds_number
     # Absurd but finite inputs may overflow on the way; the finiteness
     # check on every thrust reports that as one error instead of warnings.
     with np.errstate(all="ignore"):
@@ -587,8 +591,9 @@ class CycleResult:
 
 
 def simulate_cycle(wing, kin, env, solver=SolverSettings(),
-                   induced_velocity=None, reynolds_number=None):
-    """March one flapping cycle and accumulate cycle-average loads.
+                   induced_velocity=None):
+    """March one flapping cycle and accumulate cycle-average loads at the
+    stroke-based Reynolds number (:func:`reynolds`), which raises if none.
 
     Parameters
     ----------
@@ -599,11 +604,9 @@ def simulate_cycle(wing, kin, env, solver=SolverSettings(),
         Cycle grid, pair flag, and inflow-search limits.
     induced_velocity : float, optional
         Fix the mean inflow instead of solving for it.
-    reynolds_number : float, optional
-        Override the stroke-based Reynolds number.
     """
     elements = discretize(wing, solver.n_elements)
-    re = reynolds(wing, kin, env) if reynolds_number is None else reynolds_number
+    re = reynolds(wing, kin, env)
     vi_info = None
     # As in the inflow solve: absurd inputs end in its one error message.
     with np.errstate(all="ignore"):
@@ -611,9 +614,8 @@ def simulate_cycle(wing, kin, env, solver=SolverSettings(),
                                        0.0)
         if induced_velocity is None:
             vi_info = solve_induced_velocity(
-                wing, kin, env, solver, reynolds_number=re,
-                precompute=CyclePrecompute.from_state(state, kin, env,
-                                                      elements.span))
+                wing, kin, env, solver, precompute=CyclePrecompute.from_state(
+                    state, kin, env, elements.span))
             induced_velocity = vi_info.v_induced
 
     state = replace(state, v_induced=induced_velocity)

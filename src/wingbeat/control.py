@@ -103,7 +103,6 @@ class ControllerConfig:
     kd: float
     cutoff_hz: float = 10.0
     plant_gain: float = 1.0
-    rate_setpoint: float = 0.0
     setpoint_schedule: tuple = ((0.0, 0.0),)
 
     def setpoint_at(self, t):
@@ -143,13 +142,13 @@ class ControlTrace:
 
 
 def simulate_closed_loop(plant, config, duration, dt,
-                         gyro_sigma=0.0, gyro_bias=0.0, seed=0,
-                         psi_est0=0.0):
+                         gyro_sigma=0.0, gyro_bias=0.0, seed=0):
     """Run the yaw loop against a noisy gyro on an inertia plant.
 
     Per step: sample the gyro (true rate + bias + Gaussian noise), low-pass
     it, integrate the filtered rate into the heading estimate, form the PD
-    command, and apply plant_gain * command as torque.
+    command, and apply plant_gain * command as torque. The heading
+    estimate starts at 0, and the rate setpoint is 0.
 
     The loop is the per-step law of :class:`LowPassFilter`,
     :func:`integrate_yaw`, :func:`yaw_control_output`,
@@ -175,7 +174,6 @@ def simulate_closed_loop(plant, config, duration, dt,
     beta = LowPassFilter(low_pass_coefficient(config.cutoff_hz, dt)).beta
     keep = 1.0 - beta
     kp, kd, gain = config.kp, config.kd, config.plant_gain
-    rate_setpoint = config.rate_setpoint
     inertia, disturbance = plant.inertia, plant.disturbance
     noisy = gyro_sigma > 0.0
     # setpoint_at as a lookup: entry j is reached once t is at or past
@@ -192,7 +190,7 @@ def simulate_closed_loop(plant, config, duration, dt,
     omega = np.empty(n)
     control = np.empty(n)
 
-    psi, rate, estimate, y = plant.psi, plant.omega, psi_est0, 0.0
+    psi, rate, estimate, y = plant.psi, plant.omega, 0.0, 0.0
     isfinite = math.isfinite
     try:
         for start in range(0, n, CHUNK_STEPS):
@@ -208,8 +206,8 @@ def simulate_closed_loop(plant, config, duration, dt,
                     measured += noise[i]
                 y = keep * y + beta * measured
                 estimate = estimate + y * dt
-                command = (kp * (setpoints[i] - estimate)
-                           + kd * (rate_setpoint - y))
+                # Zero rate setpoint as 0.0 - y: -y would give -0.0 at y = 0.
+                command = kp * (setpoints[i] - estimate) + kd * (0.0 - y)
                 psi_true[k] = psi
                 psi_est[k] = estimate
                 omega[k] = rate

@@ -166,6 +166,9 @@ def _evaluate_point(config, point, wings, precomputes):
     row = SweepRow(*point)
     solver, env = config.solver, config.environment
     try:
+        if cutout < config.wing.cutout:
+            raise ValueError(f"sweep cutout {cutout} lies inside the wing's "
+                             f"own cutout {config.wing.cutout}")
         wing = wings.get((area, cutout))
         if wing is None:
             wing = wings[area, cutout] = apply_inboard_cutout(
@@ -180,16 +183,14 @@ def _evaluate_point(config, point, wings, precomputes):
                 apply_inboard_cutout(config.wing, cutout), shape, env, solver)
         kin = config.kinematics.with_stroke_amplitude(
             math.radians(amplitude)).with_frequency(frequency)
-        re = reynolds(wing, kin, env)
         info = solve_induced_velocity(wing, kin, env, solver,
-                                      reynolds_number=re,
                                       precompute=precompute)
         return replace(
             row,
             mean_lift_gf=info.lift / GRAM_FORCE_NEWTONS,
             aero_power_w=info.power,
             v_induced_m_s=info.v_induced,
-            reynolds=re,
+            reynolds=reynolds(wing, kin, env),
             lift_to_power_gf_w=lift_to_power(info.lift, info.power),
             vi_iterations=info.iterations)
     except (ValueError, RuntimeError) as exc:  # record, never abort
@@ -287,12 +288,8 @@ def hover_trim(wing, kin, env, target_lift, f_lo, f_hi,
                                        solver)
 
     def lift_at(f):
-        # Reynolds first: a zero stroke raises here, where the inflow solve
-        # alone would return zero thrust for its degenerate disk.
-        kin_f = kin.with_frequency(f)
-        info = solve_induced_velocity(
-            wing, kin_f, env, solver,
-            reynolds_number=reynolds(wing, kin_f, env), precompute=precompute)
+        info = solve_induced_velocity(wing, kin.with_frequency(f), env,
+                                      solver, precompute=precompute)
         probes.append((f, info.lift, info.iterations))
         return info.lift
 
@@ -397,10 +394,15 @@ class CutoutStudy:
 
 def run_cutout_study(wing, kin, env, cutout, frequency_hz,
                      solver=SolverSettings()):
-    """Simulate the intact and inboard-cutout wings at the same kinematics."""
+    """Simulate the intact and inboard-cutout wings at the same kinematics.
+
+    The intact wing is ``wing`` with its whole membrane, whatever cutout
+    ``wing`` has; the modified wing is the intact one cut at ``cutout``.
+    """
     kin = kin.with_frequency(frequency_hz)
-    intact = simulate_cycle(wing, kin, env, solver)
-    modified = simulate_cycle(apply_inboard_cutout(wing, cutout), kin, env,
+    whole = replace(wing, cutout=0.0)
+    intact = simulate_cycle(whole, kin, env, solver)
+    modified = simulate_cycle(apply_inboard_cutout(whole, cutout), kin, env,
                               solver)
     return CutoutStudy(cutout=cutout, frequency_hz=frequency_hz,
                        intact=intact, modified=modified,

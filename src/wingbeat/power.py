@@ -84,19 +84,19 @@ class WingMassModel:
         return float(sum(self.masses))
 
     @classmethod
-    def point_mass(cls, mass, radius, span_fraction=1.0, pitch_offset=0.0):
+    def point_mass(cls, mass, radius):
+        """One lumped mass at arm ``radius`` on the tip's pitching axis."""
         return cls(masses=(float(mass),), radii=(float(radius),),
-                   span_fractions=(float(span_fraction),),
-                   pitch_offsets=(float(pitch_offset),))
+                   span_fractions=(1.0,), pitch_offsets=(0.0,))
 
     @classmethod
-    def from_wing(cls, wing, total_mass, n=20, cg_chord_fraction=0.25):
-        """Distribute a wing-pair mass over blade elements by membrane area.
+    def from_wing(cls, wing, total_mass):
+        """Distribute a wing-pair mass over 20 blade elements by membrane area.
 
-        The chordwise CG of each lump sits ``cg_chord_fraction`` of the
-        local chord behind the pitching axis.
+        The chordwise CG of each lump sits a quarter of the local chord
+        behind the pitching axis.
         """
-        elements = discretize(wing, n)
+        elements = discretize(wing, 20)
         weights = elements.chord * elements.area_scale * elements.width
         if weights.sum() <= 0.0:
             weights = np.ones_like(weights)
@@ -104,7 +104,7 @@ class WingMassModel:
         return cls(masses=tuple(masses),
                    radii=tuple(elements.radius),
                    span_fractions=tuple(elements.span_fraction),
-                   pitch_offsets=tuple(cg_chord_fraction * elements.chord))
+                   pitch_offsets=tuple(0.25 * elements.chord))
 
 
 @dataclass(frozen=True)
@@ -122,22 +122,23 @@ class InertialPowerResult:
     series: np.ndarray
 
 
-def inertial_power(mass_model, kin, steps=720):
-    """Cycle-mean inertial power of a rigid wing under given kinematics.
+def inertial_power(mass_model, kin):
+    """Cycle-mean inertial power of a rigid wing under given kinematics,
+    on 720 uniform steps of one cycle.
 
     Sums, over lumped masses, the stroke term m r^2 * stroke_accel *
     stroke_rate and the pitching term m d^2 * rot_accel * rot_rate at the
     local span station. The station series are evaluated once and
     weighted per mass as :meth:`WingKinematics.rotation_at` weights them.
     """
-    t = np.arange(steps) / (steps * kin.frequency)
+    t = np.arange(720) / (720 * kin.frequency)
     stroke_rate = kin.stroke.eval(t, 1)
     stroke_accel = kin.stroke.eval(t, 2)
     station_rate = kin.station_series(t, 1)
     station_accel = kin.station_series(t, 2)
     station_weights = kin.station_weights(mass_model.span_fractions)
 
-    power = np.zeros(steps)
+    power = np.zeros_like(t)
     for m, r, weights, d in zip(mass_model.masses, mass_model.radii,
                                 station_weights, mass_model.pitch_offsets):
         power += m * r * r * stroke_accel * stroke_rate
@@ -191,12 +192,11 @@ class PowerBudget:
         return json.dumps(self.as_dict(), allow_nan=False, **kwargs)
 
 
-def decompose(p_in, current, motor, p_aero, p_inertial,
-              aero_provenance="modeled", inertial_provenance="modeled"):
+def decompose(p_in, current, motor, p_aero, p_inertial):
     """Build a :class:`PowerBudget` from measured input power and current.
 
     The Joule loss follows from the motor resistance; the mechanism power
-    is whatever remains.
+    is whatever remains. The aerodynamic and inertial terms are modeled.
     """
     if p_in < 0.0:
         raise ValueError("input power must be non-negative")
@@ -206,8 +206,8 @@ def decompose(p_in, current, motor, p_aero, p_inertial,
         ("p_in_w", "measured"),
         ("p_loss_w", "modeled"),
         ("p_mechanism_w", "residual"),
-        ("p_aero_w", aero_provenance),
-        ("p_inertial_w", inertial_provenance),
+        ("p_aero_w", "modeled"),
+        ("p_inertial_w", "modeled"),
     )
     return PowerBudget(p_in=p_in, p_loss=p_loss, p_mechanism=p_mechanism,
                        p_aero=p_aero, p_inertial=p_inertial,

@@ -29,33 +29,31 @@ STANDARD_TIP_TWIST_DEG = 60.0
 STANDARD_TIP_LAG_DEG = 45.0
 
 
-def standard_wing(area_cm2=25.5, aspect_ratio=STANDARD_ASPECT_RATIO,
-                  root_offset=STANDARD_ROOT_OFFSET, pitch_axis=0.25):
+def standard_wing(area_cm2=25.5):
     """Tapered single wing of the given membrane area at fixed aspect ratio.
 
-    The span follows from R = sqrt(AR * S); 25.5 cm^2 at AR 3.2 gives a
-    9 cm wing, the baseline of the study set (20.1 / 25.5 / 31.4 cm^2).
+    The span follows from R = sqrt(AR * S) at ``STANDARD_ASPECT_RATIO``;
+    25.5 cm^2 at AR 3.2 gives a 9 cm wing, the baseline of the study set
+    (20.1 / 25.5 / 31.4 cm^2). The root sits ``STANDARD_ROOT_OFFSET`` from
+    the flapping axis, and the wing pitches about its quarter chord.
     """
     area = area_cm2 * 1e-4
     if area <= 0.0:
         raise ValueError("wing area must be positive")
-    span = math.sqrt(aspect_ratio * area)
+    span = math.sqrt(STANDARD_ASPECT_RATIO * area)
     rel_area = sum(0.5 * (c0 + c1) * (s1 - s0) for (s0, c0), (s1, c1)
                    in zip(zip(_PLANFORM_FRACTIONS, _PLANFORM_REL_CHORD),
                           zip(_PLANFORM_FRACTIONS[1:], _PLANFORM_REL_CHORD[1:])))
     peak_chord = area / (span * rel_area)
     breakpoints = [(s * span, rc * peak_chord)
                    for s, rc in zip(_PLANFORM_FRACTIONS, _PLANFORM_REL_CHORD)]
-    wing = build_wing(breakpoints, root_offset=root_offset,
-                      pitch_axis=pitch_axis)
+    wing = build_wing(breakpoints, root_offset=STANDARD_ROOT_OFFSET)
     return scaled_to_area(wing, area)
 
 
-def rectangular_wing(span=0.09, chord=0.028333, root_offset=0.0,
-                     pitch_axis=0.25):
-    """Constant-chord wing, handy for analytic checks."""
-    return build_wing([(0.0, chord), (span, chord)], root_offset=root_offset,
-                      pitch_axis=pitch_axis)
+def rectangular_wing(span=0.09, chord=0.028333):
+    """Constant-chord wing on the flapping axis, pitching at quarter chord."""
+    return build_wing([(0.0, chord), (span, chord)])
 
 
 def _rotation_series(twist_deg, lag_deg, frequency):
@@ -69,18 +67,15 @@ def _rotation_series(twist_deg, lag_deg, frequency):
 
 
 def beetle_kinematics(frequency_hz=17.3, amplitude_deg=190.0,
-                      inboard_twist_deg=STANDARD_INBOARD_TWIST_DEG,
-                      tip_twist_deg=STANDARD_TIP_TWIST_DEG,
-                      tip_lag_deg=STANDARD_TIP_LAG_DEG,
-                      inboard_station=STANDARD_INBOARD_STATION):
+                      tip_twist_deg=STANDARD_TIP_TWIST_DEG):
     """Synthetic twisted-wing kinematics for the hover studies.
 
     Stroke: single harmonic with the requested peak-to-peak amplitude.
     Rotation: mean 90 degrees everywhere; the first-harmonic twist grows
-    from ``inboard_twist_deg`` at the inboard station to ``tip_twist_deg``
-    at the tip, and the tip rotation lags the stroke by ``tip_lag_deg``
-    of phase (the root spar is driven rigidly, so the lag is zero
-    inboard and interpolates outboard).
+    from ``STANDARD_INBOARD_TWIST_DEG`` at the ``STANDARD_INBOARD_STATION``
+    span fraction to ``tip_twist_deg`` at the tip, and the tip rotation
+    lags the stroke by ``STANDARD_TIP_LAG_DEG`` of phase (the root spar is
+    driven rigidly, so the lag is zero inboard and interpolates outboard).
     """
     if not 0.0 < tip_twist_deg < 90.0:
         raise ValueError("tip twist must lie in (0, 90) degrees")
@@ -88,7 +83,8 @@ def beetle_kinematics(frequency_hz=17.3, amplitude_deg=190.0,
                            b=(math.radians(amplitude_deg) / 2.0,),
                            frequency=frequency_hz)
     return WingKinematics(stroke=stroke, rotation_stations=(
-        (inboard_station, _rotation_series(inboard_twist_deg, 0.0,
-                                           frequency_hz)),
-        (1.0, _rotation_series(tip_twist_deg, tip_lag_deg, frequency_hz)),
+        (STANDARD_INBOARD_STATION,
+         _rotation_series(STANDARD_INBOARD_TWIST_DEG, 0.0, frequency_hz)),
+        (1.0, _rotation_series(tip_twist_deg, STANDARD_TIP_LAG_DEG,
+                               frequency_hz)),
     ))

@@ -228,7 +228,7 @@ class BladeElements:
         return float(np.sum(self.chord * self.area_scale * self.width))
 
 
-def discretize(wing, n=20):
+def discretize(wing, n):
     """Split a wing into ``n`` equal-width spanwise elements.
 
     Element chords are taken at midpoints; ``area_scale`` is the exact

@@ -226,9 +226,8 @@ def test_induced_velocity_zero_kinematics():
         stroke=FourierSeries(0.0, (0.0,), (0.0,), 17.3),
         rotation_stations=((1.0, FourierSeries(math.pi / 2, (0.0,), (0.0,),
                                                17.3)),))
-    result = solve_induced_velocity(wing, kin, ENV)
-    assert result.v_induced == 0.0
-    assert not result.negative_thrust
+    with pytest.raises(ValueError, match="degenerate kinematics"):
+        solve_induced_velocity(wing, kin, ENV)
 
 
 def momentum_residual(wing, kin, env, v, steps=720, n_elements=20):
@@ -274,8 +273,7 @@ def test_rescaled_precompute_matches_full_path(shape, cutout):
                     assert precompute.loads(wing, kin, v, re)[0] \
                         == pytest.approx(pair_mean_thrust(
                             elements, kin, ENV, 720, v, re), rel=1e-12)
-                    cycle = simulate_cycle(wing, kin, ENV, induced_velocity=v,
-                                           reynolds_number=re)
+                    cycle = simulate_cycle(wing, kin, ENV, induced_velocity=v)
                     assert precompute.loads(wing, kin, v, re)[1] \
                         == pytest.approx(cycle.mean_aero_power, rel=1e-12)
 
@@ -377,10 +375,9 @@ def test_induced_velocity_density_invariance():
     # Thrust scales with rho, so rho cancels out of the fixed point.
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
-    re = reynolds(wing, kin, ENV)
-    v1 = solve_induced_velocity(wing, kin, ENV, reynolds_number=re).v_induced
+    v1 = solve_induced_velocity(wing, kin, ENV).v_induced
     dense = AeroEnvironment(rho=4 * ENV.rho, nu=ENV.nu)
-    v4 = solve_induced_velocity(wing, kin, dense, reynolds_number=re).v_induced
+    v4 = solve_induced_velocity(wing, kin, dense).v_induced
     assert abs(v4 - v1) < 5e-6
 
 
@@ -394,10 +391,11 @@ def test_induced_velocity_nonconvergence_raises():
 
 
 def test_induced_velocity_non_finite_thrust_raises():
-    wing = standard_wing(25.5)
+    # A finite but absurd chord overflows the thrust to nan.
+    wing = build_wing([(0.0, 0.02), (0.09, 1e300)])
     kin = beetle_kinematics(17.3, 190.0)
-    with pytest.raises(RuntimeError, match="non-finite"):
-        solve_induced_velocity(wing, kin, ENV, reynolds_number=math.nan)
+    with pytest.raises(RuntimeError, match="non-finite cycle-mean thrust nan"):
+        solve_induced_velocity(wing, kin, ENV)
 
 
 def inverted_twist_kinematics(f=17.3):
@@ -485,11 +483,9 @@ def test_pair_doubles_single_wing():
 def test_density_linearity_at_fixed_inflow():
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
-    re = reynolds(wing, kin, ENV)
-    base = simulate_cycle(wing, kin, ENV, induced_velocity=1.5,
-                          reynolds_number=re)
+    base = simulate_cycle(wing, kin, ENV, induced_velocity=1.5)
     dense = simulate_cycle(wing, kin, AeroEnvironment(rho=4 * ENV.rho),
-                           induced_velocity=1.5, reynolds_number=re)
+                           induced_velocity=1.5)
     assert np.allclose(dense.spanwise_lift, 4 * base.spanwise_lift, rtol=1e-14)
     assert np.allclose(dense.spanwise_power, 4 * base.spanwise_power,
                        rtol=1e-14)
@@ -498,11 +494,11 @@ def test_density_linearity_at_fixed_inflow():
 def test_frequency_squared_scaling_without_inflow():
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
-    re = reynolds(wing, kin, ENV)
-    base = simulate_cycle(wing, kin, ENV, induced_velocity=0.0,
-                          reynolds_number=re)
-    double = simulate_cycle(wing, kin.with_frequency(34.6), ENV,
-                            induced_velocity=0.0, reynolds_number=re)
+    base = simulate_cycle(wing, kin, ENV, induced_velocity=0.0)
+    # Twice the viscosity holds the Reynolds number at twice the frequency.
+    double = simulate_cycle(wing, kin.with_frequency(34.6),
+                            AeroEnvironment(rho=ENV.rho, nu=2 * ENV.nu),
+                            induced_velocity=0.0)
     assert double.mean_lift == pytest.approx(4 * base.mean_lift, rel=1e-6)
     # Power carries one extra factor of frequency: force x velocity.
     assert double.mean_aero_power == pytest.approx(8 * base.mean_aero_power,
@@ -512,12 +508,12 @@ def test_frequency_squared_scaling_without_inflow():
 def test_membrane_removal_never_raises_lift():
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
-    re = reynolds(wing, kin, ENV)
     lifts = []
     for cutout in (0.0, 0.2, 0.4, 0.6):
         cut = apply_inboard_cutout(wing, cutout) if cutout else wing
-        result = simulate_cycle(cut, kin, ENV, induced_velocity=1.5,
-                                reynolds_number=re)
+        # The viscosity scales with the area, holding the Reynolds number.
+        air = AeroEnvironment(rho=ENV.rho, nu=ENV.nu * cut.area / wing.area)
+        result = simulate_cycle(cut, kin, air, induced_velocity=1.5)
         lifts.append(abs(result.mean_lift))
     assert all(b <= a + 1e-15 for a, b in zip(lifts, lifts[1:]))
 
@@ -573,10 +569,11 @@ def test_compare_chord_doubling_doubles_translational_lift():
     kin = WingKinematics(stroke, ((1.0, rot),))
     thin = build_wing([(0.0, 0.02), (0.09, 0.02)], pitch_axis=0.5)
     thick = build_wing([(0.0, 0.04), (0.09, 0.04)], pitch_axis=0.5)
-    a = simulate_cycle(thin, kin, ENV, induced_velocity=0.0,
-                       reynolds_number=1.95e4)
-    b = simulate_cycle(thick, kin, ENV, induced_velocity=0.0,
-                       reynolds_number=1.95e4)
+    # Twice the viscosity holds the Reynolds number of the thick wing.
+    a = simulate_cycle(thin, kin, ENV, induced_velocity=0.0)
+    b = simulate_cycle(thick, kin, AeroEnvironment(rho=ENV.rho,
+                                                   nu=2 * ENV.nu),
+                       induced_velocity=0.0)
     deltas = compare_wings(a, b)
     assert deltas.lift_delta == pytest.approx(1.0, rel=1e-9)
 
@@ -688,11 +685,11 @@ def test_cycle_averages_match_scalar_loop_oracle():
     # interpolation, against the vectorized kernel at fixed inflow.
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
-    steps, n, vi, re = 72, 6, 1.8, 1.7e4
+    steps, n, vi, re = 72, 6, 1.8, reynolds(wing, kin, ENV)
     result = simulate_cycle(wing, kin, ENV, SolverSettings(
                                 steps_per_cycle=steps, n_elements=n,
                                 pair=False),
-                            induced_velocity=vi, reynolds_number=re)
+                            induced_velocity=vi)
 
     elements = discretize(wing, n)
     stations = kin.rotation_stations

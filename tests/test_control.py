@@ -184,7 +184,7 @@ def test_duration_must_span_finitely_many_steps(duration, dt):
 
 
 def replay_closed_loop(plant, config, duration, dt, gyro_sigma=0.0,
-                       gyro_bias=0.0, seed=0, psi_est0=0.0):
+                       gyro_bias=0.0, seed=0):
     """The closed loop one step at a time through the public per-step law,
     with one scalar noise draw per step: t, psi_true, psi_est, omega and
     control output as the rows of one array."""
@@ -193,7 +193,7 @@ def replay_closed_loop(plant, config, duration, dt, gyro_sigma=0.0,
     lpf = LowPassFilter(low_pass_coefficient(config.cutoff_hz, dt))
     out = np.empty((5, n))
     out[0] = np.arange(n) * dt
-    estimate = psi_est0
+    estimate = 0.0
     for k in range(n):
         measured = plant.omega + gyro_bias
         if gyro_sigma > 0.0:
@@ -202,7 +202,7 @@ def replay_closed_loop(plant, config, duration, dt, gyro_sigma=0.0,
         estimate = integrate_yaw(estimate, rate_filtered, dt)
         command = yaw_control_output(config.kp, config.kd,
                                      config.setpoint_at(out[0, k]), estimate,
-                                     config.rate_setpoint, rate_filtered)
+                                     0.0, rate_filtered)
         out[1:, k] = plant.psi, estimate, plant.omega, command
         plant.step(config.plant_gain * command, dt)
         if not (math.isfinite(plant.psi) and math.isfinite(plant.omega)):
@@ -225,10 +225,9 @@ SCHEDULES = {
 def test_fast_loop_equals_step_by_step_replay(schedule, gyro_sigma):
     # 2500 steps: two full chunks of the fast loop and a partial one.
     config = ControllerConfig(kp=4.0, kd=2.5, cutoff_hz=12.0,
-                              plant_gain=1.3, rate_setpoint=0.75,
-                              setpoint_schedule=schedule)
+                              plant_gain=1.3, setpoint_schedule=schedule)
     kwargs = dict(duration=2.5, dt=0.001, gyro_sigma=gyro_sigma,
-                  gyro_bias=0.2, seed=17, psi_est0=-1.5)
+                  gyro_bias=0.2, seed=17)
     fast_plant = YawPlant(inertia=0.8, omega=2.0, disturbance=-0.4)
     slow_plant = YawPlant(inertia=0.8, omega=2.0, disturbance=-0.4)
     trace = simulate_closed_loop(fast_plant, config, **kwargs)

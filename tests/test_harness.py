@@ -80,6 +80,18 @@ def test_sweep_cutout_axis_defaults_to_the_wings_cutout():
         cycle.mean_lift / GRAM_FORCE_NEWTONS, rel=1e-12)
 
 
+def test_sweep_row_fails_a_cutout_inside_the_wings_own():
+    cut = apply_inboard_cutout(standard_wing(25.5), 0.3)
+    doc = base_config_dict(wing=wing_to_config(cut),
+                           sweep={"amplitude_deg": [190.0],
+                                  "cutout": [0.0, 0.3]})
+    inside, own = run_sweep(StudyConfig.from_dict(doc)).rows
+    assert inside.error == ("sweep cutout 0.0 lies inside the wing's own "
+                            "cutout 0.3")
+    assert inside.mean_lift_gf is None
+    assert own.error is None
+
+
 def test_config_validation_errors():
     with pytest.raises(ConfigError, match="wing"):
         StudyConfig.from_dict({"kinematics": {}})
@@ -512,6 +524,21 @@ def test_cutout_study_deltas_grow_with_fraction(tmp_path):
     assert header == ("span_fraction", "lift_intact_n", "lift_modified_n",
                       "power_intact_w", "power_modified_w")
     assert len(rows) == 10
+
+
+@pytest.mark.parametrize("own_cutout", [0.1, 0.25, 0.4])
+def test_cutout_study_compares_the_whole_membrane_with_the_cut_wing(
+        own_cutout):
+    wing = standard_wing(25.5)
+    kin = beetle_kinematics(17.3, 190.0)
+    solver = SolverSettings(steps_per_cycle=180, n_elements=10)
+    want = run_cutout_study(wing, kin, ENV, 0.25, 17.3, solver=solver)
+    got = run_cutout_study(apply_inboard_cutout(wing, own_cutout), kin, ENV,
+                           0.25, 17.3, solver=solver)
+    assert got.intact.mean_lift == want.intact.mean_lift
+    assert got.modified.mean_lift == want.modified.mean_lift
+    assert got.comparison == want.comparison
+    assert got.comparison.lift_delta < 0.0
 
 
 # ------------------------------------------------------------------------ CLI
