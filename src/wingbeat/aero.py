@@ -7,17 +7,19 @@ rotational part from wing pitching. Forces are resolved along two axes:
 eta, tangential to the section's instantaneous motion in the stroke
 plane, and zeta, perpendicular to the stroke plane (lift).
 
-The mean inflow through the stroke disk couples back into the effective
-angle of attack. Assuming a uniform induced velocity, it is the root of
-actuator-disk momentum balance against the blade-element thrust, found by
-a bracketed secant search. The search evaluates thrust and power
-together through a :class:`CyclePrecompute` and returns both at its
-root. The precompute holds the inflow-independent terms of one cycle
-grid, which rescale exactly with the stroke amplitude, the frequency and
-the size of a geometrically similar wing: a sweep builds one per cutout
-and a hover trim one for all of its probes. The aerodynamic power
-follows from the eta force opposing the stroke motion. Both solvers take
-their grid and search limits from one :class:`SolverSettings`.
+The translational law, :func:`aero_coefficients` at the effective angle
+of attack, expands into cubics in the inflow on inflow-independent cell
+moments (:func:`_lift_cubic`, :func:`_drag_cubic`). :func:`element_forces`
+evaluates them per cell and a :class:`CyclePrecompute` on moments summed
+over a cycle grid; both take the unsteady forces from
+:func:`_unsteady_terms`.
+
+The uniform mean inflow through the stroke disk, which couples back into
+the effective angle of attack, is the root of actuator-disk momentum
+balance against the blade-element thrust, found by a bracketed secant
+search on a precompute. A precompute rescales exactly with the stroke
+amplitude, the frequency and the size of a geometrically similar wing.
+Power is the eta force opposing the stroke motion times its speed.
 """
 
 from dataclasses import dataclass, replace
@@ -94,19 +96,10 @@ def _coefficient_amplitudes(re):
 
 
 def aero_coefficients(alpha_e, re):
-    """Empirical flat-plate lift/drag coefficients at low Reynolds number.
-
-    Parameters
-    ----------
-    alpha_e : array_like
-        Effective angle of attack (rad).
-    re : float
-        Reynolds number, > 0.
-
-    Returns
-    -------
-    cl, cd : ndarray or float
-    """
+    """Empirical flat-plate lift and drag coefficients at low Reynolds
+    number, c_l = A sin 2 alpha_e and c_d = D0 + D1 (1 - cos 2 alpha_e), at
+    the effective angle of attack ``alpha_e`` (rad, array_like) and
+    Reynolds number ``re`` > 0. Returns (cl, cd), arrays or floats."""
     alpha_e = np.asarray(alpha_e, dtype=float)
     lift_amp, drag_zero, drag_amp = _coefficient_amplitudes(re)
     cl = lift_amp * np.sin(2.0 * alpha_e)
@@ -156,8 +149,10 @@ class ElementState:
 
     @cached_property
     def inflow_angle(self):
-        """Induced inflow angle, atan2(Vi, VT), in [0, pi/2]."""
-        return np.arctan2(self.v_induced, self.v_translational)
+        """Induced inflow angle arcsin(Vi / hypot(VT, Vi)), 0 at rest."""
+        q = np.hypot(self.v_translational, self.v_induced)
+        return np.arcsin(np.divide(self.v_induced, q,
+                                   out=np.zeros(np.shape(q)), where=q > 0.0))
 
     @cached_property
     def alpha_geometric(self):
@@ -169,17 +164,22 @@ class ElementState:
         return self.alpha_geometric - self.inflow_angle
 
 
-def element_acceleration(state):
-    """Chord-normal section acceleration feeding the added-mass force.
-
-    Combines the stroke acceleration arm, the centripetal term of the
-    pitch-axis offset, and the pitching acceleration about that offset.
-    """
+def _acceleration_parts(state, sin_rot, cos_rot):
+    """:func:`element_acceleration` one part at a time, split by scaling for
+    stroke harmonics times a and frequency times r: pitching (r^2), stroke
+    acceleration (a r^2) and the pitch-axis centripetal term (a^2 r^2)."""
     arm = 0.5 * state.chord - state.pitch_axis
-    return ((state.radius * state.stroke_accel
-             + arm * state.stroke_rate**2 * np.cos(state.rotation_angle))
-            * np.sin(state.rotation_angle)
-            + arm * state.rotation_accel)
+    yield arm * state.rotation_accel
+    yield state.radius * state.stroke_accel * sin_rot
+    yield arm * state.stroke_rate**2 * cos_rot * sin_rot
+
+
+def element_acceleration(state):
+    """Chord-normal section acceleration feeding the added-mass force: the
+    stroke acceleration arm, the centripetal term of the pitch-axis offset,
+    and the pitching acceleration about that offset."""
+    return sum(_acceleration_parts(state, np.sin(state.rotation_angle),
+                                   np.cos(state.rotation_angle)))
 
 
 @dataclass(frozen=True)
@@ -209,52 +209,117 @@ class ForceBreakdown:
                 + self.rotational_zeta)
 
 
-def _added_mass_force(state, env, accel):
-    """Added-mass force magnitude of the elements at section acceleration
-    ``accel``; it uses the geometric angle of attack, not the inflow."""
-    return (0.25 * math.pi * env.rho * state.chord**2 * accel
-            * np.sin(state.alpha_geometric)
-            * (state.area_scale * state.width))
+def _translational_terms(state, env):
+    """The translational force per unit squared speed T of every cell of
+    ``state``, and its products with sin and cos 2 alpha_g."""
+    trans = 0.5 * env.rho * state.chord * (state.area_scale * state.width)
+    alpha_2 = 2.0 * state.alpha_geometric
+    return trans, np.sin(alpha_2) * trans, np.cos(alpha_2) * trans
 
 
-def _rotational_force(state, env):
-    """Rotational force magnitude of the elements; it uses the stroke-plane
-    section speed, not the inflow."""
+def _unsteady_terms(state, env):
+    """Unsteady forces of every cell of ``state``: the added-mass force,
+    split as :func:`_acceleration_parts` splits its acceleration (an
+    iterator); the rotational force (a r^2); and sin and cos of the
+    rotation angle, which resolve them. Neither depends on the inflow."""
+    scale = state.area_scale * state.width
+    sin_rot = np.sin(state.rotation_angle)
+    cos_rot = np.cos(state.rotation_angle)
+    per_accel = (0.25 * math.pi * env.rho * state.chord**2
+                 * np.sin(state.alpha_geometric) * scale)
+    added = (per_accel * accel
+             for accel in _acceleration_parts(state, sin_rot, cos_rot))
     # Zero-chord stations carry no force; avoid 0/0 in the axis ratio.
     chord = np.asarray(state.chord, dtype=float)
     axis_ratio = np.divide(state.pitch_axis, chord,
                            out=np.zeros(np.shape(chord)), where=chord > 0.0)
     c_rot = math.pi * (0.75 - axis_ratio)
-    return (env.rho * state.v_translational * c_rot * state.rotation_rate
-            * chord**2 * (state.area_scale * state.width))
+    rot = (env.rho * state.v_translational * c_rot * state.rotation_rate
+           * chord**2 * scale)
+    return added, rot, sin_rot, cos_rot
+
+
+def _unsteady_means(state, env):
+    """The L and P of the cycle-mean unsteady lift r^2 (L0 + a L1 + a^2 L2)
+    and power a r^3 (P0 + a P1 + a^2 P2) of one wing on an element grid,
+    for stroke harmonics scaled by a and frequency by r."""
+    added, rot, sin_rot, cos_rot = _unsteady_terms(state, env)
+    v_t_sin = state.v_translational * sin_rot
+
+    def mean(x):
+        return float(np.mean(np.sum(x, axis=1)))
+
+    lift, power = [], []
+    for force in added:
+        lift.append(mean(force * cos_rot))
+        power.append(-mean(v_t_sin * force))
+    lift[1] += mean(rot * cos_rot)
+    power[1] += mean(v_t_sin * rot)
+    return tuple(lift), tuple(power)
+
+
+def _lift_cubic(amplitudes, u, s_v3, c_v2, s_v, c, by_q):
+    """Translational vertical force T q (c_l v - c_d u) at inflow ``u``.
+
+    For a cell of section speed v and force T per squared speed, with
+    q = sqrt(v^2 + u^2), cos phi = v / q and sin phi = u / q, expanding the
+    coefficients of :func:`aero_coefficients` (``amplitudes`` A, D0, D1)
+    at 2 alpha_e = 2 alpha_g - 2 phi gives (T/q) [A S v^3 + u (D1 - 2A)
+    C v^2 + u^2 (2 D1 - A) S v - u^3 D1 C] - (D0 + D1) u T q, S and C being
+    sin and cos 2 alpha_g. Its arguments, the moments T S v^3 / q,
+    T C v^2 / q, T S v / q, T C / q and T q, may be cell sums.
+    """
+    lift_amp, drag_zero, drag_amp = amplitudes
+    return (lift_amp * s_v3
+            + u * ((drag_amp - 2.0 * lift_amp) * c_v2
+                   + u * ((2.0 * drag_amp - lift_amp) * s_v
+                          - u * drag_amp * c))
+            - (drag_zero + drag_amp) * u * by_q)
+
+
+def _drag_cubic(amplitudes, u, c_v4, s_v3, c_v2, s_v, by_q):
+    """Translational power T v q (c_l u + c_d v) at inflow ``u``: in the
+    terms of :func:`_lift_cubic`, (T/q) [-D1 C v^4 + u (A - 2 D1) S v^3
+    + u^2 (D1 - 2A) C v^2 - u^3 A S v] + (D0 + D1) T v^2 q on the moments
+    T C v^4 / q, T S v^3 / q, T C v^2 / q, T S v / q and T v^2 q. With
+    every moment one power of v lower it is the motion-opposing drag, with
+    no division by v, which is 0 at stroke reversal."""
+    lift_amp, drag_zero, drag_amp = amplitudes
+    return (-drag_amp * c_v4
+            + u * ((lift_amp - 2.0 * drag_amp) * s_v3
+                   + u * ((drag_amp - 2.0 * lift_amp) * c_v2
+                          - u * lift_amp * s_v))
+            + (drag_zero + drag_amp) * by_q)
 
 
 def element_forces(state, env, re):
     """Sectional forces for a given element state.
 
-    Translational terms use the lift/drag coefficients at the effective
-    angle of attack with the combined translational/induced dynamic
-    pressure; added-mass terms scale with chord^2 and the section
-    acceleration; rotational terms scale with the pitch rate and the
-    pitching-axis coefficient pi * (0.75 - l/c). Every component carries
-    the element's membrane area scale.
+    The translational force, that of :func:`aero_coefficients` (the angle
+    form of the law) on the dynamic pressure q^2 = v_t^2 + Vi^2, is the
+    expansion of :func:`_lift_cubic` (zeta) and :func:`_drag_cubic` (eta)
+    in Vi, per cell with the factor 1/q taken out; a cell with q = 0
+    carries none. Added-mass and rotational terms are :func:`_unsteady_terms`.
     """
-    cl, cd = aero_coefficients(state.alpha_effective, re)
-    phi = state.inflow_angle
-    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
-    sin_rot, cos_rot = np.sin(state.rotation_angle), np.cos(state.rotation_angle)
-
-    dyn = state.v_translational**2 + state.v_induced**2
-    scale = state.area_scale * state.width
-    trans = 0.5 * env.rho * state.chord * dyn * scale
-    added = _added_mass_force(state, env, element_acceleration(state))
-    rot = _rotational_force(state, env)
-
+    trans, s_t, c_t = _translational_terms(state, env)
+    v, u = state.v_translational, state.v_induced
+    v_sq = v * v
+    q_sq = v_sq + u * u
+    inverse_q = np.divide(1.0, np.sqrt(q_sq), out=np.zeros(np.shape(q_sq)),
+                          where=q_sq > 0.0)
+    amplitudes = _coefficient_amplitudes(re)
+    s_t_v, c_t_v = s_t * v, c_t * v
+    lift = _lift_cubic(amplitudes, u, s_t_v * v_sq, c_t_v * v, s_t_v, c_t,
+                       trans * q_sq)
+    drag = _drag_cubic(amplitudes, u, c_t_v * v_sq, s_t_v * v, c_t_v, s_t,
+                       trans * v * q_sq)
+    added, rot, sin_rot, cos_rot = _unsteady_terms(state, env)
+    added = sum(added)
     return ForceBreakdown(
-        translational_eta=-trans * (cl * sin_phi + cd * cos_phi),
+        translational_eta=-inverse_q * drag,
         added_mass_eta=added * sin_rot,
         rotational_eta=-rot * sin_rot,
-        translational_zeta=trans * (cl * cos_phi - cd * sin_phi),
+        translational_zeta=inverse_q * lift,
         added_mass_zeta=added * cos_rot,
         rotational_zeta=rot * cos_rot,
     )
@@ -281,69 +346,25 @@ def _element_grid_state(elements, kin, steps, v_induced):
     return t, state
 
 
-def _unsteady_means(state, env):
-    """Cycle-mean added-mass plus rotational lift and power of one wing on
-    an element grid, as polynomials in the stroke factor a.
-
-    Lift is r^2 (L0 + a L1 + a^2 L2) and power a r^3 (P0 + a P1 + a^2 P2)
-    for stroke harmonics scaled by a and frequency by r; returns the L and
-    the P coefficients. Power opposes the added-mass force and follows the
-    rotational force along the stroke.
-    """
-    sin_rot = np.sin(state.rotation_angle)
-    cos_rot = np.cos(state.rotation_angle)
-    v_t_sin = state.v_translational * sin_rot
-
-    def mean(x):
-        return float(np.mean(np.sum(x, axis=1)))
-
-    per_accel = _added_mass_force(state, env, 1.0)
-    arm = 0.5 * state.chord - state.pitch_axis
-    lift, power = [], []
-    # element_acceleration split by scaling: r^2, a r^2 and a^2 r^2.
-    for accel in (arm * state.rotation_accel,
-                  state.radius * state.stroke_accel * sin_rot,
-                  arm * state.stroke_rate**2 * cos_rot * sin_rot):
-        force = per_accel * accel
-        lift.append(mean(force * cos_rot))
-        power.append(-mean(v_t_sin * force))
-    rot = _rotational_force(state, env)   # scales as a r^2
-    lift[1] += mean(rot * cos_rot)
-    power[1] += mean(v_t_sin * rot)
-    return tuple(lift), tuple(power)
-
-
 @dataclass(frozen=True, eq=False)
 class CyclePrecompute:
     """Inflow-independent terms of one cycle grid, rescalable in amplitude,
     frequency and wing size.
 
-    Kinematics that differ from ``kinematics`` only by a factor ``a`` on
-    the stroke harmonics and a ratio ``r`` of frequencies sample the same
-    phases on the same grid: the section speed v_t scales by a*r, the
-    stroke acceleration by a*r^2, the squared stroke rate by a^2*r^2 and
-    the rotation rate and acceleration by r and r^2. A wing with every
-    length k times that of the wing of span ``span`` scales v_t, chords,
-    widths and acceleration arms by k. With speed scale s = a r k the
-    translational thrust is k^2 s^2 G(v / s) and its power k^2 s^3 P(v / s);
-    the cycle-mean added-mass and rotational lift and power are unit means
-    times powers of a and r, and k^4 on lift, k^5 on power. :meth:`loads`
-    takes a and r from the kinematics and k from ``wing.span / span``;
-    the wing must be a geometric rescaling of the precomputed one, which
-    is not checked.
-
-    G and P need no trigonometry. At unit-scale inflow u the inflow angle
-    has cos phi = v_t / q and sin phi = u / q with q = sqrt(v_t^2 + u^2),
-    and 2 alpha_e = 2 alpha_g - 2 phi. Expanding sin 2 alpha_e and
-    cos 2 alpha_e by the angle-difference identities turns each cell's
-    force and power into a cubic in u whose coefficients are fixed
-    multiples of 1/q and q. A cycle mean is thus a few dot products of
-    fixed cell moments with 1/q and q; at u = 0 it is fixed outright, and
-    a cell with q = 0 carries no translational force.
+    Kinematics that differ from ``kinematics`` by a factor a on the stroke
+    harmonics and a ratio r of frequencies sample the same phases: v_t
+    scales by a r, the stroke acceleration by a r^2, the squared stroke
+    rate by a^2 r^2, the rotation rate and acceleration by r and r^2. A
+    wing k times ``wing`` in every length (:meth:`check_wing`) scales v_t,
+    chords, widths and arms by k. With s = a r k the translational thrust
+    is k^2 s^2 G(v / s) and its power k^2 s^3 P(v / s), G and P being the
+    cubics of :func:`_lift_cubic` and :func:`_drag_cubic` on cell sums of
+    their moments; the unsteady lift and power are unit means times powers
+    of a and r, and k^4 on lift, k^5 on power.
     """
 
     kinematics: object
-    span: float
+    wing: object
     steps: int
     v_t_sq: np.ndarray
     by_inverse_q: np.ndarray
@@ -359,43 +380,50 @@ class CyclePrecompute:
         with np.errstate(all="ignore"):
             _, state = _element_grid_state(elements, kin,
                                            solver.steps_per_cycle, 0.0)
-            return cls.from_state(state, kin, env, wing.span)
+            return cls.from_state(state, kin, env, wing)
 
     @classmethod
-    def from_state(cls, state, kin, env, span):
-        """Precompute on an element grid of ``kin`` for a wing of ``span``
-        (the grid's inflow is ignored)."""
-        v_t = state.v_translational
+    def from_state(cls, state, kin, env, wing):
+        """Precompute on an element grid of ``kin`` for ``wing``; the grid's
+        inflow is ignored."""
         lift, power = _unsteady_means(state, env)
-
-        # Translational moments, with T the force per unit dynamic pressure
-        # and S, C = sin, cos 2 alpha_g; see loads().
-        trans = (0.5 * env.rho * state.chord
-                 * (state.area_scale * state.width))
-        alpha_2 = 2.0 * state.alpha_geometric
+        trans, s_t, c_t = _translational_terms(state, env)
+        # The moments of the cubics at unit scale (see loads()), in place.
+        v_t = state.v_translational
         v_sq = v_t**2
         by_inverse_q = np.empty((5,) + v_t.shape)
-        s_t_v3, c_t_v2, s_t_v, c_t, c_t_v4 = by_inverse_q
-        np.multiply(np.sin(alpha_2), trans, out=s_t_v)
-        s_t_v *= v_t
+        s_t_v3, c_t_v2, s_t_v, _, c_t_v4 = by_inverse_q
+        np.multiply(s_t, v_t, out=s_t_v)
         np.multiply(s_t_v, v_sq, out=s_t_v3)
-        np.multiply(np.cos(alpha_2), trans, out=c_t)
         np.multiply(c_t, v_sq, out=c_t_v2)
         np.multiply(c_t_v2, v_sq, out=c_t_v4)
+        by_inverse_q[3] = c_t
         by_q = np.empty((2,) + v_t.shape)
         by_q[0] = trans
         np.multiply(trans, v_sq, out=by_q[1])
-
-        def total(x):
-            return float(np.vdot(x, v_t))
-
-        return cls(kinematics=kin, span=span, steps=v_t.shape[0],
+        at_zero_inflow = tuple(float(np.vdot(x, v_t))
+                               for x in (s_t_v, c_t_v2, by_q[1]))
+        return cls(kinematics=kin, wing=wing, steps=v_t.shape[0],
                    v_t_sq=v_sq.ravel(),
                    by_inverse_q=by_inverse_q.reshape(5, -1),
-                   by_q=by_q.reshape(2, -1),
-                   at_zero_inflow=(total(s_t_v), total(c_t_v2),
-                                   total(by_q[1])),
+                   by_q=by_q.reshape(2, -1), at_zero_inflow=at_zero_inflow,
                    lift_by_a=lift, power_by_a=power)
+
+    def check_wing(self, wing):
+        """Raise ``ValueError`` unless ``wing``'s lengths over its span, pitch
+        axis and cutout are the precomputed wing's to 1e-9."""
+        def shape(w):
+            # The breakpoint count tells an axis fraction from breakpoints.
+            points = w.chord_breakpoints + (w.pitch_axis_breakpoints or ())
+            return [len(w.chord_breakpoints), w.pitch_axis_fraction or 0.0,
+                    w.cutout, w.root_offset / w.span,
+                    *(x / w.span for point in points for x in point)]
+
+        mine, theirs = shape(self.wing), shape(wing)
+        if len(mine) != len(theirs) or any(abs(x - y) > 1e-9
+                                           for x, y in zip(mine, theirs)):
+            raise ValueError("wing is not a geometric rescaling of the "
+                             "precomputed wing")
 
     def _scales(self, kin):
         """(a, r): ``kin``'s stroke harmonics are a times, and its frequency
@@ -418,42 +446,24 @@ class CyclePrecompute:
 
     def loads(self, wing, kin, v, re):
         """Cycle-mean vertical force (N) and aerodynamic power (W) of the
-        wing pair at inflow ``v``.
-
-        A cell's translational force is T q (c_l v_t - c_d u), which is
-        (T/q) [A S v_t^3 + u (D1 - 2A) C v_t^2 + u^2 (2 D1 - A) S v_t
-        - u^3 D1 C] - (D0 + D1) u T q with c_l = A sin 2 alpha_e and
-        c_d = D0 + D1 (1 - cos 2 alpha_e): A, D0 and D1 are the
-        coefficient amplitudes of :func:`aero_coefficients` at ``re``.
-
-        A cell's translational power is T v_t q (c_l u + c_d v_t), which is
-        (T/q) [-D1 C v_t^4 + u (A - 2 D1) S v_t^3 + u^2 (D1 - 2A) C v_t^2
-        - u^3 A S v_t] + (D0 + D1) T v_t^2 q.
-        """
+        wing pair at inflow ``v`` and Reynolds number ``re``, for a wing that
+        passes :meth:`check_wing`, which an inflow solve calls once."""
         a, r = self._scales(kin)
-        k = wing.span / self.span
+        k = wing.span / self.wing.span
         s = a * r * k
         u = v / s
-        lift_amp, drag_zero, drag_amp = _coefficient_amplitudes(re)
+        amplitudes = _coefficient_amplitudes(re)
         if u * u == 0.0:
-            s_v, c_v3, v3 = self.at_zero_inflow
-            thrust = lift_amp * s_v
-            power = (drag_zero + drag_amp) * v3 - drag_amp * c_v3
+            # Only the terms free of u remain: fixed sums with q = v_t.
+            k1, k6, k7 = self.at_zero_inflow
+            k2 = k3 = k4 = k5 = 0.0
         else:
             # Sums over the cells of the moments times 1/q and times q.
             q = np.sqrt(self.v_t_sq + u * u)
             k1, k2, k3, k4, k6 = self.by_inverse_q @ (1.0 / q)
             k5, k7 = self.by_q @ q
-            thrust = (lift_amp * k1
-                      + u * ((drag_amp - 2.0 * lift_amp) * k2
-                             + u * ((2.0 * drag_amp - lift_amp) * k3
-                                    - u * drag_amp * k4))
-                      - (drag_zero + drag_amp) * u * k5)
-            power = (-drag_amp * k6
-                     + u * ((lift_amp - 2.0 * drag_amp) * k1
-                            + u * ((drag_amp - 2.0 * lift_amp) * k2
-                                   - u * lift_amp * k3))
-                     + (drag_zero + drag_amp) * k7)
+        thrust = _lift_cubic(amplitudes, u, k1, k2, k3, k4, k5)
+        power = _drag_cubic(amplitudes, u, k6, k1, k2, k3, k7)
         l0, l1, l2 = self.lift_by_a
         p0, p1, p2 = self.power_by_a
         return (2.0 * k * k * (s * s * float(thrust) / self.steps
@@ -507,7 +517,8 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
     Raises
     ------
     ValueError
-        If :func:`reynolds` finds none, as for a zero stroke.
+        If :func:`reynolds` finds none, as for a zero stroke, or the
+        precompute does not fit ``wing`` or ``kin``.
     RuntimeError
         If the thrust is not finite, or no inflow meets ``vi_tol`` within
         ``vi_max_iter`` thrust evaluations (the message reports the last
@@ -522,6 +533,7 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
     with np.errstate(all="ignore"):
         if precompute is None:
             precompute = CyclePrecompute.build(wing, kin, env, solver)
+        precompute.check_wing(wing)
 
         # g falls through the root: v_lo (g > 0) lies below it, v_hi above.
         v, v_hi, previous = 0.0, None, None
@@ -593,18 +605,9 @@ class CycleResult:
 def simulate_cycle(wing, kin, env, solver=SolverSettings(),
                    induced_velocity=None):
     """March one flapping cycle and accumulate cycle-average loads at the
-    stroke-based Reynolds number (:func:`reynolds`), which raises if none.
-
-    Parameters
-    ----------
-    wing : WingGeometry
-    kin : WingKinematics
-    env : AeroEnvironment
-    solver : SolverSettings
-        Cycle grid, pair flag, and inflow-search limits.
-    induced_velocity : float, optional
-        Fix the mean inflow instead of solving for it.
-    """
+    stroke-based Reynolds number (:func:`reynolds`), which raises if none,
+    on the ``solver`` grid. A given ``induced_velocity`` (m/s) fixes the
+    mean inflow instead of solving for it."""
     elements = discretize(wing, solver.n_elements)
     re = reynolds(wing, kin, env)
     vi_info = None
@@ -615,7 +618,7 @@ def simulate_cycle(wing, kin, env, solver=SolverSettings(),
         if induced_velocity is None:
             vi_info = solve_induced_velocity(
                 wing, kin, env, solver, precompute=CyclePrecompute.from_state(
-                    state, kin, env, elements.span))
+                    state, kin, env, wing))
             induced_velocity = vi_info.v_induced
 
     state = replace(state, v_induced=induced_velocity)
@@ -632,14 +635,10 @@ def simulate_cycle(wing, kin, env, solver=SolverSettings(),
     rate = state.stroke_rate
     moving = np.abs(rate) > 1e-9 * np.max(np.abs(rate))
     direction = np.where(moving, np.sign(rate), 0.0)
-    history = ForceBreakdown(
-        translational_eta=factor * np.sum(direction * forces.translational_eta, axis=1),
-        added_mass_eta=factor * np.sum(direction * forces.added_mass_eta, axis=1),
-        rotational_eta=factor * np.sum(direction * forces.rotational_eta, axis=1),
-        translational_zeta=factor * np.sum(forces.translational_zeta, axis=1),
-        added_mass_zeta=factor * np.sum(forces.added_mass_zeta, axis=1),
-        rotational_zeta=factor * np.sum(forces.rotational_zeta, axis=1),
-    )
+    history = ForceBreakdown(**{
+        name: factor * np.sum(direction * f if name.endswith("_eta") else f,
+                              axis=1)
+        for name, f in vars(forces).items()})
 
     return CycleResult(
         mean_lift=float(np.sum(spanwise_lift)),

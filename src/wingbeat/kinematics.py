@@ -168,7 +168,8 @@ class WingKinematics:
 
     @cached_property
     def stroke_amplitude(self):
-        """Peak-to-peak stroke range (rad) from dense sampling."""
+        """Peak-to-peak stroke range (rad) from dense sampling, or as
+        :meth:`with_stroke_amplitude` set it."""
         t = np.linspace(0.0, self.stroke.period, 1440, endpoint=False)
         angles = self.stroke.eval(t)
         return float(np.max(angles) - np.min(angles))
@@ -204,19 +205,27 @@ class WingKinematics:
         return out if np.ndim(out) else float(out)
 
     def with_frequency(self, frequency):
-        """Time-rescaled kinematics: same coefficients, new frequency."""
+        """Time-rescaled kinematics: same coefficients, new frequency. A
+        stroke amplitude already known carries over, since a time rescale
+        keeps the range of angles."""
         stroke = replace(self.stroke, frequency=float(frequency))
         stations = tuple((f, replace(s, frequency=float(frequency)))
                          for f, s in self.rotation_stations)
-        return WingKinematics(stroke=stroke, rotation_stations=stations)
+        rescaled = WingKinematics(stroke=stroke, rotation_stations=stations)
+        if "stroke_amplitude" in self.__dict__:  # cached_property's store
+            rescaled.__dict__["stroke_amplitude"] = self.stroke_amplitude
+        return rescaled
 
     def with_stroke_amplitude(self, amplitude):
-        """Stroke harmonics rescaled to a target peak-to-peak range (rad)."""
+        """Stroke harmonics rescaled to a target peak-to-peak range (rad),
+        which the result records as its stroke amplitude."""
         if not (math.isfinite(amplitude) and amplitude > 0.0):
             raise ValueError(f"stroke amplitude must be finite and positive, "
                              f"got {amplitude} rad")
         current = self.stroke_amplitude
         if current <= 0.0:
             raise ValueError("cannot rescale a zero-amplitude stroke")
-        return WingKinematics(stroke=self.stroke.scaled(amplitude / current),
-                              rotation_stations=self.rotation_stations)
+        scaled = WingKinematics(stroke=self.stroke.scaled(amplitude / current),
+                                rotation_stations=self.rotation_stations)
+        scaled.__dict__["stroke_amplitude"] = float(amplitude)
+        return scaled

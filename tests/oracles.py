@@ -1,16 +1,71 @@
 """Reference computations the tests check the solvers against."""
 
+import math
+
 import numpy as np
 
-from wingbeat.aero import _element_grid_state, element_forces
+from wingbeat.aero import (
+    ForceBreakdown,
+    _element_grid_state,
+    aero_coefficients,
+)
+
+
+def reference_forces(state, env, re):
+    """Sectional forces in the angle form of the model: the coefficients
+    of ``aero_coefficients`` at the effective angle of attack, resolved
+    through the arctan2 inflow angle, with the added-mass and rotational
+    terms written out from the model equations."""
+    phi = np.arctan2(state.v_induced, state.v_translational)
+    cl, cd = aero_coefficients(state.alpha_geometric - phi, re)
+    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
+    sin_rot = np.sin(state.rotation_angle)
+    cos_rot = np.cos(state.rotation_angle)
+    scale = state.area_scale * state.width
+    chord = np.asarray(state.chord, dtype=float)
+
+    dyn = state.v_translational**2 + state.v_induced**2
+    trans = 0.5 * env.rho * chord * dyn * scale
+    arm = 0.5 * chord - state.pitch_axis
+    accel = ((state.radius * state.stroke_accel
+              + arm * state.stroke_rate**2 * cos_rot) * sin_rot
+             + arm * state.rotation_accel)
+    added = (0.25 * math.pi * env.rho * chord**2 * accel
+             * np.sin(state.alpha_geometric) * scale)
+    axis_ratio = np.divide(state.pitch_axis, chord,
+                           out=np.zeros(np.shape(chord)), where=chord > 0.0)
+    c_rot = math.pi * (0.75 - axis_ratio)
+    rot = (env.rho * state.v_translational * c_rot * state.rotation_rate
+           * chord**2 * scale)
+    return ForceBreakdown(
+        translational_eta=-trans * (cl * sin_phi + cd * cos_phi),
+        added_mass_eta=added * sin_rot,
+        rotational_eta=-rot * sin_rot,
+        translational_zeta=trans * (cl * cos_phi - cd * sin_phi),
+        added_mass_zeta=added * cos_rot,
+        rotational_zeta=rot * cos_rot,
+    )
+
+
+def _reference_pass(elements, kin, env, steps, v_induced, re):
+    _, state = _element_grid_state(elements, kin, steps, v_induced)
+    return state, reference_forces(state, env, re)
 
 
 def pair_mean_thrust(elements, kin, env, steps, v_induced, re):
     """Cycle-mean vertical force of the wing pair at a given inflow, from
-    one full force pass on the element grid."""
-    _, state = _element_grid_state(elements, kin, steps, v_induced)
-    forces = element_forces(state, env, re)
+    one reference force pass on the element grid."""
+    _, forces = _reference_pass(elements, kin, env, steps, v_induced, re)
     return 2.0 * float(np.mean(np.sum(forces.total_zeta, axis=1)))
+
+
+def pair_mean_power(elements, kin, env, steps, v_induced, re):
+    """Cycle-mean aerodynamic power of the wing pair at a given inflow: the
+    eta force opposing the motion times the section speed, from one
+    reference force pass on the element grid."""
+    state, forces = _reference_pass(elements, kin, env, steps, v_induced, re)
+    return 2.0 * float(np.mean(np.sum(
+        state.v_translational * -forces.total_eta, axis=1)))
 
 
 def strip_areas(wing, r0, r1, cutout):

@@ -31,7 +31,7 @@ from wingbeat.wing import (
     scaled_to_area,
 )
 
-from oracles import pair_mean_thrust
+from oracles import pair_mean_power, pair_mean_thrust, reference_forces
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -273,9 +273,30 @@ def test_rescaled_precompute_matches_full_path(shape, cutout):
                     assert precompute.loads(wing, kin, v, re)[0] \
                         == pytest.approx(pair_mean_thrust(
                             elements, kin, ENV, 720, v, re), rel=1e-12)
-                    cycle = simulate_cycle(wing, kin, ENV, induced_velocity=v)
                     assert precompute.loads(wing, kin, v, re)[1] \
-                        == pytest.approx(cycle.mean_aero_power, rel=1e-12)
+                        == pytest.approx(pair_mean_power(
+                            elements, kin, ENV, 720, v, re), rel=1e-12)
+
+
+def test_precompute_rejects_a_wing_it_does_not_fit():
+    # A cut wing solved on the uncut wing's precompute would return the
+    # uncut wing's unsteady terms and element layout.
+    wing = standard_wing(25.5)
+    kin = beetle_kinematics(17.3, 190.0)
+    solver = SolverSettings(steps_per_cycle=72, n_elements=10)
+    precompute = CyclePrecompute.build(wing, kin, ENV, solver)
+    stubby = build_wing([(r, 1.2 * c) for r, c in wing.chord_breakpoints],
+                        root_offset=wing.root_offset)
+    offset = replace(wing, root_offset=2.0 * wing.root_offset)
+    for other in (apply_inboard_cutout(wing, 0.4), stubby, offset,
+                  replace(wing, pitch_axis_fraction=0.3)):
+        with pytest.raises(ValueError) as error:
+            solve_induced_velocity(other, kin, ENV, solver,
+                                   precompute=precompute)
+        assert str(error.value) == ("wing is not a geometric rescaling of "
+                                    "the precomputed wing")
+    similar = scaled_to_area(wing, 31.4e-4)
+    solve_induced_velocity(similar, kin, ENV, solver, precompute=precompute)
 
 
 def test_precompute_rejects_kinematics_of_another_shape():
@@ -651,6 +672,7 @@ def oracle_element_forces(r, c, l, dr, scale, srate, saccel, alpha, arate,
 def test_forces_match_independent_scalar_oracle():
     rng = np.random.default_rng(17)
     re = 1.7e4
+    inputs = []
     for _ in range(200):
         kwargs = dict(
             radius=float(rng.uniform(0.005, 0.1)),
@@ -665,6 +687,11 @@ def test_forces_match_independent_scalar_oracle():
             v_induced=float(rng.uniform(0.0, 3.0)),
         )
         kwargs["pitch_axis"] = kwargs["chord"] * float(rng.uniform(0.0, 1.0))
+        inputs.append(kwargs)
+    # Stroke reversal: no section speed, with and without inflow.
+    inputs += [dict(inputs[i], stroke_rate=0.0, v_induced=v)
+               for i in range(10) for v in (0.0, 1.2)]
+    for kwargs in inputs:
         state = ElementState(**kwargs)
         fb = element_forces(state, ENV, re)
         want = oracle_element_forces(
@@ -677,6 +704,40 @@ def test_forces_match_independent_scalar_oracle():
                fb.translational_zeta, fb.added_mass_zeta, fb.rotational_zeta)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-12, abs=1e-18)
+
+
+def test_force_pass_matches_the_reference_pass_on_a_grid():
+    # The trig-free force pass against the angle form, cell by cell,
+    # relative to each component's largest cell.
+    wing = apply_inboard_cutout(standard_wing(25.5), 0.3)
+    for shape in (beetle_kinematics, lopsided_kinematics):
+        kin = shape(17.3)
+        re = reynolds(wing, kin, ENV)
+        for v in (0.0, 1.87, 3.5):
+            _, state = _element_grid_state(discretize(wing, 20), kin, 720, v)
+            got = element_forces(state, ENV, re)
+            want = reference_forces(state, ENV, re)
+            for name, value in vars(want).items():
+                error = np.max(np.abs(getattr(got, name) - value))
+                assert error <= 1e-12 * np.max(np.abs(value))
+
+
+def test_force_pass_at_stroke_reversal_without_inflow():
+    # A cell with no section speed and no inflow has no dynamic pressure:
+    # zero translational force, finite forces, and no 0/0 warning.
+    _, state = _element_grid_state(discretize(standard_wing(25.5), 20),
+                                   beetle_kinematics(17.3, 190.0), 72, 0.0)
+    rate = state.stroke_rate.copy()
+    rate[[0, 36]] = 0.0
+    state = replace(state, stroke_rate=rate)
+    assert np.all(state.v_translational[[0, 36]] == 0.0)
+    fb = element_forces(state, ENV, 1.95e4)
+    for name, value in vars(fb).items():
+        assert np.all(np.isfinite(value)), name
+    for value in (fb.translational_eta, fb.translational_zeta):
+        assert np.all(value[[0, 36]] == 0.0)
+        assert np.all(value[1:36] != 0.0)
+    assert np.any(fb.added_mass_zeta[[0, 36]] != 0.0)
 
 
 def test_cycle_averages_match_scalar_loop_oracle():

@@ -299,6 +299,33 @@ def test_sweep_evaluates_loads_once_per_inflow_iterate(monkeypatch):
     assert len(calls) == sum(row.vi_iterations for row in rows)
 
 
+def test_sweep_samples_the_stroke_amplitude_at_most_once(monkeypatch):
+    # Order-0 evaluations of a stroke series (mean angle 0, where the
+    # rotation stations' is 90 deg) sample its amplitude; the cycle grid
+    # needs only the stroke's rate and acceleration.
+    samples = []
+    evaluate = FourierSeries.eval
+
+    def counting(self, t, order=0):
+        if order == 0 and self.a0 == 0.0:
+            samples.append(self)
+        return evaluate(self, t, order)
+
+    monkeypatch.setattr(FourierSeries, "eval", counting)
+    config = StudyConfig.from_dict(base_config_dict(
+        sweep={"amplitude_deg": [120.0, 190.0], "area_cm2": [20.1, 31.4],
+               "cutout": [0.0, 0.3], "frequency_hz": [12.0, 24.0]}))
+    before = len(samples)
+    rows = run_sweep(config).rows
+    assert all(row.error is None for row in rows)
+    swept = len(samples)
+    assert swept - before <= 1
+    # The count sees the sampling of a stroke with no recorded amplitude.
+    kin = config.kinematics
+    WingKinematics(kin.stroke, kin.rotation_stations).stroke_amplitude
+    assert len(samples) == swept + 1
+
+
 def test_cli_import_leaves_process_pool_out():
     # A fresh interpreter: this one may have imported the pool elsewhere.
     src = os.path.dirname(os.path.dirname(os.path.abspath(wingbeat.__file__)))
@@ -567,6 +594,21 @@ def test_cli_simulate_honours_solver_iteration_limit(tmp_path, capsys):
                                           "n_elements": 10, "vi_max_iter": 2})
     assert cli.main(["--config", str(path), "simulate"]) == 2
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_cli_sweep_on_wings_their_precompute_does_not_fit(tmp_path, capsys,
+                                                        monkeypatch):
+    # Every sweep precompute is built on the wing its points rescale, so
+    # only a planted mismatch (points cut at 0.4, precompute uncut) reaches
+    # the check: every row fails, and the CLI exits 2 with one line.
+    monkeypatch.setattr(harness, "scaled_to_area", lambda wing, area:
+                        apply_inboard_cutout(scaled_to_area(wing, area), 0.4))
+    path = write_config(tmp_path)
+    assert cli.main(["--config", str(path), "sweep"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.endswith("wing is not a geometric rescaling of the "
+                        "precomputed wing\n")
 
 
 @pytest.mark.parametrize("section, key, value", [

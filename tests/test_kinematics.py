@@ -214,6 +214,19 @@ def test_amplitude_rescaling():
     assert scaled.rotation_stations == kin.rotation_stations
 
 
+def test_rescaled_kinematics_keep_the_known_amplitude():
+    # The requested amplitude is recorded, and a time rescale keeps it;
+    # for one harmonic it is also the sampled range of the new stroke.
+    kin = two_station_kinematics()
+    target = math.radians(120.0)
+    faster = kin.with_stroke_amplitude(target).with_frequency(31.0)
+    assert faster.stroke_amplitude == target
+    fresh = WingKinematics(faster.stroke, faster.rotation_stations)
+    assert fresh.stroke_amplitude == pytest.approx(target, rel=1e-12)
+    assert fresh.with_frequency(12.0).stroke_amplitude \
+        == fresh.stroke_amplitude
+
+
 @pytest.mark.parametrize("amplitude", [0.0, -1.0, math.inf, math.nan])
 def test_amplitude_rescaling_rejects_non_positive_or_non_finite(amplitude):
     with pytest.raises(ValueError, match=f"got {amplitude} rad"):
