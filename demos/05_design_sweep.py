@@ -9,28 +9,14 @@ lift-to-aero-power and trim frequency.
 import math
 import os
 
-from wingbeat import (
-    GRAM_FORCE_NEWTONS,
-    beetle_kinematics,
-    simulate_cycle,
-    standard_wing,
-)
-from wingbeat.config import StudyConfig, kinematics_to_config, wing_to_config
+from wingbeat import GRAM_FORCE_NEWTONS, lift_to_power, standard_wing
+from wingbeat.config import StudyConfig
 from wingbeat.harness import hover_trim, run_sweep
 
-doc = {
-    "wing": wing_to_config(standard_wing(25.5)),
-    "kinematics": kinematics_to_config(beetle_kinematics(17.3, 190.0)),
-    "environment": {"rho_kg_m3": 1.225, "nu_m2_s": 1.5e-5},
-    "sweep": {
-        "amplitude_deg": [120.0, 190.0],
-        "area_cm2": [20.1, 25.5, 31.4],
-        "frequency_hz": [14.0, 17.3, 20.0],
-    },
-    "solver": {"steps_per_cycle": 720, "n_elements": 20},
-    "output": {"directory": "demos/out"},
-}
-config = StudyConfig.from_dict(doc)
+# The base study: the 25.5 cm^2 wing at 17.3 Hz and 190 deg, swept over
+# amplitudes 120/190 deg, areas 20.1/25.5/31.4 cm^2 and 14/17.3/20 Hz.
+config = StudyConfig.from_file(os.path.join(os.path.dirname(__file__),
+                                            "configs", "study.json"))
 
 result = run_sweep(config)
 os.makedirs("demos/out", exist_ok=True)
@@ -56,8 +42,7 @@ for label, wing_area, kin in (("120 deg, 25.5 cm^2", 25.5, kin120),
                               ("190 deg, 31.4 cm^2", 31.4, kin190)):
     wing = standard_wing(wing_area)
     trim = hover_trim(wing, kin, env, target, 8.0, 45.0)
-    at_trim = simulate_cycle(wing, kin.with_frequency(trim.frequency_hz), env)
-    ratio = (at_trim.mean_lift / GRAM_FORCE_NEWTONS) / at_trim.mean_aero_power
+    ratio = lift_to_power(trim.mean_lift, trim.aero_power)
     print(f"{label:>26} {trim.frequency_hz:8.2f} {ratio:6.2f}")
 print("Higher amplitude and larger area both flap slower for the same lift")
 print("and buy a better lift-to-aero-power ratio (less induced drag).")

@@ -137,8 +137,9 @@ def cmd_sweep(args, config, out_dir):
 
 
 def cmd_trim(args, config, out_dir):
-    section = config.task_section(
-        "trim", {}, required=("target_lift_gf", "f_lo_hz", "f_hi_hz"))
+    section = config.trim
+    if section is None:
+        raise ConfigError("the config has no 'trim' section")
     target_gf = section["target_lift_gf"]
     trim = hover_trim(config.wing, config.kinematics, config.environment,
                       target_gf * GRAM_FORCE_NEWTONS, section["f_lo_hz"],
@@ -151,12 +152,10 @@ def cmd_trim(args, config, out_dir):
 
 
 def cmd_cutout_study(args, config, out_dir):
-    section = config.task_section(
-        "cutout", {"span_fraction": 0.25, "frequency_hz": 17.3})
     study = run_cutout_study(
         config.wing, config.kinematics, config.environment,
-        cutout=section["span_fraction"],
-        frequency_hz=section["frequency_hz"], solver=config.solver)
+        cutout=config.cutout["span_fraction"],
+        frequency_hz=config.cutout["frequency_hz"], solver=config.solver)
     study.to_csv(os.path.join(out_dir, "cutout_spanwise.csv"))
     study.to_json(os.path.join(out_dir, "cutout_summary.json"))
     c = study.comparison
@@ -165,25 +164,14 @@ def cmd_cutout_study(args, config, out_dir):
           f"{100 * c.lift_to_power_delta:+.2f}% -> {out_dir}")
 
 
-CONTROL_DEFAULTS = {
-    "kp": 4.0, "kd": 2.5, "cutoff_hz": 10.0, "plant_gain": 1.0,
-    "inertia": 1.0, "disturbance": 0.0, "duration_s": 5.0, "dt_s": 0.01,
-    "gyro_sigma_dps": 0.0, "gyro_bias_dps": 0.0,
-    "setpoint_schedule": [[0.0, 0.0]],
-}
-
-
 def cmd_control_sim(args, config, out_dir):
     if args.seed < 0:
         raise ConfigError(f"--seed must be at least 0, got {args.seed}")
-    section = config.task_section("control", CONTROL_DEFAULTS)
-    schedule = tuple(map(tuple, section["setpoint_schedule"]))
-    if not schedule or any(len(pair) != 2 for pair in schedule):
-        raise ConfigError("'setpoint_schedule' in 'control' must be a "
-                          "non-empty list of [time_s, heading_deg] pairs")
+    section = config.control
     controller = ControllerConfig(
         kp=section["kp"], kd=section["kd"], cutoff_hz=section["cutoff_hz"],
-        plant_gain=section["plant_gain"], setpoint_schedule=schedule)
+        plant_gain=section["plant_gain"],
+        setpoint_schedule=section["setpoint_schedule"])
     plant = YawPlant(inertia=section["inertia"],
                      disturbance=section["disturbance"])
     trace = simulate_closed_loop(

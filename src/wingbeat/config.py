@@ -1,16 +1,15 @@
-"""Study-configuration schema: parsing, validation, and serialization.
+"""Study-configuration schema: parsing and validation.
 
 A study config is a JSON document with top-level keys ``wing``,
 ``kinematics``, ``environment``, ``sweep``, ``solver``, and ``output``,
-plus optional task sections (``trim``, ``cutout``, ``control``) consumed
-by the matching CLI subcommands (any other top-level key is kept as one).
-Parsing is strict: a non-object section, an unknown key in a section, a
-non-finite number or an inconsistent value raises :class:`ConfigError`
-before any compute starts, and a parsed config serializes back to an
-equal document.
+plus the optional task sections of :data:`TASK_SECTIONS` (``trim``,
+``cutout``, ``control``, ``power``); any other top-level key is
+rejected. Parsing is strict: a non-object section, an unknown key in a
+section, a number that is not a finite JSON number, or an inconsistent
+value raises :class:`ConfigError` before any compute starts.
 """
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 import json
 import math
 
@@ -42,11 +41,14 @@ def _section(value, section, keys):
 
 
 def _finite(value, key, section):
-    """``value`` as a float; rejects non-numeric and non-finite values."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
+    """``value`` as a float; rejects anything but a finite JSON number
+    (a numeric string or a boolean too)."""
+    number = math.nan
+    if not isinstance(value, (str, bool)):
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
     if not math.isfinite(number):
         raise ConfigError(
             f"'{key}' in '{section}' must be a finite number, got {value!r}")
@@ -129,21 +131,6 @@ def wing_from_config(cfg):
         raise ConfigError(f"invalid cutout: {exc}") from exc
 
 
-def wing_to_config(wing):
-    if wing.pitch_axis_breakpoints is not None:
-        axis = {"type": "breakpoints",
-                "value": [list(p) for p in wing.pitch_axis_breakpoints]}
-    else:
-        axis = {"type": "fraction", "value": wing.pitch_axis_fraction}
-    return {
-        "span_m": wing.span,
-        "root_offset_m": wing.root_offset,
-        "breakpoints": [list(p) for p in wing.chord_breakpoints],
-        "rotation_axis": axis,
-        "cutout_span_fraction": wing.cutout,
-    }
-
-
 def _series_from_config(cfg, frequency, section):
     a = [math.radians(x) for x in _numbers(cfg.get("a_deg", []), "a_deg",
                                            section)]
@@ -158,24 +145,6 @@ def _series_from_config(cfg, frequency, section):
                              a=tuple(a), b=tuple(b), frequency=frequency)
     except ValueError as exc:
         raise ConfigError(f"invalid series in '{section}': {exc}") from exc
-
-
-def _degrees(angle):
-    """``angle`` in degrees, one ulp off if that makes it parse back exactly."""
-    deg = math.degrees(angle)
-    for near in (deg, math.nextafter(deg, math.inf),
-                 math.nextafter(deg, -math.inf)):
-        if math.radians(near) == angle:
-            return near
-    return deg
-
-
-def _series_to_config(series):
-    return {
-        "a0_deg": _degrees(series.a0),
-        "a_deg": [_degrees(x) for x in series.a],
-        "b_deg": [_degrees(x) for x in series.b],
-    }
 
 
 def kinematics_from_config(cfg):
@@ -209,19 +178,6 @@ def kinematics_from_config(cfg):
         raise ConfigError(f"invalid kinematics: {exc}") from exc
 
 
-def kinematics_to_config(kin):
-    stations = []
-    for frac, series in kin.rotation_stations:
-        entry = {"span_fraction": frac}
-        entry.update(_series_to_config(series))
-        stations.append(entry)
-    return {
-        "frequency_hz": kin.frequency,
-        "stroke": _series_to_config(kin.stroke),
-        "rotation_stations": stations,
-    }
-
-
 def environment_from_config(cfg):
     _section(cfg, "environment", ("rho_kg_m3", "nu_m2_s"))
     try:
@@ -230,10 +186,6 @@ def environment_from_config(cfg):
             nu=_finite(cfg.get("nu_m2_s", 1.5e-5), "nu_m2_s", "environment"))
     except ValueError as exc:
         raise ConfigError(f"invalid environment: {exc}") from exc
-
-
-def environment_to_config(env):
-    return {"rho_kg_m3": env.rho, "nu_m2_s": env.nu}
 
 
 def solver_from_config(cfg):
@@ -248,6 +200,51 @@ def solver_from_config(cfg):
         raise ConfigError(f"invalid solver: {exc}") from exc
 
 
+# Task sections: every key each may hold, with its default, or REQUIRED
+# where the key must be present. An absent section takes the defaults,
+# or is None when it has a required key. A value is a finite number, or
+# a list of [time_s, heading_deg] pairs where the default is a tuple.
+REQUIRED = object()
+TASK_SECTIONS = {
+    "trim": {"target_lift_gf": REQUIRED, "f_lo_hz": REQUIRED,
+             "f_hi_hz": REQUIRED},
+    "cutout": {"span_fraction": 0.25, "frequency_hz": 17.3},
+    "control": {"kp": 4.0, "kd": 2.5, "cutoff_hz": 10.0, "plant_gain": 1.0,
+                "inertia": 1.0, "disturbance": 0.0, "duration_s": 5.0,
+                "dt_s": 0.01, "gyro_sigma_dps": 0.0, "gyro_bias_dps": 0.0,
+                "setpoint_schedule": ((0.0, 0.0),)},
+    "power": {"v_supply": REQUIRED, "v_system": REQUIRED,
+              "r_shunt_ohm": REQUIRED, "motor_resistance_ohm": REQUIRED,
+              "wing_mass_kg": REQUIRED},
+}
+
+
+def _schedule(value, key, section):
+    """``value`` as a non-empty tuple of (time_s, heading_deg) pairs."""
+    pairs = tuple(map(tuple, _points(value, key, section)))
+    if not pairs or any(len(pair) != 2 for pair in pairs):
+        raise ConfigError(f"'{key}' in '{section}' must be a non-empty list "
+                          f"of [time_s, heading_deg] pairs")
+    return pairs
+
+
+def _task_section(doc, name):
+    """Values of task section ``name`` of ``doc`` by key, defaults filled
+    in, or None if the section is absent and has a required key."""
+    table = TASK_SECTIONS[name]
+    if name not in doc and REQUIRED in table.values():
+        return None
+    cfg = _section(doc.get(name, {}), name, table)
+    values = {}
+    for key, default in table.items():
+        if key in cfg or default is REQUIRED:
+            parse = _schedule if isinstance(default, tuple) else _finite
+            values[key] = parse(_require(cfg, key, name), key, name)
+        else:
+            values[key] = default
+    return values
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Parsed study: base wing/kinematics/environment plus sweep axes.
@@ -255,7 +252,8 @@ class StudyConfig:
     Sweep axes hold the grid of stroke amplitudes (deg), wing areas
     (cm^2, geometric rescale of the base wing), inboard cutout fractions,
     and flapping frequencies (Hz). Missing axes default to the base
-    configuration's single value.
+    configuration's single value. The task sections hold their values by
+    key (see :data:`TASK_SECTIONS`).
     """
 
     wing: WingGeometry
@@ -265,17 +263,27 @@ class StudyConfig:
     areas_cm2: tuple
     cutouts: tuple
     frequencies_hz: tuple
+    trim: dict | None
+    cutout: dict
+    control: dict
+    power: dict | None
     solver: SolverSettings = SolverSettings()
     output_dir: str = "."
-    extra: tuple = ()
 
     @classmethod
     def from_dict(cls, doc):
+        _section(doc, "top-level", ("wing", "kinematics", "environment",
+                                    "sweep", "solver", "output",
+                                    *TASK_SECTIONS))
         wing = wing_from_config(_require(doc, "wing", "top-level"))
         kin = kinematics_from_config(_require(doc, "kinematics", "top-level"))
         env = environment_from_config(doc.get("environment", {}))
         solver = solver_from_config(doc.get("solver", {}))
         output = _section(doc.get("output", {}), "output", ("directory",))
+        output_dir = output.get("directory", ".")
+        if not isinstance(output_dir, str):
+            raise ConfigError(f"'directory' in 'output' must be a string, "
+                              f"got {output_dir!r}")
 
         sweep = _section(doc.get("sweep", {}), "sweep",
                          ("amplitude_deg", "area_cm2", "cutout",
@@ -292,16 +300,12 @@ class StudyConfig:
         cutouts = axis("cutout", wing.cutout)
         frequencies = axis("frequency_hz", kin.frequency)
 
-        known = {"wing", "kinematics", "environment", "sweep", "solver",
-                 "output"}
-        extra = tuple(sorted((k, json.dumps(v, sort_keys=True))
-                             for k, v in doc.items() if k not in known))
         return cls(wing=wing, kinematics=kin, environment=env,
                    amplitudes_deg=amplitudes, areas_cm2=areas,
                    cutouts=cutouts, frequencies_hz=frequencies,
-                   solver=solver,
-                   output_dir=str(output.get("directory", ".")),
-                   extra=extra)
+                   **{name: _task_section(doc, name)
+                      for name in TASK_SECTIONS},
+                   solver=solver, output_dir=output_dir)
 
     @classmethod
     def from_file(cls, path):
@@ -310,50 +314,7 @@ class StudyConfig:
                 doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config root must be a JSON object in {path}")
         return cls.from_dict(doc)
-
-    def to_dict(self):
-        doc = {
-            "wing": wing_to_config(self.wing),
-            "kinematics": kinematics_to_config(self.kinematics),
-            "environment": environment_to_config(self.environment),
-            "sweep": {
-                "amplitude_deg": list(self.amplitudes_deg),
-                "area_cm2": list(self.areas_cm2),
-                "cutout": list(self.cutouts),
-                "frequency_hz": list(self.frequencies_hz),
-            },
-            "solver": asdict(self.solver),
-            "output": {"directory": self.output_dir},
-        }
-        for key, payload in self.extra:
-            doc[key] = json.loads(payload)
-        return doc
-
-    def extra_section(self, key):
-        for k, payload in self.extra:
-            if k == key:
-                return json.loads(payload)
-        return None
-
-    def task_section(self, name, defaults, required=()):
-        """Values of task section ``name``, parsed as strictly as the rest.
-
-        The section may hold only the keys of ``required``, which must be
-        present, and of ``defaults``, which fill in the missing ones. Each
-        value must be a finite number, or a list of lists of them where
-        the default is a list.
-        """
-        cfg = self.extra_section(name)
-        cfg = _section({} if cfg is None else cfg, name,
-                       (*required, *defaults))
-        for key in required:
-            _require(cfg, key, name)
-        return {key: (_points if isinstance(defaults.get(key), list)
-                      else _finite)(value, key, name)
-                for key, value in {**defaults, **cfg}.items()}
 
 
 def load_angle_samples(path):

@@ -229,7 +229,8 @@ def run_sweep(config, workers=1):
 
 @dataclass(frozen=True)
 class TrimResult:
-    """Trimmed frequency and lift, with every lift probe in probe order.
+    """Trimmed frequency, lift and aerodynamic power (W), with every lift
+    probe in probe order.
 
     ``probes`` holds (frequency_hz, lift_n, vi_evaluations) per probe.
     """
@@ -238,6 +239,7 @@ class TrimResult:
     mean_lift: float
     target_lift: float
     probes: tuple
+    aero_power: float
 
     @property
     def iterations(self):
@@ -248,6 +250,9 @@ class TrimResult:
         return {"frequency_hz": self.frequency_hz,
                 "mean_lift_n": self.mean_lift,
                 "mean_lift_gf": self.mean_lift / GRAM_FORCE_NEWTONS,
+                "aero_power_w": self.aero_power,
+                "lift_to_power_gf_w": lift_to_power(self.mean_lift,
+                                                    self.aero_power),
                 "target_lift_n": self.target_lift,
                 "iterations": self.iterations,
                 "probes": [{"frequency_hz": f, "lift_n": lift,
@@ -283,19 +288,22 @@ def hover_trim(wing, kin, env, target_lift, f_lo, f_hi,
         raise ValueError("target lift must be positive")
 
     probes = []
+    last = None
     # Every probe rescales one grid, built at the first probe's frequency.
     precompute = CyclePrecompute.build(wing, kin.with_frequency(f_lo), env,
                                        solver)
 
     def lift_at(f):
-        info = solve_induced_velocity(wing, kin.with_frequency(f), env,
+        nonlocal last
+        last = solve_induced_velocity(wing, kin.with_frequency(f), env,
                                       solver, precompute=precompute)
-        probes.append((f, info.lift, info.iterations))
-        return info.lift
+        probes.append((f, last.lift, last.iterations))
+        return last.lift
 
     def trimmed(f, lift):
         if abs(lift - target_lift) < TRIM_REL_TOL * target_lift:
-            return TrimResult(f, lift, target_lift, tuple(probes))
+            return TrimResult(f, lift, target_lift, tuple(probes),
+                              last.power)
         return None
 
     def not_bracketed(lift_lo, lift_hi):

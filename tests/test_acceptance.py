@@ -32,6 +32,7 @@ Every tolerance is fixed here; nothing is calibrated at run time.
 from contextlib import contextmanager
 import json
 import math
+from pathlib import Path
 import time
 
 import numpy as np
@@ -39,7 +40,6 @@ import pytest
 
 import wingbeat as wb
 from wingbeat.config import SolverSettings, StudyConfig
-from wingbeat.config import kinematics_to_config, wing_to_config
 from wingbeat.harness import hover_trim, run_cutout_study, run_sweep
 from wingbeat.kinematics import FourierSeries, WingKinematics, fit_fourier
 from wingbeat.power import (
@@ -264,10 +264,11 @@ def test_criterion_7_controller():
 
 def test_criterion_8_harness_determinism(tmp_path):
     with criterion(8, "sweep reproducibility and fit round trip", 30.0):
+        study = json.loads((Path(__file__).resolve().parents[1] / "demos"
+                            / "configs" / "study.json").read_text())
         doc = {
-            "wing": wing_to_config(wb.standard_wing(25.5)),
-            "kinematics": kinematics_to_config(
-                wb.beetle_kinematics(17.3, 190.0)),
+            "wing": study["wing"],
+            "kinematics": study["kinematics"],
             "environment": {"rho_kg_m3": 1.225, "nu_m2_s": 1.5e-5},
             "sweep": {"amplitude_deg": [120.0, 190.0],
                       "area_cm2": [20.1, 25.5],

@@ -2,7 +2,8 @@
 
 Every run of ``cli.main`` must return an exit code in {0, 1, 2, 3} with
 nothing escaping, write at most one line to stderr, and leave only
-strict JSON behind. The mutations never enlarge the sweep grid, and the
+strict JSON behind; a config with a misspelled top-level key exits 1.
+The mutations never enlarge the sweep grid, and the
 values they insert either keep the cycle grid and the control run small
 or exceed the parse-time caps, so no run asks for much memory or time.
 """
@@ -22,7 +23,7 @@ STUDY = json.loads((Path(__file__).resolve().parents[1] / "demos" / "configs"
                     / "study.json").read_text())
 # Extreme finite or negative numbers, and values of other types.
 VALUES = (-1e300, -(2**62), -1.0, -0.0, 0.0, 1e-300, 0.5, 3, 1e300, 2**62,
-          True, None, "x", [], {})
+          10**400, True, None, "x", [], {})
 COMMANDS = ("fit-kinematics", "simulate", "sweep", "trim", "cutout-study",
             "control-sim")
 FLAG_VALUES = {
@@ -72,6 +73,11 @@ def _reject_constant(name):
 def invocations(draw):
     doc = _mutated(draw(st.sampled_from(PATHS)), draw(st.sampled_from(VALUES)),
                    drop=draw(st.booleans()))
+    # A misspelled top-level key (its last two letters swapped) is unknown.
+    renamed = isinstance(doc, dict) and bool(doc) and draw(st.booleans())
+    if renamed:
+        key = draw(st.sampled_from(sorted(doc)))
+        doc[key[:-2] + key[-1] + key[-2]] = doc.pop(key)
     flags = []
     for flag in ("--workers", "--steps", "--seed"):
         if draw(st.booleans()):
@@ -84,13 +90,13 @@ def invocations(draw):
         if draw(st.booleans()):
             tail += ["--harmonics",
                      draw(st.sampled_from(FLAG_VALUES["--harmonics"]))]
-    return doc, flags, draw(st.booleans()), tail
+    return doc, flags, draw(st.booleans()), tail, renamed
 
 
 @settings(max_examples=150, deadline=None)
 @given(invocations())
 def test_cli_keeps_its_contract(invocation):
-    doc, flags, with_config, tail = invocation
+    doc, flags, with_config, tail, renamed = invocation
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         config, samples = tmp / "study.json", tmp / "samples.csv"
@@ -110,6 +116,8 @@ def test_cli_keeps_its_contract(invocation):
         except (Exception, SystemExit) as exc:
             raise AssertionError(f"{exc!r} escaped cli.main") from exc
         assert code in (0, 1, 2, 3)
+        if renamed:
+            assert code == 1
         stderr = err.getvalue()
         assert stderr.count("\n") <= 1
         assert not stderr or stderr.endswith("\n")

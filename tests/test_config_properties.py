@@ -1,4 +1,4 @@
-"""Property tests of the study-config boundary: round trip and finiteness."""
+"""Property test of the study-config boundary: every number is finite."""
 
 import math
 
@@ -96,15 +96,8 @@ def numeric_paths(node, path=()):
 
 
 @settings(max_examples=60, deadline=None)
-@given(study_docs())
-def test_parsed_config_round_trips(doc):
-    config = StudyConfig.from_dict(doc)
-    assert StudyConfig.from_dict(config.to_dict()) == config
-
-
-@settings(max_examples=60, deadline=None)
 @given(study_docs(), st.data(),
-       st.sampled_from((math.nan, math.inf, -math.inf)))
+       st.sampled_from((math.nan, math.inf, -math.inf, "1.0", True)))
 def test_non_finite_number_is_a_config_error(doc, data, bad):
     path = data.draw(st.sampled_from(list(numeric_paths(doc))))
     node = doc

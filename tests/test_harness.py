@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+from pathlib import Path
 import subprocess
 import sys
 import warnings
@@ -15,13 +16,7 @@ import pytest
 import wingbeat
 from wingbeat import aero, cli, harness
 from wingbeat.aero import AeroEnvironment, SolverSettings, simulate_cycle
-from wingbeat.config import (
-    ConfigError,
-    StudyConfig,
-    kinematics_to_config,
-    load_angle_samples,
-    wing_to_config,
-)
+from wingbeat.config import ConfigError, StudyConfig, load_angle_samples
 from wingbeat.control import MAX_STEPS
 from wingbeat.harness import (
     ComputeError,
@@ -34,13 +29,17 @@ from wingbeat.harness import (
 from wingbeat.kinematics import FourierSeries, WingKinematics
 from wingbeat.power import GRAM_FORCE_NEWTONS
 from wingbeat.presets import beetle_kinematics, standard_wing
-from wingbeat.wing import apply_inboard_cutout, build_wing, scaled_to_area
+from wingbeat.wing import apply_inboard_cutout, scaled_to_area
+
+# The 25.5 cm^2 wing at 17.3 Hz and 190 deg.
+STUDY = json.loads((Path(__file__).resolve().parents[1] / "demos" / "configs"
+                    / "study.json").read_text())
 
 
 def base_config_dict(**overrides):
     doc = {
-        "wing": wing_to_config(standard_wing(25.5)),
-        "kinematics": kinematics_to_config(beetle_kinematics(17.3, 190.0)),
+        "wing": json.loads(json.dumps(STUDY["wing"])),
+        "kinematics": json.loads(json.dumps(STUDY["kinematics"])),
         "environment": {"rho_kg_m3": 1.225, "nu_m2_s": 1.5e-5},
         "sweep": {},
         "solver": {"steps_per_cycle": 180, "n_elements": 10},
@@ -48,13 +47,6 @@ def base_config_dict(**overrides):
     }
     doc.update(overrides)
     return doc
-
-
-def test_config_round_trip():
-    config = StudyConfig.from_dict(base_config_dict())
-    again = StudyConfig.from_dict(config.to_dict())
-    assert again == config
-    assert again.to_dict() == config.to_dict()
 
 
 def test_config_defaults_axes_from_base():
@@ -66,12 +58,11 @@ def test_config_defaults_axes_from_base():
 
 
 def test_sweep_cutout_axis_defaults_to_the_wings_cutout():
-    cut = apply_inboard_cutout(standard_wing(25.5), 0.3)
-    doc = base_config_dict(wing=wing_to_config(cut),
-                           sweep={"amplitude_deg": [190.0]})
+    doc = base_config_dict(sweep={"amplitude_deg": [190.0]})
+    cut = apply_inboard_cutout(StudyConfig.from_dict(doc).wing, 0.3)
+    doc["wing"]["cutout_span_fraction"] = 0.3
     config = StudyConfig.from_dict(doc)
     assert config.cutouts == (0.3,)
-    assert StudyConfig.from_dict(config.to_dict()) == config
     (row,) = run_sweep(config).rows
     assert row.cutout_span_fraction == 0.3
     cycle = simulate_cycle(cut, config.kinematics.with_stroke_amplitude(
@@ -81,10 +72,9 @@ def test_sweep_cutout_axis_defaults_to_the_wings_cutout():
 
 
 def test_sweep_row_fails_a_cutout_inside_the_wings_own():
-    cut = apply_inboard_cutout(standard_wing(25.5), 0.3)
-    doc = base_config_dict(wing=wing_to_config(cut),
-                           sweep={"amplitude_deg": [190.0],
+    doc = base_config_dict(sweep={"amplitude_deg": [190.0],
                                   "cutout": [0.0, 0.3]})
+    doc["wing"]["cutout_span_fraction"] = 0.3
     inside, own = run_sweep(StudyConfig.from_dict(doc)).rows
     assert inside.error == ("sweep cutout 0.0 lies inside the wing's own "
                             "cutout 0.3")
@@ -133,6 +123,7 @@ def test_config_validation_errors():
     ("sweep", "area_cm2", [25.5, math.inf]),
     ("sweep", "amplitude_deg", [-math.inf]),
     ("sweep", "cutout", [math.nan]),
+    ("kinematics", "frequency_hz", 10**400),
 ])
 def test_config_rejects_bad_solver_and_physics_values(section, key, value):
     doc = base_config_dict()
@@ -185,11 +176,37 @@ def test_config_rejects_non_boolean_pair(value):
         StudyConfig.from_dict(doc)
 
 
-def test_config_keeps_unknown_top_level_sections():
-    section = {"v_supply": 7.4, "anything": [1, "two"]}
-    config = StudyConfig.from_dict(base_config_dict(power=section))
-    assert config.extra_section("power") == section
-    assert config.to_dict()["power"] == section
+def test_config_rejects_unknown_top_level_key():
+    for key in ("cutuot", "contrl", "powr"):
+        with pytest.raises(ConfigError, match=f"unknown key.*'{key}'"):
+            StudyConfig.from_dict(base_config_dict(**{key: {}}))
+
+
+POWER = {"v_supply": 7.4, "v_system": 3.7, "r_shunt_ohm": 2.0,
+         "motor_resistance_ohm": 1.0, "wing_mass_kg": 4e-4}
+
+
+def test_config_parses_task_sections():
+    bare = StudyConfig.from_dict(base_config_dict())
+    assert bare.trim is None and bare.power is None
+    assert bare.cutout == {"span_fraction": 0.25, "frequency_hz": 17.3}
+    assert bare.control["setpoint_schedule"] == ((0.0, 0.0),)
+    config = StudyConfig.from_dict(base_config_dict(
+        power=POWER, control={"kp": 3, "setpoint_schedule": [[0, 5]]}))
+    assert config.power == POWER
+    assert config.control == {**bare.control, "kp": 3.0,
+                              "setpoint_schedule": ((0.0, 5.0),)}
+    with pytest.raises(ConfigError,
+                       match="missing key 'wing_mass_kg' in 'power'"):
+        StudyConfig.from_dict(base_config_dict(
+            power={k: v for k, v in POWER.items() if k != "wing_mass_kg"}))
+
+
+@pytest.mark.parametrize("directory", [None, [1, 2], 5])
+def test_config_output_directory_must_be_a_string(directory):
+    with pytest.raises(ConfigError, match="'directory' in 'output'"):
+        StudyConfig.from_dict(base_config_dict(
+            output={"directory": directory}))
 
 
 def test_config_rejects_non_finite_series_coefficients():
@@ -637,6 +654,8 @@ def test_cli_bad_solver_or_physics_value_is_config_error(tmp_path, capsys,
     ("simulate", "solver", "step_per_cycle", 10),
     ("simulate", "environment", "rho", 1.0),
     ("simulate", "solver", "pair", "false"),
+    ("simulate", "kinematics", "frequency_hz", "17.3"),
+    ("simulate", "solver", "vi_max_iter", True),
 ])
 def test_cli_bad_section_value_is_config_error(tmp_path, capsys, command,
                                                section, key, value):
@@ -668,7 +687,31 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 def test_cli_missing_trim_section(tmp_path, capsys):
     path = write_config(tmp_path)
     assert cli.main(["--config", str(path), "trim"]) == 1
-    assert "trim" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: the config has no 'trim' section\n")
+
+
+@pytest.mark.parametrize("command, key", [("cutout-study", "cutuot"),
+                                          ("control-sim", "contrl")])
+def test_cli_misspelled_task_section_is_config_error(tmp_path, capsys,
+                                                     command, key):
+    path = write_config(tmp_path, **{key: {"span_fraction": 0.4}})
+    assert cli.main(["--config", str(path), command]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: unknown key(s) '{key}' in 'top-level' section\n")
+
+
+def test_cli_null_output_directory_is_config_error(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["output"]["directory"] = None
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--config", str(path), "simulate"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: 'directory' in 'output' must be a string, got None\n")
+    assert not (tmp_path / "None").exists()
 
 
 def test_cli_trim(tmp_path):
@@ -681,12 +724,21 @@ def test_cli_trim(tmp_path):
     assert doc["probes"][-1] == {"frequency_hz": doc["frequency_hz"],
                                  "lift_n": doc["mean_lift_n"],
                                  "vi_evaluations": 4}
+    config = StudyConfig.from_file(path)
+    cycle = simulate_cycle(
+        config.wing, config.kinematics.with_frequency(doc["frequency_hz"]),
+        config.environment, config.solver)
+    assert doc["aero_power_w"] == pytest.approx(cycle.mean_aero_power,
+                                                rel=1e-12)
+    assert doc["lift_to_power_gf_w"] == pytest.approx(
+        doc["mean_lift_gf"] / cycle.mean_aero_power, rel=1e-12)
 
 
 TASK_SECTIONS = {"trim": {"target_lift_gf": 15.8, "f_lo_hz": 8.0,
                           "f_hi_hz": 30.0},
                  "cutout": {"span_fraction": 0.25, "frequency_hz": 17.3},
-                 "control": {"kp": 4.0, "duration_s": 0.1}}
+                 "control": {"kp": 4.0, "duration_s": 0.1},
+                 "power": POWER}
 
 
 @pytest.mark.parametrize("command, section, key, value", [
@@ -699,6 +751,11 @@ TASK_SECTIONS = {"trim": {"target_lift_gf": 15.8, "f_lo_hz": 8.0,
     ("control-sim", "control", "dt_s", [0.01]),
     ("control-sim", "control", "setpoint_schedule", [[0.0, math.inf]]),
     ("control-sim", "control", "setpoint_schedule", [[0.0]]),
+    ("simulate", "control", "kpp", 99),
+    ("sweep", "trim", "f_hi_hz", "x"),
+    ("simulate", "power", "v_suply", 7.4),
+    ("simulate", "power", "wing_mass_kg", math.nan),
+    ("control-sim", "power", "v_supply", None),
 ])
 def test_cli_bad_task_section_value_is_config_error(tmp_path, capsys,
                                                     command, section, key,
@@ -723,7 +780,7 @@ def test_cli_unbracketed_trim_target_is_config_error(tmp_path, capsys):
 
 
 def test_cli_sweep_of_zero_area_wing_names_the_cause(tmp_path, capsys):
-    zero = wing_to_config(build_wing([(0.0, 0.0), (0.09, 0.0)]))
+    zero = {"span_m": 0.09, "breakpoints": [[0.0, 0.0], [0.09, 0.0]]}
     path = write_config(tmp_path, wing=zero, sweep={"area_cm2": [25.0]})
     assert cli.main(["--config", str(path), "sweep"]) == 2
     assert capsys.readouterr().err == (
