@@ -12,11 +12,12 @@ import os
 from wingbeat import (
     AeroEnvironment,
     GRAM_FORCE_NEWTONS,
+    SolverSettings,
     apply_inboard_cutout,
     beetle_kinematics,
     standard_wing,
 )
-from wingbeat.harness import run_cutout_study
+from wingbeat.harness import run_cutout_study, write_cutout
 
 wing = standard_wing(25.5)
 modified = apply_inboard_cutout(wing, 0.25)
@@ -40,8 +41,7 @@ print(f"lift-to-power change   {100 * c.lift_to_power_delta:+6.2f}%  "
       f"(aerodynamic efficiency unaffected)")
 
 os.makedirs("demos/out", exist_ok=True)
-study.to_csv("demos/out/cutout_spanwise.csv")
-study.to_json("demos/out/cutout_summary.json")
+write_cutout("demos/out", study, SolverSettings())
 print("\nspanwise table -> demos/out/cutout_spanwise.csv")
 
 print("\nSpanwise lift, intact (#) vs modified (o), both wings:")

@@ -11,21 +11,20 @@ import os
 
 from wingbeat import GRAM_FORCE_NEWTONS, lift_to_power, standard_wing
 from wingbeat.config import StudyConfig
-from wingbeat.harness import hover_trim, run_sweep
+from wingbeat.harness import hover_trim, run_sweep, write_sweep
 
 # The base study: the 25.5 cm^2 wing at 17.3 Hz and 190 deg, swept over
 # amplitudes 120/190 deg, areas 20.1/25.5/31.4 cm^2 and 14/17.3/20 Hz.
 config = StudyConfig.from_file(os.path.join(os.path.dirname(__file__),
                                             "configs", "study.json"))
 
-result = run_sweep(config)
+rows = run_sweep(config)
 os.makedirs("demos/out", exist_ok=True)
-result.to_csv("demos/out/sweep.csv")
-result.to_json("demos/out/sweep.json")
-print(f"{len(result.rows)} grid points -> demos/out/sweep.csv")
+write_sweep("demos/out", rows, config.solver)
+print(f"{len(rows)} grid points -> demos/out/sweep.csv")
 print(f"{'amp deg':>8} {'area cm2':>9} {'f Hz':>6} {'lift gf':>8} "
       f"{'P_aero W':>9} {'gf/W':>6}")
-for row in result.rows:
+for row in rows:
     print(f"{row.amplitude_deg:8.0f} {row.area_cm2:9.1f} "
           f"{row.frequency_hz:6.1f} {row.mean_lift_gf:8.2f} "
           f"{row.aero_power_w:9.2f} {row.lift_to_power_gf_w:6.2f}")

@@ -11,6 +11,7 @@ import os
 import numpy as np
 
 from wingbeat import ControllerConfig, YawPlant, simulate_closed_loop
+from wingbeat.harness import write_control
 
 config = ControllerConfig(kp=4.0, kd=2.5, cutoff_hz=10.0,
                           setpoint_schedule=((0.0, 0.0), (1.0, 30.0),
@@ -20,7 +21,7 @@ trace = simulate_closed_loop(plant, config, duration=10.0, dt=0.01,
                              gyro_sigma=2.0, seed=11)
 
 os.makedirs("demos/out", exist_ok=True)
-trace.to_csv("demos/out/control_trace.csv")
+write_control("demos/out", trace)
 print("heading steps +30 deg at t=1 s and -20 deg at t=6 s, "
       "gyro noise 2 deg/s -> demos/out/control_trace.csv")
 

@@ -1,13 +1,13 @@
 """Command-line front end for the batch studies.
 
 Subcommands: fit-kinematics, simulate, sweep, trim, cutout-study,
-control-sim. Every subcommand reads a JSON study config (--config) and
-writes its outputs under --out. Exit codes: 0 success, 1 config error,
-2 compute failure, 3 I/O error.
+control-sim. Every subcommand reads a JSON study config (--config),
+computes, and hands its result to one writer of :mod:`wingbeat.harness`,
+which writes the outputs under --out. Exit codes: 0 success, 1 config
+error, 2 compute failure, 3 I/O error.
 """
 
 import argparse
-from dataclasses import replace
 import math
 import os
 import sys
@@ -18,15 +18,15 @@ from .config import ConfigError, StudyConfig, load_angle_samples
 from .control import ControllerConfig, YawPlant, simulate_closed_loop
 from .harness import (
     ComputeError,
-    cycle_summary_dict,
-    cycle_timeseries_rows,
     hover_trim,
     run_cutout_study,
-    run_metadata,
     run_sweep,
-    spanwise_rows,
-    write_float_table,
-    write_json,
+    write_control,
+    write_cutout,
+    write_cycle,
+    write_fit,
+    write_sweep,
+    write_trim,
 )
 from .kinematics import fit_fourier
 from .power import GRAM_FORCE_NEWTONS
@@ -56,8 +56,6 @@ def build_parser():
     parser.add_argument("--workers", type=int, default=1,
                         help="accepted for compatibility (at least 1); no "
                              "effect, the sweep runs in one process")
-    parser.add_argument("--steps", type=int, default=None,
-                        help="override solver steps per cycle")
     parser.add_argument("--seed", type=int, default=0,
                         help="RNG seed (control-sim gyro noise only)")
 
@@ -67,25 +65,18 @@ def build_parser():
     fit.add_argument("samples", help="CSV with columns t_s, angle_deg")
     fit.add_argument("--harmonics", type=int, default=5,
                      help="harmonics to fit (at least 0; 0 fits the mean)")
-
-    sub.add_parser("simulate", help="one flapping cycle at the base config")
-    sub.add_parser("sweep", help="full amplitude/area/cutout/frequency grid")
-    sub.add_parser("trim",
-                   help="flapping frequency that lifts the 'trim' target")
-    sub.add_parser("cutout-study",
-                   help="intact vs inboard-cutout wings at fixed frequency")
-    sub.add_parser("control-sim", help="closed-loop yaw stabilization trace")
+    fit.set_defaults(run=cmd_fit_kinematics)
+    sub.add_parser("simulate", help="one flapping cycle at the base config"
+                   ).set_defaults(run=cmd_simulate)
+    sub.add_parser("sweep", help="full amplitude/area/cutout/frequency grid"
+                   ).set_defaults(run=cmd_sweep)
+    sub.add_parser("trim", help="flapping frequency that lifts the 'trim' "
+                   "target").set_defaults(run=cmd_trim)
+    sub.add_parser("cutout-study", help="intact vs inboard-cutout wings at "
+                   "fixed frequency").set_defaults(run=cmd_cutout_study)
+    sub.add_parser("control-sim", help="closed-loop yaw stabilization trace"
+                   ).set_defaults(run=cmd_control_sim)
     return parser
-
-
-def _prepare(args):
-    config = StudyConfig.from_file(args.config)
-    if args.steps is not None:
-        config = replace(config, solver=replace(config.solver,
-                                                steps_per_cycle=args.steps))
-    out_dir = args.out if args.out is not None else config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-    return config, out_dir
 
 
 def cmd_fit_kinematics(args, config, out_dir):
@@ -98,42 +89,25 @@ def cmd_fit_kinematics(args, config, out_dir):
     with np.errstate(all="ignore"):
         series, rms = fit_fourier(t, angle, config.kinematics.frequency,
                                   n_harmonics=args.harmonics)
-    payload = {
-        "metadata": run_metadata(config.solver),
-        "frequency_hz": series.frequency,
-        "a0_deg": math.degrees(series.a0),
-        "a_deg": [math.degrees(x) for x in series.a],
-        "b_deg": [math.degrees(x) for x in series.b],
-        "rms_residual_deg": math.degrees(rms),
-        "n_samples": int(t.size),
-    }
-    write_json(os.path.join(out_dir, "fit.json"), payload)
+    write_fit(out_dir, (series, rms, t.size), config.solver)
     print(f"fit: {args.harmonics} harmonics, RMS residual "
-          f"{math.degrees(rms):.6g} deg -> {out_dir}/fit.json")
+          f"{math.degrees(rms):.6g} deg -> {out_dir}")
 
 
 def cmd_simulate(args, config, out_dir):
     result = simulate_cycle(config.wing, config.kinematics,
                             config.environment, config.solver)
-    summary = {"metadata": run_metadata(config.solver)}
-    summary.update(cycle_summary_dict(result))
-    write_json(os.path.join(out_dir, "cycle_summary.json"), summary)
-    write_float_table(os.path.join(out_dir, "cycle_timeseries.csv"),
-                      *cycle_timeseries_rows(result))
-    write_float_table(os.path.join(out_dir, "cycle_spanwise.csv"),
-                      *spanwise_rows(result))
+    write_cycle(out_dir, result, config.solver)
     print(f"simulate: lift {result.mean_lift / GRAM_FORCE_NEWTONS:.4g} gf, "
           f"aero power {result.mean_aero_power:.4g} W, "
           f"Vi {result.v_induced:.4g} m/s -> {out_dir}")
 
 
 def cmd_sweep(args, config, out_dir):
-    result = run_sweep(config, workers=args.workers)
-    result.to_csv(os.path.join(out_dir, "sweep.csv"))
-    result.to_json(os.path.join(out_dir, "sweep.json"))
-    failed = sum(1 for row in result.rows if row.error is not None)
-    print(f"sweep: {len(result.rows)} points ({failed} failed) -> "
-          f"{out_dir}/sweep.csv")
+    rows = run_sweep(config, workers=args.workers)
+    write_sweep(out_dir, rows, config.solver)
+    failed = sum(1 for row in rows if row.error is not None)
+    print(f"sweep: {len(rows)} points ({failed} failed) -> {out_dir}")
 
 
 def cmd_trim(args, config, out_dir):
@@ -144,11 +118,9 @@ def cmd_trim(args, config, out_dir):
     trim = hover_trim(config.wing, config.kinematics, config.environment,
                       target_gf * GRAM_FORCE_NEWTONS, section["f_lo_hz"],
                       section["f_hi_hz"], solver=config.solver)
-    payload = {"metadata": run_metadata(config.solver)}
-    payload.update(trim.as_dict())
-    write_json(os.path.join(out_dir, "trim.json"), payload)
+    write_trim(out_dir, trim, config.solver)
     print(f"trim: {trim.frequency_hz:.4g} Hz for {target_gf:.4g} gf "
-          f"-> {out_dir}/trim.json")
+          f"-> {out_dir}")
 
 
 def cmd_cutout_study(args, config, out_dir):
@@ -156,8 +128,7 @@ def cmd_cutout_study(args, config, out_dir):
         config.wing, config.kinematics, config.environment,
         cutout=config.cutout["span_fraction"],
         frequency_hz=config.cutout["frequency_hz"], solver=config.solver)
-    study.to_csv(os.path.join(out_dir, "cutout_spanwise.csv"))
-    study.to_json(os.path.join(out_dir, "cutout_summary.json"))
+    write_cutout(out_dir, study, config.solver)
     c = study.comparison
     print(f"cutout-study: lift {100 * c.lift_delta:+.2f}%, aero power "
           f"{100 * c.power_delta:+.2f}%, lift-to-power "
@@ -178,27 +149,18 @@ def cmd_control_sim(args, config, out_dir):
         plant, controller, duration=section["duration_s"],
         dt=section["dt_s"], gyro_sigma=section["gyro_sigma_dps"],
         gyro_bias=section["gyro_bias_dps"], seed=args.seed)
-    path = os.path.join(out_dir, "control_trace.csv")
-    trace.to_csv(path)
+    write_control(out_dir, trace)
     print(f"control-sim: {trace.t.size} steps, final heading "
-          f"{trace.psi_true[-1]:.3f} deg -> {path}")
-
-
-COMMANDS = {
-    "fit-kinematics": cmd_fit_kinematics,
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
-    "trim": cmd_trim,
-    "cutout-study": cmd_cutout_study,
-    "control-sim": cmd_control_sim,
-}
+          f"{trace.psi_true[-1]:.3f} deg -> {out_dir}")
 
 
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        config, out_dir = _prepare(args)
-        COMMANDS[args.command](args, config, out_dir)
+        config = StudyConfig.from_file(args.config)
+        out_dir = args.out if args.out is not None else config.output_dir
+        os.makedirs(out_dir, exist_ok=True)
+        args.run(args, config, out_dir)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,16 +15,14 @@ per-step law. :func:`simulate_closed_loop` does not call them per step.
 It inlines the same arithmetic, in the same order, on local floats, and
 runs it in chunks of steps with one batched noise draw and one vectorised
 setpoint lookup per chunk; its trace equals a step-by-step replay through
-the pieces bit for bit. The trace is written by the float-table writer
-every export shares.
+the pieces bit for bit. :func:`wingbeat.harness.write_control` writes
+the trace.
 """
 
 from dataclasses import dataclass
 import math
 
 import numpy as np
-
-from .harness import write_float_table
 
 # Steps per chunk of the closed-loop simulation.
 CHUNK_STEPS = 1024
@@ -131,14 +129,6 @@ class ControlTrace:
     psi_est: np.ndarray
     omega: np.ndarray
     control_output: np.ndarray
-
-    CSV_FIELDS = ("t_s", "psi_true_deg", "psi_est_deg", "omega_dps",
-                  "control_output")
-
-    def to_csv(self, path):
-        write_float_table(path, self.CSV_FIELDS, (
-            self.t, self.psi_true, self.psi_est, self.omega,
-            self.control_output))
 
 
 def simulate_closed_loop(plant, config, duration, dt,

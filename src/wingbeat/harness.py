@@ -1,12 +1,14 @@
-"""Batch studies: design-space sweeps, hover trim, and the cutout comparison.
+"""Batch studies and the writers of every output file.
 
 Every study passes one :class:`~wingbeat.aero.SolverSettings` to the
-aero solvers. Float tables (cycle timeseries and spanwise loads, the
-cutout comparison, the control trace) are written by
-:func:`write_float_table`, which formats each chunk of rows with one
-``%.12g`` format string; only the sweep table, whose status cell may
-hold a comma, goes through the quoting :func:`write_csv`. JSON is strict:
-:func:`write_json` refuses a non-finite number as a compute failure.
+aero solvers and returns plain values. One writer per subcommand
+(``write_cycle``, ``write_sweep``, ...) owns its file names, headers and
+payload keys. Float tables go through :func:`write_float_table`, which
+formats each chunk of rows with one ``%.12g`` format string; only the
+sweep table, whose status cell may hold a comma, goes through the
+quoting :func:`write_csv`. :func:`write_json` stamps each JSON file's
+``metadata``, and refuses a non-finite number as a compute failure.
+Lift-to-power is null wherever the aerodynamic power is not positive.
 
 A sweep runs in one process, in grid order. Its points share one
 :class:`~wingbeat.aero.CyclePrecompute` per cutout, which their wing
@@ -18,11 +20,13 @@ its row and never aborts the grid. Hover trim likewise probes with
 inflow solves on one precompute.
 """
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 import csv
 import datetime
+import itertools
 import json
 import math
+import os
 
 import numpy as np
 
@@ -88,11 +92,21 @@ def write_csv(path, header, rows):
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
 
-def write_json(path, payload):
-    """Write ``payload`` as strict JSON; a non-finite number raises
-    :class:`ComputeError` before the file is opened."""
+def write_json(path, payload, solver):
+    """Write ``payload`` as strict JSON under a ``metadata`` block: schema
+    and program versions, ``solver`` and the time of writing (UTC). A
+    non-finite number raises :class:`ComputeError` before the file is
+    opened."""
+    metadata = {
+        "schema_version": SCHEMA_VERSION,
+        "solver_version": __version__,
+        "solver": asdict(solver),
+        "timestamp_utc": datetime.datetime.now(datetime.timezone.utc)
+        .isoformat(timespec="seconds"),
+    }
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps({"metadata": metadata, **payload}, indent=2,
+                          sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise ComputeError(f"cannot write JSON to {path}: {exc}") from exc
     try:
@@ -102,19 +116,28 @@ def write_json(path, payload):
         raise OSError(f"cannot write JSON to {path}: {exc}") from exc
 
 
-def run_metadata(solver):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "solver_version": __version__,
-        "solver": asdict(solver),
-        "timestamp_utc": datetime.datetime.now(datetime.timezone.utc)
-        .isoformat(timespec="seconds"),
-    }
+def _lift_to_power_or_none(lift, power):
+    """Lift-to-power (gf/W), or None when the power is not positive."""
+    return lift_to_power(lift, power) if power > 0.0 else None
+
+
+def _inflow_diagnostics(info):
+    """The inflow solve's evaluations, final residual (m/s) and
+    negative-thrust flag; None each when the inflow was given."""
+    if info is None:
+        return dict.fromkeys(("vi_iterations", "vi_residual_m_s",
+                              "negative_thrust"))
+    return {"vi_iterations": info.iterations,
+            "vi_residual_m_s": info.residual,
+            "negative_thrust": info.negative_thrust}
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid point of a design sweep; failed points carry ``error``."""
+    """One grid point of a design sweep; failed points carry ``error``.
+
+    The fields through ``vi_iterations`` are the columns of ``sweep.csv``.
+    """
 
     amplitude_deg: float
     area_cm2: float
@@ -126,36 +149,9 @@ class SweepRow:
     reynolds: float | None = None
     lift_to_power_gf_w: float | None = None
     vi_iterations: int | None = None
+    vi_residual_m_s: float | None = None
+    negative_thrust: bool | None = None
     error: str | None = None
-
-    CSV_FIELDS = ("amplitude_deg", "area_cm2", "cutout_span_fraction",
-                  "frequency_hz", "mean_lift_gf", "aero_power_w",
-                  "v_induced_m_s", "reynolds", "lift_to_power_gf_w",
-                  "vi_iterations", "status")
-
-    def csv_cells(self):
-        *values, iterations, error = self.as_dict().values()
-        cells = ["" if v is None else format_float(v) for v in values]
-        cells.append("" if iterations is None else str(iterations))
-        cells.append("ok" if error is None else f"error: {error}")
-        return cells
-
-    def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple
-    metadata: dict
-
-    def to_csv(self, path):
-        write_csv(path, SweepRow.CSV_FIELDS,
-                  [row.csv_cells() for row in self.rows])
-
-    def to_json(self, path):
-        write_json(path, {"metadata": self.metadata,
-                          "rows": [row.as_dict() for row in self.rows]})
 
 
 def _evaluate_point(config, point, wings, precomputes):
@@ -191,23 +187,15 @@ def _evaluate_point(config, point, wings, precomputes):
             aero_power_w=info.power,
             v_induced_m_s=info.v_induced,
             reynolds=reynolds(wing, kin, env),
-            lift_to_power_gf_w=lift_to_power(info.lift, info.power),
-            vi_iterations=info.iterations)
+            lift_to_power_gf_w=_lift_to_power_or_none(info.lift, info.power),
+            **_inflow_diagnostics(info))
     except (ValueError, RuntimeError) as exc:  # record, never abort
         return replace(row, error=str(exc))
 
 
-def sweep_grid(config):
-    """Grid points in deterministic lexicographic axis order."""
-    return [(a, s, c, f)
-            for a in config.amplitudes_deg
-            for s in config.areas_cm2
-            for c in config.cutouts
-            for f in config.frequencies_hz]
-
-
 def run_sweep(config, workers=1):
-    """Evaluate every grid point of the study's sweep axes, in grid order.
+    """The :class:`SweepRow` of every point of the study's sweep grid, as
+    a tuple in lexicographic axis order.
 
     ``workers`` is validated (at least 1) but has no effect: the sweep
     runs in one process. Raises :class:`ComputeError` only if every point
@@ -220,11 +208,13 @@ def run_sweep(config, workers=1):
     # finiteness check reports that as one error per point.
     with np.errstate(all="ignore"):
         rows = [_evaluate_point(config, point, wings, precomputes)
-                for point in sweep_grid(config)]
+                for point in itertools.product(
+                    config.amplitudes_deg, config.areas_cm2, config.cutouts,
+                    config.frequencies_hz)]
     if rows and all(row.error is not None for row in rows):
         raise ComputeError(
             f"all {len(rows)} sweep points failed; first error: {rows[0].error}")
-    return SweepResult(rows=tuple(rows), metadata=run_metadata(config.solver))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -245,19 +235,6 @@ class TrimResult:
     def iterations(self):
         """Probes after the first."""
         return len(self.probes) - 1
-
-    def as_dict(self):
-        return {"frequency_hz": self.frequency_hz,
-                "mean_lift_n": self.mean_lift,
-                "mean_lift_gf": self.mean_lift / GRAM_FORCE_NEWTONS,
-                "aero_power_w": self.aero_power,
-                "lift_to_power_gf_w": lift_to_power(self.mean_lift,
-                                                    self.aero_power),
-                "target_lift_n": self.target_lift,
-                "iterations": self.iterations,
-                "probes": [{"frequency_hz": f, "lift_n": lift,
-                            "vi_evaluations": n}
-                           for f, lift, n in self.probes]}
 
 
 # Hover trim stops within this relative lift error of the target, and
@@ -367,37 +344,6 @@ class CutoutStudy:
     intact: object
     modified: object
     comparison: object
-    metadata: dict
-
-    SPANWISE_FIELDS = ("span_fraction", "lift_intact_n", "lift_modified_n",
-                       "power_intact_w", "power_modified_w")
-
-    def to_csv(self, path):
-        write_float_table(path, self.SPANWISE_FIELDS, (
-            self.intact.span_fractions,
-            self.intact.spanwise_lift, self.modified.spanwise_lift,
-            self.intact.spanwise_power, self.modified.spanwise_power))
-
-    def summary(self):
-        def loads(result):
-            return {"mean_lift_gf": result.mean_lift / GRAM_FORCE_NEWTONS,
-                    "aero_power_w": result.mean_aero_power,
-                    "v_induced_m_s": result.v_induced,
-                    **_inflow_diagnostics(result)}
-
-        return {
-            "metadata": self.metadata,
-            "cutout_span_fraction": self.cutout,
-            "frequency_hz": self.frequency_hz,
-            "intact": loads(self.intact),
-            "modified": loads(self.modified),
-            "lift_delta": self.comparison.lift_delta,
-            "power_delta": self.comparison.power_delta,
-            "lift_to_power_delta": self.comparison.lift_to_power_delta,
-        }
-
-    def to_json(self, path):
-        write_json(path, self.summary())
 
 
 def run_cutout_study(wing, kin, env, cutout, frequency_hz,
@@ -414,61 +360,119 @@ def run_cutout_study(wing, kin, env, cutout, frequency_hz,
                               solver)
     return CutoutStudy(cutout=cutout, frequency_hz=frequency_hz,
                        intact=intact, modified=modified,
-                       comparison=compare_wings(intact, modified),
-                       metadata=run_metadata(solver))
+                       comparison=compare_wings(intact, modified))
 
 
-def _inflow_diagnostics(result):
-    """The inflow solve's evaluations, final residual (m/s) and
-    negative-thrust flag; None each when the inflow was given."""
-    info = result.vi_info
-    if info is None:
-        return dict.fromkeys(("vi_iterations", "vi_residual_m_s",
-                              "negative_thrust"))
-    return {"vi_iterations": info.iterations,
-            "vi_residual_m_s": info.residual,
-            "negative_thrust": info.negative_thrust}
-
-
-def cycle_summary_dict(result):
-    return {
+def write_cycle(out_dir, result, solver):
+    """``cycle_summary.json``, ``cycle_timeseries.csv`` and
+    ``cycle_spanwise.csv`` of one cycle result."""
+    write_json(os.path.join(out_dir, "cycle_summary.json"), {
         "mean_lift_n": result.mean_lift,
         "mean_lift_gf": result.mean_lift / GRAM_FORCE_NEWTONS,
         "mean_aero_power_w": result.mean_aero_power,
-        "lift_to_power_gf_w": lift_to_power(result.mean_lift,
-                                            result.mean_aero_power)
-        if result.mean_aero_power > 0 else None,
+        "lift_to_power_gf_w": _lift_to_power_or_none(result.mean_lift,
+                                                     result.mean_aero_power),
         "v_induced_m_s": result.v_induced,
         "reynolds": result.reynolds_number,
         "frequency_hz": result.frequency,
         "pair": result.pair,
         "steps": result.steps,
-        **_inflow_diagnostics(result),
-    }
+        **_inflow_diagnostics(result.vi_info),
+    }, solver)
+    ts, f = result.time_series, result.time_series.forces
+    write_float_table(
+        os.path.join(out_dir, "cycle_timeseries.csv"),
+        ("t_s", "eta_translational_n", "eta_added_mass_n",
+         "eta_rotational_n", "eta_total_n", "zeta_translational_n",
+         "zeta_added_mass_n", "zeta_rotational_n", "zeta_total_n",
+         "aero_power_w"),
+        (ts.t, f.translational_eta, f.added_mass_eta, f.rotational_eta,
+         f.total_eta, f.translational_zeta, f.added_mass_zeta,
+         f.rotational_zeta, f.total_zeta, ts.power))
+    write_float_table(os.path.join(out_dir, "cycle_spanwise.csv"),
+                      ("span_fraction", "mean_lift_n", "mean_power_w"),
+                      (result.span_fractions, result.spanwise_lift,
+                       result.spanwise_power))
 
 
-def cycle_timeseries_rows(result):
-    ts = result.time_series
-    header = ("t_s", "eta_translational_n", "eta_added_mass_n",
-              "eta_rotational_n", "eta_total_n", "zeta_translational_n",
-              "zeta_added_mass_n", "zeta_rotational_n", "zeta_total_n",
-              "aero_power_w")
-    f = ts.forces
-    return header, (
-        ts.t, f.translational_eta, f.added_mass_eta, f.rotational_eta,
-        f.total_eta, f.translational_zeta, f.added_mass_zeta,
-        f.rotational_zeta, f.total_zeta, ts.power)
+def write_sweep(out_dir, rows, solver):
+    """``sweep.csv``, the plot table, and ``sweep.json`` with every field
+    of every :class:`SweepRow`."""
+    columns = [f.name for f in fields(SweepRow)]
+    columns = columns[:columns.index("vi_iterations") + 1]
+    cells = []
+    for row in rows:
+        *values, iterations = astuple(row)[:len(columns)]
+        cells.append(["" if v is None else format_float(v) for v in values]
+                     + ["" if iterations is None else str(iterations),
+                        "ok" if row.error is None else f"error: {row.error}"])
+    write_csv(os.path.join(out_dir, "sweep.csv"), columns + ["status"], cells)
+    write_json(os.path.join(out_dir, "sweep.json"),
+               {"rows": [asdict(row) for row in rows]}, solver)
 
 
-def spanwise_rows(result):
-    header = ("span_fraction", "mean_lift_n", "mean_power_w")
-    return header, (result.span_fractions, result.spanwise_lift,
-                    result.spanwise_power)
+def write_trim(out_dir, trim, solver):
+    """``trim.json``: the trimmed point and every probe of the search."""
+    write_json(os.path.join(out_dir, "trim.json"), {
+        "frequency_hz": trim.frequency_hz,
+        "mean_lift_n": trim.mean_lift,
+        "mean_lift_gf": trim.mean_lift / GRAM_FORCE_NEWTONS,
+        "aero_power_w": trim.aero_power,
+        "lift_to_power_gf_w": _lift_to_power_or_none(trim.mean_lift,
+                                                     trim.aero_power),
+        "target_lift_n": trim.target_lift,
+        "iterations": trim.iterations,
+        "probes": [{"frequency_hz": f, "lift_n": lift, "vi_evaluations": n}
+                   for f, lift, n in trim.probes],
+    }, solver)
 
 
-def load_csv(path):
-    """Read back an exported CSV as (header, rows-of-strings)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        return header, [tuple(row) for row in reader]
+def write_cutout(out_dir, study, solver):
+    """``cutout_spanwise.csv`` and ``cutout_summary.json`` of a
+    :class:`CutoutStudy`."""
+    intact, modified = study.intact, study.modified
+    write_float_table(
+        os.path.join(out_dir, "cutout_spanwise.csv"),
+        ("span_fraction", "lift_intact_n", "lift_modified_n",
+         "power_intact_w", "power_modified_w"),
+        (intact.span_fractions, intact.spanwise_lift, modified.spanwise_lift,
+         intact.spanwise_power, modified.spanwise_power))
+
+    def loads(result):
+        return {"mean_lift_gf": result.mean_lift / GRAM_FORCE_NEWTONS,
+                "aero_power_w": result.mean_aero_power,
+                "v_induced_m_s": result.v_induced,
+                **_inflow_diagnostics(result.vi_info)}
+
+    write_json(os.path.join(out_dir, "cutout_summary.json"), {
+        "cutout_span_fraction": study.cutout,
+        "frequency_hz": study.frequency_hz,
+        "intact": loads(intact),
+        "modified": loads(modified),
+        "lift_delta": study.comparison.lift_delta,
+        "power_delta": study.comparison.power_delta,
+        "lift_to_power_delta": study.comparison.lift_to_power_delta,
+    }, solver)
+
+
+def write_control(out_dir, trace):
+    """``control_trace.csv`` of a closed-loop trace: no JSON, no solver."""
+    write_float_table(os.path.join(out_dir, "control_trace.csv"),
+                      ("t_s", "psi_true_deg", "psi_est_deg", "omega_dps",
+                       "control_output"),
+                      (trace.t, trace.psi_true, trace.psi_est, trace.omega,
+                       trace.control_output))
+
+
+def write_fit(out_dir, fit, solver):
+    """``fit.json`` of a Fourier fit, given as (series, RMS residual in
+    rad, number of samples)."""
+    series, rms, n_samples = fit
+    write_json(os.path.join(out_dir, "fit.json"), {
+        "frequency_hz": series.frequency,
+        "a0_deg": math.degrees(series.a0),
+        "a_deg": [math.degrees(x) for x in series.a],
+        "b_deg": [math.degrees(x) for x in series.b],
+        "rms_residual_deg": math.degrees(rms),
+        "n_samples": n_samples,
+    }, solver)

@@ -15,6 +15,7 @@ from wingbeat.control import (
     simulate_closed_loop,
     yaw_control_output,
 )
+from wingbeat.harness import write_control
 
 
 def test_low_pass_coefficient_range():
@@ -168,9 +169,8 @@ def test_trace_csv_format(tmp_path):
     config = ControllerConfig(kp=4.0, kd=2.5)
     trace = simulate_closed_loop(YawPlant(inertia=1.0), config,
                                  duration=0.05, dt=0.01)
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    lines = path.read_text().splitlines()
+    write_control(tmp_path, trace)
+    lines = (tmp_path / "control_trace.csv").read_text().splitlines()
     assert lines[0] == "t_s,psi_true_deg,psi_est_deg,omega_dps,control_output"
     assert len(lines) == 1 + trace.t.size
 

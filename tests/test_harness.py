@@ -1,6 +1,6 @@
 """Study configs, sweep runner, trim, cutout study, exports, and the CLI."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 import csv
 import json
 import math
@@ -22,7 +22,6 @@ from wingbeat.harness import (
     ComputeError,
     format_float,
     hover_trim,
-    load_csv,
     run_cutout_study,
     run_sweep,
 )
@@ -34,6 +33,13 @@ from wingbeat.wing import apply_inboard_cutout, scaled_to_area
 # The 25.5 cm^2 wing at 17.3 Hz and 190 deg.
 STUDY = json.loads((Path(__file__).resolve().parents[1] / "demos" / "configs"
                     / "study.json").read_text())
+
+
+def read_csv(path):
+    """An exported CSV as (header, rows of cells)."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
 
 
 def base_config_dict(**overrides):
@@ -63,7 +69,7 @@ def test_sweep_cutout_axis_defaults_to_the_wings_cutout():
     doc["wing"]["cutout_span_fraction"] = 0.3
     config = StudyConfig.from_dict(doc)
     assert config.cutouts == (0.3,)
-    (row,) = run_sweep(config).rows
+    (row,) = run_sweep(config)
     assert row.cutout_span_fraction == 0.3
     cycle = simulate_cycle(cut, config.kinematics.with_stroke_amplitude(
         math.radians(190.0)), config.environment, config.solver)
@@ -75,7 +81,7 @@ def test_sweep_row_fails_a_cutout_inside_the_wings_own():
     doc = base_config_dict(sweep={"amplitude_deg": [190.0],
                                   "cutout": [0.0, 0.3]})
     doc["wing"]["cutout_span_fraction"] = 0.3
-    inside, own = run_sweep(StudyConfig.from_dict(doc)).rows
+    inside, own = run_sweep(StudyConfig.from_dict(doc))
     assert inside.error == ("sweep cutout 0.0 lies inside the wing's own "
                             "cutout 0.3")
     assert inside.mean_lift_gf is None
@@ -218,9 +224,7 @@ def test_config_rejects_non_finite_series_coefficients():
 
 def test_single_point_sweep_matches_direct_call():
     config = StudyConfig.from_dict(base_config_dict())
-    result = run_sweep(config)
-    assert len(result.rows) == 1
-    row = result.rows[0]
+    (row,) = run_sweep(config)
     assert row.error is None
     direct = simulate_cycle(config.wing, config.kinematics,
                             config.environment,
@@ -230,17 +234,14 @@ def test_single_point_sweep_matches_direct_call():
     assert row.aero_power_w == pytest.approx(direct.mean_aero_power, rel=1e-9)
 
 
-def test_sweep_grid_order_and_determinism(tmp_path):
+def test_sweep_grid_order_and_determinism():
     doc = base_config_dict(sweep={"amplitude_deg": [120.0, 190.0],
                                   "frequency_hz": [15.0, 20.0]})
     config = StudyConfig.from_dict(doc)
-    first, second = run_sweep(config), run_sweep(config)
-    p1, p2 = tmp_path / "first.csv", tmp_path / "second.csv"
-    first.to_csv(p1)
-    second.to_csv(p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    amps = [row.amplitude_deg for row in first.rows]
-    freqs = [row.frequency_hz for row in first.rows]
+    first = run_sweep(config)
+    assert first == run_sweep(config)
+    amps = [row.amplitude_deg for row in first]
+    freqs = [row.frequency_hz for row in first]
     assert amps == [120.0, 120.0, 190.0, 190.0]
     assert freqs == [15.0, 20.0, 15.0, 20.0]
 
@@ -253,7 +254,7 @@ def test_sweep_rows_match_per_point_cycles(pair):
                                   "frequency_hz": [12.0, 24.0]})
     doc["solver"]["pair"] = pair
     config = StudyConfig.from_dict(doc)
-    rows = run_sweep(config).rows
+    rows = run_sweep(config)
     assert len(rows) == 16
     for row in rows:
         assert row.error is None
@@ -272,6 +273,8 @@ def test_sweep_rows_match_per_point_cycles(pair):
         assert row.v_induced_m_s == pytest.approx(cycle.v_induced, abs=1e-12)
         assert row.reynolds == cycle.reynolds_number
         assert row.vi_iterations == cycle.vi_info.iterations
+        assert row.vi_residual_m_s <= config.solver.vi_tol
+        assert row.negative_thrust is cycle.vi_info.negative_thrust is False
 
 
 def count_discretize(monkeypatch):
@@ -292,7 +295,7 @@ def test_sweep_discretizes_once_per_cutout(monkeypatch):
                                   "area_cm2": [20.1, 25.5, 31.4],
                                   "cutout": [0.0, 0.3],
                                   "frequency_hz": [12.0, 24.0]})
-    rows = run_sweep(StudyConfig.from_dict(doc)).rows
+    rows = run_sweep(StudyConfig.from_dict(doc))
     assert len(rows) == 24
     assert all(row.error is None for row in rows)
     assert calls == [10] * 2
@@ -311,7 +314,7 @@ def test_sweep_evaluates_loads_once_per_inflow_iterate(monkeypatch):
                                   "area_cm2": [20.1, 31.4],
                                   "cutout": [0.0, 0.3],
                                   "frequency_hz": [12.0, 24.0]})
-    rows = run_sweep(StudyConfig.from_dict(doc)).rows
+    rows = run_sweep(StudyConfig.from_dict(doc))
     assert all(row.error is None for row in rows)
     assert len(calls) == sum(row.vi_iterations for row in rows)
 
@@ -333,7 +336,7 @@ def test_sweep_samples_the_stroke_amplitude_at_most_once(monkeypatch):
         sweep={"amplitude_deg": [120.0, 190.0], "area_cm2": [20.1, 31.4],
                "cutout": [0.0, 0.3], "frequency_hz": [12.0, 24.0]}))
     before = len(samples)
-    rows = run_sweep(config).rows
+    rows = run_sweep(config)
     assert all(row.error is None for row in rows)
     swept = len(samples)
     assert swept - before <= 1
@@ -362,11 +365,10 @@ def test_sweep_rejects_fewer_than_one_worker(workers):
 
 def test_sweep_isolates_point_failures():
     doc = base_config_dict(sweep={"area_cm2": [25.5, 0.0]})
-    result = run_sweep(StudyConfig.from_dict(doc))
-    assert len(result.rows) == 2
-    assert result.rows[0].error is None
-    assert result.rows[1].error is not None
-    assert result.rows[1].mean_lift_gf is None
+    good, bad = run_sweep(StudyConfig.from_dict(doc))
+    assert good.error is None
+    assert bad.error is not None
+    assert bad.mean_lift_gf is None
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):
@@ -387,12 +389,13 @@ def test_sweep_raises_when_every_point_fails():
 
 def test_sweep_export_round_trip(tmp_path):
     doc = base_config_dict(sweep={"frequency_hz": [15.0, 20.0]})
-    result = run_sweep(StudyConfig.from_dict(doc))
+    config = StudyConfig.from_dict(doc)
+    result = run_sweep(config)
+    harness.write_sweep(tmp_path, result, config.solver)
     path = tmp_path / "sweep.csv"
-    result.to_csv(path)
-    header, rows = load_csv(path)
-    assert header[:4] == ("amplitude_deg", "area_cm2",
-                          "cutout_span_fraction", "frequency_hz")
+    header, rows = read_csv(path)
+    assert header[:4] == ["amplitude_deg", "area_cm2",
+                          "cutout_span_fraction", "frequency_hz"]
     # Re-exporting the parsed table reproduces the file byte for byte.
     from wingbeat.harness import write_csv
     path2 = tmp_path / "sweep2.csv"
@@ -401,21 +404,24 @@ def test_sweep_export_round_trip(tmp_path):
                 else c for i, c in enumerate(row)] for row in rows])
     assert path.read_bytes() == path2.read_bytes()
 
-    json_path = tmp_path / "sweep.json"
-    result.to_json(json_path)
-    doc = json.loads(json_path.read_text())
+    doc = json.loads((tmp_path / "sweep.json").read_text())
     assert doc["metadata"]["schema_version"] == 1
     assert doc["metadata"]["solver"]["steps_per_cycle"] == 180
     assert "timestamp_utc" in doc["metadata"]
-    assert len(doc["rows"]) == 2
+    # The JSON rows carry every field; the CSV leaves the inflow solve's
+    # residual and negative-thrust flag out.
+    assert [row["vi_residual_m_s"] for row in doc["rows"]] == [
+        row.vi_residual_m_s for row in result]
+    assert [row["negative_thrust"] for row in doc["rows"]] == [False, False]
+    assert "vi_residual_m_s" not in header
 
 
 def test_empty_rows_export_header_only(tmp_path):
-    from wingbeat.harness import SweepResult, SweepRow, write_csv
-    result = SweepResult(rows=(), metadata={})
-    path = tmp_path / "empty.csv"
-    result.to_csv(path)
-    assert path.read_text().splitlines() == [",".join(SweepRow.CSV_FIELDS)]
+    harness.write_sweep(tmp_path, (), SolverSettings())
+    assert (tmp_path / "sweep.csv").read_text().splitlines() == [
+        "amplitude_deg,area_cm2,cutout_span_fraction,frequency_hz,"
+        "mean_lift_gf,aero_power_w,v_induced_m_s,reynolds,"
+        "lift_to_power_gf_w,vi_iterations,status"]
 
 
 def test_format_float_significant_digits():
@@ -562,11 +568,10 @@ def test_cutout_study_deltas_grow_with_fraction(tmp_path):
     half = run_cutout_study(wing, kin, ENV, 0.5, 17.3, solver=solver)
     assert abs(half.comparison.lift_delta) > abs(quarter.comparison.lift_delta)
     assert abs(half.comparison.power_delta) > abs(quarter.comparison.power_delta)
-    path = tmp_path / "spanwise.csv"
-    quarter.to_csv(path)
-    header, rows = load_csv(path)
-    assert header == ("span_fraction", "lift_intact_n", "lift_modified_n",
-                      "power_intact_w", "power_modified_w")
+    harness.write_cutout(tmp_path, quarter, solver)
+    header, rows = read_csv(tmp_path / "cutout_spanwise.csv")
+    assert header == ["span_fraction", "lift_intact_n", "lift_modified_n",
+                      "power_intact_w", "power_modified_w"]
     assert len(rows) == 10
 
 
@@ -841,8 +846,7 @@ def test_cli_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--steps", "abc", "simulate"],
-     "argument --steps: invalid int value: 'abc'"),
+    (["simulate", "--steps", "144"], "unrecognized arguments: --steps 144"),
     (["--workers", "1.5", "sweep"],
      "argument --workers: invalid int value: '1.5'"),
     (["bogus"], "argument command: invalid choice: 'bogus'"),
@@ -874,7 +878,7 @@ def test_cli_help_exits_zero(capsys):
 @pytest.mark.parametrize("amplitude_deg", [-120.0, 0.0])
 def test_sweep_row_records_non_positive_amplitude(amplitude_deg):
     doc = base_config_dict(sweep={"amplitude_deg": [amplitude_deg, 190.0]})
-    bad, good = run_sweep(StudyConfig.from_dict(doc)).rows
+    bad, good = run_sweep(StudyConfig.from_dict(doc))
     assert good.error is None
     assert bad.error == (f"stroke amplitude must be finite and positive, "
                          f"got {math.radians(amplitude_deg)} rad")
@@ -899,12 +903,59 @@ def test_cli_exports_inflow_diagnostics(tmp_path):
         info.iterations, info.residual)
 
 
-def test_cli_sweep_with_steps_override(tmp_path):
-    path = write_config(tmp_path, sweep={"frequency_hz": [15.0, 20.0]})
-    assert cli.main(["--config", str(path), "--steps", "144",
-                     "sweep"]) == 0
-    doc = json.loads((tmp_path / "out" / "sweep.json").read_text())
-    assert doc["metadata"]["solver"]["steps_per_cycle"] == 144
+def test_non_positive_power_gives_null_lift_to_power(tmp_path):
+    # Pitch phased against a short stroke: positive lift (0.67 gf at
+    # 17.3 Hz) at a negative mean aerodynamic power.
+    doc = json.loads(json.dumps(STUDY))
+    doc["kinematics"]["stroke"]["b_deg"] = [10.0]
+    doc["kinematics"]["rotation_stations"] = [
+        {"span_fraction": 1.0, "a0_deg": 75.0, "a_deg": [-73.6],
+         "b_deg": [42.5]}]
+    doc["sweep"].update(amplitude_deg=[20.0], frequency_hz=[17.3])
+    doc["trim"] = {"target_lift_gf": 0.5, "f_lo_hz": 10.0, "f_hi_hz": 30.0}
+    doc["output"] = {"directory": str(tmp_path / "out")}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    for command in ("simulate", "trim", "sweep"):
+        assert cli.main(["--config", str(path), command]) == 0
+    out = tmp_path / "out"
+    summary = json.loads((out / "cycle_summary.json").read_text())
+    assert summary["mean_lift_gf"] > 0.0 > summary["mean_aero_power_w"]
+    assert summary["lift_to_power_gf_w"] is None
+    trim = json.loads((out / "trim.json").read_text())
+    assert trim["aero_power_w"] < 0.0
+    assert trim["lift_to_power_gf_w"] is None
+    rows = json.loads((out / "sweep.json").read_text())["rows"]
+    assert len(rows) == 3
+    for row in rows:
+        assert row["aero_power_w"] < 0.0
+        assert row["lift_to_power_gf_w"] is row["error"] is None
+    header, cells = read_csv(out / "sweep.csv")
+    ratio = header.index("lift_to_power_gf_w")
+    assert [(row[ratio], row[-1]) for row in cells] == [("", "ok")] * 3
+
+
+def test_json_outputs_differ_between_runs_only_in_the_stamp(tmp_path):
+    path = write_config(tmp_path, **TASK_SECTIONS)
+    samples = write_samples(tmp_path, [(0.01 * k, k) for k in range(12)])
+    solver = asdict(StudyConfig.from_file(path).solver)
+    runs = []
+    for out in (tmp_path / "first", tmp_path / "second"):
+        for command in (["simulate"], ["sweep"], ["trim"], ["cutout-study"],
+                        ["fit-kinematics", "--harmonics", "1",
+                         str(samples)]):
+            assert cli.main(["--config", str(path), "--out", str(out)]
+                            + command) == 0
+        runs.append({p.name: json.loads(p.read_text())
+                     for p in out.glob("*.json")})
+    first, second = runs
+    assert sorted(first) == ["cutout_summary.json", "cycle_summary.json",
+                             "fit.json", "sweep.json", "trim.json"]
+    for name, doc in first.items():
+        assert doc["metadata"]["solver"] == solver
+        for run in (doc, second[name]):
+            del run["metadata"]["timestamp_utc"]
+        assert doc == second[name]
 
 
 def test_cli_cutout_study(tmp_path):
@@ -1016,7 +1067,8 @@ def test_write_float_table_wraps_os_errors(tmp_path):
 def test_write_json_rejects_non_finite_numbers(tmp_path, value):
     path = tmp_path / "out.json"
     with pytest.raises(ComputeError, match="cannot write JSON"):
-        harness.write_json(path, {"rows": [{"x": 1.0}, {"x": value}]})
+        harness.write_json(path, {"rows": [{"x": 1.0}, {"x": value}]},
+                           SolverSettings())
     assert not path.exists()
 
 
@@ -1092,10 +1144,10 @@ def test_grid_cap_applies_to_config_flag_and_api(tmp_path, capsys):
         StudyConfig.from_dict(base_config_dict(
             solver={"steps_per_cycle": 36,
                     "n_elements": aero.MAX_GRID_CELLS // 36 + 1}))
-    path = write_config(tmp_path)
-    for steps in (str(aero.MAX_GRID_CELLS // 10 + 1), "1000000000000"):
-        assert cli.main(["--config", str(path), "--steps", steps,
-                         "simulate"]) == 1
+    for steps in (aero.MAX_GRID_CELLS // 10 + 1, 1000000000000):
+        path = write_config(tmp_path, solver={"steps_per_cycle": steps,
+                                              "n_elements": 10})
+        assert cli.main(["--config", str(path), "simulate"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error") and "grid cells" in err
         assert err.count("\n") == 1
