@@ -413,11 +413,9 @@ class CyclePrecompute:
         """Raise ``ValueError`` unless ``wing``'s lengths over its span, pitch
         axis and cutout are the precomputed wing's to 1e-9."""
         def shape(w):
-            # The breakpoint count tells an axis fraction from breakpoints.
-            points = w.chord_breakpoints + (w.pitch_axis_breakpoints or ())
-            return [len(w.chord_breakpoints), w.pitch_axis_fraction or 0.0,
-                    w.cutout, w.root_offset / w.span,
-                    *(x / w.span for point in points for x in point)]
+            return [w.pitch_axis_fraction, w.cutout, w.root_offset / w.span,
+                    *(x / w.span for point in w.chord_breakpoints
+                      for x in point)]
 
         mine, theirs = shape(self.wing), shape(wing)
         if len(mine) != len(theirs) or any(abs(x - y) > 1e-9
@@ -448,8 +446,10 @@ class CyclePrecompute:
         """Cycle-mean vertical force (N) and aerodynamic power (W) of the
         wing pair at inflow ``v`` and Reynolds number ``re``, for a wing that
         passes :meth:`check_wing`, which an inflow solve calls once."""
-        a, r = self._scales(kin)
-        k = wing.span / self.wing.span
+        # As numpy scalars, absurd scales overflow to inf, which the
+        # caller's finiteness check reports, and not to an OverflowError.
+        a, r = map(np.float64, self._scales(kin))
+        k = np.float64(wing.span) / self.wing.span
         s = a * r * k
         u = v / s
         amplitudes = _coefficient_amplitudes(re)
@@ -466,10 +466,11 @@ class CyclePrecompute:
         power = _drag_cubic(amplitudes, u, k6, k1, k2, k3, k7)
         l0, l1, l2 = self.lift_by_a
         p0, p1, p2 = self.power_by_a
-        return (2.0 * k * k * (s * s * float(thrust) / self.steps
-                               + k * k * r * r * (l0 + a * (l1 + a * l2))),
-                2.0 * k * k * (s * s * s * float(power) / self.steps
-                               + k**3 * a * r**3 * (p0 + a * (p1 + a * p2))))
+        thrust = 2.0 * k * k * (s * s * thrust / self.steps
+                                + k * k * r * r * (l0 + a * (l1 + a * l2)))
+        power = 2.0 * k * k * (s * s * s * power / self.steps
+                               + k**3 * a * r**3 * (p0 + a * (p1 + a * p2)))
+        return float(thrust), float(power)
 
 
 @dataclass(frozen=True)
@@ -520,16 +521,16 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
         If :func:`reynolds` finds none, as for a zero stroke, or the
         precompute does not fit ``wing`` or ``kin``.
     RuntimeError
-        If the thrust is not finite, or no inflow meets ``vi_tol`` within
-        ``vi_max_iter`` thrust evaluations (the message reports the last
-        residual).
+        If the thrust or the power is not finite at an evaluated inflow, or
+        no inflow meets ``vi_tol`` within ``vi_max_iter`` thrust
+        evaluations (the message reports the last residual).
     """
     re = reynolds(wing, kin, env)
     disk_area = kin.stroke_amplitude * wing.span**2
     if disk_area <= 0.0:
         return InducedVelocityResult(0.0, 0, 0.0, False, 0.0, 0.0)
     # Absurd but finite inputs may overflow on the way; the finiteness
-    # check on every thrust reports that as one error instead of warnings.
+    # check on every evaluation reports that as one error, not warnings.
     with np.errstate(all="ignore"):
         if precompute is None:
             precompute = CyclePrecompute.build(wing, kin, env, solver)
@@ -539,9 +540,10 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
         v, v_hi, previous = 0.0, None, None
         for evaluation in range(1, solver.vi_max_iter + 1):
             thrust, power = precompute.loads(wing, kin, v, re)
-            if not math.isfinite(thrust):
-                raise RuntimeError(f"non-finite cycle-mean thrust {thrust} "
-                                   f"at inflow {v:.6g} m/s")
+            for name, value in (("thrust", thrust), ("power", power)):
+                if not math.isfinite(value):
+                    raise RuntimeError(f"non-finite cycle-mean {name} "
+                                       f"{value} at inflow {v:.6g} m/s")
             g = math.sqrt(max(thrust, 0.0) / (2.0 * env.rho * disk_area)) - v
             if abs(g) <= solver.vi_tol:
                 share = 1.0 if solver.pair else 0.5

@@ -92,8 +92,9 @@ def wing_from_config(cfg):
 
     Keys: ``span_m``, ``root_offset_m``, ``breakpoints`` ([[station_m,
     chord_m], ...] from the wing root), ``rotation_axis`` ({"type":
-    "fraction"|"breakpoints", "value": ...}), ``cutout_span_fraction``.
-    ``span_m`` must agree with the breakpoint extent.
+    "fraction", "value": chord fraction}; any other type is rejected),
+    ``cutout_span_fraction``. ``span_m`` must agree with the last
+    breakpoint station, which is the wing's span.
     """
     _section(cfg, "wing", ("span_m", "root_offset_m", "breakpoints",
                            "rotation_axis", "cutout_span_fraction"))
@@ -103,14 +104,9 @@ def wing_from_config(cfg):
     axis_cfg = _section(cfg.get("rotation_axis", {}), "rotation_axis",
                         ("type", "value"))
     axis_type = axis_cfg.get("type", "fraction")
-    if axis_type == "fraction":
-        pitch_axis = _finite(axis_cfg.get("value", 0.25), "rotation_axis",
-                             "wing")
-    elif axis_type == "breakpoints":
-        pitch_axis = _points(_require(axis_cfg, "value", "rotation_axis"),
-                             "rotation_axis", "wing")
-    else:
+    if axis_type != "fraction":
         raise ConfigError(f"unknown rotation_axis type '{axis_type}'")
+    pitch_axis = _finite(axis_cfg.get("value", 0.25), "rotation_axis", "wing")
 
     try:
         wing = build_wing(breakpoints,

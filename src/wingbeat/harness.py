@@ -7,7 +7,8 @@ payload keys. Float tables go through :func:`write_float_table`, which
 formats each chunk of rows with one ``%.12g`` format string; only the
 sweep table, whose status cell may hold a comma, goes through the
 quoting :func:`write_csv`. :func:`write_json` stamps each JSON file's
-``metadata``, and refuses a non-finite number as a compute failure.
+``metadata``, and refuses a non-finite number as a compute failure;
+each writer writes its JSON first, so a refused result leaves no file.
 Lift-to-power is null wherever the aerodynamic power is not positive.
 
 A sweep runs in one process, in grid order. Its points share one
@@ -406,9 +407,9 @@ def write_sweep(out_dir, rows, solver):
         cells.append(["" if v is None else format_float(v) for v in values]
                      + ["" if iterations is None else str(iterations),
                         "ok" if row.error is None else f"error: {row.error}"])
-    write_csv(os.path.join(out_dir, "sweep.csv"), columns + ["status"], cells)
     write_json(os.path.join(out_dir, "sweep.json"),
                {"rows": [asdict(row) for row in rows]}, solver)
+    write_csv(os.path.join(out_dir, "sweep.csv"), columns + ["status"], cells)
 
 
 def write_trim(out_dir, trim, solver):
@@ -431,12 +432,6 @@ def write_cutout(out_dir, study, solver):
     """``cutout_spanwise.csv`` and ``cutout_summary.json`` of a
     :class:`CutoutStudy`."""
     intact, modified = study.intact, study.modified
-    write_float_table(
-        os.path.join(out_dir, "cutout_spanwise.csv"),
-        ("span_fraction", "lift_intact_n", "lift_modified_n",
-         "power_intact_w", "power_modified_w"),
-        (intact.span_fractions, intact.spanwise_lift, modified.spanwise_lift,
-         intact.spanwise_power, modified.spanwise_power))
 
     def loads(result):
         return {"mean_lift_gf": result.mean_lift / GRAM_FORCE_NEWTONS,
@@ -453,6 +448,12 @@ def write_cutout(out_dir, study, solver):
         "power_delta": study.comparison.power_delta,
         "lift_to_power_delta": study.comparison.lift_to_power_delta,
     }, solver)
+    write_float_table(
+        os.path.join(out_dir, "cutout_spanwise.csv"),
+        ("span_fraction", "lift_intact_n", "lift_modified_n",
+         "power_intact_w", "power_modified_w"),
+        (intact.span_fractions, intact.spanwise_lift, modified.spanwise_lift,
+         intact.spanwise_power, modified.spanwise_power))
 
 
 def write_control(out_dir, trace):

@@ -1,11 +1,11 @@
 """Wing planform geometry and spanwise blade-element discretization.
 
-A wing is described by a piecewise-linear chord distribution over the span,
-an optional offset between the flapping axis and the wing root, a chordwise
-pitching-axis location, and an inboard cutout: the span fraction from the
-root out to which the membrane has been removed (the leading-edge spar is
-retained, so removal zeroes the aerodynamic area without shortening the
-wing).
+A wing is described by a piecewise-linear chord distribution whose last
+station is the span, an optional offset between the flapping axis and the
+wing root, a pitching axis at a fixed fraction of the local chord, and an
+inboard cutout: the span fraction from the root out to which the membrane
+has been removed (the leading-edge spar is retained, so removal zeroes the
+aerodynamic area without shortening the wing).
 """
 
 from dataclasses import dataclass, replace
@@ -21,31 +21,28 @@ class WingGeometry:
 
     Attributes
     ----------
-    span : float
-        Wing length from root to tip (m).
     root_offset : float
         Distance from the flapping axis to the wing root (m).
     chord_breakpoints : tuple of (station, chord)
         Piecewise-linear chord distribution; ``station`` is measured in
-        metres from the wing root and must run from 0 to ``span``.
-    pitch_axis_fraction : float or None
-        Chordwise pitching-axis location as a fraction of the local chord
-        (measured from the leading edge). Mutually exclusive with
-        ``pitch_axis_breakpoints``.
-    pitch_axis_breakpoints : tuple of (station, offset) or None
-        Piecewise-linear pitching-axis offset in metres from the leading
-        edge, by station from the wing root.
+        metres from the wing root, runs from 0 and ends at the span.
+    pitch_axis_fraction : float
+        Chordwise pitching-axis location as a fraction of the local chord,
+        measured from the leading edge.
     cutout : float
         Span fraction from the root out to which the membrane has been
         removed (0 keeps the whole membrane).
     """
 
-    span: float
     root_offset: float
     chord_breakpoints: tuple
-    pitch_axis_fraction: float | None = 0.25
-    pitch_axis_breakpoints: tuple | None = None
+    pitch_axis_fraction: float = 0.25
     cutout: float = 0.0
+
+    @property
+    def span(self):
+        """Wing length from root to tip (m): the last chord station."""
+        return self.chord_breakpoints[-1][0]
 
     def chord_at(self, station):
         """Chord (m) at ``station`` metres from the wing root."""
@@ -54,9 +51,6 @@ class WingGeometry:
 
     def pitch_axis_at(self, station):
         """Leading-edge-to-pitch-axis distance l_r (m) at ``station``."""
-        if self.pitch_axis_breakpoints is not None:
-            r, l = zip(*self.pitch_axis_breakpoints)
-            return np.interp(station, r, l)
         return self.pitch_axis_fraction * self.chord_at(station)
 
     def _strip_areas(self, lo, hi):
@@ -115,11 +109,11 @@ def build_wing(chord_breakpoints, root_offset=0.0, pitch_axis=0.25):
     chord_breakpoints : sequence of (station, chord)
         At least two points, strictly increasing stations in metres from
         the wing root, non-negative chords. The first station must be 0;
-        the last station sets the span.
+        the last station is the span.
     root_offset : float
         Flapping-axis-to-root distance (m).
-    pitch_axis : float or sequence of (station, offset)
-        Either a chord fraction (0..1) or breakpoints in metres.
+    pitch_axis : float
+        Pitching-axis chord fraction in [0, 1], from the leading edge.
     """
     pts = [(float(r), float(c)) for r, c in chord_breakpoints]
     if len(pts) < 2:
@@ -134,37 +128,12 @@ def build_wing(chord_breakpoints, root_offset=0.0, pitch_axis=0.25):
     if root_offset < 0.0:
         raise ValueError("root offset must be non-negative")
 
-    span = stations[-1]
-    if span <= 0.0:
-        raise ValueError("span must be positive")
-
-    frac, bkpts = None, None
-    if np.isscalar(pitch_axis):
-        frac = float(pitch_axis)
-        if not 0.0 <= frac <= 1.0:
-            raise ValueError("pitch-axis chord fraction must lie in [0, 1]")
-    else:
-        bkpts = tuple((float(r), float(l)) for r, l in pitch_axis)
-        if any(l < 0.0 for _, l in bkpts):
-            raise ValueError("pitch-axis offset must be non-negative")
-
-    wing = WingGeometry(span=span, root_offset=float(root_offset),
+    pitch_axis = float(pitch_axis)
+    if not 0.0 <= pitch_axis <= 1.0:
+        raise ValueError("pitch-axis chord fraction must lie in [0, 1]")
+    return WingGeometry(root_offset=float(root_offset),
                         chord_breakpoints=tuple(pts),
-                        pitch_axis_fraction=frac,
-                        pitch_axis_breakpoints=bkpts)
-
-    # 0 <= l_r <= c_r wherever the chord is nonzero; check every kink.
-    check = np.unique(np.concatenate([
-        [r for r, _ in wing.chord_breakpoints],
-        [r for r, _ in bkpts] if bkpts else [],
-    ]))
-    c = wing.chord_at(check)
-    l = wing.pitch_axis_at(check)
-    bad = l > c + 1e-12
-    if np.any(bad):
-        raise ValueError(
-            f"pitch axis lies behind the trailing edge at station(s) {check[bad]}")
-    return wing
+                        pitch_axis_fraction=pitch_axis)
 
 
 def apply_inboard_cutout(wing, span_fraction):
@@ -194,11 +163,8 @@ def scaled_to_area(wing, area):
         raise ValueError("cannot rescale a zero-area wing")
     k = math.sqrt(area / wing.area)
     bkpts = tuple((k * r, k * c) for r, c in wing.chord_breakpoints)
-    axis_bkpts = wing.pitch_axis_breakpoints
-    if axis_bkpts is not None:
-        axis_bkpts = tuple((k * r, k * l) for r, l in axis_bkpts)
-    return replace(wing, span=k * wing.span, root_offset=k * wing.root_offset,
-                   chord_breakpoints=bkpts, pitch_axis_breakpoints=axis_bkpts)
+    return replace(wing, root_offset=k * wing.root_offset,
+                   chord_breakpoints=bkpts)
 
 
 @dataclass(frozen=True)
@@ -218,7 +184,6 @@ class BladeElements:
     pitch_axis: np.ndarray
     area_scale: np.ndarray
     span_fraction: np.ndarray
-    span: float
 
     def __len__(self):
         return len(self.radius)
@@ -252,5 +217,4 @@ def discretize(wing, n):
                          chord=chord,
                          pitch_axis=pitch,
                          area_scale=scale,
-                         span_fraction=mid / wing.span,
-                         span=wing.span)
+                         span_fraction=mid / wing.span)

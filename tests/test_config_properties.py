@@ -23,19 +23,11 @@ def wings(draw):
     chords = draw(st.lists(st.floats(min_value=0.0, max_value=0.03),
                            min_size=len(stations), max_size=len(stations)))
     chords[-1] = max(chords[-1], 1e-3)     # keep a non-zero area
-    if draw(st.booleans()):
-        axis = {"type": "fraction", "value": draw(fraction)}
-    else:
-        # Offsets proportional to the chord at the same stations stay on
-        # the chord between them.
-        axis = {"type": "breakpoints",
-                "value": [[r, draw(fraction) * c]
-                          for r, c in zip(stations, chords)]}
     return {
         "span_m": stations[-1],
         "root_offset_m": draw(st.floats(min_value=0.0, max_value=0.02)),
         "breakpoints": [[r, c] for r, c in zip(stations, chords)],
-        "rotation_axis": axis,
+        "rotation_axis": {"type": "fraction", "value": draw(fraction)},
         "cutout_span_fraction": draw(st.floats(min_value=0.0,
                                                max_value=0.9)),
     }

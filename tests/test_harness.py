@@ -102,6 +102,12 @@ def test_config_validation_errors():
     doc["wing"]["rotation_axis"] = {"type": "magic", "value": 1}
     with pytest.raises(ConfigError, match="rotation_axis"):
         StudyConfig.from_dict(doc)
+    # The pitch axis is a chord fraction; breakpoints are not an axis form.
+    doc["wing"]["rotation_axis"] = {"type": "breakpoints",
+                                    "value": [[0.0, 0.001], [0.09, math.inf]]}
+    with pytest.raises(ConfigError, match=r"^unknown rotation_axis type "
+                                          r"'breakpoints'$"):
+        StudyConfig.from_dict(doc)
     doc = base_config_dict()
     doc["kinematics"]["frequency_hz"] = -2.0
     with pytest.raises(ConfigError, match="frequency"):
@@ -122,8 +128,7 @@ def test_config_validation_errors():
     ("wing", "span_m", math.nan),
     ("wing", "root_offset_m", math.inf),
     ("wing", "rotation_axis", {"type": "fraction", "value": math.nan}),
-    ("wing", "rotation_axis", {"type": "breakpoints",
-                               "value": [[0.0, 0.001], [0.09, math.inf]]}),
+    ("wing", "rotation_axis", {"type": "fraction", "value": math.inf}),
     ("wing", "cutout_span_fraction", math.nan),
     ("sweep", "frequency_hz", [math.nan]),
     ("sweep", "area_cm2", [25.5, math.inf]),
@@ -364,11 +369,18 @@ def test_sweep_rejects_fewer_than_one_worker(workers):
 
 
 def test_sweep_isolates_point_failures():
-    doc = base_config_dict(sweep={"area_cm2": [25.5, 0.0]})
-    good, bad = run_sweep(StudyConfig.from_dict(doc))
-    assert good.error is None
-    assert bad.error is not None
-    assert bad.mean_lift_gf is None
+    # A zero area, and absurd ones or an absurd frequency whose cycle-mean
+    # power or thrust overflows, fail their own row and no other.
+    for axis, values, cause in (
+            ("area_cm2", [25.5, 0.0], "target area must be positive"),
+            ("area_cm2", [25.5, 1e150], "non-finite cycle-mean power inf"),
+            ("area_cm2", [25.5, 1e300], "non-finite cycle-mean thrust inf"),
+            ("frequency_hz", [17.3, 1e200], "non-finite cycle-mean thrust")):
+        doc = base_config_dict(sweep={axis: values})
+        good, bad = run_sweep(StudyConfig.from_dict(doc))
+        assert good.error is None and math.isfinite(good.aero_power_w)
+        assert bad.error.startswith(cause)
+        assert bad.mean_lift_gf is None and bad.aero_power_w is None
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):
@@ -815,15 +827,21 @@ def test_cli_absurd_chord_is_one_line_compute_failure(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command, section, key", [
-    ("simulate", "kinematics", "frequency_hz"),
-    ("cutout-study", "cutout", "frequency_hz"),
+@pytest.mark.parametrize("command, section, key, value, cause", [
+    pytest.param("simulate", "kinematics", "frequency_hz", 1e300, "thrust",
+                 id="simulate-kinematics-frequency_hz"),
+    pytest.param("cutout-study", "cutout", "frequency_hz", 1e300, "thrust",
+                 id="cutout-study-cutout-frequency_hz"),
+    pytest.param("trim", "trim", "f_lo_hz", 1e-300, "power",
+                 id="trim-trim-f_lo_hz"),
 ])
 def test_cli_absurd_frequency_is_one_line_compute_failure(
-        tmp_path, capsys, command, section, key):
+        tmp_path, capsys, command, section, key, value, cause):
     doc = base_config_dict(cutout={"span_fraction": 0.25,
-                                   "frequency_hz": 17.3})
-    doc[section][key] = 1e300
+                                   "frequency_hz": 17.3},
+                           trim={"target_lift_gf": 15.8, "f_lo_hz": 8.0,
+                                 "f_hi_hz": 40.0})
+    doc[section][key] = value
     doc["output"] = {"directory": str(tmp_path / "out")}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -832,8 +850,20 @@ def test_cli_absurd_frequency_is_one_line_compute_failure(
         assert cli.main(["--config", str(path), command]) == 2
     assert not caught
     err = capsys.readouterr().err
-    assert err.startswith("compute failure: non-finite cycle-mean thrust")
+    assert err.startswith(f"compute failure: non-finite cycle-mean {cause}")
     assert err.count("\n") == 1
+
+
+def test_cli_non_finite_sweep_row_writes_no_file(tmp_path, capsys,
+                                                 monkeypatch):
+    row = harness.SweepRow(190.0, 25.5, 0.0, 17.3, aero_power_w=math.inf)
+    monkeypatch.setattr(cli, "run_sweep", lambda config, workers: (row,))
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(path), "sweep"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "compute failure: cannot write JSON to")
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -54,9 +54,10 @@ def test_build_wing_rejects_bad_breakpoints():
 
 
 def test_pitch_axis_validation():
-    with pytest.raises(ValueError, match="trailing edge"):
-        build_wing([(0.0, 0.02), (0.09, 0.02)],
-                   pitch_axis=[(0.0, 0.03), (0.09, 0.03)])
+    for bad in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=r"pitch-axis chord fraction "
+                                             r"must lie in \[0, 1\]"):
+            build_wing([(0.0, 0.02), (0.09, 0.02)], pitch_axis=bad)
     wing = build_wing([(0.0, 0.02), (0.09, 0.02)])
     assert wing.pitch_axis_at(0.05) == pytest.approx(0.25 * 0.02)
 
