@@ -53,7 +53,7 @@ from .power import (
     lift_to_power,
     shunt_current,
 )
-from .presets import beetle_kinematics, rectangular_wing, standard_wing
+from .presets import beetle_kinematics, standard_wing
 from .wing import (
     BladeElements,
     WingGeometry,

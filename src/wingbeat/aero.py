@@ -18,8 +18,9 @@ The uniform mean inflow through the stroke disk, which couples back into
 the effective angle of attack, is the root of actuator-disk momentum
 balance against the blade-element thrust, found by a bracketed secant
 search on a precompute. A precompute rescales exactly with the stroke
-amplitude, the frequency and the size of a geometrically similar wing.
-Power is the eta force opposing the stroke motion times its speed.
+amplitude, the frequency and the size of a geometrically similar wing;
+:meth:`CyclePrecompute.fit` finds those scales once per solve. Power is
+the eta force opposing the stroke motion times its speed.
 """
 
 from dataclasses import dataclass, replace
@@ -87,10 +88,17 @@ class SolverSettings:
                 f"got {self.vi_max_iter!r}")
 
 
+# The coefficient fit's lower Reynolds limit, about 5.055, where its lift
+# amplitude 1.966 - 3.94 Re^-0.429 reaches zero.
+MIN_REYNOLDS = (3.94 / 1.966) ** (1.0 / 0.429)
+
+
 def _coefficient_amplitudes(re):
-    """Lift amplitude, zero-lift drag and drag amplitude at Reynolds ``re``."""
-    if re <= 0.0:
-        raise ValueError("Reynolds number must be positive")
+    """Lift amplitude, zero-lift drag and drag amplitude at Reynolds ``re``,
+    which must exceed ``MIN_REYNOLDS``."""
+    if not re > MIN_REYNOLDS:
+        raise ValueError(f"Reynolds number {re:.6g} is not above the "
+                         f"coefficient fit's lower limit {MIN_REYNOLDS:.6g}")
     return (1.966 - 3.94 * re**-0.429, 0.031 + 10.48 * re**-0.764,
             1.873 - 3.14 * re**-0.369)
 
@@ -99,7 +107,8 @@ def aero_coefficients(alpha_e, re):
     """Empirical flat-plate lift and drag coefficients at low Reynolds
     number, c_l = A sin 2 alpha_e and c_d = D0 + D1 (1 - cos 2 alpha_e), at
     the effective angle of attack ``alpha_e`` (rad, array_like) and
-    Reynolds number ``re`` > 0. Returns (cl, cd), arrays or floats."""
+    Reynolds number ``re`` > ``MIN_REYNOLDS``. Returns (cl, cd), arrays or
+    floats."""
     alpha_e = np.asarray(alpha_e, dtype=float)
     lift_amp, drag_zero, drag_amp = _coefficient_amplitudes(re)
     cl = lift_amp * np.sin(2.0 * alpha_e)
@@ -355,12 +364,12 @@ class CyclePrecompute:
     harmonics and a ratio r of frequencies sample the same phases: v_t
     scales by a r, the stroke acceleration by a r^2, the squared stroke
     rate by a^2 r^2, the rotation rate and acceleration by r and r^2. A
-    wing k times ``wing`` in every length (:meth:`check_wing`) scales v_t,
-    chords, widths and arms by k. With s = a r k the translational thrust
-    is k^2 s^2 G(v / s) and its power k^2 s^3 P(v / s), G and P being the
-    cubics of :func:`_lift_cubic` and :func:`_drag_cubic` on cell sums of
-    their moments; the unsteady lift and power are unit means times powers
-    of a and r, and k^4 on lift, k^5 on power.
+    wing k times ``wing`` in every length scales v_t, chords, widths and
+    arms by k. With s = a r k the translational thrust is k^2 s^2 G(v / s)
+    and its power k^2 s^3 P(v / s), G and P being the cubics of
+    :func:`_lift_cubic` and :func:`_drag_cubic` on cell sums of their
+    moments; the unsteady lift and power are unit means times powers of a
+    and r, and k^4 on lift, k^5 on power. :meth:`fit` finds (a, r, k).
     """
 
     kinematics: object
@@ -409,9 +418,13 @@ class CyclePrecompute:
                    by_q=by_q.reshape(2, -1), at_zero_inflow=at_zero_inflow,
                    lift_by_a=lift, power_by_a=power)
 
-    def check_wing(self, wing):
-        """Raise ``ValueError`` unless ``wing``'s lengths over its span, pitch
-        axis and cutout are the precomputed wing's to 1e-9."""
+    def fit(self, wing, kin):
+        """Scales (a, r, k): ``kin``'s stroke harmonics are a times, and its
+        frequency r times, those of the precomputed kinematics, and ``wing``
+        is k times the precomputed wing. Raise ``ValueError`` unless
+        ``wing``'s lengths over its span, pitch axis and cutout are the
+        precomputed wing's to 1e-9, then unless ``kin`` rescales the
+        precomputed kinematics."""
         def shape(w):
             return [w.pitch_axis_fraction, w.cutout, w.root_offset / w.span,
                     *(x / w.span for point in w.chord_breakpoints
@@ -422,34 +435,30 @@ class CyclePrecompute:
                                            for x, y in zip(mine, theirs)):
             raise ValueError("wing is not a geometric rescaling of the "
                              "precomputed wing")
-
-    def _scales(self, kin):
-        """(a, r): ``kin``'s stroke harmonics are a times, and its frequency
-        r times, those of the precomputed kinematics."""
         ref = self.kinematics
         harmonics = kin.stroke.a + kin.stroke.b
         ref_harmonics = ref.stroke.a + ref.stroke.b
         peak = max(ref_harmonics, key=abs)
         a = harmonics[ref_harmonics.index(peak)] / peak if peak else 1.0
-        shape = [(f, s.a0, s.a, s.b) for f, s in kin.rotation_stations]
-        ref_shape = [(f, s.a0, s.a, s.b) for f, s in ref.rotation_stations]
+        stations = [(f, s.a0, s.a, s.b) for f, s in kin.rotation_stations]
+        ref_stations = [(f, s.a0, s.a, s.b) for f, s in ref.rotation_stations]
         # Harmonics rescaled through different factors agree to rounding.
-        if not (a > 0.0 and shape == ref_shape
+        if not (a > 0.0 and stations == ref_stations
                 and len(harmonics) == len(ref_harmonics)
                 and all(abs(x - a * y) <= 1e-9 * a * abs(peak)
                         for x, y in zip(harmonics, ref_harmonics))):
             raise ValueError("kinematics are not a rescaling of the "
                              "precomputed cycle")
-        return a, kin.frequency / ref.frequency
-
-    def loads(self, wing, kin, v, re):
-        """Cycle-mean vertical force (N) and aerodynamic power (W) of the
-        wing pair at inflow ``v`` and Reynolds number ``re``, for a wing that
-        passes :meth:`check_wing`, which an inflow solve calls once."""
         # As numpy scalars, absurd scales overflow to inf, which the
         # caller's finiteness check reports, and not to an OverflowError.
-        a, r = map(np.float64, self._scales(kin))
-        k = np.float64(wing.span) / self.wing.span
+        return (np.float64(a), np.float64(kin.frequency / ref.frequency),
+                np.float64(wing.span) / self.wing.span)
+
+    def loads(self, scales, v, re):
+        """Cycle-mean vertical force (N) and aerodynamic power (W) of the
+        wing pair at inflow ``v`` and Reynolds number ``re``, for the scales
+        that :meth:`fit` returns, which an inflow solve calls once."""
+        a, r, k = scales
         s = a * r * k
         u = v / s
         amplitudes = _coefficient_amplitudes(re)
@@ -518,8 +527,9 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
     Raises
     ------
     ValueError
-        If :func:`reynolds` finds none, as for a zero stroke, or the
-        precompute does not fit ``wing`` or ``kin``.
+        If :func:`reynolds` finds none, as for a zero stroke, or finds one
+        not above ``MIN_REYNOLDS``, or the precompute does not fit ``wing``
+        or ``kin`` (:meth:`CyclePrecompute.fit`, called once per solve).
     RuntimeError
         If the thrust or the power is not finite at an evaluated inflow, or
         no inflow meets ``vi_tol`` within ``vi_max_iter`` thrust
@@ -534,12 +544,12 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
     with np.errstate(all="ignore"):
         if precompute is None:
             precompute = CyclePrecompute.build(wing, kin, env, solver)
-        precompute.check_wing(wing)
+        scales = precompute.fit(wing, kin)
 
         # g falls through the root: v_lo (g > 0) lies below it, v_hi above.
         v, v_hi, previous = 0.0, None, None
         for evaluation in range(1, solver.vi_max_iter + 1):
-            thrust, power = precompute.loads(wing, kin, v, re)
+            thrust, power = precompute.loads(scales, v, re)
             for name, value in (("thrust", thrust), ("power", power)):
                 if not math.isfinite(value):
                     raise RuntimeError(f"non-finite cycle-mean {name} "
@@ -608,8 +618,11 @@ def simulate_cycle(wing, kin, env, solver=SolverSettings(),
                    induced_velocity=None):
     """March one flapping cycle and accumulate cycle-average loads at the
     stroke-based Reynolds number (:func:`reynolds`), which raises if none,
-    on the ``solver`` grid. A given ``induced_velocity`` (m/s) fixes the
-    mean inflow instead of solving for it."""
+    on the ``solver`` grid. A given ``induced_velocity`` (m/s), finite and
+    non-negative, fixes the mean inflow instead of solving for it."""
+    if induced_velocity is not None and not 0.0 <= induced_velocity < math.inf:
+        raise ValueError(f"induced velocity must be finite and non-negative, "
+                         f"got {induced_velocity}")
     elements = discretize(wing, solver.n_elements)
     re = reynolds(wing, kin, env)
     vi_info = None

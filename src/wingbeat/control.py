@@ -112,13 +112,6 @@ class ControllerConfig:
                 break
         return value
 
-    def closed_loop_eigenvalues(self, inertia):
-        """Eigenvalues of the ideal (unfiltered) PD loop on the inertia."""
-        system = np.array([[0.0, 1.0],
-                           [-self.plant_gain * self.kp / inertia,
-                            -self.plant_gain * self.kd / inertia]])
-        return np.linalg.eigvals(system)
-
 
 @dataclass(frozen=True)
 class ControlTrace:

@@ -38,10 +38,6 @@ class FourierSeries:
             raise ValueError("frequency must be positive")
 
     @property
-    def n_harmonics(self):
-        return len(self.a)
-
-    @property
     def period(self):
         return 1.0 / self.frequency
 

@@ -84,12 +84,6 @@ class WingMassModel:
         return float(sum(self.masses))
 
     @classmethod
-    def point_mass(cls, mass, radius):
-        """One lumped mass at arm ``radius`` on the tip's pitching axis."""
-        return cls(masses=(float(mass),), radii=(float(radius),),
-                   span_fractions=(1.0,), pitch_offsets=(0.0,))
-
-    @classmethod
     def from_wing(cls, wing, total_mass):
         """Distribute a wing-pair mass over 20 blade elements by membrane area.
 

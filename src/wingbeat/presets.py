@@ -51,11 +51,6 @@ def standard_wing(area_cm2=25.5):
     return scaled_to_area(wing, area)
 
 
-def rectangular_wing(span=0.09, chord=0.028333):
-    """Constant-chord wing on the flapping axis, pitching at quarter chord."""
-    return build_wing([(0.0, chord), (span, chord)])
-
-
 def _rotation_series(twist_deg, lag_deg, frequency):
     # alpha_r(t) = 90 deg - twist * cos(2 pi f t - lag)
     twist = math.radians(twist_deg)
@@ -66,25 +61,23 @@ def _rotation_series(twist_deg, lag_deg, frequency):
                          frequency=frequency)
 
 
-def beetle_kinematics(frequency_hz=17.3, amplitude_deg=190.0,
-                      tip_twist_deg=STANDARD_TIP_TWIST_DEG):
+def beetle_kinematics(frequency_hz=17.3, amplitude_deg=190.0):
     """Synthetic twisted-wing kinematics for the hover studies.
 
     Stroke: single harmonic with the requested peak-to-peak amplitude.
     Rotation: mean 90 degrees everywhere; the first-harmonic twist grows
     from ``STANDARD_INBOARD_TWIST_DEG`` at the ``STANDARD_INBOARD_STATION``
-    span fraction to ``tip_twist_deg`` at the tip, and the tip rotation
-    lags the stroke by ``STANDARD_TIP_LAG_DEG`` of phase (the root spar is
-    driven rigidly, so the lag is zero inboard and interpolates outboard).
+    span fraction to ``STANDARD_TIP_TWIST_DEG`` at the tip, and the tip
+    rotation lags the stroke by ``STANDARD_TIP_LAG_DEG`` of phase (the root
+    spar is driven rigidly, so the lag is zero inboard and interpolates
+    outboard).
     """
-    if not 0.0 < tip_twist_deg < 90.0:
-        raise ValueError("tip twist must lie in (0, 90) degrees")
     stroke = FourierSeries(a0=0.0, a=(0.0,),
                            b=(math.radians(amplitude_deg) / 2.0,),
                            frequency=frequency_hz)
     return WingKinematics(stroke=stroke, rotation_stations=(
         (STANDARD_INBOARD_STATION,
          _rotation_series(STANDARD_INBOARD_TWIST_DEG, 0.0, frequency_hz)),
-        (1.0, _rotation_series(tip_twist_deg, STANDARD_TIP_LAG_DEG,
+        (1.0, _rotation_series(STANDARD_TIP_TWIST_DEG, STANDARD_TIP_LAG_DEG,
                                frequency_hz)),
     ))

@@ -185,9 +185,6 @@ class BladeElements:
     area_scale: np.ndarray
     span_fraction: np.ndarray
 
-    def __len__(self):
-        return len(self.radius)
-
     @property
     def active_area(self):
         return float(np.sum(self.chord * self.area_scale * self.width))

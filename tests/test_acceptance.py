@@ -232,7 +232,9 @@ def test_criterion_6_power_budget():
         single = WingKinematics(
             FourierSeries(0.0, (0.0,), (phi_half,), f),
             ((1.0, FourierSeries(math.pi / 2, (0.0,), (0.0,), f)),))
-        got = inertial_power(WingMassModel.point_mass(m, r), single)
+        model = WingMassModel(masses=(m,), radii=(r,), span_fractions=(1.0,),
+                              pitch_offsets=(0.0,))
+        got = inertial_power(model, single)
         assert got.rectified_mean == pytest.approx(oracle, rel=1e-3)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import wingbeat as wb
 from wingbeat.aero import (
+    MIN_REYNOLDS,
     AeroEnvironment,
     CyclePrecompute,
     ElementState,
@@ -23,7 +24,7 @@ from wingbeat.aero import (
     _element_grid_state,
 )
 from wingbeat.kinematics import FourierSeries, WingKinematics
-from wingbeat.presets import beetle_kinematics, rectangular_wing, standard_wing
+from wingbeat.presets import beetle_kinematics, standard_wing
 from wingbeat.wing import (
     apply_inboard_cutout,
     build_wing,
@@ -86,9 +87,18 @@ def test_coefficients_zero_incidence():
 
 
 def test_coefficients_reject_bad_reynolds():
-    for re in (0.0, -10.0):
-        with pytest.raises(ValueError):
+    # Below Re ~ 5.055 the fit's lift amplitude is negative.
+    assert MIN_REYNOLDS == pytest.approx(5.055, abs=5e-4)
+    assert 1.966 - 3.94 * MIN_REYNOLDS**-0.429 == pytest.approx(
+        0.0, abs=1e-12)
+    for re in (0.0, -10.0, 1.0, 5.0, math.nan):
+        with pytest.raises(ValueError) as error:
             aero_coefficients(0.5, re)
+        assert str(error.value) == (
+            f"Reynolds number {re:.6g} is not above the coefficient fit's "
+            f"lower limit 5.05544")
+    cl, _ = aero_coefficients(0.5, 5.1)
+    assert cl > 0.0
 
 
 @pytest.mark.parametrize("re", [1e3, 1e4, 1e5])
@@ -269,13 +279,13 @@ def test_rescaled_precompute_matches_full_path(shape, cutout):
                 kin = base.with_stroke_amplitude(
                     a * base.stroke_amplitude).with_frequency(r * 17.3)
                 re = reynolds(wing, kin, ENV)
+                scales = precompute.fit(wing, kin)
                 for v in (0.0, 0.6, 1.87, 3.5):
-                    assert precompute.loads(wing, kin, v, re)[0] \
-                        == pytest.approx(pair_mean_thrust(
-                            elements, kin, ENV, 720, v, re), rel=1e-12)
-                    assert precompute.loads(wing, kin, v, re)[1] \
-                        == pytest.approx(pair_mean_power(
-                            elements, kin, ENV, 720, v, re), rel=1e-12)
+                    thrust, power = precompute.loads(scales, v, re)
+                    assert thrust == pytest.approx(pair_mean_thrust(
+                        elements, kin, ENV, 720, v, re), rel=1e-12)
+                    assert power == pytest.approx(pair_mean_power(
+                        elements, kin, ENV, 720, v, re), rel=1e-12)
 
 
 def test_precompute_rejects_a_wing_it_does_not_fit():
@@ -304,12 +314,14 @@ def test_precompute_rejects_kinematics_of_another_shape():
     wing = standard_wing(25.5)
     precompute = CyclePrecompute.build(
         wing, base, ENV, SolverSettings(steps_per_cycle=72, n_elements=10))
-    re = reynolds(wing, base, ENV)
     reversed_stroke = replace(base, stroke=base.stroke.scaled(-1.0))
-    more_twist = beetle_kinematics(17.3, 190.0, tip_twist_deg=50.0)
+    # The tip twisting 50 deg instead of 60.
+    inboard, (tip, series) = base.rotation_stations
+    more_twist = replace(base, rotation_stations=(
+        inboard, (tip, series.scaled(50.0 / 60.0))))
     for kin in (reversed_stroke, more_twist):
         with pytest.raises(ValueError, match="not a rescaling"):
-            precompute.loads(wing, kin, 1.0, re)
+            precompute.fit(wing, kin)
 
 
 def test_induced_velocity_sweep_corners():
@@ -448,7 +460,7 @@ def flat_plate_kinematics(f=17.3):
 def test_symmetric_stroke_has_zero_mean_lateral_force():
     # Edge-on plate, symmetric stroke: the fixed-direction eta history
     # cancels between half-strokes.
-    wing = rectangular_wing()
+    wing = build_wing([(0.0, 0.028333), (0.09, 0.028333)])
     result = simulate_cycle(wing, flat_plate_kinematics(), ENV)
     eta = result.time_series.forces.total_eta
     assert abs(np.mean(eta)) < 1e-12 * np.max(np.abs(eta))
@@ -468,6 +480,15 @@ def test_minimum_steps_enforced():
     with pytest.raises(ValueError):
         simulate_cycle(standard_wing(25.5), beetle_kinematics(), ENV,
                        SolverSettings(steps_per_cycle=20))
+
+
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf, -3.0])
+def test_cycle_rejects_a_bad_fixed_inflow(v):
+    with pytest.raises(ValueError) as error:
+        simulate_cycle(standard_wing(25.5), beetle_kinematics(), ENV,
+                       induced_velocity=v)
+    assert str(error.value) == (
+        f"induced velocity must be finite and non-negative, got {v}")
 
 
 def test_spanwise_bookkeeping_and_trapezoid_consistency():

@@ -97,12 +97,6 @@ def test_control_output_is_affine():
     assert doubled == pytest.approx(2 * base, rel=1e-12)
 
 
-def test_closed_loop_eigenvalues_negative_for_positive_gains():
-    config = ControllerConfig(kp=4.0, kd=2.5)
-    eig = config.closed_loop_eigenvalues(inertia=1.0)
-    assert np.all(eig.real < 0.0)
-
-
 def test_step_response_converges():
     config = ControllerConfig(kp=4.0, kd=2.5,
                               setpoint_schedule=((0.0, 30.0),))

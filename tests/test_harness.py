@@ -306,15 +306,29 @@ def test_sweep_discretizes_once_per_cutout(monkeypatch):
     assert calls == [10] * 2
 
 
+def count_fits(monkeypatch):
+    """The wings passed to every ``CyclePrecompute.fit`` from now on."""
+    calls = []
+    fit = aero.CyclePrecompute.fit
+
+    def counting(self, wing, kin):
+        calls.append(wing)
+        return fit(self, wing, kin)
+
+    monkeypatch.setattr(aero.CyclePrecompute, "fit", counting)
+    return calls
+
+
 def test_sweep_evaluates_loads_once_per_inflow_iterate(monkeypatch):
     calls = []
     loads = aero.CyclePrecompute.loads
 
-    def counting(self, *args):
-        calls.append(args[2])
-        return loads(self, *args)
+    def counting(self, scales, v, re):
+        calls.append(v)
+        return loads(self, scales, v, re)
 
     monkeypatch.setattr(aero.CyclePrecompute, "loads", counting)
+    fits = count_fits(monkeypatch)
     doc = base_config_dict(sweep={"amplitude_deg": [120.0, 190.0],
                                   "area_cm2": [20.1, 31.4],
                                   "cutout": [0.0, 0.3],
@@ -322,6 +336,7 @@ def test_sweep_evaluates_loads_once_per_inflow_iterate(monkeypatch):
     rows = run_sweep(StudyConfig.from_dict(doc))
     assert all(row.error is None for row in rows)
     assert len(calls) == sum(row.vi_iterations for row in rows)
+    assert len(fits) == len(rows) == 16
 
 
 def test_sweep_samples_the_stroke_amplitude_at_most_once(monkeypatch):
@@ -515,12 +530,13 @@ def test_hover_trim_probes_are_inflow_solves(monkeypatch):
                         lambda *a, **k: calls.append(a[1].frequency)
                         or solve(*a, **k))
     monkeypatch.setattr(harness, "simulate_cycle", None)
+    fits = count_fits(monkeypatch)
     trim = hover_trim(standard_wing(25.5), beetle_kinematics(17.3, 190.0),
                       ENV, 15.8 * GRAM_FORCE_NEWTONS, 8.0, 40.0,
                       solver=SolverSettings(steps_per_cycle=180,
                                             n_elements=10))
     assert calls == [f for f, _, _ in trim.probes]
-    assert len(calls) == 3
+    assert len(calls) == len(fits) == 3
 
 
 def test_hover_trim_discretizes_once(monkeypatch):
@@ -832,11 +848,20 @@ def test_cli_absurd_chord_is_one_line_compute_failure(tmp_path, capsys):
                  id="simulate-kinematics-frequency_hz"),
     pytest.param("cutout-study", "cutout", "frequency_hz", 1e300, "thrust",
                  id="cutout-study-cutout-frequency_hz"),
-    pytest.param("trim", "trim", "f_lo_hz", 1e-300, "power",
-                 id="trim-trim-f_lo_hz"),
 ])
 def test_cli_absurd_frequency_is_one_line_compute_failure(
         tmp_path, capsys, command, section, key, value, cause):
+    path = write_absurd_config(tmp_path, section, key, value)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["--config", str(path), command]) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith(f"compute failure: non-finite cycle-mean {cause}")
+    assert err.count("\n") == 1
+
+
+def write_absurd_config(tmp_path, section, key, value):
     doc = base_config_dict(cutout={"span_fraction": 0.25,
                                    "frequency_hz": 17.3},
                            trim={"target_lift_gf": 15.8, "f_lo_hz": 8.0,
@@ -845,13 +870,42 @@ def test_cli_absurd_frequency_is_one_line_compute_failure(
     doc["output"] = {"directory": str(tmp_path / "out")}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    pytest.param("trim", "trim", "f_lo_hz", 1e-300, id="trim-trim-f_lo_hz"),
+    pytest.param("trim", "trim", "f_lo_hz", 1e-100,
+                 id="trim-trim-f_lo_hz-1e-100"),
+    pytest.param("simulate", "environment", "nu_m2_s", 1e300,
+                 id="simulate-environment-nu_m2_s"),
+    pytest.param("simulate", "kinematics", "frequency_hz", 1e-3,
+                 id="simulate-kinematics-frequency_hz"),
+])
+def test_cli_reynolds_number_below_the_fit_is_config_error(
+        tmp_path, capsys, command, section, key, value):
+    path = write_absurd_config(tmp_path, section, key, value)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert cli.main(["--config", str(path), command]) == 2
+        assert cli.main(["--config", str(path), command]) == 1
     assert not caught
     err = capsys.readouterr().err
-    assert err.startswith(f"compute failure: non-finite cycle-mean {cause}")
+    assert err.startswith("config error: Reynolds number ")
+    assert err.endswith(" is not above the coefficient fit's lower limit "
+                        "5.05544\n")
     assert err.count("\n") == 1
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_sweep_row_fails_below_the_reynolds_limit():
+    # At 1e-3 Hz the study wing's Reynolds number is about 1.1.
+    doc = base_config_dict(sweep={"frequency_hz": [1e-3, 17.3]})
+    low, good = run_sweep(StudyConfig.from_dict(doc))
+    assert good.error is None
+    assert low.error.startswith("Reynolds number 1.1")
+    assert low.error.endswith("is not above the coefficient fit's lower "
+                              "limit 5.05544")
+    assert low.mean_lift_gf is None
 
 
 def test_cli_non_finite_sweep_row_writes_no_file(tmp_path, capsys,

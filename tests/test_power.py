@@ -112,7 +112,8 @@ def test_inertial_power_zero_for_constant_stroke():
     kin = WingKinematics(
         FourierSeries(0.3, (0.0,), (0.0,), 17.3),
         ((1.0, FourierSeries(math.pi / 2, (0.0,), (0.0,), 17.3)),))
-    model = WingMassModel.point_mass(1e-3, 0.05)
+    model = WingMassModel(masses=(1e-3,), radii=(0.05,),
+                          span_fractions=(1.0,), pitch_offsets=(0.0,))
     result = inertial_power(model, kin)
     assert result.rectified_mean == 0.0
     assert result.signed_mean == 0.0
@@ -134,13 +135,17 @@ def test_point_mass_rectified_mean_against_quadrature():
     assert oracle == pytest.approx(closed_form, rel=1e-6)
 
     kin = single_mass_kinematics(f)
-    result = inertial_power(WingMassModel.point_mass(m, r), kin)
+    model = WingMassModel(masses=(m,), radii=(r,), span_fractions=(1.0,),
+                          pitch_offsets=(0.0,))
+    result = inertial_power(model, kin)
     assert result.rectified_mean == pytest.approx(oracle, rel=1e-3)
 
 
 def test_inertial_power_zero_mass():
     kin = single_mass_kinematics()
-    result = inertial_power(WingMassModel.point_mass(0.0, 0.05), kin)
+    model = WingMassModel(masses=(0.0,), radii=(0.05,),
+                          span_fractions=(1.0,), pitch_offsets=(0.0,))
+    result = inertial_power(model, kin)
     assert result.rectified_mean == 0.0
     with pytest.raises(ValueError):
         WingMassModel(masses=(), radii=(), span_fractions=(),

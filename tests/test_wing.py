@@ -13,12 +13,12 @@ from wingbeat.wing import (
     discretize,
     scaled_to_area,
 )
-from wingbeat.presets import rectangular_wing, standard_wing
+from wingbeat.presets import standard_wing
 
 
 def test_rectangular_planform_area_and_aspect_ratio():
     # R = 9 cm at constant 2.8333 cm chord: 25.5 cm^2 at AR ~ 3.18.
-    wing = rectangular_wing(span=0.09, chord=0.028333)
+    wing = build_wing([(0.0, 0.028333), (0.09, 0.028333)])
     assert wing.area == pytest.approx(0.09 * 0.028333, rel=1e-12)
     assert wing.area * 1e4 == pytest.approx(25.5, rel=2e-4)
     assert wing.aspect_ratio == pytest.approx(0.09 / 0.028333, rel=1e-12)
@@ -63,9 +63,9 @@ def test_pitch_axis_validation():
 
 
 def test_discretize_uniform_wing():
-    wing = rectangular_wing(span=0.09, chord=0.028)
+    wing = build_wing([(0.0, 0.028), (0.09, 0.028)])
     elements = discretize(wing, 20)
-    assert len(elements) == 20
+    assert elements.radius.shape == (20,)
     assert np.allclose(elements.width, 0.09 / 20)
     assert np.allclose(elements.chord, 0.028)
     assert np.all(np.diff(elements.radius) > 0)
@@ -89,7 +89,7 @@ def test_triangular_planform_area():
 
 
 def test_discretize_needs_two_elements():
-    wing = rectangular_wing()
+    wing = build_wing([(0.0, 0.028333), (0.09, 0.028333)])
     with pytest.raises(ValueError):
         discretize(wing, 1)
 
@@ -100,7 +100,7 @@ def test_cutout_zero_is_identity():
 
 
 def test_cutout_quarter_span_rectangular():
-    wing = rectangular_wing(span=0.09, chord=0.028333)
+    wing = build_wing([(0.0, 0.028333), (0.09, 0.028333)])
     cut = apply_inboard_cutout(wing, 0.25)
     assert cut.area == pytest.approx(0.75 * wing.area, rel=1e-12)
     assert cut.area * 1e4 == pytest.approx(19.1, abs=0.05)
@@ -117,7 +117,7 @@ def test_cutout_near_total_still_discretizes():
 
 
 def test_cutout_rejects_bad_fraction():
-    wing = rectangular_wing()
+    wing = build_wing([(0.0, 0.028333), (0.09, 0.028333)])
     for bad in (-0.1, 1.0, 1.5):
         with pytest.raises(ValueError):
             apply_inboard_cutout(wing, bad)
