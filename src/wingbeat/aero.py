@@ -11,8 +11,8 @@ The translational law, :func:`aero_coefficients` at the effective angle
 of attack, expands into cubics in the inflow on inflow-independent cell
 moments (:func:`_lift_cubic`, :func:`_drag_cubic`). :func:`element_forces`
 evaluates them per cell and a :class:`CyclePrecompute` on moments summed
-over a cycle grid; both take the unsteady forces from
-:func:`_unsteady_terms`.
+over a cycle grid; both read the inflow-free cell terms that an
+:class:`ElementState` caches at unit air density.
 
 The uniform mean inflow through the stroke disk, which couples back into
 the effective angle of attack, is the root of actuator-disk momentum
@@ -120,8 +120,7 @@ def aero_coefficients(alpha_e, re):
 
 def reynolds(wing, kin, env):
     """Stroke-based Reynolds number 2 * cbar * Phi * f * R / nu."""
-    area = wing.area
-    if area <= 0.0:
+    if wing.area <= 0.0:
         raise ValueError("Reynolds number undefined for a zero-area wing")
     re = (2.0 * wing.mean_chord * kin.stroke_amplitude * kin.frequency
           * wing.span / env.nu)
@@ -172,6 +171,43 @@ class ElementState:
         """Geometric angle of attack minus the induced inflow angle."""
         return self.alpha_geometric - self.inflow_angle
 
+    @cached_property
+    def translational_terms(self):
+        """The translational force per unit squared speed T of every cell at
+        unit air density, and its products with sin and cos 2 alpha_g."""
+        trans = 0.5 * self.chord * (self.area_scale * self.width)
+        alpha_2 = 2.0 * self.alpha_geometric
+        return trans, np.sin(alpha_2) * trans, np.cos(alpha_2) * trans
+
+    @cached_property
+    def unsteady_terms(self):
+        """Unsteady forces of every cell at unit air density: the added-mass
+        force in the three parts of :func:`_acceleration_parts`, the
+        rotational force (a r^2), and sin and cos of the rotation angle."""
+        scale = self.area_scale * self.width
+        sin_rot = np.sin(self.rotation_angle)
+        cos_rot = np.cos(self.rotation_angle)
+        per_accel = (0.25 * math.pi * self.chord**2
+                     * np.sin(self.alpha_geometric) * scale)
+        added = tuple(per_accel * accel
+                      for accel in _acceleration_parts(self, sin_rot, cos_rot))
+        # Zero-chord stations carry no force; avoid 0/0 in the axis ratio.
+        chord = np.asarray(self.chord, dtype=float)
+        axis_ratio = np.divide(self.pitch_axis, chord, where=chord > 0.0,
+                               out=np.zeros(np.shape(chord)))
+        c_rot = math.pi * (0.75 - axis_ratio)
+        rot = (self.v_translational * c_rot * self.rotation_rate * chord**2
+               * scale)
+        return added, rot, sin_rot, cos_rot
+
+    def with_inflow(self, v_induced):
+        """This state at inflow ``v_induced``; shares its inflow-free cache."""
+        moved = replace(self, v_induced=v_induced)
+        vars(moved).update((name, vars(self)[name]) for name in (
+            "v_translational", "alpha_geometric", "translational_terms",
+            "unsteady_terms") if name in vars(self))
+        return moved
+
 
 def _acceleration_parts(state, sin_rot, cos_rot):
     """:func:`element_acceleration` one part at a time, split by scaling for
@@ -218,55 +254,6 @@ class ForceBreakdown:
                 + self.rotational_zeta)
 
 
-def _translational_terms(state, env):
-    """The translational force per unit squared speed T of every cell of
-    ``state``, and its products with sin and cos 2 alpha_g."""
-    trans = 0.5 * env.rho * state.chord * (state.area_scale * state.width)
-    alpha_2 = 2.0 * state.alpha_geometric
-    return trans, np.sin(alpha_2) * trans, np.cos(alpha_2) * trans
-
-
-def _unsteady_terms(state, env):
-    """Unsteady forces of every cell of ``state``: the added-mass force,
-    split as :func:`_acceleration_parts` splits its acceleration (an
-    iterator); the rotational force (a r^2); and sin and cos of the
-    rotation angle, which resolve them. Neither depends on the inflow."""
-    scale = state.area_scale * state.width
-    sin_rot = np.sin(state.rotation_angle)
-    cos_rot = np.cos(state.rotation_angle)
-    per_accel = (0.25 * math.pi * env.rho * state.chord**2
-                 * np.sin(state.alpha_geometric) * scale)
-    added = (per_accel * accel
-             for accel in _acceleration_parts(state, sin_rot, cos_rot))
-    # Zero-chord stations carry no force; avoid 0/0 in the axis ratio.
-    chord = np.asarray(state.chord, dtype=float)
-    axis_ratio = np.divide(state.pitch_axis, chord,
-                           out=np.zeros(np.shape(chord)), where=chord > 0.0)
-    c_rot = math.pi * (0.75 - axis_ratio)
-    rot = (env.rho * state.v_translational * c_rot * state.rotation_rate
-           * chord**2 * scale)
-    return added, rot, sin_rot, cos_rot
-
-
-def _unsteady_means(state, env):
-    """The L and P of the cycle-mean unsteady lift r^2 (L0 + a L1 + a^2 L2)
-    and power a r^3 (P0 + a P1 + a^2 P2) of one wing on an element grid,
-    for stroke harmonics scaled by a and frequency by r."""
-    added, rot, sin_rot, cos_rot = _unsteady_terms(state, env)
-    v_t_sin = state.v_translational * sin_rot
-
-    def mean(x):
-        return float(np.mean(np.sum(x, axis=1)))
-
-    lift, power = [], []
-    for force in added:
-        lift.append(mean(force * cos_rot))
-        power.append(-mean(v_t_sin * force))
-    lift[1] += mean(rot * cos_rot)
-    power[1] += mean(v_t_sin * rot)
-    return tuple(lift), tuple(power)
-
-
 def _lift_cubic(amplitudes, u, s_v3, c_v2, s_v, c, by_q):
     """Translational vertical force T q (c_l v - c_d u) at inflow ``u``.
 
@@ -308,38 +295,41 @@ def element_forces(state, env, re):
     form of the law) on the dynamic pressure q^2 = v_t^2 + Vi^2, is the
     expansion of :func:`_lift_cubic` (zeta) and :func:`_drag_cubic` (eta)
     in Vi, per cell with the factor 1/q taken out; a cell with q = 0
-    carries none. Added-mass and rotational terms are :func:`_unsteady_terms`.
+    carries none. Added-mass and rotational terms are those the state caches.
     """
-    trans, s_t, c_t = _translational_terms(state, env)
+    trans, s_t, c_t = state.translational_terms
     v, u = state.v_translational, state.v_induced
     v_sq = v * v
     q_sq = v_sq + u * u
-    inverse_q = np.divide(1.0, np.sqrt(q_sq), out=np.zeros(np.shape(q_sq)),
-                          where=q_sq > 0.0)
+    rho_by_q = np.divide(env.rho, np.sqrt(q_sq), out=np.zeros(np.shape(q_sq)),
+                         where=q_sq > 0.0)
     amplitudes = _coefficient_amplitudes(re)
     s_t_v, c_t_v = s_t * v, c_t * v
     lift = _lift_cubic(amplitudes, u, s_t_v * v_sq, c_t_v * v, s_t_v, c_t,
                        trans * q_sq)
     drag = _drag_cubic(amplitudes, u, c_t_v * v_sq, s_t_v * v, c_t_v, s_t,
                        trans * v * q_sq)
-    added, rot, sin_rot, cos_rot = _unsteady_terms(state, env)
-    added = sum(added)
+    lift *= rho_by_q
+    drag *= -rho_by_q
+    del v_sq, q_sq, rho_by_q, s_t_v, c_t_v  # before the unsteady terms form
+    added, rot, sin_rot, cos_rot = state.unsteady_terms
+    added = env.rho * (added[0] + added[1] + added[2])
     return ForceBreakdown(
-        translational_eta=-inverse_q * drag,
+        translational_eta=drag,
         added_mass_eta=added * sin_rot,
-        rotational_eta=-rot * sin_rot,
-        translational_zeta=inverse_q * lift,
+        rotational_eta=-env.rho * rot * sin_rot,
+        translational_zeta=lift,
         added_mass_zeta=added * cos_rot,
-        rotational_zeta=rot * cos_rot,
+        rotational_zeta=env.rho * rot * cos_rot,
     )
 
 
-def _element_grid_state(elements, kin, steps, v_induced):
+def _element_grid_state(elements, kin, steps):
     """Element states on a uniform one-cycle time grid, shape (steps, n)."""
     t = np.arange(steps) / (steps * kin.frequency)
     weights = kin.station_weights(elements.span_fraction)
     rot = [kin.station_series(t, order) @ weights.T for order in (0, 1, 2)]
-    state = ElementState(
+    return t, ElementState(
         radius=elements.radius,
         chord=elements.chord,
         pitch_axis=elements.pitch_axis,
@@ -350,9 +340,7 @@ def _element_grid_state(elements, kin, steps, v_induced):
         rotation_angle=rot[0],
         rotation_rate=rot[1],
         rotation_accel=rot[2],
-        v_induced=v_induced,
     )
-    return t, state
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,11 +358,13 @@ class CyclePrecompute:
     :func:`_lift_cubic` and :func:`_drag_cubic` on cell sums of their
     moments; the unsteady lift and power are unit means times powers of a
     and r, and k^4 on lift, k^5 on power. :meth:`fit` finds (a, r, k).
+    Every term is at unit air density; :meth:`loads` multiplies in ``rho``.
     """
 
     kinematics: object
     wing: object
     steps: int
+    rho: float
     v_t_sq: np.ndarray
     by_inverse_q: np.ndarray
     by_q: np.ndarray
@@ -387,18 +377,30 @@ class CyclePrecompute:
         """Precompute on the ``solver`` grid of ``kin`` for ``wing``."""
         elements = discretize(wing, solver.n_elements)
         with np.errstate(all="ignore"):
-            _, state = _element_grid_state(elements, kin,
-                                           solver.steps_per_cycle, 0.0)
-            return cls.from_state(state, kin, env, wing)
+            # Unnamed here, the grid is freed once from_state lets it go.
+            return cls.from_state(_element_grid_state(
+                elements, kin, solver.steps_per_cycle)[1], kin, env, wing)
 
     @classmethod
     def from_state(cls, state, kin, env, wing):
         """Precompute on an element grid of ``kin`` for ``wing``; the grid's
-        inflow is ignored."""
-        lift, power = _unsteady_means(state, env)
-        trans, s_t, c_t = _translational_terms(state, env)
-        # The moments of the cubics at unit scale (see loads()), in place.
+        inflow is ignored. Of one wing, the cycle-mean unsteady lift is
+        r^2 (L0 + a L1 + a^2 L2) and power a r^3 (P0 + a P1 + a^2 P2)."""
+        added, rot, sin_rot, cos_rot = state.unsteady_terms
         v_t = state.v_translational
+        v_t_sin = v_t * sin_rot
+
+        def mean(x):
+            return float(np.mean(np.sum(x, axis=1)))
+
+        lift = [mean(force * cos_rot) for force in added]
+        power = [-mean(v_t_sin * force) for force in added]
+        lift[1] += mean(rot * cos_rot)
+        power[1] += mean(v_t_sin * rot)
+        trans, s_t, c_t = state.translational_terms
+        # Drop the grid before the moments; build's is then freed.
+        del state, added, rot, sin_rot, cos_rot, v_t_sin
+        # The moments of the cubics at unit scale (see loads()), in place.
         v_sq = v_t**2
         by_inverse_q = np.empty((5,) + v_t.shape)
         s_t_v3, c_t_v2, s_t_v, _, c_t_v4 = by_inverse_q
@@ -413,10 +415,10 @@ class CyclePrecompute:
         at_zero_inflow = tuple(float(np.vdot(x, v_t))
                                for x in (s_t_v, c_t_v2, by_q[1]))
         return cls(kinematics=kin, wing=wing, steps=v_t.shape[0],
-                   v_t_sq=v_sq.ravel(),
+                   rho=env.rho, v_t_sq=v_sq.ravel(),
                    by_inverse_q=by_inverse_q.reshape(5, -1),
                    by_q=by_q.reshape(2, -1), at_zero_inflow=at_zero_inflow,
-                   lift_by_a=lift, power_by_a=power)
+                   lift_by_a=tuple(lift), power_by_a=tuple(power))
 
     def fit(self, wing, kin):
         """Scales (a, r, k): ``kin``'s stroke harmonics are a times, and its
@@ -475,10 +477,11 @@ class CyclePrecompute:
         power = _drag_cubic(amplitudes, u, k6, k1, k2, k3, k7)
         l0, l1, l2 = self.lift_by_a
         p0, p1, p2 = self.power_by_a
-        thrust = 2.0 * k * k * (s * s * thrust / self.steps
-                                + k * k * r * r * (l0 + a * (l1 + a * l2)))
-        power = 2.0 * k * k * (s * s * s * power / self.steps
-                               + k**3 * a * r**3 * (p0 + a * (p1 + a * p2)))
+        pair = 2.0 * self.rho * k * k
+        thrust = pair * (s * s * thrust / self.steps
+                         + k * k * r * r * (l0 + a * (l1 + a * l2)))
+        power = pair * (s * s * s * power / self.steps
+                        + k**3 * a * r**3 * (p0 + a * (p1 + a * p2)))
         return float(thrust), float(power)
 
 
@@ -500,6 +503,14 @@ class InducedVelocityResult:
     negative_thrust: bool
     lift: float
     power: float
+
+
+def _require_finite(v, **loads):
+    """Raise ``RuntimeError`` unless each named cycle-mean load is finite."""
+    for name, value in loads.items():
+        if not math.isfinite(value):
+            raise RuntimeError(f"non-finite cycle-mean {name} {value} at "
+                               f"inflow {v:.6g} m/s")
 
 
 def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
@@ -550,10 +561,7 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
         v, v_hi, previous = 0.0, None, None
         for evaluation in range(1, solver.vi_max_iter + 1):
             thrust, power = precompute.loads(scales, v, re)
-            for name, value in (("thrust", thrust), ("power", power)):
-                if not math.isfinite(value):
-                    raise RuntimeError(f"non-finite cycle-mean {name} "
-                                       f"{value} at inflow {v:.6g} m/s")
+            _require_finite(v, thrust=thrust, power=power)
             g = math.sqrt(max(thrust, 0.0) / (2.0 * env.rho * disk_area)) - v
             if abs(g) <= solver.vi_tol:
                 share = 1.0 if solver.pair else 0.5
@@ -626,28 +634,30 @@ def simulate_cycle(wing, kin, env, solver=SolverSettings(),
     elements = discretize(wing, solver.n_elements)
     re = reynolds(wing, kin, env)
     vi_info = None
-    # As in the inflow solve: absurd inputs end in its one error message.
+    # As in the inflow solve: absurd inputs end in one error message.
     with np.errstate(all="ignore"):
-        t, state = _element_grid_state(elements, kin, solver.steps_per_cycle,
-                                       0.0)
+        t, state = _element_grid_state(elements, kin, solver.steps_per_cycle)
         if induced_velocity is None:
             vi_info = solve_induced_velocity(
                 wing, kin, env, solver, precompute=CyclePrecompute.from_state(
                     state, kin, env, wing))
             induced_velocity = vi_info.v_induced
+        v_t, rate = state.v_translational, state.stroke_rate
+        forces = element_forces(state.with_inflow(induced_velocity), env, re)
+        del state  # and with it the cell terms, before the sums below
 
-    state = replace(state, v_induced=induced_velocity)
-    forces = element_forces(state, env, re)
-
-    factor = 2.0 if solver.pair else 1.0
-    power_grid = state.v_translational * -forces.total_eta
-    spanwise_lift = factor * np.mean(forces.total_zeta, axis=0)
-    spanwise_power = factor * np.mean(power_grid, axis=0)
+        factor = 2.0 if solver.pair else 1.0
+        power_grid = v_t * -forces.total_eta
+        spanwise_lift = factor * np.mean(forces.total_zeta, axis=0)
+        spanwise_power = factor * np.mean(power_grid, axis=0)
+        mean_lift = float(np.sum(spanwise_lift))
+        mean_power = float(np.sum(spanwise_power))
+        # Finite means imply finite force cells for the history below.
+        _require_finite(induced_velocity, lift=mean_lift, power=mean_power)
 
     # Re-sign eta into a fixed stroke-plane direction for the history. The
     # tangential direction is undefined at stroke reversal, so samples with
     # a vanishing stroke rate get no direction.
-    rate = state.stroke_rate
     moving = np.abs(rate) > 1e-9 * np.max(np.abs(rate))
     direction = np.where(moving, np.sign(rate), 0.0)
     history = ForceBreakdown(**{
@@ -656,8 +666,8 @@ def simulate_cycle(wing, kin, env, solver=SolverSettings(),
         for name, f in vars(forces).items()})
 
     return CycleResult(
-        mean_lift=float(np.sum(spanwise_lift)),
-        mean_aero_power=float(np.sum(spanwise_power)),
+        mean_lift=mean_lift,
+        mean_aero_power=mean_power,
         v_induced=float(induced_velocity),
         reynolds_number=float(re),
         frequency=kin.frequency,

@@ -17,7 +17,6 @@ import numpy as np
 from .config import ConfigError, StudyConfig, load_angle_samples
 from .control import ControllerConfig, YawPlant, simulate_closed_loop
 from .harness import (
-    ComputeError,
     hover_trim,
     run_cutout_study,
     run_sweep,
@@ -161,10 +160,10 @@ def main(argv=None):
         out_dir = args.out if args.out is not None else config.output_dir
         os.makedirs(out_dir, exist_ok=True)
         args.run(args, config, out_dir)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ComputeError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"compute failure: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except OSError as exc:

@@ -17,8 +17,10 @@ areas, amplitudes and frequencies rescale, and one wing per (area,
 cutout), which gives their Reynolds number and stroke disk. A point is
 one inflow solve, which returns the point's lift and power, with no
 force pass. A point's ``ValueError`` or ``RuntimeError`` is recorded in
-its row and never aborts the grid. Hover trim likewise probes with
-inflow solves on one precompute.
+its row and never aborts the grid; a grid whose every point failed
+raises a ``ValueError`` if every failure was one, else a
+:class:`ComputeError`. Hover trim likewise probes with inflow solves on
+one precompute.
 """
 
 from dataclasses import asdict, astuple, dataclass, fields, replace
@@ -155,10 +157,11 @@ class SweepRow:
     error: str | None = None
 
 
-def _evaluate_point(config, point, wings, precomputes):
+def _evaluate_point(config, point, wings, precomputes, errors):
     """One grid point: one inflow solve, which returns its lift and power.
     It caches its wing in ``wings`` by (area, cutout) and the precompute of
-    its cutout, built on the config's wing, in ``precomputes``."""
+    its cutout, built on the config's wing, in ``precomputes``, and appends
+    the exception of a failed point to ``errors``."""
     amplitude, area, cutout, frequency = point
     row = SweepRow(*point)
     solver, env = config.solver, config.environment
@@ -191,6 +194,7 @@ def _evaluate_point(config, point, wings, precomputes):
             lift_to_power_gf_w=_lift_to_power_or_none(info.lift, info.power),
             **_inflow_diagnostics(info))
     except (ValueError, RuntimeError) as exc:  # record, never abort
+        errors.append(exc)
         return replace(row, error=str(exc))
 
 
@@ -199,22 +203,25 @@ def run_sweep(config, workers=1):
     a tuple in lexicographic axis order.
 
     ``workers`` is validated (at least 1) but has no effect: the sweep
-    runs in one process. Raises :class:`ComputeError` only if every point
-    failed.
+    runs in one process. If every point failed, it raises: a
+    ``ValueError`` if every failure was one, else :class:`ComputeError`.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    wings, precomputes = {}, {}
+    wings, precomputes, errors = {}, {}, []
     # Absurd but finite inputs may overflow on the way; the inflow solve's
     # finiteness check reports that as one error per point.
     with np.errstate(all="ignore"):
-        rows = [_evaluate_point(config, point, wings, precomputes)
+        rows = [_evaluate_point(config, point, wings, precomputes, errors)
                 for point in itertools.product(
                     config.amplitudes_deg, config.areas_cm2, config.cutouts,
                     config.frequencies_hz)]
-    if rows and all(row.error is not None for row in rows):
-        raise ComputeError(
-            f"all {len(rows)} sweep points failed; first error: {rows[0].error}")
+    if rows and len(errors) == len(rows):
+        message = (f"all {len(rows)} sweep points failed; first error: "
+                   f"{errors[0]}")
+        if all(isinstance(exc, ValueError) for exc in errors):
+            raise ValueError(message)
+        raise ComputeError(message)
     return tuple(rows)
 
 

@@ -48,7 +48,8 @@ def reference_forces(state, env, re):
 
 
 def _reference_pass(elements, kin, env, steps, v_induced, re):
-    _, state = _element_grid_state(elements, kin, steps, v_induced)
+    _, state = _element_grid_state(elements, kin, steps)
+    state = state.with_inflow(v_induced)
     return state, reference_forces(state, env, re)
 
 

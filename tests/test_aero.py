@@ -1,5 +1,6 @@
 """Blade-element force model, induced-velocity root, cycle averages."""
 
+from collections import Counter
 from dataclasses import replace
 import math
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import wingbeat as wb
+from wingbeat import aero
 from wingbeat.aero import (
     MIN_REYNOLDS,
     AeroEnvironment,
@@ -220,12 +222,18 @@ def test_breakdown_totals_are_exact_sums():
 
 def test_element_state_derived_arrays_are_computed_once():
     _, state = _element_grid_state(discretize(standard_wing(25.5), 20),
-                                   beetle_kinematics(17.3, 190.0), 72, 1.5)
-    for name in ("v_translational", "alpha_geometric", "inflow_angle",
-                 "alpha_effective"):
+                                   beetle_kinematics(17.3, 190.0), 72)
+    state = state.with_inflow(1.5)
+    inflow_free = ("v_translational", "alpha_geometric",
+                   "translational_terms", "unsteady_terms")
+    for name in inflow_free + ("inflow_angle", "alpha_effective"):
         assert getattr(state, name) is getattr(state, name)
-    moved = replace(state, v_induced=0.5)
+    moved = state.with_inflow(0.5)
+    assert moved.v_induced == 0.5 and state.v_induced == 1.5
+    for name in inflow_free:
+        assert getattr(moved, name) is getattr(state, name)
     assert not np.array_equal(moved.inflow_angle, state.inflow_angle)
+    assert not np.array_equal(moved.alpha_effective, state.alpha_effective)
 
 
 # -------------------------------------------------------- induced velocity
@@ -491,6 +499,39 @@ def test_cycle_rejects_a_bad_fixed_inflow(v):
         f"induced velocity must be finite and non-negative, got {v}")
 
 
+def test_fixed_inflow_whose_loads_overflow_is_one_error():
+    # The force pass runs under the grid's errstate: no warning escapes,
+    # and the non-finite mean is reported as the inflow solve reports it.
+    with pytest.raises(RuntimeError) as error:
+        simulate_cycle(standard_wing(25.5), beetle_kinematics(17.3, 190.0),
+                       ENV, induced_velocity=1e200)
+    assert str(error.value) == (
+        "non-finite cycle-mean lift nan at inflow 1e+200 m/s")
+
+
+def test_solved_cycle_forms_each_inflow_free_term_once(monkeypatch):
+    # The inflow solve's precompute and the force pass read one set of
+    # cached cell terms.
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(aero, "geometric_aoa",
+                        counting("geometric_aoa", aero.geometric_aoa))
+    for name in ("translational_terms", "unsteady_terms"):
+        term = vars(ElementState)[name]
+        monkeypatch.setattr(term, "func", counting(name, term.func))
+    result = simulate_cycle(standard_wing(25.5),
+                            beetle_kinematics(17.3, 190.0), ENV)
+    assert result.vi_info is not None
+    assert calls == {"geometric_aoa": 1, "translational_terms": 1,
+                     "unsteady_terms": 1}
+
+
 def test_spanwise_bookkeeping_and_trapezoid_consistency():
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
@@ -637,10 +678,10 @@ def test_compare_rejects_mismatched_frequencies_and_zero_denominators():
 def test_element_state_angle_ranges_over_a_cycle():
     # Inflow angle in [0, pi/2] and effective AoA in [-pi/2, pi] by
     # construction, checked over a full preset cycle.
-    from wingbeat.aero import _element_grid_state
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
-    _, state = _element_grid_state(discretize(wing, 20), kin, 720, 1.8)
+    _, state = _element_grid_state(discretize(wing, 20), kin, 720)
+    state = state.with_inflow(1.8)
     phi = state.inflow_angle
     assert np.all((0.0 <= phi) & (phi <= math.pi / 2))
     alpha_e = state.alpha_effective
@@ -735,7 +776,8 @@ def test_force_pass_matches_the_reference_pass_on_a_grid():
         kin = shape(17.3)
         re = reynolds(wing, kin, ENV)
         for v in (0.0, 1.87, 3.5):
-            _, state = _element_grid_state(discretize(wing, 20), kin, 720, v)
+            _, state = _element_grid_state(discretize(wing, 20), kin, 720)
+            state = state.with_inflow(v)
             got = element_forces(state, ENV, re)
             want = reference_forces(state, ENV, re)
             for name, value in vars(want).items():
@@ -747,7 +789,7 @@ def test_force_pass_at_stroke_reversal_without_inflow():
     # A cell with no section speed and no inflow has no dynamic pressure:
     # zero translational force, finite forces, and no 0/0 warning.
     _, state = _element_grid_state(discretize(standard_wing(25.5), 20),
-                                   beetle_kinematics(17.3, 190.0), 72, 0.0)
+                                   beetle_kinematics(17.3, 190.0), 72)
     rate = state.stroke_rate.copy()
     rate[[0, 36]] = 0.0
     state = replace(state, stroke_rate=rate)

@@ -97,8 +97,9 @@ def invocations(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(invocations())
-# Absurd areas and frequencies whose thrust or power overflows, and a trim
-# bracket that starts near zero frequency; random draws rarely hit them.
+# Absurd areas and frequencies whose thrust or power overflows, a trim
+# bracket that starts near zero frequency, and a sweep whose every point
+# lies below the Reynolds limit; random draws rarely hit them.
 @example((_mutated(("sweep", "area_cm2", 1), 1e300, False), [], True,
           ["sweep"], False))
 @example((_mutated(("sweep", "area_cm2", 1), 1e150, False), [], True,
@@ -107,6 +108,8 @@ def invocations(draw):
           ["sweep"], False))
 @example((_mutated(("trim", "f_lo_hz"), 1e-300, False), [], True,
           ["trim"], False))
+@example((_mutated(("sweep", "frequency_hz"), [1e-3], False), [], True,
+          ["sweep"], False))
 def test_cli_keeps_its_contract(invocation):
     doc, flags, with_config, tail, renamed = invocation
     with tempfile.TemporaryDirectory() as tmp:

@@ -409,8 +409,17 @@ def test_sweep_propagates_programming_errors(monkeypatch):
 
 
 def test_sweep_raises_when_every_point_fails():
+    # Input errors at every point make an input error; one compute
+    # failure among them makes a compute failure.
     doc = base_config_dict(sweep={"area_cm2": [0.0, -1.0]})
-    with pytest.raises(ComputeError):
+    with pytest.raises(ValueError, match="^all 2 sweep points failed; "
+                       "first error: target area must be positive$"):
+        run_sweep(StudyConfig.from_dict(doc))
+    doc = base_config_dict(sweep={"frequency_hz": [1e-3, 17.3]},
+                           solver={"steps_per_cycle": 180, "n_elements": 10,
+                                   "vi_max_iter": 1})
+    with pytest.raises(ComputeError, match="^all 2 sweep points failed; "
+                       "first error: Reynolds number "):
         run_sweep(StudyConfig.from_dict(doc))
 
 
@@ -650,11 +659,12 @@ def test_cli_sweep_on_wings_their_precompute_does_not_fit(tmp_path, capsys,
                                                         monkeypatch):
     # Every sweep precompute is built on the wing its points rescale, so
     # only a planted mismatch (points cut at 0.4, precompute uncut) reaches
-    # the check: every row fails, and the CLI exits 2 with one line.
+    # the check: every row fails on input, and the CLI exits 1 with one
+    # line.
     monkeypatch.setattr(harness, "scaled_to_area", lambda wing, area:
                         apply_inboard_cutout(scaled_to_area(wing, area), 0.4))
     path = write_config(tmp_path)
-    assert cli.main(["--config", str(path), "sweep"]) == 2
+    assert cli.main(["--config", str(path), "sweep"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.endswith("wing is not a geometric rescaling of the "
@@ -815,10 +825,22 @@ def test_cli_unbracketed_trim_target_is_config_error(tmp_path, capsys):
 def test_cli_sweep_of_zero_area_wing_names_the_cause(tmp_path, capsys):
     zero = {"span_m": 0.09, "breakpoints": [[0.0, 0.0], [0.09, 0.0]]}
     path = write_config(tmp_path, wing=zero, sweep={"area_cm2": [25.0]})
-    assert cli.main(["--config", str(path), "sweep"]) == 2
+    assert cli.main(["--config", str(path), "sweep"]) == 1
     assert capsys.readouterr().err == (
-        "compute failure: all 1 sweep points failed; first error: "
+        "config error: all 1 sweep points failed; first error: "
         "cannot rescale a zero-area wing\n")
+
+
+def test_cli_sweep_below_the_reynolds_limit_is_config_error(tmp_path, capsys):
+    # As simulate at 1e-3 Hz: every point fails on input, so the sweep
+    # exits 1 and writes nothing.
+    path = write_config(tmp_path, sweep={"frequency_hz": [1e-3]})
+    assert cli.main(["--config", str(path), "sweep"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: all 1 sweep points failed; first "
+                          "error: Reynolds number 1.1")
+    assert err.count("\n") == 1
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_cli_missing_trim_key_is_config_error(tmp_path, capsys):
@@ -1098,9 +1120,14 @@ def test_load_angle_samples_validates_columns(tmp_path):
 
 
 def test_cli_compute_failure_exit_code(tmp_path, capsys):
-    path = write_config(tmp_path, sweep={"area_cm2": [0.0]})
+    path = write_config(tmp_path, solver={"steps_per_cycle": 180,
+                                          "n_elements": 10, "vi_max_iter": 1})
     assert cli.main(["--config", str(path), "sweep"]) == 2
-    assert "compute failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "compute failure: all 1 sweep points failed; first error: "
+        "induced-velocity solve did not converge after 1 thrust evaluations ")
+    assert err.count("\n") == 1
 
 
 def test_cli_fit_with_too_few_samples_is_config_error(tmp_path, capsys):
