@@ -14,6 +14,15 @@ evaluates them per cell and a :class:`CyclePrecompute` on moments summed
 over a cycle grid; both read the inflow-free cell terms that an
 :class:`ElementState` caches at unit air density.
 
+Those terms take two trig passes over the cells, sin and cos of the
+rotation angle theta, and no others. The geometric angle of attack
+alpha_g is theta on the upstroke and pi - theta on the downstroke, so
+sin alpha_g = sin theta, sin 2 alpha_g = 2 sign(stroke rate) sin theta
+cos theta and cos 2 alpha_g = 1 - 2 sin^2 theta. At stroke reversal
+alpha_g = pi/2 (sines 1 and 0, cos 2 alpha_g = -1), and where the clip of
+:func:`~wingbeat.kinematics.geometric_aoa` to [0, pi] moves a moving cell
+its sines are 0 and cos 2 alpha_g is 1; both cases are set explicitly.
+
 The uniform mean inflow through the stroke disk, which couples back into
 the effective angle of attack, is the root of actuator-disk momentum
 balance against the blade-element thrust, found by a bracketed secant
@@ -133,9 +142,11 @@ def reynolds(wing, kin, env):
 class ElementState:
     """Instantaneous state of one or more blade elements.
 
-    Fields broadcast together, so the same dataclass serves a single
-    scalar element and a (steps, elements) grid. Angles in radians,
-    lengths in metres, rates in 1/s. Derived arrays are cached per instance.
+    The rotation angle, rate and acceleration share the state's shape, and
+    every other field broadcasts to it, so the same dataclass serves a
+    single scalar element and a (steps, elements) grid. Angles in radians,
+    lengths in metres, rates in 1/s. Derived arrays are cached per
+    instance.
     """
 
     radius: np.ndarray
@@ -172,41 +183,90 @@ class ElementState:
         return self.alpha_geometric - self.inflow_angle
 
     @cached_property
+    def rotation_trig(self):
+        """Sine and cosine of the rotation angle theta: the only trig pass
+        over the cells, of which the geometric angle's sines are products."""
+        return np.sin(self.rotation_angle), np.cos(self.rotation_angle)
+
+    @cached_property
     def translational_terms(self):
         """The translational force per unit squared speed T of every cell at
-        unit air density, and its products with sin and cos 2 alpha_g."""
+        unit air density, and its products with sin and cos 2 alpha_g:
+        2 sign(stroke rate) sin theta cos theta and 1 - 2 sin^2 theta, with
+        cos 2 alpha_g = -1 at stroke reversal (see :func:`_clipped_cells`)."""
         trans = 0.5 * self.chord * (self.area_scale * self.width)
-        alpha_2 = 2.0 * self.alpha_geometric
-        return trans, np.sin(alpha_2) * trans, np.cos(alpha_2) * trans
+        sin_rot, cos_rot = self.rotation_trig
+        sign = np.sign(self.stroke_rate)
+        moving = np.abs(sign)
+        s_t = sin_rot * cos_rot
+        s_t *= 2.0 * sign
+        s_t *= trans
+        c_t = sin_rot * sin_rot
+        c_t *= -2.0 * moving
+        c_t += 2.0 * moving - 1.0
+        c_t *= trans
+        clipped = _clipped_cells(self)
+        if clipped is not None:
+            s_t = np.where(clipped, 0.0, s_t)
+            c_t = np.where(clipped, trans, c_t)
+        return trans, s_t, c_t
 
     @cached_property
     def unsteady_terms(self):
-        """Unsteady forces of every cell at unit air density: the added-mass
-        force in the three parts of :func:`_acceleration_parts`, the
-        rotational force (a r^2), and sin and cos of the rotation angle."""
+        """Unsteady forces of every cell at unit air density, the added-mass
+        force and the rotational force (a r^2), and the cell sums from which
+        a cycle grid's means follow: of F cos theta and of F v_t sin theta,
+        for each part of the added mass (:func:`_acceleration_parts`) and
+        then the rotational force. The added mass takes sin alpha_g as
+        sin theta, 1 at stroke reversal (see :func:`_clipped_cells`)."""
         scale = self.area_scale * self.width
-        sin_rot = np.sin(self.rotation_angle)
-        cos_rot = np.cos(self.rotation_angle)
-        per_accel = (0.25 * math.pi * self.chord**2
-                     * np.sin(self.alpha_geometric) * scale)
-        added = tuple(per_accel * accel
-                      for accel in _acceleration_parts(self, sin_rot, cos_rot))
+        sin_rot, cos_rot = self.rotation_trig
+        moving = np.abs(np.sign(self.stroke_rate))
+        per_accel = sin_rot * moving
+        per_accel += 1.0 - moving
+        clipped = _clipped_cells(self)
+        if clipped is not None:
+            per_accel = np.where(clipped, 0.0, per_accel)
+        per_accel *= 0.25 * math.pi * self.chord**2 * scale
+        v_t_sin = self.v_translational * sin_rot
+        sums = []
+        added = None
+        for part in _acceleration_parts(self, sin_rot, cos_rot):
+            part *= per_accel
+            sums.append((np.vdot(part, cos_rot), np.vdot(part, v_t_sin)))
+            # Summed as each part is taken: one added-mass array stays.
+            if added is None:
+                added = part
+            else:
+                added += part
         # Zero-chord stations carry no force; avoid 0/0 in the axis ratio.
         chord = np.asarray(self.chord, dtype=float)
         axis_ratio = np.divide(self.pitch_axis, chord, where=chord > 0.0,
                                out=np.zeros(np.shape(chord)))
-        c_rot = math.pi * (0.75 - axis_ratio)
-        rot = (self.v_translational * c_rot * self.rotation_rate * chord**2
-               * scale)
-        return added, rot, sin_rot, cos_rot
+        rot = self.rotation_rate * self.v_translational
+        rot *= math.pi * (0.75 - axis_ratio) * chord**2 * scale
+        sums.append((np.vdot(rot, cos_rot), np.vdot(rot, v_t_sin)))
+        return added, rot, tuple(sums)
 
     def with_inflow(self, v_induced):
         """This state at inflow ``v_induced``; shares its inflow-free cache."""
         moved = replace(self, v_induced=v_induced)
         vars(moved).update((name, vars(self)[name]) for name in (
-            "v_translational", "alpha_geometric", "translational_terms",
-            "unsteady_terms") if name in vars(self))
+            "v_translational", "alpha_geometric", "rotation_trig",
+            "translational_terms", "unsteady_terms") if name in vars(self))
         return moved
+
+
+def _clipped_cells(state):
+    """Where the sines of :func:`geometric_aoa` are not products of the
+    rotation angle's: ``None``, or the moving cells whose rotation angle
+    lies outside [0, pi], where the clip sets alpha_g to 0 or pi, so that
+    sin alpha_g = sin 2 alpha_g = 0 and cos 2 alpha_g = 1. Elsewhere alpha_g
+    is theta moving up, pi - theta moving down and pi/2 at reversal."""
+    theta = state.rotation_angle
+    if not (np.min(theta) < 0.0 or np.max(theta) > math.pi):
+        return None
+    return (state.stroke_rate != 0.0) & ((theta < 0.0) | (theta > math.pi))
 
 
 def _acceleration_parts(state, sin_rot, cos_rot):
@@ -215,16 +275,20 @@ def _acceleration_parts(state, sin_rot, cos_rot):
     acceleration (a r^2) and the pitch-axis centripetal term (a^2 r^2)."""
     arm = 0.5 * state.chord - state.pitch_axis
     yield arm * state.rotation_accel
-    yield state.radius * state.stroke_accel * sin_rot
-    yield arm * state.stroke_rate**2 * cos_rot * sin_rot
+    part = sin_rot * state.stroke_accel
+    part *= state.radius
+    yield part
+    part = sin_rot * cos_rot
+    part *= state.stroke_rate**2
+    part *= arm
+    yield part
 
 
 def element_acceleration(state):
     """Chord-normal section acceleration feeding the added-mass force: the
     stroke acceleration arm, the centripetal term of the pitch-axis offset,
     and the pitching acceleration about that offset."""
-    return sum(_acceleration_parts(state, np.sin(state.rotation_angle),
-                                   np.cos(state.rotation_angle)))
+    return sum(_acceleration_parts(state, *state.rotation_trig))
 
 
 @dataclass(frozen=True)
@@ -266,11 +330,15 @@ def _lift_cubic(amplitudes, u, s_v3, c_v2, s_v, c, by_q):
     T C v^2 / q, T S v / q, T C / q and T q, may be cell sums.
     """
     lift_amp, drag_zero, drag_amp = amplitudes
-    return (lift_amp * s_v3
-            + u * ((drag_amp - 2.0 * lift_amp) * c_v2
-                   + u * ((2.0 * drag_amp - lift_amp) * s_v
-                          - u * drag_amp * c))
-            - (drag_zero + drag_amp) * u * by_q)
+    # Innermost bracket first, in place on cell arrays.
+    lift = (2.0 * drag_amp - lift_amp) * s_v
+    lift -= u * drag_amp * c
+    lift *= u
+    lift += (drag_amp - 2.0 * lift_amp) * c_v2
+    lift *= u
+    lift += lift_amp * s_v3
+    lift -= (drag_zero + drag_amp) * u * by_q
+    return lift
 
 
 def _drag_cubic(amplitudes, u, c_v4, s_v3, c_v2, s_v, by_q):
@@ -281,11 +349,14 @@ def _drag_cubic(amplitudes, u, c_v4, s_v3, c_v2, s_v, by_q):
     every moment one power of v lower it is the motion-opposing drag, with
     no division by v, which is 0 at stroke reversal."""
     lift_amp, drag_zero, drag_amp = amplitudes
-    return (-drag_amp * c_v4
-            + u * ((lift_amp - 2.0 * drag_amp) * s_v3
-                   + u * ((drag_amp - 2.0 * lift_amp) * c_v2
-                          - u * lift_amp * s_v))
-            + (drag_zero + drag_amp) * by_q)
+    power = (drag_amp - 2.0 * lift_amp) * c_v2
+    power -= u * lift_amp * s_v
+    power *= u
+    power += (lift_amp - 2.0 * drag_amp) * s_v3
+    power *= u
+    power += -drag_amp * c_v4
+    power += (drag_zero + drag_amp) * by_q
+    return power
 
 
 def element_forces(state, env, re):
@@ -301,26 +372,32 @@ def element_forces(state, env, re):
     v, u = state.v_translational, state.v_induced
     v_sq = v * v
     q_sq = v_sq + u * u
-    rho_by_q = np.divide(env.rho, np.sqrt(q_sq), out=np.zeros(np.shape(q_sq)),
-                         where=q_sq > 0.0)
     amplitudes = _coefficient_amplitudes(re)
     s_t_v, c_t_v = s_t * v, c_t * v
     lift = _lift_cubic(amplitudes, u, s_t_v * v_sq, c_t_v * v, s_t_v, c_t,
                        trans * q_sq)
-    drag = _drag_cubic(amplitudes, u, c_t_v * v_sq, s_t_v * v, c_t_v, s_t,
-                       trans * v * q_sq)
+    # The drag's moments first, so that v^2 and T S v go before its cubic.
+    c_t_v3, s_t_v2 = c_t_v * v_sq, s_t_v * v
+    del v_sq, s_t_v
+    t_v_q_sq = trans * v
+    t_v_q_sq *= q_sq
+    drag = _drag_cubic(amplitudes, u, c_t_v3, s_t_v2, c_t_v, s_t, t_v_q_sq)
+    del c_t_v, c_t_v3, s_t_v2, t_v_q_sq
+    rho_by_q = np.divide(env.rho, np.sqrt(q_sq), out=np.zeros(np.shape(q_sq)),
+                         where=q_sq > 0.0)
     lift *= rho_by_q
     drag *= -rho_by_q
-    del v_sq, q_sq, rho_by_q, s_t_v, c_t_v  # before the unsteady terms form
-    added, rot, sin_rot, cos_rot = state.unsteady_terms
-    added = env.rho * (added[0] + added[1] + added[2])
+    del q_sq, rho_by_q  # before the unsteady forces form
+    added, rot, _ = state.unsteady_terms
+    sin_rot, cos_rot = state.rotation_trig
+    added, rot = env.rho * added, env.rho * rot
     return ForceBreakdown(
         translational_eta=drag,
         added_mass_eta=added * sin_rot,
-        rotational_eta=-env.rho * rot * sin_rot,
+        rotational_eta=-rot * sin_rot,
         translational_zeta=lift,
         added_mass_zeta=added * cos_rot,
-        rotational_zeta=env.rho * rot * cos_rot,
+        rotational_zeta=rot * cos_rot,
     )
 
 
@@ -341,6 +418,20 @@ def _element_grid_state(elements, kin, steps):
         rotation_rate=rot[1],
         rotation_accel=rot[2],
     )
+
+
+def _unsteady_means(state):
+    """Cycle means of one wing's unsteady lift and power on an element
+    grid, by powers of the scales a and r of :class:`CyclePrecompute`: lift
+    r^2 (L0 + a L1 + a^2 L2) and power a r^3 (P0 + a P1 + a^2 P2). Returns
+    ((L0, L1, L2), (P0, P1, P2))."""
+    *added, (rot_lift, rot_power) = state.unsteady_terms[2]
+    steps = np.shape(state.rotation_angle)[0]
+    lift = [force_lift / steps for force_lift, _ in added]
+    power = [-force_power / steps for _, force_power in added]
+    lift[1] += rot_lift / steps
+    power[1] += rot_power / steps
+    return tuple(map(float, lift)), tuple(map(float, power))
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,29 +468,25 @@ class CyclePrecompute:
         """Precompute on the ``solver`` grid of ``kin`` for ``wing``."""
         elements = discretize(wing, solver.n_elements)
         with np.errstate(all="ignore"):
-            # Unnamed here, the grid is freed once from_state lets it go.
-            return cls.from_state(_element_grid_state(
-                elements, kin, solver.steps_per_cycle)[1], kin, env, wing)
+            _, state = _element_grid_state(elements, kin,
+                                           solver.steps_per_cycle)
+            means = _unsteady_means(state)
+            v_t, terms = state.v_translational, state.translational_terms
+            del state  # the grid and its unsteady terms, before the moments
+            return cls._from_means(means, v_t, terms, kin, env, wing)
 
     @classmethod
     def from_state(cls, state, kin, env, wing):
         """Precompute on an element grid of ``kin`` for ``wing``; the grid's
-        inflow is ignored. Of one wing, the cycle-mean unsteady lift is
-        r^2 (L0 + a L1 + a^2 L2) and power a r^3 (P0 + a P1 + a^2 P2)."""
-        added, rot, sin_rot, cos_rot = state.unsteady_terms
-        v_t = state.v_translational
-        v_t_sin = v_t * sin_rot
+        inflow is ignored."""
+        return cls._from_means(_unsteady_means(state), state.v_translational,
+                               state.translational_terms, kin, env, wing)
 
-        def mean(x):
-            return float(np.mean(np.sum(x, axis=1)))
-
-        lift = [mean(force * cos_rot) for force in added]
-        power = [-mean(v_t_sin * force) for force in added]
-        lift[1] += mean(rot * cos_rot)
-        power[1] += mean(v_t_sin * rot)
-        trans, s_t, c_t = state.translational_terms
-        # Drop the grid before the moments; build's is then freed.
-        del state, added, rot, sin_rot, cos_rot, v_t_sin
+    @classmethod
+    def _from_means(cls, means, v_t, terms, kin, env, wing):
+        """Precompute from the unsteady means, the section speeds and the
+        translational terms of a grid."""
+        trans, s_t, c_t = terms
         # The moments of the cubics at unit scale (see loads()), in place.
         v_sq = v_t**2
         by_inverse_q = np.empty((5,) + v_t.shape)
@@ -414,11 +501,12 @@ class CyclePrecompute:
         np.multiply(trans, v_sq, out=by_q[1])
         at_zero_inflow = tuple(float(np.vdot(x, v_t))
                                for x in (s_t_v, c_t_v2, by_q[1]))
+        lift, power = means
         return cls(kinematics=kin, wing=wing, steps=v_t.shape[0],
                    rho=env.rho, v_t_sq=v_sq.ravel(),
                    by_inverse_q=by_inverse_q.reshape(5, -1),
                    by_q=by_q.reshape(2, -1), at_zero_inflow=at_zero_inflow,
-                   lift_by_a=tuple(lift), power_by_a=tuple(power))
+                   lift_by_a=lift, power_by_a=power)
 
     def fit(self, wing, kin):
         """Scales (a, r, k): ``kin``'s stroke harmonics are a times, and its
@@ -470,9 +558,11 @@ class CyclePrecompute:
             k2 = k3 = k4 = k5 = 0.0
         else:
             # Sums over the cells of the moments times 1/q and times q.
-            q = np.sqrt(self.v_t_sq + u * u)
-            k1, k2, k3, k4, k6 = self.by_inverse_q @ (1.0 / q)
+            q = self.v_t_sq + u * u
+            np.sqrt(q, out=q)
             k5, k7 = self.by_q @ q
+            np.divide(1.0, q, out=q)
+            k1, k2, k3, k4, k6 = self.by_inverse_q @ q
         thrust = _lift_cubic(amplitudes, u, k1, k2, k3, k4, k5)
         power = _drag_cubic(amplitudes, u, k6, k1, k2, k3, k7)
         l0, l1, l2 = self.lift_by_a
