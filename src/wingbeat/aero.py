@@ -12,7 +12,8 @@ of attack, expands into cubics in the inflow on inflow-independent cell
 moments (:func:`_lift_cubic`, :func:`_drag_cubic`). :func:`element_forces`
 evaluates them per cell and a :class:`CyclePrecompute` on moments summed
 over a cycle grid; both read the inflow-free cell terms that an
-:class:`ElementState` caches at unit air density.
+:class:`ElementState` caches at unit air density. So a precompute holds
+no density, and :meth:`CyclePrecompute.loads` takes the solve's.
 
 Those terms take two trig passes over the cells, sin and cos of the
 rotation angle theta, and no others. The geometric angle of attack
@@ -449,13 +450,12 @@ class CyclePrecompute:
     :func:`_lift_cubic` and :func:`_drag_cubic` on cell sums of their
     moments; the unsteady lift and power are unit means times powers of a
     and r, and k^4 on lift, k^5 on power. :meth:`fit` finds (a, r, k).
-    Every term is at unit air density; :meth:`loads` multiplies in ``rho``.
+    Every term is at unit air density: :meth:`loads` takes the solve's.
     """
 
     kinematics: object
     wing: object
     steps: int
-    rho: float
     v_t_sq: np.ndarray
     by_inverse_q: np.ndarray
     by_q: np.ndarray
@@ -464,7 +464,7 @@ class CyclePrecompute:
     power_by_a: tuple
 
     @classmethod
-    def build(cls, wing, kin, env, solver):
+    def build(cls, wing, kin, solver):
         """Precompute on the ``solver`` grid of ``kin`` for ``wing``."""
         elements = discretize(wing, solver.n_elements)
         with np.errstate(all="ignore"):
@@ -473,17 +473,17 @@ class CyclePrecompute:
             means = _unsteady_means(state)
             v_t, terms = state.v_translational, state.translational_terms
             del state  # the grid and its unsteady terms, before the moments
-            return cls._from_means(means, v_t, terms, kin, env, wing)
+            return cls._from_means(means, v_t, terms, kin, wing)
 
     @classmethod
-    def from_state(cls, state, kin, env, wing):
+    def from_state(cls, state, kin, wing):
         """Precompute on an element grid of ``kin`` for ``wing``; the grid's
         inflow is ignored."""
         return cls._from_means(_unsteady_means(state), state.v_translational,
-                               state.translational_terms, kin, env, wing)
+                               state.translational_terms, kin, wing)
 
     @classmethod
-    def _from_means(cls, means, v_t, terms, kin, env, wing):
+    def _from_means(cls, means, v_t, terms, kin, wing):
         """Precompute from the unsteady means, the section speeds and the
         translational terms of a grid."""
         trans, s_t, c_t = terms
@@ -503,7 +503,7 @@ class CyclePrecompute:
                                for x in (s_t_v, c_t_v2, by_q[1]))
         lift, power = means
         return cls(kinematics=kin, wing=wing, steps=v_t.shape[0],
-                   rho=env.rho, v_t_sq=v_sq.ravel(),
+                   v_t_sq=v_sq.ravel(),
                    by_inverse_q=by_inverse_q.reshape(5, -1),
                    by_q=by_q.reshape(2, -1), at_zero_inflow=at_zero_inflow,
                    lift_by_a=lift, power_by_a=power)
@@ -544,10 +544,10 @@ class CyclePrecompute:
         return (np.float64(a), np.float64(kin.frequency / ref.frequency),
                 np.float64(wing.span) / self.wing.span)
 
-    def loads(self, scales, v, re):
+    def loads(self, scales, v, re, rho):
         """Cycle-mean vertical force (N) and aerodynamic power (W) of the
-        wing pair at inflow ``v`` and Reynolds number ``re``, for the scales
-        that :meth:`fit` returns, which an inflow solve calls once."""
+        wing pair at inflow ``v``, Reynolds number ``re`` and density ``rho``,
+        for the scales that :meth:`fit` returns, once per inflow solve."""
         a, r, k = scales
         s = a * r * k
         u = v / s
@@ -567,7 +567,7 @@ class CyclePrecompute:
         power = _drag_cubic(amplitudes, u, k6, k1, k2, k3, k7)
         l0, l1, l2 = self.lift_by_a
         p0, p1, p2 = self.power_by_a
-        pair = 2.0 * self.rho * k * k
+        pair = 2.0 * rho * k * k
         thrust = pair * (s * s * thrust / self.steps
                          + k * k * r * r * (l0 + a * (l1 + a * l2)))
         power = pair * (s * s * s * power / self.steps
@@ -616,9 +616,9 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
     bisecting the bracket instead whenever a step would leave it, and
     stops at the first Vi with |g(Vi)| <= ``solver.vi_tol`` (m/s).
 
-    ``precompute`` is a :class:`CyclePrecompute` in ``env`` on the
-    ``solver`` grid of this wing or one it rescales geometrically, for
-    kinematics that ``kin`` rescales; it is built when omitted. The force
+    ``precompute``, built when omitted, is a :class:`CyclePrecompute` in
+    any air, on the ``solver`` grid (checked), of this wing or one it
+    rescales geometrically, for kinematics that ``kin`` rescales. The force
     coefficients are taken at the stroke-based Reynolds number.
 
     Returns an :class:`InducedVelocityResult` that carries the lift and
@@ -629,8 +629,8 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
     ------
     ValueError
         If :func:`reynolds` finds none, as for a zero stroke, or finds one
-        not above ``MIN_REYNOLDS``, or the precompute does not fit ``wing``
-        or ``kin`` (:meth:`CyclePrecompute.fit`, called once per solve).
+        not above ``MIN_REYNOLDS``, or the precompute is off the ``solver``
+        grid or does not fit ``wing`` or ``kin`` (:meth:`CyclePrecompute.fit`).
     RuntimeError
         If the thrust or the power is not finite at an evaluated inflow, or
         no inflow meets ``vi_tol`` within ``vi_max_iter`` thrust
@@ -644,13 +644,17 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
     # check on every evaluation reports that as one error, not warnings.
     with np.errstate(all="ignore"):
         if precompute is None:
-            precompute = CyclePrecompute.build(wing, kin, env, solver)
+            precompute = CyclePrecompute.build(wing, kin, solver)
+        grid = (precompute.steps, precompute.v_t_sq.size // precompute.steps)
+        if grid != (solver.steps_per_cycle, solver.n_elements):
+            raise ValueError(f"precompute grid {grid} is not the solver grid "
+                             f"{(solver.steps_per_cycle, solver.n_elements)}")
         scales = precompute.fit(wing, kin)
 
         # g falls through the root: v_lo (g > 0) lies below it, v_hi above.
         v, v_hi, previous = 0.0, None, None
         for evaluation in range(1, solver.vi_max_iter + 1):
-            thrust, power = precompute.loads(scales, v, re)
+            thrust, power = precompute.loads(scales, v, re, env.rho)
             _require_finite(v, thrust=thrust, power=power)
             g = math.sqrt(max(thrust, 0.0) / (2.0 * env.rho * disk_area)) - v
             if abs(g) <= solver.vi_tol:
@@ -707,8 +711,6 @@ class CycleResult:
     spanwise_lift: np.ndarray
     spanwise_power: np.ndarray
     time_series: CycleTimeSeries
-    pair: bool
-    steps: int
     vi_info: InducedVelocityResult | None
 
 
@@ -730,7 +732,7 @@ def simulate_cycle(wing, kin, env, solver=SolverSettings(),
         if induced_velocity is None:
             vi_info = solve_induced_velocity(
                 wing, kin, env, solver, precompute=CyclePrecompute.from_state(
-                    state, kin, env, wing))
+                    state, kin, wing))
             induced_velocity = vi_info.v_induced
         v_t, rate = state.v_translational, state.stroke_rate
         forces = element_forces(state.with_inflow(induced_velocity), env, re)
@@ -766,8 +768,6 @@ def simulate_cycle(wing, kin, env, solver=SolverSettings(),
         spanwise_power=spanwise_power,
         time_series=CycleTimeSeries(t=t, forces=history,
                                     power=factor * np.sum(power_grid, axis=1)),
-        pair=solver.pair,
-        steps=solver.steps_per_cycle,
         vi_info=vi_info,
     )
 

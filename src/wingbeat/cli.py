@@ -8,6 +8,7 @@ error, 2 compute failure, 3 I/O error.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -44,6 +45,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message.replace("\n", "\\n"))
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(
         prog="wingbeat",
@@ -64,17 +66,13 @@ def build_parser():
     fit.add_argument("samples", help="CSV with columns t_s, angle_deg")
     fit.add_argument("--harmonics", type=int, default=5,
                      help="harmonics to fit (at least 0; 0 fits the mean)")
-    fit.set_defaults(run=cmd_fit_kinematics)
-    sub.add_parser("simulate", help="one flapping cycle at the base config"
-                   ).set_defaults(run=cmd_simulate)
-    sub.add_parser("sweep", help="full amplitude/area/cutout/frequency grid"
-                   ).set_defaults(run=cmd_sweep)
+    sub.add_parser("simulate", help="one flapping cycle at the base config")
+    sub.add_parser("sweep", help="full amplitude/area/cutout/frequency grid")
     sub.add_parser("trim", help="flapping frequency that lifts the 'trim' "
-                   "target").set_defaults(run=cmd_trim)
+                   "target")
     sub.add_parser("cutout-study", help="intact vs inboard-cutout wings at "
-                   "fixed frequency").set_defaults(run=cmd_cutout_study)
-    sub.add_parser("control-sim", help="closed-loop yaw stabilization trace"
-                   ).set_defaults(run=cmd_control_sim)
+                   "fixed frequency")
+    sub.add_parser("control-sim", help="closed-loop yaw stabilization trace")
     return parser
 
 
@@ -159,7 +157,9 @@ def main(argv=None):
         config = StudyConfig.from_file(args.config)
         out_dir = args.out if args.out is not None else config.output_dir
         os.makedirs(out_dir, exist_ok=True)
-        args.run(args, config, out_dir)
+        # The handler is looked up per call; the cached parser holds none.
+        run = globals()["cmd_" + args.command.replace("-", "_")]
+        run(args, config, out_dir)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -106,7 +106,8 @@ def wing_from_config(cfg):
     axis_type = axis_cfg.get("type", "fraction")
     if axis_type != "fraction":
         raise ConfigError(f"unknown rotation_axis type '{axis_type}'")
-    pitch_axis = _finite(axis_cfg.get("value", 0.25), "rotation_axis", "wing")
+    axis = axis_cfg.get("value", WingGeometry.pitch_axis_fraction)
+    pitch_axis = _finite(axis, "rotation_axis", "wing")
 
     try:
         wing = build_wing(breakpoints,
@@ -175,11 +176,12 @@ def kinematics_from_config(cfg):
 
 
 def environment_from_config(cfg):
-    _section(cfg, "environment", ("rho_kg_m3", "nu_m2_s"))
+    names = {"rho_kg_m3": "rho", "nu_m2_s": "nu"}
+    _section(cfg, "environment", names)
     try:
-        return AeroEnvironment(
-            rho=_finite(cfg.get("rho_kg_m3", 1.225), "rho_kg_m3", "environment"),
-            nu=_finite(cfg.get("nu_m2_s", 1.5e-5), "nu_m2_s", "environment"))
+        return AeroEnvironment(**{
+            name: _finite(cfg[key], key, "environment")
+            for key, name in names.items() if key in cfg})
     except ValueError as exc:
         raise ConfigError(f"invalid environment: {exc}") from exc
 

@@ -23,9 +23,10 @@ raises a ``ValueError`` if every failure was one, else a
 one precompute.
 """
 
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 import csv
 import datetime
+import functools
 import itertools
 import json
 import math
@@ -157,47 +158,6 @@ class SweepRow:
     error: str | None = None
 
 
-def _evaluate_point(config, point, wings, precomputes, errors):
-    """One grid point: one inflow solve, which returns its lift and power.
-    It caches its wing in ``wings`` by (area, cutout) and the precompute of
-    its cutout, built on the config's wing, in ``precomputes``, and appends
-    the exception of a failed point to ``errors``."""
-    amplitude, area, cutout, frequency = point
-    row = SweepRow(*point)
-    solver, env = config.solver, config.environment
-    try:
-        if cutout < config.wing.cutout:
-            raise ValueError(f"sweep cutout {cutout} lies inside the wing's "
-                             f"own cutout {config.wing.cutout}")
-        wing = wings.get((area, cutout))
-        if wing is None:
-            wing = wings[area, cutout] = apply_inboard_cutout(
-                scaled_to_area(config.wing, area * 1e-4), cutout)
-        precompute = precomputes.get(cutout)
-        if precompute is None:
-            # The grid is built at unit stroke amplitude (rad) and 1 Hz, so
-            # that no sweep value enters the terms every point rescales.
-            shape = (config.kinematics.with_stroke_amplitude(1.0)
-                     .with_frequency(1.0))
-            precompute = precomputes[cutout] = CyclePrecompute.build(
-                apply_inboard_cutout(config.wing, cutout), shape, env, solver)
-        kin = config.kinematics.with_stroke_amplitude(
-            math.radians(amplitude)).with_frequency(frequency)
-        info = solve_induced_velocity(wing, kin, env, solver,
-                                      precompute=precompute)
-        return replace(
-            row,
-            mean_lift_gf=info.lift / GRAM_FORCE_NEWTONS,
-            aero_power_w=info.power,
-            v_induced_m_s=info.v_induced,
-            reynolds=reynolds(wing, kin, env),
-            lift_to_power_gf_w=_lift_to_power_or_none(info.lift, info.power),
-            **_inflow_diagnostics(info))
-    except (ValueError, RuntimeError) as exc:  # record, never abort
-        errors.append(exc)
-        return replace(row, error=str(exc))
-
-
 def run_sweep(config, workers=1):
     """The :class:`SweepRow` of every point of the study's sweep grid, as
     a tuple in lexicographic axis order.
@@ -208,14 +168,50 @@ def run_sweep(config, workers=1):
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    wings, precomputes, errors = {}, {}, []
+    solver, env = config.solver, config.environment
+
+    @functools.cache
+    def wing_of(area, cutout):
+        return apply_inboard_cutout(scaled_to_area(config.wing, area * 1e-4),
+                                    cutout)
+
+    @functools.cache
+    def precompute_of(cutout):
+        # The grid is built at unit stroke amplitude (rad) and 1 Hz, so
+        # that no sweep value enters the terms every point rescales.
+        shape = (config.kinematics.with_stroke_amplitude(1.0)
+                 .with_frequency(1.0))
+        return CyclePrecompute.build(apply_inboard_cutout(config.wing, cutout),
+                                     shape, solver)
+
+    rows, errors = [], []
     # Absurd but finite inputs may overflow on the way; the inflow solve's
     # finiteness check reports that as one error per point.
     with np.errstate(all="ignore"):
-        rows = [_evaluate_point(config, point, wings, precomputes, errors)
-                for point in itertools.product(
-                    config.amplitudes_deg, config.areas_cm2, config.cutouts,
-                    config.frequencies_hz)]
+        for point in itertools.product(config.amplitudes_deg, config.areas_cm2,
+                                       config.cutouts, config.frequencies_hz):
+            amplitude, area, cutout, frequency = point
+            try:
+                if cutout < config.wing.cutout:
+                    raise ValueError(f"sweep cutout {cutout} lies inside the "
+                                     f"wing's own cutout {config.wing.cutout}")
+                wing = wing_of(area, cutout)
+                precompute = precompute_of(cutout)
+                kin = config.kinematics.with_stroke_amplitude(
+                    math.radians(amplitude)).with_frequency(frequency)
+                info = solve_induced_velocity(wing, kin, env, solver,
+                                              precompute=precompute)
+                row = SweepRow(
+                    *point, mean_lift_gf=info.lift / GRAM_FORCE_NEWTONS,
+                    aero_power_w=info.power, v_induced_m_s=info.v_induced,
+                    reynolds=reynolds(wing, kin, env),
+                    lift_to_power_gf_w=_lift_to_power_or_none(info.lift,
+                                                              info.power),
+                    **_inflow_diagnostics(info))
+            except (ValueError, RuntimeError) as exc:  # record, never abort
+                errors.append(exc)
+                row = SweepRow(*point, error=str(exc))
+            rows.append(row)
     if rows and len(errors) == len(rows):
         message = (f"all {len(rows)} sweep points failed; first error: "
                    f"{errors[0]}")
@@ -275,8 +271,7 @@ def hover_trim(wing, kin, env, target_lift, f_lo, f_hi,
     probes = []
     last = None
     # Every probe rescales one grid, built at the first probe's frequency.
-    precompute = CyclePrecompute.build(wing, kin.with_frequency(f_lo), env,
-                                       solver)
+    precompute = CyclePrecompute.build(wing, kin.with_frequency(f_lo), solver)
 
     def lift_at(f):
         nonlocal last
@@ -383,8 +378,8 @@ def write_cycle(out_dir, result, solver):
         "v_induced_m_s": result.v_induced,
         "reynolds": result.reynolds_number,
         "frequency_hz": result.frequency,
-        "pair": result.pair,
-        "steps": result.steps,
+        "pair": solver.pair,
+        "steps": solver.steps_per_cycle,
         **_inflow_diagnostics(result.vi_info),
     }, solver)
     ts, f = result.time_series, result.time_series.forces
@@ -410,12 +405,12 @@ def write_sweep(out_dir, rows, solver):
     columns = columns[:columns.index("vi_iterations") + 1]
     cells = []
     for row in rows:
-        *values, iterations = astuple(row)[:len(columns)]
+        *values, iterations = [getattr(row, name) for name in columns]
         cells.append(["" if v is None else format_float(v) for v in values]
                      + ["" if iterations is None else str(iterations),
                         "ok" if row.error is None else f"error: {row.error}"])
     write_json(os.path.join(out_dir, "sweep.json"),
-               {"rows": [asdict(row) for row in rows]}, solver)
+               {"rows": [vars(row) for row in rows]}, solver)
     write_csv(os.path.join(out_dir, "sweep.csv"), columns + ["status"], cells)
 
 

@@ -101,7 +101,8 @@ class WingGeometry:
         return self.span**2 / area
 
 
-def build_wing(chord_breakpoints, root_offset=0.0, pitch_axis=0.25):
+def build_wing(chord_breakpoints, root_offset=0.0,
+               pitch_axis=WingGeometry.pitch_axis_fraction):
     """Build a :class:`WingGeometry` from a chord-breakpoint list.
 
     Parameters

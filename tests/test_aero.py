@@ -324,7 +324,7 @@ def test_rescaled_precompute_matches_full_path(shape, cutout):
     base = shape(17.3)
     reference = standard_wing(25.5)
     precompute = CyclePrecompute.build(
-        apply_inboard_cutout(reference, cutout), base, ENV, SolverSettings())
+        apply_inboard_cutout(reference, cutout), base, SolverSettings())
     for area in (20.1, 25.5, 31.4):
         wing = apply_inboard_cutout(scaled_to_area(reference, area * 1e-4),
                                     cutout)
@@ -336,7 +336,8 @@ def test_rescaled_precompute_matches_full_path(shape, cutout):
                 re = reynolds(wing, kin, ENV)
                 scales = precompute.fit(wing, kin)
                 for v in (0.0, 0.6, 1.87, 3.5):
-                    thrust, power = precompute.loads(scales, v, re)
+                    thrust, power = precompute.loads(scales, v, re,
+                                                     ENV.rho)
                     assert thrust == pytest.approx(pair_mean_thrust(
                         elements, kin, ENV, 720, v, re), rel=1e-12)
                     assert power == pytest.approx(pair_mean_power(
@@ -349,7 +350,7 @@ def test_precompute_rejects_a_wing_it_does_not_fit():
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
     solver = SolverSettings(steps_per_cycle=72, n_elements=10)
-    precompute = CyclePrecompute.build(wing, kin, ENV, solver)
+    precompute = CyclePrecompute.build(wing, kin, solver)
     stubby = build_wing([(r, 1.2 * c) for r, c in wing.chord_breakpoints],
                         root_offset=wing.root_offset)
     offset = replace(wing, root_offset=2.0 * wing.root_offset)
@@ -368,7 +369,7 @@ def test_precompute_rejects_kinematics_of_another_shape():
     base = beetle_kinematics(17.3, 190.0)
     wing = standard_wing(25.5)
     precompute = CyclePrecompute.build(
-        wing, base, ENV, SolverSettings(steps_per_cycle=72, n_elements=10))
+        wing, base, SolverSettings(steps_per_cycle=72, n_elements=10))
     reversed_stroke = replace(base, stroke=base.stroke.scaled(-1.0))
     # The tip twisting 50 deg instead of 60.
     inboard, (tip, series) = base.rotation_stations
@@ -384,10 +385,10 @@ def test_precompute_build_frees_its_grid_before_the_moments():
     # moments form, whatever the interpreter's calling convention. Holding
     # the grid to the end peaks near 2.5 MB on 720 x 20.
     wing, kin = standard_wing(25.5), beetle_kinematics(17.3, 190.0)
-    CyclePrecompute.build(wing, kin, ENV, SolverSettings())
+    CyclePrecompute.build(wing, kin, SolverSettings())
     tracemalloc.start()
     try:
-        CyclePrecompute.build(wing, kin, ENV, SolverSettings())
+        CyclePrecompute.build(wing, kin, SolverSettings())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -428,12 +429,39 @@ def test_pinned_inflow_is_the_momentum_root():
 def test_cycle_inflow_matches_standalone_solve():
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
-    precompute = CyclePrecompute.build(wing, kin, ENV, SolverSettings())
+    precompute = CyclePrecompute.build(wing, kin, SolverSettings())
     alone = solve_induced_velocity(wing, kin, ENV)
     given = solve_induced_velocity(wing, kin, ENV, precompute=precompute)
     cycle = simulate_cycle(wing, kin, ENV)
     assert cycle.v_induced == alone.v_induced == given.v_induced
     assert cycle.vi_info == alone == given
+
+
+def test_one_precompute_serves_any_air():
+    # A precompute holds no density: solved in two airs, it gives what a
+    # fresh build in each air gives, bit for bit.
+    wing = standard_wing(25.5)
+    kin = beetle_kinematics(17.3, 190.0)
+    precompute = CyclePrecompute.build(wing, kin, SolverSettings())
+    for env in (ENV, AeroEnvironment(rho=0.6, nu=2e-5)):
+        shared = solve_induced_velocity(wing, kin, env, precompute=precompute)
+        assert shared == solve_induced_velocity(wing, kin, env)
+        assert shared == simulate_cycle(wing, kin, env).vi_info
+
+
+def test_precompute_on_another_grid_is_rejected():
+    wing = standard_wing(25.5)
+    kin = beetle_kinematics(17.3, 190.0)
+    precompute = CyclePrecompute.build(
+        wing, kin, SolverSettings(steps_per_cycle=36, n_elements=2))
+    for solver in (SolverSettings(), SolverSettings(steps_per_cycle=36),
+                   SolverSettings(steps_per_cycle=72, n_elements=2)):
+        with pytest.raises(ValueError) as error:
+            solve_induced_velocity(wing, kin, ENV, solver,
+                                   precompute=precompute)
+        assert str(error.value) == (
+            f"precompute grid (36, 2) is not the solver grid "
+            f"({solver.steps_per_cycle}, {solver.n_elements})")
 
 
 def test_induced_velocity_self_consistency():

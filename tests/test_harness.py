@@ -143,6 +143,20 @@ def test_config_rejects_bad_solver_and_physics_values(section, key, value):
         StudyConfig.from_dict(doc)
 
 
+def test_config_environment_defaults_and_messages():
+    doc = base_config_dict(environment={})
+    assert StudyConfig.from_dict(doc).environment == AeroEnvironment()
+    for env, message in (
+            ({"rho_kg_m3": "x"}, "'rho_kg_m3' in 'environment' must be a "
+                                 "finite number, got 'x'"),
+            ({"nu_m2_s": -1.0}, "air density and viscosity must be finite "
+                                "and positive")):
+        doc = base_config_dict(environment=env)
+        with pytest.raises(ConfigError) as error:
+            StudyConfig.from_dict(doc)
+        assert str(error.value) == f"invalid environment: {message}"
+
+
 @pytest.mark.parametrize("path, key", [
     (("solver",), "step_per_cycle"),
     (("environment",), "rho"),
@@ -323,9 +337,9 @@ def test_sweep_evaluates_loads_once_per_inflow_iterate(monkeypatch):
     calls = []
     loads = aero.CyclePrecompute.loads
 
-    def counting(self, scales, v, re):
+    def counting(self, scales, v, re, rho):
         calls.append(v)
-        return loads(self, scales, v, re)
+        return loads(self, scales, v, re, rho)
 
     monkeypatch.setattr(aero.CyclePrecompute, "loads", counting)
     fits = count_fits(monkeypatch)
@@ -646,6 +660,18 @@ def test_cli_simulate(tmp_path, capsys):
     assert (out / "cycle_spanwise.csv").exists()
     summary = json.loads((out / "cycle_summary.json").read_text())
     assert summary["mean_lift_gf"] > 0
+
+
+@pytest.mark.parametrize("pair", [True, False])
+def test_cycle_summary_reports_the_solver_grid_and_pair(tmp_path, pair):
+    path = write_config(tmp_path, solver={"steps_per_cycle": 180,
+                                          "n_elements": 10, "pair": pair})
+    assert cli.main(["--config", str(path), "simulate"]) == 0
+    summary = json.loads((tmp_path / "out" / "cycle_summary.json")
+                         .read_text())
+    assert summary["pair"] is pair
+    assert summary["steps"] == 180
+    assert summary["metadata"]["solver"]["steps_per_cycle"] == 180
 
 
 def test_cli_simulate_honours_solver_iteration_limit(tmp_path, capsys):
