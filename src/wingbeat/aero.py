@@ -185,18 +185,28 @@ class ElementState:
 
     @cached_property
     def rotation_trig(self):
-        """Sine and cosine of the rotation angle theta: the only trig pass
-        over the cells, of which the geometric angle's sines are products."""
-        return np.sin(self.rotation_angle), np.cos(self.rotation_angle)
+        """Sine and cosine of the rotation angle theta, the only trig pass
+        over the cells, and the clip mask: ``None``, or the moving cells
+        whose theta lies outside [0, pi]. There the clip of
+        :func:`~wingbeat.kinematics.geometric_aoa` sets alpha_g to 0 or pi,
+        so sin alpha_g = sin 2 alpha_g = 0 and cos 2 alpha_g = 1; elsewhere
+        alpha_g is theta moving up, pi - theta moving down and pi/2 at
+        reversal, and its sines are products of theta's."""
+        theta = self.rotation_angle
+        clipped = None
+        if np.min(theta) < 0.0 or np.max(theta) > math.pi:
+            clipped = (self.stroke_rate != 0.0) & ((theta < 0.0)
+                                                   | (theta > math.pi))
+        return np.sin(theta), np.cos(theta), clipped
 
     @cached_property
     def translational_terms(self):
         """The translational force per unit squared speed T of every cell at
         unit air density, and its products with sin and cos 2 alpha_g:
         2 sign(stroke rate) sin theta cos theta and 1 - 2 sin^2 theta, with
-        cos 2 alpha_g = -1 at stroke reversal (see :func:`_clipped_cells`)."""
+        cos 2 alpha_g = -1 at stroke reversal (see :attr:`rotation_trig`)."""
         trans = 0.5 * self.chord * (self.area_scale * self.width)
-        sin_rot, cos_rot = self.rotation_trig
+        sin_rot, cos_rot, clipped = self.rotation_trig
         sign = np.sign(self.stroke_rate)
         moving = np.abs(sign)
         s_t = sin_rot * cos_rot
@@ -206,7 +216,6 @@ class ElementState:
         c_t *= -2.0 * moving
         c_t += 2.0 * moving - 1.0
         c_t *= trans
-        clipped = _clipped_cells(self)
         if clipped is not None:
             s_t = np.where(clipped, 0.0, s_t)
             c_t = np.where(clipped, trans, c_t)
@@ -215,26 +224,30 @@ class ElementState:
     @cached_property
     def unsteady_terms(self):
         """Unsteady forces of every cell at unit air density, the added-mass
-        force and the rotational force (a r^2), and the cell sums from which
-        a cycle grid's means follow: of F cos theta and of F v_t sin theta,
-        for each part of the added mass (:func:`_acceleration_parts`) and
-        then the rotational force. The added mass takes sin alpha_g as
-        sin theta, 1 at stroke reversal (see :func:`_clipped_cells`)."""
+        force and the rotational force (a r^2), and their cycle means over
+        the rows of a grid, by powers of the scales a and r of
+        :class:`CyclePrecompute`: lift r^2 (L0 + a L1 + a^2 L2) and power
+        a r^3 (P0 + a P1 + a^2 P2) as ((L0, L1, L2), (P0, P1, P2)), one
+        power of a for each part of the added mass
+        (:func:`_acceleration_parts`), the rotational force in L1 and P1.
+        The added mass takes sin alpha_g as sin theta, 1 at stroke reversal
+        (see :attr:`rotation_trig`)."""
         scale = self.area_scale * self.width
-        sin_rot, cos_rot = self.rotation_trig
+        sin_rot, cos_rot, clipped = self.rotation_trig
         moving = np.abs(np.sign(self.stroke_rate))
         per_accel = sin_rot * moving
         per_accel += 1.0 - moving
-        clipped = _clipped_cells(self)
         if clipped is not None:
             per_accel = np.where(clipped, 0.0, per_accel)
         per_accel *= 0.25 * math.pi * self.chord**2 * scale
         v_t_sin = self.v_translational * sin_rot
-        sums = []
+        steps = np.shape(sin_rot)[0] if np.ndim(sin_rot) else 1
+        lift, power = [], []
         added = None
         for part in _acceleration_parts(self, sin_rot, cos_rot):
             part *= per_accel
-            sums.append((np.vdot(part, cos_rot), np.vdot(part, v_t_sin)))
+            lift.append(np.vdot(part, cos_rot) / steps)
+            power.append(-np.vdot(part, v_t_sin) / steps)
             # Summed as each part is taken: one added-mass array stays.
             if added is None:
                 added = part
@@ -246,8 +259,9 @@ class ElementState:
                                out=np.zeros(np.shape(chord)))
         rot = self.rotation_rate * self.v_translational
         rot *= math.pi * (0.75 - axis_ratio) * chord**2 * scale
-        sums.append((np.vdot(rot, cos_rot), np.vdot(rot, v_t_sin)))
-        return added, rot, tuple(sums)
+        lift[1] += np.vdot(rot, cos_rot) / steps
+        power[1] += np.vdot(rot, v_t_sin) / steps
+        return added, rot, (tuple(map(float, lift)), tuple(map(float, power)))
 
     def with_inflow(self, v_induced):
         """This state at inflow ``v_induced``; shares its inflow-free cache."""
@@ -256,18 +270,6 @@ class ElementState:
             "v_translational", "alpha_geometric", "rotation_trig",
             "translational_terms", "unsteady_terms") if name in vars(self))
         return moved
-
-
-def _clipped_cells(state):
-    """Where the sines of :func:`geometric_aoa` are not products of the
-    rotation angle's: ``None``, or the moving cells whose rotation angle
-    lies outside [0, pi], where the clip sets alpha_g to 0 or pi, so that
-    sin alpha_g = sin 2 alpha_g = 0 and cos 2 alpha_g = 1. Elsewhere alpha_g
-    is theta moving up, pi - theta moving down and pi/2 at reversal."""
-    theta = state.rotation_angle
-    if not (np.min(theta) < 0.0 or np.max(theta) > math.pi):
-        return None
-    return (state.stroke_rate != 0.0) & ((theta < 0.0) | (theta > math.pi))
 
 
 def _acceleration_parts(state, sin_rot, cos_rot):
@@ -289,7 +291,8 @@ def element_acceleration(state):
     """Chord-normal section acceleration feeding the added-mass force: the
     stroke acceleration arm, the centripetal term of the pitch-axis offset,
     and the pitching acceleration about that offset."""
-    return sum(_acceleration_parts(state, *state.rotation_trig))
+    sin_rot, cos_rot, _ = state.rotation_trig
+    return sum(_acceleration_parts(state, sin_rot, cos_rot))
 
 
 @dataclass(frozen=True)
@@ -390,7 +393,7 @@ def element_forces(state, env, re):
     drag *= -rho_by_q
     del q_sq, rho_by_q  # before the unsteady forces form
     added, rot, _ = state.unsteady_terms
-    sin_rot, cos_rot = state.rotation_trig
+    sin_rot, cos_rot, _ = state.rotation_trig
     added, rot = env.rho * added, env.rho * rot
     return ForceBreakdown(
         translational_eta=drag,
@@ -419,20 +422,6 @@ def _element_grid_state(elements, kin, steps):
         rotation_rate=rot[1],
         rotation_accel=rot[2],
     )
-
-
-def _unsteady_means(state):
-    """Cycle means of one wing's unsteady lift and power on an element
-    grid, by powers of the scales a and r of :class:`CyclePrecompute`: lift
-    r^2 (L0 + a L1 + a^2 L2) and power a r^3 (P0 + a P1 + a^2 P2). Returns
-    ((L0, L1, L2), (P0, P1, P2))."""
-    *added, (rot_lift, rot_power) = state.unsteady_terms[2]
-    steps = np.shape(state.rotation_angle)[0]
-    lift = [force_lift / steps for force_lift, _ in added]
-    power = [-force_power / steps for _, force_power in added]
-    lift[1] += rot_lift / steps
-    power[1] += rot_power / steps
-    return tuple(map(float, lift)), tuple(map(float, power))
 
 
 @dataclass(frozen=True, eq=False)
@@ -470,7 +459,7 @@ class CyclePrecompute:
         with np.errstate(all="ignore"):
             _, state = _element_grid_state(elements, kin,
                                            solver.steps_per_cycle)
-            means = _unsteady_means(state)
+            means = state.unsteady_terms[2]
             v_t, terms = state.v_translational, state.translational_terms
             del state  # the grid and its unsteady terms, before the moments
             return cls._from_means(means, v_t, terms, kin, wing)
@@ -479,7 +468,7 @@ class CyclePrecompute:
     def from_state(cls, state, kin, wing):
         """Precompute on an element grid of ``kin`` for ``wing``; the grid's
         inflow is ignored."""
-        return cls._from_means(_unsteady_means(state), state.v_translational,
+        return cls._from_means(state.unsteady_terms[2], state.v_translational,
                                state.translational_terms, kin, wing)
 
     @classmethod
@@ -582,9 +571,7 @@ class InducedVelocityResult:
     ``iterations`` counts evaluations of the cycle-mean thrust,
     ``residual`` is the momentum-balance residual at ``v_induced``, and
     ``lift`` (N) and ``power`` (W) are the cycle-mean loads there, of the
-    pair or of one wing as the solver's ``pair`` says. They are all 0
-    when the stroke disk is empty, which a wing with a valid Reynolds
-    number reaches only when its squared span underflows.
+    pair or of one wing as the solver's ``pair`` says.
     """
 
     v_induced: float
@@ -595,9 +582,9 @@ class InducedVelocityResult:
     power: float
 
 
-def _require_finite(v, **loads):
-    """Raise ``RuntimeError`` unless each named cycle-mean load is finite."""
-    for name, value in loads.items():
+def _require_finite(v, **values):
+    """Raise ``RuntimeError`` unless each named cycle-mean value is finite."""
+    for name, value in values.items():
         if not math.isfinite(value):
             raise RuntimeError(f"non-finite cycle-mean {name} {value} at "
                                f"inflow {v:.6g} m/s")
@@ -632,14 +619,16 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
         not above ``MIN_REYNOLDS``, or the precompute is off the ``solver``
         grid or does not fit ``wing`` or ``kin`` (:meth:`CyclePrecompute.fit`).
     RuntimeError
-        If the thrust or the power is not finite at an evaluated inflow, or
+        If the thrust, the power or the momentum inflow of the thrust is
+        not finite at an evaluated inflow, as for an empty stroke disk, or
         no inflow meets ``vi_tol`` within ``vi_max_iter`` thrust
         evaluations (the message reports the last residual).
     """
     re = reynolds(wing, kin, env)
-    disk_area = kin.stroke_amplitude * wing.span**2
-    if disk_area <= 0.0:
-        return InducedVelocityResult(0.0, 0, 0.0, False, 0.0, 0.0)
+    # As a numpy scalar, an empty stroke disk (a squared span that
+    # underflows) gives an infinite or NaN momentum inflow, and not a
+    # ZeroDivisionError: the finiteness check reports it.
+    disk_area = np.float64(kin.stroke_amplitude * wing.span**2)
     # Absurd but finite inputs may overflow on the way; the finiteness
     # check on every evaluation reports that as one error, not warnings.
     with np.errstate(all="ignore"):
@@ -655,8 +644,11 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
         v, v_hi, previous = 0.0, None, None
         for evaluation in range(1, solver.vi_max_iter + 1):
             thrust, power = precompute.loads(scales, v, re, env.rho)
-            _require_finite(v, thrust=thrust, power=power)
-            g = math.sqrt(max(thrust, 0.0) / (2.0 * env.rho * disk_area)) - v
+            momentum = math.sqrt(max(thrust, 0.0)
+                                 / (2.0 * env.rho * disk_area))
+            _require_finite(v, thrust=thrust, power=power,
+                            **{"momentum inflow": momentum})
+            g = momentum - v
             if abs(g) <= solver.vi_tol:
                 share = 1.0 if solver.pair else 0.5
                 return InducedVelocityResult(v, evaluation, abs(g),

@@ -108,11 +108,11 @@ def wing_from_config(cfg):
         raise ConfigError(f"unknown rotation_axis type '{axis_type}'")
     axis = axis_cfg.get("value", WingGeometry.pitch_axis_fraction)
     pitch_axis = _finite(axis, "rotation_axis", "wing")
+    root_offset = _finite(cfg.get("root_offset_m", 0.0), "root_offset_m",
+                          "wing")
 
     try:
-        wing = build_wing(breakpoints,
-                          root_offset=_finite(cfg.get("root_offset_m", 0.0),
-                                              "root_offset_m", "wing"),
+        wing = build_wing(breakpoints, root_offset=root_offset,
                           pitch_axis=pitch_axis)
     except ValueError as exc:
         raise ConfigError(f"invalid wing: {exc}") from exc
@@ -136,10 +136,10 @@ def _series_from_config(cfg, frequency, section):
     n = max(len(a), len(b))
     a += [0.0] * (n - len(a))
     b += [0.0] * (n - len(b))
+    a0 = math.radians(_finite(cfg.get("a0_deg", 0.0), "a0_deg", section))
     try:
-        return FourierSeries(a0=math.radians(_finite(cfg.get("a0_deg", 0.0),
-                                                     "a0_deg", section)),
-                             a=tuple(a), b=tuple(b), frequency=frequency)
+        return FourierSeries(a0=a0, a=tuple(a), b=tuple(b),
+                             frequency=frequency)
     except ValueError as exc:
         raise ConfigError(f"invalid series in '{section}': {exc}") from exc
 
@@ -178,10 +178,10 @@ def kinematics_from_config(cfg):
 def environment_from_config(cfg):
     names = {"rho_kg_m3": "rho", "nu_m2_s": "nu"}
     _section(cfg, "environment", names)
+    values = {name: _finite(cfg[key], key, "environment")
+              for key, name in names.items() if key in cfg}
     try:
-        return AeroEnvironment(**{
-            name: _finite(cfg[key], key, "environment")
-            for key, name in names.items() if key in cfg})
+        return AeroEnvironment(**values)
     except ValueError as exc:
         raise ConfigError(f"invalid environment: {exc}") from exc
 

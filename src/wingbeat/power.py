@@ -8,6 +8,7 @@ is always reported as the residual of the other four.
 
 from dataclasses import dataclass
 import json
+from typing import ClassVar
 
 import numpy as np
 
@@ -154,6 +155,8 @@ class PowerBudget:
 
     The mechanism term is the residual closing the balance; a negative
     residual flags an inconsistent set of inputs rather than raising.
+    ``provenance`` says where each term comes from, the same for every
+    budget.
     """
 
     p_in: float
@@ -161,7 +164,13 @@ class PowerBudget:
     p_mechanism: float
     p_aero: float
     p_inertial: float
-    provenance: tuple
+    provenance: ClassVar[tuple] = (
+        ("p_in_w", "measured"),
+        ("p_loss_w", "modeled"),
+        ("p_mechanism_w", "residual"),
+        ("p_aero_w", "modeled"),
+        ("p_inertial_w", "modeled"),
+    )
 
     @property
     def residual_negative(self):
@@ -196,13 +205,5 @@ def decompose(p_in, current, motor, p_aero, p_inertial):
         raise ValueError("input power must be non-negative")
     p_loss = joule_loss(current, motor)
     p_mechanism = p_in - p_loss - p_aero - p_inertial
-    provenance = (
-        ("p_in_w", "measured"),
-        ("p_loss_w", "modeled"),
-        ("p_mechanism_w", "residual"),
-        ("p_aero_w", "modeled"),
-        ("p_inertial_w", "modeled"),
-    )
     return PowerBudget(p_in=p_in, p_loss=p_loss, p_mechanism=p_mechanism,
-                       p_aero=p_aero, p_inertial=p_inertial,
-                       provenance=provenance)
+                       p_aero=p_aero, p_inertial=p_inertial)

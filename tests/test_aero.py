@@ -529,6 +529,65 @@ def test_induced_velocity_non_finite_thrust_raises():
         solve_induced_velocity(wing, kin, ENV)
 
 
+class StubPrecompute:
+    """A precompute on the 36 x 2 grid whose pair thrust at inflow v is
+    ``thrust(v)``, at zero power; it records every inflow it is asked."""
+
+    steps = 36
+    v_t_sq = np.zeros(72)
+
+    def __init__(self, thrust):
+        self.thrust, self.inflows = thrust, []
+
+    def fit(self, wing, kin):
+        return None
+
+    def loads(self, scales, v, re, rho):
+        self.inflows.append(v)
+        return self.thrust(v), 0.0
+
+
+def test_induced_velocity_bisects_when_a_secant_leaves_the_bracket():
+    # A thrust of 8 rho A (1 - v) has the momentum inflow 2 sqrt(1 - v):
+    # from 0 the search steps to 2, then the secant through (0, 2) and
+    # (2, -2) to 1. Through (2, -2) and (1, -1) the secant reaches 0, the
+    # bracket's lower end, so it bisects to 0.5, then converges to the
+    # root 2 sqrt(2) - 2.
+    wing, kin = standard_wing(25.5), beetle_kinematics(17.3, 190.0)
+    disk = kin.stroke_amplitude * wing.span**2
+    stub = StubPrecompute(lambda v: 8.0 * ENV.rho * disk * max(1.0 - v, 0.0))
+    result = solve_induced_velocity(wing, kin, ENV, SolverSettings(36, 2),
+                                    precompute=stub)
+    assert stub.inflows[:4] == pytest.approx([0.0, 2.0, 1.0, 0.5],
+                                             rel=1e-15)
+    assert result.iterations == len(stub.inflows) == 9
+    assert result.v_induced == stub.inflows[-1]
+    assert result.v_induced == pytest.approx(2.0 * math.sqrt(2.0) - 2.0,
+                                             abs=1e-6)
+
+
+@pytest.mark.parametrize("thrust, cause", [
+    (1e-300, "momentum inflow inf"),
+    (0.0, "momentum inflow nan"),
+    (-1.0, "momentum inflow nan"),
+])
+def test_empty_stroke_disk_fails_the_finiteness_check(thrust, cause):
+    # A 1e-163 m wing, whose squared span underflows, with chords and a
+    # frequency that keep its Reynolds number valid: the momentum inflow
+    # of any thrust is not finite, and no zero result stands in for it.
+    wing = build_wing([(0.0, 1e60), (1e-163, 1e60)])
+    kin = beetle_kinematics(1.73e101, 190.0)
+    assert kin.stroke_amplitude * wing.span**2 == 0.0
+    assert reynolds(wing, kin, ENV) > MIN_REYNOLDS
+    stub = StubPrecompute(lambda v: thrust)
+    with pytest.raises(RuntimeError) as error:
+        solve_induced_velocity(wing, kin, ENV, SolverSettings(36, 2),
+                               precompute=stub)
+    assert str(error.value) == (
+        f"non-finite cycle-mean {cause} at inflow 0 m/s")
+    assert stub.inflows == [0.0]
+
+
 def inverted_twist_kinematics(f=17.3):
     # Twist phased to push air upward on both half-strokes: negative lift.
     stroke = FourierSeries(0.0, (0.0,), (math.radians(95.0),), f)

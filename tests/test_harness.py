@@ -149,12 +149,49 @@ def test_config_environment_defaults_and_messages():
     for env, message in (
             ({"rho_kg_m3": "x"}, "'rho_kg_m3' in 'environment' must be a "
                                  "finite number, got 'x'"),
-            ({"nu_m2_s": -1.0}, "air density and viscosity must be finite "
-                                "and positive")):
+            ({"nu_m2_s": -1.0}, "invalid environment: air density and "
+                                "viscosity must be finite and positive")):
         doc = base_config_dict(environment=env)
         with pytest.raises(ConfigError) as error:
             StudyConfig.from_dict(doc)
-        assert str(error.value) == f"invalid environment: {message}"
+        assert str(error.value) == message
+
+
+@pytest.mark.parametrize("path, value, message", [
+    pytest.param(("wing", "span_m"), math.nan,
+                 "'span_m' in 'wing' must be a finite number, got nan",
+                 id="span_m-nan"),
+    pytest.param(("wing", "root_offset_m"), math.nan,
+                 "'root_offset_m' in 'wing' must be a finite number, got nan",
+                 id="root_offset_m-nan"),
+    pytest.param(("wing", "root_offset_m"), -1.0,
+                 "invalid wing: root offset must be non-negative",
+                 id="root_offset_m-negative"),
+    pytest.param(("kinematics", "stroke", "a0_deg"), math.inf,
+                 "'a0_deg' in 'stroke' must be a finite number, got inf",
+                 id="stroke-a0_deg-inf"),
+    pytest.param(("kinematics", "rotation_stations", 0, "a0_deg"), math.inf,
+                 "'a0_deg' in 'rotation_stations' must be a finite number, "
+                 "got inf", id="station-a0_deg-inf"),
+    pytest.param(("wing", "cutout_span_fraction"), 1.0,
+                 "invalid cutout: cutout span fraction must lie in [0, 1)",
+                 id="cutout_span_fraction-1"),
+    pytest.param(("kinematics", "rotation_stations", 0, "span_fraction"), 1.5,
+                 "invalid kinematics: station span fraction must lie in "
+                 "[0, 1]", id="station-span_fraction-1.5"),
+])
+def test_config_error_carries_one_prefix(path, value, message):
+    # A value that does not parse is named bare; only a constructor's
+    # rejection of parsed values carries the section's "invalid" prefix.
+    doc = base_config_dict()
+    *parents, key = path
+    section = doc
+    for name in parents:
+        section = section[name]
+    section[key] = value
+    with pytest.raises(ConfigError) as error:
+        StudyConfig.from_dict(doc)
+    assert str(error.value) == message
 
 
 @pytest.mark.parametrize("path, key", [
@@ -600,6 +637,92 @@ def test_hover_trim_zero_stroke_raises():
         hover_trim(standard_wing(25.5), frozen, ENV, 0.1, 8.0, 40.0)
 
 
+def trim_on_lift_curve(monkeypatch, lift, target, f_lo=8.0, f_hi=40.0):
+    """``hover_trim`` whose probe at f lifts ``lift(f)`` in one thrust
+    evaluation; returns (trim result or raised exception, probed f)."""
+    probed = []
+
+    def solve(wing, kin, env, solver, precompute):
+        probed.append(kin.frequency)
+        return aero.InducedVelocityResult(0.0, 1, 0.0, False,
+                                          lift(kin.frequency), 1.0)
+
+    monkeypatch.setattr(harness, "solve_induced_velocity", solve)
+    try:
+        result = hover_trim(standard_wing(25.5),
+                            beetle_kinematics(17.3, 190.0), ENV, target,
+                            f_lo, f_hi, solver=SolverSettings(36, 2))
+    except (ValueError, ComputeError) as exc:
+        result = exc
+    return result, probed
+
+
+@pytest.mark.parametrize("target, f_lo, f_hi, message", [
+    (1.0, 0.0, 40.0, "need 0 < f_lo < f_hi"),
+    (1.0, 40.0, 40.0, "need 0 < f_lo < f_hi"),
+    (1.0, 40.0, 8.0, "need 0 < f_lo < f_hi"),
+    (1.0, math.nan, 40.0, "need 0 < f_lo < f_hi"),
+    (0.0, 8.0, 40.0, "target lift must be positive"),
+    (-1.0, 8.0, 40.0, "target lift must be positive"),
+])
+def test_hover_trim_rejects_its_inputs_before_any_probe(monkeypatch, target,
+                                                       f_lo, f_hi, message):
+    error, probed = trim_on_lift_curve(monkeypatch, lambda f: f, target,
+                                       f_lo, f_hi)
+    assert isinstance(error, ValueError) and str(error) == message
+    assert probed == []
+
+
+def test_hover_trim_steps_past_a_non_positive_lift(monkeypatch):
+    # L = f - 10 is -2 at 8 Hz: no log step from there, so the search
+    # takes the bracket's geometric mean, and again after the next probe,
+    # whose secant through the non-positive lift is NaN.
+    trim, probed = trim_on_lift_curve(monkeypatch, lambda f: f - 10.0, 5.0)
+    first = math.sqrt(8.0 * 40.0)
+    assert probed[:3] == [8.0, first, math.sqrt(8.0 * first)]
+    assert len(probed) == 7
+    assert trim.probes == tuple((f, f - 10.0, 1) for f in probed)
+    assert abs(trim.mean_lift - 5.0) < 5.0 * harness.TRIM_REL_TOL
+
+
+def test_hover_trim_steps_past_equal_lifts(monkeypatch):
+    # L is 1 up to 30.5 Hz: the first two probes lift the same, their
+    # secant is NaN, and the search takes the geometric mean of
+    # [8 sqrt(10), 40].
+    trim, probed = trim_on_lift_curve(
+        monkeypatch, lambda f: max(1.0, 2.0 * (f - 30.0)), 10.0)
+    second = 8.0 * math.sqrt(10.0)
+    assert probed[:3] == pytest.approx(
+        [8.0, second, math.sqrt(second * 40.0)], rel=1e-15)
+    assert len(probed) == 8
+    assert trim.frequency_hz == pytest.approx(35.0, rel=1e-4)
+
+
+def test_hover_trim_at_the_upper_bound_after_lifting_too_much_at_f_lo(
+        monkeypatch):
+    # A lift that falls with frequency overshoots at f_lo and meets the
+    # target at f_hi, which trims there in two probes.
+    trim, probed = trim_on_lift_curve(monkeypatch, lambda f: 100.0 / f, 2.5)
+    assert probed == [8.0, 40.0]
+    assert trim.frequency_hz == 40.0 and trim.mean_lift == 2.5
+    assert trim.probes == ((8.0, 12.5, 1), (40.0, 2.5, 1))
+
+
+def test_hover_trim_that_never_meets_the_target_is_a_compute_error(
+        monkeypatch):
+    # A lift that jumps from 1 to 100 at 20 Hz never comes within the
+    # tolerance of 10: the search stops after TRIM_MAX_ITER probes.
+    error, probed = trim_on_lift_curve(
+        monkeypatch, lambda f: 1.0 if f < 20.0 else 100.0, 10.0)
+    assert isinstance(error, ComputeError)
+    assert str(error) == (f"hover trim did not converge within "
+                          f"{harness.TRIM_MAX_ITER} probes after the first")
+    assert len(probed) == harness.TRIM_MAX_ITER + 1
+    assert probed[:2] == pytest.approx([8.0, 8.0 * math.sqrt(10.0)],
+                                       rel=1e-15)
+    assert all(8.0 < f < 40.0 for f in probed[1:])
+
+
 def test_cutout_study_zero_fraction_gives_zero_deltas():
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
@@ -725,6 +848,7 @@ def test_cli_bad_solver_or_physics_value_is_config_error(tmp_path, capsys,
     ("simulate", "solver", "pair", "false"),
     ("simulate", "kinematics", "frequency_hz", "17.3"),
     ("simulate", "solver", "vi_max_iter", True),
+    ("simulate", "solver", "n_elements", 1),
 ])
 def test_cli_bad_section_value_is_config_error(tmp_path, capsys, command,
                                                section, key, value):
@@ -945,6 +1069,48 @@ def test_cli_reynolds_number_below_the_fit_is_config_error(
     assert list((tmp_path / "out").iterdir()) == []
 
 
+@pytest.mark.parametrize("command, chord, frequency, root_offset, code, "
+                         "message", [
+    pytest.param("sweep", 1e100, 17.3, 0.0125, 1,
+                 "config error: all 1 sweep points failed; first error: "
+                 "Reynolds number 7.6492e-57 is not above the coefficient "
+                 "fit's lower limit 5.05544", id="sweep-reynolds"),
+    pytest.param("trim", 1e100, 17.3, 0.0125, 1,
+                 "config error: Reynolds number 3.5372e-57 is not above the "
+                 "coefficient fit's lower limit 5.05544", id="trim-reynolds"),
+    pytest.param("simulate", 1e170, 17.3, 0.0125, 2,
+                 "compute failure: non-finite cycle-mean thrust nan at "
+                 "inflow 0 m/s", id="simulate-thrust"),
+    pytest.param("sweep", 1e170, 17.3, 0.0125, 2,
+                 "compute failure: all 1 sweep points failed; first error: "
+                 "non-finite cycle-mean thrust nan at inflow 0 m/s",
+                 id="sweep-thrust"),
+    pytest.param("simulate", 1e60, 1.73e101, 0.0, 2,
+                 "compute failure: non-finite cycle-mean momentum inflow inf "
+                 "at inflow 0 m/s", id="simulate-momentum-inflow"),
+])
+def test_cli_empty_stroke_disk_is_one_line_error(tmp_path, capsys, command,
+                                                 chord, frequency,
+                                                 root_offset, code, message):
+    # A 1e-163 m wing sweeps a disk whose area underflows to 0: like any
+    # other bad input it fails the Reynolds or the finiteness check, and
+    # never reports zero lift.
+    wing = {"span_m": 1e-163, "root_offset_m": root_offset,
+            "breakpoints": [[0.0, chord], [1e-163, chord]]}
+    path = write_config(tmp_path, wing=wing,
+                        trim={"target_lift_gf": 15.8, "f_lo_hz": 8.0,
+                              "f_hi_hz": 40.0})
+    doc = json.loads(path.read_text())
+    doc["kinematics"]["frequency_hz"] = frequency
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["--config", str(path), command]) == code
+    assert not caught
+    assert capsys.readouterr().err == message + "\n"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_sweep_row_fails_below_the_reynolds_limit():
     # At 1e-3 Hz the study wing's Reynolds number is about 1.1.
     doc = base_config_dict(sweep={"frequency_hz": [1e-3, 17.3]})
@@ -1136,6 +1302,34 @@ def test_cli_io_error_exit_code(tmp_path, capsys):
                      "simulate"])
     assert code == 3
     assert "I/O error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, name, kind", [
+    ("simulate", "cycle_summary.json", "JSON"),
+    ("sweep", "sweep.csv", "CSV"),
+])
+def test_cli_output_file_that_is_a_directory_is_io_error(tmp_path, capsys,
+                                                         command, name,
+                                                         kind):
+    path = write_config(tmp_path)
+    target = tmp_path / "out" / name
+    target.mkdir(parents=True)
+    assert cli.main(["--config", str(path), command]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"I/O error: cannot write {kind} to {target}: ")
+    assert err.count("\n") == 1
+
+
+def test_write_cycle_of_a_fixed_inflow_has_null_inflow_diagnostics(tmp_path):
+    solver = SolverSettings(steps_per_cycle=180, n_elements=10)
+    result = simulate_cycle(standard_wing(25.5),
+                            beetle_kinematics(17.3, 190.0), ENV, solver,
+                            induced_velocity=1.5)
+    harness.write_cycle(tmp_path, result, solver)
+    summary = json.loads((tmp_path / "cycle_summary.json").read_text())
+    assert summary["v_induced_m_s"] == 1.5
+    assert [summary[key] for key in ("vi_iterations", "vi_residual_m_s",
+                                     "negative_thrust")] == [None] * 3
 
 
 def test_load_angle_samples_validates_columns(tmp_path):
