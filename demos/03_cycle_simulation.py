@@ -33,7 +33,7 @@ print(f"  induced velocity       {result.v_induced:8.3f} m/s "
       f"({result.vi_info.iterations} thrust evaluations)")
 print(f"  Reynolds number        {result.reynolds_number:8.0f}")
 
-forces = result.time_series.forces
+forces = result.history
 parts = {
     "translational": forces.translational_zeta,
     "added mass": forces.added_mass_zeta,

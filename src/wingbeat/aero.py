@@ -57,8 +57,8 @@ class AeroEnvironment:
                 "air density and viscosity must be finite and positive")
 
 
-# Upper limit on the cycle grid, steps_per_cycle * n_elements. A cycle
-# solve peaks near 190 bytes a cell, about 190 MB at the limit.
+# Upper limit on the cycle grid, steps_per_cycle * n_elements. A solved
+# cycle peaks at 152-154 bytes a cell (tracemalloc), 155 MB at the limit.
 MAX_GRID_CELLS = 1_000_000
 
 
@@ -105,7 +105,9 @@ MIN_REYNOLDS = (3.94 / 1.966) ** (1.0 / 0.429)
 
 def _coefficient_amplitudes(re):
     """Lift amplitude, zero-lift drag and drag amplitude at Reynolds ``re``,
-    which must exceed ``MIN_REYNOLDS``."""
+    which must be finite and exceed ``MIN_REYNOLDS``."""
+    if re == math.inf:
+        raise ValueError(f"Reynolds number {re} is not finite")
     if not re > MIN_REYNOLDS:
         raise ValueError(f"Reynolds number {re:.6g} is not above the "
                          f"coefficient fit's lower limit {MIN_REYNOLDS:.6g}")
@@ -116,7 +118,7 @@ def _coefficient_amplitudes(re):
 def aero_coefficients(alpha_e, re):
     """Empirical flat-plate lift and drag coefficients at low Reynolds
     number, c_l = A sin 2 alpha_e and c_d = D0 + D1 (1 - cos 2 alpha_e), at
-    the effective angle of attack ``alpha_e`` (rad, array_like) and
+    the effective angle of attack ``alpha_e`` (rad, array_like) and finite
     Reynolds number ``re`` > ``MIN_REYNOLDS``. Returns (cl, cd), arrays or
     floats."""
     alpha_e = np.asarray(alpha_e, dtype=float)
@@ -132,8 +134,9 @@ def reynolds(wing, kin, env):
     """Stroke-based Reynolds number 2 * cbar * Phi * f * R / nu."""
     if wing.area <= 0.0:
         raise ValueError("Reynolds number undefined for a zero-area wing")
-    re = (2.0 * wing.mean_chord * kin.stroke_amplitude * kin.frequency
-          * wing.span / env.nu)
+    with np.errstate(over="ignore"):  # inf, which the fit rejects
+        re = (2.0 * wing.mean_chord * kin.stroke_amplitude * kin.frequency
+              * wing.span / env.nu)
     if re <= 0.0:
         raise ValueError(f"degenerate kinematics give Re = {re}")
     return re
@@ -616,8 +619,8 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
     ------
     ValueError
         If :func:`reynolds` finds none, as for a zero stroke, or finds one
-        not above ``MIN_REYNOLDS``, or the precompute is off the ``solver``
-        grid or does not fit ``wing`` or ``kin`` (:meth:`CyclePrecompute.fit`).
+        outside the fit's domain, or the precompute is off the ``solver`` grid
+        or does not fit ``wing`` or ``kin`` (:meth:`CyclePrecompute.fit`).
     RuntimeError
         If the thrust, the power or the momentum inflow of the thrust is
         not finite at an evaluated inflow, as for an empty stroke disk, or
@@ -676,23 +679,16 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
 
 
 @dataclass(frozen=True)
-class CycleTimeSeries:
-    """Wing-total force history over one cycle plus instantaneous power.
+class CycleResult:
+    """Cycle-averaged loads of a flapping wing (or mirrored pair), with the
+    wing-total forces at the times ``t`` of one cycle (``history``) and the
+    instantaneous power (``power_history``).
 
     The eta history is re-signed into a fixed stroke-plane direction
     (positive toward the upstroke motion), so a symmetric stroke averages
     to zero; power keeps the motion-opposing convention and is positive
     when drag is being overcome.
     """
-
-    t: np.ndarray
-    forces: ForceBreakdown
-    power: np.ndarray
-
-
-@dataclass(frozen=True)
-class CycleResult:
-    """Cycle-averaged loads of a flapping wing (or mirrored pair)."""
 
     mean_lift: float
     mean_aero_power: float
@@ -702,7 +698,9 @@ class CycleResult:
     span_fractions: np.ndarray
     spanwise_lift: np.ndarray
     spanwise_power: np.ndarray
-    time_series: CycleTimeSeries
+    t: np.ndarray
+    history: ForceBreakdown
+    power_history: np.ndarray
     vi_info: InducedVelocityResult | None
 
 
@@ -758,8 +756,9 @@ def simulate_cycle(wing, kin, env, solver=SolverSettings(),
         span_fractions=elements.span_fraction,
         spanwise_lift=spanwise_lift,
         spanwise_power=spanwise_power,
-        time_series=CycleTimeSeries(t=t, forces=history,
-                                    power=factor * np.sum(power_grid, axis=1)),
+        t=t,
+        history=history,
+        power_history=factor * np.sum(power_grid, axis=1),
         vi_info=vi_info,
     )
 

@@ -137,11 +137,7 @@ def _series_from_config(cfg, frequency, section):
     a += [0.0] * (n - len(a))
     b += [0.0] * (n - len(b))
     a0 = math.radians(_finite(cfg.get("a0_deg", 0.0), "a0_deg", section))
-    try:
-        return FourierSeries(a0=a0, a=tuple(a), b=tuple(b),
-                             frequency=frequency)
-    except ValueError as exc:
-        raise ConfigError(f"invalid series in '{section}': {exc}") from exc
+    return FourierSeries(a0=a0, a=tuple(a), b=tuple(b), frequency=frequency)
 
 
 def kinematics_from_config(cfg):
@@ -154,8 +150,10 @@ def kinematics_from_config(cfg):
                                  "rotation_stations"))
     frequency = _finite(_require(cfg, "frequency_hz", "kinematics"),
                         "frequency_hz", "kinematics")
-    if frequency <= 0.0:
-        raise ConfigError("frequency_hz must be positive")
+    # Parsing samples the stroke over one period, which must be finite.
+    if not (frequency > 0.0 and math.isfinite(1.0 / frequency)):
+        raise ConfigError(f"frequency_hz must be positive with a finite "
+                          f"period, got {frequency!r}")
     stroke = _series_from_config(
         _section(_require(cfg, "stroke", "kinematics"), "stroke",
                  ("a0_deg", "a_deg", "b_deg")), frequency, "stroke")
@@ -175,27 +173,18 @@ def kinematics_from_config(cfg):
         raise ConfigError(f"invalid kinematics: {exc}") from exc
 
 
-def environment_from_config(cfg):
-    names = {"rho_kg_m3": "rho", "nu_m2_s": "nu"}
-    _section(cfg, "environment", names)
-    values = {name: _finite(cfg[key], key, "environment")
-              for key, name in names.items() if key in cfg}
-    try:
-        return AeroEnvironment(**values)
-    except ValueError as exc:
-        raise ConfigError(f"invalid environment: {exc}") from exc
-
-
-def solver_from_config(cfg):
-    """:class:`SolverSettings` with the section's keys set, else defaults."""
+def _dataclass_from_config(cls, cfg, section, names):
+    """``cls`` from config section ``cfg``: each key of ``names`` present
+    sets the field it maps to, parsed by that field's type; the other
+    fields keep their defaults."""
     parsers = {f.name: {bool: _boolean, int: _integer, float: _finite}[f.type]
-               for f in fields(SolverSettings)}
-    values = {key: parsers[key](value, key, "solver")
-              for key, value in _section(cfg, "solver", parsers).items()}
+               for f in fields(cls)}
+    values = {names[key]: parsers[names[key]](value, key, section)
+              for key, value in _section(cfg, section, names).items()}
     try:
-        return SolverSettings(**values)
+        return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"invalid solver: {exc}") from exc
+        raise ConfigError(f"invalid {section}: {exc}") from exc
 
 
 # Task sections: every key each may hold, with its default, or REQUIRED
@@ -275,8 +264,12 @@ class StudyConfig:
                                     *TASK_SECTIONS))
         wing = wing_from_config(_require(doc, "wing", "top-level"))
         kin = kinematics_from_config(_require(doc, "kinematics", "top-level"))
-        env = environment_from_config(doc.get("environment", {}))
-        solver = solver_from_config(doc.get("solver", {}))
+        env = _dataclass_from_config(AeroEnvironment,
+                                     doc.get("environment", {}), "environment",
+                                     {"rho_kg_m3": "rho", "nu_m2_s": "nu"})
+        solver = _dataclass_from_config(
+            SolverSettings, doc.get("solver", {}), "solver",
+            {f.name: f.name for f in fields(SolverSettings)})
         output = _section(doc.get("output", {}), "output", ("directory",))
         output_dir = output.get("directory", ".")
         if not isinstance(output_dir, str):

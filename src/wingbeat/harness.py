@@ -382,16 +382,16 @@ def write_cycle(out_dir, result, solver):
         "steps": solver.steps_per_cycle,
         **_inflow_diagnostics(result.vi_info),
     }, solver)
-    ts, f = result.time_series, result.time_series.forces
+    f = result.history
     write_float_table(
         os.path.join(out_dir, "cycle_timeseries.csv"),
         ("t_s", "eta_translational_n", "eta_added_mass_n",
          "eta_rotational_n", "eta_total_n", "zeta_translational_n",
          "zeta_added_mass_n", "zeta_rotational_n", "zeta_total_n",
          "aero_power_w"),
-        (ts.t, f.translational_eta, f.added_mass_eta, f.rotational_eta,
+        (result.t, f.translational_eta, f.added_mass_eta, f.rotational_eta,
          f.total_eta, f.translational_zeta, f.added_mass_zeta,
-         f.rotational_zeta, f.total_zeta, ts.power))
+         f.rotational_zeta, f.total_zeta, result.power_history))
     write_float_table(os.path.join(out_dir, "cycle_spanwise.csv"),
                       ("span_fraction", "mean_lift_n", "mean_power_w"),
                       (result.span_fractions, result.spanwise_lift,

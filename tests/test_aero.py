@@ -101,6 +101,9 @@ def test_coefficients_reject_bad_reynolds():
         assert str(error.value) == (
             f"Reynolds number {re:.6g} is not above the coefficient fit's "
             f"lower limit 5.05544")
+    with pytest.raises(ValueError) as error:
+        aero_coefficients(0.5, math.inf)
+    assert str(error.value) == "Reynolds number inf is not finite"
     cl, _ = aero_coefficients(0.5, 5.1)
     assert cl > 0.0
 
@@ -619,7 +622,7 @@ def test_symmetric_stroke_has_zero_mean_lateral_force():
     # cancels between half-strokes.
     wing = build_wing([(0.0, 0.028333), (0.09, 0.028333)])
     result = simulate_cycle(wing, flat_plate_kinematics(), ENV)
-    eta = result.time_series.forces.total_eta
+    eta = result.history.total_eta
     assert abs(np.mean(eta)) < 1e-12 * np.max(np.abs(eta))
 
 
@@ -691,11 +694,11 @@ def test_spanwise_bookkeeping_and_trapezoid_consistency():
     assert result.mean_aero_power == pytest.approx(
         float(np.sum(result.spanwise_power)), rel=1e-10)
     # Trapezoid average with periodic closure equals the stored mean.
-    zeta = result.time_series.forces.total_zeta
+    zeta = result.history.total_zeta
     closed = np.append(zeta, zeta[0])
     trapezoid = float(np.trapezoid(closed, dx=1.0 / zeta.size))
     assert result.mean_lift == pytest.approx(trapezoid, rel=1e-10)
-    power = result.time_series.power
+    power = result.power_history
     closed = np.append(power, power[0])
     assert result.mean_aero_power == pytest.approx(
         float(np.trapezoid(closed, dx=1.0 / power.size)), rel=1e-10)

@@ -98,8 +98,9 @@ def invocations(draw):
 @settings(max_examples=150, deadline=None)
 @given(invocations())
 # Absurd areas and frequencies whose thrust or power overflows, a trim
-# bracket that starts near zero frequency, and a sweep whose every point
-# lies below the Reynolds limit; random draws rarely hit them.
+# bracket that starts near zero frequency, a sweep whose every point lies
+# below the Reynolds limit, and a base frequency whose period overflows;
+# random draws rarely hit them.
 @example((_mutated(("sweep", "area_cm2", 1), 1e300, False), [], True,
           ["sweep"], False))
 @example((_mutated(("sweep", "area_cm2", 1), 1e150, False), [], True,
@@ -110,6 +111,8 @@ def invocations(draw):
           ["trim"], False))
 @example((_mutated(("sweep", "frequency_hz"), [1e-3], False), [], True,
           ["sweep"], False))
+@example((_mutated(("kinematics", "frequency_hz"), 5e-324, False), [], True,
+          ["control-sim"], False))
 def test_cli_keeps_its_contract(invocation):
     doc, flags, with_config, tail, renamed = invocation
     with tempfile.TemporaryDirectory() as tmp:

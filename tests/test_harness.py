@@ -135,6 +135,7 @@ def test_config_validation_errors():
     ("sweep", "amplitude_deg", [-math.inf]),
     ("sweep", "cutout", [math.nan]),
     ("kinematics", "frequency_hz", 10**400),
+    ("kinematics", "frequency_hz", 5e-324),
 ])
 def test_config_rejects_bad_solver_and_physics_values(section, key, value):
     doc = base_config_dict()
@@ -164,6 +165,9 @@ def test_config_environment_defaults_and_messages():
     pytest.param(("wing", "root_offset_m"), math.nan,
                  "'root_offset_m' in 'wing' must be a finite number, got nan",
                  id="root_offset_m-nan"),
+    pytest.param(("wing", "breakpoints"), 5,
+                 "'breakpoints' in 'wing' must be a list",
+                 id="breakpoints-not-a-list"),
     pytest.param(("wing", "root_offset_m"), -1.0,
                  "invalid wing: root offset must be non-negative",
                  id="root_offset_m-negative"),
@@ -981,6 +985,16 @@ def test_cli_sweep_of_zero_area_wing_names_the_cause(tmp_path, capsys):
         "cannot rescale a zero-area wing\n")
 
 
+def test_cli_sweep_of_a_zero_stroke_names_the_cause(tmp_path, capsys):
+    stroke = {"a0_deg": 10.0, "b_deg": [0.0]}
+    path = write_config(tmp_path, sweep={"amplitude_deg": [190.0]},
+                        kinematics={**STUDY["kinematics"], "stroke": stroke})
+    assert cli.main(["--config", str(path), "sweep"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: all 1 sweep points failed; first error: "
+        "cannot rescale a zero-amplitude stroke\n")
+
+
 def test_cli_sweep_below_the_reynolds_limit_is_config_error(tmp_path, capsys):
     # As simulate at 1e-3 Hz: every point fails on input, so the sweep
     # exits 1 and writes nothing.
@@ -1066,6 +1080,23 @@ def test_cli_reynolds_number_below_the_fit_is_config_error(
     assert err.endswith(" is not above the coefficient fit's lower limit "
                         "5.05544\n")
     assert err.count("\n") == 1
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("command, prefix", [
+    ("simulate", ""), ("trim", ""), ("cutout-study", ""),
+    ("sweep", "all 1 sweep points failed; first error: "),
+], ids=["simulate", "trim", "cutout-study", "sweep"])
+def test_cli_infinite_reynolds_number_is_config_error(tmp_path, capsys,
+                                                      command, prefix):
+    # A viscosity this small overflows Re to inf, outside the fit's domain.
+    path = write_absurd_config(tmp_path, "environment", "nu_m2_s", 5e-324)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["--config", str(path), command]) == 1
+    assert not caught
+    assert capsys.readouterr().err == (
+        f"config error: {prefix}Reynolds number inf is not finite\n")
     assert list((tmp_path / "out").iterdir()) == []
 
 
@@ -1275,6 +1306,30 @@ def test_cli_control_sim_seed(tmp_path):
     assert (tmp_path / "out" / "control_trace.csv").read_bytes() == first
     assert cli.main(["--config", str(path), "--seed", "8", "control-sim"]) == 0
     assert (tmp_path / "out" / "control_trace.csv").read_bytes() != first
+
+
+@pytest.mark.parametrize("inertia", [0.0, -1.0])
+def test_cli_control_sim_rejects_a_non_positive_inertia(tmp_path, capsys,
+                                                        inertia):
+    path = write_config(tmp_path, control={"inertia": inertia})
+    assert cli.main(["--config", str(path), "control-sim"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: yaw inertia must be positive\n")
+
+
+@pytest.mark.parametrize("command, code", [("simulate", 0), ("trim", 1)])
+def test_cli_module_exits_with_the_code_of_main(tmp_path, command, code):
+    # As `python -m wingbeat.cli`: the config has no trim section.
+    path = write_config(tmp_path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wingbeat.__file__)))
+    run = subprocess.run([sys.executable, "-m", "wingbeat.cli", "--config",
+                          str(path), command], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert run.returncode == code
+    if code:
+        assert run.stderr == "config error: the config has no 'trim' section\n"
+    else:
+        assert run.stdout.startswith("simulate: lift ")
 
 
 def test_cli_fit_kinematics(tmp_path):

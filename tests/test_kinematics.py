@@ -103,6 +103,11 @@ def test_fit_needs_enough_samples():
         fit_fourier(t, np.zeros(8), 20.0, n_harmonics=5)
 
 
+def test_fit_rejects_unequal_sample_arrays():
+    with pytest.raises(ValueError, match="equal length"):
+        fit_fourier(np.linspace(0.0, 0.05, 8), np.zeros(7), 20.0, 1)
+
+
 def test_fit_rejects_negative_harmonics():
     t = np.linspace(0.0, 0.05, 8)
     with pytest.raises(ValueError, match="at least 0, got -1"):
@@ -239,3 +244,7 @@ def test_kinematics_validation():
         WingKinematics(stroke, ())
     with pytest.raises(ValueError, match="frequency"):
         WingKinematics(stroke, ((1.0, constant_station(45.0, f=20.0)),))
+    with pytest.raises(ValueError, match="must have equal length"):
+        FourierSeries(0.0, (1.0,), (), 17.3)
+    with pytest.raises(ValueError, match="frequency must be positive"):
+        FourierSeries(0.0, (), (), 0.0)

@@ -18,6 +18,7 @@ from wingbeat.power import (
     shunt_current,
 )
 from wingbeat.presets import beetle_kinematics, standard_wing
+from wingbeat.wing import build_wing
 
 
 def test_gram_force_constant():
@@ -70,6 +71,11 @@ def test_decompose_zero_case():
     assert budget.p_mechanism == 0.0
     assert budget.p_aero == 0.0
     assert budget.p_inertial == 0.0
+
+
+def test_decompose_rejects_negative_input_power():
+    with pytest.raises(ValueError, match="input power must be non-negative"):
+        decompose(-1.0, 0.0, MotorElectrical(2.0), 0.0, 0.0)
 
 
 def test_decompose_flags_negative_residual():
@@ -150,6 +156,12 @@ def test_inertial_power_zero_mass():
     with pytest.raises(ValueError):
         WingMassModel(masses=(), radii=(), span_fractions=(),
                       pitch_offsets=())
+    with pytest.raises(ValueError, match="must have equal length"):
+        WingMassModel(masses=(0.1,), radii=(), span_fractions=(1.0,),
+                      pitch_offsets=(0.0,))
+    with pytest.raises(ValueError, match="must be non-negative"):
+        WingMassModel(masses=(-0.1,), radii=(0.05,), span_fractions=(1.0,),
+                      pitch_offsets=(0.0,))
 
 
 def test_signed_mean_vanishes_for_periodic_kinematics():
@@ -170,6 +182,13 @@ def test_mass_model_distribution():
     # Mass follows membrane area, so the fat mid-outboard lumps dominate.
     assert max(model.masses) == model.masses[np.argmax(model.masses)]
     assert all(m >= 0 for m in model.masses)
+
+
+def test_mass_model_of_a_zero_area_wing_is_uniform():
+    # No membrane to weight by: the mass spreads evenly over the elements.
+    wing = build_wing([(0.0, 0.0), (0.09, 0.0)])
+    model = WingMassModel.from_wing(wing, 0.4e-3)
+    assert model.masses == pytest.approx((0.02e-3,) * 20, rel=1e-12)
 
 
 def test_inertial_power_equals_per_mass_rotation_at_sum():

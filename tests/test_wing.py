@@ -42,6 +42,12 @@ def test_study_wing_set_spans(area_cm2, span_cm):
     assert wing.aspect_ratio == pytest.approx(3.2, rel=1e-9)
 
 
+@pytest.mark.parametrize("area_cm2", [0.0, -1.0])
+def test_standard_wing_rejects_a_non_positive_area(area_cm2):
+    with pytest.raises(ValueError, match="wing area must be positive"):
+        standard_wing(area_cm2)
+
+
 def test_build_wing_rejects_bad_breakpoints():
     with pytest.raises(ValueError, match="strictly increase"):
         build_wing([(0.0, 0.02), (0.05, 0.02), (0.04, 0.02)])
