@@ -111,20 +111,19 @@ def cmd_trim(args, config, out_dir):
     section = config.trim
     if section is None:
         raise ConfigError("the config has no 'trim' section")
-    target_gf = section["target_lift_gf"]
     trim = hover_trim(config.wing, config.kinematics, config.environment,
-                      target_gf * GRAM_FORCE_NEWTONS, section["f_lo_hz"],
-                      section["f_hi_hz"], solver=config.solver)
+                      section.target_lift_gf * GRAM_FORCE_NEWTONS,
+                      section.f_lo_hz, section.f_hi_hz, solver=config.solver)
     write_trim(out_dir, trim, config.solver)
-    print(f"trim: {trim.frequency_hz:.4g} Hz for {target_gf:.4g} gf "
-          f"-> {out_dir}")
+    print(f"trim: {trim.frequency_hz:.4g} Hz for "
+          f"{section.target_lift_gf:.4g} gf -> {out_dir}")
 
 
 def cmd_cutout_study(args, config, out_dir):
     study = run_cutout_study(
         config.wing, config.kinematics, config.environment,
-        cutout=config.cutout["span_fraction"],
-        frequency_hz=config.cutout["frequency_hz"], solver=config.solver)
+        cutout=config.cutout.span_fraction,
+        frequency_hz=config.cutout.frequency_hz, solver=config.solver)
     write_cutout(out_dir, study, config.solver)
     c = study.comparison
     print(f"cutout-study: lift {100 * c.lift_delta:+.2f}%, aero power "
@@ -135,17 +134,12 @@ def cmd_cutout_study(args, config, out_dir):
 def cmd_control_sim(args, config, out_dir):
     if args.seed < 0:
         raise ConfigError(f"--seed must be at least 0, got {args.seed}")
-    section = config.control
-    controller = ControllerConfig(
-        kp=section["kp"], kd=section["kd"], cutoff_hz=section["cutoff_hz"],
-        plant_gain=section["plant_gain"],
-        setpoint_schedule=section["setpoint_schedule"])
-    plant = YawPlant(inertia=section["inertia"],
-                     disturbance=section["disturbance"])
+    c = config.control
+    controller = ControllerConfig(c.kp, c.kd, c.cutoff_hz, c.plant_gain,
+                                  c.setpoint_schedule)
     trace = simulate_closed_loop(
-        plant, controller, duration=section["duration_s"],
-        dt=section["dt_s"], gyro_sigma=section["gyro_sigma_dps"],
-        gyro_bias=section["gyro_bias_dps"], seed=args.seed)
+        YawPlant(c.inertia, disturbance=c.disturbance), controller,
+        c.duration_s, c.dt_s, c.gyro_sigma_dps, c.gyro_bias_dps, args.seed)
     write_control(out_dir, trace)
     print(f"control-sim: {trace.t.size} steps, final heading "
           f"{trace.psi_true[-1]:.3f} deg -> {out_dir}")

@@ -2,22 +2,29 @@
 
 A study config is a JSON document with top-level keys ``wing``,
 ``kinematics``, ``environment``, ``sweep``, ``solver``, and ``output``,
-plus the optional task sections of :data:`TASK_SECTIONS` (``trim``,
-``cutout``, ``control``, ``power``); any other top-level key is
-rejected. Parsing is strict: a non-object section, an unknown key in a
-section, a number that is not a finite JSON number, or an inconsistent
-value raises :class:`ConfigError` before any compute starts.
+plus the optional task sections ``trim``, ``cutout``, ``control`` and
+``power``, each parsed into its record (:class:`TrimSection`, ...); any
+other top-level key is rejected. Parsing is strict: a non-object
+section, an unknown key in a section, a number that is not a finite
+JSON number, an inconsistent value, or a task value that its run would
+reject raises :class:`ConfigError` before any compute starts.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
+import inspect
 import json
 import math
 
 import numpy as np
 
 from .aero import AeroEnvironment, SolverSettings
+from .control import (ControllerConfig, YawPlant, closed_loop_grid,
+                      simulate_closed_loop)
+from .harness import check_trim_bracket
 from .kinematics import FourierSeries, WingKinematics
 from .wing import WingGeometry, apply_inboard_cutout, build_wing
+
+_LOOP_DEFAULTS = inspect.signature(simulate_closed_loop).parameters
 
 
 class ConfigError(ValueError):
@@ -173,39 +180,6 @@ def kinematics_from_config(cfg):
         raise ConfigError(f"invalid kinematics: {exc}") from exc
 
 
-def _dataclass_from_config(cls, cfg, section, names):
-    """``cls`` from config section ``cfg``: each key of ``names`` present
-    sets the field it maps to, parsed by that field's type; the other
-    fields keep their defaults."""
-    parsers = {f.name: {bool: _boolean, int: _integer, float: _finite}[f.type]
-               for f in fields(cls)}
-    values = {names[key]: parsers[names[key]](value, key, section)
-              for key, value in _section(cfg, section, names).items()}
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(f"invalid {section}: {exc}") from exc
-
-
-# Task sections: every key each may hold, with its default, or REQUIRED
-# where the key must be present. An absent section takes the defaults,
-# or is None when it has a required key. A value is a finite number, or
-# a list of [time_s, heading_deg] pairs where the default is a tuple.
-REQUIRED = object()
-TASK_SECTIONS = {
-    "trim": {"target_lift_gf": REQUIRED, "f_lo_hz": REQUIRED,
-             "f_hi_hz": REQUIRED},
-    "cutout": {"span_fraction": 0.25, "frequency_hz": 17.3},
-    "control": {"kp": 4.0, "kd": 2.5, "cutoff_hz": 10.0, "plant_gain": 1.0,
-                "inertia": 1.0, "disturbance": 0.0, "duration_s": 5.0,
-                "dt_s": 0.01, "gyro_sigma_dps": 0.0, "gyro_bias_dps": 0.0,
-                "setpoint_schedule": ((0.0, 0.0),)},
-    "power": {"v_supply": REQUIRED, "v_system": REQUIRED,
-              "r_shunt_ohm": REQUIRED, "motor_resistance_ohm": REQUIRED,
-              "wing_mass_kg": REQUIRED},
-}
-
-
 def _schedule(value, key, section):
     """``value`` as a non-empty tuple of (time_s, heading_deg) pairs."""
     pairs = tuple(map(tuple, _points(value, key, section)))
@@ -215,21 +189,79 @@ def _schedule(value, key, section):
     return pairs
 
 
-def _task_section(doc, name):
-    """Values of task section ``name`` of ``doc`` by key, defaults filled
-    in, or None if the section is absent and has a required key."""
-    table = TASK_SECTIONS[name]
-    if name not in doc and REQUIRED in table.values():
+def _dataclass_from_config(cls, doc, section, names=None):
+    """``cls`` from section ``section`` of ``doc``, each key of ``names``
+    (default: the field names) parsed by its field's type; a field with no
+    default is required, and an absent section with one is None."""
+    field = {f.name: f for f in fields(cls)}
+    names = names or dict(zip(field, field))
+    required = [key for key in names if field[names[key]].default is MISSING]
+    if section not in doc and required:
         return None
-    cfg = _section(doc.get(name, {}), name, table)
-    values = {}
-    for key, default in table.items():
-        if key in cfg or default is REQUIRED:
-            parse = _schedule if isinstance(default, tuple) else _finite
-            values[key] = parse(_require(cfg, key, name), key, name)
-        else:
-            values[key] = default
-    return values
+    cfg = _section(doc.get(section, {}), section, names)
+    parse = {bool: _boolean, int: _integer, float: _finite, tuple: _schedule}
+    values = {names[key]: parse[field[names[key]].type](value, key, section)
+              for key, value in cfg.items()}
+    for key in required:
+        _require(cfg, key, section)
+    try:
+        return cls(**values)
+    except ValueError as exc:  # a task record's error reads as its run's
+        own = cls.__module__ == __name__
+        raise ConfigError(exc if own else f"invalid {section}: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class TrimSection:
+    """Hover-trim target lift (gf) and frequency bracket (Hz)."""
+
+    target_lift_gf: float
+    f_lo_hz: float
+    f_hi_hz: float
+
+    def __post_init__(self):
+        check_trim_bracket(self.target_lift_gf, self.f_lo_hz, self.f_hi_hz)
+
+
+@dataclass(frozen=True)
+class CutoutSection:
+    """Span fraction and frequency (Hz) of the cutout study."""
+
+    span_fraction: float = 0.25
+    frequency_hz: float = 17.3
+
+
+@dataclass(frozen=True)
+class ControlSection:
+    """Closed-loop yaw run; times in s, gyro noise and bias in deg/s."""
+
+    kp: float = 4.0
+    kd: float = 2.5
+    cutoff_hz: float = ControllerConfig.cutoff_hz
+    plant_gain: float = ControllerConfig.plant_gain
+    inertia: float = 1.0
+    disturbance: float = YawPlant.disturbance
+    duration_s: float = 5.0
+    dt_s: float = 0.01
+    gyro_sigma_dps: float = _LOOP_DEFAULTS["gyro_sigma"].default
+    gyro_bias_dps: float = _LOOP_DEFAULTS["gyro_bias"].default
+    setpoint_schedule: tuple = ControllerConfig.setpoint_schedule
+
+    def __post_init__(self):
+        YawPlant(self.inertia)
+        closed_loop_grid(self.cutoff_hz, self.duration_s, self.dt_s,
+                         self.gyro_sigma_dps)
+
+
+@dataclass(frozen=True)
+class PowerSection:
+    """Bench readings for the power budget, in V, ohm and kg."""
+
+    v_supply: float
+    v_system: float
+    r_shunt_ohm: float
+    motor_resistance_ohm: float
+    wing_mass_kg: float
 
 
 @dataclass(frozen=True)
@@ -239,8 +271,8 @@ class StudyConfig:
     Sweep axes hold the grid of stroke amplitudes (deg), wing areas
     (cm^2, geometric rescale of the base wing), inboard cutout fractions,
     and flapping frequencies (Hz). Missing axes default to the base
-    configuration's single value. The task sections hold their values by
-    key (see :data:`TASK_SECTIONS`).
+    configuration's single value. Each task section is its record, or
+    None where an absent section has a required key.
     """
 
     wing: WingGeometry
@@ -250,26 +282,23 @@ class StudyConfig:
     areas_cm2: tuple
     cutouts: tuple
     frequencies_hz: tuple
-    trim: dict | None
-    cutout: dict
-    control: dict
-    power: dict | None
+    trim: TrimSection | None
+    cutout: CutoutSection
+    control: ControlSection
+    power: PowerSection | None
     solver: SolverSettings = SolverSettings()
     output_dir: str = "."
 
     @classmethod
     def from_dict(cls, doc):
         _section(doc, "top-level", ("wing", "kinematics", "environment",
-                                    "sweep", "solver", "output",
-                                    *TASK_SECTIONS))
+                                    "sweep", "solver", "output", "trim",
+                                    "cutout", "control", "power"))
         wing = wing_from_config(_require(doc, "wing", "top-level"))
         kin = kinematics_from_config(_require(doc, "kinematics", "top-level"))
-        env = _dataclass_from_config(AeroEnvironment,
-                                     doc.get("environment", {}), "environment",
+        env = _dataclass_from_config(AeroEnvironment, doc, "environment",
                                      {"rho_kg_m3": "rho", "nu_m2_s": "nu"})
-        solver = _dataclass_from_config(
-            SolverSettings, doc.get("solver", {}), "solver",
-            {f.name: f.name for f in fields(SolverSettings)})
+        solver = _dataclass_from_config(SolverSettings, doc, "solver")
         output = _section(doc.get("output", {}), "output", ("directory",))
         output_dir = output.get("directory", ".")
         if not isinstance(output_dir, str):
@@ -291,11 +320,27 @@ class StudyConfig:
         cutouts = axis("cutout", wing.cutout)
         frequencies = axis("frequency_hz", kin.frequency)
 
+        trim = _dataclass_from_config(TrimSection, doc, "trim")
+        cutout = _dataclass_from_config(CutoutSection, doc, "cutout")
+        # Checks against the base wing and kinematics, by the runs' guards.
+        try:
+            kin.with_frequency(cutout.frequency_hz)
+            apply_inboard_cutout(wing, cutout.span_fraction)
+            for value in cutouts:
+                if value < wing.cutout:
+                    raise ValueError(f"sweep cutout {value} lies inside the "
+                                     f"wing's own cutout {wing.cutout}")
+                apply_inboard_cutout(wing, value)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
         return cls(wing=wing, kinematics=kin, environment=env,
                    amplitudes_deg=amplitudes, areas_cm2=areas,
-                   cutouts=cutouts, frequencies_hz=frequencies,
-                   **{name: _task_section(doc, name)
-                      for name in TASK_SECTIONS},
+                   cutouts=cutouts, frequencies_hz=frequencies, trim=trim,
+                   cutout=cutout,
+                   control=_dataclass_from_config(ControlSection, doc,
+                                                  "control"),
+                   power=_dataclass_from_config(PowerSection, doc, "power"),
                    solver=solver, output_dir=output_dir)
 
     @classmethod

@@ -124,6 +124,21 @@ class ControlTrace:
     control_output: np.ndarray
 
 
+def closed_loop_grid(cutoff_hz, duration, dt, gyro_sigma=0.0):
+    """Steps and low-pass coefficient of a closed-loop run; ValueError
+    for a bad duration, time step, step count, gyro sigma or cutoff."""
+    if not 0.0 < dt <= duration < dt * 2**53:
+        raise ValueError("duration and time step must be positive, and the "
+                         "duration at least one time step and finitely many")
+    n = int(round(duration / dt))
+    if n > MAX_STEPS:
+        raise ValueError(f"duration / time step gives {n} steps, more than "
+                         f"the limit of {MAX_STEPS}")
+    if not gyro_sigma >= 0.0:
+        raise ValueError(f"gyro sigma must be at least 0, got {gyro_sigma}")
+    return n, LowPassFilter(low_pass_coefficient(cutoff_hz, dt)).beta
+
+
 def simulate_closed_loop(plant, config, duration, dt,
                          gyro_sigma=0.0, gyro_bias=0.0, seed=0):
     """Run the yaw loop against a noisy gyro on an inertia plant.
@@ -143,18 +158,11 @@ def simulate_closed_loop(plant, config, duration, dt,
     setpoint lookup, so no temporary outgrows a chunk. The final state is
     written back to ``plant``, also when the run diverges.
 
-    Raises ValueError for more than ``MAX_STEPS`` steps, and RuntimeError
-    (with the step index) if the state diverges.
+    Raises ValueError for inputs :func:`closed_loop_grid` rejects, and
+    RuntimeError (with the step index) if the state diverges.
     """
-    if not 0.0 < dt <= duration < dt * 2**53:
-        raise ValueError("duration and time step must be positive, and the "
-                         "duration at least one time step and finitely many")
-    n = int(round(duration / dt))
-    if n > MAX_STEPS:
-        raise ValueError(f"duration / time step gives {n} steps, more than "
-                         f"the limit of {MAX_STEPS}")
+    n, beta = closed_loop_grid(config.cutoff_hz, duration, dt, gyro_sigma)
     rng = np.random.default_rng(seed)
-    beta = LowPassFilter(low_pass_coefficient(config.cutoff_hz, dt)).beta
     keep = 1.0 - beta
     kp, kd, gain = config.kp, config.kd, config.plant_gain
     inertia, disturbance = plant.inertia, plant.disturbance

@@ -192,9 +192,6 @@ def run_sweep(config, workers=1):
                                        config.cutouts, config.frequencies_hz):
             amplitude, area, cutout, frequency = point
             try:
-                if cutout < config.wing.cutout:
-                    raise ValueError(f"sweep cutout {cutout} lies inside the "
-                                     f"wing's own cutout {config.wing.cutout}")
                 wing = wing_of(area, cutout)
                 precompute = precompute_of(cutout)
                 kin = config.kinematics.with_stroke_amplitude(
@@ -247,6 +244,14 @@ TRIM_REL_TOL = 1e-4
 TRIM_MAX_ITER = 60
 
 
+def check_trim_bracket(target_lift, f_lo, f_hi):
+    """Raise ValueError unless 0 < f_lo < f_hi and target_lift > 0."""
+    if not 0.0 < f_lo < f_hi:
+        raise ValueError("need 0 < f_lo < f_hi")
+    if target_lift <= 0.0:
+        raise ValueError("target lift must be positive")
+
+
 def hover_trim(wing, kin, env, target_lift, f_lo, f_hi,
                solver=SolverSettings()):
     """Flapping frequency in [f_lo, f_hi] whose cycle-mean lift hits a target.
@@ -263,11 +268,7 @@ def hover_trim(wing, kin, env, target_lift, f_lo, f_hi,
     (N, for the configured single/pair setting), which the lifts at the
     two bounds must bracket.
     """
-    if not 0.0 < f_lo < f_hi:
-        raise ValueError("need 0 < f_lo < f_hi")
-    if target_lift <= 0.0:
-        raise ValueError("target lift must be positive")
-
+    check_trim_bracket(target_lift, f_lo, f_hi)
     probes = []
     last = None
     # Every probe rescales one grid, built at the first probe's frequency.

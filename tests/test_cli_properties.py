@@ -4,7 +4,8 @@ Every run of ``cli.main`` must return an exit code in {0, 1, 2, 3} with
 nothing escaping, write at most one line to stderr, and leave only
 strict JSON behind; a compute failure (exit 2) leaves no file at all. A
 config with a misspelled top-level key exits 1, and so does a run that
-passes ``--steps``, a flag the CLI does not have. The mutations never
+passes ``--steps``, a flag the CLI does not have. A config that parses
+fails no subcommand on a range rule of its values. The mutations never
 enlarge the sweep grid, and the values they insert either keep the cycle
 grid and the control run small or exceed the parse-time caps, so no run
 asks for much memory or time.
@@ -20,6 +21,7 @@ import tempfile
 from hypothesis import example, given, settings, strategies as st
 
 from wingbeat import cli
+from wingbeat.config import StudyConfig
 
 STUDY = json.loads((Path(__file__).resolve().parents[1] / "demos" / "configs"
                     / "study.json").read_text())
@@ -52,9 +54,9 @@ def _paths(node, prefix=()):
 PATHS = tuple(_paths(STUDY))
 
 
-def _mutated(path, value, drop):
-    """A copy of the study config with one position dropped or replaced."""
-    doc = json.loads(json.dumps(STUDY))
+def _mutated(path, value, drop, study=STUDY):
+    """A copy of a study config with one position dropped or replaced."""
+    doc = json.loads(json.dumps(study))
     if not path:
         return value
     parent = doc
@@ -145,3 +147,78 @@ def test_cli_keeps_its_contract(invocation):
         for path in written:
             if path.suffix == ".json":
                 json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+# study.json on a coarse cycle grid, so that each subcommand runs fast.
+SMALL = {**STUDY, "solver": {**STUDY["solver"], "steps_per_cycle": 72,
+                             "n_elements": 4}}
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+NUMBERS = tuple(path for path in _paths(SMALL)
+                if type(_at(SMALL, path)) in (int, float))
+# The messages of the range rules on task and sweep values, each of which
+# a run checks too; a config that parses breaks none of them.
+RANGE_RULES = ("need 0 < f_lo < f_hi", "target lift must be positive",
+               "cutout span fraction must lie in",
+               "frequency must be positive", "cutoff and sample time",
+               "filter coefficient", "duration and time step",
+               "duration / time step", "yaw inertia",
+               "lies inside the wing's own cutout", "gyro sigma")
+# Leaf values of study.json that break a range rule which, before the
+# parse checked them, only the subcommand reading the value enforced;
+# and a negative gyro noise sigma, which nothing rejected.
+RANGE_CASES = {
+    ("trim", "target_lift_gf"): (-1.0, 0.0),
+    ("trim", "f_lo_hz"): (-1.0, 0.0, 1e6),
+    ("trim", "f_hi_hz"): (-1.0, 0.0),
+    ("cutout", "span_fraction"): (-1.0, 1e6),
+    ("cutout", "frequency_hz"): (-1.0, 0.0),
+    ("control", "cutoff_hz"): (-1.0, 0.0),
+    ("control", "dt_s"): (-1.0, 0.0, 1e6),
+    ("control", "duration_s"): (-1.0, 0.0, 1e6),
+    ("control", "inertia"): (-1.0, 0.0),
+    ("control", "gyro_sigma_dps"): (-1.0,),
+    ("sweep", "cutout", 0): (-1.0, 1e6),
+}
+
+
+def _with_range_cases(test):
+    for path, values in RANGE_CASES.items():
+        for value in values:
+            test = example(path, value)(test)
+    return test
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(NUMBERS),
+       st.sampled_from((-1.0, 0.0, 1e-300, 0.5, 1e6)))
+@_with_range_cases
+def test_a_config_that_parses_runs(path, value):
+    doc = _mutated(path, value, False, SMALL)
+    try:
+        StudyConfig.from_dict(doc)
+        message = None
+    except ValueError as exc:
+        message = str(exc)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "study.json"
+        config.write_text(json.dumps(doc))
+        for command in ("simulate", "sweep", "trim", "cutout-study",
+                        "control-sim"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(["--config", str(config), "--out",
+                                 str(Path(tmp) / command), command])
+            stderr = err.getvalue()
+            if message is not None:
+                assert (code, stderr) == (1, f"config error: {message}\n")
+            elif code == 1:
+                assert not any(rule in stderr for rule in RANGE_RULES), \
+                    (command, stderr)

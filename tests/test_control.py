@@ -262,3 +262,11 @@ def test_run_over_the_step_cap_is_rejected():
     with pytest.raises(ValueError, match=f"limit of {MAX_STEPS}"):
         simulate_closed_loop(YawPlant(inertia=1.0), config,
                              duration=float(MAX_STEPS + 1), dt=1.0)
+
+
+def test_negative_gyro_noise_sigma_is_rejected():
+    config = ControllerConfig(kp=4.0, kd=2.5)
+    with pytest.raises(ValueError, match="gyro sigma must be at least "
+                                         "0, got -2.0"):
+        simulate_closed_loop(YawPlant(inertia=1.0), config, duration=0.1,
+                             dt=0.01, gyro_sigma=-2.0)

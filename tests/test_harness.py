@@ -2,6 +2,7 @@
 
 from dataclasses import asdict, replace
 import csv
+import inspect
 import json
 import math
 import os
@@ -16,8 +17,20 @@ import pytest
 import wingbeat
 from wingbeat import aero, cli, harness
 from wingbeat.aero import AeroEnvironment, SolverSettings, simulate_cycle
-from wingbeat.config import ConfigError, StudyConfig, load_angle_samples
-from wingbeat.control import MAX_STEPS
+from wingbeat.config import (
+    ConfigError,
+    ControlSection,
+    CutoutSection,
+    PowerSection,
+    StudyConfig,
+    load_angle_samples,
+)
+from wingbeat.control import (
+    MAX_STEPS,
+    ControllerConfig,
+    YawPlant,
+    simulate_closed_loop,
+)
 from wingbeat.harness import (
     ComputeError,
     format_float,
@@ -77,14 +90,15 @@ def test_sweep_cutout_axis_defaults_to_the_wings_cutout():
         cycle.mean_lift / GRAM_FORCE_NEWTONS, rel=1e-12)
 
 
-def test_sweep_row_fails_a_cutout_inside_the_wings_own():
+def test_sweep_cutout_inside_the_wings_own_is_config_error():
     doc = base_config_dict(sweep={"amplitude_deg": [190.0],
                                   "cutout": [0.0, 0.3]})
     doc["wing"]["cutout_span_fraction"] = 0.3
-    inside, own = run_sweep(StudyConfig.from_dict(doc))
-    assert inside.error == ("sweep cutout 0.0 lies inside the wing's own "
-                            "cutout 0.3")
-    assert inside.mean_lift_gf is None
+    with pytest.raises(ConfigError, match=r"^sweep cutout 0\.0 lies inside "
+                                          r"the wing's own cutout 0\.3$"):
+        StudyConfig.from_dict(doc)
+    doc["sweep"]["cutout"] = [0.3]
+    (own,) = run_sweep(StudyConfig.from_dict(doc))
     assert own.error is None
 
 
@@ -255,13 +269,25 @@ POWER = {"v_supply": 7.4, "v_system": 3.7, "r_shunt_ohm": 2.0,
 def test_config_parses_task_sections():
     bare = StudyConfig.from_dict(base_config_dict())
     assert bare.trim is None and bare.power is None
-    assert bare.cutout == {"span_fraction": 0.25, "frequency_hz": 17.3}
-    assert bare.control["setpoint_schedule"] == ((0.0, 0.0),)
+    assert bare.cutout == CutoutSection(span_fraction=0.25, frequency_hz=17.3)
+    assert bare.control == ControlSection(
+        kp=4.0, kd=2.5, cutoff_hz=10.0, plant_gain=1.0, inertia=1.0,
+        disturbance=0.0, duration_s=5.0, dt_s=0.01, gyro_sigma_dps=0.0,
+        gyro_bias_dps=0.0, setpoint_schedule=((0.0, 0.0),))
+    # An absent control section takes the library's own defaults.
+    library = ControllerConfig(kp=4.0, kd=2.5)
+    loop = inspect.signature(simulate_closed_loop).parameters
+    assert (bare.control.cutoff_hz, bare.control.plant_gain,
+            bare.control.setpoint_schedule) == (
+        library.cutoff_hz, library.plant_gain, library.setpoint_schedule)
+    assert bare.control.disturbance == YawPlant(inertia=1.0).disturbance
+    assert (bare.control.gyro_sigma_dps, bare.control.gyro_bias_dps) == (
+        loop["gyro_sigma"].default, loop["gyro_bias"].default)
     config = StudyConfig.from_dict(base_config_dict(
         power=POWER, control={"kp": 3, "setpoint_schedule": [[0, 5]]}))
-    assert config.power == POWER
-    assert config.control == {**bare.control, "kp": 3.0,
-                              "setpoint_schedule": ((0.0, 5.0),)}
+    assert config.power == PowerSection(**POWER)
+    assert config.control == replace(bare.control, kp=3.0,
+                                     setpoint_schedule=((0.0, 5.0),))
     with pytest.raises(ConfigError,
                        match="missing key 'wing_mass_kg' in 'power'"):
         StudyConfig.from_dict(base_config_dict(
@@ -1315,6 +1341,15 @@ def test_cli_control_sim_rejects_a_non_positive_inertia(tmp_path, capsys,
     assert cli.main(["--config", str(path), "control-sim"]) == 1
     assert capsys.readouterr().err == (
         "config error: yaw inertia must be positive\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "control-sim"])
+def test_cli_negative_gyro_noise_is_config_error(tmp_path, capsys, command):
+    path = write_config(tmp_path, control={"gyro_sigma_dps": -2.0})
+    assert cli.main(["--config", str(path), command]) == 1
+    assert capsys.readouterr().err == (
+        "config error: gyro sigma must be at least 0, got -2.0\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, code", [("simulate", 0), ("trim", 1)])
