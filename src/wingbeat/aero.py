@@ -26,8 +26,8 @@ its sines are 0 and cos 2 alpha_g is 1; both cases are set explicitly.
 
 The uniform mean inflow through the stroke disk, which couples back into
 the effective angle of attack, is the root of actuator-disk momentum
-balance against the blade-element thrust, found by a bracketed secant
-search on a precompute. A precompute rescales exactly with the stroke
+balance against the blade-element thrust, found by :func:`secant_steps`
+on a precompute. A precompute rescales exactly with the stroke
 amplitude, the frequency and the size of a geometrically similar wing;
 :meth:`CyclePrecompute.fit` finds those scales once per solve. Power is
 the eta force opposing the stroke motion times its speed.
@@ -593,6 +593,49 @@ def _require_finite(v, **values):
                                f"inflow {v:.6g} m/s")
 
 
+def secant_steps(x, slope, hi=math.inf):
+    """Safeguarded secant search for the root of a falling residual r(x),
+    from ``x`` up to at most ``hi``.
+
+    A generator: send it the residual at each point it yields, and it
+    yields the next. A point with a positive residual lies below the root,
+    any other above it. Until a point lies above the root, each step is
+    r / ``slope`` (the root of a model of that slope), stopping at ``hi``
+    if it would pass it. After that each step is the secant through the
+    two latest points. A step that is not finite, or a secant step that
+    would leave the bracket (from the latest point below the root to the
+    latest above it, or to ``hi``), goes to the bracket's middle instead;
+    before a point lies above the root, a middle that rounds to the lower
+    end goes to ``hi``. A first point above the root leaves only ``hi`` to
+    try: the search yields it and ends. It also ends when ``hi`` still
+    lies below the root.
+    """
+    r = yield x
+    if not r > 0.0:
+        yield hi
+        return
+    lo, bracketed = x, False
+    while True:
+        if not bracketed:
+            step, mid = r / slope, 0.5 * (lo + hi)
+            x_next = (min(x + step, hi) if math.isfinite(step)
+                      else mid if mid > lo else hi)
+        else:
+            step = (-r * (x - x_prev) / (r - r_prev) if r != r_prev
+                    else math.inf)
+            if not lo < x + step < hi:
+                step = 0.5 * (lo + hi) - x
+            x_next = x + step
+        x_prev, r_prev, x = x, r, x_next
+        r = yield x
+        if not r > 0.0:
+            hi, bracketed = x, True
+        elif x == hi:
+            return
+        else:
+            lo = x
+
+
 def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
                            precompute=None):
     """Solve momentum/blade-element balance for the mean inflow.
@@ -600,11 +643,10 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
     The inflow is the root of g(Vi) = sqrt(max(T, 0) / (2 rho A)) - Vi,
     where T is the cycle-mean vertical force of the wing pair evaluated
     at Vi and A = Phi * R^2 is the actuator area swept by the two wings.
-    The search starts at Vi = 0 and steps to the momentum inflow of the
-    thrust until the root is bracketed (one step when thrust falls with
-    inflow). It then takes secant steps through the two latest iterates,
-    bisecting the bracket instead whenever a step would leave it, and
-    stops at the first Vi with |g(Vi)| <= ``solver.vi_tol`` (m/s).
+    The search is :func:`secant_steps` on g from Vi = 0 with slope 1, so
+    each step before the bracket forms goes to the momentum inflow of the
+    thrust. It stops at the first Vi with |g(Vi)| <= ``solver.vi_tol``
+    (m/s).
 
     ``precompute``, built when omitted, is a :class:`CyclePrecompute` in
     any air, on the ``solver`` grid (checked), of this wing or one it
@@ -643,8 +685,8 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
                              f"{(solver.steps_per_cycle, solver.n_elements)}")
         scales = precompute.fit(wing, kin)
 
-        # g falls through the root: v_lo (g > 0) lies below it, v_hi above.
-        v, v_hi, previous = 0.0, None, None
+        search = secant_steps(0.0, 1.0)
+        v = next(search)
         for evaluation in range(1, solver.vi_max_iter + 1):
             thrust, power = precompute.loads(scales, v, re, env.rho)
             momentum = math.sqrt(max(thrust, 0.0)
@@ -658,20 +700,7 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
                                              negative_thrust=thrust < 0.0,
                                              lift=share * thrust,
                                              power=share * power)
-            if g > 0.0:
-                v_lo = v
-            else:
-                v_hi = v
-            if v_hi is None:
-                step = g  # to the momentum inflow of this thrust
-            else:
-                v_prev, g_prev = previous
-                step = (-g * (v - v_prev) / (g - g_prev) if g != g_prev
-                        else math.inf)
-                if not v_lo < v + step < v_hi:
-                    step = 0.5 * (v_lo + v_hi) - v
-            previous = v, g
-            v += step
+            v = search.send(g)
         raise RuntimeError(
             f"induced-velocity solve did not converge after "
             f"{solver.vi_max_iter} thrust evaluations (last residual "

@@ -289,6 +289,20 @@ class StudyConfig:
     solver: SolverSettings = SolverSettings()
     output_dir: str = "."
 
+    def __post_init__(self):
+        # Checks against the base wing and kinematics, by the runs' guards,
+        # on a config from ``from_dict`` or ``dataclasses.replace`` alike.
+        try:
+            self.kinematics.with_frequency(self.cutout.frequency_hz)
+            apply_inboard_cutout(self.wing, self.cutout.span_fraction)
+            for value in self.cutouts:
+                if value < self.wing.cutout:
+                    raise ValueError(f"sweep cutout {value} lies inside the "
+                                     f"wing's own cutout {self.wing.cutout}")
+                apply_inboard_cutout(self.wing, value)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
     @classmethod
     def from_dict(cls, doc):
         _section(doc, "top-level", ("wing", "kinematics", "environment",
@@ -320,24 +334,12 @@ class StudyConfig:
         cutouts = axis("cutout", wing.cutout)
         frequencies = axis("frequency_hz", kin.frequency)
 
-        trim = _dataclass_from_config(TrimSection, doc, "trim")
-        cutout = _dataclass_from_config(CutoutSection, doc, "cutout")
-        # Checks against the base wing and kinematics, by the runs' guards.
-        try:
-            kin.with_frequency(cutout.frequency_hz)
-            apply_inboard_cutout(wing, cutout.span_fraction)
-            for value in cutouts:
-                if value < wing.cutout:
-                    raise ValueError(f"sweep cutout {value} lies inside the "
-                                     f"wing's own cutout {wing.cutout}")
-                apply_inboard_cutout(wing, value)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
         return cls(wing=wing, kinematics=kin, environment=env,
                    amplitudes_deg=amplitudes, areas_cm2=areas,
-                   cutouts=cutouts, frequencies_hz=frequencies, trim=trim,
-                   cutout=cutout,
+                   cutouts=cutouts, frequencies_hz=frequencies,
+                   trim=_dataclass_from_config(TrimSection, doc, "trim"),
+                   cutout=_dataclass_from_config(CutoutSection, doc,
+                                                 "cutout"),
                    control=_dataclass_from_config(ControlSection, doc,
                                                   "control"),
                    power=_dataclass_from_config(PowerSection, doc, "power"),
@@ -348,7 +350,7 @@ class StudyConfig:
         try:
             with open(path) as fh:
                 doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
         return cls.from_dict(doc)
 

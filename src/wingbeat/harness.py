@@ -40,6 +40,7 @@ from .aero import (
     SolverSettings,
     compare_wings,
     reynolds,
+    secant_steps,
     simulate_cycle,
     solve_induced_velocity,
 )
@@ -259,81 +260,43 @@ def hover_trim(wing, kin, env, target_lift, f_lo, f_hi,
     The kinematics are time-rescaled at each probe frequency, and a probe
     is one inflow solve on a cycle precompute shared by all probes, whose
     lift at the solved inflow is the one ``simulate_cycle`` reports.
-    Lift grows almost exactly as f^2, so the search is a secant in
-    (ln f, ln L): from ``f_lo`` it steps to f_lo * sqrt(L* / L(f_lo)),
-    then through the two latest probes. A step that would leave the
-    bracket, or a lift <= 0, falls back to the geometric mean of the
-    bracket; ``f_hi`` is probed only when a step would reach it. The
-    search stops at the first probe within ``TRIM_REL_TOL`` of the target
-    (N, for the configured single/pair setting), which the lifts at the
-    two bounds must bracket.
+    Lift grows almost exactly as f^2, so the search is
+    :func:`~wingbeat.aero.secant_steps` on ln(L* / L) over ln f, with
+    slope 2, from ``f_lo`` up to ``f_hi``; a lift <= 0 gives an infinite
+    residual. It stops at the first probe within ``TRIM_REL_TOL`` of the
+    target (N, for the configured single/pair setting), which the lifts
+    at the two bounds must bracket.
     """
     check_trim_bracket(target_lift, f_lo, f_hi)
     probes = []
-    last = None
     # Every probe rescales one grid, built at the first probe's frequency.
     precompute = CyclePrecompute.build(wing, kin.with_frequency(f_lo), solver)
-
-    def lift_at(f):
-        nonlocal last
-        last = solve_induced_velocity(wing, kin.with_frequency(f), env,
-                                      solver, precompute=precompute)
-        probes.append((f, last.lift, last.iterations))
-        return last.lift
-
-    def trimmed(f, lift):
-        if abs(lift - target_lift) < TRIM_REL_TOL * target_lift:
-            return TrimResult(f, lift, target_lift, tuple(probes),
-                              last.power)
-        return None
-
-    def not_bracketed(lift_lo, lift_hi):
-        return ValueError(
-            f"target lift {target_lift:.4g} N not bracketed: lift is "
-            f"{lift_lo:.4g} N at {f_lo} Hz and {lift_hi:.4g} N at {f_hi} Hz")
-
-    def log_secant(f0, lift0, f1, lift1):
-        """ln f where the line through two probes in (ln f, ln L) meets L*."""
-        if lift0 <= 0.0 or lift1 <= 0.0:
-            return math.nan
-        rise = math.log(lift1 / lift0)
-        if rise == 0.0:
-            return math.nan
-        return math.log(f1) + (math.log(target_lift / lift1)
-                               * math.log(f1 / f0) / rise)
-
-    lift_lo = lift_at(f_lo)
-    if result := trimmed(f_lo, lift_lo):
-        return result
-    if lift_lo > target_lift:
-        lift_hi = lift_at(f_hi)
-        if result := trimmed(f_hi, lift_hi):
-            return result
-        raise not_bracketed(lift_lo, lift_hi)
-
-    # The lift is below the target at lo, and above it at hi once probed.
-    lo, hi, hi_probed = f_lo, f_hi, False
-    f, lift = f_lo, lift_lo
-    x_next = (math.log(f_lo) + 0.5 * math.log(target_lift / lift_lo)
-              if lift_lo > 0.0 else math.nan)
-    for _ in range(TRIM_MAX_ITER):
-        if not hi_probed and x_next >= math.log(f_hi):
-            f_next = f_hi
-        elif math.log(lo) < x_next < math.log(hi):
-            f_next = math.exp(x_next)
-        else:
-            f_next = math.sqrt(lo * hi)
-        lift_next = lift_at(f_next)
-        if result := trimmed(f_next, lift_next):
-            return result
-        if lift_next > target_lift:
-            hi, hi_probed = f_next, True
-        elif f_next == f_hi:
-            raise not_bracketed(lift_lo, lift_next)
-        else:
-            lo = f_next
-        x_next = log_secant(f, lift, f_next, lift_next)
-        f, lift = f_next, lift_next
+    # The bounds are probed at f_lo and f_hi exactly, not at exp(ln f).
+    x_hi = math.log(f_hi)
+    search = secant_steps(math.log(f_lo), 2.0, x_hi)
+    next(search)
+    f = f_lo
+    for _ in range(TRIM_MAX_ITER + 1):
+        probe = solve_induced_velocity(wing, kin.with_frequency(f), env,
+                                       solver, precompute=precompute)
+        probes.append((f, probe.lift, probe.iterations))
+        if abs(probe.lift - target_lift) < TRIM_REL_TOL * target_lift:
+            return TrimResult(f, probe.lift, target_lift, tuple(probes),
+                              probe.power)
+        residual = math.inf
+        if probe.lift > 0.0:
+            ratio = target_lift / probe.lift
+            # ln(L*/L), from the two logs where the ratio over- or underflows
+            residual = (math.log(ratio) if 0.0 < ratio < math.inf else
+                        math.log(target_lift) - math.log(probe.lift))
+        try:
+            x = search.send(residual)
+        except StopIteration:
+            raise ValueError(
+                f"target lift {target_lift:.4g} N not bracketed: lift is "
+                f"{probes[0][1]:.4g} N at {f_lo} Hz and {probe.lift:.4g} N "
+                f"at {f_hi} Hz") from None
+        f = f_hi if x == x_hi else math.exp(x)
     raise ComputeError(
         f"hover trim did not converge within {TRIM_MAX_ITER} probes after "
         f"the first")

@@ -23,6 +23,7 @@ from wingbeat.aero import (
     element_acceleration,
     element_forces,
     reynolds,
+    secant_steps,
     simulate_cycle,
     solve_induced_velocity,
     _element_grid_state,
@@ -567,6 +568,64 @@ def test_induced_velocity_bisects_when_a_secant_leaves_the_bracket():
     assert result.v_induced == stub.inflows[-1]
     assert result.v_induced == pytest.approx(2.0 * math.sqrt(2.0) - 2.0,
                                              abs=1e-6)
+
+
+def search_points(residual, x, slope, hi=math.inf, limit=12):
+    """The points ``secant_steps`` yields when sent ``residual`` at each,
+    until it ends or has yielded ``limit`` points."""
+    search = secant_steps(x, slope, hi)
+    points = [next(search)]
+    while len(points) < limit:
+        try:
+            points.append(search.send(residual(points[-1])))
+        except StopIteration:
+            break
+    return points
+
+
+def test_search_takes_model_steps_until_the_bracket_forms():
+    # The residual is 1 below 2.5, where a secant through two points would
+    # not move: model steps of 1 reach 3, above the root, and secant steps
+    # through (2, 1), (3, -0.5) and then (8/3, -1/6) find it.
+    points = search_points(lambda x: 1.0 if x < 2.5 else 2.5 - x, 0.0, 1.0,
+                           limit=6)
+    assert points[:4] == [0.0, 1.0, 2.0, 3.0]
+    assert points[4:] == pytest.approx([8.0 / 3.0, 2.5], rel=1e-15)
+
+
+def test_search_stops_a_model_step_at_hi():
+    # From 0 the model step of slope 0.5 would reach 10; it stops at hi = 8,
+    # which lies above the root, and the secant through (0, 5) and (8, -3)
+    # lands on it.
+    points = search_points(lambda x: 5.0 - x, 0.0, 0.5, hi=8.0, limit=3)
+    assert points == [0.0, 8.0, 5.0]
+
+
+def test_search_bisects_a_step_that_is_not_finite():
+    # An infinite residual at 0 takes the middle of [0, 4]. Then equal
+    # residuals at 1.5 and 1.75 give an infinite secant step, which takes
+    # the middle of the bracket [1.75, 2].
+    assert search_points(lambda x: math.inf if x < 1.0 else 3.0 - x, 0.0,
+                         1.0, hi=4.0, limit=2) == [0.0, 2.0]
+    points = search_points(lambda x: 1.0 if x < 2.0 else -1.0, 0.0, 1.0,
+                           limit=6)
+    assert points == [0.0, 1.0, 2.0, 1.5, 1.75, 1.875]
+
+
+def test_search_goes_to_hi_once_the_middle_rounds_to_lo():
+    # Between 1 and the next float the middle rounds to 1, so an infinite
+    # residual there sends the search to hi, which ends it.
+    hi = 1.0 + 2.0**-52
+    assert search_points(lambda x: math.inf, 1.0, 1.0, hi=hi) == [1.0, hi]
+
+
+def test_search_from_a_point_above_the_root_tries_only_hi():
+    assert search_points(lambda x: -1.0, 0.0, 1.0, hi=4.0) == [0.0, 4.0]
+    assert search_points(lambda x: 1.0 - x, 2.0, 1.0, hi=4.0) == [2.0, 4.0]
+
+
+def test_search_ends_when_hi_lies_below_the_root():
+    assert search_points(lambda x: 10.0 - x, 0.0, 1.0, hi=4.0) == [0.0, 4.0]
 
 
 @pytest.mark.parametrize("thrust, cause", [

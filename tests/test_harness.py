@@ -102,6 +102,15 @@ def test_sweep_cutout_inside_the_wings_own_is_config_error():
     assert own.error is None
 
 
+def test_replaced_sweep_cutout_inside_the_wings_own_is_config_error():
+    doc = base_config_dict(sweep={"amplitude_deg": [190.0], "cutout": [0.3]})
+    doc["wing"]["cutout_span_fraction"] = 0.3
+    config = StudyConfig.from_dict(doc)
+    with pytest.raises(ConfigError, match=r"^sweep cutout 0\.0 lies inside "
+                                          r"the wing's own cutout 0\.3$"):
+        replace(config, cutouts=(0.0,))
+
+
 def test_config_validation_errors():
     with pytest.raises(ConfigError, match="wing"):
         StudyConfig.from_dict({"kinematics": {}})
@@ -706,26 +715,51 @@ def test_hover_trim_rejects_its_inputs_before_any_probe(monkeypatch, target,
 def test_hover_trim_steps_past_a_non_positive_lift(monkeypatch):
     # L = f - 10 is -2 at 8 Hz: no log step from there, so the search
     # takes the bracket's geometric mean, and again after the next probe,
-    # whose secant through the non-positive lift is NaN.
+    # whose secant through the non-positive lift does not move. The means
+    # are formed in ln f.
     trim, probed = trim_on_lift_curve(monkeypatch, lambda f: f - 10.0, 5.0)
     first = math.sqrt(8.0 * 40.0)
-    assert probed[:3] == [8.0, first, math.sqrt(8.0 * first)]
+    assert probed[:3] == pytest.approx([8.0, first, math.sqrt(8.0 * first)],
+                                       rel=1e-15)
     assert len(probed) == 7
     assert trim.probes == tuple((f, f - 10.0, 1) for f in probed)
     assert abs(trim.mean_lift - 5.0) < 5.0 * harness.TRIM_REL_TOL
 
 
+def test_hover_trim_of_a_lift_that_is_never_positive_is_not_bracketed(
+        monkeypatch):
+    # Each probe halves the distance to 40 Hz in ln f, until the middle
+    # rounds to the lower end and the search probes f_hi itself.
+    error, probed = trim_on_lift_curve(monkeypatch, lambda f: -1.0, 1.0)
+    assert isinstance(error, ValueError) and str(error) == (
+        "target lift 1 N not bracketed: lift is -1 N at 8.0 Hz and -1 N at "
+        "40.0 Hz")
+    assert probed[-1] == 40.0 and len(probed) <= harness.TRIM_MAX_ITER
+
+
 def test_hover_trim_steps_past_equal_lifts(monkeypatch):
-    # L is 1 up to 30.5 Hz: the first two probes lift the same, their
-    # secant is NaN, and the search takes the geometric mean of
-    # [8 sqrt(10), 40].
+    # L is 1 up to 30.5 Hz: the first two probes lift the same, both below
+    # the target, so the search takes a second model step from 8 sqrt(10)
+    # Hz, which would pass f_hi and stops there.
     trim, probed = trim_on_lift_curve(
         monkeypatch, lambda f: max(1.0, 2.0 * (f - 30.0)), 10.0)
-    second = 8.0 * math.sqrt(10.0)
-    assert probed[:3] == pytest.approx(
-        [8.0, second, math.sqrt(second * 40.0)], rel=1e-15)
+    assert probed[:3] == pytest.approx([8.0, 8.0 * math.sqrt(10.0), 40.0],
+                                       rel=1e-15)
+    assert probed[2] == 40.0
     assert len(probed) == 8
     assert trim.frequency_hz == pytest.approx(35.0, rel=1e-4)
+
+
+@pytest.mark.parametrize("lift, target", [(lambda f: 1e-300 * f, 1e10),
+                                          (lambda f: 1e300, 1e-30)])
+def test_hover_trim_whose_lift_ratio_overflows_probes_f_hi(monkeypatch, lift,
+                                                           target):
+    # L*/L at 8 Hz over- or underflows, and its log from the two logs
+    # still sends the search to f_hi, which does not bracket the target.
+    error, probed = trim_on_lift_curve(monkeypatch, lift, target)
+    assert isinstance(error, ValueError)
+    assert str(error).startswith(f"target lift {target:.4g} N not bracketed")
+    assert probed == [8.0, 40.0]
 
 
 def test_hover_trim_at_the_upper_bound_after_lifting_too_much_at_f_lo(
@@ -905,6 +939,16 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad.write_text("{not json")
     assert cli.main(["--config", str(bad), "simulate"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_deeply_nested_json_is_config_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert cli.main(["--config", str(deep), "simulate"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: invalid JSON in {deep}: maximum "
+                          f"recursion depth exceeded")
+    assert err.count("\n") == 1
 
 
 def test_cli_missing_trim_section(tmp_path, capsys):
