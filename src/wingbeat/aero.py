@@ -79,6 +79,10 @@ class SolverSettings:
     vi_max_iter: int = 100
 
     def __post_init__(self):
+        for name in ("steps_per_cycle", "n_elements"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.steps_per_cycle < 36:
             raise ValueError("steps_per_cycle must be at least 36")
         if self.n_elements < 2:
@@ -601,14 +605,13 @@ def secant_steps(x, slope, hi=math.inf):
     yields the next. A point with a positive residual lies below the root,
     any other above it. Until a point lies above the root, each step is
     r / ``slope`` (the root of a model of that slope), stopping at ``hi``
-    if it would pass it. After that each step is the secant through the
-    two latest points. A step that is not finite, or a secant step that
-    would leave the bracket (from the latest point below the root to the
-    latest above it, or to ``hi``), goes to the bracket's middle instead;
-    before a point lies above the root, a middle that rounds to the lower
-    end goes to ``hi``. A first point above the root leaves only ``hi`` to
-    try: the search yields it and ends. It also ends when ``hi`` still
-    lies below the root.
+    if it would pass it, so an infinite residual goes to ``hi``. After
+    that each step is the secant through the two latest points. A secant
+    step that is not finite, or that would leave the bracket (from the
+    latest point below the root to the latest above it), goes to the
+    bracket's middle instead. A first point above the root leaves only
+    ``hi`` to try: the search yields it and ends. It also ends when ``hi``
+    still lies below the root.
     """
     r = yield x
     if not r > 0.0:
@@ -617,9 +620,7 @@ def secant_steps(x, slope, hi=math.inf):
     lo, bracketed = x, False
     while True:
         if not bracketed:
-            step, mid = r / slope, 0.5 * (lo + hi)
-            x_next = (min(x + step, hi) if math.isfinite(step)
-                      else mid if mid > lo else hi)
+            x_next = min(x + r / slope, hi)
         else:
             step = (-r * (x - x_prev) / (r - r_prev) if r != r_prev
                     else math.inf)

@@ -20,7 +20,8 @@ force pass. A point's ``ValueError`` or ``RuntimeError`` is recorded in
 its row and never aborts the grid; a grid whose every point failed
 raises a ``ValueError`` if every failure was one, else a
 :class:`ComputeError`. Hover trim likewise probes with inflow solves on
-one precompute.
+one precompute. Until a probe lifts more than the target, the next is at
+f sqrt(L* / L) capped at the upper bound, which follows any lift <= 0.
 """
 
 from dataclasses import asdict, dataclass, fields, replace
@@ -262,10 +263,11 @@ def hover_trim(wing, kin, env, target_lift, f_lo, f_hi,
     lift at the solved inflow is the one ``simulate_cycle`` reports.
     Lift grows almost exactly as f^2, so the search is
     :func:`~wingbeat.aero.secant_steps` on ln(L* / L) over ln f, with
-    slope 2, from ``f_lo`` up to ``f_hi``; a lift <= 0 gives an infinite
-    residual. It stops at the first probe within ``TRIM_REL_TOL`` of the
-    target (N, for the configured single/pair setting), which the lifts
-    at the two bounds must bracket.
+    slope 2, from ``f_lo`` up to ``f_hi``: until a probe lifts more than
+    the target, the next is at f sqrt(L* / L) capped at ``f_hi``, so one
+    that lifts <= 0 is followed by ``f_hi``. It stops at the first probe
+    within ``TRIM_REL_TOL`` of the target (N, for the configured
+    single/pair setting), which the lifts at the two bounds must bracket.
     """
     check_trim_bracket(target_lift, f_lo, f_hi)
     probes = []
@@ -283,12 +285,8 @@ def hover_trim(wing, kin, env, target_lift, f_lo, f_hi,
         if abs(probe.lift - target_lift) < TRIM_REL_TOL * target_lift:
             return TrimResult(f, probe.lift, target_lift, tuple(probes),
                               probe.power)
-        residual = math.inf
-        if probe.lift > 0.0:
-            ratio = target_lift / probe.lift
-            # ln(L*/L), from the two logs where the ratio over- or underflows
-            residual = (math.log(ratio) if 0.0 < ratio < math.inf else
-                        math.log(target_lift) - math.log(probe.lift))
+        ratio = target_lift / probe.lift if probe.lift > 0.0 else math.inf
+        residual = math.log(ratio) if ratio > 0.0 else -math.inf
         try:
             x = search.send(residual)
         except StopIteration:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import wingbeat as wb
-from wingbeat import aero
+from wingbeat import aero, harness
 from wingbeat.aero import (
     MIN_REYNOLDS,
     AeroEnvironment,
@@ -602,21 +602,64 @@ def test_search_stops_a_model_step_at_hi():
 
 
 def test_search_bisects_a_step_that_is_not_finite():
-    # An infinite residual at 0 takes the middle of [0, 4]. Then equal
-    # residuals at 1.5 and 1.75 give an infinite secant step, which takes
-    # the middle of the bracket [1.75, 2].
-    assert search_points(lambda x: math.inf if x < 1.0 else 3.0 - x, 0.0,
-                         1.0, hi=4.0, limit=2) == [0.0, 2.0]
+    # Equal residuals at 1.5 and 1.75 give an infinite secant step, which
+    # takes the middle of the bracket [1.75, 2].
     points = search_points(lambda x: 1.0 if x < 2.0 else -1.0, 0.0, 1.0,
                            limit=6)
     assert points == [0.0, 1.0, 2.0, 1.5, 1.75, 1.875]
 
 
-def test_search_goes_to_hi_once_the_middle_rounds_to_lo():
-    # Between 1 and the next float the middle rounds to 1, so an infinite
-    # residual there sends the search to hi, which ends it.
-    hi = 1.0 + 2.0**-52
-    assert search_points(lambda x: math.inf, 1.0, 1.0, hi=hi) == [1.0, hi]
+def test_search_sends_an_infinite_residual_to_hi():
+    # An infinite residual at 0 goes to hi = 4, above the root at 3. The
+    # secant step through the infinite residual is zero, which stays at
+    # the end of the bracket [0, 4], so the search takes its middle, and
+    # the secant through (4, -1) and (2, 1) lands on the root.
+    points = search_points(lambda x: math.inf if x < 1.0 else 3.0 - x, 0.0,
+                           1.0, hi=4.0, limit=4)
+    assert points == [0.0, 4.0, 2.0, 3.0]
+    # Where hi still lies below the root, the search ends there.
+    assert search_points(lambda x: math.inf, 1.0, 1.0, hi=4.0) == [1.0, 4.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(x0=st.floats(-10.0, 10.0), gap=st.floats(1e-3, 10.0),
+       inf_share=st.floats(0.0, 0.99), span=st.floats(1e-3, 20.0),
+       a=st.floats(0.1, 10.0), b=st.floats(0.0, 10.0),
+       model=st.floats(0.25, 2.0))
+def test_search_stays_in_its_bracket_and_finds_the_root(x0, gap, inf_share,
+                                                        span, a, b, model):
+    # r = a (root - x) + b (root - x)^3, infinite on [x0, x0 + d) below the
+    # root, searched from x0 up to hi with a model slope near a. Every point
+    # lies in [x0, hi], and once a point lies above the root every later
+    # one lies inside the latest bracket. The search comes within 1e-12 of
+    # the root, relative to 1 + |root|, within TRIM_MAX_ITER + 1 points, or
+    # ends after yielding hi when the root lies above hi.
+    root, hi, d = x0 + gap, x0 + span, inf_share * gap
+    tol = 1e-12 * (1.0 + abs(root))
+
+    def residual(x):
+        return (math.inf if x < x0 + d
+                else a * (root - x) + b * (root - x)**3)
+
+    search = secant_steps(x0, model * a, hi)
+    x, below, above = next(search), x0, None
+    for _ in range(harness.TRIM_MAX_ITER + 1):
+        assert x0 <= x <= hi
+        if above is not None:
+            assert below < x < above
+        if abs(x - root) <= tol:
+            return
+        r = residual(x)
+        if r > 0.0:
+            below = x
+        else:
+            above = x
+        try:
+            x = search.send(r)
+        except StopIteration:
+            assert root > hi and below == hi
+            return
+    pytest.fail(f"no point within {tol:.3g} of the root {root!r}")
 
 
 def test_search_from_a_point_above_the_root_tries_only_hi():
@@ -668,6 +711,26 @@ def test_negative_thrust_pins_inflow_at_zero():
     assert cycle.vi_info.negative_thrust
 
 
+def test_hover_trim_of_a_design_that_never_lifts_takes_two_solves(
+        monkeypatch):
+    # The lift at 8 Hz is negative, so the trim probes 40 Hz next, whose
+    # negative lift does not bracket the target either.
+    solves = []
+
+    def solve(*args, **kwargs):
+        solves.append(args[1].frequency)
+        return solve_induced_velocity(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "solve_induced_velocity", solve)
+    with pytest.raises(ValueError) as error:
+        harness.hover_trim(standard_wing(25.5), inverted_twist_kinematics(),
+                           ENV, 0.1, 8.0, 40.0, SolverSettings(72, 4))
+    assert str(error.value) == (
+        "target lift 0.1 N not bracketed: lift is -0.08536 N at 8.0 Hz and "
+        "-2.18 N at 40.0 Hz")
+    assert solves == [8.0, 40.0]
+
+
 # ------------------------------------------------------------ cycle averages
 
 def flat_plate_kinematics(f=17.3):
@@ -693,6 +756,16 @@ def test_step_refinement():
     assert fine.mean_lift == pytest.approx(coarse.mean_lift, rel=5e-3)
     assert fine.mean_aero_power == pytest.approx(coarse.mean_aero_power,
                                                  rel=5e-3)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("steps_per_cycle", 720.5),
+    ("n_elements", 20.5),
+    ("vi_max_iter", 2.5),
+])
+def test_solver_settings_rejects_a_non_integral_count(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        SolverSettings(**{field: value})
 
 
 def test_minimum_steps_enforced():

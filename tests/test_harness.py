@@ -713,28 +713,24 @@ def test_hover_trim_rejects_its_inputs_before_any_probe(monkeypatch, target,
 
 
 def test_hover_trim_steps_past_a_non_positive_lift(monkeypatch):
-    # L = f - 10 is -2 at 8 Hz: no log step from there, so the search
-    # takes the bracket's geometric mean, and again after the next probe,
-    # whose secant through the non-positive lift does not move. The means
-    # are formed in ln f.
+    # L = f - 10 is -2 at 8 Hz, so the next probe is at f_hi, which lifts
+    # more than the target; the search then trims inside the bracket.
     trim, probed = trim_on_lift_curve(monkeypatch, lambda f: f - 10.0, 5.0)
-    first = math.sqrt(8.0 * 40.0)
-    assert probed[:3] == pytest.approx([8.0, first, math.sqrt(8.0 * first)],
-                                       rel=1e-15)
-    assert len(probed) == 7
+    assert probed[:2] == [8.0, 40.0]
+    assert all(8.0 < f < 40.0 for f in probed[2:])
     assert trim.probes == tuple((f, f - 10.0, 1) for f in probed)
     assert abs(trim.mean_lift - 5.0) < 5.0 * harness.TRIM_REL_TOL
 
 
 def test_hover_trim_of_a_lift_that_is_never_positive_is_not_bracketed(
         monkeypatch):
-    # Each probe halves the distance to 40 Hz in ln f, until the middle
-    # rounds to the lower end and the search probes f_hi itself.
+    # The lift at 8 Hz sends the search to f_hi, which does not bracket
+    # the target either.
     error, probed = trim_on_lift_curve(monkeypatch, lambda f: -1.0, 1.0)
     assert isinstance(error, ValueError) and str(error) == (
         "target lift 1 N not bracketed: lift is -1 N at 8.0 Hz and -1 N at "
         "40.0 Hz")
-    assert probed[-1] == 40.0 and len(probed) <= harness.TRIM_MAX_ITER
+    assert probed == [8.0, 40.0]
 
 
 def test_hover_trim_steps_past_equal_lifts(monkeypatch):
@@ -754,8 +750,8 @@ def test_hover_trim_steps_past_equal_lifts(monkeypatch):
                                           (lambda f: 1e300, 1e-30)])
 def test_hover_trim_whose_lift_ratio_overflows_probes_f_hi(monkeypatch, lift,
                                                            target):
-    # L*/L at 8 Hz over- or underflows, and its log from the two logs
-    # still sends the search to f_hi, which does not bracket the target.
+    # L*/L at 8 Hz over- or underflows, and its infinite log sends the
+    # search to f_hi, which does not bracket the target.
     error, probed = trim_on_lift_curve(monkeypatch, lift, target)
     assert isinstance(error, ValueError)
     assert str(error).startswith(f"target lift {target:.4g} N not bracketed")
