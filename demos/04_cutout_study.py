@@ -34,10 +34,9 @@ print(f"{'lift gf':20s} "
 print(f"{'aero power W':20s} {study.intact.mean_aero_power:10.2f} "
       f"{study.modified.mean_aero_power:10.2f}")
 
-c = study.comparison
-print(f"\nlift change            {100 * c.lift_delta:+6.2f}%")
-print(f"aero power change      {100 * c.power_delta:+6.2f}%")
-print(f"lift-to-power change   {100 * c.lift_to_power_delta:+6.2f}%  "
+print(f"\nlift change            {100 * study.lift_delta:+6.2f}%")
+print(f"aero power change      {100 * study.power_delta:+6.2f}%")
+print(f"lift-to-power change   {100 * study.lift_to_power_delta:+6.2f}%  "
       f"(aerodynamic efficiency unaffected)")
 
 os.makedirs("demos/out", exist_ok=True)

@@ -16,9 +16,7 @@ from .aero import (
     ForceBreakdown,
     InducedVelocityResult,
     SolverSettings,
-    WingComparison,
     aero_coefficients,
-    compare_wings,
     element_acceleration,
     element_forces,
     reynolds,

@@ -153,8 +153,9 @@ class ElementState:
     The rotation angle, rate and acceleration share the state's shape, and
     every other field broadcasts to it, so the same dataclass serves a
     single scalar element and a (steps, elements) grid. Angles in radians,
-    lengths in metres, rates in 1/s. Derived arrays are cached per
-    instance.
+    lengths in metres, rates in 1/s. Every cached property is free of the
+    inflow ``v_induced``, so :meth:`with_inflow` shares the whole cache;
+    :attr:`alpha_effective`, which depends on it, is formed on each read.
     """
 
     radius: np.ndarray
@@ -174,21 +175,15 @@ class ElementState:
         """Section speed in the stroke plane, radius * |stroke rate|."""
         return self.radius * np.abs(self.stroke_rate)
 
-    @cached_property
-    def inflow_angle(self):
-        """Induced inflow angle arcsin(Vi / hypot(VT, Vi)), 0 at rest."""
-        q = np.hypot(self.v_translational, self.v_induced)
-        return np.arcsin(np.divide(self.v_induced, q,
-                                   out=np.zeros(np.shape(q)), where=q > 0.0))
-
-    @cached_property
-    def alpha_geometric(self):
-        return geometric_aoa(self.rotation_angle, self.stroke_rate)
-
-    @cached_property
+    @property
     def alpha_effective(self):
-        """Geometric angle of attack minus the induced inflow angle."""
-        return self.alpha_geometric - self.inflow_angle
+        """Geometric angle of attack minus the induced inflow angle
+        arcsin(Vi / hypot(VT, Vi)), which is 0 at rest."""
+        q = np.hypot(self.v_translational, self.v_induced)
+        return (geometric_aoa(self.rotation_angle, self.stroke_rate)
+                - np.arcsin(np.divide(self.v_induced, q,
+                                      out=np.zeros(np.shape(q)),
+                                      where=q > 0.0)))
 
     @cached_property
     def rotation_trig(self):
@@ -271,11 +266,10 @@ class ElementState:
         return added, rot, (tuple(map(float, lift)), tuple(map(float, power)))
 
     def with_inflow(self, v_induced):
-        """This state at inflow ``v_induced``; shares its inflow-free cache."""
+        """This state at inflow ``v_induced``; shares its whole cache, which
+        holds inflow-free terms only."""
         moved = replace(self, v_induced=v_induced)
-        vars(moved).update((name, vars(self)[name]) for name in (
-            "v_translational", "alpha_geometric", "rotation_trig",
-            "translational_terms", "unsteady_terms") if name in vars(self))
+        vars(moved).update({**vars(self), **vars(moved)})
         return moved
 
 
@@ -791,32 +785,3 @@ def simulate_cycle(wing, kin, env, solver=SolverSettings(),
         power_history=factor * np.sum(power_grid, axis=1),
         vi_info=vi_info,
     )
-
-
-@dataclass(frozen=True)
-class WingComparison:
-    """Relative changes from a reference cycle result to a modified one."""
-
-    lift_delta: float
-    power_delta: float
-    lift_to_power_delta: float
-
-
-def compare_wings(reference, modified):
-    """Relative lift, power, and lift-to-power changes between two runs.
-
-    Both results must come from the same frequency (the comparison is
-    meaningless otherwise) and carry nonzero reference lift and powers.
-    """
-    if not math.isclose(reference.frequency, modified.frequency,
-                        rel_tol=1e-12):
-        raise ValueError("cycle results were run at different frequencies")
-    if reference.mean_lift == 0.0 or reference.mean_aero_power == 0.0 \
-            or modified.mean_aero_power == 0.0:
-        raise ValueError("comparison undefined for zero lift or power")
-    lift_delta = modified.mean_lift / reference.mean_lift - 1.0
-    power_delta = modified.mean_aero_power / reference.mean_aero_power - 1.0
-    ratio_ref = reference.mean_lift / reference.mean_aero_power
-    ratio_mod = modified.mean_lift / modified.mean_aero_power
-    return WingComparison(lift_delta=lift_delta, power_delta=power_delta,
-                          lift_to_power_delta=ratio_mod / ratio_ref - 1.0)

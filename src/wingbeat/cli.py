@@ -125,10 +125,9 @@ def cmd_cutout_study(args, config, out_dir):
         cutout=config.cutout.span_fraction,
         frequency_hz=config.cutout.frequency_hz, solver=config.solver)
     write_cutout(out_dir, study, config.solver)
-    c = study.comparison
-    print(f"cutout-study: lift {100 * c.lift_delta:+.2f}%, aero power "
-          f"{100 * c.power_delta:+.2f}%, lift-to-power "
-          f"{100 * c.lift_to_power_delta:+.2f}% -> {out_dir}")
+    print(f"cutout-study: lift {100 * study.lift_delta:+.2f}%, aero power "
+          f"{100 * study.power_delta:+.2f}%, lift-to-power "
+          f"{100 * study.lift_to_power_delta:+.2f}% -> {out_dir}")
 
 
 def cmd_control_sim(args, config, out_dir):

@@ -36,7 +36,7 @@ def low_pass_coefficient(cutoff_hz, dt):
 
     Exact pole mapping: beta = 1 - exp(-2 pi fc dt), in (0, 1].
     """
-    if cutoff_hz <= 0.0 or dt <= 0.0:
+    if not (cutoff_hz > 0.0 and dt > 0.0):
         raise ValueError("cutoff and sample time must be positive")
     return 1.0 - math.exp(-2.0 * math.pi * cutoff_hz * dt)
 
@@ -59,7 +59,7 @@ class LowPassFilter:
 
 def integrate_yaw(psi_prev, rate_filtered, dt):
     """Explicit-Euler heading update, exact for piecewise-constant rates."""
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("time step must be positive")
     return psi_prev + rate_filtered * dt
 
@@ -81,7 +81,7 @@ class YawPlant:
     disturbance: float = 0.0
 
     def __post_init__(self):
-        if self.inertia <= 0.0:
+        if not self.inertia > 0.0:
             raise ValueError("yaw inertia must be positive")
 
     def step(self, torque, dt):

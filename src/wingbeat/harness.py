@@ -22,6 +22,7 @@ raises a ``ValueError`` if every failure was one, else a
 :class:`ComputeError`. Hover trim likewise probes with inflow solves on
 one precompute. Until a probe lifts more than the target, the next is at
 f sqrt(L* / L) capped at the upper bound, which follows any lift <= 0.
+A cutout study forms its own lift, power and lift-to-power deltas.
 """
 
 from dataclasses import asdict, dataclass, fields, replace
@@ -39,7 +40,6 @@ from . import __version__
 from .aero import (
     CyclePrecompute,
     SolverSettings,
-    compare_wings,
     reynolds,
     secant_steps,
     simulate_cycle,
@@ -250,7 +250,7 @@ def check_trim_bracket(target_lift, f_lo, f_hi):
     """Raise ValueError unless 0 < f_lo < f_hi and target_lift > 0."""
     if not 0.0 < f_lo < f_hi:
         raise ValueError("need 0 < f_lo < f_hi")
-    if target_lift <= 0.0:
+    if not target_lift > 0.0:
         raise ValueError("target lift must be positive")
 
 
@@ -302,13 +302,17 @@ def hover_trim(wing, kin, env, target_lift, f_lo, f_hi,
 
 @dataclass(frozen=True)
 class CutoutStudy:
-    """Intact-versus-modified comparison at identical kinematics."""
+    """Intact-versus-modified cycle results at identical kinematics, with
+    the relative changes from intact to modified of the lift, the
+    aerodynamic power and their ratio."""
 
     cutout: float
     frequency_hz: float
     intact: object
     modified: object
-    comparison: object
+    lift_delta: float
+    power_delta: float
+    lift_to_power_delta: float
 
 
 def run_cutout_study(wing, kin, env, cutout, frequency_hz,
@@ -317,15 +321,23 @@ def run_cutout_study(wing, kin, env, cutout, frequency_hz,
 
     The intact wing is ``wing`` with its whole membrane, whatever cutout
     ``wing`` has; the modified wing is the intact one cut at ``cutout``.
+    Raise ``ValueError`` if the intact lift or either power is zero.
     """
     kin = kin.with_frequency(frequency_hz)
     whole = replace(wing, cutout=0.0)
     intact = simulate_cycle(whole, kin, env, solver)
     modified = simulate_cycle(apply_inboard_cutout(whole, cutout), kin, env,
                               solver)
+    lift, power = intact.mean_lift, intact.mean_aero_power
+    lift_cut, power_cut = modified.mean_lift, modified.mean_aero_power
+    if lift == 0.0 or power == 0.0 or power_cut == 0.0:
+        raise ValueError("comparison undefined for zero lift or power")
     return CutoutStudy(cutout=cutout, frequency_hz=frequency_hz,
                        intact=intact, modified=modified,
-                       comparison=compare_wings(intact, modified))
+                       lift_delta=lift_cut / lift - 1.0,
+                       power_delta=power_cut / power - 1.0,
+                       lift_to_power_delta=(lift_cut / power_cut)
+                       / (lift / power) - 1.0)
 
 
 def write_cycle(out_dir, result, solver):
@@ -408,9 +420,9 @@ def write_cutout(out_dir, study, solver):
         "frequency_hz": study.frequency_hz,
         "intact": loads(intact),
         "modified": loads(modified),
-        "lift_delta": study.comparison.lift_delta,
-        "power_delta": study.comparison.power_delta,
-        "lift_to_power_delta": study.comparison.lift_to_power_delta,
+        "lift_delta": study.lift_delta,
+        "power_delta": study.power_delta,
+        "lift_to_power_delta": study.lift_to_power_delta,
     }, solver)
     write_float_table(
         os.path.join(out_dir, "cutout_spanwise.csv"),

@@ -34,7 +34,7 @@ class FourierSeries:
     def __post_init__(self):
         if len(self.a) != len(self.b):
             raise ValueError("cosine and sine coefficient lists must have equal length")
-        if self.frequency <= 0.0:
+        if not self.frequency > 0.0:
             raise ValueError("frequency must be positive")
 
     @property

@@ -26,7 +26,7 @@ class MotorElectrical:
     resistance: float  # ohm
 
     def __post_init__(self):
-        if self.resistance <= 0.0:
+        if not self.resistance > 0.0:
             raise ValueError("motor resistance must be positive")
 
 
@@ -36,7 +36,7 @@ def shunt_current(v_supply, v_out, shunt_resistance):
     A negative result means the measured drop is reversed; it is returned
     as-is for the caller to flag.
     """
-    if shunt_resistance <= 0.0:
+    if not shunt_resistance > 0.0:
         raise ValueError("shunt resistance must be positive")
     return (v_supply - v_out) / shunt_resistance
 
@@ -51,7 +51,7 @@ def lift_to_power(lift, power):
 
     ``lift`` in newtons, ``power`` in watts; power must be positive.
     """
-    if power <= 0.0:
+    if not power > 0.0:
         raise ValueError("lift-to-power ratio needs positive power")
     return (lift / GRAM_FORCE_NEWTONS) / power
 
@@ -77,7 +77,7 @@ class WingMassModel:
         if not (len(self.radii) == len(self.span_fractions)
                 == len(self.pitch_offsets) == n):
             raise ValueError("mass model fields must have equal length")
-        if any(m < 0.0 for m in self.masses):
+        if any(not m >= 0.0 for m in self.masses):
             raise ValueError("masses must be non-negative")
 
     @property
@@ -201,7 +201,7 @@ def decompose(p_in, current, motor, p_aero, p_inertial):
     The Joule loss follows from the motor resistance; the mechanism power
     is whatever remains. The aerodynamic and inertial terms are modeled.
     """
-    if p_in < 0.0:
+    if not p_in >= 0.0:
         raise ValueError("input power must be non-negative")
     p_loss = joule_loss(current, motor)
     p_mechanism = p_in - p_loss - p_aero - p_inertial

@@ -38,7 +38,7 @@ def standard_wing(area_cm2=25.5):
     the flapping axis, and the wing pitches about its quarter chord.
     """
     area = area_cm2 * 1e-4
-    if area <= 0.0:
+    if not area > 0.0:
         raise ValueError("wing area must be positive")
     span = math.sqrt(STANDARD_ASPECT_RATIO * area)
     rel_area = sum(0.5 * (c0 + c1) * (s1 - s0) for (s0, c0), (s1, c1)

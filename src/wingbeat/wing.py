@@ -120,13 +120,13 @@ def build_wing(chord_breakpoints, root_offset=0.0,
     if len(pts) < 2:
         raise ValueError("need at least two chord breakpoints")
     stations = [r for r, _ in pts]
-    if any(b <= a for a, b in zip(stations[:-1], stations[1:])):
+    if any(not b > a for a, b in zip(stations[:-1], stations[1:])):
         raise ValueError(f"breakpoint stations must strictly increase, got {stations}")
     if stations[0] != 0.0:
         raise ValueError("first chord breakpoint must sit at the wing root (station 0)")
-    if any(c < 0.0 for _, c in pts):
+    if any(not c >= 0.0 for _, c in pts):
         raise ValueError("chord must be non-negative at every breakpoint")
-    if root_offset < 0.0:
+    if not root_offset >= 0.0:
         raise ValueError("root offset must be non-negative")
 
     pitch_axis = float(pitch_axis)
@@ -158,7 +158,7 @@ def scaled_to_area(wing, area):
     All lengths scale by sqrt(area / current), preserving shape and aspect
     ratio.
     """
-    if area <= 0.0:
+    if not area > 0.0:
         raise ValueError("target area must be positive")
     if wing.area <= 0.0:
         raise ValueError("cannot rescale a zero-area wing")

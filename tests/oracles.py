@@ -9,6 +9,7 @@ from wingbeat.aero import (
     _element_grid_state,
     aero_coefficients,
 )
+from wingbeat.kinematics import geometric_aoa
 
 
 def reference_forces(state, env, re):
@@ -17,7 +18,8 @@ def reference_forces(state, env, re):
     through the arctan2 inflow angle, with the added-mass and rotational
     terms written out from the model equations."""
     phi = np.arctan2(state.v_induced, state.v_translational)
-    cl, cd = aero_coefficients(state.alpha_geometric - phi, re)
+    alpha_g = geometric_aoa(state.rotation_angle, state.stroke_rate)
+    cl, cd = aero_coefficients(alpha_g - phi, re)
     sin_phi, cos_phi = np.sin(phi), np.cos(phi)
     sin_rot = np.sin(state.rotation_angle)
     cos_rot = np.cos(state.rotation_angle)
@@ -31,7 +33,7 @@ def reference_forces(state, env, re):
               + arm * state.stroke_rate**2 * cos_rot) * sin_rot
              + arm * state.rotation_accel)
     added = (0.25 * math.pi * env.rho * chord**2 * accel
-             * np.sin(state.alpha_geometric) * scale)
+             * np.sin(alpha_g) * scale)
     axis_ratio = np.divide(state.pitch_axis, chord,
                            out=np.zeros(np.shape(chord)), where=chord > 0.0)
     c_rot = math.pi * (0.75 - axis_ratio)

@@ -105,9 +105,9 @@ def test_criterion_2_cutout_study():
 
         study = run_cutout_study(wing, kin, ENV, cutout=0.25,
                                  frequency_hz=17.3)
-        lift_drop = -study.comparison.lift_delta
-        power_drop = -study.comparison.power_delta
-        ratio_change = abs(study.comparison.lift_to_power_delta)
+        lift_drop = -study.lift_delta
+        power_drop = -study.power_delta
+        ratio_change = abs(study.lift_to_power_delta)
         print(f"  cutout 25%: lift {100 * lift_drop:.2f}% lower, aero power "
               f"{100 * power_drop:.2f}% lower, ratio change "
               f"{100 * ratio_change:.3f}%")

@@ -1,4 +1,5 @@
-"""Property test of the study-config boundary: every number is finite."""
+"""Property test of the study-config boundary: every number is finite.
+Below it, every positivity guard of the library also rejects NaN."""
 
 import math
 
@@ -6,6 +7,18 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from wingbeat.config import ConfigError, StudyConfig
+from wingbeat.control import YawPlant, integrate_yaw, low_pass_coefficient
+from wingbeat.harness import check_trim_bracket
+from wingbeat.kinematics import FourierSeries
+from wingbeat.power import (
+    MotorElectrical,
+    WingMassModel,
+    decompose,
+    lift_to_power,
+    shunt_current,
+)
+from wingbeat.presets import standard_wing
+from wingbeat.wing import build_wing, scaled_to_area
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 positive = st.floats(min_value=1e-3, max_value=1e3)
@@ -98,3 +111,45 @@ def test_non_finite_number_is_a_config_error(doc, data, bad):
     node[path[-1]] = bad
     with pytest.raises(ConfigError):
         StudyConfig.from_dict(doc)
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: standard_wing(NAN), "wing area must be positive"),
+    (lambda: check_trim_bracket(NAN, 8.0, 40.0),
+     "target lift must be positive"),
+    (lambda: YawPlant(NAN), "yaw inertia must be positive"),
+    (lambda: build_wing([(0.0, 0.02), (0.09, NAN)]),
+     "chord must be non-negative at every breakpoint"),
+    (lambda: build_wing([(0.0, 0.02), (0.09, 0.02)], root_offset=NAN),
+     "root offset must be non-negative"),
+    (lambda: build_wing([(0.0, 0.02), (NAN, 0.02)]),
+     "breakpoint stations must strictly increase, got [0.0, nan]"),
+    (lambda: scaled_to_area(standard_wing(25.5), NAN),
+     "target area must be positive"),
+    (lambda: FourierSeries(0.0, (0.0,), (1.0,), NAN),
+     "frequency must be positive"),
+    (lambda: low_pass_coefficient(NAN, 1e-3),
+     "cutoff and sample time must be positive"),
+    (lambda: integrate_yaw(0.0, 0.0, NAN),
+     "time step must be positive"),
+    (lambda: MotorElectrical(NAN), "motor resistance must be positive"),
+    (lambda: shunt_current(5.0, 4.9, NAN),
+     "shunt resistance must be positive"),
+    (lambda: lift_to_power(0.1, NAN),
+     "lift-to-power ratio needs positive power"),
+    (lambda: WingMassModel((NAN,), (0.05,), (0.5,), (0.0,)),
+     "masses must be non-negative"),
+    (lambda: decompose(NAN, 1.0, MotorElectrical(1.0), 0.1, 0.1),
+     "input power must be non-negative"),
+], ids=["standard_wing", "check_trim_bracket", "YawPlant", "build_wing.chord",
+        "build_wing.root_offset", "build_wing.station", "scaled_to_area",
+        "FourierSeries", "low_pass_coefficient", "integrate_yaw",
+        "MotorElectrical", "shunt_current", "lift_to_power", "WingMassModel",
+        "decompose"])
+def test_positivity_guards_reject_nan(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -789,9 +789,9 @@ def test_cutout_study_zero_fraction_gives_zero_deltas():
     solver = SolverSettings(steps_per_cycle=180, n_elements=10)
     study = run_cutout_study(wing, kin, ENV, cutout=0.0, frequency_hz=17.3,
                              solver=solver)
-    assert study.comparison.lift_delta == 0.0
-    assert study.comparison.power_delta == 0.0
-    assert study.comparison.lift_to_power_delta == 0.0
+    assert study.lift_delta == 0.0
+    assert study.power_delta == 0.0
+    assert study.lift_to_power_delta == 0.0
 
 
 def test_cutout_study_deltas_grow_with_fraction(tmp_path):
@@ -800,8 +800,13 @@ def test_cutout_study_deltas_grow_with_fraction(tmp_path):
     solver = SolverSettings(steps_per_cycle=180, n_elements=10)
     quarter = run_cutout_study(wing, kin, ENV, 0.25, 17.3, solver=solver)
     half = run_cutout_study(wing, kin, ENV, 0.5, 17.3, solver=solver)
-    assert abs(half.comparison.lift_delta) > abs(quarter.comparison.lift_delta)
-    assert abs(half.comparison.power_delta) > abs(quarter.comparison.power_delta)
+    assert abs(half.lift_delta) > abs(quarter.lift_delta)
+    assert abs(half.power_delta) > abs(quarter.power_delta)
+    for study in (quarter, half):
+        i, m = study.intact, study.modified
+        assert study.lift_to_power_delta == (
+            (m.mean_lift / m.mean_aero_power)
+            / (i.mean_lift / i.mean_aero_power) - 1.0)
     harness.write_cutout(tmp_path, quarter, solver)
     header, rows = read_csv(tmp_path / "cutout_spanwise.csv")
     assert header == ["span_fraction", "lift_intact_n", "lift_modified_n",
@@ -820,8 +825,20 @@ def test_cutout_study_compares_the_whole_membrane_with_the_cut_wing(
                            0.25, 17.3, solver=solver)
     assert got.intact.mean_lift == want.intact.mean_lift
     assert got.modified.mean_lift == want.modified.mean_lift
-    assert got.comparison == want.comparison
-    assert got.comparison.lift_delta < 0.0
+    for name in ("lift_delta", "power_delta", "lift_to_power_delta"):
+        assert getattr(got, name) == getattr(want, name)
+    assert got.lift_delta < 0.0
+
+
+def test_cutout_study_rejects_zero_lift_or_power(monkeypatch):
+    cycle = simulate_cycle(standard_wing(25.5), beetle_kinematics(17.3, 190.0),
+                           ENV, SolverSettings(36, 2), induced_velocity=1.0)
+    monkeypatch.setattr(harness, "simulate_cycle",
+                        lambda *args: replace(cycle, mean_lift=0.0))
+    with pytest.raises(ValueError,
+                       match="^comparison undefined for zero lift or power$"):
+        run_cutout_study(standard_wing(25.5), beetle_kinematics(17.3, 190.0),
+                         ENV, 0.25, 17.3)
 
 
 # ------------------------------------------------------------------------ CLI
