@@ -56,7 +56,6 @@ from .wing import (
     BladeElements,
     WingGeometry,
     apply_inboard_cutout,
-    build_wing,
     discretize,
     scaled_to_area,
 )

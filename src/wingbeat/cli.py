@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, StudyConfig, load_angle_samples
-from .control import ControllerConfig, YawPlant, simulate_closed_loop
+from .control import simulate_closed_loop
 from .harness import (
     hover_trim,
     run_cutout_study,
@@ -133,12 +133,7 @@ def cmd_cutout_study(args, config, out_dir):
 def cmd_control_sim(args, config, out_dir):
     if args.seed < 0:
         raise ConfigError(f"--seed must be at least 0, got {args.seed}")
-    c = config.control
-    controller = ControllerConfig(c.kp, c.kd, c.cutoff_hz, c.plant_gain,
-                                  c.setpoint_schedule)
-    trace = simulate_closed_loop(
-        YawPlant(c.inertia, disturbance=c.disturbance), controller,
-        c.duration_s, c.dt_s, c.gyro_sigma_dps, c.gyro_bias_dps, args.seed)
+    trace = simulate_closed_loop(*config.control.loop_arguments(), args.seed)
     write_control(out_dir, trace)
     print(f"control-sim: {trace.t.size} steps, final heading "
           f"{trace.psi_true[-1]:.3f} deg -> {out_dir}")

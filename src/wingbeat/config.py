@@ -22,7 +22,7 @@ from .control import (ControllerConfig, YawPlant, closed_loop_grid,
                       simulate_closed_loop)
 from .harness import check_trim_bracket
 from .kinematics import FourierSeries, WingKinematics
-from .wing import WingGeometry, apply_inboard_cutout, build_wing
+from .wing import WingGeometry, apply_inboard_cutout
 
 _LOOP_DEFAULTS = inspect.signature(simulate_closed_loop).parameters
 
@@ -119,8 +119,7 @@ def wing_from_config(cfg):
                           "wing")
 
     try:
-        wing = build_wing(breakpoints, root_offset=root_offset,
-                          pitch_axis=pitch_axis)
+        wing = WingGeometry(root_offset, breakpoints, pitch_axis)
     except ValueError as exc:
         raise ConfigError(f"invalid wing: {exc}") from exc
 
@@ -248,9 +247,17 @@ class ControlSection:
     setpoint_schedule: tuple = ControllerConfig.setpoint_schedule
 
     def __post_init__(self):
-        YawPlant(self.inertia)
         closed_loop_grid(self.cutoff_hz, self.duration_s, self.dt_s,
                          self.gyro_sigma_dps)
+        self.loop_arguments()
+
+    def loop_arguments(self):
+        """The run's :func:`simulate_closed_loop` arguments but the seed."""
+        return (YawPlant(self.inertia, disturbance=self.disturbance),
+                ControllerConfig(self.kp, self.kd, self.cutoff_hz,
+                                 self.plant_gain, self.setpoint_schedule),
+                self.duration_s, self.dt_s, self.gyro_sigma_dps,
+                self.gyro_bias_dps)
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,9 @@ class YawPlant:
     def __post_init__(self):
         if not self.inertia > 0.0:
             raise ValueError("yaw inertia must be positive")
+        for name in ("psi", "omega", "disturbance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"yaw plant {name} must be finite")
 
     def step(self, torque, dt):
         self.omega += (torque + self.disturbance) / self.inertia * dt
@@ -93,8 +96,9 @@ class YawPlant:
 class ControllerConfig:
     """Gains, filter cutoff, actuator gain, and setpoint schedule.
 
-    ``setpoint_schedule`` is a sequence of (time, heading) pairs; the
-    active setpoint is the last entry at or before the current time.
+    ``setpoint_schedule`` is a non-empty sequence of finite (time, heading)
+    pairs; the active setpoint is the last entry at or before the current
+    time. The gains must be finite and the cutoff positive (ValueError).
     """
 
     kp: float
@@ -102,6 +106,17 @@ class ControllerConfig:
     cutoff_hz: float = 10.0
     plant_gain: float = 1.0
     setpoint_schedule: tuple = ((0.0, 0.0),)
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.kp, self.kd, self.plant_gain))):
+            raise ValueError("gains kp, kd and plant_gain must be finite")
+        if not self.cutoff_hz > 0.0:
+            raise ValueError("filter cutoff must be positive")
+        if not self.setpoint_schedule or any(
+                len(pair) != 2 or not all(map(math.isfinite, pair))
+                for pair in self.setpoint_schedule):
+            raise ValueError("setpoint schedule must be a non-empty sequence "
+                             "of finite (time, heading) pairs")
 
     def setpoint_at(self, t):
         value = self.setpoint_schedule[0][1]

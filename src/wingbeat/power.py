@@ -79,6 +79,10 @@ class WingMassModel:
             raise ValueError("mass model fields must have equal length")
         if any(not m >= 0.0 for m in self.masses):
             raise ValueError("masses must be non-negative")
+        if not np.isfinite([*self.radii, *self.pitch_offsets]).all():
+            raise ValueError("radii and pitch offsets must be finite")
+        if any(not 0.0 <= s <= 1.0 for s in self.span_fractions):
+            raise ValueError("span fractions must lie in [0, 1]")
 
     @property
     def total_mass(self):

@@ -15,7 +15,7 @@ time.
 import math
 
 from .kinematics import FourierSeries, WingKinematics
-from .wing import build_wing, scaled_to_area
+from .wing import WingGeometry, scaled_to_area
 
 # Tapered outline: (span fraction, chord relative to peak).
 _PLANFORM_FRACTIONS = (0.0, 0.25, 0.5, 0.8, 1.0)
@@ -47,7 +47,7 @@ def standard_wing(area_cm2=25.5):
     peak_chord = area / (span * rel_area)
     breakpoints = [(s * span, rc * peak_chord)
                    for s, rc in zip(_PLANFORM_FRACTIONS, _PLANFORM_REL_CHORD)]
-    wing = build_wing(breakpoints, root_offset=STANDARD_ROOT_OFFSET)
+    wing = WingGeometry(STANDARD_ROOT_OFFSET, breakpoints)
     return scaled_to_area(wing, area)
 
 

@@ -5,7 +5,9 @@ station is the span, an optional offset between the flapping axis and the
 wing root, a pitching axis at a fixed fraction of the local chord, and an
 inboard cutout: the span fraction from the root out to which the membrane
 has been removed (the leading-edge spar is retained, so removal zeroes the
-aerodynamic area without shortening the wing).
+aerodynamic area without shortening the wing). Every :class:`WingGeometry`,
+one made by ``dataclasses.replace`` too, checks its breakpoints, root
+offset, pitch axis and cutout against their ranges.
 """
 
 from dataclasses import dataclass, replace
@@ -17,27 +19,51 @@ import numpy as np
 
 @dataclass(frozen=True)
 class WingGeometry:
-    """Immutable wing planform.
+    """Immutable wing planform. Making one, by ``dataclasses.replace`` too,
+    converts its numbers to floats and raises ValueError for a field
+    outside the range given below (NaN lies outside every range).
 
     Attributes
     ----------
     root_offset : float
-        Distance from the flapping axis to the wing root (m).
+        Distance from the flapping axis to the wing root (m), at least 0.
     chord_breakpoints : tuple of (station, chord)
-        Piecewise-linear chord distribution; ``station`` is measured in
-        metres from the wing root, runs from 0 and ends at the span.
+        Two or more points of a piecewise-linear chord distribution, with
+        chords of at least 0; ``station`` is in metres from the wing root,
+        strictly increases from 0 and ends at the span.
     pitch_axis_fraction : float
-        Chordwise pitching-axis location as a fraction of the local chord,
-        measured from the leading edge.
+        Chordwise pitching-axis location in [0, 1] as a fraction of the
+        local chord, measured from the leading edge.
     cutout : float
-        Span fraction from the root out to which the membrane has been
-        removed (0 keeps the whole membrane).
+        Span fraction in [0, 1) from the root out to which the membrane
+        has been removed (0 keeps the whole membrane).
     """
 
     root_offset: float
     chord_breakpoints: tuple
     pitch_axis_fraction: float = 0.25
     cutout: float = 0.0
+
+    def __post_init__(self):
+        pts = tuple((float(r), float(c)) for r, c in self.chord_breakpoints)
+        object.__setattr__(self, "chord_breakpoints", pts)
+        for name in ("root_offset", "pitch_axis_fraction", "cutout"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if len(pts) < 2:
+            raise ValueError("need at least two chord breakpoints")
+        stations = [r for r, _ in pts]
+        if any(not b > a for a, b in zip(stations[:-1], stations[1:])):
+            raise ValueError(f"breakpoint stations must strictly increase, got {stations}")
+        if stations[0] != 0.0:
+            raise ValueError("first chord breakpoint must sit at the wing root (station 0)")
+        if any(not c >= 0.0 for _, c in pts):
+            raise ValueError("chord must be non-negative at every breakpoint")
+        if not self.root_offset >= 0.0:
+            raise ValueError("root offset must be non-negative")
+        if not 0.0 <= self.pitch_axis_fraction <= 1.0:
+            raise ValueError("pitch-axis chord fraction must lie in [0, 1]")
+        if not 0.0 <= self.cutout < 1.0:
+            raise ValueError("cutout span fraction must lie in [0, 1)")
 
     @property
     def span(self):
@@ -101,55 +127,17 @@ class WingGeometry:
         return self.span**2 / area
 
 
-def build_wing(chord_breakpoints, root_offset=0.0,
-               pitch_axis=WingGeometry.pitch_axis_fraction):
-    """Build a :class:`WingGeometry` from a chord-breakpoint list.
-
-    Parameters
-    ----------
-    chord_breakpoints : sequence of (station, chord)
-        At least two points, strictly increasing stations in metres from
-        the wing root, non-negative chords. The first station must be 0;
-        the last station is the span.
-    root_offset : float
-        Flapping-axis-to-root distance (m).
-    pitch_axis : float
-        Pitching-axis chord fraction in [0, 1], from the leading edge.
-    """
-    pts = [(float(r), float(c)) for r, c in chord_breakpoints]
-    if len(pts) < 2:
-        raise ValueError("need at least two chord breakpoints")
-    stations = [r for r, _ in pts]
-    if any(not b > a for a, b in zip(stations[:-1], stations[1:])):
-        raise ValueError(f"breakpoint stations must strictly increase, got {stations}")
-    if stations[0] != 0.0:
-        raise ValueError("first chord breakpoint must sit at the wing root (station 0)")
-    if any(not c >= 0.0 for _, c in pts):
-        raise ValueError("chord must be non-negative at every breakpoint")
-    if not root_offset >= 0.0:
-        raise ValueError("root offset must be non-negative")
-
-    pitch_axis = float(pitch_axis)
-    if not 0.0 <= pitch_axis <= 1.0:
-        raise ValueError("pitch-axis chord fraction must lie in [0, 1]")
-    return WingGeometry(root_offset=float(root_offset),
-                        chord_breakpoints=tuple(pts),
-                        pitch_axis_fraction=pitch_axis)
-
-
 def apply_inboard_cutout(wing, span_fraction):
     """Remove the membrane from the wing root out to ``span_fraction``.
 
     The chord profile and span are unchanged; only the cutout grows, so
     forces on the affected elements scale to zero. A fraction no larger
     than the wing's current cutout returns the wing unchanged, so applying
-    the same fraction twice is a no-op.
+    the same fraction twice is a no-op. A fraction outside [0, 1) raises
+    the :class:`WingGeometry` ValueError.
     """
-    if not 0.0 <= span_fraction < 1.0:
-        raise ValueError("cutout span fraction must lie in [0, 1)")
-    if span_fraction <= wing.cutout:
-        return wing
-    return replace(wing, cutout=float(span_fraction))
+    cut = replace(wing, cutout=span_fraction)
+    return cut if cut.cutout > wing.cutout else wing
 
 
 def scaled_to_area(wing, area):

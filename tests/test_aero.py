@@ -31,8 +31,8 @@ from wingbeat.aero import (
 from wingbeat.kinematics import FourierSeries, WingKinematics, geometric_aoa
 from wingbeat.presets import beetle_kinematics, standard_wing
 from wingbeat.wing import (
+    WingGeometry,
     apply_inboard_cutout,
-    build_wing,
     discretize,
     scaled_to_area,
 )
@@ -140,7 +140,7 @@ def test_reynolds_doubles_with_frequency():
 
 def test_reynolds_degenerate_inputs():
     kin = beetle_kinematics(17.3, 190.0)
-    zero_area = build_wing([(0.0, 0.0), (0.09, 0.0)])
+    zero_area = WingGeometry(0.0, [(0.0, 0.0), (0.09, 0.0)])
     with pytest.raises(ValueError):
         reynolds(zero_area, kin, ENV)
     frozen = WingKinematics(
@@ -362,8 +362,8 @@ def test_precompute_rejects_a_wing_it_does_not_fit():
     kin = beetle_kinematics(17.3, 190.0)
     solver = SolverSettings(steps_per_cycle=72, n_elements=10)
     precompute = CyclePrecompute.build(wing, kin, solver)
-    stubby = build_wing([(r, 1.2 * c) for r, c in wing.chord_breakpoints],
-                        root_offset=wing.root_offset)
+    stubby = WingGeometry(wing.root_offset,
+                          [(r, 1.2 * c) for r, c in wing.chord_breakpoints])
     offset = replace(wing, root_offset=2.0 * wing.root_offset)
     for other in (apply_inboard_cutout(wing, 0.4), stubby, offset,
                   replace(wing, pitch_axis_fraction=0.3)):
@@ -534,7 +534,7 @@ def test_induced_velocity_nonconvergence_raises():
 
 def test_induced_velocity_non_finite_thrust_raises():
     # A finite but absurd chord overflows the thrust to nan.
-    wing = build_wing([(0.0, 0.02), (0.09, 1e300)])
+    wing = WingGeometry(0.0, [(0.0, 0.02), (0.09, 1e300)])
     kin = beetle_kinematics(17.3, 190.0)
     with pytest.raises(RuntimeError, match="non-finite cycle-mean thrust nan"):
         solve_induced_velocity(wing, kin, ENV)
@@ -687,7 +687,7 @@ def test_empty_stroke_disk_fails_the_finiteness_check(thrust, cause):
     # A 1e-163 m wing, whose squared span underflows, with chords and a
     # frequency that keep its Reynolds number valid: the momentum inflow
     # of any thrust is not finite, and no zero result stands in for it.
-    wing = build_wing([(0.0, 1e60), (1e-163, 1e60)])
+    wing = WingGeometry(0.0, [(0.0, 1e60), (1e-163, 1e60)])
     kin = beetle_kinematics(1.73e101, 190.0)
     assert kin.stroke_amplitude * wing.span**2 == 0.0
     assert reynolds(wing, kin, ENV) > MIN_REYNOLDS
@@ -749,7 +749,7 @@ def flat_plate_kinematics(f=17.3):
 def test_symmetric_stroke_has_zero_mean_lateral_force():
     # Edge-on plate, symmetric stroke: the fixed-direction eta history
     # cancels between half-strokes.
-    wing = build_wing([(0.0, 0.028333), (0.09, 0.028333)])
+    wing = WingGeometry(0.0, [(0.0, 0.028333), (0.09, 0.028333)])
     result = simulate_cycle(wing, flat_plate_kinematics(), ENV)
     eta = result.history.total_eta
     assert abs(np.mean(eta)) < 1e-12 * np.max(np.abs(eta))
@@ -932,8 +932,10 @@ def test_compare_chord_doubling_doubles_translational_lift():
     stroke = FourierSeries(0.0, (0.0,), (math.radians(95.0),), f)
     rot = FourierSeries(math.pi / 2, (-math.radians(45.0),), (0.0,), f)
     kin = WingKinematics(stroke, ((1.0, rot),))
-    thin = build_wing([(0.0, 0.02), (0.09, 0.02)], pitch_axis=0.5)
-    thick = build_wing([(0.0, 0.04), (0.09, 0.04)], pitch_axis=0.5)
+    thin = WingGeometry(0.0, [(0.0, 0.02), (0.09, 0.02)],
+                        pitch_axis_fraction=0.5)
+    thick = WingGeometry(0.0, [(0.0, 0.04), (0.09, 0.04)],
+                         pitch_axis_fraction=0.5)
     # Twice the viscosity holds the Reynolds number of the thick wing.
     a = simulate_cycle(thin, kin, ENV, induced_velocity=0.0)
     b = simulate_cycle(thick, kin, AeroEnvironment(rho=ENV.rho,
@@ -959,7 +961,7 @@ def test_element_state_angle_ranges_over_a_cycle():
 def test_zero_chord_region_produces_finite_forces():
     # A planform with a bare outboard spar (zero chord) must not poison
     # the force grid with divide-by-zero artifacts.
-    wing = build_wing([(0.0, 0.03), (0.05, 0.0), (0.09, 0.0)])
+    wing = WingGeometry(0.0, [(0.0, 0.03), (0.05, 0.0), (0.09, 0.0)])
     kin = beetle_kinematics(17.3, 190.0)
     result = simulate_cycle(wing, kin, ENV)
     assert np.isfinite(result.mean_lift)

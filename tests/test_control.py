@@ -270,3 +270,13 @@ def test_negative_gyro_noise_sigma_is_rejected():
                                          "0, got -2.0"):
         simulate_closed_loop(YawPlant(inertia=1.0), config, duration=0.1,
                              dt=0.01, gyro_sigma=-2.0)
+
+
+@pytest.mark.parametrize("schedule", [(), ((0.0,),), ((0.0, 1.0, 2.0),),
+                                      ((0.0, math.nan),), ((math.inf, 1.0),)])
+def test_controller_rejects_a_schedule_the_loop_cannot_look_up(schedule):
+    # Unchecked, an empty schedule reaches the loop's setpoint lookup and
+    # fails there with an IndexError.
+    with pytest.raises(ValueError, match="setpoint schedule must be a "
+                                         "non-empty sequence of finite"):
+        ControllerConfig(kp=4.0, kd=2.5, setpoint_schedule=schedule)

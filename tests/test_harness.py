@@ -292,6 +292,11 @@ def test_config_parses_task_sections():
     assert bare.control.disturbance == YawPlant(inertia=1.0).disturbance
     assert (bare.control.gyro_sigma_dps, bare.control.gyro_bias_dps) == (
         loop["gyro_sigma"].default, loop["gyro_bias"].default)
+    # The run gets the records the parse checked, with a fresh plant.
+    plant, controller, *grid = bare.control.loop_arguments()
+    assert (plant, controller, grid) == (
+        YawPlant(1.0), ControllerConfig(kp=4.0, kd=2.5), [5.0, 0.01, 0.0, 0.0])
+    assert bare.control.loop_arguments()[0] is not plant
     config = StudyConfig.from_dict(base_config_dict(
         power=POWER, control={"kp": 3, "setpoint_schedule": [[0, 5]]}))
     assert config.power == PowerSection(**POWER)

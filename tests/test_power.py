@@ -18,7 +18,7 @@ from wingbeat.power import (
     shunt_current,
 )
 from wingbeat.presets import beetle_kinematics, standard_wing
-from wingbeat.wing import build_wing
+from wingbeat.wing import WingGeometry
 
 
 def test_gram_force_constant():
@@ -186,7 +186,7 @@ def test_mass_model_distribution():
 
 def test_mass_model_of_a_zero_area_wing_is_uniform():
     # No membrane to weight by: the mass spreads evenly over the elements.
-    wing = build_wing([(0.0, 0.0), (0.09, 0.0)])
+    wing = WingGeometry(0.0, [(0.0, 0.0), (0.09, 0.0)])
     model = WingMassModel.from_wing(wing, 0.4e-3)
     assert model.masses == pytest.approx((0.02e-3,) * 20, rel=1e-12)
 

@@ -1,5 +1,6 @@
 """Wing geometry: construction, areas, discretization, inboard cutout."""
 
+from dataclasses import replace
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -8,8 +9,8 @@ import pytest
 
 from oracles import element_area_scale, strip_areas
 from wingbeat.wing import (
+    WingGeometry,
     apply_inboard_cutout,
-    build_wing,
     discretize,
     scaled_to_area,
 )
@@ -18,7 +19,7 @@ from wingbeat.presets import standard_wing
 
 def test_rectangular_planform_area_and_aspect_ratio():
     # R = 9 cm at constant 2.8333 cm chord: 25.5 cm^2 at AR ~ 3.18.
-    wing = build_wing([(0.0, 0.028333), (0.09, 0.028333)])
+    wing = WingGeometry(0.0, [(0.0, 0.028333), (0.09, 0.028333)])
     assert wing.area == pytest.approx(0.09 * 0.028333, rel=1e-12)
     assert wing.area * 1e4 == pytest.approx(25.5, rel=2e-4)
     assert wing.aspect_ratio == pytest.approx(0.09 / 0.028333, rel=1e-12)
@@ -26,7 +27,7 @@ def test_rectangular_planform_area_and_aspect_ratio():
 
 
 def test_zero_chord_planform_is_degenerate():
-    wing = build_wing([(0.0, 0.0), (0.09, 0.0)])
+    wing = WingGeometry(0.0, [(0.0, 0.0), (0.09, 0.0)])
     assert wing.area == 0.0
     with pytest.raises(ValueError):
         wing.aspect_ratio
@@ -48,28 +49,29 @@ def test_standard_wing_rejects_a_non_positive_area(area_cm2):
         standard_wing(area_cm2)
 
 
-def test_build_wing_rejects_bad_breakpoints():
+def test_wing_geometry_rejects_bad_breakpoints():
     with pytest.raises(ValueError, match="strictly increase"):
-        build_wing([(0.0, 0.02), (0.05, 0.02), (0.04, 0.02)])
+        WingGeometry(0.0, [(0.0, 0.02), (0.05, 0.02), (0.04, 0.02)])
     with pytest.raises(ValueError, match="non-negative"):
-        build_wing([(0.0, 0.02), (0.09, -0.01)])
+        WingGeometry(0.0, [(0.0, 0.02), (0.09, -0.01)])
     with pytest.raises(ValueError, match="at least two"):
-        build_wing([(0.0, 0.02)])
+        WingGeometry(0.0, [(0.0, 0.02)])
     with pytest.raises(ValueError, match="root"):
-        build_wing([(0.01, 0.02), (0.09, 0.02)])
+        WingGeometry(0.0, [(0.01, 0.02), (0.09, 0.02)])
 
 
 def test_pitch_axis_validation():
     for bad in (-0.1, 1.5):
         with pytest.raises(ValueError, match=r"pitch-axis chord fraction "
                                              r"must lie in \[0, 1\]"):
-            build_wing([(0.0, 0.02), (0.09, 0.02)], pitch_axis=bad)
-    wing = build_wing([(0.0, 0.02), (0.09, 0.02)])
+            WingGeometry(0.0, [(0.0, 0.02), (0.09, 0.02)],
+                         pitch_axis_fraction=bad)
+    wing = WingGeometry(0.0, [(0.0, 0.02), (0.09, 0.02)])
     assert wing.pitch_axis_at(0.05) == pytest.approx(0.25 * 0.02)
 
 
 def test_discretize_uniform_wing():
-    wing = build_wing([(0.0, 0.028), (0.09, 0.028)])
+    wing = WingGeometry(0.0, [(0.0, 0.028), (0.09, 0.028)])
     elements = discretize(wing, 20)
     assert elements.radius.shape == (20,)
     assert np.allclose(elements.width, 0.09 / 20)
@@ -89,13 +91,13 @@ def test_discretization_refinement_conserves_area():
 
 def test_triangular_planform_area():
     c_root, span = 0.03, 0.09
-    wing = build_wing([(0.0, c_root), (span, 0.0)])
+    wing = WingGeometry(0.0, [(0.0, c_root), (span, 0.0)])
     elements = discretize(wing, 20)
     assert elements.active_area == pytest.approx(0.5 * c_root * span, rel=1e-2)
 
 
 def test_discretize_needs_two_elements():
-    wing = build_wing([(0.0, 0.028333), (0.09, 0.028333)])
+    wing = WingGeometry(0.0, [(0.0, 0.028333), (0.09, 0.028333)])
     with pytest.raises(ValueError):
         discretize(wing, 1)
 
@@ -106,7 +108,7 @@ def test_cutout_zero_is_identity():
 
 
 def test_cutout_quarter_span_rectangular():
-    wing = build_wing([(0.0, 0.028333), (0.09, 0.028333)])
+    wing = WingGeometry(0.0, [(0.0, 0.028333), (0.09, 0.028333)])
     cut = apply_inboard_cutout(wing, 0.25)
     assert cut.area == pytest.approx(0.75 * wing.area, rel=1e-12)
     assert cut.area * 1e4 == pytest.approx(19.1, abs=0.05)
@@ -123,10 +125,16 @@ def test_cutout_near_total_still_discretizes():
 
 
 def test_cutout_rejects_bad_fraction():
-    wing = build_wing([(0.0, 0.028333), (0.09, 0.028333)])
-    for bad in (-0.1, 1.0, 1.5):
-        with pytest.raises(ValueError):
-            apply_inboard_cutout(wing, bad)
+    # The wing checks its own cutout, so replace() cannot skip the check,
+    # and a cut wing rejects a fraction below its own cutout too.
+    wing = WingGeometry(0.0, [(0.0, 0.028333), (0.09, 0.028333)])
+    message = r"cutout span fraction must lie in \[0, 1\)"
+    for base in (wing, apply_inboard_cutout(wing, 0.3)):
+        for bad in (-0.1, 1.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match=message):
+                apply_inboard_cutout(base, bad)
+            with pytest.raises(ValueError, match=message):
+                replace(base, cutout=bad)
 
 
 def test_cutout_area_additivity():
@@ -162,7 +170,7 @@ def cut_wings(draw):
     chord = st.floats(min_value=0.0, max_value=0.05)
     chords = draw(st.lists(chord, min_size=len(stations),
                            max_size=len(stations)))
-    wing = build_wing(list(zip(stations, chords)))
+    wing = WingGeometry(0.0, list(zip(stations, chords)))
     fraction = st.one_of(
         st.floats(min_value=0.0, max_value=0.99),
         st.sampled_from([r / span for r in stations[:-1]]),
@@ -222,7 +230,7 @@ def test_scaled_to_area_preserves_shape():
 
 
 def test_scaled_to_area_rejects_zero_area_wing():
-    wing = build_wing([(0.0, 0.0), (0.09, 0.0)])
+    wing = WingGeometry(0.0, [(0.0, 0.0), (0.09, 0.0)])
     with pytest.raises(ValueError, match="cannot rescale a zero-area wing"):
         scaled_to_area(wing, 25e-4)
 
