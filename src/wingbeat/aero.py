@@ -13,7 +13,9 @@ moments (:func:`_lift_cubic`, :func:`_drag_cubic`). :func:`element_forces`
 evaluates them per cell and a :class:`CyclePrecompute` on moments summed
 over a cycle grid; both read the inflow-free cell terms that an
 :class:`ElementState` caches at unit air density. So a precompute holds
-no density, and :meth:`CyclePrecompute.loads` takes the solve's.
+no density, and :meth:`CyclePrecompute.loads` takes the solve's. An
+element state is the wing's blade elements in motion; one function builds
+every cycle grid of them from the wing, kinematics and solver settings.
 
 Those terms take two trig passes over the cells, sin and cos of the
 rotation angle theta, and no others. The geometric angle of attack
@@ -41,7 +43,7 @@ import numbers
 import numpy as np
 
 from .kinematics import geometric_aoa
-from .wing import discretize
+from .wing import BladeElements, discretize
 
 
 @dataclass(frozen=True)
@@ -147,22 +149,17 @@ def reynolds(wing, kin, env):
 
 
 @dataclass(frozen=True)
-class ElementState:
-    """Instantaneous state of one or more blade elements.
+class ElementState(BladeElements):
+    """The wing's :class:`BladeElements` in motion.
 
     The rotation angle, rate and acceleration share the state's shape, and
-    every other field broadcasts to it, so the same dataclass serves a
-    single scalar element and a (steps, elements) grid. Angles in radians,
-    lengths in metres, rates in 1/s. Every cached property is free of the
-    inflow ``v_induced``, so :meth:`with_inflow` shares the whole cache;
-    :attr:`alpha_effective`, which depends on it, is formed on each read.
+    every other field broadcasts to it: one element, or the (steps, n) grid
+    that :func:`_element_grid_state` builds from the wing, the kinematics
+    and the solver settings. Angles in radians, lengths in metres, rates in
+    1/s. Cached properties are free of the inflow ``v_induced``, so
+    :meth:`with_inflow` shares them; :attr:`alpha_effective` is not cached.
     """
 
-    radius: np.ndarray
-    chord: np.ndarray
-    pitch_axis: np.ndarray
-    width: np.ndarray
-    area_scale: np.ndarray
     stroke_rate: np.ndarray
     stroke_accel: np.ndarray
     rotation_angle: np.ndarray
@@ -406,17 +403,16 @@ def element_forces(state, env, re):
     )
 
 
-def _element_grid_state(elements, kin, steps):
-    """Element states on a uniform one-cycle time grid, shape (steps, n)."""
+def _element_grid_state(wing, kin, solver):
+    """The times of a uniform one-cycle ``solver`` grid, and on it the
+    wing's blade elements moving as ``kin`` says, shape (steps, n)."""
+    elements = discretize(wing, solver.n_elements)
+    steps = solver.steps_per_cycle
     t = np.arange(steps) / (steps * kin.frequency)
     weights = kin.station_weights(elements.span_fraction)
     rot = [kin.station_series(t, order) @ weights.T for order in (0, 1, 2)]
     return t, ElementState(
-        radius=elements.radius,
-        chord=elements.chord,
-        pitch_axis=elements.pitch_axis,
-        width=elements.width,
-        area_scale=elements.area_scale,
+        **vars(elements),
         stroke_rate=kin.stroke.eval(t, 1)[:, None],
         stroke_accel=kin.stroke.eval(t, 2)[:, None],
         rotation_angle=rot[0],
@@ -456,21 +452,12 @@ class CyclePrecompute:
     @classmethod
     def build(cls, wing, kin, solver):
         """Precompute on the ``solver`` grid of ``kin`` for ``wing``."""
-        elements = discretize(wing, solver.n_elements)
         with np.errstate(all="ignore"):
-            _, state = _element_grid_state(elements, kin,
-                                           solver.steps_per_cycle)
+            _, state = _element_grid_state(wing, kin, solver)
             means = state.unsteady_terms[2]
             v_t, terms = state.v_translational, state.translational_terms
             del state  # the grid and its unsteady terms, before the moments
             return cls._from_means(means, v_t, terms, kin, wing)
-
-    @classmethod
-    def from_state(cls, state, kin, wing):
-        """Precompute on an element grid of ``kin`` for ``wing``; the grid's
-        inflow is ignored."""
-        return cls._from_means(state.unsteady_terms[2], state.v_translational,
-                               state.translational_terms, kin, wing)
 
     @classmethod
     def _from_means(cls, means, v_t, terms, kin, wing):
@@ -737,18 +724,19 @@ def simulate_cycle(wing, kin, env, solver=SolverSettings(),
     if induced_velocity is not None and not 0.0 <= induced_velocity < math.inf:
         raise ValueError(f"induced velocity must be finite and non-negative, "
                          f"got {induced_velocity}")
-    elements = discretize(wing, solver.n_elements)
     re = reynolds(wing, kin, env)
     vi_info = None
     # As in the inflow solve: absurd inputs end in one error message.
     with np.errstate(all="ignore"):
-        t, state = _element_grid_state(elements, kin, solver.steps_per_cycle)
+        t, state = _element_grid_state(wing, kin, solver)
         if induced_velocity is None:
             vi_info = solve_induced_velocity(
-                wing, kin, env, solver, precompute=CyclePrecompute.from_state(
-                    state, kin, wing))
+                wing, kin, env, solver, precompute=CyclePrecompute._from_means(
+                    state.unsteady_terms[2], state.v_translational,
+                    state.translational_terms, kin, wing))
             induced_velocity = vi_info.v_induced
         v_t, rate = state.v_translational, state.stroke_rate
+        span_fractions = state.span_fraction
         forces = element_forces(state.with_inflow(induced_velocity), env, re)
         del state  # and with it the cell terms, before the sums below
 
@@ -777,7 +765,7 @@ def simulate_cycle(wing, kin, env, solver=SolverSettings(),
         v_induced=float(induced_velocity),
         reynolds_number=float(re),
         frequency=kin.frequency,
-        span_fractions=elements.span_fraction,
+        span_fractions=span_fractions,
         spanwise_lift=spanwise_lift,
         spanwise_power=spanwise_power,
         t=t,

@@ -248,7 +248,7 @@ class ControlSection:
 
     def __post_init__(self):
         closed_loop_grid(self.cutoff_hz, self.duration_s, self.dt_s,
-                         self.gyro_sigma_dps)
+                         self.gyro_sigma_dps, self.gyro_bias_dps)
         self.loop_arguments()
 
     def loop_arguments(self):

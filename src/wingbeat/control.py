@@ -139,9 +139,9 @@ class ControlTrace:
     control_output: np.ndarray
 
 
-def closed_loop_grid(cutoff_hz, duration, dt, gyro_sigma=0.0):
+def closed_loop_grid(cutoff_hz, duration, dt, gyro_sigma=0.0, gyro_bias=0.0):
     """Steps and low-pass coefficient of a closed-loop run; ValueError
-    for a bad duration, time step, step count, gyro sigma or cutoff."""
+    for a bad duration, time step, step count, cutoff, gyro sigma or bias."""
     if not 0.0 < dt <= duration < dt * 2**53:
         raise ValueError("duration and time step must be positive, and the "
                          "duration at least one time step and finitely many")
@@ -151,6 +151,8 @@ def closed_loop_grid(cutoff_hz, duration, dt, gyro_sigma=0.0):
                          f"the limit of {MAX_STEPS}")
     if not gyro_sigma >= 0.0:
         raise ValueError(f"gyro sigma must be at least 0, got {gyro_sigma}")
+    if not math.isfinite(gyro_bias):
+        raise ValueError(f"gyro bias must be finite, got {gyro_bias}")
     return n, LowPassFilter(low_pass_coefficient(cutoff_hz, dt)).beta
 
 
@@ -176,7 +178,8 @@ def simulate_closed_loop(plant, config, duration, dt,
     Raises ValueError for inputs :func:`closed_loop_grid` rejects, and
     RuntimeError (with the step index) if the state diverges.
     """
-    n, beta = closed_loop_grid(config.cutoff_hz, duration, dt, gyro_sigma)
+    n, beta = closed_loop_grid(config.cutoff_hz, duration, dt, gyro_sigma,
+                               gyro_bias)
     rng = np.random.default_rng(seed)
     keep = 1.0 - beta
     kp, kd, gain = config.kp, config.kd, config.plant_gain

@@ -21,7 +21,7 @@ import numpy as np
 class WingGeometry:
     """Immutable wing planform. Making one, by ``dataclasses.replace`` too,
     converts its numbers to floats and raises ValueError for a field
-    outside the range given below (NaN lies outside every range).
+    outside the range given below (every range holds finite numbers only).
 
     Attributes
     ----------
@@ -64,6 +64,8 @@ class WingGeometry:
             raise ValueError("pitch-axis chord fraction must lie in [0, 1]")
         if not 0.0 <= self.cutout < 1.0:
             raise ValueError("cutout span fraction must lie in [0, 1)")
+        if not (np.isfinite(pts).all() and math.isfinite(self.root_offset)):
+            raise ValueError("breakpoints and root offset must be finite")
 
     @property
     def span(self):

@@ -49,24 +49,24 @@ def reference_forces(state, env, re):
     )
 
 
-def _reference_pass(elements, kin, env, steps, v_induced, re):
-    _, state = _element_grid_state(elements, kin, steps)
+def _reference_pass(wing, kin, env, solver, v_induced, re):
+    _, state = _element_grid_state(wing, kin, solver)
     state = state.with_inflow(v_induced)
     return state, reference_forces(state, env, re)
 
 
-def pair_mean_thrust(elements, kin, env, steps, v_induced, re):
+def pair_mean_thrust(wing, kin, env, solver, v_induced, re):
     """Cycle-mean vertical force of the wing pair at a given inflow, from
-    one reference force pass on the element grid."""
-    _, forces = _reference_pass(elements, kin, env, steps, v_induced, re)
+    one reference force pass on the ``solver`` element grid."""
+    _, forces = _reference_pass(wing, kin, env, solver, v_induced, re)
     return 2.0 * float(np.mean(np.sum(forces.total_zeta, axis=1)))
 
 
-def pair_mean_power(elements, kin, env, steps, v_induced, re):
+def pair_mean_power(wing, kin, env, solver, v_induced, re):
     """Cycle-mean aerodynamic power of the wing pair at a given inflow: the
     eta force opposing the motion times the section speed, from one
-    reference force pass on the element grid."""
-    state, forces = _reference_pass(elements, kin, env, steps, v_induced, re)
+    reference force pass on the ``solver`` element grid."""
+    state, forces = _reference_pass(wing, kin, env, solver, v_induced, re)
     return 2.0 * float(np.mean(np.sum(
         state.v_translational * -forces.total_eta, axis=1)))
 

@@ -176,9 +176,8 @@ def test_criterion_5_solver_convergence_properties():
         # Fixed-point self-consistency at the returned inflow.
         from oracles import pair_mean_thrust
         from wingbeat.aero import reynolds
-        from wingbeat.wing import discretize
         vi = wb.solve_induced_velocity(wing, kin, ENV)
-        thrust = pair_mean_thrust(discretize(wing, 20), kin, ENV, 720,
+        thrust = pair_mean_thrust(wing, kin, ENV, SolverSettings(),
                                   vi.v_induced, reynolds(wing, kin, ENV))
         rederived = math.sqrt(max(thrust, 0.0) / (
             2.0 * ENV.rho * kin.stroke_amplitude * wing.span**2))

@@ -58,9 +58,9 @@ ENV = AeroEnvironment()
 
 def scalar_state(**overrides):
     state = dict(radius=0.05, chord=0.03, pitch_axis=0.0075, width=0.0045,
-                 area_scale=1.0, stroke_rate=10.0, stroke_accel=0.0,
-                 rotation_angle=math.radians(45.0), rotation_rate=0.0,
-                 rotation_accel=0.0, v_induced=0.0)
+                 area_scale=1.0, span_fraction=0.5, stroke_rate=10.0,
+                 stroke_accel=0.0, rotation_angle=math.radians(45.0),
+                 rotation_rate=0.0, rotation_accel=0.0, v_induced=0.0)
     state.update(overrides)
     return ElementState(**{k: np.float64(v) if not isinstance(v, float) else v
                            for k, v in state.items()})
@@ -234,8 +234,9 @@ def test_element_state_derived_arrays_are_computed_once():
     assert cached
 
     def fresh(v_induced):
-        _, state = _element_grid_state(discretize(standard_wing(25.5), 20),
-                                       beetle_kinematics(17.3, 190.0), 72)
+        _, state = _element_grid_state(
+            standard_wing(25.5), beetle_kinematics(17.3, 190.0),
+            SolverSettings(steps_per_cycle=72))
         return state.with_inflow(v_induced)
 
     low, state = fresh(0.5), fresh(1.5)
@@ -271,7 +272,8 @@ def unit_states(draw):
                                       max_size=steps)))[:, None]
     chord = 2.0 / math.pi
     return ElementState(radius=0.05, chord=chord, pitch_axis=0.5 * chord - 1.0,
-                        width=math.pi, area_scale=1.0, stroke_rate=rate,
+                        width=math.pi, area_scale=1.0, span_fraction=0.5,
+                        stroke_rate=rate,
                         stroke_accel=0.0, rotation_angle=theta,
                         rotation_rate=np.zeros_like(theta),
                         rotation_accel=np.ones_like(theta))
@@ -308,8 +310,9 @@ def test_induced_velocity_zero_kinematics():
 
 def momentum_residual(wing, kin, env, v, steps=720, n_elements=20):
     """g(v) of the inflow balance, on the full force path."""
-    thrust = pair_mean_thrust(discretize(wing, n_elements), kin, env, steps,
-                              v, reynolds(wing, kin, env))
+    solver = SolverSettings(steps_per_cycle=steps, n_elements=n_elements)
+    thrust = pair_mean_thrust(wing, kin, env, solver, v,
+                              reynolds(wing, kin, env))
     return (math.sqrt(max(thrust, 0.0)
                       / (2.0 * env.rho * kin.stroke_amplitude * wing.span**2))
             - v)
@@ -339,7 +342,6 @@ def test_rescaled_precompute_matches_full_path(shape, cutout):
     for area in (20.1, 25.5, 31.4):
         wing = apply_inboard_cutout(scaled_to_area(reference, area * 1e-4),
                                     cutout)
-        elements = discretize(wing, 20)
         for a in (0.7, 1.0, 1.3):
             for r in (0.6, 1.0, 1.5):
                 kin = base.with_stroke_amplitude(
@@ -350,9 +352,9 @@ def test_rescaled_precompute_matches_full_path(shape, cutout):
                     thrust, power = precompute.loads(scales, v, re,
                                                      ENV.rho)
                     assert thrust == pytest.approx(pair_mean_thrust(
-                        elements, kin, ENV, 720, v, re), rel=1e-12)
+                        wing, kin, ENV, SolverSettings(), v, re), rel=1e-12)
                     assert power == pytest.approx(pair_mean_power(
-                        elements, kin, ENV, 720, v, re), rel=1e-12)
+                        wing, kin, ENV, SolverSettings(), v, re), rel=1e-12)
 
 
 def test_precompute_rejects_a_wing_it_does_not_fit():
@@ -479,9 +481,9 @@ def test_induced_velocity_self_consistency():
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
     result = solve_induced_velocity(wing, kin, ENV)
-    elements = discretize(wing, 20)
     re = reynolds(wing, kin, ENV)
-    thrust = pair_mean_thrust(elements, kin, ENV, 720, result.v_induced, re)
+    thrust = pair_mean_thrust(wing, kin, ENV, SolverSettings(),
+                              result.v_induced, re)
     rederived = math.sqrt(max(thrust, 0.0)
                           / (2.0 * ENV.rho * kin.stroke_amplitude * wing.span**2))
     assert abs(rederived - result.v_induced) < 1e-6
@@ -491,7 +493,7 @@ def test_induced_velocity_reports_thrust_at_the_root():
     wing = apply_inboard_cutout(standard_wing(25.5), 0.3)
     kin = beetle_kinematics(17.3, 190.0)
     result = solve_induced_velocity(wing, kin, ENV)
-    thrust = pair_mean_thrust(discretize(wing, 20), kin, ENV, 720,
+    thrust = pair_mean_thrust(wing, kin, ENV, SolverSettings(),
                               result.v_induced, reynolds(wing, kin, ENV))
     assert result.lift == pytest.approx(thrust, rel=1e-12)
 
@@ -801,9 +803,9 @@ def test_fixed_inflow_whose_loads_overflow_is_one_error():
 
 
 def test_solved_cycle_forms_each_inflow_free_term_once(monkeypatch):
-    # The inflow solve's precompute and the force pass read one set of
-    # cached cell terms, with one sin/cos pass over the rotation angle and
-    # no geometric angle of attack.
+    # The inflow solve's precompute and the force pass read one element
+    # grid and one set of its cached cell terms, with one sin/cos pass over
+    # the rotation angle and no geometric angle of attack.
     calls = Counter()
 
     def counting(name, fn):
@@ -812,16 +814,16 @@ def test_solved_cycle_forms_each_inflow_free_term_once(monkeypatch):
             return fn(*args)
         return counted
 
-    monkeypatch.setattr(aero, "geometric_aoa",
-                        counting("geometric_aoa", aero.geometric_aoa))
+    for name in ("geometric_aoa", "discretize"):
+        monkeypatch.setattr(aero, name, counting(name, getattr(aero, name)))
     for name in ("rotation_trig", "translational_terms", "unsteady_terms"):
         term = vars(ElementState)[name]
         monkeypatch.setattr(term, "func", counting(name, term.func))
     result = simulate_cycle(standard_wing(25.5),
                             beetle_kinematics(17.3, 190.0), ENV)
     assert result.vi_info is not None
-    assert calls == {"rotation_trig": 1, "translational_terms": 1,
-                     "unsteady_terms": 1}
+    assert calls == {"discretize": 1, "rotation_trig": 1,
+                     "translational_terms": 1, "unsteady_terms": 1}
 
 
 def test_spanwise_bookkeeping_and_trapezoid_consistency():
@@ -949,7 +951,7 @@ def test_element_state_angle_ranges_over_a_cycle():
     # construction, checked over a full preset cycle.
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
-    _, state = _element_grid_state(discretize(wing, 20), kin, 720)
+    _, state = _element_grid_state(wing, kin, SolverSettings())
     state = state.with_inflow(1.8)
     alpha_e = state.alpha_effective
     phi = geometric_aoa(state.rotation_angle, state.stroke_rate) - alpha_e
@@ -1023,7 +1025,7 @@ def test_forces_match_independent_scalar_oracle():
     inputs += [dict(inputs[i], stroke_rate=0.0, v_induced=v)
                for i in range(10) for v in (0.0, 1.2)]
     for kwargs in inputs:
-        state = ElementState(**kwargs)
+        state = ElementState(span_fraction=0.5, **kwargs)
         fb = element_forces(state, ENV, re)
         want = oracle_element_forces(
             kwargs["radius"], kwargs["chord"], kwargs["pitch_axis"],
@@ -1045,7 +1047,7 @@ def test_force_pass_matches_the_reference_pass_on_a_grid():
         kin = shape(17.3)
         re = reynolds(wing, kin, ENV)
         for v in (0.0, 1.87, 3.5):
-            _, state = _element_grid_state(discretize(wing, 20), kin, 720)
+            _, state = _element_grid_state(wing, kin, SolverSettings())
             state = state.with_inflow(v)
             got = element_forces(state, ENV, re)
             want = reference_forces(state, ENV, re)
@@ -1057,8 +1059,9 @@ def test_force_pass_matches_the_reference_pass_on_a_grid():
 def test_force_pass_at_stroke_reversal_without_inflow():
     # A cell with no section speed and no inflow has no dynamic pressure:
     # zero translational force, finite forces, and no 0/0 warning.
-    _, state = _element_grid_state(discretize(standard_wing(25.5), 20),
-                                   beetle_kinematics(17.3, 190.0), 72)
+    _, state = _element_grid_state(standard_wing(25.5),
+                                   beetle_kinematics(17.3, 190.0),
+                                   SolverSettings(steps_per_cycle=72))
     rate = state.stroke_rate.copy()
     rate[[0, 36]] = 0.0
     state = replace(state, stroke_rate=rate)

@@ -195,9 +195,6 @@ UNCHECKED = {
                         "parse rejects non-finite numbers",
     "LowPassFilter.y": "the filter's running output, not a parameter; the "
                        "closed loop inlines the filter and starts it at 0",
-    "ControlSection.gyro_bias_dps": "passed as is to simulate_closed_loop, "
-                                    "which takes any bias; the config parse "
-                                    "rejects non-finite numbers",
 }
 # One valid instance of each record that has a __post_init__ and a float
 # field; the test below fails for a new such record missing here.

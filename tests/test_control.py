@@ -272,6 +272,16 @@ def test_negative_gyro_noise_sigma_is_rejected():
                              dt=0.01, gyro_sigma=-2.0)
 
 
+@pytest.mark.parametrize("bias", [math.nan, math.inf])
+def test_non_finite_gyro_bias_is_rejected(bias):
+    # Unchecked, it fails as the compute error "closed-loop state
+    # diverged at step 0".
+    with pytest.raises(ValueError, match=f"gyro bias must be finite, "
+                                         f"got {bias}"):
+        simulate_closed_loop(YawPlant(1.0), ControllerConfig(1.0, 1.0), 0.1,
+                             0.01, 0.0, bias)
+
+
 @pytest.mark.parametrize("schedule", [(), ((0.0,),), ((0.0, 1.0, 2.0),),
                                       ((0.0, math.nan),), ((math.inf, 1.0),)])
 def test_controller_rejects_a_schedule_the_loop_cannot_look_up(schedule):

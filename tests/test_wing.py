@@ -58,6 +58,15 @@ def test_wing_geometry_rejects_bad_breakpoints():
         WingGeometry(0.0, [(0.0, 0.02)])
     with pytest.raises(ValueError, match="root"):
         WingGeometry(0.0, [(0.01, 0.02), (0.09, 0.02)])
+    # Infinite numbers pass every range guard but the last.
+    for root_offset, breakpoints in (
+            (0.0, [(0.0, 0.02), (math.inf, 0.02)]),
+            (0.0, [(0.0, 0.02), (0.09, math.inf)]),
+            (math.inf, [(0.0, 0.02), (0.09, 0.02)])):
+        with pytest.raises(ValueError) as error:
+            WingGeometry(root_offset, breakpoints)
+        assert str(error.value) == (
+            "breakpoints and root offset must be finite")
 
 
 def test_pitch_axis_validation():
