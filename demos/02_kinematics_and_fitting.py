@@ -17,7 +17,7 @@ print(f"flapping frequency {kin.frequency} Hz, stroke amplitude "
       f"{math.degrees(kin.stroke_amplitude):.1f} deg peak-to-peak")
 
 t = np.linspace(0.0, 1.0 / kin.frequency, 720, endpoint=False)
-rate = kin.stroke.eval(t, 1)
+rate = kin.stroke.eval(t, kin.frequency, 1)
 moving = np.abs(rate) > 0.02 * np.max(np.abs(rate))
 
 print("\nGeometric angle of attack while the wing moves:")
@@ -42,7 +42,8 @@ print(f"  a1 {math.degrees(fitted.a[0]):7.3f} deg, "
 print(f"  RMS residual {math.degrees(rms):.2e} deg")
 
 # Derivatives come out analytically; spot-check against finite differences.
-h = 1e-6 / kin.frequency
-fd = (kin.stroke.eval(0.01 + h) - kin.stroke.eval(0.01 - h)) / (2 * h)
-print(f"\nstroke rate at t=10 ms: analytic {kin.stroke.eval(0.01, 1):.6f}, "
+f = kin.frequency
+h = 1e-6 / f
+fd = (kin.stroke.eval(0.01 + h, f) - kin.stroke.eval(0.01 - h, f)) / (2 * h)
+print(f"\nstroke rate at t=10 ms: analytic {kin.stroke.eval(0.01, f, 1):.6f}, "
       f"finite difference {fd:.6f} rad/s")

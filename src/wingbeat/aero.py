@@ -413,8 +413,8 @@ def _element_grid_state(wing, kin, solver):
     rot = [kin.station_series(t, order) @ weights.T for order in (0, 1, 2)]
     return t, ElementState(
         **vars(elements),
-        stroke_rate=kin.stroke.eval(t, 1)[:, None],
-        stroke_accel=kin.stroke.eval(t, 2)[:, None],
+        stroke_rate=kin.stroke.eval(t, kin.frequency, 1)[:, None],
+        stroke_accel=kin.stroke.eval(t, kin.frequency, 2)[:, None],
         rotation_angle=rot[0],
         rotation_rate=rot[1],
         rotation_accel=rot[2],
@@ -490,16 +490,17 @@ class CyclePrecompute:
         frequency r times, those of the precomputed kinematics, and ``wing``
         is k times the precomputed wing. Raise ``ValueError`` unless
         ``wing``'s lengths over its span, pitch axis and cutout are the
-        precomputed wing's to 1e-9, then unless ``kin`` rescales the
-        precomputed kinematics."""
+        precomputed wing's to 1e-9 (relative, or absolute near 0), then
+        unless ``kin`` rescales the precomputed kinematics."""
         def shape(w):
             return [w.pitch_axis_fraction, w.cutout, w.root_offset / w.span,
                     *(x / w.span for point in w.chord_breakpoints
                       for x in point)]
 
         mine, theirs = shape(self.wing), shape(wing)
-        if len(mine) != len(theirs) or any(abs(x - y) > 1e-9
-                                           for x, y in zip(mine, theirs)):
+        if len(mine) != len(theirs) or not all(
+                math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
+                for x, y in zip(mine, theirs)):
             raise ValueError("wing is not a geometric rescaling of the "
                              "precomputed wing")
         ref = self.kinematics
@@ -507,10 +508,8 @@ class CyclePrecompute:
         ref_harmonics = ref.stroke.a + ref.stroke.b
         peak = max(ref_harmonics, key=abs)
         a = harmonics[ref_harmonics.index(peak)] / peak if peak else 1.0
-        stations = [(f, s.a0, s.a, s.b) for f, s in kin.rotation_stations]
-        ref_stations = [(f, s.a0, s.a, s.b) for f, s in ref.rotation_stations]
         # Harmonics rescaled through different factors agree to rounding.
-        if not (a > 0.0 and stations == ref_stations
+        if not (a > 0.0 and kin.rotation_stations == ref.rotation_stations
                 and len(harmonics) == len(ref_harmonics)
                 and all(abs(x - a * y) <= 1e-9 * a * abs(peak)
                         for x, y in zip(harmonics, ref_harmonics))):
@@ -652,13 +651,12 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
         evaluations (the message reports the last residual).
     """
     re = reynolds(wing, kin, env)
-    # As a numpy scalar, an empty stroke disk (a squared span that
-    # underflows) gives an infinite or NaN momentum inflow, and not a
-    # ZeroDivisionError: the finiteness check reports it.
-    disk_area = np.float64(kin.stroke_amplitude * wing.span**2)
     # Absurd but finite inputs may overflow on the way; the finiteness
     # check on every evaluation reports that as one error, not warnings.
     with np.errstate(all="ignore"):
+        # As a numpy scalar, a squared span that underflows or overflows
+        # gives a non-finite momentum inflow, and no Python exception.
+        disk_area = kin.stroke_amplitude * np.float64(wing.span)**2
         if precompute is None:
             precompute = CyclePrecompute.build(wing, kin, solver)
         grid = (precompute.steps, precompute.v_t_sq.size // precompute.steps)

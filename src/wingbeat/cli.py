@@ -86,7 +86,8 @@ def cmd_fit_kinematics(args, config, out_dir):
     with np.errstate(all="ignore"):
         series, rms = fit_fourier(t, angle, config.kinematics.frequency,
                                   n_harmonics=args.harmonics)
-    write_fit(out_dir, (series, rms, t.size), config.solver)
+    write_fit(out_dir, (series, rms, t.size), config.kinematics.frequency,
+              config.solver)
     print(f"fit: {args.harmonics} harmonics, RMS residual "
           f"{math.degrees(rms):.6g} deg -> {out_dir}")
 

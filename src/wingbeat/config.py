@@ -129,12 +129,16 @@ def wing_from_config(cfg):
     cutout = _finite(cfg.get("cutout_span_fraction", 0.0),
                      "cutout_span_fraction", "wing")
     try:
-        return apply_inboard_cutout(wing, cutout)
+        wing = apply_inboard_cutout(wing, cutout)
     except ValueError as exc:
         raise ConfigError(f"invalid cutout: {exc}") from exc
+    with np.errstate(all="ignore"):  # an overflow is reported here
+        if not math.isfinite(wing.area * 1e4):
+            raise ConfigError("invalid wing: its membrane area overflows")
+    return wing
 
 
-def _series_from_config(cfg, frequency, section):
+def _series_from_config(cfg, section):
     a = [math.radians(x) for x in _numbers(cfg.get("a_deg", []), "a_deg",
                                            section)]
     b = [math.radians(x) for x in _numbers(cfg.get("b_deg", []), "b_deg",
@@ -143,7 +147,7 @@ def _series_from_config(cfg, frequency, section):
     a += [0.0] * (n - len(a))
     b += [0.0] * (n - len(b))
     a0 = math.radians(_finite(cfg.get("a0_deg", 0.0), "a0_deg", section))
-    return FourierSeries(a0=a0, a=tuple(a), b=tuple(b), frequency=frequency)
+    return FourierSeries(a0=a0, a=tuple(a), b=tuple(b))
 
 
 def kinematics_from_config(cfg):
@@ -162,7 +166,7 @@ def kinematics_from_config(cfg):
                           f"period, got {frequency!r}")
     stroke = _series_from_config(
         _section(_require(cfg, "stroke", "kinematics"), "stroke",
-                 ("a0_deg", "a_deg", "b_deg")), frequency, "stroke")
+                 ("a0_deg", "a_deg", "b_deg")), "stroke")
     stations = []
     for st in _list(_require(cfg, "rotation_stations", "kinematics"),
                     "rotation_stations", "kinematics"):
@@ -171,10 +175,15 @@ def kinematics_from_config(cfg):
         stations.append((_finite(_require(st, "span_fraction",
                                           "rotation_stations"),
                                  "span_fraction", "rotation_stations"),
-                         _series_from_config(st, frequency,
-                                             "rotation_stations")))
+                         _series_from_config(st, "rotation_stations")))
+    # A series evaluates its highest harmonic n at 2 pi n f rad/s.
+    n = max(len(series.a) for series in (stroke, *(s for _, s in stations)))
+    if not math.isfinite(2.0 * math.pi * n * frequency):
+        raise ConfigError(f"frequency_hz {frequency!r} overflows 2 pi n f "
+                          f"at harmonic n = {n}")
     try:
-        return WingKinematics(stroke=stroke, rotation_stations=tuple(stations))
+        return WingKinematics(stroke=stroke, rotation_stations=tuple(stations),
+                              frequency=frequency)
     except ValueError as exc:
         raise ConfigError(f"invalid kinematics: {exc}") from exc
 

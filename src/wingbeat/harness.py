@@ -441,12 +441,12 @@ def write_control(out_dir, trace):
                        trace.control_output))
 
 
-def write_fit(out_dir, fit, solver):
-    """``fit.json`` of a Fourier fit, given as (series, RMS residual in
-    rad, number of samples)."""
+def write_fit(out_dir, fit, frequency, solver):
+    """``fit.json`` of a Fourier fit at ``frequency`` (Hz), given as
+    (series, RMS residual in rad, number of samples)."""
     series, rms, n_samples = fit
     write_json(os.path.join(out_dir, "fit.json"), {
-        "frequency_hz": series.frequency,
+        "frequency_hz": frequency,
         "a0_deg": math.degrees(series.a0),
         "a_deg": [math.degrees(x) for x in series.a],
         "b_deg": [math.degrees(x) for x in series.b],

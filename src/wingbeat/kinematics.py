@@ -1,9 +1,11 @@
 """Wing-stroke kinematics: truncated Fourier series with analytic derivatives.
 
 The stroke angle and the sectional rotation angle are represented as
-truncated Fourier series of a common flapping frequency. Rotation is given
-at a small number of spanwise stations; values in between follow by linear
-interpolation, which models the passive spanwise twist of a membrane wing.
+truncated Fourier series of a common flapping frequency. The kinematics
+hold that frequency once; a series is its coefficients only and takes the
+frequency when evaluated. Rotation is given at a small number of spanwise
+stations; values in between follow by linear interpolation, which models
+the passive spanwise twist of a membrane wing.
 
 Sign convention: positive stroke rate marks the upstroke. The rotation
 angle is measured between the chord and the upstroke direction, so the
@@ -22,33 +24,26 @@ import numpy as np
 class FourierSeries:
     """angle(t) = a0 + sum_n [ a_n cos(2 pi n f t) + b_n sin(2 pi n f t) ].
 
-    Coefficients are in radians, ``frequency`` in Hz. ``eval`` returns the
-    angle or its first/second analytic time derivative.
+    Coefficients are in radians. ``eval`` returns the angle or its
+    first/second analytic time derivative at a frequency f in Hz.
     """
 
     a0: float
     a: tuple
     b: tuple
-    frequency: float
 
     def __post_init__(self):
         if len(self.a) != len(self.b):
             raise ValueError("cosine and sine coefficient lists must have equal length")
-        if not self.frequency > 0.0:
-            raise ValueError("frequency must be positive")
 
-    @property
-    def period(self):
-        return 1.0 / self.frequency
-
-    def eval(self, t, order=0):
-        """Evaluate the series (order 0) or its time derivatives (1, 2)."""
+    def eval(self, t, frequency, order=0):
+        """Angle (order 0) or a time derivative (1, 2) at ``frequency`` Hz."""
         if order not in (0, 1, 2):
             raise ValueError("order must be 0, 1 or 2")
         t = np.asarray(t, dtype=float)
         out = np.full(t.shape, self.a0 if order == 0 else 0.0)
         for n, (an, bn) in enumerate(zip(self.a, self.b), start=1):
-            w = 2.0 * math.pi * n * self.frequency
+            w = 2.0 * math.pi * n * frequency
             wt = w * t
             if order == 0:
                 out += an * np.cos(wt) + bn * np.sin(wt)
@@ -112,8 +107,7 @@ def fit_fourier(t, angle, frequency, n_harmonics=5):
 
     series = FourierSeries(a0=float(coef[0]),
                            a=tuple(coef[1:n_harmonics + 1]),
-                           b=tuple(coef[n_harmonics + 1:]),
-                           frequency=float(frequency))
+                           b=tuple(coef[n_harmonics + 1:]))
     rms = float(np.sqrt(np.mean((design @ coef - angle) ** 2)))
     return series, rms
 
@@ -140,34 +134,30 @@ class WingKinematics:
     """Stroke series plus rotation series at spanwise stations.
 
     ``rotation_stations`` maps span fraction (0 root .. 1 tip) to the
-    rotation-angle series at that station. All series must share the
-    flapping frequency.
+    rotation-angle series at that station. Every series flaps at
+    ``frequency`` (Hz).
     """
 
     stroke: FourierSeries
     rotation_stations: tuple
+    frequency: float
 
     def __post_init__(self):
+        if not self.frequency > 0.0:
+            raise ValueError("frequency must be positive")
         if not self.rotation_stations:
             raise ValueError("need at least one rotation station")
         stations = sorted(self.rotation_stations, key=lambda sf: sf[0])
         object.__setattr__(self, "rotation_stations", tuple(stations))
-        for frac, series in stations:
-            if not 0.0 <= frac <= 1.0:
-                raise ValueError("station span fraction must lie in [0, 1]")
-            if series.frequency != self.stroke.frequency:
-                raise ValueError("all series must share the flapping frequency")
-
-    @property
-    def frequency(self):
-        return self.stroke.frequency
+        if not all(0.0 <= frac <= 1.0 for frac, _ in stations):
+            raise ValueError("station span fraction must lie in [0, 1]")
 
     @cached_property
     def stroke_amplitude(self):
         """Peak-to-peak stroke range (rad) from dense sampling, or as
         :meth:`with_stroke_amplitude` set it."""
-        t = np.linspace(0.0, self.stroke.period, 1440, endpoint=False)
-        angles = self.stroke.eval(t)
+        t = np.linspace(0.0, 1.0 / self.frequency, 1440, endpoint=False)
+        angles = self.stroke.eval(t, self.frequency)
         return float(np.max(angles) - np.min(angles))
 
     def station_weights(self, span_fraction):
@@ -190,7 +180,7 @@ class WingKinematics:
     def station_series(self, t, order=0):
         """Rotation angle (or derivative) of every station at time ``t``,
         stacked on the last axis in station order."""
-        return np.stack([series.eval(t, order)
+        return np.stack([series.eval(t, self.frequency, order)
                          for _, series in self.rotation_stations], axis=-1)
 
     def rotation_at(self, span_fraction, t, order=0):
@@ -204,10 +194,7 @@ class WingKinematics:
         """Time-rescaled kinematics: same coefficients, new frequency. A
         stroke amplitude already known carries over, since a time rescale
         keeps the range of angles."""
-        stroke = replace(self.stroke, frequency=float(frequency))
-        stations = tuple((f, replace(s, frequency=float(frequency)))
-                         for f, s in self.rotation_stations)
-        rescaled = WingKinematics(stroke=stroke, rotation_stations=stations)
+        rescaled = replace(self, frequency=float(frequency))
         if "stroke_amplitude" in self.__dict__:  # cached_property's store
             rescaled.__dict__["stroke_amplitude"] = self.stroke_amplitude
         return rescaled
@@ -221,7 +208,6 @@ class WingKinematics:
         current = self.stroke_amplitude
         if current <= 0.0:
             raise ValueError("cannot rescale a zero-amplitude stroke")
-        scaled = WingKinematics(stroke=self.stroke.scaled(amplitude / current),
-                                rotation_stations=self.rotation_stations)
+        scaled = replace(self, stroke=self.stroke.scaled(amplitude / current))
         scaled.__dict__["stroke_amplitude"] = float(amplitude)
         return scaled

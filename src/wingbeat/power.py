@@ -131,8 +131,8 @@ def inertial_power(mass_model, kin):
     weighted per mass as :meth:`WingKinematics.rotation_at` weights them.
     """
     t = np.arange(720) / (720 * kin.frequency)
-    stroke_rate = kin.stroke.eval(t, 1)
-    stroke_accel = kin.stroke.eval(t, 2)
+    stroke_rate = kin.stroke.eval(t, kin.frequency, 1)
+    stroke_accel = kin.stroke.eval(t, kin.frequency, 2)
     station_rate = kin.station_series(t, 1)
     station_accel = kin.station_series(t, 2)
     station_weights = kin.station_weights(mass_model.span_fractions)

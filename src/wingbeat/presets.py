@@ -51,14 +51,13 @@ def standard_wing(area_cm2=25.5):
     return scaled_to_area(wing, area)
 
 
-def _rotation_series(twist_deg, lag_deg, frequency):
+def _rotation_series(twist_deg, lag_deg):
     # alpha_r(t) = 90 deg - twist * cos(2 pi f t - lag)
     twist = math.radians(twist_deg)
     lag = math.radians(lag_deg)
     return FourierSeries(a0=math.pi / 2.0,
                          a=(-twist * math.cos(lag),),
-                         b=(-twist * math.sin(lag),),
-                         frequency=frequency)
+                         b=(-twist * math.sin(lag),))
 
 
 def beetle_kinematics(frequency_hz=17.3, amplitude_deg=190.0):
@@ -73,11 +72,9 @@ def beetle_kinematics(frequency_hz=17.3, amplitude_deg=190.0):
     outboard).
     """
     stroke = FourierSeries(a0=0.0, a=(0.0,),
-                           b=(math.radians(amplitude_deg) / 2.0,),
-                           frequency=frequency_hz)
+                           b=(math.radians(amplitude_deg) / 2.0,))
     return WingKinematics(stroke=stroke, rotation_stations=(
         (STANDARD_INBOARD_STATION,
-         _rotation_series(STANDARD_INBOARD_TWIST_DEG, 0.0, frequency_hz)),
-        (1.0, _rotation_series(STANDARD_TIP_TWIST_DEG, STANDARD_TIP_LAG_DEG,
-                               frequency_hz)),
-    ))
+         _rotation_series(STANDARD_INBOARD_TWIST_DEG, 0.0)),
+        (1.0, _rotation_series(STANDARD_TIP_TWIST_DEG, STANDARD_TIP_LAG_DEG)),
+    ), frequency=frequency_hz)

@@ -96,7 +96,7 @@ def test_criterion_2_cutout_study():
 
         # Preset premise: inboard geometric AoA stays in the 60-90 band.
         t = np.linspace(0.0, 1 / 17.3, 1440, endpoint=False)
-        rate = kin.stroke.eval(t, 1)
+        rate = kin.stroke.eval(t, 17.3, 1)
         moving = np.abs(rate) > 1e-3 * np.max(np.abs(rate))
         for frac in (0.05, 0.25):
             aoa = np.degrees(wb.geometric_aoa(kin.rotation_at(frac, t), rate))
@@ -229,8 +229,8 @@ def test_criterion_6_power_budget():
             * (phi_half * w * np.cos(w * t))
         oracle = float(np.trapezoid(np.maximum(series, 0.0), t) * f)
         single = WingKinematics(
-            FourierSeries(0.0, (0.0,), (phi_half,), f),
-            ((1.0, FourierSeries(math.pi / 2, (0.0,), (0.0,), f)),))
+            FourierSeries(0.0, (0.0,), (phi_half,)),
+            ((1.0, FourierSeries(math.pi / 2, (0.0,), (0.0,))),), f)
         model = WingMassModel(masses=(m,), radii=(r,), span_fractions=(1.0,),
                               pitch_offsets=(0.0,))
         got = inertial_power(model, single)
@@ -284,9 +284,9 @@ def test_criterion_8_harness_determinism():
         f = 17.3
         truth = FourierSeries(a0=float(rng.normal()),
                               a=tuple(rng.normal(size=5)),
-                              b=tuple(rng.normal(size=5)), frequency=f)
+                              b=tuple(rng.normal(size=5)))
         t = np.linspace(0.0, 1.0 / f, 240, endpoint=False)
-        fitted, _ = fit_fourier(t, truth.eval(t), f)
+        fitted, _ = fit_fourier(t, truth.eval(t, f), f)
         assert fitted.a0 == pytest.approx(truth.a0, rel=1e-9)
         for got, want in zip(fitted.a + fitted.b, truth.a + truth.b):
             assert got == pytest.approx(want, rel=1e-9)

@@ -144,8 +144,8 @@ def test_reynolds_degenerate_inputs():
     with pytest.raises(ValueError):
         reynolds(zero_area, kin, ENV)
     frozen = WingKinematics(
-        stroke=FourierSeries(0.0, (0.0,), (0.0,), 17.3),
-        rotation_stations=kin.rotation_stations)
+        stroke=FourierSeries(0.0, (0.0,), (0.0,)),
+        rotation_stations=kin.rotation_stations, frequency=17.3)
     with pytest.raises(ValueError):
         reynolds(standard_wing(25.5), frozen, ENV)
 
@@ -301,9 +301,9 @@ def test_geometric_sines_are_products_of_the_rotation_angles(state):
 def test_induced_velocity_zero_kinematics():
     wing = standard_wing(25.5)
     kin = WingKinematics(
-        stroke=FourierSeries(0.0, (0.0,), (0.0,), 17.3),
-        rotation_stations=((1.0, FourierSeries(math.pi / 2, (0.0,), (0.0,),
-                                               17.3)),))
+        stroke=FourierSeries(0.0, (0.0,), (0.0,)),
+        rotation_stations=((1.0, FourierSeries(math.pi / 2, (0.0,), (0.0,))),),
+        frequency=17.3)
     with pytest.raises(ValueError, match="degenerate kinematics"):
         solve_induced_velocity(wing, kin, ENV)
 
@@ -323,10 +323,11 @@ def lopsided_kinematics(f):
     rotational terms keep a cycle-mean power, which the symmetric beetle
     stroke averages out."""
     return WingKinematics(
-        stroke=FourierSeries(0.1, (0.0, 0.25), (1.6, 0.3), f),
+        stroke=FourierSeries(0.1, (0.0, 0.25), (1.6, 0.3)),
         rotation_stations=(
-            (0.25, FourierSeries(1.45, (-0.2, 0.05), (0.1, 0.0), f)),
-            (1.0, FourierSeries(1.35, (-0.6, 0.1), (-0.5, 0.05), f))))
+            (0.25, FourierSeries(1.45, (-0.2, 0.05), (0.1, 0.0))),
+            (1.0, FourierSeries(1.35, (-0.6, 0.1), (-0.5, 0.05)))),
+        frequency=f)
 
 
 @pytest.mark.parametrize("cutout", [0.0, 0.3])
@@ -376,6 +377,10 @@ def test_precompute_rejects_a_wing_it_does_not_fit():
                                     "the precomputed wing")
     similar = scaled_to_area(wing, 31.4e-4)
     solve_induced_velocity(similar, kin, ENV, solver, precompute=precompute)
+    # Shapes agree relatively: a root offset 1e9 spans out rescales too.
+    far = replace(wing, root_offset=1e8)
+    CyclePrecompute.build(far, kin, solver).fit(scaled_to_area(far, 31.4e-4),
+                                                kin)
 
 
 def test_precompute_rejects_kinematics_of_another_shape():
@@ -704,9 +709,9 @@ def test_empty_stroke_disk_fails_the_finiteness_check(thrust, cause):
 
 def inverted_twist_kinematics(f=17.3):
     # Twist phased to push air upward on both half-strokes: negative lift.
-    stroke = FourierSeries(0.0, (0.0,), (math.radians(95.0),), f)
-    rot = FourierSeries(math.pi / 2, (math.radians(60.0),), (0.0,), f)
-    return WingKinematics(stroke, ((1.0, rot),))
+    stroke = FourierSeries(0.0, (0.0,), (math.radians(95.0),))
+    rot = FourierSeries(math.pi / 2, (math.radians(60.0),), (0.0,))
+    return WingKinematics(stroke, ((1.0, rot),), f)
 
 
 def test_negative_thrust_pins_inflow_at_zero():
@@ -743,9 +748,9 @@ def test_hover_trim_of_a_design_that_never_lifts_takes_two_solves(
 # ------------------------------------------------------------ cycle averages
 
 def flat_plate_kinematics(f=17.3):
-    stroke = FourierSeries(0.0, (0.0,), (math.radians(95.0),), f)
-    rot = FourierSeries(math.pi / 2, (0.0,), (0.0,), f)
-    return WingKinematics(stroke, ((1.0, rot),))
+    stroke = FourierSeries(0.0, (0.0,), (math.radians(95.0),))
+    rot = FourierSeries(math.pi / 2, (0.0,), (0.0,))
+    return WingKinematics(stroke, ((1.0, rot),), f)
 
 
 def test_symmetric_stroke_has_zero_mean_lateral_force():
@@ -931,9 +936,9 @@ def test_compare_chord_doubling_doubles_translational_lift():
     # translational force is linear in chord at fixed inflow, so doubling
     # the chord doubles the lift.
     f = 17.3
-    stroke = FourierSeries(0.0, (0.0,), (math.radians(95.0),), f)
-    rot = FourierSeries(math.pi / 2, (-math.radians(45.0),), (0.0,), f)
-    kin = WingKinematics(stroke, ((1.0, rot),))
+    stroke = FourierSeries(0.0, (0.0,), (math.radians(95.0),))
+    rot = FourierSeries(math.pi / 2, (-math.radians(45.0),), (0.0,))
+    kin = WingKinematics(stroke, ((1.0, rot),), f)
     thin = WingGeometry(0.0, [(0.0, 0.02), (0.09, 0.02)],
                         pitch_axis_fraction=0.5)
     thick = WingGeometry(0.0, [(0.0, 0.04), (0.09, 0.04)],
@@ -1088,13 +1093,13 @@ def test_cycle_averages_match_scalar_loop_oracle():
                             induced_velocity=vi)
 
     elements = discretize(wing, n)
-    stations = kin.rotation_stations
-    fracs = [f for f, _ in stations]
+    stations, f = kin.rotation_stations, kin.frequency
+    fracs = [s for s, _ in stations]
     lift = power = 0.0
     for k in range(steps):
-        t = k / (steps * kin.frequency)
-        srate = float(kin.stroke.eval(t, 1))
-        saccel = float(kin.stroke.eval(t, 2))
+        t = k / (steps * f)
+        srate = float(kin.stroke.eval(t, f, 1))
+        saccel = float(kin.stroke.eval(t, f, 2))
         for j in range(n):
             s = elements.span_fraction[j]
             if s <= fracs[0]:
@@ -1106,8 +1111,8 @@ def test_cycle_averages_match_scalar_loop_oracle():
                           if fracs[i] <= s < fracs[i + 1])
                 w0 = (fracs[i0 + 1] - s) / (fracs[i0 + 1] - fracs[i0])
             def rot(order):
-                return (w0 * float(stations[i0][1].eval(t, order))
-                        + (1 - w0) * float(stations[i0 + 1][1].eval(t, order)))
+                return (w0 * float(stations[i0][1].eval(t, f, order))
+                        + (1 - w0) * float(stations[i0 + 1][1].eval(t, f, order)))
             parts = oracle_element_forces(
                 float(elements.radius[j]), float(elements.chord[j]),
                 float(elements.pitch_axis[j]), float(elements.width[j]),

@@ -101,8 +101,10 @@ def invocations(draw):
 @given(invocations())
 # Absurd areas and frequencies whose thrust or power overflows, a trim
 # bracket that starts near zero frequency, a sweep whose every point lies
-# below the Reynolds limit, and a base frequency whose period overflows;
-# random draws rarely hit them.
+# below the Reynolds limit, a base frequency whose period overflows, a
+# span whose square overflows, a wing whose area overflows, and a base
+# frequency whose angular frequency overflows; random draws, which change
+# one position by at most 1e300, miss them.
 @example((_mutated(("sweep", "area_cm2", 1), 1e300, False), [], True,
           ["sweep"], False))
 @example((_mutated(("sweep", "area_cm2", 1), 1e150, False), [], True,
@@ -114,6 +116,14 @@ def invocations(draw):
 @example((_mutated(("sweep", "frequency_hz"), [1e-3], False), [], True,
           ["sweep"], False))
 @example((_mutated(("kinematics", "frequency_hz"), 5e-324, False), [], True,
+          ["control-sim"], False))
+@example((_mutated(("wing", "span_m"), 1e155, False, _mutated(
+    ("wing", "breakpoints"), [[0, 0.01], [1e155, 0.01]], False)), [], True,
+    ["simulate"], False))
+@example((_mutated(("wing", "span_m"), 1e155, False, _mutated(
+    ("wing", "breakpoints"), [[0, 1e155], [1e155, 1e155]], False)), [], True,
+    ["simulate"], False))
+@example((_mutated(("kinematics", "frequency_hz"), 5e307, False), [], True,
           ["control-sim"], False))
 def test_cli_keeps_its_contract(invocation):
     doc, flags, with_config, tail, renamed = invocation

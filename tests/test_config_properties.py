@@ -26,7 +26,7 @@ from wingbeat.control import (
     low_pass_coefficient,
 )
 from wingbeat.harness import check_trim_bracket
-from wingbeat.kinematics import FourierSeries
+from wingbeat.kinematics import FourierSeries, WingKinematics
 from wingbeat.power import (
     MotorElectrical,
     WingMassModel,
@@ -34,7 +34,7 @@ from wingbeat.power import (
     lift_to_power,
     shunt_current,
 )
-from wingbeat.presets import standard_wing
+from wingbeat.presets import beetle_kinematics, standard_wing
 from wingbeat.wing import WingGeometry, scaled_to_area
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
@@ -151,7 +151,8 @@ NAN = math.nan
      "breakpoint stations must strictly increase, got [0.0, nan]"),
     (lambda: scaled_to_area(standard_wing(25.5), NAN),
      "target area must be positive"),
-    (lambda: FourierSeries(0.0, (0.0,), (1.0,), NAN),
+    (lambda: WingKinematics(FourierSeries(0.0, (0.0,), (1.0,)),
+                            ((1.0, FourierSeries(1.0, (), ())),), NAN),
      "frequency must be positive"),
     (lambda: ControllerConfig(1.0, 1.0, 10.0, 1.0, ()),
      "setpoint schedule must be a non-empty sequence of finite (time, "
@@ -178,7 +179,7 @@ NAN = math.nan
 ], ids=["standard_wing", "check_trim_bracket", "YawPlant",
         "YawPlant.disturbance", "WingGeometry.chord",
         "WingGeometry.root_offset", "WingGeometry.pitch_axis_fraction",
-        "WingGeometry.station", "scaled_to_area", "FourierSeries",
+        "WingGeometry.station", "scaled_to_area", "WingKinematics",
         "ControllerConfig.setpoint_schedule", "ControllerConfig.cutoff_hz",
         "ControllerConfig.kp", "low_pass_coefficient", "integrate_yaw",
         "MotorElectrical", "shunt_current", "lift_to_power", "WingMassModel",
@@ -200,7 +201,8 @@ UNCHECKED = {
 # field; the test below fails for a new such record missing here.
 EXAMPLES = [
     AeroEnvironment(), SolverSettings(),
-    FourierSeries(0.0, (0.0,), (1.0,), 17.3), LowPassFilter(0.5),
+    FourierSeries(0.0, (0.0,), (1.0,)), beetle_kinematics(),
+    LowPassFilter(0.5),
     YawPlant(1.0), ControllerConfig(4.0, 2.5), MotorElectrical(1.0),
     standard_wing(25.5), TrimSection(15.8, 8.0, 40.0), ControlSection(),
 ]

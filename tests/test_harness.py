@@ -441,10 +441,10 @@ def test_sweep_samples_the_stroke_amplitude_at_most_once(monkeypatch):
     samples = []
     evaluate = FourierSeries.eval
 
-    def counting(self, t, order=0):
+    def counting(self, t, frequency, order=0):
         if order == 0 and self.a0 == 0.0:
             samples.append(self)
-        return evaluate(self, t, order)
+        return evaluate(self, t, frequency, order)
 
     monkeypatch.setattr(FourierSeries, "eval", counting)
     config = StudyConfig.from_dict(base_config_dict(
@@ -457,7 +457,8 @@ def test_sweep_samples_the_stroke_amplitude_at_most_once(monkeypatch):
     assert swept - before <= 1
     # The count sees the sampling of a stroke with no recorded amplitude.
     kin = config.kinematics
-    WingKinematics(kin.stroke, kin.rotation_stations).stroke_amplitude
+    WingKinematics(kin.stroke, kin.rotation_stations,
+                   kin.frequency).stroke_amplitude
     assert len(samples) == swept + 1
 
 
@@ -675,8 +676,8 @@ def test_hover_trim_single_wing():
 def test_hover_trim_zero_stroke_raises():
     kin = beetle_kinematics(17.3, 190.0)
     frozen = WingKinematics(
-        stroke=FourierSeries(0.0, (0.0,), (0.0,), 17.3),
-        rotation_stations=kin.rotation_stations)
+        stroke=FourierSeries(0.0, (0.0,), (0.0,)),
+        rotation_stations=kin.rotation_stations, frequency=17.3)
     with pytest.raises(ValueError, match="degenerate kinematics"):
         hover_trim(standard_wing(25.5), frozen, ENV, 0.1, 8.0, 40.0)
 

@@ -22,46 +22,45 @@ def reference_eval(a0, a, b, f, t):
     return total
 
 
-def random_series(rng, f=17.3, n=5):
+def random_series(rng, n=5):
     return FourierSeries(a0=float(rng.normal()),
                          a=tuple(rng.normal(size=n)),
-                         b=tuple(rng.normal(size=n)),
-                         frequency=f)
+                         b=tuple(rng.normal(size=n)))
 
 
 def test_pure_sine_derivative_at_zero():
     b1 = math.radians(30.0)
-    series = FourierSeries(a0=0.0, a=(0.0,), b=(b1,), frequency=17.3)
-    assert series.eval(0.0, 1) == pytest.approx(2 * math.pi * 17.3 * b1,
-                                                rel=1e-14)
+    series = FourierSeries(a0=0.0, a=(0.0,), b=(b1,))
+    assert series.eval(0.0, 17.3, 1) == pytest.approx(2 * math.pi * 17.3 * b1,
+                                                      rel=1e-14)
 
 
 def test_periodicity():
     rng = np.random.default_rng(7)
-    series = random_series(rng)
-    t = np.linspace(0.0, series.period, 37)
-    assert np.allclose(series.eval(t), series.eval(t + series.period),
+    series, f = random_series(rng), 17.3
+    t = np.linspace(0.0, 1.0 / f, 37)
+    assert np.allclose(series.eval(t, f), series.eval(t + 1.0 / f, f),
                        atol=1e-12)
 
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_derivatives_match_finite_differences(order):
     rng = np.random.default_rng(11)
-    series = random_series(rng)
-    h = 1e-6 / series.frequency
-    t = np.linspace(0.0, series.period, 101)
-    lower = series.eval(t - h, order - 1)
-    upper = series.eval(t + h, order - 1)
+    series, f = random_series(rng), 17.3
+    h = 1e-6 / f
+    t = np.linspace(0.0, 1.0 / f, 101)
+    lower = series.eval(t - h, f, order - 1)
+    upper = series.eval(t + h, f, order - 1)
     fd = (upper - lower) / (2 * h)
-    exact = series.eval(t, order)
+    exact = series.eval(t, f, order)
     scale = np.max(np.abs(exact))
     assert np.all(np.abs(fd - exact) < 1e-6 * scale)
 
 
 def test_eval_rejects_bad_order():
-    series = FourierSeries(0.0, (0.0,), (1.0,), 10.0)
+    series = FourierSeries(0.0, (0.0,), (1.0,))
     with pytest.raises(ValueError):
-        series.eval(0.0, 3)
+        series.eval(0.0, 10.0, 3)
 
 
 def test_fit_recovers_pure_sine():
@@ -132,15 +131,15 @@ def test_fit_residual_never_grows_with_harmonics():
     assert all(r1 <= r0 + 1e-12 for r0, r1 in zip(residuals, residuals[1:]))
 
 
-def constant_station(angle_deg, f=17.3):
-    return FourierSeries(a0=math.radians(angle_deg), a=(0.0,), b=(0.0,),
-                         frequency=f)
+def constant_station(angle_deg):
+    return FourierSeries(a0=math.radians(angle_deg), a=(0.0,), b=(0.0,))
 
 
 def two_station_kinematics():
-    stroke = FourierSeries(0.0, (0.0,), (math.radians(95.0),), 17.3)
+    stroke = FourierSeries(0.0, (0.0,), (math.radians(95.0),))
     return WingKinematics(stroke=stroke, rotation_stations=(
-        (0.25, constant_station(90.0)), (1.0, constant_station(30.0))))
+        (0.25, constant_station(90.0)), (1.0, constant_station(30.0))),
+        frequency=17.3)
 
 
 def test_rotation_interpolates_between_stations():
@@ -164,8 +163,8 @@ def test_rotation_clamps_outside_stations():
 
 
 def test_single_station_is_span_uniform():
-    stroke = FourierSeries(0.0, (0.0,), (1.0,), 17.3)
-    kin = WingKinematics(stroke, ((0.7, constant_station(45.0)),))
+    stroke = FourierSeries(0.0, (0.0,), (1.0,))
+    kin = WingKinematics(stroke, ((0.7, constant_station(45.0)),), 17.3)
     for frac in (0.0, 0.3, 0.7, 1.0):
         assert kin.rotation_at(frac, 0.0) == pytest.approx(math.radians(45.0))
 
@@ -188,27 +187,38 @@ def test_geometric_aoa_range_and_reversal():
 
 def test_amplitude_from_dense_sampling():
     b1 = math.radians(95.0)
-    stroke = FourierSeries(0.0, (0.0,), (b1,), 17.3)
-    kin = WingKinematics(stroke, ((1.0, constant_station(45.0)),))
+    stroke = FourierSeries(0.0, (0.0,), (b1,))
+    kin = WingKinematics(stroke, ((1.0, constant_station(45.0)),), 17.3)
     assert kin.stroke_amplitude == pytest.approx(2 * b1, rel=1e-2)
     # Multi-harmonic amplitude against a 10x denser grid.
     rng = np.random.default_rng(9)
     stroke = FourierSeries(0.1, tuple(rng.normal(size=5) * 0.3),
-                           tuple(rng.normal(size=5) * 0.3), 17.3)
-    kin = WingKinematics(stroke, ((1.0, constant_station(45.0)),))
-    t = np.linspace(0.0, stroke.period, 14400, endpoint=False)
-    dense = float(np.ptp(stroke.eval(t)))
+                           tuple(rng.normal(size=5) * 0.3))
+    kin = WingKinematics(stroke, ((1.0, constant_station(45.0)),), 17.3)
+    t = np.linspace(0.0, 1.0 / 17.3, 14400, endpoint=False)
+    dense = float(np.ptp(stroke.eval(t, 17.3)))
     assert kin.stroke_amplitude == pytest.approx(dense, rel=1e-4)
 
 
 def test_frequency_rescaling_scales_rates():
     kin = two_station_kinematics()
-    faster = kin.with_frequency(2 * kin.frequency)
+    f = kin.frequency
+    faster = kin.with_frequency(2 * f)
     # Same phase point: rates double, angles match.
     t, t2 = 0.013, 0.0065
-    assert faster.stroke.eval(t2) == pytest.approx(kin.stroke.eval(t), rel=1e-12)
-    assert faster.stroke.eval(t2, 1) == pytest.approx(2 * kin.stroke.eval(t, 1),
-                                                      rel=1e-12)
+    assert faster.stroke.eval(t2, 2 * f) == pytest.approx(
+        kin.stroke.eval(t, f), rel=1e-12)
+    assert faster.stroke.eval(t2, 2 * f, 1) == pytest.approx(
+        2 * kin.stroke.eval(t, f, 1), rel=1e-12)
+
+
+def test_frequency_rescaling_keeps_every_series():
+    # A time rescale changes the one frequency and no series.
+    kin = two_station_kinematics()
+    faster = kin.with_frequency(31.0)
+    assert faster.frequency == 31.0
+    assert faster.stroke is kin.stroke
+    assert faster.rotation_stations == kin.rotation_stations
 
 
 def test_amplitude_rescaling():
@@ -226,7 +236,7 @@ def test_rescaled_kinematics_keep_the_known_amplitude():
     target = math.radians(120.0)
     faster = kin.with_stroke_amplitude(target).with_frequency(31.0)
     assert faster.stroke_amplitude == target
-    fresh = WingKinematics(faster.stroke, faster.rotation_stations)
+    fresh = WingKinematics(faster.stroke, faster.rotation_stations, 31.0)
     assert fresh.stroke_amplitude == pytest.approx(target, rel=1e-12)
     assert fresh.with_frequency(12.0).stroke_amplitude \
         == fresh.stroke_amplitude
@@ -239,12 +249,10 @@ def test_amplitude_rescaling_rejects_non_positive_or_non_finite(amplitude):
 
 
 def test_kinematics_validation():
-    stroke = FourierSeries(0.0, (0.0,), (1.0,), 17.3)
+    stroke = FourierSeries(0.0, (0.0,), (1.0,))
     with pytest.raises(ValueError, match="station"):
-        WingKinematics(stroke, ())
-    with pytest.raises(ValueError, match="frequency"):
-        WingKinematics(stroke, ((1.0, constant_station(45.0, f=20.0)),))
+        WingKinematics(stroke, (), 17.3)
     with pytest.raises(ValueError, match="must have equal length"):
-        FourierSeries(0.0, (1.0,), (), 17.3)
+        FourierSeries(0.0, (1.0,), ())
     with pytest.raises(ValueError, match="frequency must be positive"):
-        FourierSeries(0.0, (), (), 0.0)
+        WingKinematics(stroke, ((1.0, constant_station(45.0)),), 0.0)

@@ -109,15 +109,15 @@ def test_budget_provenance_and_json():
 
 
 def single_mass_kinematics(f=17.3, amplitude_deg=190.0):
-    stroke = FourierSeries(0.0, (0.0,), (math.radians(amplitude_deg) / 2,), f)
-    rot = FourierSeries(math.pi / 2, (0.0,), (0.0,), f)
-    return WingKinematics(stroke, ((1.0, rot),))
+    stroke = FourierSeries(0.0, (0.0,), (math.radians(amplitude_deg) / 2,))
+    rot = FourierSeries(math.pi / 2, (0.0,), (0.0,))
+    return WingKinematics(stroke, ((1.0, rot),), f)
 
 
 def test_inertial_power_zero_for_constant_stroke():
     kin = WingKinematics(
-        FourierSeries(0.3, (0.0,), (0.0,), 17.3),
-        ((1.0, FourierSeries(math.pi / 2, (0.0,), (0.0,), 17.3)),))
+        FourierSeries(0.3, (0.0,), (0.0,)),
+        ((1.0, FourierSeries(math.pi / 2, (0.0,), (0.0,))),), 17.3)
     model = WingMassModel(masses=(1e-3,), radii=(0.05,),
                           span_fractions=(1.0,), pitch_offsets=(0.0,))
     result = inertial_power(model, kin)
@@ -198,8 +198,8 @@ def test_inertial_power_equals_per_mass_rotation_at_sum():
     model = WingMassModel.from_wing(standard_wing(25.5), 0.4e-3)
     steps = 720
     t = np.arange(steps) / (steps * kin.frequency)
-    stroke_rate = kin.stroke.eval(t, 1)
-    stroke_accel = kin.stroke.eval(t, 2)
+    stroke_rate = kin.stroke.eval(t, kin.frequency, 1)
+    stroke_accel = kin.stroke.eval(t, kin.frequency, 2)
     want = np.zeros(steps)
     for m, r, s, d in zip(model.masses, model.radii, model.span_fractions,
                           model.pitch_offsets):
