@@ -22,6 +22,7 @@ from .control import (ControllerConfig, YawPlant, closed_loop_grid,
                       simulate_closed_loop)
 from .harness import check_trim_bracket
 from .kinematics import FourierSeries, WingKinematics
+from .power import MotorElectrical, shunt_current
 from .wing import WingGeometry, apply_inboard_cutout
 
 _LOOP_DEFAULTS = inspect.signature(simulate_closed_loop).parameters
@@ -271,13 +272,21 @@ class ControlSection:
 
 @dataclass(frozen=True)
 class PowerSection:
-    """Bench readings for the power budget, in V, ohm and kg."""
+    """Bench readings (V, ohm, kg) checked as the power budget checks them."""
 
     v_supply: float
     v_system: float
     r_shunt_ohm: float
     motor_resistance_ohm: float
     wing_mass_kg: float
+
+    def __post_init__(self):
+        amps = shunt_current(self.v_supply, self.v_system, self.r_shunt_ohm)
+        MotorElectrical(self.motor_resistance_ohm)
+        if not self.v_system * amps >= 0.0:
+            raise ValueError("input power must be non-negative")
+        if not self.wing_mass_kg >= 0.0:
+            raise ValueError("wing mass must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -161,20 +161,18 @@ class WingKinematics:
         return float(np.max(angles) - np.min(angles))
 
     def station_weights(self, span_fraction):
-        """Linear-interpolation weights over stations; clamped outside."""
+        """Linear-interpolation weights over stations, one row per span
+        fraction; clamped outside (the first of equal first stations wins)."""
         fracs = np.array([f for f, _ in self.rotation_stations])
-        span_fraction = np.atleast_1d(np.asarray(span_fraction, dtype=float))
-        weights = np.zeros((span_fraction.size, fracs.size))
-        for k, s in enumerate(span_fraction):
-            if s <= fracs[0]:
-                weights[k, 0] = 1.0
-            elif s >= fracs[-1]:
-                weights[k, -1] = 1.0
-            else:
-                i = int(np.searchsorted(fracs, s, side="right")) - 1
-                w = (s - fracs[i]) / (fracs[i + 1] - fracs[i])
-                weights[k, i] = 1.0 - w
-                weights[k, i + 1] = w
+        s = np.atleast_1d(np.asarray(span_fraction, dtype=float))
+        i = np.where(s <= fracs[0], 0, np.searchsorted(fracs, s, "right") - 1)
+        j = np.minimum(i + 1, fracs.size - 1)
+        # Only a fraction strictly between two unequal stations divides.
+        w = np.divide(s - fracs[i], fracs[j] - fracs[i], out=np.zeros(s.size),
+                      where=(fracs[i] < s) & (s < fracs[j]))
+        weights = np.zeros((s.size, fracs.size))
+        weights[np.arange(s.size), j] = w
+        weights[np.arange(s.size), i] = 1.0 - w  # after w: i == j keeps 1
         return weights
 
     def station_series(self, t, order=0):

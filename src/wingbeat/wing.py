@@ -77,10 +77,6 @@ class WingGeometry:
         r, c = zip(*self.chord_breakpoints)
         return np.interp(station, r, c)
 
-    def pitch_axis_at(self, station):
-        """Leading-edge-to-pitch-axis distance l_r (m) at ``station``."""
-        return self.pitch_axis_fraction * self.chord_at(station)
-
     def _strip_areas(self, lo, hi):
         """Membrane and planform area (m^2) of each strip [lo, hi], with
         stations (scalars or arrays) in m from the wing root.
@@ -88,8 +84,8 @@ class WingGeometry:
         Each strip is cut at the chord breakpoints and the cutout edge, so
         the chord is linear on every piece and the trapezoid rule is exact.
         A piece whose midpoint lies inboard of the cutout has no membrane.
-        Pieces are summed from the root outward, one column at a time, so
-        each strip adds its pieces in the same order as a scalar loop.
+        Python's ``sum`` adds the pieces column by column from the root out,
+        the order of a scalar loop (``np.sum`` would pair 8 or more).
         """
         cuts = np.sort([r for r, _ in self.chord_breakpoints]
                        + [self.cutout * self.span])
@@ -99,11 +95,7 @@ class WingGeometry:
         piece = 0.5 * (chord[:, :-1] + chord[:, 1:]) * np.diff(edges, axis=1)
         mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
         kept = np.where(mid / self.span < self.cutout, 0.0, piece)
-        membrane = planform = np.zeros(len(lo))
-        for j in range(piece.shape[1]):
-            membrane = membrane + kept[:, j]
-            planform = planform + piece[:, j]
-        return membrane, planform
+        return sum(kept.T), sum(piece.T)
 
     @cached_property
     def area(self):
@@ -194,8 +186,7 @@ def discretize(wing, n):
     dr = wing.span / n
     left = np.arange(n) * dr
     mid = left + 0.5 * dr
-    chord = np.atleast_1d(wing.chord_at(mid)).astype(float)
-    pitch = np.atleast_1d(wing.pitch_axis_at(mid)).astype(float)
+    chord = wing.chord_at(mid)
 
     membrane, full = wing._strip_areas(left, left + dr)
     scale = np.divide(membrane, full, out=np.ones(n), where=full > 0.0)
@@ -203,6 +194,6 @@ def discretize(wing, n):
     return BladeElements(radius=wing.root_offset + mid,
                          width=np.full(n, dr),
                          chord=chord,
-                         pitch_axis=pitch,
+                         pitch_axis=wing.pitch_axis_fraction * chord,
                          area_scale=scale,
                          span_fraction=mid / wing.span)

@@ -105,3 +105,24 @@ def element_area_scale(wing, n, cutout):
         if full > 0.0:
             scale[i] = membrane / full
     return scale
+
+
+def station_weights(kin, span_fraction):
+    """Linear-interpolation weights of ``kin``'s rotation stations, one
+    span fraction at a time: the first station at or inboard of the first
+    fraction, the last at or outboard of the last, and otherwise the two
+    stations around the fraction, found by a right-sided search."""
+    fracs = np.array([f for f, _ in kin.rotation_stations])
+    span_fraction = np.atleast_1d(np.asarray(span_fraction, dtype=float))
+    weights = np.zeros((span_fraction.size, fracs.size))
+    for k, s in enumerate(span_fraction):
+        if s <= fracs[0]:
+            weights[k, 0] = 1.0
+        elif s >= fracs[-1]:
+            weights[k, -1] = 1.0
+        else:
+            i = int(np.searchsorted(fracs, s, side="right")) - 1
+            w = (s - fracs[i]) / (fracs[i + 1] - fracs[i])
+            weights[k, i] = 1.0 - w
+            weights[k, i + 1] = w
+    return weights

@@ -15,6 +15,7 @@ from wingbeat.aero import AeroEnvironment, SolverSettings
 from wingbeat.config import (
     ConfigError,
     ControlSection,
+    PowerSection,
     StudyConfig,
     TrimSection,
 )
@@ -205,6 +206,7 @@ EXAMPLES = [
     LowPassFilter(0.5),
     YawPlant(1.0), ControllerConfig(4.0, 2.5), MotorElectrical(1.0),
     standard_wing(25.5), TrimSection(15.8, 8.0, 40.0), ControlSection(),
+    PowerSection(7.4, 3.7, 2.0, 1.0, 4e-4),
 ]
 MODULES = [importlib.import_module(f"wingbeat.{info.name}")
            for info in pkgutil.iter_modules(wingbeat.__path__)]

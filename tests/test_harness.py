@@ -1056,6 +1056,25 @@ def test_cli_bad_task_section_value_is_config_error(tmp_path, capsys,
     assert f"'{key}'" in err and f"'{section}'" in err
 
 
+@pytest.mark.parametrize("command, key, value, message", [
+    ("simulate", "r_shunt_ohm", 0.0, "shunt resistance must be positive"),
+    ("sweep", "motor_resistance_ohm", -1.0,
+     "motor resistance must be positive"),
+    ("trim", "v_supply", 3.0, "input power must be non-negative"),
+    ("control-sim", "wing_mass_kg", -1e-4, "wing mass must be non-negative"),
+])
+def test_cli_bench_reading_the_budget_rejects_is_config_error(
+        tmp_path, capsys, command, key, value, message):
+    # A reading that the power budget would reject fails every run at the
+    # parse, though no subcommand builds the budget.
+    path = write_config(tmp_path, **TASK_SECTIONS)
+    doc = json.loads(path.read_text())
+    doc["power"][key] = value
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--config", str(path), command]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_cli_unbracketed_trim_target_is_config_error(tmp_path, capsys):
     path = write_config(tmp_path, trim={"target_lift_gf": 500.0,
                                         "f_lo_hz": 8.0, "f_hi_hz": 12.0})

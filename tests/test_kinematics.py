@@ -2,9 +2,11 @@
 
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from oracles import station_weights
 from wingbeat.kinematics import (
     FourierSeries,
     WingKinematics,
@@ -167,6 +169,32 @@ def test_single_station_is_span_uniform():
     kin = WingKinematics(stroke, ((0.7, constant_station(45.0)),), 17.3)
     for frac in (0.0, 0.3, 0.7, 1.0):
         assert kin.rotation_at(frac, 0.0) == pytest.approx(math.radians(45.0))
+
+
+@st.composite
+def stations_and_fractions(draw):
+    """Kinematics of 1-5 stations, some at equal fractions, and span
+    fractions below, on, between and above the stations."""
+    fraction = st.floats(min_value=0.0, max_value=1.0)
+    pool = draw(st.lists(fraction | st.sampled_from([-0.0, 0.0, 0.25, 1.0]),
+                         min_size=1, max_size=5))
+    fracs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    kin = WingKinematics(FourierSeries(0.0, (0.0,), (1.0,)), tuple(
+        (f, constant_station(10.0 * k)) for k, f in enumerate(fracs)), 17.3)
+    fracs = sorted(fracs)
+    between = [a + (b - a) * draw(fraction)
+               for a, b in zip(fracs[:-1], fracs[1:])]
+    span = st.floats(min_value=-0.5, max_value=1.5) | st.sampled_from(
+        fracs + between + [-0.0, 0.0, 1.0])
+    return kin, draw(st.lists(span, min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stations_and_fractions())
+def test_station_weights_match_the_per_fraction_oracle_bitwise(case):
+    kin, span_fractions = case
+    got = kin.station_weights(span_fractions)
+    assert got.tobytes() == station_weights(kin, span_fractions).tobytes()
 
 
 def test_geometric_aoa_rules():
