@@ -4,12 +4,15 @@ Every study passes one :class:`~wingbeat.aero.SolverSettings` to the
 aero solvers and returns plain values. One writer per subcommand
 (``write_cycle``, ``write_sweep``, ...) owns its file names, headers and
 payload keys. Float tables go through :func:`write_float_table`, which
-formats each chunk of rows with one ``%.12g`` format string; only the
-sweep table, whose status cell may hold a comma, goes through the
-quoting :func:`write_csv`. :func:`write_json` stamps each JSON file's
-``metadata``, and refuses a non-finite number as a compute failure;
-each writer writes its JSON first, so a refused result leaves no file.
-Lift-to-power is null wherever the aerodynamic power is not positive.
+builds each chunk of rows with array operations: the digits of a cell
+come from numpy, and a cell outside [1e-4, 1e12) or near a rounding tie
+is formatted by ``%.12g`` itself, so every cell has the bytes ``%.12g``
+gives it. Only the sweep table, whose status cell may hold a comma, goes
+through the quoting :func:`write_csv`. :func:`write_json` stamps each
+JSON file's ``metadata``, and refuses a non-finite number as a compute
+failure; each writer writes its JSON first, so a refused result leaves
+no file. Lift-to-power is null wherever the aerodynamic power is not
+positive.
 
 A sweep runs in one process, in grid order. Its points share one
 :class:`~wingbeat.aero.CyclePrecompute` per cutout, which their wing
@@ -56,7 +59,11 @@ class ComputeError(RuntimeError):
     a batch failed, or a result to be exported is not finite."""
 
 
+# The cell tables below build exactly this format.
 FLOAT_FORMAT = ".12g"
+# Rows of a float table formatted and written at a time; a 5-column
+# chunk's working arrays then stay under 100 kB each.
+TABLE_CHUNK_ROWS = 512
 
 
 def format_float(value):
@@ -64,21 +71,117 @@ def format_float(value):
     return format(float(value), FLOAT_FORMAT)
 
 
+def _fixed_cell_tables():
+    """Read-only lookup tables of the fixed-notation cells of
+    :func:`_format_rows`.
+
+    A cell is 32 bytes, read as four little-endian uint64 words: byte 0
+    holds the sign, bytes 1-5 "0." and the zeros of a negative exponent,
+    and digit i sits at byte 8 + 2i, followed by a byte for the point
+    (after the last integer digit) or, after digit 11, the separator.
+    Unused bytes are NUL. Returns ``digits``, with ``digits[g]`` the
+    4-digit group ``g`` at the even bytes of a word; ``kept0`` to
+    ``kept2``, with ``keptj[g]`` the digits of a number up to its last
+    non-zero one when that lies in its group ``j`` (0 when ``g`` is 0);
+    ``mask``, with ``mask[k]`` the bytes of the first ``k`` digits; and
+    ``frame``, with ``frame[q]`` the sign, prefix and point at
+    ``q = ((e + 4) * 13 + k) * 2 + negative`` for decimal exponent ``e``
+    and ``k`` digits kept.
+    """
+    # Indexed by the four digits of a group g: its ASCII bytes, and the
+    # place (1-4) of its last non-zero digit.
+    digits = np.zeros((10,) * 4 + (8,), np.uint8)
+    last = np.zeros((10,) * 4, np.uint8)
+    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for i in range(4):
+        digits[..., 2 * i] = ascii_digits.reshape((10,) + (1,) * (3 - i))
+        last[(slice(None),) * i + (slice(1, None),)] = i + 1
+    kept = tuple(last.ravel() + np.uint8(4 * j) for j in range(3))
+    for k in kept:
+        k[0] = 0
+    mask = np.zeros((13, 32), np.uint8)
+    mask[:, 8::2] = np.where(np.arange(12) < np.arange(13)[:, None], 0xFF, 0)
+    frame = np.zeros((16, 13, 2, 32), np.uint8)  # [e + 4, k, negative, byte]
+    frame[:, :, 1, 0] = ord("-")
+    frame[:4, :, :, 1:3] = list(b"0.")
+    for z in range(3):  # "0.0" from e = -2, "0.00" from -3, "0.000" at -4
+        frame[:3 - z, :, :, 3 + z] = ord("0")
+    for e in range(11):  # a point only while a fraction digit is kept
+        frame[e + 4, e + 2:, :, 9 + 2 * e] = ord(".")
+    tables = (digits.reshape(-1, 8).view("<u8").ravel(), *kept,
+              mask.view("<u8"), frame.reshape(-1, 32).view("<u8"))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+# Built at import, before a run allocates its large arrays: built during
+# a run, these long-lived tables can pin the heap above those arrays.
+_DIGITS, _KEPT0, _KEPT1, _KEPT2, _MASK, _FRAME = _fixed_cell_tables()
+_POW10 = np.array([float(10 ** k) for k in range(16)])
+
+
+def _format_rows(cells):
+    """A 2-D float64 array as CSV rows of ``%.12g`` cells, in bytes.
+
+    A cell that ``%.12g`` writes in fixed notation, with its 12 rounded
+    digits N in [1e11, 1e12) and decimal exponent e in -4..11, is built
+    from y = |x| 10^(11 - e), which is formed with one rounding: y < 2^40,
+    so that error is under 2^-14. When y is in [1e11, 1e12 - 0.5) and more
+    than 2^-11 from a tie, rint(y) is N, whatever exponent log10 gave.
+    Every other cell (zero, non-finite, |x| outside [1e-4, 1e12) or near a
+    tie) is formatted by ``%`` itself.
+    """
+    magnitude = np.abs(cells)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # fmax and fmin take a NaN exponent to -4.
+        e = np.fmin(np.fmax(np.floor(np.log10(magnitude)), -4.0), 11.0)
+        e = e.astype(np.intp)
+        y = magnitude * _POW10.take(11 - e)
+        n = np.rint(y)
+        fast = ((y >= 1e11) & (y < 1e12 - 0.5)
+                & (np.abs(y - n) < 0.5 - 2.0 ** -11))
+    n = np.where(fast, n, 1e11).astype(np.int64)
+    g0, g1, g2 = n // 100000000, n // 10000 % 10000, n % 10000
+    k = np.maximum(np.maximum(e + 1, _KEPT0.take(g0)),
+                   np.maximum(_KEPT1.take(g1), _KEPT2.take(g2)))
+    words = np.take(_MASK, k, axis=0)
+    words[..., 1] &= _DIGITS.take(g0)
+    words[..., 2] &= _DIGITS.take(g1)
+    words[..., 3] &= _DIGITS.take(g2)
+    words |= np.take(_FRAME, ((e + 4) * 13 + k) * 2 + np.signbit(cells),
+                     axis=0)
+    text = words.view(np.uint8)
+    text[:, :-1, 31] = ord(",")
+    text[:, -1, 31] = ord("\n")
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        fallback = b"".join([format_float(v).encode().ljust(31, b"\0")
+                             for v in cells.ravel()[slow].tolist()])
+        text.reshape(-1, 32)[slow, :31] = np.frombuffer(
+            fallback, np.uint8).reshape(-1, 31)
+    return text.tobytes().translate(None, b"\0")
+
+
 def write_float_table(path, header, columns):
     """Write equal-length float arrays as CSV columns under ``header``.
 
-    Every cell reads as :func:`format_float` formats it. Rows are
-    formatted 1024 at a time, each with one ``%``-format string, and
-    written as one string per chunk, so that no copy of the whole table
-    is ever held in memory.
+    Every cell reads as :func:`format_float` formats it, byte for byte.
+    Each chunk of ``TABLE_CHUNK_ROWS`` rows is formatted by array
+    operations in :func:`_format_rows` and written as one bytes string,
+    so that no copy of the whole table is ever held in memory. Columns of
+    unequal length raise a ``ValueError``.
     """
-    row = ",".join(["%" + FLOAT_FORMAT] * len(columns)) + "\n"
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    if len({c.shape for c in columns}) > 1:
+        raise ValueError(f"float table columns must have equal lengths, got "
+                         f"{[len(c) for c in columns]}")
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for start in range(0, len(columns[0]), 1024):
-                fh.write("".join([row % cells for cells in zip(
-                    *(c[start:start + 1024].tolist() for c in columns))]))
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
+            for start in range(0, len(columns[0]), TABLE_CHUNK_ROWS):
+                fh.write(_format_rows(np.column_stack(
+                    [c[start:start + TABLE_CHUNK_ROWS] for c in columns])))
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 

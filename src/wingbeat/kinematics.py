@@ -162,9 +162,13 @@ class WingKinematics:
 
     def station_weights(self, span_fraction):
         """Linear-interpolation weights over stations, one row per span
-        fraction; clamped outside (the first of equal first stations wins)."""
+        fraction; clamped outside (the first of equal first stations wins).
+        A NaN or infinite span fraction raises a ``ValueError``."""
         fracs = np.array([f for f, _ in self.rotation_stations])
         s = np.atleast_1d(np.asarray(span_fraction, dtype=float))
+        if not np.isfinite(s).all():
+            raise ValueError(f"span fraction must be finite, got "
+                             f"{s[~np.isfinite(s)][0]}")
         i = np.where(s <= fracs[0], 0, np.searchsorted(fracs, s, "right") - 1)
         j = np.minimum(i + 1, fracs.size - 1)
         # Only a fraction strictly between two unequal stations divides.

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import warnings
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -1558,6 +1559,78 @@ def test_write_float_table_matches_csv_writer(tmp_path, rows):
     reference_float_table(tmp_path / "ref.csv", header, cells)
     assert (tmp_path / "fast.csv").read_bytes() == (
         tmp_path / "ref.csv").read_bytes()
+
+
+def assert_table_matches_reference(tmp_path, header, columns):
+    harness.write_float_table(tmp_path / "fast.csv", header, tuple(columns))
+    reference_float_table(tmp_path / "ref.csv", header, columns)
+    assert (tmp_path / "fast.csv").read_bytes() == (
+        tmp_path / "ref.csv").read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda width: st.lists(
+    st.lists(st.floats(1e-6, 1e14) | st.floats(-1e14, -1e-6),
+             min_size=width, max_size=width), min_size=1, max_size=40)))
+def test_write_float_table_matches_csv_writer_in_fixed_notation(
+        tmp_path_factory, rows):
+    cells = np.array(rows)
+    assert_table_matches_reference(tmp_path_factory.mktemp("table"),
+                                   [f"c{i}" for i in range(cells.shape[1])],
+                                   cells.T)
+
+
+def _neighbours(value, steps=3):
+    """``value`` and its ``steps`` nearest floats on each side."""
+    below = above = value
+    cells = [value]
+    for _ in range(steps):
+        below = np.nextafter(below, -np.inf)
+        above = np.nextafter(above, np.inf)
+        cells += [float(below), float(above)]
+    return cells
+
+
+EDGE_CELLS = {
+    "zeros": [0.0, -0.0],
+    "subnormals": [5e-324, 2.225073858507201e-308, 1e-310],
+    "non_finite": [math.inf, -math.inf, math.nan],
+    **{f"1e{p}": _neighbours(float(f"1e{p}")) for p in range(-5, 13)},
+    "rounds_across_1e-4": [9.99999999999995e-5, 9.99999999999949e-5],
+    "rounds_to_1e12": [999999999999.5, 999999999999.4999],
+    "exact_ties": [12345678901.25, 1234567890.125, 123456789012.5,
+                   100000000000.5, 2.5, 0.5],
+}
+
+
+@pytest.mark.parametrize("cells", EDGE_CELLS.values(), ids=EDGE_CELLS)
+def test_write_float_table_matches_csv_writer_on_edge_cells(tmp_path, cells):
+    cells = np.array(cells)
+    assert_table_matches_reference(tmp_path, ("x", "minus_x"),
+                                   (cells, -cells))
+
+
+@pytest.mark.parametrize("width", [1, 10])
+@pytest.mark.parametrize("rows", [1, harness.TABLE_CHUNK_ROWS - 1,
+                                  harness.TABLE_CHUNK_ROWS,
+                                  harness.TABLE_CHUNK_ROWS + 1])
+def test_write_float_table_chunks_rows_of_mixed_cells(tmp_path, rows, width):
+    rng = np.random.default_rng(rows * width)
+    cells = rng.standard_normal((width, rows)) * 10.0 ** rng.integers(
+        -7, 14, (width, rows))
+    # The first row mixes fallback cells with fixed-notation ones.
+    mixed = [0.0, 1.5, math.nan, -123.456, 1e-7, 2e13, -math.inf, 0.25,
+             -0.0, 7.0]
+    cells[:, 0] = mixed[:width]
+    assert_table_matches_reference(
+        tmp_path, [f"c{i}" for i in range(width)], cells)
+
+
+def test_write_float_table_rejects_columns_of_unequal_length(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=r"equal lengths, got \[3, 2\]"):
+        harness.write_float_table(path, ("a", "b"), (np.zeros(3), np.ones(2)))
+    assert not path.exists()
 
 
 def test_write_float_table_wraps_os_errors(tmp_path):

@@ -164,6 +164,16 @@ def test_rotation_clamps_outside_stations():
                                                       rel=1e-12)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_rotation_rejects_a_non_finite_span_fraction(value):
+    kin = two_station_kinematics()
+    message = f"span fraction must be finite, got {value}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        kin.rotation_at(value, 0.0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        kin.station_weights([0.5, value, 2.0])
+
+
 def test_single_station_is_span_uniform():
     stroke = FourierSeries(0.0, (0.0,), (1.0,))
     kin = WingKinematics(stroke, ((0.7, constant_station(45.0)),), 17.3)
