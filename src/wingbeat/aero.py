@@ -158,6 +158,8 @@ class ElementState(BladeElements):
     and the solver settings. Angles in radians, lengths in metres, rates in
     1/s. Cached properties are free of the inflow ``v_induced``, so
     :meth:`with_inflow` shares them; :attr:`alpha_effective` is not cached.
+    The cycle means of :attr:`unsteady_terms` average the first
+    ``mean_rows`` rows of a grid, or all of it when that is ``None``.
     """
 
     stroke_rate: np.ndarray
@@ -166,6 +168,7 @@ class ElementState(BladeElements):
     rotation_rate: np.ndarray
     rotation_accel: np.ndarray
     v_induced: float = 0.0
+    mean_rows: int | None = None
 
     @cached_property
     def v_translational(self):
@@ -224,7 +227,7 @@ class ElementState(BladeElements):
     def unsteady_terms(self):
         """Unsteady forces of every cell at unit air density, the added-mass
         force and the rotational force (a r^2), and their cycle means over
-        the rows of a grid, by powers of the scales a and r of
+        the ``mean_rows`` rows of a grid, by powers of the scales a and r of
         :class:`CyclePrecompute`: lift r^2 (L0 + a L1 + a^2 L2) and power
         a r^3 (P0 + a P1 + a^2 P2) as ((L0, L1, L2), (P0, P1, P2)), one
         power of a for each part of the added mass
@@ -239,14 +242,19 @@ class ElementState(BladeElements):
         if clipped is not None:
             per_accel = np.where(clipped, 0.0, per_accel)
         per_accel *= 0.25 * math.pi * self.chord**2 * scale
-        v_t_sin = self.v_translational * sin_rot
-        steps = np.shape(sin_rot)[0] if np.ndim(sin_rot) else 1
+
+        def head(x):  # the rows that the means average
+            return x if self.mean_rows is None else x[:self.mean_rows]
+
+        cos_head = head(cos_rot)
+        v_t_sin = head(self.v_translational) * head(sin_rot)
+        rows = np.shape(cos_head)[0] if np.ndim(cos_head) else 1
         lift, power = [], []
         added = None
         for part in _acceleration_parts(self, sin_rot, cos_rot):
             part *= per_accel
-            lift.append(np.vdot(part, cos_rot) / steps)
-            power.append(-np.vdot(part, v_t_sin) / steps)
+            lift.append(np.vdot(head(part), cos_head) / rows)
+            power.append(-np.vdot(head(part), v_t_sin) / rows)
             # Summed as each part is taken: one added-mass array stays.
             if added is None:
                 added = part
@@ -258,8 +266,8 @@ class ElementState(BladeElements):
                                out=np.zeros(np.shape(chord)))
         rot = self.rotation_rate * self.v_translational
         rot *= math.pi * (0.75 - axis_ratio) * chord**2 * scale
-        lift[1] += np.vdot(rot, cos_rot) / steps
-        power[1] += np.vdot(rot, v_t_sin) / steps
+        lift[1] += np.vdot(head(rot), cos_head) / rows
+        power[1] += np.vdot(head(rot), v_t_sin) / rows
         return added, rot, (tuple(map(float, lift)), tuple(map(float, power)))
 
     def with_inflow(self, v_induced):
@@ -403,12 +411,19 @@ def element_forces(state, env, re):
     )
 
 
-def _element_grid_state(wing, kin, solver):
+def _element_grid_state(wing, kin, solver, only_mean_rows=False):
     """The times of a uniform one-cycle ``solver`` grid, and on it the
-    wing's blade elements moving as ``kin`` says, shape (steps, n)."""
+    wing's blade elements moving as ``kin`` says, shape (steps, n).
+
+    Its means average the first half of an even grid when ``kin`` is
+    half-wave symmetric, since the second half mirrors it, and else all of
+    it. ``only_mean_rows`` forms those rows only, at the grid's times."""
     elements = discretize(wing, solver.n_elements)
     steps = solver.steps_per_cycle
-    t = np.arange(steps) / (steps * kin.frequency)
+    mean_rows = (steps // 2 if steps % 2 == 0 and kin.half_wave_symmetric
+                 else steps)
+    t = np.arange(mean_rows if only_mean_rows else steps) / (
+        steps * kin.frequency)
     weights = kin.station_weights(elements.span_fraction)
     rot = [kin.station_series(t, order) @ weights.T for order in (0, 1, 2)]
     return t, ElementState(
@@ -418,7 +433,17 @@ def _element_grid_state(wing, kin, solver):
         rotation_angle=rot[0],
         rotation_rate=rot[1],
         rotation_accel=rot[2],
+        mean_rows=mean_rows,
     )
+
+
+def _precompute_terms(state):
+    """The unsteady means of a grid ``state``, and the section speeds and
+    translational terms of the rows they average."""
+    means = state.unsteady_terms[2]  # before the translational terms form
+    rows = state.mean_rows
+    trans, s_t, c_t = state.translational_terms
+    return means, state.v_translational[:rows], (trans, s_t[:rows], c_t[:rows])
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,11 +462,17 @@ class CyclePrecompute:
     moments; the unsteady lift and power are unit means times powers of a
     and r, and k^4 on lift, k^5 on power. :meth:`fit` finds (a, r, k).
     Every term is at unit air density: :meth:`loads` takes the solve's.
+
+    Of a grid of ``steps`` steps it holds the first ``rows``: half of an
+    even grid for half-wave-symmetric kinematics, whose second half-cycle
+    repeats every translational cell term of the first and cancels the
+    unsteady power means, which are then exactly 0; else all of them.
     """
 
     kinematics: object
     wing: object
     steps: int
+    rows: int
     v_t_sq: np.ndarray
     by_inverse_q: np.ndarray
     by_q: np.ndarray
@@ -453,16 +484,15 @@ class CyclePrecompute:
     def build(cls, wing, kin, solver):
         """Precompute on the ``solver`` grid of ``kin`` for ``wing``."""
         with np.errstate(all="ignore"):
-            _, state = _element_grid_state(wing, kin, solver)
-            means = state.unsteady_terms[2]
-            v_t, terms = state.v_translational, state.translational_terms
+            _, state = _element_grid_state(wing, kin, solver,
+                                           only_mean_rows=True)
+            terms = _precompute_terms(state)
             del state  # the grid and its unsteady terms, before the moments
-            return cls._from_means(means, v_t, terms, kin, wing)
+            return cls._from_means(*terms, kin, wing, solver.steps_per_cycle)
 
     @classmethod
-    def _from_means(cls, means, v_t, terms, kin, wing):
-        """Precompute from the unsteady means, the section speeds and the
-        translational terms of a grid."""
+    def _from_means(cls, means, v_t, terms, kin, wing, steps):
+        """Precompute from :func:`_precompute_terms` of a ``steps`` grid."""
         trans, s_t, c_t = terms
         # The moments of the cubics at unit scale (see loads()), in place.
         v_sq = v_t**2
@@ -479,7 +509,10 @@ class CyclePrecompute:
         at_zero_inflow = tuple(float(np.vdot(x, v_t))
                                for x in (s_t_v, c_t_v2, by_q[1]))
         lift, power = means
-        return cls(kinematics=kin, wing=wing, steps=v_t.shape[0],
+        rows = v_t.shape[0]
+        if rows < steps:
+            power = (0.0, 0.0, 0.0)
+        return cls(kinematics=kin, wing=wing, steps=steps, rows=rows,
                    v_t_sq=v_sq.ravel(),
                    by_inverse_q=by_inverse_q.reshape(5, -1),
                    by_q=by_q.reshape(2, -1), at_zero_inflow=at_zero_inflow,
@@ -491,7 +524,9 @@ class CyclePrecompute:
         is k times the precomputed wing. Raise ``ValueError`` unless
         ``wing``'s lengths over its span, pitch axis and cutout are the
         precomputed wing's to 1e-9 (relative, or absolute near 0), then
-        unless ``kin`` rescales the precomputed kinematics."""
+        unless ``kin`` rescales the precomputed kinematics, then unless
+        ``kin`` is half-wave symmetric when the precompute holds half a
+        cycle."""
         def shape(w):
             return [w.pitch_axis_fraction, w.cutout, w.root_offset / w.span,
                     *(x / w.span for point in w.chord_breakpoints
@@ -515,6 +550,9 @@ class CyclePrecompute:
                         for x, y in zip(harmonics, ref_harmonics))):
             raise ValueError("kinematics are not a rescaling of the "
                              "precomputed cycle")
+        if self.rows < self.steps and not kin.half_wave_symmetric:
+            raise ValueError("kinematics are not half-wave symmetric, as the "
+                             "precomputed half cycle needs")
         # As numpy scalars, absurd scales overflow to inf, which the
         # caller's finiteness check reports, and not to an OverflowError.
         return (np.float64(a), np.float64(kin.frequency / ref.frequency),
@@ -544,9 +582,9 @@ class CyclePrecompute:
         l0, l1, l2 = self.lift_by_a
         p0, p1, p2 = self.power_by_a
         pair = 2.0 * rho * k * k
-        thrust = pair * (s * s * thrust / self.steps
+        thrust = pair * (s * s * thrust / self.rows
                          + k * k * r * r * (l0 + a * (l1 + a * l2)))
-        power = pair * (s * s * s * power / self.steps
+        power = pair * (s * s * s * power / self.rows
                         + k**3 * a * r**3 * (p0 + a * (p1 + a * p2)))
         return float(thrust), float(power)
 
@@ -659,7 +697,7 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
         disk_area = kin.stroke_amplitude * np.float64(wing.span)**2
         if precompute is None:
             precompute = CyclePrecompute.build(wing, kin, solver)
-        grid = (precompute.steps, precompute.v_t_sq.size // precompute.steps)
+        grid = (precompute.steps, precompute.v_t_sq.size // precompute.rows)
         if grid != (solver.steps_per_cycle, solver.n_elements):
             raise ValueError(f"precompute grid {grid} is not the solver grid "
                              f"{(solver.steps_per_cycle, solver.n_elements)}")
@@ -730,8 +768,8 @@ def simulate_cycle(wing, kin, env, solver=SolverSettings(),
         if induced_velocity is None:
             vi_info = solve_induced_velocity(
                 wing, kin, env, solver, precompute=CyclePrecompute._from_means(
-                    state.unsteady_terms[2], state.v_translational,
-                    state.translational_terms, kin, wing))
+                    *_precompute_terms(state), kin, wing,
+                    solver.steps_per_cycle))
             induced_velocity = vi_info.v_induced
         v_t, rate = state.v_translational, state.stroke_rate
         span_fractions = state.span_fraction

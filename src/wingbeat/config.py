@@ -20,7 +20,7 @@ import numpy as np
 from .aero import AeroEnvironment, SolverSettings
 from .control import (ControllerConfig, YawPlant, closed_loop_grid,
                       simulate_closed_loop)
-from .harness import check_trim_bracket
+from .harness import MAX_SWEEP_POINTS, check_trim_bracket
 from .kinematics import FourierSeries, WingKinematics
 from .power import MotorElectrical, shunt_current
 from .wing import WingGeometry, apply_inboard_cutout
@@ -317,6 +317,13 @@ class StudyConfig:
     def __post_init__(self):
         # Checks against the base wing and kinematics, by the runs' guards,
         # on a config from ``from_dict`` or ``dataclasses.replace`` alike.
+        sizes = [len(axis) for axis in (self.amplitudes_deg, self.areas_cm2,
+                                        self.cutouts, self.frequencies_hz)]
+        if math.prod(sizes) > MAX_SWEEP_POINTS:
+            raise ConfigError(
+                f"sweep grid of {' * '.join(map(str, sizes))} = "
+                f"{math.prod(sizes)} points exceeds the limit of "
+                f"{MAX_SWEEP_POINTS} points")
         try:
             self.kinematics.with_frequency(self.cutout.frequency_hz)
             apply_inboard_cutout(self.wing, self.cutout.span_fraction)

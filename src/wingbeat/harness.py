@@ -170,12 +170,16 @@ def write_float_table(path, header, columns):
     Each chunk of ``TABLE_CHUNK_ROWS`` rows is formatted by array
     operations in :func:`_format_rows` and written as one bytes string,
     so that no copy of the whole table is ever held in memory. Columns of
-    unequal length raise a ``ValueError``.
+    unequal length, or a header of another width, raise a ``ValueError``
+    before the file is opened.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
     if len({c.shape for c in columns}) > 1:
         raise ValueError(f"float table columns must have equal lengths, got "
                          f"{[len(c) for c in columns]}")
+    if len(header) != len(columns):
+        raise ValueError(f"float table header has {len(header)} names for "
+                         f"{len(columns)} columns")
     try:
         with open(path, "wb") as fh:
             fh.write((",".join(header) + "\n").encode())
@@ -261,6 +265,12 @@ class SweepRow:
     vi_residual_m_s: float | None = None
     negative_thrust: bool | None = None
     error: str | None = None
+
+
+# Upper limit on a sweep's points, the product of its four axes. A point
+# takes ~0.25 ms and writing sweep.json peaks at ~3.4 kB a point
+# (tracemalloc), so the limit is ~25 s and ~340 MB.
+MAX_SWEEP_POINTS = 100_000
 
 
 def run_sweep(config, workers=1):

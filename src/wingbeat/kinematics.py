@@ -59,6 +59,12 @@ class FourierSeries:
                        b=tuple(factor * x for x in self.b))
 
 
+# Upper limit on a fit's design matrix, samples * (2 * harmonics + 1). A fit
+# peaks at about 20 bytes a cell (tracemalloc), 40 MB at the limit; a
+# 20 001-sample file still fits 49 harmonics.
+MAX_FIT_CELLS = 2_000_000
+
+
 def fit_fourier(t, angle, frequency, n_harmonics=5):
     """Least-squares Fourier fit of sampled angles at a known frequency.
 
@@ -80,10 +86,11 @@ def fit_fourier(t, angle, frequency, n_harmonics=5):
     Raises
     ------
     ValueError
-        If ``n_harmonics`` is negative, there are fewer than
-        ``2 n_harmonics + 1`` samples, or the samples leave the design
-        matrix rank deficient (for example all samples at coincident
-        phases).
+        If ``n_harmonics`` is negative, the design matrix would hold more
+        than ``MAX_FIT_CELLS`` cells (checked before it is allocated),
+        there are fewer than ``2 n_harmonics + 1`` samples, or the samples
+        leave the design matrix rank deficient (for example all samples at
+        coincident phases).
     """
     if n_harmonics < 0:
         raise ValueError(
@@ -93,6 +100,10 @@ def fit_fourier(t, angle, frequency, n_harmonics=5):
     n_coef = 2 * n_harmonics + 1
     if t.size != angle.size:
         raise ValueError("time and angle arrays must have equal length")
+    if t.size * n_coef > MAX_FIT_CELLS:
+        raise ValueError(
+            f"fit design matrix of {t.size} samples * {n_coef} coefficients "
+            f"exceeds the limit of {MAX_FIT_CELLS} cells")
     if t.size < n_coef:
         raise ValueError(
             f"need at least {n_coef} samples to fit {n_harmonics} harmonics, got {t.size}")
@@ -159,6 +170,19 @@ class WingKinematics:
         t = np.linspace(0.0, 1.0 / self.frequency, 1440, endpoint=False)
         angles = self.stroke.eval(t, self.frequency)
         return float(np.max(angles) - np.min(angles))
+
+    @property
+    def half_wave_symmetric(self):
+        """Whether the second half-cycle mirrors the first: every even
+        harmonic of the stroke and of every station is exactly 0 and every
+        station's mean is exactly pi/2. Then at t + T/2 the stroke rate and
+        acceleration change sign and the rotation angle theta becomes
+        pi - theta. The stroke's own mean does not count, since only its
+        derivatives move the wing. There is no tolerance."""
+        series = [self.stroke, *(s for _, s in self.rotation_stations)]
+        return (all(s.a0 == math.pi / 2 for _, s in self.rotation_stations)
+                and all(c == 0.0 for s in series
+                        for c in (*s.a[1::2], *s.b[1::2])))
 
     def station_weights(self, span_fraction):
         """Linear-interpolation weights over stations, one row per span

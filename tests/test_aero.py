@@ -482,6 +482,96 @@ def test_precompute_on_another_grid_is_rejected():
             f"({solver.steps_per_cycle}, {solver.n_elements})")
 
 
+def full_cycle_precompute(wing, kin, solver):
+    """The precompute on every row of the ``solver`` grid, whatever the
+    symmetry of ``kin``."""
+    _, state = _element_grid_state(wing, kin, solver)
+    return CyclePrecompute._from_means(
+        *aero._precompute_terms(replace(state, mean_rows=None)), kin, wing,
+        solver.steps_per_cycle)
+
+
+@pytest.mark.parametrize("cutout", [0.0, 0.3])
+def test_symmetric_precompute_holds_half_the_cycle(cutout):
+    # The beetle stroke's second half-cycle mirrors its first: half the
+    # cells give the full grid's loads, and the unsteady power means,
+    # rounding noise on the full grid, are exactly 0.
+    wing = apply_inboard_cutout(standard_wing(25.5), cutout)
+    kin = beetle_kinematics(17.3, 190.0)
+    half = CyclePrecompute.build(wing, kin, SolverSettings())
+    full = full_cycle_precompute(wing, kin, SolverSettings())
+    assert (half.steps, half.rows, half.v_t_sq.size) == (720, 360, 7200)
+    assert (full.steps, full.rows, full.v_t_sq.size) == (720, 720, 14400)
+    assert half.power_by_a == (0.0, 0.0, 0.0)
+    assert max(map(abs, full.power_by_a)) < 1e-15
+    scales, re = half.fit(wing, kin), reynolds(wing, kin, ENV)
+    for v in (0.0, 0.7, 1.3):
+        got = half.loads(scales, v, re, ENV.rho)
+        want = full.loads(scales, v, re, ENV.rho)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def even_harmonic_kinematics(f=17.3):
+    """The beetle kinematics with a second stroke harmonic of 1e-300."""
+    kin = beetle_kinematics(f, 190.0)
+    return replace(kin, stroke=FourierSeries(
+        0.0, (0.0, 1e-300), (kin.stroke.b[0], 0.0)))
+
+
+def off_right_angle_kinematics(f=17.3):
+    """The beetle kinematics with a tip mean one ulp above pi/2."""
+    kin = beetle_kinematics(f, 190.0)
+    (inboard, root), (tip, series) = kin.rotation_stations
+    return replace(kin, rotation_stations=(
+        (inboard, root),
+        (tip, replace(series, a0=math.nextafter(math.pi / 2, 4.0)))))
+
+
+@pytest.mark.parametrize("kin, steps", [
+    (even_harmonic_kinematics(), 720), (off_right_angle_kinematics(), 720),
+    (lopsided_kinematics(17.3), 720), (beetle_kinematics(17.3, 190.0), 721)])
+def test_asymmetric_stroke_or_odd_grid_keeps_the_full_cycle(kin, steps):
+    # No tolerance: each of these precomputes, and the solves on it, are
+    # the full grid's bit for bit.
+    wing, solver = standard_wing(25.5), SolverSettings(steps_per_cycle=steps)
+    built = CyclePrecompute.build(wing, kin, solver)
+    full = full_cycle_precompute(wing, kin, solver)
+    assert built.steps == built.rows == steps
+    for name in ("v_t_sq", "by_inverse_q", "by_q"):
+        np.testing.assert_array_equal(getattr(built, name),
+                                      getattr(full, name))
+    for name in ("at_zero_inflow", "lift_by_a", "power_by_a"):
+        assert getattr(built, name) == getattr(full, name)
+    solved = solve_induced_velocity(wing, kin, ENV, solver, precompute=full)
+    assert simulate_cycle(wing, kin, ENV, solver).vi_info == solved
+    assert solve_induced_velocity(wing, kin, ENV, solver) == solved
+
+
+def test_half_cycle_precompute_refuses_an_even_stroke_harmonic():
+    # An even harmonic of 1e-12 of the peak passes the rescaling check's
+    # 1e-9, but a half cycle no longer stands for the whole.
+    wing = standard_wing(25.5)
+    beetle = beetle_kinematics(17.3, 190.0)
+    peak = beetle.stroke.b[0]
+    kin = replace(beetle, stroke=FourierSeries(0.0, (0.0, 0.0), (peak, 0.0)))
+    tilted = replace(kin, stroke=FourierSeries(0.0, (0.0, 1e-12 * peak),
+                                               (peak, 0.0)))
+    precompute = CyclePrecompute.build(wing, kin, SolverSettings())
+    assert precompute.rows == 360
+    for call in (lambda: precompute.fit(wing, tilted),
+                 lambda: solve_induced_velocity(wing, tilted, ENV,
+                                                precompute=precompute)):
+        with pytest.raises(ValueError) as error:
+            call()
+        assert str(error.value) == ("kinematics are not half-wave "
+                                    "symmetric, as the precomputed half "
+                                    "cycle needs")
+    # A full-cycle precompute serves both.
+    full = CyclePrecompute.build(wing, tilted, SolverSettings())
+    assert full.rows == 720
+    assert full.fit(wing, kin) == full.fit(wing, tilted) == (1.0, 1.0, 1.0)
+
+
 def test_induced_velocity_self_consistency():
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
@@ -551,7 +641,7 @@ class StubPrecompute:
     """A precompute on the 36 x 2 grid whose pair thrust at inflow v is
     ``thrust(v)``, at zero power; it records every inflow it is asked."""
 
-    steps = 36
+    steps = rows = 36
     v_t_sq = np.zeros(72)
 
     def __init__(self, thrust):

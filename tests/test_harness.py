@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import wingbeat
-from wingbeat import aero, cli, harness
+from wingbeat import aero, cli, harness, kinematics
 from wingbeat.aero import AeroEnvironment, SolverSettings, simulate_cycle
 from wingbeat.config import (
     ConfigError,
@@ -1633,6 +1633,15 @@ def test_write_float_table_rejects_columns_of_unequal_length(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("header", [("a",), ("a", "b", "c")])
+def test_write_float_table_rejects_a_header_of_another_width(tmp_path, header):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=(
+            f"header has {len(header)} names for 2 columns")):
+        harness.write_float_table(path, header, (np.zeros(3), np.ones(3)))
+    assert not path.exists()
+
+
 def test_write_float_table_wraps_os_errors(tmp_path):
     with pytest.raises(OSError, match="cannot write CSV"):
         harness.write_float_table(tmp_path / "missing" / "t.csv", ("x",),
@@ -1737,3 +1746,49 @@ def test_cli_control_step_cap_is_config_error(tmp_path, capsys, duration_s):
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1
     assert f"limit of {MAX_STEPS}" in err
+
+
+def test_cli_sweep_point_cap_is_config_error(tmp_path, capsys, monkeypatch):
+    # 1500 * 1000 * 1 * 1000 points from 3501 axis values; the config
+    # parse rejects them, so no point is ever formed.
+    monkeypatch.setattr(cli, "run_sweep", None)
+    sweep = {"amplitude_deg": [100.0 + 0.01 * k for k in range(1500)],
+             "area_cm2": [20.0 + 0.01 * k for k in range(1000)],
+             "frequency_hz": [10.0 + 0.01 * k for k in range(1000)]}
+    points = 1500 * 1000 * 1000
+    assert points > harness.MAX_SWEEP_POINTS
+    path = write_config(tmp_path, sweep=sweep)
+    assert cli.main(["--config", str(path), "sweep"]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"config error: sweep grid of 1500 * 1000 * 1 * 1000 = "
+                   f"{points} points exceeds the limit of "
+                   f"{harness.MAX_SWEEP_POINTS} points\n")
+    # A replaced config is checked too; the limit itself passes.
+    config = StudyConfig.from_dict(base_config_dict(
+        sweep={"amplitude_deg": [120.0, 190.0]}))
+    n = harness.MAX_SWEEP_POINTS // 2
+    assert replace(config, frequencies_hz=(17.3,) * n).frequencies_hz
+    with pytest.raises(ConfigError, match=rf"2 \* 1 \* 1 \* {n + 1} = "
+                                          rf"{2 * n + 2} points"):
+        replace(config, frequencies_hz=(17.3,) * (n + 1))
+
+
+def test_cli_fit_cell_cap_is_config_error(tmp_path, capsys, monkeypatch):
+    # 11 samples and just enough harmonics to pass the cap: the fit
+    # refuses before np.outer allocates its design.
+    def never(*args):
+        raise AssertionError("the design matrix was allocated")
+
+    monkeypatch.setattr(np, "outer", never)
+    path = write_config(tmp_path)
+    samples = write_samples(tmp_path, [(0.001 * k, k) for k in range(11)])
+    harmonics = kinematics.MAX_FIT_CELLS // 22 + 1
+    cells = 11 * (2 * harmonics + 1)
+    assert cells > kinematics.MAX_FIT_CELLS
+    assert cli.main(["--config", str(path), "fit-kinematics", "--harmonics",
+                     str(harmonics), str(samples)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: fit design matrix of 11 samples * "
+        f"{2 * harmonics + 1} coefficients exceeds the limit of "
+        f"{kinematics.MAX_FIT_CELLS} cells\n")
+    assert not (tmp_path / "out" / "fit.json").exists()

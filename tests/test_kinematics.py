@@ -294,3 +294,27 @@ def test_kinematics_validation():
         FourierSeries(0.0, (1.0,), ())
     with pytest.raises(ValueError, match="frequency must be positive"):
         WingKinematics(stroke, ((1.0, constant_station(45.0)),), 0.0)
+
+
+def test_half_wave_symmetry_is_odd_harmonics_about_a_right_angle():
+    # Exact comparisons: 90 degrees converted is pi/2, the stroke's own
+    # mean does not count, and any even harmonic or other station mean,
+    # however small the difference, breaks the symmetry.
+    assert math.radians(90.0) == math.pi / 2
+    odd = FourierSeries(math.radians(90.0), (0.1, 0.0, 0.2), (0.0, 0.0, -0.3))
+    stroke = FourierSeries(0.3, (0.0, 0.0, 0.1), (1.0, 0.0, 0.0))
+    kin = WingKinematics(stroke, ((0.2, odd), (1.0, odd)), 17.3)
+    assert kin.half_wave_symmetric
+    assert kin.with_frequency(11.0).with_stroke_amplitude(2.0) \
+        .half_wave_symmetric
+    off_mean = FourierSeries(math.nextafter(math.pi / 2, 4.0), odd.a, odd.b)
+    for broken in (
+            FourierSeries(0.3, (0.0, 1e-300, 0.1), stroke.b),
+            FourierSeries(0.3, stroke.a, (1.0, -1e-300, 0.0)),
+            FourierSeries(0.3, (0.0, 0.0, 0.1, 1e-300), (1.0, 0.0, 0.0, 0.0))):
+        assert not WingKinematics(broken, kin.rotation_stations,
+                                  17.3).half_wave_symmetric
+    for station in (off_mean, FourierSeries(0.0, odd.a, odd.b),
+                    FourierSeries(odd.a0, (0.1, 1e-300), (0.0, 0.0))):
+        assert not WingKinematics(stroke, ((0.2, odd), (1.0, station)),
+                                  17.3).half_wave_symmetric
