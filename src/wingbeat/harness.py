@@ -290,44 +290,50 @@ def run_sweep(config, workers=1):
         return apply_inboard_cutout(scaled_to_area(config.wing, area * 1e-4),
                                     cutout)
 
-    @functools.cache
-    def precompute_of(cutout):
-        # The grid is built at unit stroke amplitude (rad) and 1 Hz, so
-        # that no sweep value enters the terms every point rescales.
-        shape = (config.kinematics.with_stroke_amplitude(1.0)
-                 .with_frequency(1.0))
-        return CyclePrecompute.build(apply_inboard_cutout(config.wing, cutout),
-                                     shape, solver)
-
-    rows, errors = [], []
+    axes = (config.amplitudes_deg, config.areas_cm2, config.cutouts,
+            config.frequencies_hz)
+    # Cutout-major, so that one precompute is alive at a time: the points
+    # of each distinct cutout, with their places in axis order.
+    by_cutout = {}
+    for index, point in enumerate(itertools.product(*axes)):
+        by_cutout.setdefault(point[2], []).append((index, point))
+    rows, errors = [None] * math.prod(map(len, axes)), {}
     # Absurd but finite inputs may overflow on the way; the inflow solve's
     # finiteness check reports that as one error per point.
     with np.errstate(all="ignore"):
-        for point in itertools.product(config.amplitudes_deg, config.areas_cm2,
-                                       config.cutouts, config.frequencies_hz):
-            amplitude, area, cutout, frequency = point
-            try:
-                wing = wing_of(area, cutout)
-                precompute = precompute_of(cutout)
-                kin = config.kinematics.with_stroke_amplitude(
-                    math.radians(amplitude)).with_frequency(frequency)
-                info = solve_induced_velocity(wing, kin, env, solver,
-                                              precompute=precompute)
-                row = SweepRow(
-                    *point, mean_lift_gf=info.lift / GRAM_FORCE_NEWTONS,
-                    aero_power_w=info.power, v_induced_m_s=info.v_induced,
-                    reynolds=reynolds(wing, kin, env),
-                    lift_to_power_gf_w=_lift_to_power_or_none(info.lift,
-                                                              info.power),
-                    **_inflow_diagnostics(info))
-            except (ValueError, RuntimeError) as exc:  # record, never abort
-                errors.append(exc)
-                row = SweepRow(*point, error=str(exc))
-            rows.append(row)
+        for cutout, points in by_cutout.items():
+            precompute = None  # the previous cutout's, dropped
+            for index, point in points:
+                amplitude, area, _, frequency = point
+                try:
+                    wing = wing_of(area, cutout)
+                    if precompute is None:
+                        # The grid is built at unit stroke amplitude (rad)
+                        # and 1 Hz, so that no sweep value enters the terms
+                        # every point rescales.
+                        shape = (config.kinematics.with_stroke_amplitude(1.0)
+                                 .with_frequency(1.0))
+                        precompute = CyclePrecompute.build(
+                            apply_inboard_cutout(config.wing, cutout), shape,
+                            solver)
+                    kin = config.kinematics.with_stroke_amplitude(
+                        math.radians(amplitude)).with_frequency(frequency)
+                    info = solve_induced_velocity(wing, kin, env, solver,
+                                                  precompute=precompute)
+                    rows[index] = SweepRow(
+                        *point, mean_lift_gf=info.lift / GRAM_FORCE_NEWTONS,
+                        aero_power_w=info.power, v_induced_m_s=info.v_induced,
+                        reynolds=reynolds(wing, kin, env),
+                        lift_to_power_gf_w=_lift_to_power_or_none(
+                            info.lift, info.power),
+                        **_inflow_diagnostics(info))
+                except (ValueError, RuntimeError) as exc:  # record, never
+                    errors[index] = exc                    # abort
+                    rows[index] = SweepRow(*point, error=str(exc))
     if rows and len(errors) == len(rows):
         message = (f"all {len(rows)} sweep points failed; first error: "
                    f"{errors[0]}")
-        if all(isinstance(exc, ValueError) for exc in errors):
+        if all(isinstance(exc, ValueError) for exc in errors.values()):
             raise ValueError(message)
         raise ComputeError(message)
     return tuple(rows)

@@ -214,10 +214,25 @@ SCHEDULES = {
 }
 
 
+def assert_trace_matches_replay(fast_plant, slow_plant, trace, want, rel):
+    """Each column, and the final plant state, within ``rel`` of the
+    column's largest magnitude."""
+    got = (trace.t, trace.psi_true, trace.psi_est, trace.omega,
+           trace.control_output)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= rel * np.max(np.abs(w))
+    assert abs(fast_plant.psi - slow_plant.psi) <= rel * np.max(
+        np.abs(want[1]))
+    assert abs(fast_plant.omega - slow_plant.omega) <= rel * np.max(
+        np.abs(want[3]))
+
+
 @pytest.mark.parametrize("schedule", SCHEDULES.values(), ids=SCHEDULES)
 @pytest.mark.parametrize("gyro_sigma", [0.0, 3.0])
 def test_fast_loop_equals_step_by_step_replay(schedule, gyro_sigma):
-    # 2500 steps: two full chunks of the fast loop and a partial one.
+    # 2500 steps: two full chunks of the fast loop and a partial one. The
+    # scan sums in another order than the replay, so the two agree to
+    # rounding (they differed by at most 1.0e-14 of a column's scale).
     config = ControllerConfig(kp=4.0, kd=2.5, cutoff_hz=12.0,
                               plant_gain=1.3, setpoint_schedule=schedule)
     kwargs = dict(duration=2.5, dt=0.001, gyro_sigma=gyro_sigma,
@@ -227,12 +242,32 @@ def test_fast_loop_equals_step_by_step_replay(schedule, gyro_sigma):
     trace = simulate_closed_loop(fast_plant, config, **kwargs)
     want = replay_closed_loop(slow_plant, config, **kwargs)
     assert trace.t.size == 2500
-    got = (trace.t, trace.psi_true, trace.psi_est, trace.omega,
-           trace.control_output)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
-    assert (fast_plant.psi, fast_plant.omega) == (slow_plant.psi,
-                                                  slow_plant.omega)
+    assert_trace_matches_replay(fast_plant, slow_plant, trace, want, 1e-12)
+
+
+def test_lightly_damped_long_run_matches_replay():
+    # 60 000 steps of a loop that rings for seconds: the scan's rounding
+    # builds up to about 1.2e-12 of a column's scale.
+    config = ControllerConfig(kp=4.0, kd=0.05,
+                              setpoint_schedule=((0.0, 0.0), (1.0, 20.0)))
+    kwargs = dict(duration=60.0, dt=0.001, gyro_sigma=2.0, seed=5)
+    fast_plant = YawPlant(inertia=1.0, omega=1.0)
+    slow_plant = YawPlant(inertia=1.0, omega=1.0)
+    trace = simulate_closed_loop(fast_plant, config, **kwargs)
+    want = replay_closed_loop(slow_plant, config, **kwargs)
+    assert_trace_matches_replay(fast_plant, slow_plant, trace, want, 1e-10)
+
+
+def test_exploding_gains_at_rest_keep_an_exact_zero_trace():
+    # The step matrix's powers overflow, and the scan would form inf * 0
+    # = nan from the zero state; the per-step path keeps the exact zeros.
+    config = ControllerConfig(kp=1e6, kd=0.0)
+    plant = YawPlant(inertia=1.0)
+    trace = simulate_closed_loop(plant, config, duration=60.0, dt=0.1)
+    for column in (trace.psi_true, trace.psi_est, trace.omega,
+                   trace.control_output):
+        assert column.size == 600 and not np.any(column)
+    assert (plant.psi, plant.omega) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("kp, kd", [
@@ -270,6 +305,17 @@ def test_negative_gyro_noise_sigma_is_rejected():
                                          "0, got -2.0"):
         simulate_closed_loop(YawPlant(inertia=1.0), config, duration=0.1,
                              dt=0.01, gyro_sigma=-2.0)
+
+
+@pytest.mark.parametrize("sigma", [math.inf, math.nan])
+def test_non_finite_gyro_noise_sigma_is_rejected(sigma):
+    # Unchecked, an infinite sigma fails as the compute error "closed-loop
+    # state diverged at step 0".
+    config = ControllerConfig(kp=4.0, kd=2.5)
+    with pytest.raises(ValueError, match=f"gyro sigma must be finite and "
+                                         f"at least 0, got {sigma}"):
+        simulate_closed_loop(YawPlant(inertia=1.0), config, duration=0.1,
+                             dt=0.01, gyro_sigma=sigma)
 
 
 @pytest.mark.parametrize("bias", [math.nan, math.inf])

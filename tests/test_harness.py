@@ -3,6 +3,7 @@
 from dataclasses import asdict, replace
 import csv
 import inspect
+import itertools
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import subprocess
 import sys
 import warnings
+import weakref
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -345,6 +347,34 @@ def test_sweep_grid_order_and_determinism():
     freqs = [row.frequency_hz for row in first]
     assert amps == [120.0, 120.0, 190.0, 190.0]
     assert freqs == [15.0, 20.0, 15.0, 20.0]
+
+
+def test_sweep_holds_one_precompute_at_a_time(monkeypatch):
+    # The sweep runs cutout-major: each distinct cutout's precompute is
+    # built once and dropped before the next one is built, and the rows
+    # still come in lexicographic axis order.
+    build = aero.CyclePrecompute.build
+    built = []
+
+    def tracked(cls, wing, kin, solver):
+        assert all(ref() is None for ref in built)
+        precompute = build(wing, kin, solver)
+        built.append(weakref.ref(precompute))
+        return precompute
+
+    monkeypatch.setattr(aero.CyclePrecompute, "build", classmethod(tracked))
+    doc = base_config_dict(sweep={"amplitude_deg": [120.0, 190.0],
+                                  "cutout": [0.0, 0.3, 0.0, 0.2],
+                                  "frequency_hz": [15.0, 20.0]})
+    config = StudyConfig.from_dict(doc)
+    rows = run_sweep(config)
+    assert len(built) == 3
+    assert [(row.amplitude_deg, row.cutout_span_fraction, row.frequency_hz)
+            for row in rows] == list(itertools.product(
+                [120.0, 190.0], [0.0, 0.3, 0.0, 0.2], [15.0, 20.0]))
+    assert all(row.error is None for row in rows)
+    # A repeated cutout reads the same rows as its first place.
+    assert rows[0] == rows[4] and rows[9] == rows[13]
 
 
 @pytest.mark.parametrize("pair", [True, False])
