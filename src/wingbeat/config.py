@@ -14,6 +14,7 @@ from dataclasses import MISSING, dataclass, fields
 import inspect
 import json
 import math
+import warnings
 
 import numpy as np
 
@@ -393,12 +394,21 @@ def load_angle_samples(path):
     Returns (t, angle_rad) arrays. A ``t_s`` or ``angle_deg`` cell that is
     empty, not a number, or not finite raises :class:`ConfigError` naming
     its data row (1 is the first row after the header), and so does a
-    row with the wrong number of cells.
+    row with the wrong number of cells or a file of blank lines only.
     """
-    try:
-        data = np.genfromtxt(path, delimiter=",", names=True)
-    except ValueError as exc:   # a multi-line report of ragged rows
-        raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from exc
+    with warnings.catch_warnings():
+        # genfromtxt warns on a file of no non-blank line and then fails
+        # with an IndexError; as an error, the warning stops it first.
+        warnings.filterwarnings("error", "genfromtxt: Empty input file",
+                                UserWarning)
+        try:
+            data = np.genfromtxt(path, delimiter=",", names=True)
+        except ValueError as exc:   # a multi-line report of ragged rows
+            raise ConfigError(
+                f"{path}: {' '.join(str(exc).split())}") from exc
+        except UserWarning as exc:
+            raise ConfigError(f"{path} is empty: it must have a header row "
+                              f"with columns t_s, angle_deg") from exc
     if data.dtype.names is None or \
             not {"t_s", "angle_deg"} <= set(data.dtype.names):
         raise ConfigError(f"{path} must have columns t_s, angle_deg")

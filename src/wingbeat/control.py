@@ -9,14 +9,13 @@ the design and shows up in the closed-loop demo.
 Angle units are the caller's choice (the law is linear); the closed-loop
 simulator works in degrees to match its trace format.
 
-The filter, the heading integrator, the PD law, the plant and the
-setpoint schedule are small public pieces: they are the documented
-per-step law. :func:`simulate_closed_loop` does not call them per step.
-The law is linear, so it scans the run as an affine recurrence, a chunk
-of steps at a time; its trace matches a step-by-step replay through the
-pieces to rounding, not bit for bit. A run that overflows is redone step
-by step, bit for bit as the replay, so that it fails at the replay's
-step.
+The filter, the heading integrator, the PD law and the plant are small
+public pieces, and :func:`simulate_closed_loop` runs them. The law is
+linear, so the simulator takes the matrix of one step through the pieces
+and scans the run as an affine recurrence, a chunk of steps at a time;
+its trace matches a step-by-step replay to rounding, not bit for bit. A
+run that overflows is redone step by step through the pieces, bit for
+bit as the replay, so that it fails at the replay's step.
 :func:`wingbeat.harness.write_control` writes the trace.
 """
 
@@ -145,7 +144,8 @@ class ControlTrace:
 
 def closed_loop_grid(cutoff_hz, duration, dt, gyro_sigma=0.0, gyro_bias=0.0):
     """Steps and low-pass coefficient of a closed-loop run; ValueError
-    for a bad duration, time step, step count, cutoff, gyro sigma or bias."""
+    for a bad duration, time step, step count, cutoff, gyro sigma or bias,
+    or a coefficient that rounds to 0."""
     if not 0.0 < dt <= duration < dt * 2**53:
         raise ValueError("duration and time step must be positive, and the "
                          "duration at least one time step and finitely many")
@@ -158,23 +158,42 @@ def closed_loop_grid(cutoff_hz, duration, dt, gyro_sigma=0.0, gyro_bias=0.0):
         raise ValueError(f"gyro sigma must be {rule}, got {gyro_sigma}")
     if not math.isfinite(gyro_bias):
         raise ValueError(f"gyro bias must be finite, got {gyro_bias}")
-    return n, LowPassFilter(low_pass_coefficient(cutoff_hz, dt)).beta
+    beta = low_pass_coefficient(cutoff_hz, dt)
+    if not beta > 0.0:
+        raise ValueError(f"filter coefficient 1 - exp(-2 pi cutoff_hz dt_s) "
+                         f"rounds to 0 at cutoff_hz {cutoff_hz} and dt_s {dt}")
+    return n, beta
 
 
-def _transition(beta, dt, kp, kd, gain, inertia, disturbance):
+def _loop_step(lpf, plant, estimate, measured, setpoint, config, dt):
+    """One loop step through the public pieces: low-pass the measured
+    rate with ``lpf``, integrate it into the heading estimate, form the
+    PD command against a zero rate setpoint and step ``plant`` by
+    ``config.plant_gain * command``. Returns (estimate, command)."""
+    rate_filtered = lpf.update(measured)
+    estimate = integrate_yaw(estimate, rate_filtered, dt)
+    command = yaw_control_output(config.kp, config.kd, setpoint, estimate,
+                                 0.0, rate_filtered)
+    plant.step(config.plant_gain * command, dt)
+    return estimate, command
+
+
+def _transition(beta, dt, config, plant):
     """A (4 x 4) and B (4 x 3) of one loop step, s' = A s + B u.
 
     The state s is (filtered rate, heading estimate, rate, heading) and
-    the input u is (gyro bias + noise, setpoint, 1). The step is the
-    per-step law applied to the columns of the identity.
+    the input u is (gyro bias + noise, setpoint, 1). Column j is
+    :func:`_loop_step` from column j of the identity, the disturbance
+    of ``plant`` scaled by its "1" input.
     """
-    y, estimate, rate, psi, measured_offset, setpoint, one = np.eye(7)
-    y = (1.0 - beta) * y + beta * (rate + measured_offset)
-    estimate = estimate + y * dt
-    command = kp * (setpoint - estimate) + kd * (0.0 - y)
-    rate = rate + (gain * command + disturbance * one) / inertia * dt
-    psi = psi + rate * dt
-    step = np.array([y, estimate, rate, psi])
+    columns = []
+    for y, estimate, rate, psi, offset, setpoint, one in np.eye(7).tolist():
+        lpf = LowPassFilter(beta, y)
+        probe = YawPlant(plant.inertia, psi, rate, plant.disturbance * one)
+        estimate, _ = _loop_step(lpf, probe, estimate, rate + offset,
+                                 setpoint, config, dt)
+        columns.append((lpf.y, estimate, probe.omega, probe.psi))
+    step = np.array(columns).T
     return step[:, :4], step[:, 4:]
 
 
@@ -206,24 +225,24 @@ def simulate_closed_loop(plant, config, duration, dt,
     command, and apply plant_gain * command as torque. The heading
     estimate starts at 0, and the rate setpoint is 0.
 
-    A step is affine, s' = A s + B u (see :func:`_transition`), and the
-    trace is a read-out of s_k, s_{k+1} and the setpoint. Each chunk of
-    ``CHUNK_STEPS`` steps takes one batched noise draw (the same numbers
-    as one draw per step) and one vectorised setpoint lookup. Its
+    A step is affine, s' = A s + B u: :func:`_transition` takes A and B
+    from one step through :class:`LowPassFilter`, :func:`integrate_yaw`,
+    :func:`yaw_control_output` and :meth:`YawPlant.step`, and the trace
+    is a read-out of s_k, s_{k+1} and the setpoint, the command through
+    :func:`yaw_control_output`. Each chunk of ``CHUNK_STEPS`` steps takes
+    one batched noise draw (the same numbers as one draw per step) and
+    one vectorised :meth:`ControllerConfig.setpoint_at` lookup. Its
     sub-chunks of ``SCAN_ROWS`` steps are scanned all at once by
     doubling, and their starts carried with A^SCAN_ROWS, the highest
     power formed; no temporary outgrows a chunk. The scan sums in another
-    order than a step-by-step replay through :class:`LowPassFilter`,
-    :func:`integrate_yaw`, :func:`yaw_control_output`,
-    :meth:`YawPlant.step` and :meth:`ControllerConfig.setpoint_at`, so the
-    trace matches that replay to rounding, not bit for bit: within 1e-13
-    of each column's largest magnitude on a damped loop, and about 1e-12
-    on a lightly damped 60 000-step one. If a scanned value is not finite, the
-    run is redone from step 0 by a per-step loop that is the replay
-    inlined, bit for bit: a diverging run fails at the replay's step, and
-    a run whose state stays 0 keeps its exact zeros, where the scan would
-    form inf * 0. The final state is written back to ``plant``, also when
-    the run diverges.
+    order than a step-by-step replay through the pieces, so the trace
+    matches that replay to rounding, not bit for bit: within 1e-13 of
+    each column's largest magnitude on a damped loop, and about 1e-12 on
+    a lightly damped 60 000-step one. If a scanned value is not finite,
+    the run is redone from step 0 through the pieces one step at a time:
+    a diverging run fails at the replay's step, and a run whose state
+    stays 0 keeps its exact zeros, where the scan would form inf * 0.
+    The final state is left in ``plant``, also when the run diverges.
 
     Raises ValueError for inputs :func:`closed_loop_grid` rejects, and
     RuntimeError (with the step index) if the state diverges.
@@ -249,9 +268,7 @@ def _scan_closed_loop(plant, config, dt, trace, beta, gyro_sigma, gyro_bias,
     """:func:`simulate_closed_loop` as a scan into ``trace``: the final
     state as floats, or None at the first chunk with a non-finite value.
     """
-    kp, kd = config.kp, config.kd
-    a, b = _transition(beta, dt, kp, kd, config.plant_gain, plant.inertia,
-                       plant.disturbance)
+    a, b = _transition(beta, dt, config, plant)
     # powers[j] = A^(j + 1), one factor at a time: repeated squaring
     # doubles a power's rounding error with it, which drifted the heading
     # of a 60 000-step run by 2e-12, against 2e-13 this way.
@@ -286,7 +303,8 @@ def _scan_closed_loop(plant, config, dt, trace, beta, gyro_sigma, gyro_bias,
         z += (starts @ lift).reshape(subs, 4, SCAN_ROWS)
         # Rows: filtered rate, estimate, rate and heading after each step.
         after = z.transpose(1, 0, 2).reshape(4, -1)[:, :m]
-        control = kp * (setpoints - after[1]) + kd * (0.0 - after[0])
+        control = yaw_control_output(config.kp, config.kd, setpoints,
+                                     after[1], 0.0, after[0])
         if not (np.isfinite(after).all() and np.isfinite(control).all()):
             return None
         trace.psi_true[start] = state[3]
@@ -301,45 +319,26 @@ def _scan_closed_loop(plant, config, dt, trace, beta, gyro_sigma, gyro_bias,
 
 def _step_closed_loop(plant, config, dt, trace, beta, gyro_sigma, gyro_bias,
                       seed):
-    """:func:`simulate_closed_loop` one step at a time into ``trace``.
-
-    The per-step law of :class:`LowPassFilter`, :func:`integrate_yaw`,
-    :func:`yaw_control_output`, :meth:`YawPlant.step` and
-    :meth:`ControllerConfig.setpoint_at`, inlined on local floats with
-    the same arithmetic in the same order, so that the trace, a
-    divergence's step and the state written back equal a step-by-step
-    replay through them bit for bit.
+    """:func:`simulate_closed_loop` one step at a time into ``trace``:
+    :func:`_loop_step` on ``plant`` itself, so that the trace, a
+    divergence's step and the state left in ``plant`` equal a
+    step-by-step replay through the public pieces bit for bit.
     """
-    keep = 1.0 - beta
-    kp, kd, gain = config.kp, config.kd, config.plant_gain
-    inertia, disturbance = plant.inertia, plant.disturbance
-    psi_true, psi_est = trace.psi_true, trace.psi_est
-    omega, control = trace.omega, trace.control_output
-    psi, rate, estimate, y = plant.psi, plant.omega, 0.0, 0.0
-    isfinite = math.isfinite
-    try:
-        for start, stop, setpoints, noise in _chunk_inputs(
-                config, trace.t, gyro_sigma, seed):
-            setpoints = setpoints.tolist()
+    lpf, estimate = LowPassFilter(beta), 0.0
+    for start, stop, setpoints, noise in _chunk_inputs(config, trace.t,
+                                                       gyro_sigma, seed):
+        # Python floats: numpy scalars warn when the state overflows.
+        setpoints = setpoints.tolist()
+        if noise is not None:
+            noise = noise.tolist()
+        for i, k in enumerate(range(start, stop)):
+            measured = plant.omega + gyro_bias
             if noise is not None:
-                noise = noise.tolist()
-            for i, k in enumerate(range(start, stop)):
-                measured = rate + gyro_bias
-                if noise is not None:
-                    measured += noise[i]
-                y = keep * y + beta * measured
-                estimate = estimate + y * dt
-                # Zero rate setpoint as 0.0 - y: -y would give -0.0 at y = 0.
-                command = kp * (setpoints[i] - estimate) + kd * (0.0 - y)
-                psi_true[k] = psi
-                psi_est[k] = estimate
-                omega[k] = rate
-                control[k] = command
-                rate += (gain * command + disturbance) / inertia * dt
-                psi += rate * dt
-                if not (isfinite(psi) and isfinite(rate)):
-                    raise RuntimeError(
-                        f"closed-loop state diverged at step {k}")
-    finally:
-        plant.psi, plant.omega = psi, rate
+                measured += noise[i]
+            trace.psi_true[k], trace.omega[k] = plant.psi, plant.omega
+            estimate, command = _loop_step(lpf, plant, estimate, measured,
+                                           setpoints[i], config, dt)
+            trace.psi_est[k], trace.control_output[k] = estimate, command
+            if not (math.isfinite(plant.psi) and math.isfinite(plant.omega)):
+                raise RuntimeError(f"closed-loop state diverged at step {k}")
     return trace

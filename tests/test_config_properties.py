@@ -196,7 +196,7 @@ UNCHECKED = {
     "FourierSeries.a0": "a constant angle offset of any value; the config "
                         "parse rejects non-finite numbers",
     "LowPassFilter.y": "the filter's running output, not a parameter; the "
-                       "closed loop inlines the filter and starts it at 0",
+                       "closed loop starts it at 0",
 }
 # One valid instance of each record that has a __post_init__ and a float
 # field; the test below fails for a new such record missing here.

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from wingbeat import control
 from wingbeat.control import (
     MAX_STEPS,
     ControllerConfig,
@@ -264,6 +265,54 @@ def test_exploding_gains_at_rest_keep_an_exact_zero_trace():
     config = ControllerConfig(kp=1e6, kd=0.0)
     plant = YawPlant(inertia=1.0)
     trace = simulate_closed_loop(plant, config, duration=60.0, dt=0.1)
+    for column in (trace.psi_true, trace.psi_est, trace.omega,
+                   trace.control_output):
+        assert column.size == 600 and not np.any(column)
+    assert (plant.psi, plant.omega) == (0.0, 0.0)
+
+
+def double_kp_law(monkeypatch):
+    """Swap in a PD law with kp doubled; returns the list of its calls."""
+    law, calls = control.yaw_control_output, []
+
+    def doubled(kp, *rest):
+        calls.append(kp)
+        return law(2.0 * kp, *rest)
+
+    monkeypatch.setattr(control, "yaw_control_output", doubled)
+    return calls
+
+
+def test_the_scan_runs_the_public_pd_law(monkeypatch):
+    # An edit to yaw_control_output reaches the step matrix and the
+    # command read-out: doubling kp in the law is doubling it in config.
+    kwargs = dict(duration=2.5, dt=0.001, gyro_sigma=3.0, gyro_bias=0.2,
+                  seed=17)
+    schedule = SCHEDULES["unsorted"]
+    plain_plant = YawPlant(inertia=0.8, omega=2.0, disturbance=-0.4)
+    plain = simulate_closed_loop(
+        plain_plant, ControllerConfig(kp=4.0, kd=2.5, cutoff_hz=12.0,
+                                      setpoint_schedule=schedule), **kwargs)
+    double_kp_law(monkeypatch)
+    patched_plant = YawPlant(inertia=0.8, omega=2.0, disturbance=-0.4)
+    patched = simulate_closed_loop(
+        patched_plant, ControllerConfig(kp=2.0, kd=2.5, cutoff_hz=12.0,
+                                        setpoint_schedule=schedule), **kwargs)
+    for name in ("psi_true", "psi_est", "omega", "control_output"):
+        assert getattr(patched, name).tobytes() == \
+            getattr(plain, name).tobytes()
+    assert (patched_plant.psi, patched_plant.omega) == (plain_plant.psi,
+                                                        plain_plant.omega)
+
+
+def test_the_step_by_step_path_runs_the_public_pd_law(monkeypatch):
+    # The at-rest exploding-gains run leaves the scan for the per-step
+    # path, which forms each of its 600 commands through the law.
+    calls = double_kp_law(monkeypatch)
+    plant = YawPlant(inertia=1.0)
+    trace = simulate_closed_loop(plant, ControllerConfig(kp=5e5, kd=0.0),
+                                 duration=60.0, dt=0.1)
+    assert calls.count(5e5) >= 600
     for column in (trace.psi_true, trace.psi_est, trace.omega,
                    trace.control_output):
         assert column.size == 600 and not np.any(column)

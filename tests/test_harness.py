@@ -1721,6 +1721,29 @@ def test_cli_fit_rejects_a_ragged_sample_row_in_one_line(tmp_path, capsys):
     assert "Line #14" in err
 
 
+@pytest.mark.parametrize("text", ["", "\n\n  \n"], ids=["0 bytes", "blank"])
+def test_cli_fit_rejects_an_empty_samples_file_in_one_line(tmp_path, capsys,
+                                                           text):
+    path = write_config(tmp_path)
+    samples = tmp_path / "samples.csv"
+    samples.write_text(text)
+    assert cli.main(["--config", str(path), "fit-kinematics",
+                     str(samples)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {samples} is empty: it must have a header row with "
+        f"columns t_s, angle_deg\n")
+
+
+def test_cli_names_the_inputs_of_a_filter_coefficient_that_rounds_to_0(
+        tmp_path, capsys):
+    path = write_config(tmp_path, control={"dt_s": 1e-300,
+                                           "duration_s": 1e-300})
+    assert cli.main(["--config", str(path), "control-sim"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: filter coefficient 1 - exp(-2 pi cutoff_hz dt_s) "
+        "rounds to 0 at cutoff_hz 10.0 and dt_s 1e-300\n")
+
+
 def test_cli_fit_rejects_negative_harmonics(tmp_path, capsys):
     path = write_config(tmp_path)
     samples = write_samples(tmp_path, [(0.01 * k, k) for k in range(12)])
