@@ -10,7 +10,8 @@ Angle units are the caller's choice (the law is linear); the closed-loop
 simulator works in degrees to match its trace format.
 
 The filter, the heading integrator, the PD law and the plant are small
-public pieces, and :func:`simulate_closed_loop` runs them. The law is
+public pieces, and :func:`simulate_closed_loop` runs them, with one
+:meth:`ControllerConfig.setpoint_at` call per chunk of steps. The law is
 linear, so the simulator takes the matrix of one step through the pieces
 and scans the run as an affine recurrence, a chunk of steps at a time;
 its trace matches a step-by-step replay to rounding, not bit for bit. A
@@ -100,8 +101,10 @@ class ControllerConfig:
     """Gains, filter cutoff, actuator gain, and setpoint schedule.
 
     ``setpoint_schedule`` is a non-empty sequence of finite (time, heading)
-    pairs; the active setpoint is the last entry at or before the current
-    time. The gains must be finite and the cutoff positive (ValueError).
+    pairs. :meth:`setpoint_at` reads it at a time (a float) or an array of
+    times (an array), taking entries in order until one lies after the
+    time; entry 0 holds before its own time. The gains must be finite,
+    the cutoff positive and a setpoint time not NaN (ValueError).
     """
 
     kp: float
@@ -122,13 +125,16 @@ class ControllerConfig:
                              "of finite (time, heading) pairs")
 
     def setpoint_at(self, t):
-        value = self.setpoint_schedule[0][1]
-        for t_k, v in self.setpoint_schedule:
-            if t_k <= t:
-                value = v
-            else:
-                break
-        return value
+        times = np.asarray(t, dtype=float)
+        if np.isnan(times).any():
+            raise ValueError(f"setpoint time must not be NaN, got {t}")
+        # Entry j is reached once t is at or past the times of entries
+        # 0..j, their running maximum.
+        schedule = np.array(self.setpoint_schedule, dtype=float)
+        reached = np.maximum.accumulate(schedule[:, 0])
+        active = np.searchsorted(reached, times, side="right") - 1
+        headings = schedule[np.maximum(active, 0), 1]
+        return headings if times.ndim else float(headings)
 
 
 @dataclass(frozen=True)
@@ -201,19 +207,11 @@ def _chunk_inputs(config, t, gyro_sigma, seed):
     """(start, stop, setpoints, noise) of each ``CHUNK_STEPS`` chunk of
     the time grid ``t``; ``noise`` is None without gyro noise."""
     rng = np.random.default_rng(seed)
-    # setpoint_at as a lookup: entry j is reached once t is at or past
-    # every time of entries 0..j, their running maximum; entry 0 holds
-    # before its own time.
-    schedule_t = np.maximum.accumulate(
-        [float(t_k) for t_k, _ in config.setpoint_schedule])
-    schedule_v = np.array([v for _, v in config.setpoint_schedule],
-                          dtype=float)
     for start in range(0, t.size, CHUNK_STEPS):
         stop = min(start + CHUNK_STEPS, t.size)
-        active = np.searchsorted(schedule_t, t[start:stop], side="right") - 1
         noise = (rng.normal(0.0, gyro_sigma, stop - start)
                  if gyro_sigma > 0.0 else None)
-        yield start, stop, schedule_v[np.maximum(active, 0)], noise
+        yield start, stop, config.setpoint_at(t[start:stop]), noise
 
 
 def simulate_closed_loop(plant, config, duration, dt,
@@ -229,12 +227,13 @@ def simulate_closed_loop(plant, config, duration, dt,
     from one step through :class:`LowPassFilter`, :func:`integrate_yaw`,
     :func:`yaw_control_output` and :meth:`YawPlant.step`, and the trace
     is a read-out of s_k, s_{k+1} and the setpoint, the command through
-    :func:`yaw_control_output`. Each chunk of ``CHUNK_STEPS`` steps takes
-    one batched noise draw (the same numbers as one draw per step) and
-    one vectorised :meth:`ControllerConfig.setpoint_at` lookup. Its
-    sub-chunks of ``SCAN_ROWS`` steps are scanned all at once by
-    doubling, and their starts carried with A^SCAN_ROWS, the highest
-    power formed; no temporary outgrows a chunk. The scan sums in another
+    :func:`yaw_control_output`. The setpoints take one
+    :meth:`ControllerConfig.setpoint_at` call per chunk of
+    ``CHUNK_STEPS`` steps, and the noise one batched draw per chunk (the
+    same numbers as one draw per step). A chunk's sub-chunks of
+    ``SCAN_ROWS`` steps are scanned all at once by doubling, and their
+    starts carried with A^SCAN_ROWS, the highest power formed; no
+    temporary outgrows a chunk. The scan sums in another
     order than a step-by-step replay through the pieces, so the trace
     matches that replay to rounding, not bit for bit: within 1e-13 of
     each column's largest magnitude on a damped loop, and about 1e-12 on

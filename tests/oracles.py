@@ -126,3 +126,16 @@ def station_weights(kin, span_fraction):
             weights[k, i] = 1.0 - w
             weights[k, i + 1] = w
     return weights
+
+
+def reference_setpoint(schedule, t):
+    """The heading of a (time, heading) schedule at one time ``t``: the
+    entries in order until the first after ``t``, entry 0 before its own
+    time."""
+    value = schedule[0][1]
+    for t_k, v in schedule:
+        if t_k <= t:
+            value = v
+        else:
+            break
+    return value

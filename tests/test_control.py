@@ -2,9 +2,11 @@
 
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from oracles import reference_setpoint
 from wingbeat import control
 from wingbeat.control import (
     MAX_STEPS,
@@ -151,6 +153,50 @@ def test_setpoint_schedule_steps():
     assert abs(trace.psi_true[-1] - 25.0) < 0.25
 
 
+SETPOINT_TIMES = st.one_of(
+    st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0]),
+    st.floats(-10.0, 10.0))
+SCHEDULE_ENTRIES = st.lists(
+    st.tuples(SETPOINT_TIMES, st.floats(-180.0, 180.0)), min_size=1,
+    max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedule=SCHEDULE_ENTRIES, data=st.data())
+def test_setpoint_lookup_equals_the_reference_loop(schedule, data):
+    # Unsorted and repeated entry times, +-0.0 and negative times; the
+    # times looked up lie before the first entry, on every entry time and
+    # after the last.
+    config = ControllerConfig(kp=1.0, kd=1.0,
+                              setpoint_schedule=tuple(schedule))
+    entry_times = [t_k for t_k, _ in schedule]
+    probes = st.one_of(
+        st.sampled_from(entry_times + [min(entry_times) - 1.0,
+                                       max(entry_times) + 1.0,
+                                       -math.inf, math.inf, -0.0, 0.0]),
+        SETPOINT_TIMES)
+    times = data.draw(st.lists(probes, min_size=1, max_size=12))
+    want = np.array([reference_setpoint(schedule, t) for t in times])
+    assert config.setpoint_at(np.array(times)).tobytes() == want.tobytes()
+    scalars = [config.setpoint_at(t) for t in times]
+    assert all(type(v) is float for v in scalars)
+    assert np.array(scalars).tobytes() == want.tobytes()
+
+
+def test_a_nan_setpoint_time_is_rejected():
+    # A NaN time is no time of the schedule: the loop would answer entry
+    # 0 and a sorted lookup the last entry.
+    config = ControllerConfig(kp=4.0, kd=2.5,
+                              setpoint_schedule=((0.0, 0.0), (2.0, 30.0)))
+    with pytest.raises(ValueError, match="setpoint time must not be NaN, "
+                                         "got nan"):
+        config.setpoint_at(math.nan)
+    with pytest.raises(ValueError, match="setpoint time must not be NaN"):
+        config.setpoint_at(np.array([1.0, math.nan, 3.0]))
+    assert (config.setpoint_at(math.inf),
+            config.setpoint_at(-math.inf)) == (30.0, 0.0)
+
+
 def test_divergence_raises_with_step_index():
     # Undamped high-gain loop under explicit Euler grows without bound;
     # the plant needs an initial rate for the gyro-only loop to engage.
@@ -188,6 +234,7 @@ def replay_closed_loop(plant, config, duration, dt, gyro_sigma=0.0,
     lpf = LowPassFilter(low_pass_coefficient(config.cutoff_hz, dt))
     out = np.empty((5, n))
     out[0] = np.arange(n) * dt
+    setpoints = config.setpoint_at(out[0]).tolist()
     estimate = 0.0
     for k in range(n):
         measured = plant.omega + gyro_bias
@@ -195,9 +242,8 @@ def replay_closed_loop(plant, config, duration, dt, gyro_sigma=0.0,
             measured += rng.normal(0.0, gyro_sigma)
         rate_filtered = lpf.update(measured)
         estimate = integrate_yaw(estimate, rate_filtered, dt)
-        command = yaw_control_output(config.kp, config.kd,
-                                     config.setpoint_at(out[0, k]), estimate,
-                                     0.0, rate_filtered)
+        command = yaw_control_output(config.kp, config.kd, setpoints[k],
+                                     estimate, 0.0, rate_filtered)
         out[1:, k] = plant.psi, estimate, plant.omega, command
         plant.step(config.plant_gain * command, dt)
         if not (math.isfinite(plant.psi) and math.isfinite(plant.omega)):
@@ -317,6 +363,61 @@ def test_the_step_by_step_path_runs_the_public_pd_law(monkeypatch):
                    trace.control_output):
         assert column.size == 600 and not np.any(column)
     assert (plant.psi, plant.omega) == (0.0, 0.0)
+
+
+def shift_setpoints(monkeypatch):
+    """Swap in a setpoint lookup whose headings are 5 degrees higher."""
+    lookup = ControllerConfig.setpoint_at
+    monkeypatch.setattr(ControllerConfig, "setpoint_at",
+                        lambda self, t: lookup(self, t) + 5.0)
+
+
+def raised(schedule):
+    return tuple((t_k, v + 5.0) for t_k, v in schedule)
+
+
+def test_the_scan_reads_the_schedule_through_setpoint_at(monkeypatch):
+    # An edit to setpoint_at reaches the scan: adding 5 degrees in the
+    # lookup is adding them to every heading of the schedule.
+    kwargs = dict(duration=2.5, dt=0.001, gyro_sigma=3.0, gyro_bias=0.2,
+                  seed=17)
+    schedule = SCHEDULES["unsorted"]
+    plain_plant = YawPlant(inertia=0.8, omega=2.0, disturbance=-0.4)
+    plain = simulate_closed_loop(
+        plain_plant, ControllerConfig(kp=4.0, kd=2.5, cutoff_hz=12.0,
+                                      setpoint_schedule=raised(schedule)),
+        **kwargs)
+    shift_setpoints(monkeypatch)
+    patched_plant = YawPlant(inertia=0.8, omega=2.0, disturbance=-0.4)
+    patched = simulate_closed_loop(
+        patched_plant, ControllerConfig(kp=4.0, kd=2.5, cutoff_hz=12.0,
+                                        setpoint_schedule=schedule), **kwargs)
+    for name in ("psi_true", "psi_est", "omega", "control_output"):
+        assert getattr(patched, name).tobytes() == \
+            getattr(plain, name).tobytes()
+    assert (patched_plant.psi, patched_plant.omega) == (plain_plant.psi,
+                                                        plain_plant.omega)
+
+
+def test_the_step_by_step_path_reads_the_schedule_through_setpoint_at(
+        monkeypatch):
+    # The anti-damped run leaves the scan for the per-step path; its
+    # divergence step and the state it leaves follow the patched lookup.
+    schedule = ((0.0, 10.0), (200.0, -30.0))
+    plain_plant = YawPlant(inertia=1.0, omega=1.0)
+    with pytest.raises(RuntimeError) as plain:
+        simulate_closed_loop(plain_plant, ControllerConfig(
+            kp=4.0, kd=-3.0, setpoint_schedule=raised(schedule)),
+            duration=600.0, dt=0.1)
+    shift_setpoints(monkeypatch)
+    patched_plant = YawPlant(inertia=1.0, omega=1.0)
+    with pytest.raises(RuntimeError) as patched:
+        simulate_closed_loop(patched_plant, ControllerConfig(
+            kp=4.0, kd=-3.0, setpoint_schedule=schedule),
+            duration=600.0, dt=0.1)
+    assert str(patched.value) == str(plain.value)
+    assert np.array([patched_plant.psi, patched_plant.omega]).tobytes() == \
+        np.array([plain_plant.psi, plain_plant.omega]).tobytes()
 
 
 @pytest.mark.parametrize("kp, kd", [
