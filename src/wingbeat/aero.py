@@ -15,7 +15,8 @@ over a cycle grid; both read the inflow-free cell terms that an
 :class:`ElementState` caches at unit air density. So a precompute holds
 no density, and :meth:`CyclePrecompute.loads` takes the solve's. An
 element state is the wing's blade elements in motion; one function builds
-every cycle grid of them from the wing, kinematics and solver settings.
+every cycle grid of them from the wing, kinematics and solver settings,
+on the first half of the cycle when the second mirrors it.
 
 Those terms take two trig passes over the cells, sin and cos of the
 rotation angle theta, and no others. The geometric angle of attack
@@ -60,7 +61,8 @@ class AeroEnvironment:
 
 
 # Upper limit on the cycle grid, steps_per_cycle * n_elements. A solved
-# cycle peaks at 152-154 bytes a cell (tracemalloc), 155 MB at the limit.
+# cycle peaks at 152-154 bytes a cell (tracemalloc), 155 MB at the limit,
+# on an odd grid or asymmetric kinematics, and at 80-81 when it mirrors.
 MAX_GRID_CELLS = 1_000_000
 
 
@@ -153,13 +155,11 @@ class ElementState(BladeElements):
     """The wing's :class:`BladeElements` in motion.
 
     The rotation angle, rate and acceleration share the state's shape, and
-    every other field broadcasts to it: one element, or the (steps, n) grid
+    every other field broadcasts to it: one element, or the (rows, n) grid
     that :func:`_element_grid_state` builds from the wing, the kinematics
     and the solver settings. Angles in radians, lengths in metres, rates in
     1/s. Cached properties are free of the inflow ``v_induced``, so
     :meth:`with_inflow` shares them; :attr:`alpha_effective` is not cached.
-    The cycle means of :attr:`unsteady_terms` average the first
-    ``mean_rows`` rows of a grid, or all of it when that is ``None``.
     """
 
     stroke_rate: np.ndarray
@@ -168,7 +168,6 @@ class ElementState(BladeElements):
     rotation_rate: np.ndarray
     rotation_accel: np.ndarray
     v_induced: float = 0.0
-    mean_rows: int | None = None
 
     @cached_property
     def v_translational(self):
@@ -226,8 +225,8 @@ class ElementState(BladeElements):
     @cached_property
     def unsteady_terms(self):
         """Unsteady forces of every cell at unit air density, the added-mass
-        force and the rotational force (a r^2), and their cycle means over
-        the ``mean_rows`` rows of a grid, by powers of the scales a and r of
+        force and the rotational force (a r^2), and their means over the
+        rows of a grid, by powers of the scales a and r of
         :class:`CyclePrecompute`: lift r^2 (L0 + a L1 + a^2 L2) and power
         a r^3 (P0 + a P1 + a^2 P2) as ((L0, L1, L2), (P0, P1, P2)), one
         power of a for each part of the added mass
@@ -242,19 +241,14 @@ class ElementState(BladeElements):
         if clipped is not None:
             per_accel = np.where(clipped, 0.0, per_accel)
         per_accel *= 0.25 * math.pi * self.chord**2 * scale
-
-        def head(x):  # the rows that the means average
-            return x if self.mean_rows is None else x[:self.mean_rows]
-
-        cos_head = head(cos_rot)
-        v_t_sin = head(self.v_translational) * head(sin_rot)
-        rows = np.shape(cos_head)[0] if np.ndim(cos_head) else 1
+        v_t_sin = self.v_translational * sin_rot
+        rows = np.shape(cos_rot)[0] if np.ndim(cos_rot) else 1
         lift, power = [], []
         added = None
         for part in _acceleration_parts(self, sin_rot, cos_rot):
             part *= per_accel
-            lift.append(np.vdot(head(part), cos_head) / rows)
-            power.append(-np.vdot(head(part), v_t_sin) / rows)
+            lift.append(np.vdot(part, cos_rot) / rows)
+            power.append(-np.vdot(part, v_t_sin) / rows)
             # Summed as each part is taken: one added-mass array stays.
             if added is None:
                 added = part
@@ -266,8 +260,8 @@ class ElementState(BladeElements):
                                out=np.zeros(np.shape(chord)))
         rot = self.rotation_rate * self.v_translational
         rot *= math.pi * (0.75 - axis_ratio) * chord**2 * scale
-        lift[1] += np.vdot(head(rot), cos_head) / rows
-        power[1] += np.vdot(head(rot), v_t_sin) / rows
+        lift[1] += np.vdot(rot, cos_rot) / rows
+        power[1] += np.vdot(rot, v_t_sin) / rows
         return added, rot, (tuple(map(float, lift)), tuple(map(float, power)))
 
     def with_inflow(self, v_induced):
@@ -411,39 +405,32 @@ def element_forces(state, env, re):
     )
 
 
-def _element_grid_state(wing, kin, solver, only_mean_rows=False):
-    """The times of a uniform one-cycle ``solver`` grid, and on it the
-    wing's blade elements moving as ``kin`` says, shape (steps, n).
-
-    Its means average the first half of an even grid when ``kin`` is
-    half-wave symmetric, since the second half mirrors it, and else all of
-    it. ``only_mean_rows`` forms those rows only, at the grid's times."""
+def _element_grid_state(wing, kin, solver):
+    """The wing's blade elements moving as ``kin`` says on the rows of a
+    uniform one-cycle ``solver`` grid that stand for the cycle, shape
+    (rows, n): the first half of an even grid when ``kin`` is half-wave
+    symmetric, since the second half mirrors it, and else all of it."""
     elements = discretize(wing, solver.n_elements)
     steps = solver.steps_per_cycle
-    mean_rows = (steps // 2 if steps % 2 == 0 and kin.half_wave_symmetric
-                 else steps)
-    t = np.arange(mean_rows if only_mean_rows else steps) / (
-        steps * kin.frequency)
+    rows = steps // 2 if steps % 2 == 0 and kin.half_wave_symmetric else steps
+    t = np.arange(rows) / (steps * kin.frequency)
     weights = kin.station_weights(elements.span_fraction)
     rot = [kin.station_series(t, order) @ weights.T for order in (0, 1, 2)]
-    return t, ElementState(
+    return ElementState(
         **vars(elements),
         stroke_rate=kin.stroke.eval(t, kin.frequency, 1)[:, None],
         stroke_accel=kin.stroke.eval(t, kin.frequency, 2)[:, None],
         rotation_angle=rot[0],
         rotation_rate=rot[1],
         rotation_accel=rot[2],
-        mean_rows=mean_rows,
     )
 
 
 def _precompute_terms(state):
-    """The unsteady means of a grid ``state``, and the section speeds and
-    translational terms of the rows they average."""
+    """The unsteady means of a grid ``state``, its section speeds and its
+    translational terms."""
     means = state.unsteady_terms[2]  # before the translational terms form
-    rows = state.mean_rows
-    trans, s_t, c_t = state.translational_terms
-    return means, state.v_translational[:rows], (trans, s_t[:rows], c_t[:rows])
+    return means, state.v_translational, state.translational_terms
 
 
 @dataclass(frozen=True, eq=False)
@@ -463,10 +450,11 @@ class CyclePrecompute:
     and r, and k^4 on lift, k^5 on power. :meth:`fit` finds (a, r, k).
     Every term is at unit air density: :meth:`loads` takes the solve's.
 
-    Of a grid of ``steps`` steps it holds the first ``rows``: half of an
-    even grid for half-wave-symmetric kinematics, whose second half-cycle
-    repeats every translational cell term of the first and cancels the
-    unsteady power means, which are then exactly 0; else all of them.
+    Of a grid of ``steps`` steps it holds the ``rows`` that
+    :func:`_element_grid_state` forms: half of an even grid for
+    half-wave-symmetric kinematics, whose second half-cycle repeats every
+    translational cell term of the first and cancels the unsteady power
+    means, which are then exactly 0; else all of them.
     """
 
     kinematics: object
@@ -484,8 +472,7 @@ class CyclePrecompute:
     def build(cls, wing, kin, solver):
         """Precompute on the ``solver`` grid of ``kin`` for ``wing``."""
         with np.errstate(all="ignore"):
-            _, state = _element_grid_state(wing, kin, solver,
-                                           only_mean_rows=True)
+            state = _element_grid_state(wing, kin, solver)
             terms = _precompute_terms(state)
             del state  # the grid and its unsteady terms, before the moments
             return cls._from_means(*terms, kin, wing, solver.steps_per_cycle)
@@ -756,25 +743,36 @@ def simulate_cycle(wing, kin, env, solver=SolverSettings(),
     """March one flapping cycle and accumulate cycle-average loads at the
     stroke-based Reynolds number (:func:`reynolds`), which raises if none,
     on the ``solver`` grid. A given ``induced_velocity`` (m/s), finite and
-    non-negative, fixes the mean inflow instead of solving for it."""
+    non-negative, fixes the mean inflow instead of solving for it. The
+    force pass runs on the rows of :func:`_element_grid_state`; when they
+    are half the grid, the second half-cycle is their mirror."""
     if induced_velocity is not None and not 0.0 <= induced_velocity < math.inf:
         raise ValueError(f"induced velocity must be finite and non-negative, "
                          f"got {induced_velocity}")
     re = reynolds(wing, kin, env)
+    steps = solver.steps_per_cycle
     vi_info = None
     # As in the inflow solve: absurd inputs end in one error message.
     with np.errstate(all="ignore"):
-        t, state = _element_grid_state(wing, kin, solver)
+        state = _element_grid_state(wing, kin, solver)
         if induced_velocity is None:
             vi_info = solve_induced_velocity(
                 wing, kin, env, solver, precompute=CyclePrecompute._from_means(
-                    *_precompute_terms(state), kin, wing,
-                    solver.steps_per_cycle))
+                    *_precompute_terms(state), kin, wing, steps))
             induced_velocity = vi_info.v_induced
         v_t, rate = state.v_translational, state.stroke_rate
         span_fractions = state.span_fraction
         forces = element_forces(state.with_inflow(induced_velocity), env, re)
         del state  # and with it the cell terms, before the sums below
+        if len(rate) < steps:
+            # At t + T/2 the stroke rate and the added-mass and rotational
+            # eta forces change sign; every other cell term repeats.
+            flip = ("added_mass_eta", "rotational_eta")
+            forces = ForceBreakdown(**{
+                name: np.concatenate([f, -f if name in flip else f])
+                for name, f in vars(forces).items()})
+            v_t = np.concatenate([v_t, v_t])
+            rate = np.concatenate([rate, -rate])
 
         factor = 2.0 if solver.pair else 1.0
         power_grid = v_t * -forces.total_eta
@@ -804,7 +802,7 @@ def simulate_cycle(wing, kin, env, solver=SolverSettings(),
         span_fractions=span_fractions,
         spanwise_lift=spanwise_lift,
         spanwise_power=spanwise_power,
-        t=t,
+        t=np.arange(steps) / (steps * kin.frequency),
         history=history,
         power_history=factor * np.sum(power_grid, axis=1),
         vi_info=vi_info,

@@ -169,11 +169,13 @@ def write_float_table(path, header, columns):
     Every cell reads as :func:`format_float` formats it, byte for byte.
     Each chunk of ``TABLE_CHUNK_ROWS`` rows is formatted by array
     operations in :func:`_format_rows` and written as one bytes string,
-    so that no copy of the whole table is ever held in memory. Columns of
-    unequal length, or a header of another width, raise a ``ValueError``
-    before the file is opened.
+    so that no copy of the whole table is ever held in memory. No columns,
+    columns of unequal length, or a header of another width raise a
+    ``ValueError`` before the file is opened.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
+    if not columns:
+        raise ValueError("float table has no columns")
     if len({c.shape for c in columns}) > 1:
         raise ValueError(f"float table columns must have equal lengths, got "
                          f"{[len(c) for c in columns]}")

@@ -210,10 +210,11 @@ class WingKinematics:
                          for _, series in self.rotation_stations], axis=-1)
 
     def rotation_at(self, span_fraction, t, order=0):
-        """Rotation angle (or derivative) at a span fraction and time."""
+        """Rotation angle (or derivative) at a span fraction and time. An
+        array of fractions keeps its axis, last; a scalar one has none."""
         values = self.station_series(t, order)
         weights = self.station_weights(span_fraction)
-        out = values @ weights.T if weights.shape[0] > 1 else values @ weights[0]
+        out = values @ (weights.T if np.ndim(span_fraction) else weights[0])
         return out if np.ndim(out) else float(out)
 
     def with_frequency(self, frequency):

@@ -84,10 +84,6 @@ class WingMassModel:
         if any(not 0.0 <= s <= 1.0 for s in self.span_fractions):
             raise ValueError("span fractions must lie in [0, 1]")
 
-    @property
-    def total_mass(self):
-        return float(sum(self.masses))
-
     @classmethod
     def from_wing(cls, wing, total_mass):
         """Distribute a wing-pair mass over 20 blade elements by membrane area.

@@ -4,12 +4,28 @@ import math
 
 import numpy as np
 
-from wingbeat.aero import (
-    ForceBreakdown,
-    _element_grid_state,
-    aero_coefficients,
-)
+from wingbeat.aero import ElementState, ForceBreakdown, aero_coefficients
 from wingbeat.kinematics import geometric_aoa
+from wingbeat.wing import discretize
+
+
+def full_grid_state(wing, kin, solver):
+    """The wing's blade elements moving as ``kin`` says on every row of a
+    uniform one-cycle ``solver`` grid, shape (steps, n), whatever the
+    symmetry of ``kin``."""
+    elements = discretize(wing, solver.n_elements)
+    steps = solver.steps_per_cycle
+    t = np.arange(steps) / (steps * kin.frequency)
+    weights = kin.station_weights(elements.span_fraction)
+    rot = [kin.station_series(t, order) @ weights.T for order in (0, 1, 2)]
+    return ElementState(
+        **vars(elements),
+        stroke_rate=kin.stroke.eval(t, kin.frequency, 1)[:, None],
+        stroke_accel=kin.stroke.eval(t, kin.frequency, 2)[:, None],
+        rotation_angle=rot[0],
+        rotation_rate=rot[1],
+        rotation_accel=rot[2],
+    )
 
 
 def reference_forces(state, env, re):
@@ -50,8 +66,7 @@ def reference_forces(state, env, re):
 
 
 def _reference_pass(wing, kin, env, solver, v_induced, re):
-    _, state = _element_grid_state(wing, kin, solver)
-    state = state.with_inflow(v_induced)
+    state = full_grid_state(wing, kin, solver).with_inflow(v_induced)
     return state, reference_forces(state, env, re)
 
 

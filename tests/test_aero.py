@@ -37,7 +37,12 @@ from wingbeat.wing import (
     scaled_to_area,
 )
 
-from oracles import pair_mean_power, pair_mean_thrust, reference_forces
+from oracles import (
+    full_grid_state,
+    pair_mean_power,
+    pair_mean_thrust,
+    reference_forces,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -234,7 +239,7 @@ def test_element_state_derived_arrays_are_computed_once():
     assert cached
 
     def fresh(v_induced):
-        _, state = _element_grid_state(
+        state = _element_grid_state(
             standard_wing(25.5), beetle_kinematics(17.3, 190.0),
             SolverSettings(steps_per_cycle=72))
         return state.with_inflow(v_induced)
@@ -485,10 +490,9 @@ def test_precompute_on_another_grid_is_rejected():
 def full_cycle_precompute(wing, kin, solver):
     """The precompute on every row of the ``solver`` grid, whatever the
     symmetry of ``kin``."""
-    _, state = _element_grid_state(wing, kin, solver)
     return CyclePrecompute._from_means(
-        *aero._precompute_terms(replace(state, mean_rows=None)), kin, wing,
-        solver.steps_per_cycle)
+        *aero._precompute_terms(full_grid_state(wing, kin, solver)), kin,
+        wing, solver.steps_per_cycle)
 
 
 @pytest.mark.parametrize("cutout", [0.0, 0.3])
@@ -545,6 +549,46 @@ def test_asymmetric_stroke_or_odd_grid_keeps_the_full_cycle(kin, steps):
     solved = solve_induced_velocity(wing, kin, ENV, solver, precompute=full)
     assert simulate_cycle(wing, kin, ENV, solver).vi_info == solved
     assert solve_induced_velocity(wing, kin, ENV, solver) == solved
+
+
+@pytest.mark.parametrize("cutout", [0.0, 0.3])
+@pytest.mark.parametrize("pair", [True, False])
+def test_mirrored_half_cycle_matches_the_full_grid(monkeypatch, pair, cutout):
+    # The force pass on half the grid, with the second half-cycle mirrored,
+    # gives the tables of a cycle solved on every row of the grid: each
+    # array within 1e-12 of its largest magnitude.
+    wing = apply_inboard_cutout(standard_wing(25.5), cutout)
+    kin, solver = beetle_kinematics(17.3, 190.0), SolverSettings(pair=pair)
+    got = simulate_cycle(wing, kin, ENV, solver)
+    monkeypatch.setattr(aero, "_element_grid_state", full_grid_state)
+    want = simulate_cycle(wing, kin, ENV, solver)
+    assert got.v_induced == pytest.approx(want.v_induced, rel=1e-12)
+    np.testing.assert_array_equal(got.t, want.t)
+    arrays = [(getattr(got.history, name), value)
+              for name, value in vars(want.history).items()]
+    arrays += [(got.power_history, want.power_history),
+               (got.spanwise_lift, want.spanwise_lift),
+               (got.spanwise_power, want.spanwise_power)]
+    for value, reference in arrays:
+        assert value.shape == reference.shape
+        error = np.max(np.abs(value - reference))
+        assert error <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_a_symmetric_cycle_runs_one_force_pass_on_half_the_grid(
+        monkeypatch):
+    shapes = []
+
+    def recorded(state, env, re):
+        shapes.append(np.shape(state.rotation_angle))
+        return element_forces(state, env, re)
+
+    monkeypatch.setattr(aero, "element_forces", recorded)
+    result = simulate_cycle(standard_wing(25.5),
+                            beetle_kinematics(17.3, 190.0), ENV)
+    assert result.vi_info is not None
+    assert shapes == [(360, 20)]
+    assert result.t.shape == result.power_history.shape == (720,)
 
 
 def test_half_cycle_precompute_refuses_an_even_stroke_harmonic():
@@ -1046,8 +1090,7 @@ def test_element_state_angle_ranges_over_a_cycle():
     # construction, checked over a full preset cycle.
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
-    _, state = _element_grid_state(wing, kin, SolverSettings())
-    state = state.with_inflow(1.8)
+    state = _element_grid_state(wing, kin, SolverSettings()).with_inflow(1.8)
     alpha_e = state.alpha_effective
     phi = geometric_aoa(state.rotation_angle, state.stroke_rate) - alpha_e
     assert np.all((0.0 <= phi) & (phi <= math.pi / 2))
@@ -1142,8 +1185,8 @@ def test_force_pass_matches_the_reference_pass_on_a_grid():
         kin = shape(17.3)
         re = reynolds(wing, kin, ENV)
         for v in (0.0, 1.87, 3.5):
-            _, state = _element_grid_state(wing, kin, SolverSettings())
-            state = state.with_inflow(v)
+            state = _element_grid_state(wing, kin,
+                                        SolverSettings()).with_inflow(v)
             got = element_forces(state, ENV, re)
             want = reference_forces(state, ENV, re)
             for name, value in vars(want).items():
@@ -1154,9 +1197,9 @@ def test_force_pass_matches_the_reference_pass_on_a_grid():
 def test_force_pass_at_stroke_reversal_without_inflow():
     # A cell with no section speed and no inflow has no dynamic pressure:
     # zero translational force, finite forces, and no 0/0 warning.
-    _, state = _element_grid_state(standard_wing(25.5),
-                                   beetle_kinematics(17.3, 190.0),
-                                   SolverSettings(steps_per_cycle=72))
+    state = full_grid_state(standard_wing(25.5),
+                            beetle_kinematics(17.3, 190.0),
+                            SolverSettings(steps_per_cycle=72))
     rate = state.stroke_rate.copy()
     rate[[0, 36]] = 0.0
     state = replace(state, stroke_rate=rate)

@@ -1663,12 +1663,15 @@ def test_write_float_table_rejects_columns_of_unequal_length(tmp_path):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("header", [("a",), ("a", "b", "c")])
+@pytest.mark.parametrize("header", [("a",), ("a", "b", "c"), ()])
 def test_write_float_table_rejects_a_header_of_another_width(tmp_path, header):
+    # An empty header goes with no columns at all: no table to write.
     path = tmp_path / "t.csv"
-    with pytest.raises(ValueError, match=(
-            f"header has {len(header)} names for 2 columns")):
-        harness.write_float_table(path, header, (np.zeros(3), np.ones(3)))
+    columns = (np.zeros(3), np.ones(3)) if header else ()
+    message = (f"float table header has {len(header)} names for 2 columns"
+               if header else "float table has no columns")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        harness.write_float_table(path, header, columns)
     assert not path.exists()
 
 

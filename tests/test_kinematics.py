@@ -164,6 +164,19 @@ def test_rotation_clamps_outside_stations():
                                                       rel=1e-12)
 
 
+def test_rotation_keeps_the_span_axis_of_an_array_of_fractions():
+    kin = two_station_kinematics()
+    one, two = kin.rotation_at(np.array([0.5]), 0.01), kin.rotation_at(
+        np.array([0.5, 1.0]), 0.01)
+    assert one.shape == (1,) and two.shape == (2,)
+    assert one[0] == pytest.approx(kin.rotation_at(0.5, 0.01), rel=1e-15)
+    assert two[0] == pytest.approx(one[0], rel=1e-15)
+    assert type(kin.rotation_at(0.5, 0.01)) is float
+    t = np.array([0.0, 0.01, 0.02])
+    assert kin.rotation_at([0.5], t).shape == (3, 1)
+    assert kin.rotation_at(0.5, t).shape == (3,)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_rotation_rejects_a_non_finite_span_fraction(value):
     kin = two_station_kinematics()
