@@ -32,8 +32,11 @@ the effective angle of attack, is the root of actuator-disk momentum
 balance against the blade-element thrust, found by :func:`secant_steps`
 on a precompute. A precompute rescales exactly with the stroke
 amplitude, the frequency and the size of a geometrically similar wing;
-:meth:`CyclePrecompute.fit` finds those scales once per solve. Power is
-the eta force opposing the stroke motion times its speed.
+:meth:`CyclePrecompute.fit` finds those scales once per solve. Its cell
+moments all divide by q, in one matrix, and on the half cycle of a stroke
+whose speed at T/2 - t is that at t it adds those rows onto each other,
+so an evaluation sums a quarter of the grid. Power is the eta force
+opposing the stroke motion times its speed.
 """
 
 from dataclasses import dataclass, replace
@@ -61,8 +64,8 @@ class AeroEnvironment:
 
 
 # Upper limit on the cycle grid, steps_per_cycle * n_elements. A solved
-# cycle peaks at 152-154 bytes a cell (tracemalloc), 155 MB at the limit,
-# on an odd grid or asymmetric kinematics, and at 80-81 when it mirrors.
+# cycle peaks at 160-162 bytes a cell (tracemalloc), 161 MB at the limit,
+# on an odd grid or asymmetric kinematics, and at 76-81 when it mirrors.
 MAX_GRID_CELLS = 1_000_000
 
 
@@ -433,6 +436,24 @@ def _precompute_terms(state):
     return means, state.v_translational, state.translational_terms
 
 
+def _fold(x):
+    """Rows 0 .. R/2 of an (R, n) half-grid array, with row R - j added onto
+    row j for 0 < j < R - j."""
+    rows = len(x)
+    folded = x[:rows // 2 + 1].copy()
+    folded[1:(rows + 1) // 2] += x[:rows // 2:-1]
+    return folded
+
+
+def _wing_shape(wing):
+    """A wing's lengths over its span, pitch axis and cutout, which a
+    geometric rescaling keeps."""
+    return [wing.pitch_axis_fraction, wing.cutout,
+            wing.root_offset / wing.span,
+            *(x / wing.span for point in wing.chord_breakpoints
+              for x in point)]
+
+
 @dataclass(frozen=True, eq=False)
 class CyclePrecompute:
     """Inflow-independent terms of one cycle grid, rescalable in amplitude,
@@ -450,20 +471,29 @@ class CyclePrecompute:
     and r, and k^4 on lift, k^5 on power. :meth:`fit` finds (a, r, k).
     Every term is at unit air density: :meth:`loads` takes the solve's.
 
-    Of a grid of ``steps`` steps it holds the ``rows`` that
+    Of a grid of ``steps`` steps it stands for the ``rows`` that
     :func:`_element_grid_state` forms: half of an even grid for
     half-wave-symmetric kinematics, whose second half-cycle repeats every
     translational cell term of the first and cancels the unsteady power
-    means, which are then exactly 0; else all of them.
+    means, which are then exactly 0; else all of them. The R rows of a
+    half cycle are ``folded`` when the stroke is also
+    :attr:`~wingbeat.kinematics.WingKinematics.quarter_wave_mirrored`:
+    row R - j, at T/2 - t, has the section speeds of row j, so its
+    translational terms are added onto row j's and rows 0 .. R/2 remain,
+    181 of 360 on a 720-step grid. The moments over 1/q, ``by_inverse_q``,
+    are those of the cubics and T, T v^2 and T v^4, since T q and
+    T v^2 q are T (v^2 + u^2) / q and T v^2 (v^2 + u^2) / q: one matrix
+    product a :meth:`loads` call.
     """
 
     kinematics: object
     wing: object
     steps: int
     rows: int
+    n_elements: int
+    folded: bool
     v_t_sq: np.ndarray
     by_inverse_q: np.ndarray
-    by_q: np.ndarray
     at_zero_inflow: tuple
     lift_by_a: tuple
     power_by_a: tuple
@@ -480,30 +510,42 @@ class CyclePrecompute:
     @classmethod
     def _from_means(cls, means, v_t, terms, kin, wing, steps):
         """Precompute from :func:`_precompute_terms` of a ``steps`` grid."""
+        rows, n_elements = v_t.shape
         trans, s_t, c_t = terms
+        folded = rows < steps and kin.quarter_wave_mirrored
+        if folded:
+            # The three terms first, so that each moment forms on the
+            # folded rows only.
+            trans, s_t, c_t = (_fold(np.broadcast_to(x, v_t.shape))
+                               for x in terms)
+            v_t = v_t[:rows // 2 + 1]
         # The moments of the cubics at unit scale (see loads()), in place.
         v_sq = v_t**2
-        by_inverse_q = np.empty((5,) + v_t.shape)
-        s_t_v3, c_t_v2, s_t_v, _, c_t_v4 = by_inverse_q
+        by_inverse_q = np.empty((8,) + v_t.shape)
+        s_t_v3, c_t_v2, s_t_v, _, c_t_v4, _, t_v2, t_v4 = by_inverse_q
         np.multiply(s_t, v_t, out=s_t_v)
         np.multiply(s_t_v, v_sq, out=s_t_v3)
         np.multiply(c_t, v_sq, out=c_t_v2)
         np.multiply(c_t_v2, v_sq, out=c_t_v4)
         by_inverse_q[3] = c_t
-        by_q = np.empty((2,) + v_t.shape)
-        by_q[0] = trans
-        np.multiply(trans, v_sq, out=by_q[1])
+        by_inverse_q[5] = trans
+        np.multiply(trans, v_sq, out=t_v2)
+        np.multiply(t_v2, v_sq, out=t_v4)
         at_zero_inflow = tuple(float(np.vdot(x, v_t))
-                               for x in (s_t_v, c_t_v2, by_q[1]))
+                               for x in (s_t_v, c_t_v2, t_v2))
         lift, power = means
-        rows = v_t.shape[0]
         if rows < steps:
             power = (0.0, 0.0, 0.0)
         return cls(kinematics=kin, wing=wing, steps=steps, rows=rows,
-                   v_t_sq=v_sq.ravel(),
-                   by_inverse_q=by_inverse_q.reshape(5, -1),
-                   by_q=by_q.reshape(2, -1), at_zero_inflow=at_zero_inflow,
-                   lift_by_a=lift, power_by_a=power)
+                   n_elements=n_elements, folded=folded, v_t_sq=v_sq.ravel(),
+                   by_inverse_q=by_inverse_q.reshape(8, -1),
+                   at_zero_inflow=at_zero_inflow, lift_by_a=lift,
+                   power_by_a=power)
+
+    @cached_property
+    def wing_shape(self):
+        """:func:`_wing_shape` of the precomputed wing, formed once."""
+        return _wing_shape(self.wing)
 
     def fit(self, wing, kin):
         """Scales (a, r, k): ``kin``'s stroke harmonics are a times, and its
@@ -513,13 +555,9 @@ class CyclePrecompute:
         precomputed wing's to 1e-9 (relative, or absolute near 0), then
         unless ``kin`` rescales the precomputed kinematics, then unless
         ``kin`` is half-wave symmetric when the precompute holds half a
-        cycle."""
-        def shape(w):
-            return [w.pitch_axis_fraction, w.cutout, w.root_offset / w.span,
-                    *(x / w.span for point in w.chord_breakpoints
-                      for x in point)]
-
-        mine, theirs = shape(self.wing), shape(wing)
+        cycle, then unless it is quarter-wave mirrored when the precompute
+        is folded."""
+        mine, theirs = self.wing_shape, _wing_shape(wing)
         if len(mine) != len(theirs) or not all(
                 math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
                 for x, y in zip(mine, theirs)):
@@ -540,6 +578,9 @@ class CyclePrecompute:
         if self.rows < self.steps and not kin.half_wave_symmetric:
             raise ValueError("kinematics are not half-wave symmetric, as the "
                              "precomputed half cycle needs")
+        if self.folded and not kin.quarter_wave_mirrored:
+            raise ValueError("kinematics are not quarter-wave mirrored, as "
+                             "the folded precompute needs")
         # As numpy scalars, absurd scales overflow to inf, which the
         # caller's finiteness check reports, and not to an OverflowError.
         return (np.float64(a), np.float64(kin.frequency / ref.frequency),
@@ -558,12 +599,14 @@ class CyclePrecompute:
             k1, k6, k7 = self.at_zero_inflow
             k2 = k3 = k4 = k5 = 0.0
         else:
-            # Sums over the cells of the moments times 1/q and times q.
+            # Sums over the cells of the moments over q, among them T, T v^2
+            # and T v^4, since T q = T (v^2 + u^2) / q.
             q = self.v_t_sq + u * u
             np.sqrt(q, out=q)
-            k5, k7 = self.by_q @ q
             np.divide(1.0, q, out=q)
-            k1, k2, k3, k4, k6 = self.by_inverse_q @ q
+            k1, k2, k3, k4, k6, t, t_v2, t_v4 = self.by_inverse_q @ q
+            k5 = t_v2 + u * u * t
+            k7 = t_v4 + u * u * t_v2
         thrust = _lift_cubic(amplitudes, u, k1, k2, k3, k4, k5)
         power = _drag_cubic(amplitudes, u, k6, k1, k2, k3, k7)
         l0, l1, l2 = self.lift_by_a
@@ -684,7 +727,7 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
         disk_area = kin.stroke_amplitude * np.float64(wing.span)**2
         if precompute is None:
             precompute = CyclePrecompute.build(wing, kin, solver)
-        grid = (precompute.steps, precompute.v_t_sq.size // precompute.rows)
+        grid = (precompute.steps, precompute.n_elements)
         if grid != (solver.steps_per_cycle, solver.n_elements):
             raise ValueError(f"precompute grid {grid} is not the solver grid "
                              f"{(solver.steps_per_cycle, solver.n_elements)}")

@@ -62,7 +62,12 @@ class ComputeError(RuntimeError):
 # The cell tables below build exactly this format.
 FLOAT_FORMAT = ".12g"
 # Rows of a float table formatted and written at a time; a 5-column
-# chunk's working arrays then stay under 100 kB each.
+# chunk's working arrays then stay under 100 kB each. Larger chunks are
+# slower: a 2048-row chunk's 327 kB array of 32-byte cells is above
+# glibc's 128 kB mmap threshold, and in a fresh process write_control on
+# a 60 000-step trace then took 8 782 minor faults a call and 40-54 ms
+# (best of 15), against 0 faults and 30-32 ms at 512 rows (2-core x86 VM,
+# Python 3.11, numpy 2.4).
 TABLE_CHUNK_ROWS = 512
 
 
@@ -270,8 +275,8 @@ class SweepRow:
 
 
 # Upper limit on a sweep's points, the product of its four axes. A point
-# takes ~0.25 ms and writing sweep.json peaks at ~3.4 kB a point
-# (tracemalloc), so the limit is ~25 s and ~340 MB.
+# takes ~0.15 ms and writing sweep.json peaks at ~3.4 kB a point
+# (tracemalloc), so the limit is ~15 s and ~340 MB.
 MAX_SWEEP_POINTS = 100_000
 
 
@@ -291,6 +296,10 @@ def run_sweep(config, workers=1):
     def wing_of(area, cutout):
         return apply_inboard_cutout(scaled_to_area(config.wing, area * 1e-4),
                                     cutout)
+
+    @functools.cache
+    def stroke_of(amplitude):
+        return config.kinematics.with_stroke_amplitude(math.radians(amplitude))
 
     axes = (config.amplitudes_deg, config.areas_cm2, config.cutouts,
             config.frequencies_hz)
@@ -318,8 +327,7 @@ def run_sweep(config, workers=1):
                         precompute = CyclePrecompute.build(
                             apply_inboard_cutout(config.wing, cutout), shape,
                             solver)
-                    kin = config.kinematics.with_stroke_amplitude(
-                        math.radians(amplitude)).with_frequency(frequency)
+                    kin = stroke_of(amplitude).with_frequency(frequency)
                     info = solve_induced_velocity(wing, kin, env, solver,
                                                   precompute=precompute)
                     rows[index] = SweepRow(

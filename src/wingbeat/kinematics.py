@@ -184,6 +184,17 @@ class WingKinematics:
                 and all(c == 0.0 for s in series
                         for c in (*s.a[1::2], *s.b[1::2])))
 
+    @property
+    def quarter_wave_mirrored(self):
+        """Whether the stroke speed at T/2 - t is the speed at t: the stroke
+        has odd harmonics only, and either every cosine or every sine
+        coefficient is exactly 0. Then the stroke rate there is the rate at
+        t, or its negative. The rotation does not count. There is no
+        tolerance."""
+        a, b = self.stroke.a, self.stroke.b
+        return (all(c == 0.0 for c in (*a[1::2], *b[1::2]))
+                and (all(c == 0.0 for c in a) or all(c == 0.0 for c in b)))
+
     def station_weights(self, span_fraction):
         """Linear-interpolation weights over stations, one row per span
         fraction; clamped outside (the first of equal first stations wins).

@@ -495,23 +495,76 @@ def full_cycle_precompute(wing, kin, solver):
         wing, solver.steps_per_cycle)
 
 
-@pytest.mark.parametrize("cutout", [0.0, 0.3])
-def test_symmetric_precompute_holds_half_the_cycle(cutout):
+def stroke_kinematics(cosine, sine, f=17.3):
+    """The beetle kinematics with a one-harmonic stroke of these cosine and
+    sine coefficients (rad)."""
+    return replace(beetle_kinematics(f, 190.0),
+                   stroke=FourierSeries(0.0, (cosine,), (sine,)))
+
+
+PEAK = beetle_kinematics(17.3, 190.0).stroke.b[0]
+
+
+@pytest.mark.parametrize("cutout, kin, steps, cells", [
+    pytest.param(0.0, beetle_kinematics(17.3, 190.0), 720, 3620, id="0.0"),
+    pytest.param(0.3, beetle_kinematics(17.3, 190.0), 720, 3620, id="0.3"),
+    pytest.param(0.0, beetle_kinematics(17.3, 190.0), 722, 3620,
+                 id="odd-half-grid"),
+    pytest.param(0.0, stroke_kinematics(1e-300, PEAK), 720, 7200,
+                 id="cosine-1e-300")])
+def test_symmetric_precompute_holds_half_the_cycle(cutout, kin, steps, cells):
     # The beetle stroke's second half-cycle mirrors its first: half the
-    # cells give the full grid's loads, and the unsteady power means,
-    # rounding noise on the full grid, are exactly 0.
+    # rows give the full grid's loads, and the unsteady power means,
+    # rounding noise on the full grid, are exactly 0. A sine stroke of odd
+    # harmonics also has the speed at T/2 - t of t, and those rows fold
+    # onto rows 0 .. rows/2; a cosine term, however small, keeps every row
+    # of the half grid.
     wing = apply_inboard_cutout(standard_wing(25.5), cutout)
-    kin = beetle_kinematics(17.3, 190.0)
-    half = CyclePrecompute.build(wing, kin, SolverSettings())
-    full = full_cycle_precompute(wing, kin, SolverSettings())
-    assert (half.steps, half.rows, half.v_t_sq.size) == (720, 360, 7200)
-    assert (full.steps, full.rows, full.v_t_sq.size) == (720, 720, 14400)
+    solver = SolverSettings(steps_per_cycle=steps)
+    half = CyclePrecompute.build(wing, kin, solver)
+    full = full_cycle_precompute(wing, kin, solver)
+    assert (half.steps, half.rows, half.v_t_sq.size) == (steps, steps // 2,
+                                                         cells)
+    assert half.folded is (cells < steps // 2 * 20)
+    assert (full.steps, full.rows, full.v_t_sq.size) == (steps, steps,
+                                                         steps * 20)
+    assert not full.folded
     assert half.power_by_a == (0.0, 0.0, 0.0)
     assert max(map(abs, full.power_by_a)) < 1e-15
     scales, re = half.fit(wing, kin), reynolds(wing, kin, ENV)
     for v in (0.0, 0.7, 1.3):
         got = half.loads(scales, v, re, ENV.rho)
         want = full.loads(scales, v, re, ENV.rho)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    for pair in (True, False):
+        solver = replace(solver, pair=pair)
+        got = solve_induced_velocity(wing, kin, ENV, solver, precompute=half)
+        want = solve_induced_velocity(wing, kin, ENV, solver, precompute=full)
+        assert got.iterations == want.iterations
+        assert (got.lift, got.power) == pytest.approx(
+            (want.lift, want.power), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("cutout", [0.0, 0.3])
+def test_a_cosine_stroke_folds_its_half_cycle(monkeypatch, cutout):
+    # Odd cosine harmonics mirror the stroke speed too. The reference is
+    # the unfolded half cycle, not the full grid: there the reversal at
+    # T/2 samples a stroke rate of ~2e-14, not the 0 of its mirror t = 0,
+    # and takes the moving angle of attack on one row.
+    wing = apply_inboard_cutout(standard_wing(25.5), cutout)
+    kin = stroke_kinematics(PEAK, 0.0)
+    assert kin.quarter_wave_mirrored
+    folded = CyclePrecompute.build(wing, kin, SolverSettings())
+    monkeypatch.setattr(WingKinematics, "quarter_wave_mirrored", False)
+    unfolded = CyclePrecompute.build(wing, kin, SolverSettings())
+    assert (folded.rows, folded.v_t_sq.size, folded.folded) == (360, 3620,
+                                                                True)
+    assert (unfolded.rows, unfolded.v_t_sq.size, unfolded.folded) == (
+        360, 7200, False)
+    scales, re = unfolded.fit(wing, kin), reynolds(wing, kin, ENV)
+    for v in (0.0, 0.7, 1.3):
+        got = folded.loads(scales, v, re, ENV.rho)
+        want = unfolded.loads(scales, v, re, ENV.rho)
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
@@ -541,7 +594,8 @@ def test_asymmetric_stroke_or_odd_grid_keeps_the_full_cycle(kin, steps):
     built = CyclePrecompute.build(wing, kin, solver)
     full = full_cycle_precompute(wing, kin, solver)
     assert built.steps == built.rows == steps
-    for name in ("v_t_sq", "by_inverse_q", "by_q"):
+    assert built.v_t_sq.size == steps * 20 and not built.folded
+    for name in ("v_t_sq", "by_inverse_q"):
         np.testing.assert_array_equal(getattr(built, name),
                                       getattr(full, name))
     for name in ("at_zero_inflow", "lift_by_a", "power_by_a"):
@@ -616,6 +670,31 @@ def test_half_cycle_precompute_refuses_an_even_stroke_harmonic():
     assert full.fit(wing, kin) == full.fit(wing, tilted) == (1.0, 1.0, 1.0)
 
 
+def test_folded_precompute_refuses_an_unmirrored_stroke():
+    # A cosine term of 1e-12 of the peak passes the rescaling check's 1e-9
+    # and keeps the stroke half-wave symmetric, but the speed at T/2 - t
+    # is no longer that at t.
+    wing = standard_wing(25.5)
+    kin, tilted = stroke_kinematics(0.0, PEAK), stroke_kinematics(
+        1e-12 * PEAK, PEAK)
+    assert tilted.half_wave_symmetric and not tilted.quarter_wave_mirrored
+    precompute = CyclePrecompute.build(wing, kin, SolverSettings())
+    assert precompute.folded
+    for call in (lambda: precompute.fit(wing, tilted),
+                 lambda: solve_induced_velocity(wing, tilted, ENV,
+                                                precompute=precompute)):
+        with pytest.raises(ValueError) as error:
+            call()
+        assert str(error.value) == ("kinematics are not quarter-wave "
+                                    "mirrored, as the folded precompute "
+                                    "needs")
+    # The half cycle of the tilted stroke, unfolded, serves both.
+    unfolded = CyclePrecompute.build(wing, tilted, SolverSettings())
+    assert (unfolded.rows, unfolded.folded) == (360, False)
+    assert unfolded.fit(wing, kin) == unfolded.fit(wing, tilted) == (
+        1.0, 1.0, 1.0)
+
+
 def test_induced_velocity_self_consistency():
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
@@ -686,7 +765,7 @@ class StubPrecompute:
     ``thrust(v)``, at zero power; it records every inflow it is asked."""
 
     steps = rows = 36
-    v_t_sq = np.zeros(72)
+    n_elements = 2
 
     def __init__(self, thrust):
         self.thrust, self.inflows = thrust, []

@@ -465,6 +465,40 @@ def test_sweep_evaluates_loads_once_per_inflow_iterate(monkeypatch):
     assert len(fits) == len(rows) == 16
 
 
+def test_study_sweep_sums_the_folded_cells(monkeypatch):
+    # study.json's 18 points share one precompute of its sine stroke, whose
+    # half cycle folds: each loads call sums 181 x 20 of the 720 x 20
+    # cells. Each amplitude's kinematics are formed once, besides the
+    # grid's at unit amplitude.
+    builds, cells, amplitudes = [], [], []
+    build = aero.CyclePrecompute.build
+    loads = aero.CyclePrecompute.loads
+    rescale = WingKinematics.with_stroke_amplitude
+
+    def counting_build(cls, wing, kin, solver):
+        builds.append(solver)
+        return build(wing, kin, solver)
+
+    def counting_loads(self, scales, v, re, rho):
+        cells.append(self.v_t_sq.size)
+        return loads(self, scales, v, re, rho)
+
+    def counting_rescale(self, amplitude):
+        amplitudes.append(amplitude)
+        return rescale(self, amplitude)
+
+    monkeypatch.setattr(aero.CyclePrecompute, "build",
+                        classmethod(counting_build))
+    monkeypatch.setattr(aero.CyclePrecompute, "loads", counting_loads)
+    monkeypatch.setattr(WingKinematics, "with_stroke_amplitude",
+                        counting_rescale)
+    rows = run_sweep(StudyConfig.from_dict(json.loads(json.dumps(STUDY))))
+    assert len(rows) == 18 and all(row.error is None for row in rows)
+    assert len(builds) == 1
+    assert cells == [3620] * 72
+    assert amplitudes == [1.0, math.radians(120.0), math.radians(190.0)]
+
+
 def test_sweep_samples_the_stroke_amplitude_at_most_once(monkeypatch):
     # Order-0 evaluations of a stroke series (mean angle 0, where the
     # rotation stations' is 90 deg) sample its amplitude; the cycle grid

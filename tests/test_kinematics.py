@@ -331,3 +331,24 @@ def test_half_wave_symmetry_is_odd_harmonics_about_a_right_angle():
                     FourierSeries(odd.a0, (0.1, 1e-300), (0.0, 0.0))):
         assert not WingKinematics(stroke, ((0.2, odd), (1.0, station)),
                                   17.3).half_wave_symmetric
+
+
+@pytest.mark.parametrize("a, b, mirrored", [
+    ((0.0, 0.0, 0.1), (1.0, 0.0, 0.0), False),
+    ((0.0, 0.0, 0.0), (1.0, 0.0, -0.3), True),
+    ((1.0, 0.0, 0.2), (0.0, 0.0, -0.0), True),
+    ((), (), True),
+    ((1e-300,), (1.0,), False),
+    ((0.0, 1e-300), (1.0, 0.0), False),
+    ((1.0, 0.0), (0.0, 1e-300), False)])
+def test_quarter_wave_mirror_is_odd_harmonics_of_one_phase(a, b, mirrored):
+    # Exact comparisons, and the rotation does not count. Where it holds,
+    # the stroke speed at T/2 - t is that at t.
+    odd = FourierSeries(1.2, (0.1, 0.3), (0.5, 0.0))
+    kin = WingKinematics(FourierSeries(0.3, a, b), ((1.0, odd),), 17.3)
+    assert kin.quarter_wave_mirrored is mirrored
+    if mirrored:
+        speed = np.abs(kin.stroke.eval(np.linspace(0.0, 0.5 / 17.3, 31),
+                                       17.3, 1))
+        np.testing.assert_allclose(speed, speed[::-1], rtol=1e-12,
+                                   atol=1e-12)
