@@ -21,6 +21,7 @@ from .aero import (
     element_forces,
     reynolds,
     simulate_cycle,
+    solve_induced_velocities,
     solve_induced_velocity,
 )
 from .control import (

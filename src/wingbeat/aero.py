@@ -35,14 +35,20 @@ amplitude, the frequency and the size of a geometrically similar wing;
 :meth:`CyclePrecompute.fit` finds those scales once per solve. Its cell
 moments all divide by q, in one matrix, and on the half cycle of a stroke
 whose speed at T/2 - t is that at t it adds those rows onto each other,
-so an evaluation sums a quarter of the grid. Power is the eta force
-opposing the stroke motion times its speed.
+so an evaluation sums a quarter of the grid. Points on one precompute
+are solved in blocks, in lockstep (:func:`solve_induced_velocities`):
+each round forms 1/q of the block's live points on one workspace and
+sums their moments in one matrix product, and each point's cubics,
+momentum residual and secant step run on Python floats. A single solve
+is a block of one. Power is the eta force opposing the stroke motion
+times its speed.
 """
 
 from dataclasses import dataclass, replace
 from functools import cached_property
 import math
 import numbers
+from typing import NamedTuple
 
 import numpy as np
 
@@ -483,7 +489,7 @@ class CyclePrecompute:
     181 of 360 on a 720-step grid. The moments over 1/q, ``by_inverse_q``,
     are those of the cubics and T, T v^2 and T v^4, since T q and
     T v^2 q are T (v^2 + u^2) / q and T v^2 (v^2 + u^2) / q: one matrix
-    product a :meth:`loads` call.
+    product a :meth:`loads` call, for every point it evaluates.
     """
 
     kinematics: object
@@ -557,12 +563,13 @@ class CyclePrecompute:
         ``kin`` is half-wave symmetric when the precompute holds half a
         cycle, then unless it is quarter-wave mirrored when the precompute
         is folded."""
-        mine, theirs = self.wing_shape, _wing_shape(wing)
-        if len(mine) != len(theirs) or not all(
-                math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
-                for x, y in zip(mine, theirs)):
-            raise ValueError("wing is not a geometric rescaling of the "
-                             "precomputed wing")
+        if wing is not self.wing:  # which fits itself
+            mine, theirs = self.wing_shape, _wing_shape(wing)
+            if len(mine) != len(theirs) or not all(
+                    math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
+                    for x, y in zip(mine, theirs)):
+                raise ValueError("wing is not a geometric rescaling of the "
+                                 "precomputed wing")
         ref = self.kinematics
         harmonics = kin.stroke.a + kin.stroke.b
         ref_harmonics = ref.stroke.a + ref.stroke.b
@@ -581,42 +588,86 @@ class CyclePrecompute:
         if self.folded and not kin.quarter_wave_mirrored:
             raise ValueError("kinematics are not quarter-wave mirrored, as "
                              "the folded precompute needs")
-        # As numpy scalars, absurd scales overflow to inf, which the
-        # caller's finiteness check reports, and not to an OverflowError.
-        return (np.float64(a), np.float64(kin.frequency / ref.frequency),
-                np.float64(wing.span) / self.wing.span)
+        # Absurd ratios overflow to inf, which the solve's finiteness check
+        # reports; no divisor here is 0.
+        return (float(a), float(kin.frequency / ref.frequency),
+                float(wing.span / self.wing.span))
 
-    def loads(self, scales, v, re, rho):
-        """Cycle-mean vertical force (N) and aerodynamic power (W) of the
-        wing pair at inflow ``v``, Reynolds number ``re`` and density ``rho``,
-        for the scales that :meth:`fit` returns, once per inflow solve."""
+    def point(self, scales, re, rho):
+        """The :class:`PointTerms` of a point at the ``scales`` that
+        :meth:`fit` returns, Reynolds number ``re`` and density ``rho``.
+        Raise ``ValueError`` for a Reynolds number off the coefficient fit
+        (:func:`aero_coefficients`)."""
         a, r, k = scales
         s = a * r * k
-        u = v / s
-        amplitudes = _coefficient_amplitudes(re)
-        if u * u == 0.0:
-            # Only the terms free of u remain: fixed sums with q = v_t.
+        l0, l1, l2 = self.lift_by_a
+        p0, p1, p2 = self.power_by_a
+        # Products, not powers: on Python floats an absurd scale overflows
+        # to inf, which the solve reports, and a power would raise.
+        return PointTerms(
+            s=s, amplitudes=_coefficient_amplitudes(float(re)),
+            pair=2.0 * float(rho) * k * k,
+            lift=k * k * r * r * (l0 + a * (l1 + a * l2)),
+            power=k * k * k * a * r * r * r * (p0 + a * (p1 + a * p2)))
+
+    def loads(self, points, inflows, workspace):
+        """Cycle-mean vertical force (N) and aerodynamic power (W) of the
+        wing pair of each of ``points`` (:meth:`point`) at its inflow of
+        ``inflows`` (m/s), as a list of Python float pairs.
+
+        The points at a scaled inflow u = v / s other than 0 share one
+        matrix product: the rows of ``workspace``, a float array of at least
+        (points, cells), take 1/q = 1/sqrt(v^2 + u^2) over the cells, and
+        their product with ``by_inverse_q`` gives each point's eight sums.
+        At u = 0 only the fixed sums at q = v remain. The cubics and the
+        scaling run on Python floats, point by point.
+        """
+        # s is 0 only where a r k underflows, at the first inflow 0: 0/0.
+        us = [v / p.s if p.s else math.nan for p, v in zip(points, inflows)]
+        moving = 0
+        for u in us:
+            if u * u != 0.0:
+                np.add(self.v_t_sq, u * u, out=workspace[moving])
+                moving += 1
+        if moving:
+            by_q = workspace[:moving]
+            np.sqrt(by_q, out=by_q)
+            np.divide(1.0, by_q, out=by_q)
+            # One row is a matrix-vector product, bit for bit.
+            sums = iter((by_q @ self.by_inverse_q.T).tolist())
+        return [self._point_loads(p, u, next(sums) if u * u != 0.0 else None)
+                for p, u in zip(points, us)]
+
+    def _point_loads(self, point, u, sums):
+        """Thrust and power of ``point`` at scaled inflow ``u``, from the
+        eight sums over 1/q or, when ``sums`` is None, at u = 0."""
+        if sums is None:
             k1, k6, k7 = self.at_zero_inflow
             k2 = k3 = k4 = k5 = 0.0
         else:
-            # Sums over the cells of the moments over q, among them T, T v^2
-            # and T v^4, since T q = T (v^2 + u^2) / q.
-            q = self.v_t_sq + u * u
-            np.sqrt(q, out=q)
-            np.divide(1.0, q, out=q)
-            k1, k2, k3, k4, k6, t, t_v2, t_v4 = self.by_inverse_q @ q
+            # Among the sums T, T v^2 and T v^4, since T q = T (v^2 + u^2)
+            # / q and T v^2 q = T v^2 (v^2 + u^2) / q.
+            k1, k2, k3, k4, k6, t, t_v2, t_v4 = sums
             k5 = t_v2 + u * u * t
             k7 = t_v4 + u * u * t_v2
-        thrust = _lift_cubic(amplitudes, u, k1, k2, k3, k4, k5)
-        power = _drag_cubic(amplitudes, u, k6, k1, k2, k3, k7)
-        l0, l1, l2 = self.lift_by_a
-        p0, p1, p2 = self.power_by_a
-        pair = 2.0 * rho * k * k
-        thrust = pair * (s * s * thrust / self.rows
-                         + k * k * r * r * (l0 + a * (l1 + a * l2)))
-        power = pair * (s * s * s * power / self.rows
-                        + k**3 * a * r**3 * (p0 + a * (p1 + a * p2)))
-        return float(thrust), float(power)
+        thrust = _lift_cubic(point.amplitudes, u, k1, k2, k3, k4, k5)
+        power = _drag_cubic(point.amplitudes, u, k6, k1, k2, k3, k7)
+        s, pair = point.s, point.pair
+        return (pair * (s * s * thrust / self.rows + point.lift),
+                pair * (s * s * s * power / self.rows + point.power))
+
+
+class PointTerms(NamedTuple):
+    """The inflow-free factors of one point's loads on a
+    :class:`CyclePrecompute`, as Python floats: the inflow scale s = a r k,
+    the coefficient amplitudes, the pair factor 2 rho k^2, and the
+    unsteady lift and power, each over the pair factor."""
+
+    s: float
+    amplitudes: tuple
+    pair: float
+    lift: float
+    power: float
 
 
 @dataclass(frozen=True)
@@ -624,9 +675,11 @@ class InducedVelocityResult:
     """Converged mean inflow with the root-search diagnostics.
 
     ``iterations`` counts evaluations of the cycle-mean thrust,
-    ``residual`` is the momentum-balance residual at ``v_induced``, and
+    ``residual`` is the momentum-balance residual at ``v_induced``,
     ``lift`` (N) and ``power`` (W) are the cycle-mean loads there, of the
-    pair or of one wing as the solver's ``pair`` says.
+    pair or of one wing as the solver's ``pair`` says, and ``reynolds`` is
+    the Reynolds number of the force coefficients. Every field is a Python
+    ``int``, ``float`` or ``bool``.
     """
 
     v_induced: float
@@ -635,14 +688,17 @@ class InducedVelocityResult:
     negative_thrust: bool
     lift: float
     power: float
+    reynolds: float
 
 
-def _require_finite(v, **values):
-    """Raise ``RuntimeError`` unless each named cycle-mean value is finite."""
+def _non_finite(v, **values):
+    """The ``RuntimeError`` that names the first non-finite cycle-mean value
+    of ``values`` at inflow ``v``, or None if each is finite."""
     for name, value in values.items():
         if not math.isfinite(value):
-            raise RuntimeError(f"non-finite cycle-mean {name} {value} at "
-                               f"inflow {v:.6g} m/s")
+            return RuntimeError(f"non-finite cycle-mean {name} {value} at "
+                                f"inflow {v:.6g} m/s")
+    return None
 
 
 def secant_steps(x, slope, hi=math.inf):
@@ -695,7 +751,7 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
     The search is :func:`secant_steps` on g from Vi = 0 with slope 1, so
     each step before the bracket forms goes to the momentum inflow of the
     thrust. It stops at the first Vi with |g(Vi)| <= ``solver.vi_tol``
-    (m/s).
+    (m/s). This is the one-point block of :func:`solve_induced_velocities`.
 
     ``precompute``, built when omitted, is a :class:`CyclePrecompute` in
     any air, on the ``solver`` grid (checked), of this wing or one it
@@ -718,41 +774,97 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
         no inflow meets ``vi_tol`` within ``vi_max_iter`` thrust
         evaluations (the message reports the last residual).
     """
-    re = reynolds(wing, kin, env)
+    if precompute is None:
+        reynolds(wing, kin, env)  # its error before a build
+        precompute = CyclePrecompute.build(wing, kin, solver)
+    result, = solve_induced_velocities([(wing, kin)], env, solver, precompute)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+class _Search:
+    """One point of a block solve: its place, loads terms, Reynolds number,
+    momentum denominator 2 rho A, secant search, inflow and residual."""
+
+    __slots__ = ("index", "point", "re", "disk", "steps", "v", "g")
+
+    def __init__(self, index, point, re, disk):
+        self.index, self.point, self.re, self.disk = index, point, re, disk
+        self.steps = secant_steps(0.0, 1.0)
+        self.v = next(self.steps)
+
+
+def solve_induced_velocities(points, env, solver, precompute):
+    """The inflow solve of :func:`solve_induced_velocity` for each (wing,
+    kinematics) pair of ``points`` on one ``precompute``, in lockstep.
+
+    Each round evaluates every live point at once through
+    :meth:`CyclePrecompute.loads`, on one reused (points, cells) workspace,
+    and then runs each point's momentum residual, finiteness check and
+    secant step on Python floats. A point leaves the block when it
+    converges or fails. Returns a list, in the order of ``points``, of each
+    point's :class:`InducedVelocityResult` or of the ``ValueError`` or
+    ``RuntimeError`` that :func:`solve_induced_velocity` raises for it.
+    """
+    results = [None] * len(points)
+    grid = (precompute.steps, precompute.n_elements)
+    solver_grid = (solver.steps_per_cycle, solver.n_elements)
+    share = 1.0 if solver.pair else 0.5
+    live = []
     # Absurd but finite inputs may overflow on the way; the finiteness
     # check on every evaluation reports that as one error, not warnings.
     with np.errstate(all="ignore"):
-        # As a numpy scalar, a squared span that underflows or overflows
-        # gives a non-finite momentum inflow, and no Python exception.
-        disk_area = kin.stroke_amplitude * np.float64(wing.span)**2
-        if precompute is None:
-            precompute = CyclePrecompute.build(wing, kin, solver)
-        grid = (precompute.steps, precompute.n_elements)
-        if grid != (solver.steps_per_cycle, solver.n_elements):
-            raise ValueError(f"precompute grid {grid} is not the solver grid "
-                             f"{(solver.steps_per_cycle, solver.n_elements)}")
-        scales = precompute.fit(wing, kin)
-
-        search = secant_steps(0.0, 1.0)
-        v = next(search)
+        for index, (wing, kin) in enumerate(points):
+            try:
+                re = float(reynolds(wing, kin, env))
+                if grid != solver_grid:
+                    raise ValueError(f"precompute grid {grid} is not the "
+                                     f"solver grid {solver_grid}")
+                point = precompute.point(precompute.fit(wing, kin), re,
+                                         env.rho)
+            except ValueError as exc:
+                results[index] = exc
+                continue
+            # As a numpy scalar, a squared span that underflows or
+            # overflows gives a non-finite momentum inflow, and no Python
+            # exception.
+            disk_area = float(kin.stroke_amplitude * np.float64(wing.span)**2)
+            live.append(_Search(index, point, re, 2.0 * env.rho * disk_area))
+        workspace = np.empty((len(live), precompute.v_t_sq.size))
         for evaluation in range(1, solver.vi_max_iter + 1):
-            thrust, power = precompute.loads(scales, v, re, env.rho)
-            momentum = math.sqrt(max(thrust, 0.0)
-                                 / (2.0 * env.rho * disk_area))
-            _require_finite(v, thrust=thrust, power=power,
-                            **{"momentum inflow": momentum})
-            g = momentum - v
-            if abs(g) <= solver.vi_tol:
-                share = 1.0 if solver.pair else 0.5
-                return InducedVelocityResult(v, evaluation, abs(g),
-                                             negative_thrust=thrust < 0.0,
-                                             lift=share * thrust,
-                                             power=share * power)
-            v = search.send(g)
-        raise RuntimeError(
+            if not live:
+                break
+            loads = precompute.loads([p.point for p in live],
+                                     [p.v for p in live], workspace)
+            kept = []
+            for p, (thrust, power) in zip(live, loads):
+                lifted = max(thrust, 0.0)
+                # An empty disk's division: inf, or nan for no thrust.
+                momentum = (math.sqrt(lifted / p.disk) if p.disk
+                            else math.inf if lifted > 0.0 else math.nan)
+                if not (math.isfinite(thrust) and math.isfinite(power)
+                        and math.isfinite(momentum)):
+                    results[p.index] = _non_finite(
+                        p.v, thrust=thrust, power=power,
+                        **{"momentum inflow": momentum})
+                    continue
+                p.g = momentum - p.v
+                if abs(p.g) <= solver.vi_tol:
+                    results[p.index] = InducedVelocityResult(
+                        p.v, evaluation, abs(p.g),
+                        negative_thrust=thrust < 0.0, lift=share * thrust,
+                        power=share * power, reynolds=p.re)
+                else:
+                    p.v = p.steps.send(p.g)
+                    kept.append(p)
+            live = kept
+    for p in live:
+        results[p.index] = RuntimeError(
             f"induced-velocity solve did not converge after "
             f"{solver.vi_max_iter} thrust evaluations (last residual "
-            f"{abs(g):.3e} m/s)")
+            f"{abs(p.g):.3e} m/s)")
+    return results
 
 
 @dataclass(frozen=True)
@@ -824,7 +936,9 @@ def simulate_cycle(wing, kin, env, solver=SolverSettings(),
         mean_lift = float(np.sum(spanwise_lift))
         mean_power = float(np.sum(spanwise_power))
         # Finite means imply finite force cells for the history below.
-        _require_finite(induced_velocity, lift=mean_lift, power=mean_power)
+        error = _non_finite(induced_velocity, lift=mean_lift, power=mean_power)
+        if error is not None:
+            raise error
 
     # Re-sign eta into a fixed stroke-plane direction for the history. The
     # tangential direction is undefined at stroke reversal, so samples with

@@ -18,8 +18,10 @@ A sweep runs in one process, in grid order. Its points share one
 :class:`~wingbeat.aero.CyclePrecompute` per cutout, which their wing
 areas, amplitudes and frequencies rescale, and one wing per (area,
 cutout), which gives their Reynolds number and stroke disk. A point is
-one inflow solve, which returns the point's lift and power, with no
-force pass. A point's ``ValueError`` or ``RuntimeError`` is recorded in
+one inflow solve, which returns the point's lift, power and Reynolds
+number, with no force pass; a cutout's points are solved in axis-order
+blocks, in lockstep (:func:`~wingbeat.aero.solve_induced_velocities`).
+A point's ``ValueError`` or ``RuntimeError`` is recorded in
 its row and never aborts the grid; a grid whose every point failed
 raises a ``ValueError`` if every failure was one, else a
 :class:`ComputeError`. Hover trim likewise probes with inflow solves on
@@ -43,9 +45,9 @@ from . import __version__
 from .aero import (
     CyclePrecompute,
     SolverSettings,
-    reynolds,
     secant_steps,
     simulate_cycle,
+    solve_induced_velocities,
     solve_induced_velocity,
 )
 from .power import GRAM_FORCE_NEWTONS, lift_to_power
@@ -275,9 +277,15 @@ class SweepRow:
 
 
 # Upper limit on a sweep's points, the product of its four axes. A point
-# takes ~0.15 ms and writing sweep.json peaks at ~3.4 kB a point
-# (tracemalloc), so the limit is ~15 s and ~340 MB.
+# takes ~0.11 ms (1 000-point study.json sweeps, best of 5, 2-core x86 VM)
+# and writing sweep.json peaks at ~3.4 kB a point (tracemalloc), so the
+# limit is ~11 s and ~340 MB.
 MAX_SWEEP_POINTS = 100_000
+# A sweep solves a cutout's points in axis-order blocks of
+# max(1, SWEEP_BLOCK_CELLS // cells) points, so that a block's (points,
+# cells) workspace stays under glibc's 128 kB mmap threshold and is not
+# mapped anew each round: 4 points, 116 kB, on the folded 720 x 20 grid.
+SWEEP_BLOCK_CELLS = 16384
 
 
 def run_sweep(config, workers=1):
@@ -309,11 +317,32 @@ def run_sweep(config, workers=1):
     for index, point in enumerate(itertools.product(*axes)):
         by_cutout.setdefault(point[2], []).append((index, point))
     rows, errors = [None] * math.prod(map(len, axes)), {}
+
+    def record(index, point, exc):  # a point's error, which never aborts
+        errors[index] = exc
+        rows[index] = SweepRow(*point, error=str(exc))
+
+    def solve_block(block, precompute):
+        results = solve_induced_velocities(
+            [(wing, kin) for _, _, wing, kin in block], env, solver,
+            precompute)
+        for (index, point, _, _), info in zip(block, results):
+            if isinstance(info, Exception):
+                record(index, point, info)
+                continue
+            rows[index] = SweepRow(
+                *point, mean_lift_gf=info.lift / GRAM_FORCE_NEWTONS,
+                aero_power_w=info.power, v_induced_m_s=info.v_induced,
+                reynolds=info.reynolds,
+                lift_to_power_gf_w=_lift_to_power_or_none(info.lift,
+                                                          info.power),
+                **_inflow_diagnostics(info))
+
     # Absurd but finite inputs may overflow on the way; the inflow solve's
     # finiteness check reports that as one error per point.
     with np.errstate(all="ignore"):
         for cutout, points in by_cutout.items():
-            precompute = None  # the previous cutout's, dropped
+            precompute, block = None, []  # the previous cutout's, dropped
             for index, point in points:
                 amplitude, area, _, frequency = point
                 try:
@@ -327,19 +356,18 @@ def run_sweep(config, workers=1):
                         precompute = CyclePrecompute.build(
                             apply_inboard_cutout(config.wing, cutout), shape,
                             solver)
+                        size = max(1, SWEEP_BLOCK_CELLS
+                                   // precompute.v_t_sq.size)
                     kin = stroke_of(amplitude).with_frequency(frequency)
-                    info = solve_induced_velocity(wing, kin, env, solver,
-                                                  precompute=precompute)
-                    rows[index] = SweepRow(
-                        *point, mean_lift_gf=info.lift / GRAM_FORCE_NEWTONS,
-                        aero_power_w=info.power, v_induced_m_s=info.v_induced,
-                        reynolds=reynolds(wing, kin, env),
-                        lift_to_power_gf_w=_lift_to_power_or_none(
-                            info.lift, info.power),
-                        **_inflow_diagnostics(info))
-                except (ValueError, RuntimeError) as exc:  # record, never
-                    errors[index] = exc                    # abort
-                    rows[index] = SweepRow(*point, error=str(exc))
+                except (ValueError, RuntimeError) as exc:
+                    record(index, point, exc)
+                    continue
+                block.append((index, point, wing, kin))
+                if len(block) == size:
+                    solve_block(block, precompute)
+                    block = []
+            if block:
+                solve_block(block, precompute)
     if rows and len(errors) == len(rows):
         message = (f"all {len(rows)} sweep points failed; first error: "
                    f"{errors[0]}")

@@ -3,6 +3,8 @@
 from collections import Counter
 from dataclasses import replace
 from functools import cached_property
+import itertools
+import json
 import math
 from pathlib import Path
 import tracemalloc
@@ -25,9 +27,11 @@ from wingbeat.aero import (
     reynolds,
     secant_steps,
     simulate_cycle,
+    solve_induced_velocities,
     solve_induced_velocity,
     _element_grid_state,
 )
+from wingbeat.config import StudyConfig
 from wingbeat.kinematics import FourierSeries, WingKinematics, geometric_aoa
 from wingbeat.presets import beetle_kinematics, standard_wing
 from wingbeat.wing import (
@@ -335,6 +339,13 @@ def lopsided_kinematics(f):
         frequency=f)
 
 
+def point_loads(precompute, scales, v, re, rho=ENV.rho):
+    """Thrust and power of one point at inflow ``v`` on ``precompute``."""
+    (loads,) = precompute.loads([precompute.point(scales, re, rho)], [v],
+                                np.empty((1, precompute.v_t_sq.size)))
+    return loads
+
+
 @pytest.mark.parametrize("cutout", [0.0, 0.3])
 @pytest.mark.parametrize("shape", [beetle_kinematics, lopsided_kinematics])
 def test_rescaled_precompute_matches_full_path(shape, cutout):
@@ -355,8 +366,7 @@ def test_rescaled_precompute_matches_full_path(shape, cutout):
                 re = reynolds(wing, kin, ENV)
                 scales = precompute.fit(wing, kin)
                 for v in (0.0, 0.6, 1.87, 3.5):
-                    thrust, power = precompute.loads(scales, v, re,
-                                                     ENV.rho)
+                    thrust, power = point_loads(precompute, scales, v, re)
                     assert thrust == pytest.approx(pair_mean_thrust(
                         wing, kin, ENV, SolverSettings(), v, re), rel=1e-12)
                     assert power == pytest.approx(pair_mean_power(
@@ -533,8 +543,8 @@ def test_symmetric_precompute_holds_half_the_cycle(cutout, kin, steps, cells):
     assert max(map(abs, full.power_by_a)) < 1e-15
     scales, re = half.fit(wing, kin), reynolds(wing, kin, ENV)
     for v in (0.0, 0.7, 1.3):
-        got = half.loads(scales, v, re, ENV.rho)
-        want = full.loads(scales, v, re, ENV.rho)
+        got = point_loads(half, scales, v, re)
+        want = point_loads(full, scales, v, re)
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
     for pair in (True, False):
         solver = replace(solver, pair=pair)
@@ -563,8 +573,8 @@ def test_a_cosine_stroke_folds_its_half_cycle(monkeypatch, cutout):
         360, 7200, False)
     scales, re = unfolded.fit(wing, kin), reynolds(wing, kin, ENV)
     for v in (0.0, 0.7, 1.3):
-        got = folded.loads(scales, v, re, ENV.rho)
-        want = unfolded.loads(scales, v, re, ENV.rho)
+        got = point_loads(folded, scales, v, re)
+        want = point_loads(unfolded, scales, v, re)
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
@@ -760,12 +770,132 @@ def test_induced_velocity_non_finite_thrust_raises():
         solve_induced_velocity(wing, kin, ENV)
 
 
+def study_block():
+    """study.json's 18 sweep points as (wing, kinematics) pairs, its config,
+    and the precompute that ``run_sweep`` solves them on."""
+    config = StudyConfig.from_dict(json.loads(
+        (Path(__file__).resolve().parents[1] / "demos" / "configs"
+         / "study.json").read_text()))
+    points = [(apply_inboard_cutout(scaled_to_area(config.wing, area * 1e-4),
+                                    cutout),
+               config.kinematics.with_stroke_amplitude(
+                   math.radians(amplitude)).with_frequency(frequency))
+              for amplitude, area, cutout, frequency in itertools.product(
+                  config.amplitudes_deg, config.areas_cm2, config.cutouts,
+                  config.frequencies_hz)]
+    shape = config.kinematics.with_stroke_amplitude(1.0).with_frequency(1.0)
+    return points, config, CyclePrecompute.build(config.wing, shape,
+                                                 config.solver)
+
+
+def solve_alone(wing, kin, env, solver, precompute):
+    """A point's one-point solve, or the error it raises."""
+    try:
+        return solve_induced_velocity(wing, kin, env, solver, precompute)
+    except (ValueError, RuntimeError) as exc:
+        return exc
+
+
+def assert_same_solve(got, want):
+    """A block's result for a point is the point's own solve: the same
+    error, or the same iterations, flag and Reynolds number with the inflow
+    and loads within 1e-14."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert (got.iterations, got.negative_thrust, got.reynolds) == (
+        want.iterations, want.negative_thrust, want.reynolds)
+    for name in ("v_induced", "lift", "power"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name),
+                                                   rel=1e-14, abs=0.0)
+    assert got.residual == pytest.approx(want.residual, rel=0.0, abs=1e-14)
+
+
+def test_a_block_solves_each_point_as_it_would_alone(monkeypatch):
+    # All 18 points advance in lockstep, with one product a round.
+    points, config, precompute = study_block()
+    sizes = []
+    loads = CyclePrecompute.loads
+
+    def counting(self, points, inflows, workspace):
+        sizes.append(len(inflows))
+        return loads(self, points, inflows, workspace)
+
+    monkeypatch.setattr(CyclePrecompute, "loads", counting)
+    block = solve_induced_velocities(points, config.environment,
+                                     config.solver, precompute)
+    assert sizes[0] == 18 and len(sizes) == max(r.iterations for r in block)
+    for (wing, kin), got in zip(points, block):
+        assert_same_solve(got, solve_alone(wing, kin, config.environment,
+                                           config.solver, precompute))
+
+
+def test_a_block_records_only_its_failing_points():
+    # Two evaluations at a 0.05 m/s tolerance: the 2, 3 and 5 Hz points
+    # converge and the 17.3 Hz point does not. A 1e300 cm^2 wing overflows
+    # the thrust, and a cut wing does not fit the precompute. Each failure
+    # is its point's own, and its neighbours are solved as they are alone.
+    wing, kin = standard_wing(25.5), beetle_kinematics(17.3, 190.0)
+    solver = SolverSettings(vi_tol=0.05, vi_max_iter=2)
+    precompute = CyclePrecompute.build(wing, kin, solver)
+    points = [(wing, kin.with_frequency(2.0)),
+              (scaled_to_area(wing, 1e296), kin),
+              (wing, kin.with_frequency(5.0)),
+              (wing, kin),
+              (apply_inboard_cutout(wing, 0.3), kin),
+              (wing, kin.with_frequency(3.0))]
+    block = solve_induced_velocities(points, ENV, solver, precompute)
+    kinds = [type(result) for result in block]
+    assert kinds == [aero.InducedVelocityResult, RuntimeError,
+                     aero.InducedVelocityResult, RuntimeError, ValueError,
+                     aero.InducedVelocityResult]
+    assert str(block[1]).startswith("non-finite cycle-mean thrust inf")
+    assert str(block[3]).startswith(
+        "induced-velocity solve did not converge after 2 thrust evaluations")
+    assert str(block[4]).startswith("wing is not a geometric rescaling")
+    for (wing, kin), got in zip(points, block):
+        assert_same_solve(got, solve_alone(wing, kin, ENV, solver,
+                                           precompute))
+
+
+def test_a_one_point_evaluation_is_a_matrix_vector_product():
+    # A block of one point sums its moments as by_inverse_q @ (1/q), bit
+    # for bit, which keeps one-point solves at their values.
+    wing, kin = standard_wing(25.5), beetle_kinematics(20.0, 190.0)
+    precompute = CyclePrecompute.build(wing, kin.with_frequency(17.3),
+                                       SolverSettings())
+    point = precompute.point(precompute.fit(wing, kin),
+                             reynolds(wing, kin, ENV), ENV.rho)
+    for v in (0.7, 1.87, 3.5):
+        u = v / point.s
+        by_q = 1.0 / np.sqrt(precompute.v_t_sq + u * u)
+        sums = (precompute.by_inverse_q @ by_q).tolist()
+        assert precompute.loads([point], [v], np.empty((1, by_q.size))) == [
+            precompute._point_loads(point, u, sums)]
+
+
+def test_solve_results_hold_python_scalars():
+    # No numpy scalar reaches a result: a numpy bool, say, fails the JSON
+    # encoder. The inverted twist pins a negative thrust at zero inflow.
+    points, config, precompute = study_block()
+    results = solve_induced_velocities(points, config.environment,
+                                       config.solver, precompute)
+    results.append(solve_induced_velocity(standard_wing(25.5),
+                                          inverted_twist_kinematics(), ENV))
+    assert results[-1].negative_thrust is True
+    for result in results:
+        assert [type(x) for x in vars(result).values()] == [
+            float, int, float, bool, float, float, float]
+        json.dumps(vars(result), allow_nan=False)
+
+
 class StubPrecompute:
     """A precompute on the 36 x 2 grid whose pair thrust at inflow v is
     ``thrust(v)``, at zero power; it records every inflow it is asked."""
 
     steps = rows = 36
     n_elements = 2
+    v_t_sq = np.zeros(72)
 
     def __init__(self, thrust):
         self.thrust, self.inflows = thrust, []
@@ -773,9 +903,12 @@ class StubPrecompute:
     def fit(self, wing, kin):
         return None
 
-    def loads(self, scales, v, re, rho):
-        self.inflows.append(v)
-        return self.thrust(v), 0.0
+    def point(self, scales, re, rho):
+        return None
+
+    def loads(self, points, inflows, workspace):
+        self.inflows.extend(inflows)
+        return [(self.thrust(v), 0.0) for v in inflows]
 
 
 def test_induced_velocity_bisects_when_a_secant_leaves_the_bracket():

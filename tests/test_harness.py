@@ -449,9 +449,9 @@ def test_sweep_evaluates_loads_once_per_inflow_iterate(monkeypatch):
     calls = []
     loads = aero.CyclePrecompute.loads
 
-    def counting(self, scales, v, re, rho):
-        calls.append(v)
-        return loads(self, scales, v, re, rho)
+    def counting(self, points, inflows, workspace):
+        calls.extend(inflows)
+        return loads(self, points, inflows, workspace)
 
     monkeypatch.setattr(aero.CyclePrecompute, "loads", counting)
     fits = count_fits(monkeypatch)
@@ -465,11 +465,64 @@ def test_sweep_evaluates_loads_once_per_inflow_iterate(monkeypatch):
     assert len(fits) == len(rows) == 16
 
 
+def two_cutout_study():
+    """study.json on a 24-point grid over two cutouts: blocks of 4."""
+    doc = json.loads(json.dumps(STUDY))
+    doc["sweep"] = {"amplitude_deg": [120.0, 190.0], "area_cm2": [20.1, 31.4],
+                    "cutout": [0.0, 0.3], "frequency_hz": [12.0, 17.3, 24.0]}
+    return doc
+
+
+@pytest.mark.parametrize("doc", [STUDY, two_cutout_study()],
+                         ids=["study", "two-cutouts"])
+def test_sweep_rows_are_one_point_solves(monkeypatch, doc):
+    # Each cutout's points go to the inflow solve in axis-order blocks of
+    # 4, 16384 // 3620 on the folded 720 x 20 grid; every row is its
+    # point's own solve on the precompute of its cutout.
+    config = StudyConfig.from_dict(json.loads(json.dumps(doc)))
+    blocks = []
+    solve = aero.solve_induced_velocities
+
+    def recording(points, env, solver, precompute):
+        blocks.append(len(points))
+        return solve(points, env, solver, precompute)
+
+    monkeypatch.setattr(harness, "solve_induced_velocities", recording)
+    rows = run_sweep(config)
+    per_cutout = len(rows) // len(config.cutouts)
+    assert blocks == len(config.cutouts) * (
+        [4] * (per_cutout // 4) + [per_cutout % 4] * (per_cutout % 4 > 0))
+    shape = config.kinematics.with_stroke_amplitude(1.0).with_frequency(1.0)
+    for cutout in config.cutouts:
+        precompute = aero.CyclePrecompute.build(
+            apply_inboard_cutout(config.wing, cutout), shape, config.solver)
+        for row in rows:
+            if row.cutout_span_fraction != cutout:
+                continue
+            wing = apply_inboard_cutout(
+                scaled_to_area(config.wing, row.area_cm2 * 1e-4), cutout)
+            kin = config.kinematics.with_stroke_amplitude(
+                math.radians(row.amplitude_deg)).with_frequency(
+                    row.frequency_hz)
+            alone = aero.solve_induced_velocity(
+                wing, kin, config.environment, config.solver, precompute)
+            assert row.error is None
+            assert (row.vi_iterations, row.negative_thrust, row.reynolds) == (
+                alone.iterations, alone.negative_thrust, alone.reynolds)
+            assert type(row.reynolds) is float
+            assert (row.mean_lift_gf, row.aero_power_w,
+                    row.v_induced_m_s) == pytest.approx(
+                (alone.lift / GRAM_FORCE_NEWTONS, alone.power,
+                 alone.v_induced), rel=1e-14, abs=0.0)
+            assert row.vi_residual_m_s == pytest.approx(alone.residual,
+                                                        rel=0.0, abs=1e-14)
+
+
 def test_study_sweep_sums_the_folded_cells(monkeypatch):
     # study.json's 18 points share one precompute of its sine stroke, whose
-    # half cycle folds: each loads call sums 181 x 20 of the 720 x 20
-    # cells. Each amplitude's kinematics are formed once, besides the
-    # grid's at unit amplitude.
+    # half cycle folds: each point-evaluation of a block's loads sums
+    # 181 x 20 of the 720 x 20 cells. Each amplitude's kinematics are
+    # formed once, besides the grid's at unit amplitude.
     builds, cells, amplitudes = [], [], []
     build = aero.CyclePrecompute.build
     loads = aero.CyclePrecompute.loads
@@ -479,9 +532,9 @@ def test_study_sweep_sums_the_folded_cells(monkeypatch):
         builds.append(solver)
         return build(wing, kin, solver)
 
-    def counting_loads(self, scales, v, re, rho):
-        cells.append(self.v_t_sq.size)
-        return loads(self, scales, v, re, rho)
+    def counting_loads(self, points, inflows, workspace):
+        cells.extend([self.v_t_sq.size] * len(inflows))
+        return loads(self, points, inflows, workspace)
 
     def counting_rescale(self, amplitude):
         amplitudes.append(amplitude)
@@ -563,7 +616,7 @@ def test_sweep_propagates_programming_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("not a domain failure")
 
-    monkeypatch.setattr(harness, "solve_induced_velocity", broken)
+    monkeypatch.setattr(harness, "solve_induced_velocities", broken)
     doc = base_config_dict(sweep={"frequency_hz": [15.0, 20.0]})
     with pytest.raises(TypeError, match="not a domain failure"):
         run_sweep(StudyConfig.from_dict(doc), workers=1)
@@ -755,7 +808,7 @@ def trim_on_lift_curve(monkeypatch, lift, target, f_lo=8.0, f_hi=40.0):
     def solve(wing, kin, env, solver, precompute):
         probed.append(kin.frequency)
         return aero.InducedVelocityResult(0.0, 1, 0.0, False,
-                                          lift(kin.frequency), 1.0)
+                                          lift(kin.frequency), 1.0, 1e3)
 
     monkeypatch.setattr(harness, "solve_induced_velocity", solve)
     try:
