@@ -36,12 +36,12 @@ amplitude, the frequency and the size of a geometrically similar wing;
 moments all divide by q, in one matrix, and on the half cycle of a stroke
 whose speed at T/2 - t is that at t it adds those rows onto each other,
 so an evaluation sums a quarter of the grid. Points on one precompute
-are solved in blocks, in lockstep (:func:`solve_induced_velocities`):
-each round forms 1/q of the block's live points on one workspace and
-sums their moments in one matrix product, and each point's cubics,
-momentum residual and secant step run on Python floats. A single solve
-is a block of one. Power is the eta force opposing the stroke motion
-times its speed.
+are solved in lockstep (:func:`solve_induced_velocities`), in blocks
+whose workspace holds at most ``MAX_GRID_CELLS`` cells: each round forms
+1/q of a block's live points on it and sums their moments in one matrix
+product, and each point's cubics, momentum residual and secant step run
+on Python floats. A single solve is a block of one. Power is the eta
+force opposing the stroke motion times its speed.
 """
 
 from dataclasses import dataclass, replace
@@ -72,6 +72,8 @@ class AeroEnvironment:
 # Upper limit on the cycle grid, steps_per_cycle * n_elements. A solved
 # cycle peaks at 160-162 bytes a cell (tracemalloc), 161 MB at the limit,
 # on an odd grid or asymmetric kinematics, and at 76-81 when it mirrors.
+# It also bounds the workspace of a block of inflow solves, (points,
+# cells) floats, to one grid of this many cells: 8 MB.
 MAX_GRID_CELLS = 1_000_000
 
 
@@ -451,15 +453,6 @@ def _fold(x):
     return folded
 
 
-def _wing_shape(wing):
-    """A wing's lengths over its span, pitch axis and cutout, which a
-    geometric rescaling keeps."""
-    return [wing.pitch_axis_fraction, wing.cutout,
-            wing.root_offset / wing.span,
-            *(x / wing.span for point in wing.chord_breakpoints
-              for x in point)]
-
-
 @dataclass(frozen=True, eq=False)
 class CyclePrecompute:
     """Inflow-independent terms of one cycle grid, rescalable in amplitude,
@@ -548,28 +541,22 @@ class CyclePrecompute:
                    at_zero_inflow=at_zero_inflow, lift_by_a=lift,
                    power_by_a=power)
 
-    @cached_property
-    def wing_shape(self):
-        """:func:`_wing_shape` of the precomputed wing, formed once."""
-        return _wing_shape(self.wing)
-
     def fit(self, wing, kin):
         """Scales (a, r, k): ``kin``'s stroke harmonics are a times, and its
         frequency r times, those of the precomputed kinematics, and ``wing``
         is k times the precomputed wing. Raise ``ValueError`` unless
-        ``wing``'s lengths over its span, pitch axis and cutout are the
+        ``wing``'s :attr:`~wingbeat.wing.WingGeometry.shape` is the
         precomputed wing's to 1e-9 (relative, or absolute near 0), then
         unless ``kin`` rescales the precomputed kinematics, then unless
         ``kin`` is half-wave symmetric when the precompute holds half a
         cycle, then unless it is quarter-wave mirrored when the precompute
         is folded."""
-        if wing is not self.wing:  # which fits itself
-            mine, theirs = self.wing_shape, _wing_shape(wing)
-            if len(mine) != len(theirs) or not all(
-                    math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
-                    for x, y in zip(mine, theirs)):
-                raise ValueError("wing is not a geometric rescaling of the "
-                                 "precomputed wing")
+        mine, theirs = self.wing.shape, wing.shape
+        if len(mine) != len(theirs) or not all(
+                math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
+                for x, y in zip(mine, theirs)):
+            raise ValueError("wing is not a geometric rescaling of the "
+                             "precomputed wing")
         ref = self.kinematics
         harmonics = kin.stroke.a + kin.stroke.b
         ref_harmonics = ref.stroke.a + ref.stroke.b
@@ -799,14 +786,26 @@ def solve_induced_velocities(points, env, solver, precompute):
     """The inflow solve of :func:`solve_induced_velocity` for each (wing,
     kinematics) pair of ``points`` on one ``precompute``, in lockstep.
 
-    Each round evaluates every live point at once through
-    :meth:`CyclePrecompute.loads`, on one reused (points, cells) workspace,
-    and then runs each point's momentum residual, finiteness check and
-    secant step on Python floats. A point leaves the block when it
-    converges or fails. Returns a list, in the order of ``points``, of each
-    point's :class:`InducedVelocityResult` or of the ``ValueError`` or
+    Consecutive blocks of max(1, ``MAX_GRID_CELLS`` // cells) points, 276
+    on the folded 720 x 20 grid, reuse one (points, cells) workspace of at
+    most ``MAX_GRID_CELLS`` floats. Each round evaluates a block's live
+    points at once through :meth:`CyclePrecompute.loads`, then runs each
+    point's momentum residual, finiteness check and secant step on Python
+    floats; a point leaves its block when it converges or fails. Returns a
+    list, in the order of ``points``, of each point's
+    :class:`InducedVelocityResult` or of the ``ValueError`` or
     ``RuntimeError`` that :func:`solve_induced_velocity` raises for it.
     """
+    size = max(1, MAX_GRID_CELLS // precompute.v_t_sq.size)
+    workspace = np.empty((min(len(points), size), precompute.v_t_sq.size))
+    return [result for start in range(0, len(points), size)
+            for result in _solve_block(points[start:start + size], env,
+                                       solver, precompute, workspace)]
+
+
+def _solve_block(points, env, solver, precompute, workspace):
+    """:func:`solve_induced_velocities` on one block of ``points``, whose
+    evaluations share the rows of ``workspace``."""
     results = [None] * len(points)
     grid = (precompute.steps, precompute.n_elements)
     solver_grid = (solver.steps_per_cycle, solver.n_elements)
@@ -831,7 +830,6 @@ def solve_induced_velocities(points, env, solver, precompute):
             # exception.
             disk_area = float(kin.stroke_amplitude * np.float64(wing.span)**2)
             live.append(_Search(index, point, re, 2.0 * env.rho * disk_area))
-        workspace = np.empty((len(live), precompute.v_t_sq.size))
         for evaluation in range(1, solver.vi_max_iter + 1):
             if not live:
                 break

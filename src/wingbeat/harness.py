@@ -19,11 +19,11 @@ A sweep runs in one process, in grid order. Its points share one
 areas, amplitudes and frequencies rescale, and one wing per (area,
 cutout), which gives their Reynolds number and stroke disk. A point is
 one inflow solve, which returns the point's lift, power and Reynolds
-number, with no force pass; a cutout's points are solved in axis-order
-blocks, in lockstep (:func:`~wingbeat.aero.solve_induced_velocities`).
-A point's ``ValueError`` or ``RuntimeError`` is recorded in
-its row and never aborts the grid; a grid whose every point failed
-raises a ``ValueError`` if every failure was one, else a
+number, with no force pass; a cutout's points go in axis order to one
+lockstep solve (:func:`~wingbeat.aero.solve_induced_velocities`), which
+sizes its own blocks. A point's ``ValueError`` or ``RuntimeError`` is
+recorded in its row and never aborts the grid; a grid whose every point
+failed raises a ``ValueError`` if every failure was one, else a
 :class:`ComputeError`. Hover trim likewise probes with inflow solves on
 one precompute. Until a probe lifts more than the target, the next is at
 f sqrt(L* / L) capped at the upper bound, which follows any lift <= 0.
@@ -281,11 +281,6 @@ class SweepRow:
 # and writing sweep.json peaks at ~3.4 kB a point (tracemalloc), so the
 # limit is ~11 s and ~340 MB.
 MAX_SWEEP_POINTS = 100_000
-# A sweep solves a cutout's points in axis-order blocks of
-# max(1, SWEEP_BLOCK_CELLS // cells) points, so that a block's (points,
-# cells) workspace stays under glibc's 128 kB mmap threshold and is not
-# mapped anew each round: 4 points, 116 kB, on the folded 720 x 20 grid.
-SWEEP_BLOCK_CELLS = 16384
 
 
 def run_sweep(config, workers=1):
@@ -322,27 +317,11 @@ def run_sweep(config, workers=1):
         errors[index] = exc
         rows[index] = SweepRow(*point, error=str(exc))
 
-    def solve_block(block, precompute):
-        results = solve_induced_velocities(
-            [(wing, kin) for _, _, wing, kin in block], env, solver,
-            precompute)
-        for (index, point, _, _), info in zip(block, results):
-            if isinstance(info, Exception):
-                record(index, point, info)
-                continue
-            rows[index] = SweepRow(
-                *point, mean_lift_gf=info.lift / GRAM_FORCE_NEWTONS,
-                aero_power_w=info.power, v_induced_m_s=info.v_induced,
-                reynolds=info.reynolds,
-                lift_to_power_gf_w=_lift_to_power_or_none(info.lift,
-                                                          info.power),
-                **_inflow_diagnostics(info))
-
     # Absurd but finite inputs may overflow on the way; the inflow solve's
     # finiteness check reports that as one error per point.
     with np.errstate(all="ignore"):
         for cutout, points in by_cutout.items():
-            precompute, block = None, []  # the previous cutout's, dropped
+            precompute, solvable = None, []  # the previous cutout's, dropped
             for index, point in points:
                 amplitude, area, _, frequency = point
                 try:
@@ -356,18 +335,27 @@ def run_sweep(config, workers=1):
                         precompute = CyclePrecompute.build(
                             apply_inboard_cutout(config.wing, cutout), shape,
                             solver)
-                        size = max(1, SWEEP_BLOCK_CELLS
-                                   // precompute.v_t_sq.size)
                     kin = stroke_of(amplitude).with_frequency(frequency)
                 except (ValueError, RuntimeError) as exc:
                     record(index, point, exc)
                     continue
-                block.append((index, point, wing, kin))
-                if len(block) == size:
-                    solve_block(block, precompute)
-                    block = []
-            if block:
-                solve_block(block, precompute)
+                solvable.append((index, point, wing, kin))
+            if not solvable:  # every point failed, maybe before a build
+                continue
+            results = solve_induced_velocities(
+                [(wing, kin) for _, _, wing, kin in solvable], env, solver,
+                precompute)
+            for (index, point, _, _), info in zip(solvable, results):
+                if isinstance(info, Exception):
+                    record(index, point, info)
+                    continue
+                rows[index] = SweepRow(
+                    *point, mean_lift_gf=info.lift / GRAM_FORCE_NEWTONS,
+                    aero_power_w=info.power, v_induced_m_s=info.v_induced,
+                    reynolds=info.reynolds,
+                    lift_to_power_gf_w=_lift_to_power_or_none(info.lift,
+                                                              info.power),
+                    **_inflow_diagnostics(info))
     if rows and len(errors) == len(rows):
         message = (f"all {len(rows)} sweep points failed; first error: "
                    f"{errors[0]}")

@@ -102,6 +102,16 @@ class WingGeometry:
         """Remaining membrane area (m^2), computed once per wing."""
         return self._strip_areas(0.0, self.span)[0][0]
 
+    @cached_property
+    def shape(self):
+        """The pitch-axis fraction, the cutout, and the root offset and
+        breakpoints over the span: what a geometric rescaling keeps, formed
+        once per wing."""
+        return (self.pitch_axis_fraction, self.cutout,
+                self.root_offset / self.span,
+                *(x / self.span for point in self.chord_breakpoints
+                  for x in point))
+
     @property
     def removed_area(self):
         """Membrane area removed by the cutout (m^2)."""

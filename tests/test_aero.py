@@ -830,6 +830,49 @@ def test_a_block_solves_each_point_as_it_would_alone(monkeypatch):
                                            config.solver, precompute))
 
 
+def test_a_solve_bounds_its_workspace_by_the_grid_limit(monkeypatch):
+    # Blocks hold max(1, MAX_GRID_CELLS // cells) points: 276 on the folded
+    # 3 620-cell grid, an 8 MB workspace, so study.json's 18 points are one
+    # block. At a limit of 2.5 grids, blocks of 2 follow the input order
+    # on one reused 2-row workspace, and each point is solved as alone.
+    points, config, precompute = study_block()
+    cells = precompute.v_t_sq.size
+    assert cells == 3620
+    assert max(1, aero.MAX_GRID_CELLS // cells) == 276
+    assert 276 * cells * 8 <= 8e6
+    env, solver = config.environment, config.solver
+    index_of = {precompute.point(precompute.fit(wing, kin),
+                                 reynolds(wing, kin, env), env.rho): i
+                for i, (wing, kin) in enumerate(points)}
+    assert len(index_of) == len(points)
+    calls, workspaces = [], set()
+    loads = CyclePrecompute.loads
+
+    def recording(self, terms, inflows, workspace):
+        calls.append([index_of[t] for t in terms])
+        workspaces.add((id(workspace), workspace.shape))
+        return loads(self, terms, inflows, workspace)
+
+    monkeypatch.setattr(aero, "MAX_GRID_CELLS", 5 * cells // 2)
+    monkeypatch.setattr(CyclePrecompute, "loads", recording)
+    block = solve_induced_velocities(points, env, solver, precompute)
+    monkeypatch.undo()
+    assert len(workspaces) == 1 and workspaces.pop()[1] == (2, cells)
+    # Each evaluation takes the live points of one block, in input order,
+    # and a block's first takes all of them.
+    first_calls = {}
+    for call in calls:
+        assert call == sorted(call) and {i // 2 for i in call} == {
+            call[0] // 2}
+        assert call[0] // 2 >= max(first_calls, default=0)
+        first_calls.setdefault(call[0] // 2, call)
+    assert list(first_calls.values()) == [
+        [i, i + 1] for i in range(0, len(points), 2)]
+    for (wing, kin), got in zip(points, block):
+        assert_same_solve(got, solve_alone(wing, kin, env, solver,
+                                           precompute))
+
+
 def test_a_block_records_only_its_failing_points():
     # Two evaluations at a 0.05 m/s tolerance: the 2, 3 and 5 Hz points
     # converge and the 17.3 Hz point does not. A 1e300 cm^2 wing overflows

@@ -466,7 +466,7 @@ def test_sweep_evaluates_loads_once_per_inflow_iterate(monkeypatch):
 
 
 def two_cutout_study():
-    """study.json on a 24-point grid over two cutouts: blocks of 4."""
+    """study.json on a 24-point grid over two cutouts."""
     doc = json.loads(json.dumps(STUDY))
     doc["sweep"] = {"amplitude_deg": [120.0, 190.0], "area_cm2": [20.1, 31.4],
                     "cutout": [0.0, 0.3], "frequency_hz": [12.0, 17.3, 24.0]}
@@ -476,26 +476,25 @@ def two_cutout_study():
 @pytest.mark.parametrize("doc", [STUDY, two_cutout_study()],
                          ids=["study", "two-cutouts"])
 def test_sweep_rows_are_one_point_solves(monkeypatch, doc):
-    # Each cutout's points go to the inflow solve in axis-order blocks of
-    # 4, 16384 // 3620 on the folded 720 x 20 grid; every row is its
-    # point's own solve on the precompute of its cutout.
+    # Each cutout's points go to the inflow solve in one call, every point
+    # in axis order; every row is its point's own solve on the precompute
+    # of its cutout.
     config = StudyConfig.from_dict(json.loads(json.dumps(doc)))
-    blocks = []
+    calls = []
     solve = aero.solve_induced_velocities
 
     def recording(points, env, solver, precompute):
-        blocks.append(len(points))
+        calls.append(list(points))
         return solve(points, env, solver, precompute)
 
     monkeypatch.setattr(harness, "solve_induced_velocities", recording)
     rows = run_sweep(config)
-    per_cutout = len(rows) // len(config.cutouts)
-    assert blocks == len(config.cutouts) * (
-        [4] * (per_cutout // 4) + [per_cutout % 4] * (per_cutout % 4 > 0))
     shape = config.kinematics.with_stroke_amplitude(1.0).with_frequency(1.0)
+    expected = []
     for cutout in config.cutouts:
         precompute = aero.CyclePrecompute.build(
             apply_inboard_cutout(config.wing, cutout), shape, config.solver)
+        expected.append([])
         for row in rows:
             if row.cutout_span_fraction != cutout:
                 continue
@@ -504,6 +503,7 @@ def test_sweep_rows_are_one_point_solves(monkeypatch, doc):
             kin = config.kinematics.with_stroke_amplitude(
                 math.radians(row.amplitude_deg)).with_frequency(
                     row.frequency_hz)
+            expected[-1].append((wing, kin))
             alone = aero.solve_induced_velocity(
                 wing, kin, config.environment, config.solver, precompute)
             assert row.error is None
@@ -516,6 +516,7 @@ def test_sweep_rows_are_one_point_solves(monkeypatch, doc):
                  alone.v_induced), rel=1e-14, abs=0.0)
             assert row.vi_residual_m_s == pytest.approx(alone.residual,
                                                         rel=0.0, abs=1e-14)
+    assert calls == expected
 
 
 def test_study_sweep_sums_the_folded_cells(monkeypatch):

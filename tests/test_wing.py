@@ -236,6 +236,10 @@ def test_scaled_to_area_preserves_shape():
     assert bigger.aspect_ratio == pytest.approx(wing.aspect_ratio, rel=1e-12)
     assert bigger.span == pytest.approx(wing.span * math.sqrt(31.4 / 25.5),
                                         rel=1e-12)
+    # The shape a precompute's fit compares, formed once per wing.
+    assert bigger.shape == pytest.approx(wing.shape, rel=1e-12)
+    assert wing.shape is wing.shape
+    assert apply_inboard_cutout(wing, 0.3).shape[1] == 0.3
 
 
 def test_scaled_to_area_rejects_zero_area_wing():
