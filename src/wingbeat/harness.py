@@ -4,7 +4,8 @@ Every study passes one :class:`~wingbeat.aero.SolverSettings` to the
 aero solvers and returns plain values. One writer per subcommand
 (``write_cycle``, ``write_sweep``, ...) owns its file names, headers and
 payload keys. Float tables go through :func:`write_float_table`, which
-builds each chunk of rows with array operations: the digits of a cell
+takes one 2-D array (the control trace's own table, with no copy) and
+builds each block of its rows with array operations: the digits of a cell
 come from numpy, and a cell outside [1e-4, 1e12) or near a rounding tie
 is formatted by ``%.12g`` itself, so every cell has the bytes ``%.12g``
 gives it. Only the sweep table, whose status cell may hold a comma, goes
@@ -63,14 +64,14 @@ class ComputeError(RuntimeError):
 
 # The cell tables below build exactly this format.
 FLOAT_FORMAT = ".12g"
-# Rows of a float table formatted and written at a time; a 5-column
-# chunk's working arrays then stay under 100 kB each. Larger chunks are
-# slower: a 2048-row chunk's 327 kB array of 32-byte cells is above
-# glibc's 128 kB mmap threshold, and in a fresh process write_control on
-# a 60 000-step trace then took 8 782 minor faults a call and 40-54 ms
-# (best of 15), against 0 faults and 30-32 ms at 512 rows (2-core x86 VM,
-# Python 3.11, numpy 2.4).
-TABLE_CHUNK_ROWS = 512
+# Cells of a float table formatted and written at a time, in blocks of
+# whole rows: 1 024 rows of the 5-column control trace and 512 of the
+# 10-column cycle timeseries. A block's largest working array, 32 bytes a
+# cell, is then 164 kB. On a 60 000-step control trace, write_control took
+# 30.8-32.7 ms at 512-row blocks, 25.5-30.1 ms at 1 024 and 39.8-41.9 ms
+# at 2 048 (best of 15, the sizes interleaved, in each of 3 processes;
+# 2-core x86 VM, Python 3.11, numpy 2.4).
+TABLE_CHUNK_CELLS = 5120
 
 
 def format_float(value):
@@ -170,31 +171,31 @@ def _format_rows(cells):
     return text.tobytes().translate(None, b"\0")
 
 
-def write_float_table(path, header, columns):
-    """Write equal-length float arrays as CSV columns under ``header``.
+def write_float_table(path, header, table):
+    """Write the 2-D float array ``table`` as CSV rows under ``header``.
 
     Every cell reads as :func:`format_float` formats it, byte for byte.
-    Each chunk of ``TABLE_CHUNK_ROWS`` rows is formatted by array
-    operations in :func:`_format_rows` and written as one bytes string,
-    so that no copy of the whole table is ever held in memory. No columns,
-    columns of unequal length, or a header of another width raise a
-    ``ValueError`` before the file is opened.
+    A C-ordered float64 ``table`` is not copied: each block of its rows,
+    ``TABLE_CHUNK_CELLS`` cells at most, is a view of it, formatted by
+    array operations in :func:`_format_rows` and written as one bytes
+    string, so that the text of the whole table is never held in memory.
+    A table that is not 2-D, has no columns, or a header of another width
+    raise a ``ValueError`` before the file is opened.
     """
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    if not columns:
+    table = np.ascontiguousarray(table, dtype=float)
+    if table.ndim != 2:
+        raise ValueError(f"float table must be 2-D, got {table.ndim}-D")
+    if not table.shape[1]:
         raise ValueError("float table has no columns")
-    if len({c.shape for c in columns}) > 1:
-        raise ValueError(f"float table columns must have equal lengths, got "
-                         f"{[len(c) for c in columns]}")
-    if len(header) != len(columns):
+    if len(header) != table.shape[1]:
         raise ValueError(f"float table header has {len(header)} names for "
-                         f"{len(columns)} columns")
+                         f"{table.shape[1]} columns")
+    rows = max(1, TABLE_CHUNK_CELLS // table.shape[1])
     try:
         with open(path, "wb") as fh:
             fh.write((",".join(header) + "\n").encode())
-            for start in range(0, len(columns[0]), TABLE_CHUNK_ROWS):
-                fh.write(_format_rows(np.column_stack(
-                    [c[start:start + TABLE_CHUNK_ROWS] for c in columns])))
+            for start in range(0, len(table), rows):
+                fh.write(_format_rows(table[start:start + rows]))
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
@@ -508,13 +509,15 @@ def write_cycle(out_dir, result, solver):
          "eta_rotational_n", "eta_total_n", "zeta_translational_n",
          "zeta_added_mass_n", "zeta_rotational_n", "zeta_total_n",
          "aero_power_w"),
-        (result.t, f.translational_eta, f.added_mass_eta, f.rotational_eta,
-         f.total_eta, f.translational_zeta, f.added_mass_zeta,
-         f.rotational_zeta, f.total_zeta, result.power_history))
+        np.column_stack((result.t, f.translational_eta, f.added_mass_eta,
+                         f.rotational_eta, f.total_eta, f.translational_zeta,
+                         f.added_mass_zeta, f.rotational_zeta, f.total_zeta,
+                         result.power_history)))
     write_float_table(os.path.join(out_dir, "cycle_spanwise.csv"),
                       ("span_fraction", "mean_lift_n", "mean_power_w"),
-                      (result.span_fractions, result.spanwise_lift,
-                       result.spanwise_power))
+                      np.column_stack((result.span_fractions,
+                                       result.spanwise_lift,
+                                       result.spanwise_power)))
 
 
 def write_sweep(out_dir, rows, solver):
@@ -573,17 +576,17 @@ def write_cutout(out_dir, study, solver):
         os.path.join(out_dir, "cutout_spanwise.csv"),
         ("span_fraction", "lift_intact_n", "lift_modified_n",
          "power_intact_w", "power_modified_w"),
-        (intact.span_fractions, intact.spanwise_lift, modified.spanwise_lift,
-         intact.spanwise_power, modified.spanwise_power))
+        np.column_stack((intact.span_fractions, intact.spanwise_lift,
+                         modified.spanwise_lift, intact.spanwise_power,
+                         modified.spanwise_power)))
 
 
 def write_control(out_dir, trace):
-    """``control_trace.csv`` of a closed-loop trace: no JSON, no solver."""
+    """``control_trace.csv`` of a closed-loop trace, written from its
+    table with no copy: no JSON, no solver."""
     write_float_table(os.path.join(out_dir, "control_trace.csv"),
                       ("t_s", "psi_true_deg", "psi_est_deg", "omega_dps",
-                       "control_output"),
-                      (trace.t, trace.psi_true, trace.psi_est, trace.omega,
-                       trace.control_output))
+                       "control_output"), trace.table)
 
 
 def write_fit(out_dir, fit, frequency, solver):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import reference_setpoint
-from wingbeat import control
+from wingbeat import control, harness
 from wingbeat.control import (
     MAX_STEPS,
     ControllerConfig,
@@ -216,6 +216,47 @@ def test_trace_csv_format(tmp_path):
     assert len(lines) == 1 + trace.t.size
 
 
+def test_trace_columns_are_views_of_its_table():
+    trace = simulate_closed_loop(YawPlant(inertia=1.0),
+                                 ControllerConfig(kp=4.0, kd=2.5),
+                                 duration=0.05, dt=0.01)
+    assert trace.table.shape == (5, 5) and trace.table.flags.c_contiguous
+    trace.omega[2] = 123.0
+    assert trace.table[2, 3] == 123.0
+    for j, name in enumerate(("t", "psi_true", "psi_est", "omega",
+                              "control_output")):
+        assert np.shares_memory(getattr(trace, name), trace.table[:, j])
+    with pytest.raises(ValueError, match="5 columns"):
+        control.ControlTrace(np.zeros((3, 4)))
+
+
+def test_write_control_formats_row_blocks_of_the_table(tmp_path,
+                                                       monkeypatch):
+    # Every block the writer formats is the next rows of the trace's own
+    # table, with no copy in between.
+    format_rows, blocks = harness._format_rows, []
+
+    def record(cells):
+        blocks.append(cells)
+        return format_rows(cells)
+
+    monkeypatch.setattr(harness, "_format_rows", record)
+    trace = simulate_closed_loop(YawPlant(inertia=1.0),
+                                 ControllerConfig(kp=4.0, kd=2.5),
+                                 duration=2.5, dt=0.001)
+    write_control(tmp_path, trace)
+    table, rows = trace.table, harness.TABLE_CHUNK_CELLS // 5
+    start = 0
+    for block in blocks:
+        assert np.shares_memory(block, table) and block.flags.c_contiguous
+        assert 0 < len(block) <= rows
+        offset = (block.__array_interface__["data"][0]
+                  - table.__array_interface__["data"][0])
+        assert offset == start * table.strides[0]
+        start += len(block)
+    assert start == len(table) and len(blocks) == -(-len(table) // rows)
+
+
 @pytest.mark.parametrize("duration, dt", [(0.1, 1e300), (1e300, 1e-300)])
 def test_duration_must_span_finitely_many_steps(duration, dt):
     config = ControllerConfig(kp=4.0, kd=2.5)
@@ -277,19 +318,40 @@ def assert_trace_matches_replay(fast_plant, slow_plant, trace, want, rel):
 @pytest.mark.parametrize("schedule", SCHEDULES.values(), ids=SCHEDULES)
 @pytest.mark.parametrize("gyro_sigma", [0.0, 3.0])
 def test_fast_loop_equals_step_by_step_replay(schedule, gyro_sigma):
-    # 2500 steps: two full chunks of the fast loop and a partial one. The
-    # scan sums in another order than the replay, so the two agree to
-    # rounding (they differed by at most 1.0e-14 of a column's scale).
+    # Two full chunks of the fast loop and a partial one of 452 steps, so
+    # the check crosses two chunk boundaries. The scan sums in another
+    # order than the replay, so the two agree to rounding (they differed
+    # by at most 2.8e-14 of a column's scale).
+    steps = 2 * control.CHUNK_STEPS + 452
     config = ControllerConfig(kp=4.0, kd=2.5, cutoff_hz=12.0,
                               plant_gain=1.3, setpoint_schedule=schedule)
-    kwargs = dict(duration=2.5, dt=0.001, gyro_sigma=gyro_sigma,
+    kwargs = dict(duration=steps * 0.001, dt=0.001, gyro_sigma=gyro_sigma,
                   gyro_bias=0.2, seed=17)
     fast_plant = YawPlant(inertia=0.8, omega=2.0, disturbance=-0.4)
     slow_plant = YawPlant(inertia=0.8, omega=2.0, disturbance=-0.4)
     trace = simulate_closed_loop(fast_plant, config, **kwargs)
     want = replay_closed_loop(slow_plant, config, **kwargs)
-    assert trace.t.size == 2500
+    assert trace.t.size == steps
     assert_trace_matches_replay(fast_plant, slow_plant, trace, want, 1e-12)
+
+
+def test_step_by_step_path_equals_replay_bit_for_bit(monkeypatch):
+    # With the scan made to report a non-finite value, the run is redone
+    # one step at a time over two full chunks and a partial one, and its
+    # trace and final state are the replay's to the bit.
+    monkeypatch.setattr(control, "_scan_closed_loop", lambda *args: None)
+    config = ControllerConfig(kp=4.0, kd=2.5, cutoff_hz=12.0,
+                              plant_gain=1.3,
+                              setpoint_schedule=SCHEDULES["unsorted"])
+    kwargs = dict(duration=(2 * control.CHUNK_STEPS + 452) * 0.001,
+                  dt=0.001, gyro_sigma=3.0, gyro_bias=0.2, seed=17)
+    fast_plant = YawPlant(inertia=0.8, omega=2.0, disturbance=-0.4)
+    slow_plant = YawPlant(inertia=0.8, omega=2.0, disturbance=-0.4)
+    trace = simulate_closed_loop(fast_plant, config, **kwargs)
+    want = replay_closed_loop(slow_plant, config, **kwargs)
+    assert trace.table.tobytes() == np.ascontiguousarray(want.T).tobytes()
+    assert (fast_plant.psi, fast_plant.omega) == (slow_plant.psi,
+                                                  slow_plant.omega)
 
 
 def test_lightly_damped_long_run_matches_replay():
@@ -422,16 +484,17 @@ def test_the_step_by_step_path_reads_the_schedule_through_setpoint_at(
 
 @pytest.mark.parametrize("kp, kd", [
     (1e6, 0.0),     # diverges within the first chunk of steps
-    (4.0, -3.0),    # anti-damped: diverges in the sixth chunk
+    (4.0, -3.0),    # anti-damped: diverges at step 5 405
+    (4.0, -1.0),    # less anti-damped: diverges in the second chunk
 ])
 def test_divergence_step_and_final_state_match_replay(kp, kd):
     config = ControllerConfig(kp=kp, kd=kd)
     fast_plant = YawPlant(inertia=1.0, omega=1.0)
     slow_plant = YawPlant(inertia=1.0, omega=1.0)
     with pytest.raises(RuntimeError) as fast:
-        simulate_closed_loop(fast_plant, config, duration=600.0, dt=0.1)
+        simulate_closed_loop(fast_plant, config, duration=3000.0, dt=0.1)
     with pytest.raises(RuntimeError) as slow:
-        replay_closed_loop(slow_plant, config, duration=600.0, dt=0.1)
+        replay_closed_loop(slow_plant, config, duration=3000.0, dt=0.1)
     assert str(fast.value) == str(slow.value)
     assert "step" in str(fast.value)
     # The diverged state, not the initial one, is left in the plant.

@@ -1650,13 +1650,13 @@ def test_cli_fit_with_too_few_samples_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def reference_float_table(path, header, columns):
+def reference_float_table(path, header, table):
     """The float-table CSV as csv.writer writes canonically formatted
     cells, one row at a time."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in zip(*(np.asarray(c).tolist() for c in columns)):
+        for row in np.asarray(table).tolist():
             writer.writerow([format(v, ".12g") for v in row])
 
 
@@ -1672,16 +1672,12 @@ def test_write_float_table_matches_csv_writer(tmp_path, rows):
         -320, 300, (3, rows))
     cells.flat[:len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:cells.size]
     cells[2, ::7] = rng.permutation(cells[2, ::7])
-    header = ("a", "b_n", "c_w")
-    harness.write_float_table(tmp_path / "fast.csv", header, tuple(cells))
-    reference_float_table(tmp_path / "ref.csv", header, cells)
-    assert (tmp_path / "fast.csv").read_bytes() == (
-        tmp_path / "ref.csv").read_bytes()
+    assert_table_matches_reference(tmp_path, ("a", "b_n", "c_w"), cells.T)
 
 
-def assert_table_matches_reference(tmp_path, header, columns):
-    harness.write_float_table(tmp_path / "fast.csv", header, tuple(columns))
-    reference_float_table(tmp_path / "ref.csv", header, columns)
+def assert_table_matches_reference(tmp_path, header, table):
+    harness.write_float_table(tmp_path / "fast.csv", header, table)
+    reference_float_table(tmp_path / "ref.csv", header, table)
     assert (tmp_path / "fast.csv").read_bytes() == (
         tmp_path / "ref.csv").read_bytes()
 
@@ -1695,7 +1691,7 @@ def test_write_float_table_matches_csv_writer_in_fixed_notation(
     cells = np.array(rows)
     assert_table_matches_reference(tmp_path_factory.mktemp("table"),
                                    [f"c{i}" for i in range(cells.shape[1])],
-                                   cells.T)
+                                   cells)
 
 
 def _neighbours(value, steps=3):
@@ -1725,48 +1721,54 @@ EDGE_CELLS = {
 def test_write_float_table_matches_csv_writer_on_edge_cells(tmp_path, cells):
     cells = np.array(cells)
     assert_table_matches_reference(tmp_path, ("x", "minus_x"),
-                                   (cells, -cells))
+                                   np.column_stack((cells, -cells)))
 
 
-@pytest.mark.parametrize("width", [1, 10])
-@pytest.mark.parametrize("rows", [1, harness.TABLE_CHUNK_ROWS - 1,
-                                  harness.TABLE_CHUNK_ROWS,
-                                  harness.TABLE_CHUNK_ROWS + 1])
+# One row, and one block of rows less one, exactly and plus one, at the
+# widths of a column, the control trace (5) and the cycle timeseries (10).
+@pytest.mark.parametrize("rows, width", [
+    (harness.TABLE_CHUNK_CELLS // width + extra, width)
+    for width in (1, 5, 10) for extra in (-1, 0, 1)] + [(1, 1), (1, 10)])
 def test_write_float_table_chunks_rows_of_mixed_cells(tmp_path, rows, width):
     rng = np.random.default_rng(rows * width)
-    cells = rng.standard_normal((width, rows)) * 10.0 ** rng.integers(
-        -7, 14, (width, rows))
+    cells = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(
+        -7, 14, (rows, width))
     # The first row mixes fallback cells with fixed-notation ones.
     mixed = [0.0, 1.5, math.nan, -123.456, 1e-7, 2e13, -math.inf, 0.25,
              -0.0, 7.0]
-    cells[:, 0] = mixed[:width]
+    cells[0] = mixed[:width]
     assert_table_matches_reference(
         tmp_path, [f"c{i}" for i in range(width)], cells)
 
 
-def test_write_float_table_rejects_columns_of_unequal_length(tmp_path):
-    path = tmp_path / "t.csv"
-    with pytest.raises(ValueError, match=r"equal lengths, got \[3, 2\]"):
-        harness.write_float_table(path, ("a", "b"), (np.zeros(3), np.ones(2)))
-    assert not path.exists()
-
-
 @pytest.mark.parametrize("header", [("a",), ("a", "b", "c"), ()])
 def test_write_float_table_rejects_a_header_of_another_width(tmp_path, header):
-    # An empty header goes with no columns at all: no table to write.
+    # An empty header goes with a table of no columns: no table to write.
     path = tmp_path / "t.csv"
-    columns = (np.zeros(3), np.ones(3)) if header else ()
+    table = np.zeros((3, 2 if header else 0))
     message = (f"float table header has {len(header)} names for 2 columns"
                if header else "float table has no columns")
     with pytest.raises(ValueError, match=f"^{message}$"):
-        harness.write_float_table(path, header, columns)
+        harness.write_float_table(path, header, table)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("table, message", [
+    (np.zeros(3), "float table must be 2-D, got 1-D"),
+    (np.zeros((3, 0)), "float table has no columns"),
+], ids=["1-D", "no columns"])
+def test_write_float_table_rejects_a_table_of_another_shape(tmp_path, table,
+                                                            message):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        harness.write_float_table(path, (), table)
     assert not path.exists()
 
 
 def test_write_float_table_wraps_os_errors(tmp_path):
     with pytest.raises(OSError, match="cannot write CSV"):
         harness.write_float_table(tmp_path / "missing" / "t.csv", ("x",),
-                                  (np.zeros(3),))
+                                  np.zeros((3, 1)))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
