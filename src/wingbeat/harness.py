@@ -68,9 +68,10 @@ FLOAT_FORMAT = ".12g"
 # whole rows: 1 024 rows of the 5-column control trace and 512 of the
 # 10-column cycle timeseries. A block's largest working array, 32 bytes a
 # cell, is then 164 kB. On a 60 000-step control trace, write_control took
-# 30.8-32.7 ms at 512-row blocks, 25.5-30.1 ms at 1 024 and 39.8-41.9 ms
-# at 2 048 (best of 15, the sizes interleaved, in each of 3 processes;
-# 2-core x86 VM, Python 3.11, numpy 2.4).
+# 26.4-27.1 ms at 512-row blocks, 24.6-26.8 ms at 1 024 and 38.5-38.9 ms
+# at 2 048, and the formatting alone 23.7-25.0, 21.1-21.6 and 34.7-34.9 ms
+# (best of 15, the sizes interleaved, in each of 3 processes; 2-core x86
+# VM, Python 3.11, numpy 2.4).
 TABLE_CHUNK_CELLS = 5120
 
 
@@ -149,8 +150,16 @@ def _format_rows(cells):
         n = np.rint(y)
         fast = ((y >= 1e11) & (y < 1e12 - 0.5)
                 & (np.abs(y - n) < 0.5 - 2.0 ** -11))
-    n = np.where(fast, n, 1e11).astype(np.int64)
-    g0, g1, g2 = n // 100000000, n // 10000 % 10000, n % 10000
+    n = np.where(fast, n, 1e11)
+    # Exact groups of the integer n < 2^40: the rounded n * 1e-4 lies within
+    # ~1e-8 of n / 10^4, whose fraction is a multiple of 1e-4, and not below
+    # it when that is an integer (float 1e-4 exceeds 10^-4); every product
+    # and difference is an integer below 2^53.
+    high = np.floor(n * 1e-4)
+    g0 = np.floor(high * 1e-4)
+    g1 = (high - g0 * 1e4).astype(np.intp)
+    g2 = (n - high * 1e4).astype(np.intp)
+    g0 = g0.astype(np.intp)
     k = np.maximum(np.maximum(e + 1, _KEPT0.take(g0)),
                    np.maximum(_KEPT1.take(g1), _KEPT2.take(g2)))
     words = np.take(_MASK, k, axis=0)

@@ -1714,6 +1714,11 @@ EDGE_CELLS = {
     "rounds_to_1e12": [999999999999.5, 999999999999.4999],
     "exact_ties": [12345678901.25, 1234567890.125, 123456789012.5,
                    100000000000.5, 2.5, 0.5],
+    # 12 digits N on the edges of their 4-digit groups, at exponents e.
+    "digit_group_edges": [
+        float(f"{n}e{e - 11}") for e in (-4, -1, 0, 5, 11)
+        for n in (10**11 + 9999, 10**11 + 10**4, 10**11 + 99999999,
+                  10**11 + 10**8, 999999990000, 999999999999)],
 }
 
 
