@@ -71,7 +71,7 @@ class AeroEnvironment:
 
 # Upper limit on the cycle grid, steps_per_cycle * n_elements. A solved
 # cycle peaks at 160-162 bytes a cell (tracemalloc), 161 MB at the limit,
-# on an odd grid or asymmetric kinematics, and at 76-81 when it mirrors.
+# on an odd grid or asymmetric kinematics, and at 76-78 when it mirrors.
 # It also bounds the workspace of a block of inflow solves, (points,
 # cells) floats, to one grid of this many cells: 8 MB.
 MAX_GRID_CELLS = 1_000_000
@@ -891,6 +891,17 @@ class CycleResult:
     vi_info: InducedVelocityResult | None
 
 
+def _column_sums(grid, head=None):
+    """Column sums of the rows of ``grid`` below its head row, continued
+    from ``head``, the column sums of rows before them, when given. numpy
+    sums a grid's columns row by row, so these are the sums over both
+    sets of rows bit for bit."""
+    if head is None:
+        return np.sum(grid[1:], axis=0)
+    grid[0] = head
+    return np.sum(grid, axis=0)
+
+
 def simulate_cycle(wing, kin, env, solver=SolverSettings(),
                    induced_velocity=None):
     """March one flapping cycle and accumulate cycle-average loads at the
@@ -898,7 +909,8 @@ def simulate_cycle(wing, kin, env, solver=SolverSettings(),
     on the ``solver`` grid. A given ``induced_velocity`` (m/s), finite and
     non-negative, fixes the mean inflow instead of solving for it. The
     force pass runs on the rows of :func:`_element_grid_state`; when they
-    are half the grid, the second half-cycle is their mirror."""
+    are half the grid, the second half-cycle is their mirror, summed from
+    the half-grid arrays to the whole grid's sums bit for bit."""
     if induced_velocity is not None and not 0.0 <= induced_velocity < math.inf:
         raise ValueError(f"induced velocity must be finite and non-negative, "
                          f"got {induced_velocity}")
@@ -917,20 +929,31 @@ def simulate_cycle(wing, kin, env, solver=SolverSettings(),
         span_fractions = state.span_fraction
         forces = element_forces(state.with_inflow(induced_velocity), env, re)
         del state  # and with it the cell terms, before the sums below
-        if len(rate) < steps:
-            # At t + T/2 the stroke rate and the added-mass and rotational
-            # eta forces change sign; every other cell term repeats.
-            flip = ("added_mass_eta", "rotational_eta")
-            forces = ForceBreakdown(**{
-                name: np.concatenate([f, -f if name in flip else f])
-                for name, f in vars(forces).items()})
-            v_t = np.concatenate([v_t, v_t])
-            rate = np.concatenate([rate, -rate])
+        # At t + T/2 the stroke rate and the added-mass and rotational eta
+        # forces change sign, and every other force repeats: the second
+        # half-cycle's eta total is (translational - added mass) -
+        # rotational, and its zeta total the first's.
+        halves = (np.add, np.subtract)[:1 + (len(rate) < steps)]
+        grid = np.empty((len(v_t) + 1, v_t.shape[1]))  # a head row, then cells
+        np.add(forces.translational_zeta, forces.added_mass_zeta,
+               out=grid[1:])
+        grid[1:] += forces.rotational_zeta
+        lift_sums = None
+        for _ in halves:
+            lift_sums = _column_sums(grid, lift_sums)
+        power_sums, power_rows = None, []
+        eta = np.empty_like(grid[1:])
+        for combine in halves:
+            combine(forces.translational_eta, forces.added_mass_eta, out=eta)
+            combine(eta, forces.rotational_eta, out=eta)
+            np.multiply(v_t, np.negative(eta, out=eta), out=grid[1:])
+            power_rows.append(np.sum(grid[1:], axis=1))
+            power_sums = _column_sums(grid, power_sums)
+        del grid, eta
 
         factor = 2.0 if solver.pair else 1.0
-        power_grid = v_t * -forces.total_eta
-        spanwise_lift = factor * np.mean(forces.total_zeta, axis=0)
-        spanwise_power = factor * np.mean(power_grid, axis=0)
+        spanwise_lift = factor * (lift_sums / steps)
+        spanwise_power = factor * (power_sums / steps)
         mean_lift = float(np.sum(spanwise_lift))
         mean_power = float(np.sum(spanwise_power))
         # Finite means imply finite force cells for the history below.
@@ -939,14 +962,27 @@ def simulate_cycle(wing, kin, env, solver=SolverSettings(),
             raise error
 
     # Re-sign eta into a fixed stroke-plane direction for the history. The
-    # tangential direction is undefined at stroke reversal, so samples with
-    # a vanishing stroke rate get no direction.
+    # tangential direction is undefined at stroke reversal, so rows whose
+    # stroke rate is at most 1e-9 of its peak get no direction.
     moving = np.abs(rate) > 1e-9 * np.max(np.abs(rate))
-    direction = np.where(moving, np.sign(rate), 0.0)
-    history = ForceBreakdown(**{
-        name: factor * np.sum(direction * f if name.endswith("_eta") else f,
-                              axis=1)
-        for name, f in vars(forces).items()})
+    sign = np.sign(rate)
+    directions = [np.where(moving, sign, 0.0),
+                  np.where(moving, -sign, 0.0)][:len(halves)]
+    history = {}
+    for name, f in vars(forces).items():
+        if name.endswith("_zeta"):
+            rows = [np.sum(f, axis=1)] * len(halves)
+        else:
+            # Each half-cycle's rows from its own cells: at no direction
+            # they are sums of signed zeros, which a negated row would not
+            # match.
+            rows = []
+            for half, direction in enumerate(directions):
+                cells = direction * f
+                if half and name != "translational_eta":
+                    np.negative(cells, out=cells)
+                rows.append(np.sum(cells, axis=1))
+        history[name] = factor * np.concatenate(rows)
 
     return CycleResult(
         mean_lift=mean_lift,
@@ -958,7 +994,7 @@ def simulate_cycle(wing, kin, env, solver=SolverSettings(),
         spanwise_lift=spanwise_lift,
         spanwise_power=spanwise_power,
         t=np.arange(steps) / (steps * kin.frequency),
-        history=history,
-        power_history=factor * np.sum(power_grid, axis=1),
+        history=ForceBreakdown(**history),
+        power_history=factor * np.concatenate(power_rows),
         vi_info=vi_info,
     )

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from wingbeat import aero
 from wingbeat.aero import ElementState, ForceBreakdown, aero_coefficients
 from wingbeat.kinematics import geometric_aoa
 from wingbeat.wing import discretize
@@ -84,6 +85,44 @@ def pair_mean_power(wing, kin, env, solver, v_induced, re):
     state, forces = _reference_pass(wing, kin, env, solver, v_induced, re)
     return 2.0 * float(np.mean(np.sum(
         state.v_translational * -forces.total_eta, axis=1)))
+
+
+def concatenated_cycle_sums(wing, kin, env, solver, v_induced):
+    """The sums that ``simulate_cycle`` reports at inflow ``v_induced``,
+    formed on whole-cycle grids: the force pass on the rows of
+    ``aero._element_grid_state``, with the second half-cycle appended as
+    its mirror when those rows are half the grid (the stroke rate and the
+    added-mass and rotational eta forces negated, every other force
+    repeated), then the history, the power history and the spanwise means
+    summed over the concatenated grids. Returns a dict of the history's
+    six rows, ``power_history``, ``spanwise_lift``, ``spanwise_power``,
+    ``mean_lift`` and ``mean_aero_power``."""
+    state = aero._element_grid_state(wing, kin, solver)
+    with np.errstate(all="ignore"):
+        forces = aero.element_forces(state.with_inflow(v_induced), env,
+                                     aero.reynolds(wing, kin, env))
+    v_t, rate = state.v_translational, state.stroke_rate
+    if len(rate) < solver.steps_per_cycle:
+        flip = ("added_mass_eta", "rotational_eta")
+        forces = ForceBreakdown(**{
+            name: np.concatenate([f, -f if name in flip else f])
+            for name, f in vars(forces).items()})
+        v_t = np.concatenate([v_t, v_t])
+        rate = np.concatenate([rate, -rate])
+    factor = 2.0 if solver.pair else 1.0
+    power_grid = v_t * -forces.total_eta
+    spanwise_lift = factor * np.mean(forces.total_zeta, axis=0)
+    spanwise_power = factor * np.mean(power_grid, axis=0)
+    moving = np.abs(rate) > 1e-9 * np.max(np.abs(rate))
+    direction = np.where(moving, np.sign(rate), 0.0)
+    sums = {name: factor * np.sum(direction * f if name.endswith("_eta")
+                                  else f, axis=1)
+            for name, f in vars(forces).items()}
+    sums.update(power_history=factor * np.sum(power_grid, axis=1),
+                spanwise_lift=spanwise_lift, spanwise_power=spanwise_power,
+                mean_lift=float(np.sum(spanwise_lift)),
+                mean_aero_power=float(np.sum(spanwise_power)))
+    return sums
 
 
 def strip_areas(wing, r0, r1, cutout):

@@ -42,6 +42,7 @@ from wingbeat.wing import (
 )
 
 from oracles import (
+    concatenated_cycle_sums,
     full_grid_state,
     pair_mean_power,
     pair_mean_thrust,
@@ -653,6 +654,42 @@ def test_a_symmetric_cycle_runs_one_force_pass_on_half_the_grid(
     assert result.vi_info is not None
     assert shapes == [(360, 20)]
     assert result.t.shape == result.power_history.shape == (720,)
+
+
+@pytest.mark.parametrize("kin, cutout, pair, steps, reversals", [
+    pytest.param(beetle_kinematics(17.3, 190.0), 0.0, True, 720, [180, 540],
+                 id="sine"),
+    pytest.param(stroke_kinematics(PEAK, 0.0), 0.0, True, 720, [0, 360],
+                 id="cosine"),
+    pytest.param(beetle_kinematics(17.3, 190.0), 0.3, True, 720, [180, 540],
+                 id="cutout-0.3"),
+    pytest.param(beetle_kinematics(17.3, 190.0), 0.0, False, 720, [180, 540],
+                 id="single"),
+    pytest.param(beetle_kinematics(17.3, 190.0), 0.0, True, 721, [],
+                 id="odd-grid")])
+def test_cycle_sums_equal_the_concatenated_mirror(kin, cutout, pair, steps,
+                                                  reversals):
+    # Bit for bit, zeros by sign too: the second half-cycle summed from
+    # the half-grid arrays gives what summing the whole-cycle grids gives.
+    # The eta history rows at a reversal, which get no direction, are
+    # sums of signed zeros, so a mirror that negates the first half's rows
+    # writes -0 where the mirrored cells sum to 0.
+    wing = apply_inboard_cutout(standard_wing(25.5), cutout)
+    solver = SolverSettings(steps_per_cycle=steps, pair=pair)
+    got = simulate_cycle(wing, kin, ENV, solver)
+    want = concatenated_cycle_sums(wing, kin, ENV, solver, got.v_induced)
+    assert (got.mean_lift, got.mean_aero_power) == (want["mean_lift"],
+                                                    want["mean_aero_power"])
+    values = {**vars(got.history), "power_history": got.power_history,
+              "spanwise_lift": got.spanwise_lift,
+              "spanwise_power": got.spanwise_power}
+    assert values.keys() <= want.keys()
+    for name, value in values.items():
+        np.testing.assert_array_equal(value, want[name], err_msg=name)
+        np.testing.assert_array_equal(np.signbit(value),
+                                      np.signbit(want[name]), err_msg=name)
+    for name in ("translational_eta", "added_mass_eta", "rotational_eta"):
+        assert not np.any(getattr(got.history, name)[reversals])
 
 
 def test_half_cycle_precompute_refuses_an_even_stroke_harmonic():
