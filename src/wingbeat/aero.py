@@ -31,17 +31,23 @@ The uniform mean inflow through the stroke disk, which couples back into
 the effective angle of attack, is the root of actuator-disk momentum
 balance against the blade-element thrust, found by :func:`secant_steps`
 on a precompute. A precompute rescales exactly with the stroke
-amplitude, the frequency and the size of a geometrically similar wing;
-:meth:`CyclePrecompute.fit` finds those scales once per solve. Its cell
-moments all divide by q, in one matrix, and on the half cycle of a stroke
-whose speed at T/2 - t is that at t it adds those rows onto each other,
-so an evaluation sums a quarter of the grid. Points on one precompute
-are solved in lockstep (:func:`solve_induced_velocities`), in blocks
-whose workspace holds at most ``MAX_GRID_CELLS`` cells: each round forms
-1/q of a block's live points on it and sums their moments in one matrix
-product, and each point's cubics, momentum residual and secant step run
-on Python floats. A single solve is a block of one. Power is the eta
-force opposing the stroke motion times its speed.
+amplitude, the frequency and the size of a geometrically similar wing.
+Its :meth:`~CyclePrecompute.stroke_scale`,
+:meth:`~CyclePrecompute.frequency_ratio` and
+:meth:`~CyclePrecompute.wing_scale` find those scales, each from its own
+input, so that a batch can form each once per value;
+:meth:`CyclePrecompute.fit` composes them for one point. Its cell moments
+all divide by q, in one matrix, and on the half cycle of a stroke whose
+speed at T/2 - t is that at t it adds those rows onto each other, so an
+evaluation sums a quarter of the grid. Points on one precompute, each a
+:class:`SolvePoint` of its terms there, its Reynolds number and its
+momentum denominator, are solved in lockstep
+(:func:`solve_induced_velocities`), in blocks whose workspace holds at
+most ``MAX_GRID_CELLS`` cells: each round forms 1/q of a block's live
+points on it and sums their moments in one matrix product, and each
+point's cubics, momentum residual and secant step run on Python floats.
+A single solve is a block of one. Power is the eta force opposing the
+stroke motion times its speed.
 """
 
 from dataclasses import dataclass, replace
@@ -150,12 +156,21 @@ def aero_coefficients(alpha_e, re):
 
 
 def reynolds(wing, kin, env):
-    """Stroke-based Reynolds number 2 * cbar * Phi * f * R / nu."""
+    """Stroke-based Reynolds number 2 * cbar * Phi * f * R / nu of ``wing``
+    flapping as ``kin`` says (:func:`stroke_reynolds`)."""
+    return stroke_reynolds(wing, kin.stroke_amplitude, kin.frequency, env.nu)
+
+
+def stroke_reynolds(wing, amplitude, frequency, nu):
+    """Reynolds number 2 * cbar * Phi * f * R / nu of ``wing`` at stroke
+    amplitude Phi (rad) and frequency f (Hz), a Python float formed from
+    left to right: one that overflows is inf, which the coefficient fit
+    rejects. Raise ``ValueError`` for a zero-area wing, then for a number
+    that is not positive."""
     if wing.area <= 0.0:
         raise ValueError("Reynolds number undefined for a zero-area wing")
-    with np.errstate(over="ignore"):  # inf, which the fit rejects
-        re = (2.0 * wing.mean_chord * kin.stroke_amplitude * kin.frequency
-              * wing.span / env.nu)
+    chord, nu = float(wing.mean_chord), float(nu)
+    re = 2.0 * chord * float(amplitude) * float(frequency) * wing.span / nu
     if re <= 0.0:
         raise ValueError(f"degenerate kinematics give Re = {re}")
     return re
@@ -542,21 +557,33 @@ class CyclePrecompute:
                    power_by_a=power)
 
     def fit(self, wing, kin):
-        """Scales (a, r, k): ``kin``'s stroke harmonics are a times, and its
-        frequency r times, those of the precomputed kinematics, and ``wing``
-        is k times the precomputed wing. Raise ``ValueError`` unless
-        ``wing``'s :attr:`~wingbeat.wing.WingGeometry.shape` is the
-        precomputed wing's to 1e-9 (relative, or absolute near 0), then
-        unless ``kin`` rescales the precomputed kinematics, then unless
-        ``kin`` is half-wave symmetric when the precompute holds half a
-        cycle, then unless it is quarter-wave mirrored when the precompute
-        is folded."""
+        """Scales (a, r, k) of a point of ``wing`` flapping as ``kin`` says:
+        the :meth:`stroke_scale` and :meth:`frequency_ratio` of ``kin`` and
+        the :meth:`wing_scale` of ``wing``, whose check comes first."""
+        k = self.wing_scale(wing)
+        return self.stroke_scale(kin), self.frequency_ratio(kin.frequency), k
+
+    def wing_scale(self, wing):
+        """The k for which ``wing`` is k times the precomputed wing. Raise
+        ``ValueError`` unless ``wing``'s
+        :attr:`~wingbeat.wing.WingGeometry.shape` is the precomputed wing's
+        to 1e-9 (relative, or absolute near 0)."""
         mine, theirs = self.wing.shape, wing.shape
         if len(mine) != len(theirs) or not all(
                 math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
                 for x, y in zip(mine, theirs)):
             raise ValueError("wing is not a geometric rescaling of the "
                              "precomputed wing")
+        # Absurd ratios overflow to inf, which the solve's finiteness check
+        # reports; no divisor here or in frequency_ratio() is 0.
+        return float(wing.span / self.wing.span)
+
+    def stroke_scale(self, kin):
+        """The a for which ``kin``'s stroke harmonics are a times those of
+        the precomputed kinematics. Raise ``ValueError`` unless ``kin``
+        rescales the precomputed kinematics, then unless it is half-wave
+        symmetric when the precompute holds half a cycle, then unless it is
+        quarter-wave mirrored when the precompute is folded."""
         ref = self.kinematics
         harmonics = kin.stroke.a + kin.stroke.b
         ref_harmonics = ref.stroke.a + ref.stroke.b
@@ -575,10 +602,12 @@ class CyclePrecompute:
         if self.folded and not kin.quarter_wave_mirrored:
             raise ValueError("kinematics are not quarter-wave mirrored, as "
                              "the folded precompute needs")
-        # Absurd ratios overflow to inf, which the solve's finiteness check
-        # reports; no divisor here is 0.
-        return (float(a), float(kin.frequency / ref.frequency),
-                float(wing.span / self.wing.span))
+        return float(a)
+
+    def frequency_ratio(self, frequency):
+        """The r for which ``frequency`` (Hz) is r times the precomputed
+        kinematics' frequency."""
+        return float(frequency / self.kinematics.frequency)
 
     def point(self, scales, re, rho):
         """The :class:`PointTerms` of a point at the ``scales`` that
@@ -655,6 +684,28 @@ class PointTerms(NamedTuple):
     pair: float
     lift: float
     power: float
+
+
+class SolvePoint(NamedTuple):
+    """One point of an inflow solve on a :class:`CyclePrecompute`: its
+    :class:`PointTerms` there, its Reynolds number, and the momentum
+    denominator 2 rho A of its stroke disk (:func:`momentum_denominator`),
+    as Python floats."""
+
+    terms: PointTerms
+    reynolds: float
+    disk: float
+
+
+def momentum_denominator(amplitude, span, rho):
+    """2 rho A of the stroke disk A = Phi R^2 swept by the two wings, at
+    stroke amplitude Phi (rad), span R (m) and density rho (kg/m^3). The
+    squared span is a numpy scalar, so one that underflows or overflows
+    gives a non-finite momentum inflow in the solve, and no Python
+    exception."""
+    with np.errstate(all="ignore"):
+        disk_area = float(amplitude * np.float64(span)**2)
+    return 2.0 * rho * disk_area
 
 
 @dataclass(frozen=True)
@@ -738,7 +789,9 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
     The search is :func:`secant_steps` on g from Vi = 0 with slope 1, so
     each step before the bracket forms goes to the momentum inflow of the
     thrust. It stops at the first Vi with |g(Vi)| <= ``solver.vi_tol``
-    (m/s). This is the one-point block of :func:`solve_induced_velocities`.
+    (m/s). This is the one-point block of :func:`solve_induced_velocities`,
+    whose :class:`SolvePoint` it forms from :func:`reynolds`,
+    :meth:`CyclePrecompute.fit` and :func:`momentum_denominator`.
 
     ``precompute``, built when omitted, is a :class:`CyclePrecompute` in
     any air, on the ``solver`` grid (checked), of this wing or one it
@@ -752,88 +805,92 @@ def solve_induced_velocity(wing, kin, env, solver=SolverSettings(),
     Raises
     ------
     ValueError
-        If :func:`reynolds` finds none, as for a zero stroke, or finds one
-        outside the fit's domain, or the precompute is off the ``solver`` grid
-        or does not fit ``wing`` or ``kin`` (:meth:`CyclePrecompute.fit`).
+        If :func:`reynolds` finds none, as for a zero stroke, or the
+        precompute is off the ``solver`` grid or does not fit ``wing`` or
+        ``kin`` (:meth:`CyclePrecompute.fit`), or the Reynolds number lies
+        outside the fit's domain; in that order.
     RuntimeError
         If the thrust, the power or the momentum inflow of the thrust is
         not finite at an evaluated inflow, as for an empty stroke disk, or
         no inflow meets ``vi_tol`` within ``vi_max_iter`` thrust
         evaluations (the message reports the last residual).
     """
+    re = reynolds(wing, kin, env)  # its error before a build
     if precompute is None:
-        reynolds(wing, kin, env)  # its error before a build
         precompute = CyclePrecompute.build(wing, kin, solver)
-    result, = solve_induced_velocities([(wing, kin)], env, solver, precompute)
+    _check_grid(precompute, solver)
+    with np.errstate(all="ignore"):  # as in the solve: one error, if any
+        point = SolvePoint(
+            precompute.point(precompute.fit(wing, kin), re, env.rho), re,
+            momentum_denominator(kin.stroke_amplitude, wing.span, env.rho))
+    result, = solve_induced_velocities([point], solver, precompute)
     if isinstance(result, Exception):
         raise result
     return result
 
 
+def _check_grid(precompute, solver):
+    """Raise ``ValueError`` unless ``precompute`` is on the ``solver``
+    grid."""
+    grid = (precompute.steps, precompute.n_elements)
+    solver_grid = (solver.steps_per_cycle, solver.n_elements)
+    if grid != solver_grid:
+        raise ValueError(f"precompute grid {grid} is not the solver grid "
+                         f"{solver_grid}")
+
+
 class _Search:
-    """One point of a block solve: its place, loads terms, Reynolds number,
-    momentum denominator 2 rho A, secant search, inflow and residual."""
+    """One point of a block solve: its place, the terms, Reynolds number
+    and momentum denominator of its :class:`SolvePoint`, its secant
+    search, inflow and residual."""
 
-    __slots__ = ("index", "point", "re", "disk", "steps", "v", "g")
+    __slots__ = ("index", "terms", "re", "disk", "steps", "v", "g")
 
-    def __init__(self, index, point, re, disk):
-        self.index, self.point, self.re, self.disk = index, point, re, disk
+    def __init__(self, index, point):
+        self.index = index
+        self.terms, self.re, self.disk = point
         self.steps = secant_steps(0.0, 1.0)
         self.v = next(self.steps)
 
 
-def solve_induced_velocities(points, env, solver, precompute):
-    """The inflow solve of :func:`solve_induced_velocity` for each (wing,
-    kinematics) pair of ``points`` on one ``precompute``, in lockstep.
+def solve_induced_velocities(points, solver, precompute):
+    """The inflow solve of :func:`solve_induced_velocity` for each
+    :class:`SolvePoint` of ``points``, all formed on ``precompute``, in
+    lockstep. Raise ``ValueError`` if ``precompute`` is off the ``solver``
+    grid.
 
     Consecutive blocks of max(1, ``MAX_GRID_CELLS`` // cells) points, 276
     on the folded 720 x 20 grid, reuse one (points, cells) workspace of at
-    most ``MAX_GRID_CELLS`` floats. Each round evaluates a block's live
-    points at once through :meth:`CyclePrecompute.loads`, then runs each
-    point's momentum residual, finiteness check and secant step on Python
-    floats; a point leaves its block when it converges or fails. Returns a
-    list, in the order of ``points``, of each point's
-    :class:`InducedVelocityResult` or of the ``ValueError`` or
-    ``RuntimeError`` that :func:`solve_induced_velocity` raises for it.
+    most ``MAX_GRID_CELLS`` floats, freed when the call returns. Each round
+    evaluates a block's live points at once through
+    :meth:`CyclePrecompute.loads`, then runs each point's momentum
+    residual, finiteness check and secant step on Python floats; a point
+    leaves its block when it converges or fails. Returns a list, in the
+    order of ``points``, of each point's :class:`InducedVelocityResult` or
+    of the ``RuntimeError`` that :func:`solve_induced_velocity` raises for
+    it.
     """
+    _check_grid(precompute, solver)
     size = max(1, MAX_GRID_CELLS // precompute.v_t_sq.size)
     workspace = np.empty((min(len(points), size), precompute.v_t_sq.size))
     return [result for start in range(0, len(points), size)
-            for result in _solve_block(points[start:start + size], env,
-                                       solver, precompute, workspace)]
+            for result in _solve_block(points[start:start + size], solver,
+                                       precompute, workspace)]
 
 
-def _solve_block(points, env, solver, precompute, workspace):
+def _solve_block(points, solver, precompute, workspace):
     """:func:`solve_induced_velocities` on one block of ``points``, whose
     evaluations share the rows of ``workspace``."""
     results = [None] * len(points)
-    grid = (precompute.steps, precompute.n_elements)
-    solver_grid = (solver.steps_per_cycle, solver.n_elements)
     share = 1.0 if solver.pair else 0.5
-    live = []
+    live = [_Search(index, point) for index, point in enumerate(points)]
     # Absurd but finite inputs may overflow on the way; the finiteness
     # check on every evaluation reports that as one error, not warnings.
     with np.errstate(all="ignore"):
-        for index, (wing, kin) in enumerate(points):
-            try:
-                re = float(reynolds(wing, kin, env))
-                if grid != solver_grid:
-                    raise ValueError(f"precompute grid {grid} is not the "
-                                     f"solver grid {solver_grid}")
-                point = precompute.point(precompute.fit(wing, kin), re,
-                                         env.rho)
-            except ValueError as exc:
-                results[index] = exc
-                continue
-            # As a numpy scalar, a squared span that underflows or
-            # overflows gives a non-finite momentum inflow, and no Python
-            # exception.
-            disk_area = float(kin.stroke_amplitude * np.float64(wing.span)**2)
-            live.append(_Search(index, point, re, 2.0 * env.rho * disk_area))
         for evaluation in range(1, solver.vi_max_iter + 1):
             if not live:
                 break
-            loads = precompute.loads([p.point for p in live],
+            loads = precompute.loads([p.terms for p in live],
                                      [p.v for p in live], workspace)
             kept = []
             for p, (thrust, power) in zip(live, loads):

@@ -12,22 +12,28 @@ gives it. Only the sweep table, whose status cell may hold a comma, goes
 through the quoting :func:`write_csv`. :func:`write_json` stamps each
 JSON file's ``metadata``, and refuses a non-finite number as a compute
 failure; each writer writes its JSON first, so a refused result leaves
-no file. Lift-to-power is null wherever the aerodynamic power is not
-positive.
+no file. The rows of ``sweep.json`` go through the C encoder one at a
+time and are spliced into the indented document, with the bytes of
+``json.dumps(indent=2)``. Lift-to-power is null wherever the aerodynamic
+power is not positive.
 
 A sweep runs in one process, in grid order. Its points share one
 :class:`~wingbeat.aero.CyclePrecompute` per cutout, which their wing
-areas, amplitudes and frequencies rescale, and one wing per (area,
-cutout), which gives their Reynolds number and stroke disk. A point is
-one inflow solve, which returns the point's lift, power and Reynolds
-number, with no force pass; a cutout's points go in axis order to one
-lockstep solve (:func:`~wingbeat.aero.solve_induced_velocities`), which
-sizes its own blocks. A point's ``ValueError`` or ``RuntimeError`` is
-recorded in its row and never aborts the grid; a grid whose every point
-failed raises a ``ValueError`` if every failure was one, else a
-:class:`ComputeError`. Hover trim likewise probes with inflow solves on
-one precompute. Until a probe lifts more than the target, the next is at
-f sqrt(L* / L) capped at the upper bound, which follows any lift <= 0.
+areas, amplitudes and frequencies rescale. Per cutout each term is
+formed once per axis value: the wing and its scale once per area, the
+stroke and its scale once per amplitude, and the momentum denominator
+once per (amplitude, area). A point forms only its Reynolds number, its
+frequency ratio and its :class:`~wingbeat.aero.PointTerms`, with the
+checks of its own solve in their order, and is one inflow solve, which
+returns the point's lift, power and Reynolds number, with no force pass;
+a cutout's points go in axis order to one lockstep solve
+(:func:`~wingbeat.aero.solve_induced_velocities`), which sizes its own
+blocks. A point's ``ValueError`` or ``RuntimeError`` is recorded in its
+row and never aborts the grid; a grid whose every point failed raises a
+``ValueError`` if every failure was one, else a :class:`ComputeError`.
+Hover trim likewise probes with inflow solves on one precompute. Until a
+probe lifts more than the target, the next is at f sqrt(L* / L) capped
+at the upper bound, which follows any lift <= 0.
 A cutout study forms its own lift, power and lift-to-power deltas.
 """
 
@@ -45,11 +51,14 @@ import numpy as np
 from . import __version__
 from .aero import (
     CyclePrecompute,
+    SolvePoint,
     SolverSettings,
+    momentum_denominator,
     secant_steps,
     simulate_cycle,
     solve_induced_velocities,
     solve_induced_velocity,
+    stroke_reynolds,
 )
 from .power import GRAM_FORCE_NEWTONS, lift_to_power
 from .wing import apply_inboard_cutout, scaled_to_area
@@ -224,11 +233,23 @@ def write_csv(path, header, rows):
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
 
-def write_json(path, payload, solver):
+# A flat dict as the C encoder writes it with the item separator of a row
+# of sweep.json, where json.dumps(indent=2) puts each item on its own line,
+# 6 spaces in.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False,
+                                separators=(",\n      ", ": "))
+
+
+def write_json(path, payload, solver, rows=()):
     """Write ``payload`` as strict JSON under a ``metadata`` block: schema
     and program versions, ``solver`` and the time of writing (UTC). A
     non-finite number raises :class:`ComputeError` before the file is
-    opened."""
+    opened.
+
+    ``rows``, non-empty flat dicts, fill the empty list that ends a payload
+    such as ``{"rows": []}``: each is encoded in C and spliced into the
+    indented document, with the bytes ``json.dumps(indent=2)`` gives it.
+    """
     metadata = {
         "schema_version": SCHEMA_VERSION,
         "solver_version": __version__,
@@ -239,6 +260,11 @@ def write_json(path, payload, solver):
     try:
         text = json.dumps({"metadata": metadata, **payload}, indent=2,
                           sort_keys=True, allow_nan=False)
+        if rows:
+            text = "".join((text.removesuffix("[]\n}"), "[\n    {\n      ",
+                            "\n    },\n    {\n      ".join(
+                                _ROW_ENCODER.encode(row)[1:-1]
+                                for row in rows), "\n    }\n  ]\n}"))
     except ValueError as exc:
         raise ComputeError(f"cannot write JSON to {path}: {exc}") from exc
     try:
@@ -287,9 +313,9 @@ class SweepRow:
 
 
 # Upper limit on a sweep's points, the product of its four axes. A point
-# takes ~0.11 ms (1 000-point study.json sweeps, best of 5, 2-core x86 VM)
-# and writing sweep.json peaks at ~3.4 kB a point (tracemalloc), so the
-# limit is ~11 s and ~340 MB.
+# takes ~0.08 ms to solve and write (1 000-point study.json sweeps, best of
+# 5, 2-core x86 VM) and writing sweep.json peaks at ~2.1 kB a point
+# (tracemalloc), so the limit is ~8 s and ~210 MB.
 MAX_SWEEP_POINTS = 100_000
 
 
@@ -304,6 +330,11 @@ def run_sweep(config, workers=1):
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     solver, env = config.solver, config.environment
+    precompute = None
+    # Each term once per axis value: functools.cache keeps a value, not an
+    # error, which a failing value raises again at each of its points. A
+    # scale is one of the current cutout's precompute, so the cutout is
+    # part of its key.
 
     @functools.cache
     def wing_of(area, cutout):
@@ -313,6 +344,23 @@ def run_sweep(config, workers=1):
     @functools.cache
     def stroke_of(amplitude):
         return config.kinematics.with_stroke_amplitude(math.radians(amplitude))
+
+    @functools.cache
+    def frequency_of(frequency):  # checked as the kinematics check it
+        return config.kinematics.with_frequency(frequency).frequency
+
+    @functools.cache
+    def wing_scale(area, cutout):
+        return precompute.wing_scale(wing_of(area, cutout))
+
+    @functools.cache
+    def stroke_scale(amplitude, cutout):
+        return precompute.stroke_scale(stroke_of(amplitude))
+
+    @functools.cache
+    def disk_of(amplitude, area, cutout):
+        return momentum_denominator(stroke_of(amplitude).stroke_amplitude,
+                                    wing_of(area, cutout).span, env.rho)
 
     axes = (config.amplitudes_deg, config.areas_cm2, config.cutouts,
             config.frequencies_hz)
@@ -334,6 +382,9 @@ def run_sweep(config, workers=1):
             precompute, solvable = None, []  # the previous cutout's, dropped
             for index, point in points:
                 amplitude, area, _, frequency = point
+                # The checks of a point's own solve, in its order: wing,
+                # build, stroke, frequency, Reynolds number, wing fit,
+                # stroke fit and coefficient range.
                 try:
                     wing = wing_of(area, cutout)
                     if precompute is None:
@@ -345,17 +396,23 @@ def run_sweep(config, workers=1):
                         precompute = CyclePrecompute.build(
                             apply_inboard_cutout(config.wing, cutout), shape,
                             solver)
-                    kin = stroke_of(amplitude).with_frequency(frequency)
+                    phi = stroke_of(amplitude).stroke_amplitude
+                    f = frequency_of(frequency)
+                    re = stroke_reynolds(wing, phi, f, env.nu)
+                    k = wing_scale(area, cutout)
+                    scales = (stroke_scale(amplitude, cutout),
+                              precompute.frequency_ratio(f), k)
+                    terms = precompute.point(scales, re, env.rho)
                 except (ValueError, RuntimeError) as exc:
                     record(index, point, exc)
                     continue
-                solvable.append((index, point, wing, kin))
+                solvable.append((index, point, SolvePoint(
+                    terms, re, disk_of(amplitude, area, cutout))))
             if not solvable:  # every point failed, maybe before a build
                 continue
             results = solve_induced_velocities(
-                [(wing, kin) for _, _, wing, kin in solvable], env, solver,
-                precompute)
-            for (index, point, _, _), info in zip(solvable, results):
+                [prepared for _, _, prepared in solvable], solver, precompute)
+            for (index, point, _), info in zip(solvable, results):
                 if isinstance(info, Exception):
                     record(index, point, info)
                     continue
@@ -540,8 +597,8 @@ def write_sweep(out_dir, rows, solver):
         cells.append(["" if v is None else format_float(v) for v in values]
                      + ["" if iterations is None else str(iterations),
                         "ok" if row.error is None else f"error: {row.error}"])
-    write_json(os.path.join(out_dir, "sweep.json"),
-               {"rows": [vars(row) for row in rows]}, solver)
+    write_json(os.path.join(out_dir, "sweep.json"), {"rows": []}, solver,
+               rows=[vars(row) for row in rows])
     write_csv(os.path.join(out_dir, "sweep.csv"), columns + ["status"], cells)
 
 

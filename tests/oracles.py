@@ -5,7 +5,13 @@ import math
 import numpy as np
 
 from wingbeat import aero
-from wingbeat.aero import ElementState, ForceBreakdown, aero_coefficients
+from wingbeat.aero import (
+    ElementState,
+    ForceBreakdown,
+    SolvePoint,
+    aero_coefficients,
+    reynolds,
+)
 from wingbeat.kinematics import geometric_aoa
 from wingbeat.wing import discretize
 
@@ -27,6 +33,16 @@ def full_grid_state(wing, kin, solver):
         rotation_rate=rot[1],
         rotation_accel=rot[2],
     )
+
+
+def solve_point(wing, kin, env, precompute):
+    """The :class:`~wingbeat.aero.SolvePoint` of (``wing``, ``kin``) on
+    ``precompute``, from its own fit and Reynolds number, and its disk
+    2 rho Phi R^2 with the squared span a numpy scalar."""
+    re = reynolds(wing, kin, env)
+    return SolvePoint(
+        precompute.point(precompute.fit(wing, kin), re, env.rho), re,
+        2.0 * env.rho * float(kin.stroke_amplitude * np.float64(wing.span)**2))
 
 
 def reference_forces(state, env, re):

@@ -47,6 +47,7 @@ from oracles import (
     pair_mean_power,
     pair_mean_thrust,
     reference_forces,
+    solve_point,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -496,6 +497,9 @@ def test_precompute_on_another_grid_is_rejected():
         assert str(error.value) == (
             f"precompute grid (36, 2) is not the solver grid "
             f"({solver.steps_per_cycle}, {solver.n_elements})")
+        # A block solve checks the grid once, for all of its points.
+        with pytest.raises(ValueError, match="^precompute grid"):
+            solve_induced_velocities([], solver, precompute)
 
 
 def full_cycle_precompute(wing, kin, solver):
@@ -859,8 +863,9 @@ def test_a_block_solves_each_point_as_it_would_alone(monkeypatch):
         return loads(self, points, inflows, workspace)
 
     monkeypatch.setattr(CyclePrecompute, "loads", counting)
-    block = solve_induced_velocities(points, config.environment,
-                                     config.solver, precompute)
+    block = solve_induced_velocities(
+        [solve_point(wing, kin, config.environment, precompute)
+         for wing, kin in points], config.solver, precompute)
     assert sizes[0] == 18 and len(sizes) == max(r.iterations for r in block)
     for (wing, kin), got in zip(points, block):
         assert_same_solve(got, solve_alone(wing, kin, config.environment,
@@ -878,9 +883,9 @@ def test_a_solve_bounds_its_workspace_by_the_grid_limit(monkeypatch):
     assert max(1, aero.MAX_GRID_CELLS // cells) == 276
     assert 276 * cells * 8 <= 8e6
     env, solver = config.environment, config.solver
-    index_of = {precompute.point(precompute.fit(wing, kin),
-                                 reynolds(wing, kin, env), env.rho): i
-                for i, (wing, kin) in enumerate(points)}
+    prepared = [solve_point(wing, kin, env, precompute)
+                for wing, kin in points]
+    index_of = {point.terms: i for i, point in enumerate(prepared)}
     assert len(index_of) == len(points)
     calls, workspaces = [], set()
     loads = CyclePrecompute.loads
@@ -892,7 +897,7 @@ def test_a_solve_bounds_its_workspace_by_the_grid_limit(monkeypatch):
 
     monkeypatch.setattr(aero, "MAX_GRID_CELLS", 5 * cells // 2)
     monkeypatch.setattr(CyclePrecompute, "loads", recording)
-    block = solve_induced_velocities(points, env, solver, precompute)
+    block = solve_induced_velocities(prepared, solver, precompute)
     monkeypatch.undo()
     assert len(workspaces) == 1 and workspaces.pop()[1] == (2, cells)
     # Each evaluation takes the live points of one block, in input order,
@@ -913,8 +918,9 @@ def test_a_solve_bounds_its_workspace_by_the_grid_limit(monkeypatch):
 def test_a_block_records_only_its_failing_points():
     # Two evaluations at a 0.05 m/s tolerance: the 2, 3 and 5 Hz points
     # converge and the 17.3 Hz point does not. A 1e300 cm^2 wing overflows
-    # the thrust, and a cut wing does not fit the precompute. Each failure
-    # is its point's own, and its neighbours are solved as they are alone.
+    # the thrust. Each failure is its point's own, and its neighbours are
+    # solved as they are alone. A cut wing does not fit the precompute: its
+    # point fails as it is formed, before any solve, as it does alone.
     wing, kin = standard_wing(25.5), beetle_kinematics(17.3, 190.0)
     solver = SolverSettings(vi_tol=0.05, vi_max_iter=2)
     precompute = CyclePrecompute.build(wing, kin, solver)
@@ -922,20 +928,26 @@ def test_a_block_records_only_its_failing_points():
               (scaled_to_area(wing, 1e296), kin),
               (wing, kin.with_frequency(5.0)),
               (wing, kin),
-              (apply_inboard_cutout(wing, 0.3), kin),
               (wing, kin.with_frequency(3.0))]
-    block = solve_induced_velocities(points, ENV, solver, precompute)
+    block = solve_induced_velocities(
+        [solve_point(wing, kin, ENV, precompute) for wing, kin in points],
+        solver, precompute)
     kinds = [type(result) for result in block]
     assert kinds == [aero.InducedVelocityResult, RuntimeError,
-                     aero.InducedVelocityResult, RuntimeError, ValueError,
+                     aero.InducedVelocityResult, RuntimeError,
                      aero.InducedVelocityResult]
     assert str(block[1]).startswith("non-finite cycle-mean thrust inf")
     assert str(block[3]).startswith(
         "induced-velocity solve did not converge after 2 thrust evaluations")
-    assert str(block[4]).startswith("wing is not a geometric rescaling")
     for (wing, kin), got in zip(points, block):
         assert_same_solve(got, solve_alone(wing, kin, ENV, solver,
                                            precompute))
+    cut = apply_inboard_cutout(wing, 0.3)
+    with pytest.raises(ValueError) as error:
+        solve_point(cut, kin, ENV, precompute)
+    assert str(error.value).startswith("wing is not a geometric rescaling")
+    assert_same_solve(error.value,
+                      solve_alone(cut, kin, ENV, solver, precompute))
 
 
 def test_a_one_point_evaluation_is_a_matrix_vector_product():
@@ -958,8 +970,9 @@ def test_solve_results_hold_python_scalars():
     # No numpy scalar reaches a result: a numpy bool, say, fails the JSON
     # encoder. The inverted twist pins a negative thrust at zero inflow.
     points, config, precompute = study_block()
-    results = solve_induced_velocities(points, config.environment,
-                                       config.solver, precompute)
+    results = solve_induced_velocities(
+        [solve_point(wing, kin, config.environment, precompute)
+         for wing, kin in points], config.solver, precompute)
     results.append(solve_induced_velocity(standard_wing(25.5),
                                           inverted_twist_kinematics(), ENV))
     assert results[-1].negative_thrust is True

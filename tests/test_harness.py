@@ -46,6 +46,8 @@ from wingbeat.power import GRAM_FORCE_NEWTONS
 from wingbeat.presets import beetle_kinematics, standard_wing
 from wingbeat.wing import apply_inboard_cutout, scaled_to_area
 
+from oracles import solve_point
+
 # The 25.5 cm^2 wing at 17.3 Hz and 190 deg.
 STUDY = json.loads((Path(__file__).resolve().parents[1] / "demos" / "configs"
                     / "study.json").read_text())
@@ -432,20 +434,26 @@ def test_sweep_discretizes_once_per_cutout(monkeypatch):
     assert calls == [10] * 2
 
 
-def count_fits(monkeypatch):
-    """The wings passed to every ``CyclePrecompute.fit`` from now on."""
+def count_calls(monkeypatch, owner, name):
+    """The arguments of every call of ``owner.name`` from now on."""
     calls = []
-    fit = aero.CyclePrecompute.fit
+    real = getattr(owner, name)
 
-    def counting(self, wing, kin):
-        calls.append(wing)
-        return fit(self, wing, kin)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(aero.CyclePrecompute, "fit", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
 def test_sweep_evaluates_loads_once_per_inflow_iterate(monkeypatch):
+    # Each inflow iterate of a point is one point-evaluation of loads. The
+    # points' terms come from scales formed once per axis value of each
+    # cutout, and disks once per (amplitude, area) of each, with no
+    # per-point fit and no per-point reynolds(wing, kin, env): a point
+    # forms only its Reynolds number, its frequency ratio and its
+    # PointTerms.
     calls = []
     loads = aero.CyclePrecompute.loads
 
@@ -454,15 +462,40 @@ def test_sweep_evaluates_loads_once_per_inflow_iterate(monkeypatch):
         return loads(self, points, inflows, workspace)
 
     monkeypatch.setattr(aero.CyclePrecompute, "loads", counting)
-    fits = count_fits(monkeypatch)
+    counts = {name: count_calls(monkeypatch, owner, name) for owner, name in (
+        (aero, "reynolds"), (harness, "stroke_reynolds"),
+        (harness, "momentum_denominator"),
+        *((aero.CyclePrecompute, name) for name in (
+            "fit", "point", "wing_scale", "stroke_scale",
+            "frequency_ratio")))}
     doc = base_config_dict(sweep={"amplitude_deg": [120.0, 190.0],
                                   "area_cm2": [20.1, 31.4],
                                   "cutout": [0.0, 0.3],
                                   "frequency_hz": [12.0, 24.0]})
-    rows = run_sweep(StudyConfig.from_dict(doc))
+    config = StudyConfig.from_dict(doc)
+    rows = run_sweep(config)
     assert all(row.error is None for row in rows)
     assert len(calls) == sum(row.vi_iterations for row in rows)
-    assert len(fits) == len(rows) == 16
+    assert counts["fit"] == counts["reynolds"] == []
+    assert len(counts["stroke_reynolds"]) == len(counts["point"]) == len(
+        rows) == 16
+    # One wing scale per (area, cutout) and one stroke scale per
+    # (amplitude, cutout); the frequency ratio is one division a point.
+    assert [(self.wing.cutout, wing) for self, wing in counts[
+        "wing_scale"]] == [
+            (cutout, apply_inboard_cutout(
+                scaled_to_area(config.wing, area * 1e-4), cutout))
+            for cutout, area in itertools.product([0.0, 0.3], [20.1, 31.4])]
+    stroke_scales = [(self.wing.cutout,
+                      round(math.degrees(kin.stroke_amplitude), 9))
+                     for self, kin in counts["stroke_scale"]]
+    assert stroke_scales == list(itertools.product([0.0, 0.3],
+                                                   [120.0, 190.0]))
+    assert [f for _, f in counts["frequency_ratio"]] == [
+        row.frequency_hz for row in rows]
+    # A disk per (amplitude, area) of each cutout.
+    assert len(counts["momentum_denominator"]) == 8
+    assert len(set(counts["momentum_denominator"])) == 4
 
 
 def two_cutout_study():
@@ -483,9 +516,9 @@ def test_sweep_rows_are_one_point_solves(monkeypatch, doc):
     calls = []
     solve = aero.solve_induced_velocities
 
-    def recording(points, env, solver, precompute):
+    def recording(points, solver, precompute):
         calls.append(list(points))
-        return solve(points, env, solver, precompute)
+        return solve(points, solver, precompute)
 
     monkeypatch.setattr(harness, "solve_induced_velocities", recording)
     rows = run_sweep(config)
@@ -503,7 +536,10 @@ def test_sweep_rows_are_one_point_solves(monkeypatch, doc):
             kin = config.kinematics.with_stroke_amplitude(
                 math.radians(row.amplitude_deg)).with_frequency(
                     row.frequency_hz)
-            expected[-1].append((wing, kin))
+            # Its terms, Reynolds number and disk, as its own solve forms
+            # them, field for field.
+            expected[-1].append(solve_point(wing, kin, config.environment,
+                                            precompute))
             alone = aero.solve_induced_velocity(
                 wing, kin, config.environment, config.solver, precompute)
             assert row.error is None
@@ -517,6 +553,9 @@ def test_sweep_rows_are_one_point_solves(monkeypatch, doc):
             assert row.vi_residual_m_s == pytest.approx(alone.residual,
                                                         rel=0.0, abs=1e-14)
     assert calls == expected
+    assert all(type(x) is float for points in calls for point in points
+               for x in (point.reynolds, point.disk, *point.terms[:1],
+                         *point.terms[2:]))
 
 
 def test_study_sweep_sums_the_folded_cells(monkeypatch):
@@ -638,6 +677,130 @@ def test_sweep_raises_when_every_point_fails():
         run_sweep(StudyConfig.from_dict(doc))
 
 
+def point_alone(config, amplitude, area, cutout, frequency):
+    """A sweep point's inflow solve on objects of its own, or its error:
+    its wing, its cutout's precompute, its stroke and its frequency, then
+    the solve's Reynolds number, fit and coefficient range, in that
+    order."""
+    try:
+        wing = apply_inboard_cutout(scaled_to_area(config.wing, area * 1e-4),
+                                    cutout)
+        shape = config.kinematics.with_stroke_amplitude(1.0).with_frequency(
+            1.0)
+        precompute = aero.CyclePrecompute.build(
+            apply_inboard_cutout(config.wing, cutout), shape, config.solver)
+        kin = config.kinematics.with_stroke_amplitude(
+            math.radians(amplitude)).with_frequency(frequency)
+        return aero.solve_induced_velocity(wing, kin, config.environment,
+                                           config.solver, precompute)
+    except (ValueError, RuntimeError) as exc:
+        return exc
+
+
+# Inboard chord only: cut at 0.6 the wing keeps no membrane.
+INBOARD_WING = {**STUDY["wing"], "breakpoints": [
+    [0.0, 0.02], [0.045, 0.0], [STUDY["wing"]["span_m"], 0.0]]}
+
+
+@pytest.mark.parametrize("doc", [
+    # Area 0 (wing), amplitude 0 and -5 (stroke), frequency -1 and 0
+    # (frequency); a tiny amplitude whose Reynolds number underflows to 0
+    # at 14 Hz (Reynolds) and whose stroke underflows to no harmonics on a
+    # 1e300 cm^2 wing at 1e200 Hz (stroke fit); 1e-3 Hz below the fit and
+    # 1e200 Hz at 1e300 cm^2 an infinite Reynolds number (coefficient
+    # range); and compute failures of absurd loads.
+    base_config_dict(sweep={"amplitude_deg": [0.0, 120.0, -5.0, 2.8e-322],
+                            "area_cm2": [20.1, 0.0, 1e300],
+                            "frequency_hz": [-1.0, 14.0, 0.0, 1e-3, 1e200]}),
+    # A wing with no membrane outside a 0.6 cutout (Reynolds).
+    base_config_dict(wing=INBOARD_WING,
+                     sweep={"area_cm2": [20.1, 0.0], "cutout": [0.0, 0.6]}),
+    # Every Reynolds number infinite at a viscosity of 5e-324.
+    base_config_dict(environment={"rho_kg_m3": 1.225, "nu_m2_s": 5e-324},
+                     sweep={"amplitude_deg": [0.0, 120.0],
+                            "frequency_hz": [0.0, 17.3]}),
+    # A stroke with no amplitude to rescale (build).
+    base_config_dict(kinematics={**STUDY["kinematics"],
+                                 "stroke": {"a0_deg": 10.0, "b_deg": [0.0]}},
+                     sweep={"area_cm2": [0.0, 20.1]}),
+], ids=["bad-axes", "zero-area", "infinite-reynolds", "zero-stroke"])
+def test_sweep_rows_fail_as_their_points_fail_alone(doc):
+    # The terms formed once per axis value keep each point's checks in the
+    # order of its own solve: wing, build, stroke, frequency, Reynolds
+    # number, wing fit, stroke fit and coefficient range.
+    config = StudyConfig.from_dict(doc)
+    grid = list(itertools.product(config.amplitudes_deg, config.areas_cm2,
+                                  config.cutouts, config.frequencies_hz))
+    alone = [point_alone(config, *point) for point in grid]
+    if all(isinstance(result, Exception) for result in alone):
+        kind = (ValueError if all(isinstance(result, ValueError)
+                                  for result in alone) else ComputeError)
+        with pytest.raises(kind) as error:
+            run_sweep(config)
+        assert str(error.value) == (f"all {len(grid)} sweep points failed; "
+                                    f"first error: {alone[0]}")
+        return
+    rows = run_sweep(config)
+    for point, row, result in zip(grid, rows, alone):
+        assert tuple(vars(row).values())[:4] == point
+        if isinstance(result, Exception):
+            assert row.error == str(result)
+            assert row.mean_lift_gf is row.reynolds is row.vi_iterations is None
+        else:
+            assert row.error is None
+            assert (row.reynolds, row.vi_iterations) == (result.reynolds,
+                                                         result.iterations)
+            assert row.aero_power_w == pytest.approx(result.power, rel=1e-14,
+                                                     abs=0.0)
+    assert {row.error.split(" ")[0] for row in rows if row.error} >= (
+        {"target", "stroke", "frequency", "degenerate", "kinematics",
+         "Reynolds", "non-finite"} if len(grid) == 60 else {"Reynolds"})
+
+
+def sweep_json_rows():
+    """Sweep rows whose cells hold None, bools, ints and floats, and whose
+    errors hold the encoder's separators, quotes, a newline and non-ASCII
+    text."""
+    ok = harness.SweepRow(120.0, 20.1, 0.0, 17.3, mean_lift_gf=11.25,
+                          aero_power_w=3.0e-3, v_induced_m_s=0.0,
+                          reynolds=1234.5678901234567,
+                          lift_to_power_gf_w=None, vi_iterations=4,
+                          vi_residual_m_s=1e-300, negative_thrust=True)
+    return (ok, replace(ok, negative_thrust=False, mean_lift_gf=-0.0,
+                        vi_iterations=0),
+            harness.SweepRow(-5.0, 0.0, 0.3, 1e-3, error=(
+                'a "key": "value", "list", of,\n      lines: \u00e9t\u00e9 '
+                '\u2014 \U0001F41D and a \\ back-slash')))
+
+
+@pytest.mark.parametrize("rows", [sweep_json_rows(), sweep_json_rows()[2:],
+                                  ()], ids=["mixed", "one-failed", "none"])
+def test_sweep_json_is_the_indented_dump(tmp_path, rows):
+    # Rows encoded in C and spliced into the document have the bytes of
+    # the indented encoder, whatever their cells.
+    harness.write_sweep(tmp_path, rows, SolverSettings())
+    text = (tmp_path / "sweep.json").read_text()
+    metadata = json.loads(text)["metadata"]
+    assert text == json.dumps(
+        {"metadata": metadata, "rows": [vars(row) for row in rows]},
+        indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_sweep_json_refuses_a_non_finite_cell_before_writing(tmp_path,
+                                                            value):
+    # As a compute failure, before any file is opened. The C encoder names
+    # the value from Python 3.12 on, as the indented encoder does.
+    rows = sweep_json_rows()
+    rows = (rows[0], replace(rows[1], aero_power_w=value), rows[2])
+    with pytest.raises(ComputeError) as error:
+        harness.write_sweep(tmp_path, rows, SolverSettings())
+    message = (f"cannot write JSON to {tmp_path / 'sweep.json'}: Out of "
+               f"range float values are not JSON compliant")
+    assert str(error.value) in (message, f"{message}: {value!r}")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_export_round_trip(tmp_path):
     doc = base_config_dict(sweep={"frequency_hz": [15.0, 20.0]})
     config = StudyConfig.from_dict(doc)
@@ -754,7 +917,7 @@ def test_hover_trim_probes_are_inflow_solves(monkeypatch):
                         lambda *a, **k: calls.append(a[1].frequency)
                         or solve(*a, **k))
     monkeypatch.setattr(harness, "simulate_cycle", None)
-    fits = count_fits(monkeypatch)
+    fits = count_calls(monkeypatch, aero.CyclePrecompute, "fit")
     trim = hover_trim(standard_wing(25.5), beetle_kinematics(17.3, 190.0),
                       ENV, 15.8 * GRAM_FORCE_NEWTONS, 8.0, 40.0,
                       solver=SolverSettings(steps_per_cycle=180,
