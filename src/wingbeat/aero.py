@@ -22,10 +22,11 @@ Those terms take two trig passes over the cells, sin and cos of the
 rotation angle theta, and no others. The geometric angle of attack
 alpha_g is theta on the upstroke and pi - theta on the downstroke, so
 sin alpha_g = sin theta, sin 2 alpha_g = 2 sign(stroke rate) sin theta
-cos theta and cos 2 alpha_g = 1 - 2 sin^2 theta. At stroke reversal
-alpha_g = pi/2 (sines 1 and 0, cos 2 alpha_g = -1), and where the clip of
-:func:`~wingbeat.kinematics.geometric_aoa` to [0, pi] moves a moving cell
-its sines are 0 and cos 2 alpha_g is 1; both cases are set explicitly.
+cos theta and cos 2 alpha_g = 1 - 2 sin^2 theta. A stroke rate of exactly
+0 (reversal) takes the upstroke's theta: sin alpha_g and cos 2 alpha_g are
+their limits from either side, and sin 2 alpha_g takes the mean, 0, of its
+two limits. Where the clip of :func:`~wingbeat.kinematics.geometric_aoa`
+to [0, pi] moves a cell, sin alpha_g is 0, the one case set explicitly.
 
 The uniform mean inflow through the stroke disk, which couples back into
 the effective angle of attack, is the root of actuator-disk momentum
@@ -213,39 +214,34 @@ class ElementState(BladeElements):
     @cached_property
     def rotation_trig(self):
         """Sine and cosine of the rotation angle theta, the only trig pass
-        over the cells, and the clip mask: ``None``, or the moving cells
-        whose theta lies outside [0, pi]. There the clip of
-        :func:`~wingbeat.kinematics.geometric_aoa` sets alpha_g to 0 or pi,
-        so sin alpha_g = sin 2 alpha_g = 0 and cos 2 alpha_g = 1; elsewhere
-        alpha_g is theta moving up, pi - theta moving down and pi/2 at
-        reversal, and its sines are products of theta's."""
+        over the cells, and sin alpha_g: sin theta itself, since alpha_g is
+        theta or pi - theta, except on the cells whose theta lies outside
+        [0, pi], where the clip of
+        :func:`~wingbeat.kinematics.geometric_aoa` sets alpha_g to 0 or pi
+        and sin alpha_g is 0."""
         theta = self.rotation_angle
-        clipped = None
+        sin_rot = np.sin(theta)
+        sin_aoa = sin_rot
         if np.min(theta) < 0.0 or np.max(theta) > math.pi:
-            clipped = (self.stroke_rate != 0.0) & ((theta < 0.0)
-                                                   | (theta > math.pi))
-        return np.sin(theta), np.cos(theta), clipped
+            sin_aoa = np.where((theta < 0.0) | (theta > math.pi), 0.0,
+                               sin_rot)
+        return sin_rot, np.cos(theta), sin_aoa
 
     @cached_property
     def translational_terms(self):
         """The translational force per unit squared speed T of every cell at
         unit air density, and its products with sin and cos 2 alpha_g:
-        2 sign(stroke rate) sin theta cos theta and 1 - 2 sin^2 theta, with
-        cos 2 alpha_g = -1 at stroke reversal (see :attr:`rotation_trig`)."""
+        2 sign(stroke rate) sin alpha_g cos theta and 1 - 2 sin^2 alpha_g
+        (see :attr:`rotation_trig`)."""
         trans = 0.5 * self.chord * (self.area_scale * self.width)
-        sin_rot, cos_rot, clipped = self.rotation_trig
-        sign = np.sign(self.stroke_rate)
-        moving = np.abs(sign)
-        s_t = sin_rot * cos_rot
-        s_t *= 2.0 * sign
+        _, cos_rot, sin_aoa = self.rotation_trig
+        s_t = sin_aoa * cos_rot
+        s_t *= 2.0 * np.sign(self.stroke_rate)
         s_t *= trans
-        c_t = sin_rot * sin_rot
-        c_t *= -2.0 * moving
-        c_t += 2.0 * moving - 1.0
+        c_t = sin_aoa * sin_aoa
+        c_t *= -2.0
+        c_t += 1.0
         c_t *= trans
-        if clipped is not None:
-            s_t = np.where(clipped, 0.0, s_t)
-            c_t = np.where(clipped, trans, c_t)
         return trans, s_t, c_t
 
     @cached_property
@@ -257,16 +253,10 @@ class ElementState(BladeElements):
         a r^3 (P0 + a P1 + a^2 P2) as ((L0, L1, L2), (P0, P1, P2)), one
         power of a for each part of the added mass
         (:func:`_acceleration_parts`), the rotational force in L1 and P1.
-        The added mass takes sin alpha_g as sin theta, 1 at stroke reversal
-        (see :attr:`rotation_trig`)."""
+        The added mass takes sin alpha_g from :attr:`rotation_trig`."""
         scale = self.area_scale * self.width
-        sin_rot, cos_rot, clipped = self.rotation_trig
-        moving = np.abs(np.sign(self.stroke_rate))
-        per_accel = sin_rot * moving
-        per_accel += 1.0 - moving
-        if clipped is not None:
-            per_accel = np.where(clipped, 0.0, per_accel)
-        per_accel *= 0.25 * math.pi * self.chord**2 * scale
+        sin_rot, cos_rot, sin_aoa = self.rotation_trig
+        per_accel = sin_aoa * (0.25 * math.pi * self.chord**2 * scale)
         v_t_sin = self.v_translational * sin_rot
         rows = np.shape(cos_rot)[0] if np.ndim(cos_rot) else 1
         lift, power = [], []

@@ -126,16 +126,15 @@ def fit_fourier(t, angle, frequency, n_harmonics=5):
 def geometric_aoa(rotation_angle, stroke_rate):
     """Geometric angle of attack from the rotation angle and stroke rate.
 
-    Equals the rotation angle while the wing moves in the upstroke
-    direction (positive stroke rate) and its supplement on the downstroke;
-    at stroke reversal the convention is 90 degrees. Result clipped to
-    [0, pi].
+    Equals the rotation angle at a stroke rate of at least 0 (the upstroke
+    direction) and its supplement on the downstroke. Result clipped to
+    [0, pi]. Both sides give the same sine, so at stroke reversal, a rate
+    of exactly 0, sin alpha_g is that of the limit from either side.
     """
     rotation_angle = np.asarray(rotation_angle, dtype=float)
     stroke_rate = np.asarray(stroke_rate, dtype=float)
-    aoa = np.where(stroke_rate > 0.0, rotation_angle,
-                   np.where(stroke_rate < 0.0, math.pi - rotation_angle,
-                            0.5 * math.pi))
+    aoa = np.where(stroke_rate < 0.0, math.pi - rotation_angle,
+                   rotation_angle)
     aoa = np.clip(aoa, 0.0, math.pi)
     return aoa if aoa.shape else float(aoa)
 

@@ -295,12 +295,15 @@ def unit_states(draw):
 def test_geometric_sines_are_products_of_the_rotation_angles(state):
     # sin alpha_g, sin 2 alpha_g and cos 2 alpha_g come from one sin/cos
     # pass over the rotation angle: upstroke, downstroke, reversal and the
-    # clip to [0, pi] all agree with the trig of geometric_aoa.
+    # clip to [0, pi] all agree with the trig of geometric_aoa, except
+    # sin 2 alpha_g at reversal: its limits from either side differ in
+    # sign, and it takes their mean, 0.
     alpha = geometric_aoa(state.rotation_angle, state.stroke_rate)
     trans, s_t, c_t = state.translational_terms
     added, _, _ = state.unsteady_terms
     accel = element_acceleration(state)
-    for got, want in ((s_t, np.sin(2.0 * alpha)), (c_t, np.cos(2.0 * alpha)),
+    sin_2a = np.where(state.stroke_rate == 0.0, 0.0, np.sin(2.0 * alpha))
+    for got, want in ((s_t, sin_2a), (c_t, np.cos(2.0 * alpha)),
                       (added, accel * np.sin(alpha))):
         assert np.shape(got) == np.shape(alpha)
         assert np.all(np.abs(got - want) <= 1e-15)
@@ -562,14 +565,15 @@ def test_symmetric_precompute_holds_half_the_cycle(cutout, kin, steps, cells):
 
 @pytest.mark.parametrize("cutout", [0.0, 0.3])
 def test_a_cosine_stroke_folds_its_half_cycle(monkeypatch, cutout):
-    # Odd cosine harmonics mirror the stroke speed too. The reference is
-    # the unfolded half cycle, not the full grid: there the reversal at
-    # T/2 samples a stroke rate of ~2e-14, not the 0 of its mirror t = 0,
-    # and takes the moving angle of attack on one row.
+    # Odd cosine harmonics mirror the stroke speed too: the folded half
+    # cycle gives the loads of the unfolded half cycle and of the full
+    # grid, whose reversals at t = 0 and T/2 sample stroke rates of 0 and
+    # ~2e-14.
     wing = apply_inboard_cutout(standard_wing(25.5), cutout)
     kin = stroke_kinematics(PEAK, 0.0)
     assert kin.quarter_wave_mirrored
     folded = CyclePrecompute.build(wing, kin, SolverSettings())
+    full = full_cycle_precompute(wing, kin, SolverSettings())
     monkeypatch.setattr(WingKinematics, "quarter_wave_mirrored", False)
     unfolded = CyclePrecompute.build(wing, kin, SolverSettings())
     assert (folded.rows, folded.v_t_sq.size, folded.folded) == (360, 3620,
@@ -579,8 +583,9 @@ def test_a_cosine_stroke_folds_its_half_cycle(monkeypatch, cutout):
     scales, re = unfolded.fit(wing, kin), reynolds(wing, kin, ENV)
     for v in (0.0, 0.7, 1.3):
         got = point_loads(folded, scales, v, re)
-        want = point_loads(unfolded, scales, v, re)
-        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        for reference in (unfolded, full):
+            want = point_loads(reference, scales, v, re)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def even_harmonic_kinematics(f=17.3):
@@ -620,14 +625,19 @@ def test_asymmetric_stroke_or_odd_grid_keeps_the_full_cycle(kin, steps):
     assert solve_induced_velocity(wing, kin, ENV, solver) == solved
 
 
-@pytest.mark.parametrize("cutout", [0.0, 0.3])
+@pytest.mark.parametrize("cutout, kin", [
+    pytest.param(0.0, beetle_kinematics(17.3, 190.0), id="0.0"),
+    pytest.param(0.3, beetle_kinematics(17.3, 190.0), id="0.3"),
+    pytest.param(0.0, stroke_kinematics(PEAK, 0.0), id="cosine")])
 @pytest.mark.parametrize("pair", [True, False])
-def test_mirrored_half_cycle_matches_the_full_grid(monkeypatch, pair, cutout):
+def test_mirrored_half_cycle_matches_the_full_grid(monkeypatch, pair, cutout,
+                                                   kin):
     # The force pass on half the grid, with the second half-cycle mirrored,
     # gives the tables of a cycle solved on every row of the grid: each
-    # array within 1e-12 of its largest magnitude.
+    # array within 1e-12 of its largest magnitude. A cosine stroke's grid
+    # holds its reversals, a stroke rate of 0 at t = 0 and ~2e-14 at T/2.
     wing = apply_inboard_cutout(standard_wing(25.5), cutout)
-    kin, solver = beetle_kinematics(17.3, 190.0), SolverSettings(pair=pair)
+    solver = SolverSettings(pair=pair)
     got = simulate_cycle(wing, kin, ENV, solver)
     monkeypatch.setattr(aero, "_element_grid_state", full_grid_state)
     want = simulate_cycle(wing, kin, ENV, solver)
@@ -1418,19 +1428,23 @@ def test_zero_chord_region_produces_finite_forces():
 
 def oracle_element_forces(r, c, l, dr, scale, srate, saccel, alpha, arate,
                           aaccel, vi, rho, re):
-    # Independent scalar transcription of the sectional force model.
+    # Independent scalar transcription of the sectional force model. At
+    # stroke reversal the geometric angle of attack is alpha from the
+    # upstroke side and pi - alpha from the downstroke side, and the
+    # coefficients, so the forces, are the mean of those two limits.
     vt = r * abs(srate)
     phi = math.atan2(vi, vt)
     if srate > 0:
-        ag = alpha
+        ags = (alpha,)
     elif srate < 0:
-        ag = math.pi - alpha
+        ags = (math.pi - alpha,)
     else:
-        ag = math.pi / 2
-    ae = ag - phi
-    cl = (1.966 - 3.94 * re**-0.429) * math.sin(2 * ae)
+        ags = (alpha, math.pi - alpha)
+    cl = ((1.966 - 3.94 * re**-0.429)
+          * sum(math.sin(2 * (ag - phi)) for ag in ags) / len(ags))
     cd = (0.031 + 10.48 * re**-0.764
-          + (1.873 - 3.14 * re**-0.369) * (1 - math.cos(2 * ae)))
+          + (1.873 - 3.14 * re**-0.369)
+          * sum(1 - math.cos(2 * (ag - phi)) for ag in ags) / len(ags))
     dyn = vt * vt + vi * vi
     trans_eta = -0.5 * rho * c * (cl * math.sin(phi) + cd * math.cos(phi)) \
         * dyn * dr * scale
@@ -1438,7 +1452,7 @@ def oracle_element_forces(r, c, l, dr, scale, srate, saccel, alpha, arate,
         * dyn * dr * scale
     aw = (r * saccel + (c / 2 - l) * srate**2 * math.cos(alpha)) \
         * math.sin(alpha) + (c / 2 - l) * aaccel
-    added = math.pi / 4 * rho * c * c * aw * math.sin(ag) * dr * scale
+    added = math.pi / 4 * rho * c * c * aw * math.sin(ags[0]) * dr * scale
     crot = math.pi * (0.75 - l / c)
     rot = rho * vt * crot * arate * c * c * dr * scale
     return (trans_eta, added * math.sin(alpha), -rot * math.sin(alpha),

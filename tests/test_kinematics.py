@@ -224,7 +224,10 @@ def test_geometric_aoa_rules():
     a40 = math.radians(40.0)
     assert geometric_aoa(a40, 1.0) == pytest.approx(a40)
     assert geometric_aoa(a40, -1.0) == pytest.approx(math.radians(140.0))
-    assert geometric_aoa(a40, 0.0) == pytest.approx(math.pi / 2)
+    # Stroke reversal takes the upstroke's angle, clipped to [0, pi].
+    assert geometric_aoa(a40, 0.0) == a40
+    assert geometric_aoa(-a40, 0.0) == 0.0
+    assert geometric_aoa(math.pi + a40, 0.0) == math.pi
 
 
 def test_geometric_aoa_range_and_reversal():
@@ -233,7 +236,7 @@ def test_geometric_aoa_range_and_reversal():
     rate = rng.normal(size=500)
     aoa = geometric_aoa(alpha, rate)
     assert np.all((0.0 <= aoa) & (aoa <= math.pi))
-    assert np.all(geometric_aoa(alpha, np.zeros(500)) == math.pi / 2)
+    assert np.all(geometric_aoa(alpha, np.zeros(500)) == alpha)
 
 
 def test_amplitude_from_dense_sampling():
