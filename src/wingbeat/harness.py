@@ -31,9 +31,10 @@ a cutout's points go in axis order to one lockstep solve
 blocks. A point's ``ValueError`` or ``RuntimeError`` is recorded in its
 row and never aborts the grid; a grid whose every point failed raises a
 ``ValueError`` if every failure was one, else a :class:`ComputeError`.
-Hover trim likewise probes with inflow solves on one precompute. Until a
-probe lifts more than the target, the next is at f sqrt(L* / L) capped
-at the upper bound, which follows any lift <= 0.
+Hover trim probes on one precompute too, each frequency once, at the
+inflow that momentum theory gives for the target, with no inflow solve.
+Until a probe lifts more than the target, the next is at f sqrt(L* / L)
+capped at the upper bound, which follows any lift <= 0.
 A cutout study forms its own lift, power and lift-to-power deltas.
 """
 
@@ -53,11 +54,11 @@ from .aero import (
     CyclePrecompute,
     SolvePoint,
     SolverSettings,
+    _non_finite,
     momentum_denominator,
     secant_steps,
     simulate_cycle,
     solve_induced_velocities,
-    solve_induced_velocity,
     stroke_reynolds,
 )
 from .power import GRAM_FORCE_NEWTONS, lift_to_power
@@ -434,10 +435,10 @@ def run_sweep(config, workers=1):
 
 @dataclass(frozen=True)
 class TrimResult:
-    """Trimmed frequency, lift and aerodynamic power (W), with every lift
-    probe in probe order.
+    """Trimmed frequency, lift and aerodynamic power (W) at the inflow
+    (m/s) that every probe shares, with every lift probe in probe order.
 
-    ``probes`` holds (frequency_hz, lift_n, vi_evaluations) per probe.
+    ``probes`` holds (frequency_hz, lift_n) per probe.
     """
 
     frequency_hz: float
@@ -445,6 +446,7 @@ class TrimResult:
     target_lift: float
     probes: tuple
     aero_power: float
+    v_induced: float
 
     @property
     def iterations(self):
@@ -454,7 +456,7 @@ class TrimResult:
 
 # Hover trim stops within this relative lift error of the target, and
 # gives up after this many probes after the first.
-TRIM_REL_TOL = 1e-4
+TRIM_REL_TOL = 1e-9
 TRIM_MAX_ITER = 60
 
 
@@ -470,43 +472,62 @@ def hover_trim(wing, kin, env, target_lift, f_lo, f_hi,
                solver=SolverSettings()):
     """Flapping frequency in [f_lo, f_hi] whose cycle-mean lift hits a target.
 
-    The kinematics are time-rescaled at each probe frequency, and a probe
-    is one inflow solve on a cycle precompute shared by all probes, whose
-    lift at the solved inflow is the one ``simulate_cycle`` reports.
-    Lift grows almost exactly as f^2, so the search is
+    At hover the pair's mean thrust is the target T* (N, for the
+    configured single/pair setting, over the wing share), so the stroke
+    disk fixes the inflow at Vi* = sqrt(T* / (2 rho A)), and a probe is
+    one evaluation of the loads at Vi* on a cycle precompute shared by all
+    probes. A probe that lifts the target has a momentum residual of 0 at
+    Vi*, so its lift is the one ``simulate_cycle`` reports. Lift grows
+    almost exactly as f^2, so the search is
     :func:`~wingbeat.aero.secant_steps` on ln(L* / L) over ln f, with
     slope 2, from ``f_lo`` up to ``f_hi``: until a probe lifts more than
     the target, the next is at f sqrt(L* / L) capped at ``f_hi``, so one
     that lifts <= 0 is followed by ``f_hi``. It stops at the first probe
-    within ``TRIM_REL_TOL`` of the target (N, for the configured
-    single/pair setting), which the lifts at the two bounds must bracket.
+    within ``TRIM_REL_TOL`` of the target, which the lifts at the two
+    bounds must bracket. A probe checks its Reynolds number before a
+    non-finite Vi*, thrust or power raises a ``RuntimeError``.
     """
     check_trim_bracket(target_lift, f_lo, f_hi)
     probes = []
     # Every probe rescales one grid, built at the first probe's frequency.
     precompute = CyclePrecompute.build(wing, kin.with_frequency(f_lo), solver)
+    k, a = precompute.wing_scale(wing), precompute.stroke_scale(kin)
+    share = 1.0 if solver.pair else 0.5
+    disk = momentum_denominator(kin.stroke_amplitude, wing.span, env.rho)
+    v_star = math.sqrt(target_lift / share / disk) if disk else math.inf
+    workspace = np.empty((1, precompute.v_t_sq.size))
     # The bounds are probed at f_lo and f_hi exactly, not at exp(ln f).
     x_hi = math.log(f_hi)
     search = secant_steps(math.log(f_lo), 2.0, x_hi)
     next(search)
     f = f_lo
-    for _ in range(TRIM_MAX_ITER + 1):
-        probe = solve_induced_velocity(wing, kin.with_frequency(f), env,
-                                       solver, precompute=precompute)
-        probes.append((f, probe.lift, probe.iterations))
-        if abs(probe.lift - target_lift) < TRIM_REL_TOL * target_lift:
-            return TrimResult(f, probe.lift, target_lift, tuple(probes),
-                              probe.power)
-        ratio = target_lift / probe.lift if probe.lift > 0.0 else math.inf
-        residual = math.log(ratio) if ratio > 0.0 else -math.inf
-        try:
-            x = search.send(residual)
-        except StopIteration:
-            raise ValueError(
-                f"target lift {target_lift:.4g} N not bracketed: lift is "
-                f"{probes[0][1]:.4g} N at {f_lo} Hz and {probe.lift:.4g} N "
-                f"at {f_hi} Hz") from None
-        f = f_hi if x == x_hi else math.exp(x)
+    # As in the inflow solve: absurd inputs end in one error message.
+    with np.errstate(all="ignore"):
+        for _ in range(TRIM_MAX_ITER + 1):
+            re = stroke_reynolds(wing, kin.stroke_amplitude, f, env.nu)
+            point = precompute.point((a, precompute.frequency_ratio(f), k),
+                                     re, env.rho)
+            (thrust, power), = precompute.loads([point], [v_star], workspace)
+            error = _non_finite(v_star, **{"momentum inflow": v_star},
+                                thrust=thrust, power=power)
+            if error is not None:
+                raise error
+            lift = share * thrust
+            probes.append((f, lift))
+            if abs(lift - target_lift) < TRIM_REL_TOL * target_lift:
+                return TrimResult(f, lift, target_lift, tuple(probes),
+                                  share * power, v_star)
+            ratio = target_lift / lift if lift > 0.0 else math.inf
+            residual = math.log(ratio) if ratio > 0.0 else -math.inf
+            try:
+                x = search.send(residual)
+            except StopIteration:
+                raise ValueError(
+                    f"target lift {target_lift:.4g} N not bracketed at the "
+                    f"target's momentum inflow {v_star:.4g} m/s: lift is "
+                    f"{probes[0][1]:.4g} N at {f_lo} Hz and {lift:.4g} N "
+                    f"at {f_hi} Hz") from None
+            f = f_hi if x == x_hi else math.exp(x)
     raise ComputeError(
         f"hover trim did not converge within {TRIM_MAX_ITER} probes after "
         f"the first")
@@ -611,10 +632,11 @@ def write_trim(out_dir, trim, solver):
         "aero_power_w": trim.aero_power,
         "lift_to_power_gf_w": _lift_to_power_or_none(trim.mean_lift,
                                                      trim.aero_power),
+        "v_induced_m_s": trim.v_induced,
         "target_lift_n": trim.target_lift,
         "iterations": trim.iterations,
-        "probes": [{"frequency_hz": f, "lift_n": lift, "vi_evaluations": n}
-                   for f, lift, n in trim.probes],
+        "probes": [{"frequency_hz": f, "lift_n": lift}
+                   for f, lift in trim.probes],
     }, solver)
 
 

@@ -1177,21 +1177,33 @@ def test_negative_thrust_pins_inflow_at_zero():
 def test_hover_trim_of_a_design_that_never_lifts_takes_two_solves(
         monkeypatch):
     # The lift at 8 Hz is negative, so the trim probes 40 Hz next, whose
-    # negative lift does not bracket the target either.
-    solves = []
+    # negative lift does not bracket the target either: two probes, each
+    # one loads evaluation at the target's momentum inflow.
+    inflows = []
+    loads = CyclePrecompute.loads
 
-    def solve(*args, **kwargs):
-        solves.append(args[1].frequency)
-        return solve_induced_velocity(*args, **kwargs)
+    def counting(precompute, points, vs, workspace):
+        inflows.append(vs)
+        return loads(precompute, points, vs, workspace)
 
-    monkeypatch.setattr(harness, "solve_induced_velocity", solve)
+    monkeypatch.setattr(CyclePrecompute, "loads", counting)
+    wing, solver = standard_wing(25.5), SolverSettings(72, 4)
     with pytest.raises(ValueError) as error:
-        harness.hover_trim(standard_wing(25.5), inverted_twist_kinematics(),
-                           ENV, 0.1, 8.0, 40.0, SolverSettings(72, 4))
+        harness.hover_trim(wing, inverted_twist_kinematics(), ENV, 0.1, 8.0,
+                           40.0, solver)
     assert str(error.value) == (
-        "target lift 0.1 N not bracketed: lift is -0.08536 N at 8.0 Hz and "
-        "-2.18 N at 40.0 Hz")
-    assert solves == [8.0, 40.0]
+        "target lift 0.1 N not bracketed at the target's momentum inflow "
+        "1.228 m/s: lift is -0.1151 N at 8.0 Hz and -2.316 N at 40.0 Hz")
+    v_star = math.sqrt(0.1 / aero.momentum_denominator(
+        inverted_twist_kinematics().stroke_amplitude, wing.span, ENV.rho))
+    assert inflows == [[v_star], [v_star]]
+    # Each probe lifts below the target at Vi* as its solved lift does.
+    for f in (8.0, 40.0):
+        kin = inverted_twist_kinematics(f)
+        at_v_star = simulate_cycle(wing, kin, ENV, solver,
+                                   induced_velocity=v_star).mean_lift
+        solved = simulate_cycle(wing, kin, ENV, solver).mean_lift
+        assert at_v_star < 0.1 and solved < 0.1
 
 
 # ------------------------------------------------------------ cycle averages

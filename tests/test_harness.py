@@ -875,15 +875,24 @@ def test_hover_trim_requires_bracketing():
     wing = standard_wing(25.5)
     kin = beetle_kinematics(17.3, 190.0)
     solver = SolverSettings(steps_per_cycle=180, n_elements=10)
-    lift_lo, lift_hi = (
-        simulate_cycle(wing, kin.with_frequency(f), ENV, solver).mean_lift
-        for f in (8.0, 12.0))
+    disk = aero.momentum_denominator(kin.stroke_amplitude, wing.span, ENV.rho)
     for target in (1e-4, 1e4):  # below the bracket, then above it
+        v_star = math.sqrt(target / disk)
+        lift_lo, lift_hi = (
+            simulate_cycle(wing, kin.with_frequency(f), ENV, solver,
+                           induced_velocity=v_star).mean_lift
+            for f in (8.0, 12.0))
+        # A bound lifts below the target at Vi* exactly when its solved
+        # lift does.
+        for f, lift in ((8.0, lift_lo), (12.0, lift_hi)):
+            solved = simulate_cycle(wing, kin.with_frequency(f), ENV, solver)
+            assert (lift < target) == (solved.mean_lift < target)
         with pytest.raises(ValueError) as info:
             hover_trim(wing, kin, ENV, target, 8.0, 12.0, solver=solver)
         assert str(info.value) == (
-            f"target lift {target:.4g} N not bracketed: lift is "
-            f"{lift_lo:.4g} N at 8.0 Hz and {lift_hi:.4g} N at 12.0 Hz")
+            f"target lift {target:.4g} N not bracketed at the target's "
+            f"momentum inflow {v_star:.4g} m/s: lift is {lift_lo:.4g} N at "
+            f"8.0 Hz and {lift_hi:.4g} N at 12.0 Hz")
 
 
 @pytest.mark.parametrize("area", [20.1, 25.5, 31.4])
@@ -895,35 +904,43 @@ def test_hover_trim_log_secant(area, amplitude, target_gf):
     solver = SolverSettings(steps_per_cycle=180, n_elements=10)
     target = target_gf * GRAM_FORCE_NEWTONS
     trim = hover_trim(wing, kin, ENV, target, 8.0, 40.0, solver=solver)
-    # f_lo, then f_lo * sqrt(L*/L(f_lo)), then one secant step. The far
-    # corner trims at 33 Hz, where the secant through 8 Hz misses the
-    # 1e-4 tolerance by 8e-6 and takes one more step.
-    far_corner = (area, amplitude, target_gf) == (20.1, 120.0, 20.0)
-    assert len(trim.probes) == (4 if far_corner else 3)
+    # f_lo, then f_lo * sqrt(L*/L(f_lo)), then secant steps down to the
+    # 1e-9 tolerance.
+    assert 5 <= len(trim.probes) <= 6
     assert trim.iterations == len(trim.probes) - 1
     assert trim.probes[0][0] == 8.0
-    assert trim.probes[-1][:2] == (trim.frequency_hz, trim.mean_lift)
-    assert all(n >= 1 for _, _, n in trim.probes)
-    cycle = simulate_cycle(wing, kin.with_frequency(trim.frequency_hz), ENV,
-                           solver)
-    assert trim.mean_lift == pytest.approx(cycle.mean_lift, rel=1e-12)
-    assert abs(cycle.mean_lift - target) <= 1e-4 * target
+    assert trim.probes[-1] == (trim.frequency_hz, trim.mean_lift)
+    assert abs(trim.mean_lift - target) < harness.TRIM_REL_TOL * target
+    at_trim = kin.with_frequency(trim.frequency_hz)
+    fixed = simulate_cycle(wing, at_trim, ENV, solver,
+                           induced_velocity=trim.v_induced)
+    assert trim.mean_lift == pytest.approx(fixed.mean_lift, rel=1e-12)
+    assert trim.aero_power == pytest.approx(fixed.mean_aero_power, rel=1e-12)
+    # Vi* is the solved inflow at the trim, up to the solve's tolerance.
+    solved = simulate_cycle(wing, at_trim, ENV, solver)
+    assert abs(solved.mean_lift - target) <= 1e-8 * target
 
 
-def test_hover_trim_probes_are_inflow_solves(monkeypatch):
-    calls = []
-    solve = harness.solve_induced_velocity
-    monkeypatch.setattr(harness, "solve_induced_velocity",
-                        lambda *a, **k: calls.append(a[1].frequency)
-                        or solve(*a, **k))
-    monkeypatch.setattr(harness, "simulate_cycle", None)
-    fits = count_calls(monkeypatch, aero.CyclePrecompute, "fit")
-    trim = hover_trim(standard_wing(25.5), beetle_kinematics(17.3, 190.0),
-                      ENV, 15.8 * GRAM_FORCE_NEWTONS, 8.0, 40.0,
+def test_hover_trim_probes_are_single_point_loads(monkeypatch):
+    # One build, then one one-point evaluation per probe at the target's
+    # momentum inflow: no inflow solve and no cycle simulation.
+    builds = count_calls(monkeypatch, aero.CyclePrecompute, "build")
+    loads = count_calls(monkeypatch, aero.CyclePrecompute, "loads")
+    for name in ("solve_induced_velocity", "solve_induced_velocities",
+                 "simulate_cycle"):
+        monkeypatch.setattr(aero, name, None)
+        monkeypatch.setattr(harness, name, None, raising=False)
+    wing, kin = standard_wing(25.5), beetle_kinematics(17.3, 190.0)
+    target = 15.8 * GRAM_FORCE_NEWTONS
+    trim = hover_trim(wing, kin, ENV, target, 8.0, 40.0,
                       solver=SolverSettings(steps_per_cycle=180,
                                             n_elements=10))
-    assert calls == [f for f, _, _ in trim.probes]
-    assert len(calls) == len(fits) == 3
+    disk = aero.momentum_denominator(kin.stroke_amplitude, wing.span, ENV.rho)
+    assert trim.v_induced == math.sqrt(target / disk)
+    assert len(builds) == 1
+    assert len(loads) == len(trim.probes) > 1
+    for _, points, inflows, _ in loads:
+        assert len(points) == 1 and inflows == [trim.v_induced]
 
 
 def test_hover_trim_discretizes_once(monkeypatch):
@@ -932,7 +949,7 @@ def test_hover_trim_discretizes_once(monkeypatch):
                       ENV, 15.8 * GRAM_FORCE_NEWTONS, 8.0, 40.0,
                       solver=SolverSettings(steps_per_cycle=180,
                                             n_elements=10))
-    assert len(trim.probes) == 3
+    assert len(trim.probes) > 1
     assert calls == [10]
 
 
@@ -945,14 +962,14 @@ def test_hover_trim_single_wing():
     # Doubling lift and target is exact, so the pair trims the same way.
     pair = hover_trim(wing, kin, ENV, 2.0 * target, 8.0, 40.0,
                       solver=replace(solver, pair=True))
-    assert trim.probes == tuple((f, 0.5 * lift, n)
-                                for f, lift, n in pair.probes)
+    assert trim.probes == tuple((f, 0.5 * lift) for f, lift in pair.probes)
+    assert trim.v_induced == pair.v_induced
     at_trim = kin.with_frequency(trim.frequency_hz)
-    pair_lift = harness.solve_induced_velocity(
-        wing, at_trim, ENV, replace(solver, pair=True)).lift
+    pair_lift = simulate_cycle(wing, at_trim, ENV, replace(solver, pair=True),
+                               induced_velocity=trim.v_induced).mean_lift
     assert trim.mean_lift == pytest.approx(0.5 * pair_lift, rel=1e-12)
     single = simulate_cycle(wing, at_trim, ENV, solver).mean_lift
-    assert abs(single - target) <= 1e-4 * target
+    assert abs(single - target) <= 1e-8 * target
 
 
 def test_hover_trim_zero_stroke_raises():
@@ -965,16 +982,18 @@ def test_hover_trim_zero_stroke_raises():
 
 
 def trim_on_lift_curve(monkeypatch, lift, target, f_lo=8.0, f_hi=40.0):
-    """``hover_trim`` whose probe at f lifts ``lift(f)`` in one thrust
+    """``hover_trim`` whose probe at f lifts ``lift(f)`` in its one loads
     evaluation; returns (trim result or raised exception, probed f)."""
     probed = []
 
-    def solve(wing, kin, env, solver, precompute):
-        probed.append(kin.frequency)
-        return aero.InducedVelocityResult(0.0, 1, 0.0, False,
-                                          lift(kin.frequency), 1.0, 1e3)
+    def loads(precompute, points, inflows, workspace):
+        # The point's inflow scale is f over the precompute's frequency,
+        # f_lo: a power of 2 here, so f comes back exactly.
+        point, = points
+        probed.append(precompute.kinematics.frequency * point.s)
+        return [(lift(probed[-1]), 1.0)]
 
-    monkeypatch.setattr(harness, "solve_induced_velocity", solve)
+    monkeypatch.setattr(aero.CyclePrecompute, "loads", loads)
     try:
         result = hover_trim(standard_wing(25.5),
                             beetle_kinematics(17.3, 190.0), ENV, target,
@@ -1006,7 +1025,7 @@ def test_hover_trim_steps_past_a_non_positive_lift(monkeypatch):
     trim, probed = trim_on_lift_curve(monkeypatch, lambda f: f - 10.0, 5.0)
     assert probed[:2] == [8.0, 40.0]
     assert all(8.0 < f < 40.0 for f in probed[2:])
-    assert trim.probes == tuple((f, f - 10.0, 1) for f in probed)
+    assert trim.probes == tuple((f, f - 10.0) for f in probed)
     assert abs(trim.mean_lift - 5.0) < 5.0 * harness.TRIM_REL_TOL
 
 
@@ -1015,23 +1034,26 @@ def test_hover_trim_of_a_lift_that_is_never_positive_is_not_bracketed(
     # The lift at 8 Hz sends the search to f_hi, which does not bracket
     # the target either.
     error, probed = trim_on_lift_curve(monkeypatch, lambda f: -1.0, 1.0)
+    v_star = math.sqrt(1.0 / aero.momentum_denominator(
+        math.radians(190.0), standard_wing(25.5).span, ENV.rho))
     assert isinstance(error, ValueError) and str(error) == (
-        "target lift 1 N not bracketed: lift is -1 N at 8.0 Hz and -1 N at "
-        "40.0 Hz")
+        f"target lift 1 N not bracketed at the target's momentum inflow "
+        f"{v_star:.4g} m/s: lift is -1 N at 8.0 Hz and -1 N at 40.0 Hz")
     assert probed == [8.0, 40.0]
 
 
 def test_hover_trim_steps_past_equal_lifts(monkeypatch):
     # L is 1 up to 30.5 Hz: the first two probes lift the same, both below
     # the target, so the search takes a second model step from 8 sqrt(10)
-    # Hz, which would pass f_hi and stops there.
+    # Hz, which would pass f_hi and stops there; six secant steps then
+    # close in on 35 Hz.
     trim, probed = trim_on_lift_curve(
         monkeypatch, lambda f: max(1.0, 2.0 * (f - 30.0)), 10.0)
     assert probed[:3] == pytest.approx([8.0, 8.0 * math.sqrt(10.0), 40.0],
                                        rel=1e-15)
     assert probed[2] == 40.0
-    assert len(probed) == 8
-    assert trim.frequency_hz == pytest.approx(35.0, rel=1e-4)
+    assert len(probed) == 9
+    assert trim.frequency_hz == pytest.approx(35.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("lift, target", [(lambda f: 1e-300 * f, 1e10),
@@ -1053,7 +1075,7 @@ def test_hover_trim_at_the_upper_bound_after_lifting_too_much_at_f_lo(
     trim, probed = trim_on_lift_curve(monkeypatch, lambda f: 100.0 / f, 2.5)
     assert probed == [8.0, 40.0]
     assert trim.frequency_hz == 40.0 and trim.mean_lift == 2.5
-    assert trim.probes == ((8.0, 12.5, 1), (40.0, 2.5, 1))
+    assert trim.probes == ((8.0, 12.5), (40.0, 2.5))
 
 
 def test_hover_trim_that_never_meets_the_target_is_a_compute_error(
@@ -1290,16 +1312,20 @@ def test_cli_trim(tmp_path):
     assert 8.0 < doc["frequency_hz"] < 30.0
     assert len(doc["probes"]) == doc["iterations"] + 1
     assert doc["probes"][-1] == {"frequency_hz": doc["frequency_hz"],
-                                 "lift_n": doc["mean_lift_n"],
-                                 "vi_evaluations": 4}
+                                 "lift_n": doc["mean_lift_n"]}
     config = StudyConfig.from_file(path)
-    cycle = simulate_cycle(
-        config.wing, config.kinematics.with_frequency(doc["frequency_hz"]),
-        config.environment, config.solver)
-    assert doc["aero_power_w"] == pytest.approx(cycle.mean_aero_power,
+    at_trim = config.kinematics.with_frequency(doc["frequency_hz"])
+    fixed = simulate_cycle(config.wing, at_trim, config.environment,
+                           config.solver,
+                           induced_velocity=doc["v_induced_m_s"])
+    assert doc["mean_lift_n"] == pytest.approx(fixed.mean_lift, rel=1e-12)
+    assert doc["aero_power_w"] == pytest.approx(fixed.mean_aero_power,
                                                 rel=1e-12)
+    solved = simulate_cycle(config.wing, at_trim, config.environment,
+                            config.solver)
+    assert doc["v_induced_m_s"] == pytest.approx(solved.v_induced, abs=1e-6)
     assert doc["lift_to_power_gf_w"] == pytest.approx(
-        doc["mean_lift_gf"] / cycle.mean_aero_power, rel=1e-12)
+        doc["mean_lift_gf"] / fixed.mean_aero_power, rel=1e-12)
 
 
 TASK_SECTIONS = {"trim": {"target_lift_gf": 15.8, "f_lo_hz": 8.0,
@@ -1362,7 +1388,8 @@ def test_cli_unbracketed_trim_target_is_config_error(tmp_path, capsys):
                                         "f_lo_hz": 8.0, "f_hi_hz": 12.0})
     assert cli.main(["--config", str(path), "trim"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: target lift 4.9 N not bracketed: ")
+    assert err.startswith("config error: target lift 4.9 N not bracketed "
+                          "at the target's momentum inflow ")
     assert err.count("\n") == 1
 
 
@@ -1509,6 +1536,9 @@ def test_cli_infinite_reynolds_number_is_config_error(tmp_path, capsys,
     pytest.param("simulate", 1e60, 1.73e101, 0.0, 2,
                  "compute failure: non-finite cycle-mean momentum inflow inf "
                  "at inflow 0 m/s", id="simulate-momentum-inflow"),
+    pytest.param("trim", 1e160, 17.3, 0.0125, 2,
+                 "compute failure: non-finite cycle-mean momentum inflow inf "
+                 "at inflow inf m/s", id="trim-momentum-inflow"),
 ])
 def test_cli_empty_stroke_disk_is_one_line_error(tmp_path, capsys, command,
                                                  chord, frequency,
